@@ -22,6 +22,10 @@
  *     read them), events_processed is batched into the finally block,
  *     and the inline-dispatch window (_horizon/_ninline) follows the
  *     exact open/close rules of ArraySimulator.run.
+ *   - A popped entry whose seq is not its handle's is a wake-up left by
+ *     ArraySimulator.reschedule (inherited, pure Python): the run loop
+ *     pushes it back under the handle's current key, uncounted, exactly
+ *     as the pure loop does (classify_handle_entry).
  *
  * Performance notes
  * -----------------
@@ -77,8 +81,13 @@ static Py_ssize_t o_horizon = -1;
 static Py_ssize_t o_ninline = -1;
 
 /* Event slot offsets */
+static Py_ssize_t o_ev_time = -1;
+static Py_ssize_t o_ev_seq = -1;
+static Py_ssize_t o_ev_fn = -1;
+static Py_ssize_t o_ev_args = -1;
 static Py_ssize_t o_ev_cancelled = -1;
 static Py_ssize_t o_ev_fired = -1;
+static Py_ssize_t o_ev_qtime = -1;
 
 static PyObject *s_dispatch = NULL;      /* "dispatch" (profiler attr) */
 
@@ -727,6 +736,80 @@ c_advance_if_clear(PyObject *Py_UNUSED(mod), PyObject *const *args,
 /* ------------------------------------------------------------------ */
 /* the run loop */
 
+/* `ev.<name>` as a new reference: direct slot read for real Events, the
+ * attribute protocol for anything else riding in a hand-built entry */
+static PyObject *
+ev_get(PyObject *ev, Py_ssize_t off, const char *name)
+{
+    PyObject *v;
+
+    if (!PyObject_TypeCheck(ev, (PyTypeObject *)g_event_cls))
+        return PyObject_GetAttrString(ev, name);
+    v = slot_get(ev, off, name);
+    Py_XINCREF(v);
+    return v;
+}
+
+/* `ev.<name> = v` */
+static int
+ev_set(PyObject *ev, Py_ssize_t off, const char *name, PyObject *v)
+{
+    if (!PyObject_TypeCheck(ev, (PyTypeObject *)g_event_cls))
+        return PyObject_SetAttrString(ev, name, v);
+    slot_set(ev, off, v);
+    return 0;
+}
+
+enum { EV_FIRE, EV_DROP, EV_REKEY };
+
+/* What to do with a popped entry that carries the handle `ev`, exactly
+ * as the pure loop decides it: a cancelled handle owns no entry any more
+ * (`_qtime = inf`) and the entry is dropped; an entry whose seq is not
+ * the handle's is a reschedule() wake-up and is pushed back under the
+ * handle's current key (`_qtime = ev.time`); otherwise it fires.
+ * Returns one of the codes above, or -1 with an exception set. */
+static int
+classify_handle_entry(PyObject *heap, PyObject *entry, PyObject *ev)
+{
+    PyObject *v, *seq, *tm = NULL, *fn = NULL, *cargs = NULL, *fresh = NULL;
+    int r;
+
+    v = ev_get(ev, o_ev_cancelled, "cancelled");
+    if (v == NULL)
+        return -1;
+    r = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    if (r < 0)
+        return -1;
+    if (r)
+        return ev_set(ev, o_ev_qtime, "_qtime", g_inf) != 0 ? -1 : EV_DROP;
+
+    seq = ev_get(ev, o_ev_seq, "seq");
+    if (seq == NULL)
+        return -1;
+    /* identical objects (the never-rescheduled case) short-circuit */
+    r = PyObject_RichCompareBool(PyTuple_GET_ITEM(entry, 1), seq, Py_NE);
+    if (r <= 0) {
+        Py_DECREF(seq);
+        return r < 0 ? -1 : EV_FIRE;
+    }
+
+    r = -1;
+    if ((tm = ev_get(ev, o_ev_time, "time")) != NULL &&
+        (fn = ev_get(ev, o_ev_fn, "fn")) != NULL &&
+        (cargs = ev_get(ev, o_ev_args, "args")) != NULL &&
+        (fresh = PyTuple_Pack(5, tm, seq, fn, cargs, ev)) != NULL &&
+        ev_set(ev, o_ev_qtime, "_qtime", tm) == 0 &&
+        heap_push(heap, fresh) == 0)
+        r = EV_REKEY;
+    Py_DECREF(seq);
+    Py_XDECREF(tm);
+    Py_XDECREF(fn);
+    Py_XDECREF(cargs);
+    Py_XDECREF(fresh);
+    return r;
+}
+
 static PyObject *
 c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
 {
@@ -813,27 +896,13 @@ c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
         if (width != 4) {
             ev = PyTuple_GET_ITEM(entry, 4);  /* borrowed */
             if (ev != Py_None) {
-                PyObject *c;
-                if (PyObject_TypeCheck(ev, (PyTypeObject *)g_event_cls)) {
-                    c = SLOT(ev, o_ev_cancelled);
-                    cmp = c ? PyObject_IsTrue(c) : 0;
-                }
-                else {
-                    c = PyObject_GetAttrString(ev, "cancelled");
-                    if (c == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    cmp = PyObject_IsTrue(c);
-                    Py_DECREF(c);
-                }
+                cmp = classify_handle_entry(heap, entry, ev);
                 if (cmp < 0) {
                     Py_DECREF(entry);
                     failed = 1;
                     break;
                 }
-                if (cmp) {
+                if (cmp != EV_FIRE) {
                     Py_DECREF(entry);
                     continue;
                 }
@@ -881,15 +950,11 @@ c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
         }
         else {
             PyObject *cargs = PyTuple_GET_ITEM(entry, 3);
-            if (ev != Py_None) {
-                if (PyObject_TypeCheck(ev, (PyTypeObject *)g_event_cls)) {
-                    slot_set(ev, o_ev_fired, Py_True);
-                }
-                else if (PyObject_SetAttrString(ev, "fired", Py_True) != 0) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
+            if (ev != Py_None &&
+                ev_set(ev, o_ev_fired, "fired", Py_True) != 0) {
+                Py_DECREF(entry);
+                failed = 1;
+                break;
             }
             if (profiler == Py_None) {
                 res = PyObject_Call(fn, cargs, NULL);
@@ -1025,8 +1090,13 @@ c_setup(PyObject *Py_UNUSED(mod), PyObject *args)
         (o_heap = slot_offset(sim_cls, "_heap")) < 0 ||
         (o_horizon = slot_offset(sim_cls, "_horizon")) < 0 ||
         (o_ninline = slot_offset(sim_cls, "_ninline")) < 0 ||
+        (o_ev_time = slot_offset(event_cls, "time")) < 0 ||
+        (o_ev_seq = slot_offset(event_cls, "seq")) < 0 ||
+        (o_ev_fn = slot_offset(event_cls, "fn")) < 0 ||
+        (o_ev_args = slot_offset(event_cls, "args")) < 0 ||
         (o_ev_cancelled = slot_offset(event_cls, "cancelled")) < 0 ||
-        (o_ev_fired = slot_offset(event_cls, "fired")) < 0)
+        (o_ev_fired = slot_offset(event_cls, "fired")) < 0 ||
+        (o_ev_qtime = slot_offset(event_cls, "_qtime")) < 0)
         return NULL;
 
     Py_INCREF(sim_cls);

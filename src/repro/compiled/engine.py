@@ -7,9 +7,10 @@ hot methods — ``run``, ``schedule``, ``schedule_at``, ``schedule_fire``,
 ``schedule_fire1``, ``advance_if_clear`` — with their C
 transliterations.  Everything else (construction, RNG streams,
 snapshot ``__getstate__``/``__setstate__``, ``live_entries``,
-cancellation) is inherited pure Python, and all mutable state lives in
-the ordinary Python slots, which is what makes the two builds
-bit-identical and snapshot-compatible.
+cancellation, ``reschedule`` — whose stale wake-up entries the C run
+loop re-keys exactly as the pure loop does) is inherited pure Python,
+and all mutable state lives in the ordinary Python slots, which is what
+makes the two builds bit-identical and snapshot-compatible.
 
 The class is defined *unconditionally*: a pickled snapshot that
 references ``repro.compiled.engine.CompiledSimulator`` must unpickle in

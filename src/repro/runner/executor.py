@@ -21,6 +21,7 @@ is what makes ``workers=N`` output row-for-row identical to ``workers=0``.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field
@@ -38,8 +39,6 @@ from .telemetry import RunnerStats, resolve_progress
 
 __all__ = ["JobResult", "record_observation", "run_jobs", "resolve_workers"]
 
-#: scheduler poll interval while waiting on worker processes (seconds)
-_POLL_INTERVAL = 0.005
 #: grace period for a worker that already sent its result to exit
 _JOIN_GRACE = 5.0
 
@@ -452,7 +451,10 @@ def _run_parallel(
                     try:
                         message = slot.conn.recv()
                     except (EOFError, OSError):
-                        message = None
+                        # Pipe closed with nothing sent: the worker is on
+                        # its way out.  Let it finish, so the crash branch
+                        # below reports its real exit code.
+                        slot.proc.join(_JOIN_GRACE)
                 if message is not None:
                     status, body, obs_meta = message
                     reap(slot)
@@ -478,7 +480,13 @@ def _run_parallel(
                     still_running.append(slot)
             running = still_running
             if not progressed and running:
-                time.sleep(_POLL_INTERVAL)
+                # Sleep until a worker writes its result or exits, or the
+                # nearest per-attempt deadline passes — whichever is first.
+                deadlines = [s.deadline for s in running if s.deadline is not None]
+                multiprocessing.connection.wait(
+                    [s.conn for s in running] + [s.proc.sentinel for s in running],
+                    max(0.0, min(deadlines) - now) if deadlines else None,
+                )
     finally:
         for slot in running:  # pragma: no cover - only on interrupt
             reap(slot)

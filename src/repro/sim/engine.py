@@ -98,6 +98,10 @@ _STATE_SLOTS = (
 )
 
 
+#: the :class:`Event` slots a snapshot carries (``_qtime`` is re-derived)
+_EVENT_STATE_SLOTS = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim")
+
+
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulator (e.g. scheduling in the past)."""
 
@@ -111,9 +115,16 @@ class Event:
     never compares :class:`Event` objects (both engines key their heaps on
     tuples), so ``__lt__`` below exists only for explicit comparisons in
     user code and tests — the hot path never calls it.
+
+    ``time``/``seq`` are the handle's *current* firing key.  After an
+    in-place :meth:`Simulator.reschedule` they run ahead of the key of
+    the heap entry the handle owns; ``_qtime`` remembers that entry's
+    time (``inf`` once the entry is gone) so the next re-arm can tell
+    whether the entry still wakes the engine up early enough.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim",
+                 "_qtime")
 
     def __init__(
         self,
@@ -130,6 +141,7 @@ class Event:
         self.cancelled = False
         self.fired = False
         self._sim = sim
+        self._qtime = time
 
     def cancel(self) -> None:
         """Mark the event so it will be skipped when its time arrives.
@@ -148,6 +160,21 @@ class Event:
         if self.time != other.time:
             return self.time < other.time
         return self.seq < other.seq
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # The default slots state minus `_qtime`: snapshots export every
+        # pending handle under its current key (see live_entries()), so
+        # the physical-entry bookkeeping is engine-private and re-derived
+        # on restore — which keeps snapshot bytes engine-independent.
+        return None, {name: getattr(self, name) for name in _EVENT_STATE_SLOTS}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        # Also the default for snapshots that predate the slot: a live
+        # handle sits in the restored heap under its own key; a cancelled
+        # one was purged at capture and a fired one already popped.
+        self._qtime = _INF if self.cancelled or self.fired else self.time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -252,6 +279,26 @@ class Simulator:
         if event is not None:
             event.cancel()
 
+    def reschedule(
+        self, event: Optional[Event], delay: float, fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Re-arm a timer: ``cancel(event)`` then ``schedule(delay, fn, *args)``.
+
+        This two-call body *is* the contract, and the legacy engine runs
+        it literally.  Faster engines may keep *event*'s heap entry and
+        return the same handle, but only in ways no caller can observe:
+        a fresh ``seq`` is reserved at call time, so the firing key
+        ``(time, seq)``, tie order, :meth:`pending`, ``events_processed``,
+        ``now`` and snapshot state all equal what the two calls produce.
+        Callers must therefore keep the *returned* handle, as they would
+        keep ``schedule``'s.  A bad *delay* raises
+        :class:`SimulationError` after *event* has been cancelled,
+        exactly as the two calls would.
+        """
+        if event is not None:
+            event.cancel()
+        return self.schedule(delay, fn, *args)
+
     def pending(self) -> int:
         """Number of live (non-cancelled, not-yet-fired) events — O(1)."""
         return self._live
@@ -291,10 +338,6 @@ class Simulator:
         """
         raise NotImplementedError
 
-    def _export_heap(self) -> List[_LegacyEntry]:
-        """Canonical (legacy-format) event list for ``__getstate__``."""
-        raise NotImplementedError
-
     def __getstate__(self) -> Dict[str, Any]:
         """Snapshot state: shared slots plus the canonical event list.
 
@@ -307,15 +350,16 @@ class Simulator:
         of producing a snapshot that lies.
 
         The event list is exported under the canonical ``"_heap"`` key as
-        legacy-format 5-tuples regardless of engine, so a snapshot taken
-        under one backend restores under the other.  Cancelled-but-unpopped
-        entries are purged from the exported copy (the live event list is
-        untouched): lazy cancellation means a popped cancelled entry is
-        skipped without side effects, so the purge cannot change the
-        continuation — and it keeps a cancelled entry's possibly-
-        unpicklable callback from blocking the snapshot.  Pop order
-        depends only on the ``(time, seq)`` key multiset, so re-heapifying
-        the filtered list is exact.
+        legacy-format 5-tuples sorted by ``(time, seq)`` regardless of
+        engine, so a snapshot taken under one backend restores under the
+        other.  Cancelled-but-unpopped entries are purged from the
+        exported copy (the live event list is untouched): lazy
+        cancellation means a popped cancelled entry is skipped without
+        side effects, so the purge cannot change the continuation — and
+        it keeps a cancelled entry's possibly-unpicklable callback from
+        blocking the snapshot.  Pop order depends only on the
+        ``(time, seq)`` key multiset, so rebuilding the heap from the
+        exported list is exact.
         """
         from ..snapshot.errors import SnapshotError
 
@@ -330,7 +374,10 @@ class Simulator:
                 "detach it (sim.profiler = None) around the snapshot"
             )
         state = {slot: getattr(self, slot) for slot in _STATE_SLOTS}
-        state["_heap"] = self._export_heap()
+        # seq is unique, so the sort never compares past the key; a
+        # sorted list is a valid heap and does not depend on the
+        # engine's physical heap layout
+        state["_heap"] = sorted(self.live_entries())
         return state
 
     def _restore_shared(self, state: Dict[str, Any]) -> None:
@@ -487,13 +534,6 @@ class LegacySimulator(Simulator):
     def live_entries(self) -> List[_LegacyEntry]:
         return [e for e in self._heap if e[4] is None or not e[4].cancelled]
 
-    def _export_heap(self) -> List[_LegacyEntry]:
-        live = self.live_entries()
-        if len(live) == len(self._heap):
-            return self._heap
-        heapq.heapify(live)
-        return live
-
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self._restore_shared(state)
         heap = list(state["_heap"])
@@ -632,6 +672,41 @@ class ArraySimulator(Simulator):
         heapq.heappush(self._heap, (time, seq, fn, args, ev))
         return ev
 
+    def reschedule(
+        self, event: Optional[Event], delay: float, fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Re-arm *event* in place when its heap entry can stay put.
+
+        See :meth:`Simulator.reschedule` for the contract.  A per-ACK
+        timer (TCP's RTO) re-armed the two-call way leaves one dead entry
+        in the heap per ACK; here the handle's key is rewritten instead
+        and the entry it already owns — keyed no later than the new
+        deadline — stays behind as a wake-up that :meth:`run` re-keys
+        when it surfaces.  A handle cancelled but not yet popped is
+        revived the same way.  Anything else (no handle, already fired,
+        entry gone or keyed *after* the new deadline, another callback
+        or simulator, a bad delay) takes the literal two calls.
+        """
+        if (
+            event is not None
+            and 0.0 <= delay < _INF
+            and not event.fired
+            and event._sim is self
+            and event.fn == fn
+        ):
+            time = self.now + delay
+            if event._qtime <= time:
+                seq = self._seq
+                self._seq = seq + 1
+                if event.cancelled:
+                    event.cancelled = False
+                    self._live += 1
+                event.time = time
+                event.seq = seq
+                event.args = args
+                return event
+        return super().reschedule(event, delay, fn, *args)
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -646,6 +721,11 @@ class ArraySimulator(Simulator):
         max_events:
             Safety valve for tests; stop after this many events.  Setting
             it disables inline batching so every dispatch is countable.
+
+        A popped entry whose ``seq`` no longer matches its handle's is a
+        wake-up left by :meth:`reschedule`: it is pushed back under the
+        handle's current key without being counted, dispatched or
+        allowed to move ``now``.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -677,8 +757,14 @@ class ArraySimulator(Simulator):
                         profiler.dispatch(entry[2], (entry[3],))
                 else:
                     ev = entry[4]
-                    if ev is not None and ev.cancelled:
-                        continue
+                    if ev is not None:
+                        if ev.cancelled:
+                            ev._qtime = _INF  # the handle owns no entry now
+                            continue
+                        if entry[1] != ev.seq:
+                            time = ev._qtime = ev.time
+                            heapq.heappush(heap, (time, ev.seq, ev.fn, ev.args, ev))
+                            continue
                     time = entry[0]
                     if time > horizon:
                         heapq.heappush(heap, entry)
@@ -730,15 +816,16 @@ class ArraySimulator(Simulator):
         for entry in self._heap:
             if len(entry) == 4:
                 out.append((entry[0], entry[1], entry[2], (entry[3],), None))
-            elif entry[4] is None or not entry[4].cancelled:
+                continue
+            ev = entry[4]
+            if ev is None:
                 out.append(entry)
+            elif not ev.cancelled:
+                # a reschedule() wake-up goes out under the handle's
+                # current key, never the stale one it is queued under
+                out.append(entry if entry[1] == ev.seq
+                           else (ev.time, ev.seq, ev.fn, ev.args, ev))
         return out
-
-    def _export_heap(self) -> List[_LegacyEntry]:
-        live = self.live_entries()
-        if len(live) != len(self._heap):
-            heapq.heapify(live)
-        return live
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self._restore_shared(state)

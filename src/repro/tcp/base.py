@@ -140,6 +140,9 @@ class TcpSender:
         self.obs: Optional[Any] = None
         self.obs_label: Optional[str] = None
 
+        #: the flow's one restartable RTO timer.  The handle is kept
+        #: while cancelled so the next arm can revive its heap entry
+        #: (Simulator.reschedule); ``None`` once it has fired.
         self._rtx_timer: Optional[Event] = None
         node.register_endpoint(flow_id, self)
 
@@ -231,7 +234,8 @@ class TcpSender:
             self.next_seq = seq + 1
             self.high_water = max(self.high_water, self.next_seq)
         self.pkts_sent += 1
-        if self._rtx_timer is None:
+        timer = self._rtx_timer
+        if timer is None or timer.cancelled:
             self._arm_rtx_timer()
         self.node.send(pkt)
 
@@ -289,7 +293,7 @@ class TcpSender:
                 for _ in range(n_newly_acked):
                     self._increase_on_ack()
             if self.high_water > self.cum_ack:
-                self._arm_rtx_timer(restart=True)
+                self._arm_rtx_timer()
             else:
                 self._cancel_rtx_timer()
         elif pkt.ack_seq == self.cum_ack and self.high_water > self.cum_ack:
@@ -391,17 +395,18 @@ class TcpSender:
             self.srtt = 0.875 * self.srtt + 0.125 * sample
         self.rto = min(MAX_RTO, max(MIN_RTO, self.srtt + 4.0 * self.rttvar))
 
-    def _arm_rtx_timer(self, restart: bool = False) -> None:
-        if restart:
-            self._cancel_rtx_timer()
-        if self._rtx_timer is None:
-            delay = min(MAX_RTO, self.rto * self._backoff)
-            self._rtx_timer = self.sim.schedule(delay, self._on_timeout)
+    def _arm_rtx_timer(self) -> None:
+        """(Re)start the RTO timer from now; runs on every new ACK."""
+        delay = self.rto * self._backoff
+        if delay > MAX_RTO:
+            delay = MAX_RTO
+        self._rtx_timer = self.sim.reschedule(
+            self._rtx_timer, delay, self._on_timeout
+        )
 
     def _cancel_rtx_timer(self) -> None:
         if self._rtx_timer is not None:
             self._rtx_timer.cancel()
-            self._rtx_timer = None
 
     def _on_timeout(self) -> None:
         self._rtx_timer = None
@@ -429,6 +434,9 @@ class TcpSender:
         if self.app_limit is not None and not self.done and self.cum_ack >= self.app_limit:
             self.done = True
             self._cancel_rtx_timer()
+            # never re-armed again: drop the handle so a finished sender is
+            # not kept alive by the sender -> handle -> bound-method cycle
+            self._rtx_timer = None
             if self.on_complete is not None:
                 self.on_complete(self)
 
@@ -510,14 +518,14 @@ class TcpSink:
             self._flush_delack()
         else:
             self._delack_pending = pkt
-            self._delack_timer = self.sim.schedule(
-                self.delack_timeout, self._flush_delack
+            self._delack_timer = self.sim.reschedule(
+                self._delack_timer, self.delack_timeout, self._flush_delack
             )
 
     def _flush_delack(self) -> None:
+        # the handle outlives the cancel: the next held segment re-arms it
         if self._delack_timer is not None:
             self._delack_timer.cancel()
-            self._delack_timer = None
         pending, self._delack_pending = self._delack_pending, None
         if pending is not None:
             self._send_ack(pending)

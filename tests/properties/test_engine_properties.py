@@ -7,6 +7,11 @@ directly, so the suite is independent of ``REPRO_ENGINE``), and one
 cross-engine property runs the same randomized schedule through both
 pure backends and demands identical dispatch sequences — the randomized
 counterpart of the scenario-level suite in ``tests/differential``.
+
+The timer-program property at the bottom is the equivalence proof for
+:meth:`Simulator.reschedule`: the legacy engine runs it as the literal
+``cancel`` + ``schedule``, and every in-place engine must be
+indistinguishable from that after every step of a random program.
 """
 
 import pickle
@@ -162,3 +167,143 @@ def test_engines_dispatch_identically(delays, data):
         return rec.hits, sim.events_processed, sim.now, sim._seq
 
     assert run(LegacySimulator) == run(ArraySimulator)
+
+
+# ----------------------------------------------------------------------
+# reschedule(): in-place engines vs the literal two-call definition
+# ----------------------------------------------------------------------
+#: quarter-second grid: ties, earlier-than-queued and later-than-queued
+#: deadlines all come up constantly
+grid_delays = st.integers(0, 12).map(lambda k: k * 0.25)
+timer_slots = st.integers(0, 2)
+
+timer_ops = st.one_of(
+    st.tuples(st.just("schedule"), timer_slots, grid_delays),
+    st.tuples(st.just("reschedule"), timer_slots, grid_delays),
+    st.tuples(st.just("reschedule_other_fn"), timer_slots, grid_delays),
+    st.tuples(st.just("cancel"), timer_slots),
+    st.tuples(st.just("noise"), grid_delays),
+    # the real usage: re-arm / stop from inside a callback, mid-run
+    st.tuples(st.just("rearm_later"), grid_delays, timer_slots, grid_delays),
+    st.tuples(st.just("stop_later"), grid_delays, timer_slots),
+    st.tuples(st.just("run_until"), grid_delays),
+    st.tuples(st.just("run_events"), st.integers(1, 4)),
+)
+
+
+class TimerProgram:
+    """Interprets a random op list against one engine, logging everything
+    a caller could observe after each step."""
+
+    def __init__(self, engine):
+        self.sim = engine(seed=0)
+        self.timers = [None, None, None]
+        self.fired = []
+        self.observed = []
+
+    def hit(self, tag):
+        self.fired.append((self.sim.now, "hit", tag))
+
+    def alt(self, tag):
+        self.fired.append((self.sim.now, "alt", tag))
+
+    def rearm(self, slot, delay, tag):
+        self.fired.append((self.sim.now, "rearm", tag))
+        self.timers[slot] = self.sim.reschedule(
+            self.timers[slot], delay, self.hit, tag)
+
+    def stop(self, slot, tag):
+        self.fired.append((self.sim.now, "stop", tag))
+        self.sim.cancel(self.timers[slot])
+
+    def step(self, tag, op):
+        sim, timers = self.sim, self.timers
+        kind = op[0]
+        if kind == "schedule":
+            timers[op[1]] = sim.schedule(op[2], self.hit, tag)
+        elif kind == "reschedule":
+            timers[op[1]] = sim.reschedule(timers[op[1]], op[2], self.hit, tag)
+        elif kind == "reschedule_other_fn":
+            timers[op[1]] = sim.reschedule(timers[op[1]], op[2], self.alt, tag)
+        elif kind == "cancel":
+            sim.cancel(timers[op[1]])
+        elif kind == "noise":
+            sim.schedule_fire1(op[1], self.hit, tag)
+        elif kind == "rearm_later":
+            sim.schedule_fire(op[1], self.rearm, op[2], op[3], tag)
+        elif kind == "stop_later":
+            sim.schedule_fire(op[1], self.stop, op[2], tag)
+        elif kind == "run_until":
+            sim.run(until=sim.now + op[1])
+        else:
+            sim.run(max_events=op[1])
+        self.observe()
+
+    def observe(self):
+        sim = self.sim
+        self.observed.append((
+            sim.now, sim._seq, sim.pending(), sim.events_processed,
+            len(self.fired),
+            [None if t is None else (t.time, t.seq, t.cancelled, t.fired)
+             for t in self.timers],
+            # the canonical event list a snapshot taken now would carry
+            [(e[0], e[1], e[2].__name__, e[3]) for e in sorted(sim.live_entries())],
+        ))
+
+    def execute(self, ops):
+        for tag, op in enumerate(ops):
+            self.step(tag, op)
+        self.sim.run()
+        self.observe()
+        return self.fired, self.observed
+
+
+@pytest.mark.parametrize("engine", [e for e in ENGINES if e is not LegacySimulator])
+@given(ops=st.lists(timer_ops, min_size=1, max_size=40))
+@settings(max_examples=150)
+def test_reschedule_matches_cancel_plus_schedule(engine, ops):
+    """Fired trace, clock, counters, handles and canonical event list
+    agree with the legacy engine after every op of a random program."""
+    want_fired, want_observed = TimerProgram(LegacySimulator).execute(ops)
+    got_fired, got_observed = TimerProgram(engine).execute(ops)
+    assert got_fired == want_fired
+    for i, (got, want) in enumerate(zip(got_observed, want_observed)):
+        assert got == want, f"diverged after op {i}: {ops[:i + 1][-1]}"
+
+
+def test_pert_dumbbell_heap_carries_no_dead_timer_per_ack(monkeypatch):
+    """Regression: 50 PERT flows hold at most one cancelled heap entry
+    each (the two-call re-arm held ~1 200 of 1 630 entries).
+
+    While a flow's first RTT sample is fresh there is one more: the
+    INITIAL_RTO entry its first re-arm had to abandon (the deadline moved
+    *earlier*), which dies INITIAL_RTO after the flow started.
+    """
+    from repro.experiments.common import run_dumbbell
+    from repro.tcp.base import INITIAL_RTO
+
+    n_flows, start_window = 50, 0.5
+    worst = {"startup": 0, "steady": 0}
+    pure_run = ArraySimulator.run
+
+    def sampling_run(self, until=None, max_events=None):
+        # chop every run(until=...) into 50 ms slices and census the heap
+        t = self.now
+        while t < until:
+            t = min(until, t + 0.05)
+            pure_run(self, t, max_events)
+            dead = sum(1 for e in self._heap
+                       if len(e) == 5 and e[4] is not None and e[4].cancelled)
+            assert dead == len(self._heap) - self.pending()
+            phase = "steady" if t > start_window + INITIAL_RTO else "startup"
+            worst[phase] = max(worst[phase], dead)
+
+    monkeypatch.setenv("REPRO_ENGINE", "array")
+    monkeypatch.setenv("REPRO_COMPILED", "0")
+    monkeypatch.setattr(ArraySimulator, "run", sampling_run)
+    result = run_dumbbell("pert", bandwidth=20e6, rtt=0.06, n_fwd=n_flows,
+                          duration=5.0, warmup=1.0, start_window=start_window,
+                          seed=2, collector=False)
+    assert result.events_processed > 100_000
+    assert worst["startup"] <= 2 * n_flows
+    assert worst["steady"] <= n_flows

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.compiled import status as _compiled_status
+from repro.sim.engine import (
+    ArraySimulator,
+    Event,
+    LegacySimulator,
+    SimulationError,
+    Simulator,
+)
 
 
 def test_events_run_in_time_order():
@@ -278,3 +285,236 @@ def test_cancelled_events_survive_pickle_roundtrip():
     sim.run()
     assert sim.events_processed == 2
     assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# reschedule(): observationally `cancel(event); schedule(delay, fn, *args)`
+#
+# Every test runs on each engine; the legacy one executes the two calls
+# literally, so passing on all of them is the equivalence.  What only the
+# in-place engines can show (handle reuse, no dead heap entries) is
+# asserted under `in_place`.
+# ----------------------------------------------------------------------
+ENGINES = [LegacySimulator, ArraySimulator]
+if _compiled_status().available:
+    from repro.compiled.engine import CompiledSimulator
+
+    ENGINES.append(CompiledSimulator)
+
+engines = pytest.mark.parametrize("engine", ENGINES)
+
+
+def in_place(engine):
+    return engine is not LegacySimulator
+
+
+class Log:
+    """Fire log of ``(now, tag)``; bound methods compare equal across calls."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.hits = []
+
+    def hit(self, tag=None):
+        self.hits.append((self.sim.now, tag))
+
+    def other(self, tag=None):
+        self.hits.append((self.sim.now, ("other", tag)))
+
+
+@engines
+def test_reschedule_moves_the_timer_and_its_args(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(1.0, log.hit, "old")
+    for k in range(5):
+        ev2 = sim.reschedule(ev, 2.0 + k, log.hit, k)
+        if in_place(engine):
+            assert ev2 is ev
+        ev = ev2
+    assert sim.pending() == 1
+    assert (ev.time, ev.seq, ev.args) == (6.0, 5, (4,))
+    if in_place(engine):
+        assert len(sim._heap) == 1  # no corpse per re-arm
+    sim.run()
+    assert log.hits == [(6.0, 4)]
+    assert sim.events_processed == 1
+    assert sim.now == 6.0
+    assert ev.fired and sim.pending() == 0
+
+
+@engines
+def test_reschedule_reserves_a_fresh_seq_for_tie_order(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    first = sim.schedule(1.0, log.hit, "first")
+    sim.schedule(1.0, log.hit, "second")
+    sim.reschedule(first, 1.0, log.hit, "re-armed")  # same instant, newer seq
+    sim.run()
+    assert [tag for _, tag in log.hits] == ["second", "re-armed"]
+    assert sim._seq == 3
+
+
+@engines
+def test_reschedule_to_earlier_deadline_falls_back(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(5.0, log.hit, "late")
+    ev2 = sim.reschedule(ev, 1.0, log.hit, "early")
+    # the queued entry would wake the engine too late: classic cancel + push
+    assert ev2 is not ev and ev.cancelled and not ev2.cancelled
+    assert sim.pending() == 1
+    sim.run()
+    assert log.hits == [(1.0, "early")]
+    assert sim.now == 1.0  # the dead entry at t=5 never moves the clock
+
+
+@engines
+def test_reschedule_of_fired_or_missing_handle_is_a_plain_schedule(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(1.0, log.hit, "a")
+    sim.run()
+    ev2 = sim.reschedule(ev, 1.0, log.hit, "b")
+    assert ev2 is not ev and ev.fired and not ev.cancelled
+    ev3 = sim.reschedule(None, 2.0, log.hit, "c")
+    assert sim.pending() == 2
+    sim.run()
+    assert log.hits == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+    assert ev2.fired and ev3.fired
+
+
+@engines
+def test_reschedule_with_another_callback_falls_back(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(1.0, log.hit, "x")
+    ev2 = sim.reschedule(ev, 2.0, log.other, "y")
+    assert ev2 is not ev and ev.cancelled
+    sim.run()
+    assert log.hits == [(2.0, ("other", "y"))]
+
+
+@engines
+def test_reschedule_revives_a_cancelled_but_queued_handle(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(1.0, log.hit, "x")
+    sim.schedule(9.0, log.hit, "end")
+    ev.cancel()
+    assert sim.pending() == 1
+    ev2 = sim.reschedule(ev, 3.0, log.hit, "revived")
+    assert sim.pending() == 2
+    if in_place(engine):
+        assert ev2 is ev and not ev.cancelled
+        assert len(sim._heap) == 2
+    sim.run()
+    assert log.hits == [(3.0, "revived"), (9.0, "end")]
+    assert sim.events_processed == 2
+
+
+@engines
+def test_reschedule_of_a_cancelled_handle_whose_entry_is_gone(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(5.0, log.hit, "x")
+    ev.cancel()
+    sim.run(until=1.0)  # pops and discards the dead entry beyond the horizon
+    ev2 = sim.reschedule(ev, 6.0, log.hit, "again")
+    assert sim.pending() == 1
+    sim.run()
+    assert log.hits == [(7.0, "again")]
+    assert ev2.fired
+
+
+@engines
+def test_stale_wakeup_beyond_horizon_is_rekeyed_not_dispatched(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    ev = sim.schedule(5.0, log.hit, "x")
+    ev = sim.reschedule(ev, 8.0, log.hit, "y")
+    sim.run(until=3.0)  # the wake-up at t=5 lies beyond the horizon
+    assert (log.hits, sim.now, sim.events_processed) == ([], 3.0, 0)
+    sim.run(until=6.0)  # ... and within it: still not the deadline
+    assert (log.hits, sim.now, sim.events_processed) == ([], 6.0, 0)
+    assert sim.pending() == 1
+    assert [(e[0], e[1]) for e in sim.live_entries()] == [(8.0, 1)]
+    sim.run()
+    assert log.hits == [(8.0, "y")]
+
+
+@engines
+def test_run_ending_on_wakeups_leaves_now_at_last_real_event(engine):
+    sim = engine(seed=0)
+    log = Log(sim)
+    timer = [sim.schedule(2.0, log.hit, "timer")]
+
+    def push_back():
+        timer[0] = sim.reschedule(timer[0], 4.0, log.hit, "timer")  # deadline 5.0
+
+    def stop():
+        timer[0].cancel()
+
+    sim.schedule(1.0, push_back)
+    sim.schedule(3.0, stop)
+    sim.run()
+    # the wake-up at t=2 and the re-keyed entry at t=5 are both silent
+    assert log.hits == []
+    assert sim.now == 3.0
+    assert sim.events_processed == 2
+    assert sim.pending() == 0
+
+
+@engines
+def test_wakeups_are_invisible_to_budgets_and_profilers(engine):
+    class Profiler:
+        def __init__(self):
+            self.seen = []
+
+        def dispatch(self, fn, args):
+            self.seen.append(fn.__name__)
+            fn(*args)
+
+    sim = engine(seed=0)
+    log = Log(sim)
+    timer = sim.schedule(1.0, log.hit, "timer")
+
+    def push_back():
+        sim.reschedule(timer, 1.5, log.hit, "timer")  # deadline 2.0
+
+    sim.schedule(0.5, push_back)
+    sim.profiler = prof = Profiler()
+    sim.run(max_events=1)
+    assert sim.events_processed == 1 and sim.now == 0.5
+    sim.run(max_events=1)  # the wake-up at t=1 must not eat the budget
+    assert log.hits == [(2.0, "timer")]
+    assert sim.events_processed == 2
+    assert prof.seen == ["push_back", "hit"]
+
+
+@engines
+def test_reschedule_rejects_nonfinite_delay_like_the_two_calls(engine):
+    for bad in (float("nan"), float("inf"), -1.0):
+        sim = engine(seed=0)
+        log = Log(sim)
+        ev = sim.schedule(1.0, log.hit)
+        with pytest.raises(SimulationError):
+            sim.reschedule(ev, bad, log.hit)
+        # cancel() ran, schedule() raised: nothing pending, no seq consumed
+        assert ev.cancelled and sim.pending() == 0 and sim._seq == 1
+        sim.run()
+        assert log.hits == []
+
+
+def test_event_state_without_the_entry_slot_still_loads():
+    # what a snapshot written before `_qtime` existed holds for an Event
+    slots = dict(time=2.0, seq=7, fn=len, args=(), cancelled=False,
+                 fired=False, _sim=None)
+    live = Event.__new__(Event)
+    live.__setstate__((None, slots))
+    assert live._qtime == 2.0
+    dead = Event.__new__(Event)
+    dead.__setstate__((None, dict(slots, cancelled=True)))
+    assert dead._qtime == float("inf")  # its entry was purged at capture
+    # and the slot never rides in new snapshots either
+    assert "_qtime" not in live.__getstate__()[1]

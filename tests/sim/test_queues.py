@@ -1,4 +1,9 @@
-"""Unit tests for queue disciplines: DropTail, RED, PI."""
+"""Unit tests for queue disciplines: DropTail, RED, PI.
+
+Queues are built the canonical way, ``make_queue(QueueConfig(...))``;
+one test at the bottom pins that the direct constructors still work and
+warn.
+"""
 
 import random
 
@@ -6,11 +11,21 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, PiQueue, RedQueue
+from repro.sim.queues import DropTailQueue, QueueConfig, make_queue
+from repro.sim.queues.config import reset_legacy_warnings
 
 
 def pkt(seq=0, ect=False, size=1000):
     return Packet(flow_id=1, src=0, dst=1, seq=seq, size=size, ect=ect)
+
+
+def droptail(capacity_pkts):
+    return make_queue(QueueConfig("droptail", capacity_pkts=capacity_pkts))
+
+
+def pi(capacity_pkts=100, sim=None, **params):
+    cfg = QueueConfig("pi", capacity_pkts=capacity_pkts, params=params)
+    return make_queue(cfg, sim=sim, rng=random.Random(1))
 
 
 # ----------------------------------------------------------------------
@@ -18,13 +33,13 @@ def pkt(seq=0, ect=False, size=1000):
 # ----------------------------------------------------------------------
 class TestDropTail:
     def test_fifo_order(self):
-        q = DropTailQueue(10)
+        q = droptail(10)
         for i in range(3):
             assert q.enqueue(pkt(seq=i), now=0.0)
         assert [q.dequeue(1.0).seq for _ in range(3)] == [0, 1, 2]
 
     def test_drops_when_full(self):
-        q = DropTailQueue(2)
+        q = droptail(2)
         assert q.enqueue(pkt(0), 0.0)
         assert q.enqueue(pkt(1), 0.0)
         assert not q.enqueue(pkt(2), 0.0)
@@ -33,7 +48,7 @@ class TestDropTail:
         assert q.stats.early_drops == 0
 
     def test_byte_accounting(self):
-        q = DropTailQueue(5)
+        q = droptail(5)
         q.enqueue(pkt(0, size=100), 0.0)
         q.enqueue(pkt(1, size=200), 0.0)
         assert q.byte_length == 300
@@ -41,15 +56,15 @@ class TestDropTail:
         assert q.byte_length == 200
 
     def test_dequeue_empty_returns_none(self):
-        q = DropTailQueue(5)
+        q = droptail(5)
         assert q.dequeue(0.0) is None
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            DropTailQueue(0)
+            droptail(0)
 
     def test_drop_listener_invoked(self):
-        q = DropTailQueue(1)
+        q = droptail(1)
         seen = []
         q.drop_listeners.append(lambda p, t: seen.append((p.seq, t)))
         q.enqueue(pkt(0), 0.0)
@@ -57,7 +72,7 @@ class TestDropTail:
         assert seen == [(1, 2.0)]
 
     def test_mean_queue_time_average(self):
-        q = DropTailQueue(10)
+        q = droptail(10)
         q.enqueue(pkt(0), 0.0)  # queue 0 before, 1 after
         q.enqueue(pkt(1), 1.0)  # 1 for [0,1]
         q.dequeue(3.0)  # 2 for [1,3]
@@ -65,7 +80,7 @@ class TestDropTail:
         assert q.stats.mean_queue(4.0, len(q)) == pytest.approx(1.5)
 
     def test_conservation(self):
-        q = DropTailQueue(4)
+        q = droptail(4)
         accepted = sum(q.enqueue(pkt(i), 0.0) for i in range(10))
         drained = 0
         while q.dequeue(1.0) is not None:
@@ -82,10 +97,12 @@ class TestRed:
     def make(self, **kw):
         defaults = dict(
             capacity_pkts=100, min_th=5, max_th=15, max_p=0.1,
-            w_q=0.25, gentle=True, ecn=False, rng=random.Random(1),
+            w_q=0.25, gentle=True, ecn=False,
         )
         defaults.update(kw)
-        return RedQueue(**defaults)
+        cfg = QueueConfig("red", capacity_pkts=defaults.pop("capacity_pkts"),
+                          params=defaults)
+        return make_queue(cfg, rng=random.Random(1))
 
     def test_no_drops_below_min_th(self):
         q = self.make()
@@ -182,7 +199,7 @@ class TestRed:
 # ----------------------------------------------------------------------
 class TestPi:
     def test_probability_rises_above_reference(self):
-        q = PiQueue(100, q_ref=5.0, a=0.01, b=0.005, rng=random.Random(1))
+        q = pi(q_ref=5.0, a=0.01, b=0.005)
         for i in range(20):
             q.enqueue(pkt(i), 0.0)
         p_prev = q.p
@@ -191,7 +208,7 @@ class TestPi:
         assert q.p > p_prev
 
     def test_probability_decays_below_reference(self):
-        q = PiQueue(100, q_ref=50.0, a=0.01, b=0.005, rng=random.Random(1))
+        q = pi(q_ref=50.0, a=0.01, b=0.005)
         q.p = 0.5
         q._q_old = 0.0
         for _ in range(5):
@@ -199,7 +216,7 @@ class TestPi:
         assert q.p < 0.5
 
     def test_probability_clamped(self):
-        q = PiQueue(100, q_ref=0.0, a=10.0, b=0.0, rng=random.Random(1))
+        q = pi(q_ref=0.0, a=10.0, b=0.0)
         for i in range(50):
             q.enqueue(pkt(i), 0.0)
         for _ in range(10):
@@ -207,21 +224,20 @@ class TestPi:
         assert 0.0 <= q.p <= 1.0
 
     def test_marks_ect_packets(self):
-        q = PiQueue(100, q_ref=1.0, ecn=True, rng=random.Random(1))
+        q = pi(q_ref=1.0, ecn=True)
         q.p = 1.0
         p = pkt(0, ect=True)
         assert q.enqueue(p, 0.0)
         assert p.ce
 
     def test_drops_non_ect(self):
-        q = PiQueue(100, q_ref=1.0, ecn=True, rng=random.Random(1))
+        q = pi(q_ref=1.0, ecn=True)
         q.p = 1.0
         assert not q.enqueue(pkt(0), 0.0)
 
     def test_self_scheduling_with_simulator(self):
         sim = Simulator()
-        q = PiQueue(100, q_ref=0.0, a=0.05, b=0.01, sample_hz=100.0,
-                    sim=sim, rng=random.Random(1))
+        q = pi(q_ref=0.0, a=0.05, b=0.01, sample_hz=100.0, sim=sim)
         for i in range(30):
             q.enqueue(pkt(i), 0.0)
         sim.run(until=0.5)
@@ -229,6 +245,13 @@ class TestPi:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PiQueue(100, q_ref=-1.0)
+            pi(q_ref=-1.0)
         with pytest.raises(ValueError):
-            PiQueue(100, sample_hz=0.0)
+            pi(sample_hz=0.0)
+
+
+def test_direct_construction_still_works_but_warns():
+    reset_legacy_warnings()
+    with pytest.warns(DeprecationWarning, match="make_queue"):
+        q = DropTailQueue(3)
+    assert q.enqueue(pkt(0), 0.0)

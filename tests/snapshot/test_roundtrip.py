@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compiled import status as _compiled_status
 from repro.experiments.scenarios import SCHEMES, get_scheme, scheme_sender_kwargs
 from repro.sim.engine import Simulator
 from repro.sim.queues import QueueConfig, make_queue
@@ -193,3 +194,53 @@ def test_rng_streams_continue_identically():
     rng2 = sim2._streams["traffic"]
     assert rng2 is not rng
     assert [rng2.random() for _ in range(10)] == expect
+
+
+# ----------------------------------------------------------------------
+# reschedule() wake-ups: the canonical form hides the physical heap
+# ----------------------------------------------------------------------
+_ENGINES = ["legacy", "array"] + (
+    ["compiled"] if _compiled_status().available else [])
+
+
+def _pin_engine(monkeypatch, engine):
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    if engine == "array":  # pure: never transparently served compiled
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+    else:
+        monkeypatch.delenv("REPRO_COMPILED", raising=False)
+
+
+def test_snapshot_with_wakeups_outstanding_is_engine_independent(monkeypatch):
+    """Mid-flight every RTO timer has been re-armed in place, so the
+    in-place engines hold wake-up entries under stale keys.  The snapshot
+    must carry each handle under its current key: same bytes as the
+    legacy engine's, restorable anywhere, resuming identically."""
+    t_snap, t_end = 1.5, 3.0
+    bodies, refs = {}, {}
+    for engine in _ENGINES:
+        _pin_engine(monkeypatch, engine)
+        sim, ctx = _queue_build("droptail")()
+        sim.run(until=t_snap)
+        stale = [e for e in sim._heap
+                 if len(e) == 5 and e[4] is not None and e[1] != e[4].seq]
+        assert bool(stale) == (engine != "legacy")
+        for entry in sim.live_entries():
+            if entry[4] is not None:
+                assert entry[:2] == (entry[4].time, entry[4].seq)
+        bodies[engine] = capture_bytes(sim, ctx)
+        sim.run(until=t_end)
+        refs[engine] = _fingerprint(sim, ctx)
+    assert all(ref == refs["legacy"] for ref in refs.values())
+
+    for target in _ENGINES:
+        _pin_engine(monkeypatch, target)
+        recaptured = set()
+        for engine, body in bodies.items():
+            sim, ctx = restore_bytes(body, engine=target)
+            # the only engine-specific bytes are the class reference, so
+            # under one target class all three bodies must coincide
+            recaptured.add(capture_bytes(sim, ctx))
+            sim.run(until=t_end)
+            assert _fingerprint(sim, ctx) == refs["legacy"], (engine, target)
+        assert len(recaptured) == 1, target
