@@ -23,10 +23,33 @@ Two integration entry points share the grid and arithmetic:
   queries.  Every elementwise operation mirrors the scalar path, so a
   batch run is bit-identical to B scalar runs — the property
   ``tests/fluid/test_dde_batch.py`` pins exactly.
+
+The lookup contract (``history(t')`` as seen by a right-hand side)
+--------------------------------------------------------------------
+* **Results are read-only.**  Every array ``history(t')`` returns has
+  ``writeable=False`` — an interpolated row, the end-clamped last row
+  and the pre-history ``x0`` row alike — because a result may be handed
+  out again (see the memo) and may be a view into the stored solution.
+  An rhs that needs to modify a delayed state copies it first.
+* **One lookup is memoised, keyed by the exact query** (scalar: the
+  float ``t'``; batch: the bytes of the ``(B,)`` query vector).  RK4
+  asks for ``t - R``, ``t + dt/2 - R`` twice and ``t + dt - R``, which
+  is the next step's ``t - R``: two distinct interpolations per step
+  in steady state, not four.
+* **Validity under append.**  The history is append-only, so a lookup
+  that lay strictly inside the stored grid (or before ``t0``) keeps its
+  value forever and the memo survives ``append``.  A lookup that was
+  clamped to the end of the stored history (``t' >= ts[-1]``, e.g. a lag
+  shorter than the step) would change once more history exists, so it is
+  never memoised.
+
+``tests/fluid/test_dde_lookup.py`` holds the memo-free ``searchsorted``
+oracle these rules are checked against, and the lookup-count guard.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +93,11 @@ class DdeSolution:
 
 
 class _History:
-    """Growable solution history with constant pre-initial values."""
+    """Growable solution history with constant pre-initial values.
+
+    See the module docstring for the lookup contract ``eval`` keeps
+    (read-only results, one memoised lookup, validity under append).
+    """
 
     def __init__(self, t0: float, x0: np.ndarray, n_steps: int, dim: int,
                  dt: float):
@@ -81,36 +108,81 @@ class _History:
         self.ts[0] = t0
         self.xs[0] = x0
         self.filled = 1
+        # Python-float mirror of ``ts[:filled]``: comparing and
+        # subtracting list floats is several times cheaper than indexing
+        # ``np.float64`` scalars out of the array, and IEEE-identical.
+        self._tl = [float(t0)]
+        self._pre = self.xs[0]
+        self._pre.setflags(write=False)
+        self._memo_t = math.nan  # never equal to a query
+        self._memo_x = self._pre
 
     def append(self, t: float, x: np.ndarray) -> None:
         self.ts[self.filled] = t
         self.xs[self.filled] = x
+        self._tl.append(float(t))
         self.filled += 1
 
     def eval(self, ti: float) -> np.ndarray:
+        if ti == self._memo_t:
+            return self._memo_x
         if ti <= self.t0:
-            return self.xs[0]
+            return self._pre
         n = self.filled
-        ts = self.ts
-        if ti >= ts[n - 1]:
+        if ti >= self._tl[n - 1]:
             # RK4 sub-steps may probe marginally past the stored history;
             # hold the last value (error is O(dt) on a smooth solution).
-            return self.xs[n - 1]
+            # Not memoised: the answer changes once more history exists.
+            out = self.xs[n - 1]
+        else:
+            out = self._memo_x = self._interpolate(ti, n)
+            self._memo_t = ti
+        out.setflags(write=False)
+        return out
+
+    def _interpolate(self, ti: float, n: int) -> np.ndarray:
+        """Interior lookup, ``t0 < ti < ts[n - 1]``."""
         # O(1) uniform-grid lookup.  The grid is built by accumulated
         # ``t += dt``, so ``(ti - t0) / dt`` can be off by one interval;
         # the fix-up loops restore the exact invariant ``searchsorted``
         # establishes: ts[idx] < ti <= ts[idx + 1].
+        tl = self._tl
         idx = int((ti - self.t0) / self.dt)
         if idx > n - 2:
             idx = n - 2
         elif idx < 0:
             idx = 0
-        while idx > 0 and ts[idx] >= ti:
+        while idx > 0 and tl[idx] >= ti:
             idx -= 1
-        while ts[idx + 1] < ti:
+        while tl[idx + 1] < ti:
             idx += 1
-        frac = (ti - ts[idx]) / (ts[idx + 1] - ts[idx])
+        t_lo = tl[idx]
+        frac = (ti - t_lo) / (tl[idx + 1] - t_lo)
         return self.xs[idx] * (1 - frac) + self.xs[idx + 1] * frac
+
+
+def _advance(rhs, x, t, dt, n_steps, euler, hist) -> None:
+    """Step *x* from *t* over the grid, appending every state to *hist*.
+
+    Shared by the scalar and the batch entry point — the stepping
+    arithmetic is the same expression on ``(dim,)`` or ``(B, dim)``
+    arrays, which is what makes a batch member bit-identical to its
+    scalar run.
+    """
+    history = hist.eval
+    half = dt / 2
+    sixth = dt / 6.0
+    for _ in range(n_steps):
+        if euler:
+            x = x + dt * np.asarray(rhs(t, x, history))
+        else:
+            k1 = np.asarray(rhs(t, x, history))
+            k2 = np.asarray(rhs(t + half, x + half * k1, history))
+            k3 = np.asarray(rhs(t + half, x + half * k2, history))
+            k4 = np.asarray(rhs(t + dt, x + dt * k3, history))
+            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        hist.append(t, x)
 
 
 def integrate_dde(
@@ -147,18 +219,7 @@ def integrate_dde(
     n_steps = int(round((t1 - t0) / dt))
     x = np.asarray(x0, dtype=float).copy()
     hist = _History(t0, x, n_steps, x.size, dt)
-    t = t0
-    for _ in range(n_steps):
-        if method == "euler":
-            x = x + dt * np.asarray(rhs(t, x, hist.eval))
-        else:
-            k1 = np.asarray(rhs(t, x, hist.eval))
-            k2 = np.asarray(rhs(t + dt / 2, x + dt / 2 * k1, hist.eval))
-            k3 = np.asarray(rhs(t + dt / 2, x + dt / 2 * k2, hist.eval))
-            k4 = np.asarray(rhs(t + dt, x + dt * k3, hist.eval))
-            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        hist.append(t, x)
+    _advance(rhs, x, t0, dt, n_steps, method == "euler", hist)
     return DdeSolution(hist.ts[: hist.filled], hist.xs[: hist.filled])
 
 
@@ -203,7 +264,8 @@ class _BatchHistory:
     broadcast) and gathers each member's interpolated state — the same
     guess-and-fix-up index arithmetic as :meth:`_History.eval`, applied
     elementwise, with identical interpolation arithmetic so batch and
-    scalar runs agree bit for bit.
+    scalar runs agree bit for bit, and the same lookup contract (see the
+    module docstring).
     """
 
     def __init__(self, t0: float, x0: np.ndarray, n_steps: int, dt: float):
@@ -216,6 +278,13 @@ class _BatchHistory:
         self.xs[0] = x0
         self.filled = 1
         self._rows = np.arange(batch)
+        # one-row-ahead views: ts[idx + 1] / xs[idx + 1] without idx + 1
+        self._ts1 = self.ts[1:]
+        self._xs1 = self.xs[1:]
+        self._pre = self.xs[0]
+        self._pre.setflags(write=False)
+        self._memo_key = None
+        self._memo_x = self._pre
 
     def append(self, t: float, x: np.ndarray) -> None:
         self.ts[self.filled] = t
@@ -223,39 +292,69 @@ class _BatchHistory:
         self.filled += 1
 
     def eval(self, ti) -> np.ndarray:
-        rows = self._rows
-        tq = np.broadcast_to(np.asarray(ti, dtype=float), rows.shape)
+        if (type(ti) is np.ndarray and ti.dtype == np.float64
+                and ti.shape == self._rows.shape):
+            tq = ti
+        else:
+            tq = np.broadcast_to(np.asarray(ti, dtype=float),
+                                 self._rows.shape)
+        key = tq.tobytes()
+        if key == self._memo_key:
+            return self._memo_x
         n = self.filled
-        if n == 1:
-            # only the pre-history exists: every query clamps to it
-            return self.xs[0].copy()
-        ts = self.ts
-        last = ts[n - 1]
-        idx = ((tq - self.t0) / self.dt).astype(np.intp)
-        np.clip(idx, 0, n - 2, out=idx)
-        # fix-up to the searchsorted invariant ts[idx] < tq <= ts[idx+1]
-        # (interior rows only; boundary rows are overwritten below, and
-        # the clamp above keeps their idx in range)
-        while True:
-            dec = (idx > 0) & (ts[idx] >= tq)
-            if not dec.any():
-                break
-            idx[dec] -= 1
-        while True:
-            inc = (idx < n - 2) & (ts[idx + 1] < tq) & (tq < last)
-            if not inc.any():
-                break
-            idx[inc] += 1
-        frac = (tq - ts[idx]) / (ts[idx + 1] - ts[idx])
-        out = (self.xs[idx, rows] * (1 - frac)[:, None]
-               + self.xs[idx + 1, rows] * frac[:, None])
-        lo = tq <= self.t0
-        if lo.any():
-            out[lo] = self.xs[0, rows[lo]]
-        hi = tq >= last
-        if hi.any():
-            out[hi] = self.xs[n - 1, rows[hi]]
+        t0 = self.t0
+        t_max = tq.max()
+        if n == 1 or t_max <= t0:
+            # every member is still in (or clamped to) the pre-history
+            return self._pre
+        out = self._interpolate(tq, n)
+        # boundary rows: _interpolate kept their idx in range, overwrite
+        if tq.min() <= t0:
+            lo = tq <= t0
+            out[lo] = self.xs[0, self._rows[lo]]
+        last = self.ts[n - 1]
+        if t_max >= last:
+            # not memoised: an end-clamped row changes once more history
+            # exists (see the module docstring)
+            hi = tq >= last
+            out[hi] = self.xs[n - 1, self._rows[hi]]
+        else:
+            self._memo_key = key
+            self._memo_x = out
+        out.setflags(write=False)
         return out
+
+    def _interpolate(self, tq: np.ndarray, n: int) -> np.ndarray:
+        """Interpolate every row as if interior (boundary rows: any value)."""
+        ts = self.ts
+        ts1 = self._ts1
+        rows = self._rows
+        idx = ((tq - self.t0) / self.dt).astype(np.intp)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, n - 2, out=idx)
+        t_lo = ts[idx]
+        t_hi = ts1[idx]
+        if np.count_nonzero(t_lo >= tq) or np.count_nonzero(t_hi < tq):
+            # some row missed its interval by the one-ulp grid error, or
+            # sits on a boundary: fix-up to the searchsorted invariant
+            # ts[idx] < tq <= ts[idx + 1] (interior rows only; boundary
+            # rows are overwritten by eval, the clamp keeps them in range)
+            last = ts[n - 1]
+            while True:
+                dec = (idx > 0) & (ts[idx] >= tq)
+                if not dec.any():
+                    break
+                idx[dec] -= 1
+            while True:
+                inc = (idx < n - 2) & (ts1[idx] < tq) & (tq < last)
+                if not inc.any():
+                    break
+                idx[inc] += 1
+            t_lo = ts[idx]
+            t_hi = ts1[idx]
+        frac = (tq - t_lo) / (t_hi - t_lo)
+        return (self.xs[idx, rows] * (1 - frac)[:, None]
+                + self._xs1[idx, rows] * frac[:, None])
 
 
 def integrate_dde_batch(
@@ -295,16 +394,5 @@ def integrate_dde_batch(
         raise ValueError("x0 must have shape (batch, dim)")
     n_steps = int(round((t1 - t0) / dt))
     hist = _BatchHistory(t0, x, n_steps, dt)
-    t = t0
-    for _ in range(n_steps):
-        if method == "euler":
-            x = x + dt * np.asarray(rhs(t, x, hist.eval))
-        else:
-            k1 = np.asarray(rhs(t, x, hist.eval))
-            k2 = np.asarray(rhs(t + dt / 2, x + dt / 2 * k1, hist.eval))
-            k3 = np.asarray(rhs(t + dt / 2, x + dt / 2 * k2, hist.eval))
-            k4 = np.asarray(rhs(t + dt, x + dt * k3, hist.eval))
-            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        hist.append(t, x)
+    _advance(rhs, x, t0, dt, n_steps, method == "euler", hist)
     return DdeBatchSolution(hist.ts[: hist.filled], hist.xs[: hist.filled])

@@ -61,8 +61,8 @@ class PertPiFluidModel:
     def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
         r = self.rtt
         xd = history(t - r)
-        w, tq, p = x
-        w_d = xd[0]
+        w, tq, p = x.tolist()  # Python floats: see PertRedFluidModel.rhs
+        w_d = xd.item(0)
         p_eff = min(1.0, max(0.0, p)) if self.clamp else p
         dw = 1.0 / r - p_eff * w * w_d / (2.0 * r)
         dtq = self.n_flows * w / (r * self.capacity) - 1.0
@@ -74,7 +74,7 @@ class PertPiFluidModel:
                 dp = 0.0
             elif p <= 0.0 and dp < 0.0:
                 dp = 0.0
-        return np.array([dw, dtq, dp])
+        return np.array((dw, dtq, dp))
 
     def simulate(
         self,

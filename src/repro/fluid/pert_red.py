@@ -120,11 +120,13 @@ class PertRedFluidModel:
 
     # ------------------------------------------------------------------
     def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
+        # Python floats throughout: IEEE-identical to np.float64 scalar
+        # arithmetic and several times cheaper per operation
         r = self.rtt
         xd = history(t - r)
-        w, tq, s = x
-        w_d = w if self.approximate_self_delay else xd[0]
-        s_d = xd[2]
+        w, tq, s = x.tolist()
+        w_d = w if self.approximate_self_delay else xd.item(0)
+        s_d = xd.item(2)
         p = self.l_pert * (s_d - self.t_min)
         if self.clamp:
             p = min(1.0, max(0.0, p))
@@ -134,8 +136,8 @@ class PertRedFluidModel:
         dtq = n * w / (r * self.capacity) - 1.0
         if self.clamp and tq <= 0.0 and dtq < 0.0:
             dtq = 0.0
-        ds = self.k_lpf * (x[2] - tq)
-        return np.array([dw, dtq, ds])
+        ds = self.k_lpf * (s - tq)
+        return np.array((dw, dtq, ds))
 
     def simulate(
         self,
@@ -199,6 +201,9 @@ def simulate_batch(
     l_arr = np.array([m.l_pert for m in models])
     k_arr = np.array([m.k_lpf for m in models])
 
+    inv_r = 1.0 / r
+    r_cap = r * cap
+
     def rhs(t: float, x: np.ndarray, history) -> np.ndarray:
         xd = history(t - r)
         w = x[:, 0]
@@ -209,12 +214,14 @@ def simulate_batch(
         if clamp:
             p = np.minimum(1.0, np.maximum(0.0, p))
             w = np.maximum(w, 0.0)
-        dw = 1.0 / r - beta * p * w * w_d / r
-        dtq = n_flows * w / (r * cap) - 1.0
+        dx = np.empty((batch, 3))
+        dx[:, 0] = inv_r - beta * p * w * w_d / r
+        dtq = n_flows * w / r_cap - 1.0
         if clamp:
             dtq = np.where((tq <= 0.0) & (dtq < 0.0), 0.0, dtq)
-        ds = k_arr * (x[:, 2] - tq)
-        return np.stack([dw, dtq, ds], axis=1)
+        dx[:, 1] = dtq
+        dx[:, 2] = k_arr * (x[:, 2] - tq)
+        return dx
 
     start = np.array(x0 if x0 is not None else (1.0, 1.0, 1.0), dtype=float)
     if start.ndim == 1:

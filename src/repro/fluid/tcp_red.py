@@ -78,8 +78,8 @@ class TcpRedFluidModel:
     def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
         r = self.rtt
         xd = history(t - r)
-        w, q, s = x
-        w_d, s_d = xd[0], xd[2]
+        w, q, s = x.tolist()  # Python floats: see PertRedFluidModel.rhs
+        w_d, s_d = xd.item(0), xd.item(2)
         p = self.l_red * (s_d - self.min_th)  # router marks, felt an RTT later
         if self.clamp:
             p = min(1.0, max(0.0, p))
@@ -89,7 +89,7 @@ class TcpRedFluidModel:
         if self.clamp and q <= 0.0 and dq < 0.0:
             dq = 0.0
         ds = self.k_lpf * (s - q)
-        return np.array([dw, dq, ds])
+        return np.array((dw, dq, ds))
 
     def simulate(
         self,

@@ -11,6 +11,23 @@ from repro.sim.queues import DropTailQueue
 from repro.sim.topology import Dumbbell
 from repro.tcp.base import TcpSender, connect_flow
 
+# Hypothesis profiles for the property suites (tests/properties and the
+# fluid lookup oracle).  CI runs with ``HYPOTHESIS_PROFILE=ci``: the
+# deadline is pinned off so slow shared runners never turn a healthy
+# property into a flaky timeout, and the example budget is fixed so run
+# time is predictable.  Local runs keep hypothesis defaults.
+try:
+    from hypothesis import settings as _hypothesis_settings
+except ImportError:  # a test extra: suites that need it skip themselves
+    pass
+else:
+    _hypothesis_settings.register_profile(
+        "ci", deadline=None, max_examples=60, print_blob=True)
+    _hypothesis_settings.register_profile(
+        "nightly", deadline=None, max_examples=400)
+    _hypothesis_settings.load_profile(
+        os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
 
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_runner_env(tmp_path_factory):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fluid.pert_red import PertRedFluidModel
+from repro.fluid import make_fluid_model
 from repro.fluid.spectrum import pert_red_spectral_boundary
 
 FIG13 = dict(capacity=100.0, n_flows=5, p_max=0.1, t_min=0.05, t_max=0.1,
@@ -10,19 +10,22 @@ FIG13 = dict(capacity=100.0, n_flows=5, p_max=0.1, t_min=0.05, t_max=0.1,
 
 
 def test_equilibrium_recovers_eq9_at_half():
-    m = PertRedFluidModel(rtt=0.1, beta_decrease=0.5, **FIG13)
+    m = make_fluid_model("pert_red", rtt=0.1, beta_decrease=0.5, **FIG13)
     w, p, _ = m.equilibrium()
     assert p == pytest.approx(2.0 * 25 / (0.01 * 10000))  # 2N^2/(RC)^2
 
 
 def test_equilibrium_probability_scales_inversely_with_beta():
-    p_05 = PertRedFluidModel(rtt=0.1, beta_decrease=0.5, **FIG13).equilibrium()[1]
-    p_035 = PertRedFluidModel(rtt=0.1, beta_decrease=0.35, **FIG13).equilibrium()[1]
+    p_05, p_035 = (
+        make_fluid_model("pert_red", rtt=0.1, beta_decrease=beta,
+                         **FIG13).equilibrium()[1]
+        for beta in (0.5, 0.35)
+    )
     assert p_035 == pytest.approx(p_05 * 0.5 / 0.35)
 
 
 def test_trajectory_converges_to_beta_equilibrium():
-    m = PertRedFluidModel(rtt=0.1, beta_decrease=0.35, **FIG13)
+    m = make_fluid_model("pert_red", rtt=0.1, beta_decrease=0.35, **FIG13)
     sol = m.simulate(duration=40.0, dt=2e-3)
     w_star, _, tq_star = m.equilibrium()
     assert sol.y[-1, 0] == pytest.approx(w_star, rel=0.02)
@@ -39,6 +42,6 @@ def test_gentler_decrease_widens_stability_region():
 
 def test_beta_validation():
     with pytest.raises(ValueError):
-        PertRedFluidModel(beta_decrease=0.0)
+        make_fluid_model("pert_red", beta_decrease=0.0)
     with pytest.raises(ValueError):
-        PertRedFluidModel(beta_decrease=1.0)
+        make_fluid_model("pert_red", beta_decrease=1.0)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.fluid import make_fluid_model
 from repro.fluid.dde import integrate_dde, integrate_dde_batch
-from repro.fluid.pert_red import PertRedFluidModel, simulate_batch
+from repro.fluid.pert_red import simulate_batch
 from repro.fluid.stability import classify_trajectories, trajectory_is_stable
 
 
@@ -65,7 +66,7 @@ def test_batch_euler_matches_scalar():
 def test_pert_red_simulate_batch_bit_identical(clamp):
     """A mixed-parameter PERT/RED sweep equals per-model simulate() runs."""
     models = [
-        PertRedFluidModel(rtt=rtt, n_flows=n, clamp=clamp)
+        make_fluid_model("pert_red", rtt=rtt, n_flows=n, clamp=clamp)
         for rtt, n in [(0.08, 5), (0.1, 5), (0.12, 8), (0.17, 5)]
     ]
     batch = simulate_batch(models, duration=5.0, dt=1e-3)
@@ -77,7 +78,7 @@ def test_pert_red_simulate_batch_bit_identical(clamp):
 
 
 def test_batch_solution_indexing_and_components():
-    models = [PertRedFluidModel(rtt=r) for r in (0.1, 0.15)]
+    models = [make_fluid_model("pert_red", rtt=r) for r in (0.1, 0.15)]
     batch = simulate_batch(models, duration=2.0, dt=1e-3)
     assert len(batch) == 2
     sol0 = batch[0]
@@ -92,7 +93,7 @@ def test_classify_trajectories_matches_scalar_classifier():
     # straddle the Figure 13 stability boundary (~171 ms) so the batch
     # contains both stable and unstable members
     rtts = [0.10, 0.14, 0.18, 0.22]
-    models = [PertRedFluidModel(rtt=r, clamp=True) for r in rtts]
+    models = [make_fluid_model("pert_red", rtt=r, clamp=True) for r in rtts]
     batch = simulate_batch(models, duration=40.0, dt=1e-3)
     verdicts = classify_trajectories(batch)
     assert verdicts.shape == (len(models),)
@@ -104,15 +105,15 @@ def test_classify_trajectories_matches_scalar_classifier():
 def test_simulate_batch_input_validation():
     with pytest.raises(ValueError):
         simulate_batch([], duration=1.0)
-    mixed = [PertRedFluidModel(clamp=True), PertRedFluidModel(clamp=False)]
+    mixed = [make_fluid_model("pert_red", clamp=c) for c in (True, False)]
     with pytest.raises(ValueError):
         simulate_batch(mixed, duration=1.0)
-    with_n = PertRedFluidModel(n_of_t=lambda t: 5.0)
+    with_n = make_fluid_model("pert_red", n_of_t=lambda t: 5.0)
     with pytest.raises(ValueError):
         simulate_batch([with_n], duration=1.0)
     with pytest.raises(ValueError):
         simulate_batch(
-            [PertRedFluidModel()], duration=1.0, x0=np.ones((3, 3))
+            [make_fluid_model("pert_red")], duration=1.0, x0=np.ones((3, 3))
         )
     with pytest.raises(ValueError):
         integrate_dde_batch(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.fluid.pert_red import PertRedFluidModel
+from repro.fluid import make_fluid_model
 from repro.fluid.spectrum import (
     cheb,
     pert_red_linearization,
@@ -71,7 +71,7 @@ class TestRightmostRoot:
 
 class TestPertRedSpectrum:
     def test_linearization_shapes_and_structure(self):
-        model = PertRedFluidModel(rtt=0.1, **FIG13)
+        model = make_fluid_model("pert_red", rtt=0.1, **FIG13)
         A, B = pert_red_linearization(model)
         assert A.shape == (3, 3) and B.shape == (3, 3)
         # queue eq couples only to the instantaneous window
@@ -84,7 +84,7 @@ class TestPertRedSpectrum:
         from repro.fluid.stability import trajectory_is_stable
 
         for rtt in (0.10, 0.16, 0.18):
-            model = PertRedFluidModel(rtt=rtt, **FIG13)
+            model = make_fluid_model("pert_red", rtt=rtt, **FIG13)
             root = pert_red_rightmost_root(model)
             traj = trajectory_is_stable(model.simulate(60.0, dt=2e-3))
             assert (root.real < 0) == traj, rtt
@@ -112,9 +112,8 @@ class TestPertRedSpectrum:
 
 def test_fluid_n_of_t_step_shifts_equilibrium():
     """Doubling N(t) at runtime halves the equilibrium window (eq. 9)."""
-    model = PertRedFluidModel(rtt=0.1, n_of_t=lambda t: 5.0 if t < 60 else 10.0,
-                              **{k: v for k, v in FIG13.items()
-                                 if k != "n_flows"}, n_flows=5)
+    model = make_fluid_model(
+        "pert_red", rtt=0.1, n_of_t=lambda t: 5.0 if t < 60 else 10.0, **FIG13)
     sol = model.simulate(duration=120.0, dt=2e-3)
     w_before = sol(55.0)[0]
     w_after = sol(118.0)[0]

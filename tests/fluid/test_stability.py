@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.fluid.pert_red import PertRedFluidModel
+from repro.fluid import make_fluid_model
 from repro.fluid.stability import (
     equilibrium,
     find_stability_boundary,
@@ -107,8 +107,10 @@ def test_pert_pi_gains_validation():
 def test_trajectory_classifier_on_known_cases():
     params = dict(capacity=100.0, n_flows=5, p_max=0.1, t_min=0.05,
                   t_max=0.1, alpha=0.99, delta=1e-4)
-    stable = PertRedFluidModel(rtt=0.10, **params).simulate(60.0, dt=2e-3)
-    unstable = PertRedFluidModel(rtt=0.19, **params).simulate(60.0, dt=2e-3)
+    stable, unstable = (
+        make_fluid_model("pert_red", rtt=rtt, **params).simulate(60.0, dt=2e-3)
+        for rtt in (0.10, 0.19)
+    )
     assert trajectory_is_stable(stable)
     assert not trajectory_is_stable(unstable)
 
@@ -119,7 +121,8 @@ def test_find_stability_boundary_near_paper_value():
                   t_max=0.1, alpha=0.99, delta=1e-4)
 
     def make(r):
-        return PertRedFluidModel(rtt=r, **params).simulate(60.0, dt=4e-3)
+        model = make_fluid_model("pert_red", rtt=r, **params)
+        return model.simulate(60.0, dt=4e-3)
 
     boundary = find_stability_boundary(make, lo=0.15, hi=0.18, tol=2e-3)
     assert 0.16 <= boundary <= 0.175
@@ -130,7 +133,8 @@ def test_find_stability_boundary_validates_bracket():
                   t_max=0.1, alpha=0.99, delta=1e-4)
 
     def make(r):
-        return PertRedFluidModel(rtt=r, **params).simulate(40.0, dt=4e-3)
+        model = make_fluid_model("pert_red", rtt=r, **params)
+        return model.simulate(40.0, dt=4e-3)
 
     with pytest.raises(ValueError):
         find_stability_boundary(make, lo=0.19, hi=0.2, tol=1e-2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fluid.pert_pi import PertPiFluidModel
+from repro.fluid import make_fluid_model
 from repro.fluid.spectrum import pert_pi_linearization, pert_pi_rightmost_root
 from repro.fluid.stability import pert_pi_gains
 
@@ -15,8 +15,8 @@ def gains():
 
 def test_linearization_structure():
     k, m = gains()
-    model = PertPiFluidModel(capacity=C, n_flows=N_MINUS, rtt=0.1, k=k, m=m,
-                             tq_ref=0.05)
+    model = make_fluid_model("pert_pi", capacity=C, n_flows=N_MINUS, rtt=0.1,
+                             k=k, m=m, tq_ref=0.05)
     A, B = pert_pi_linearization(model)
     assert A.shape == (3, 3) and B.shape == (3, 3)
     # only the window equation carries the delay
@@ -30,7 +30,7 @@ def test_linearization_structure():
 def test_theorem2_gains_stable_over_guaranteed_region(n_flows, rtt):
     """Theorem 2: (k, m) from eq. (21) stabilise all N >= N-, R* <= R+."""
     k, m = gains()
-    model = PertPiFluidModel(capacity=C, n_flows=n_flows, rtt=rtt,
+    model = make_fluid_model("pert_pi", capacity=C, n_flows=n_flows, rtt=rtt,
                              k=k, m=m, tq_ref=0.05)
     root = pert_pi_rightmost_root(model)
     assert root.real < 0
@@ -39,8 +39,8 @@ def test_theorem2_gains_stable_over_guaranteed_region(n_flows, rtt):
 def test_overdriven_gain_destabilises():
     """Sanity: the schedule matters — a 10x larger K loses stability."""
     k, m = gains()
-    model = PertPiFluidModel(capacity=C, n_flows=N_MINUS, rtt=R_PLUS,
-                             k=k * 10.0, m=m, tq_ref=0.05)
+    model = make_fluid_model("pert_pi", capacity=C, n_flows=N_MINUS,
+                             rtt=R_PLUS, k=k * 10.0, m=m, tq_ref=0.05)
     root = pert_pi_rightmost_root(model, m=40)
     assert root.real > 0
 
@@ -49,7 +49,7 @@ def test_spectral_agrees_with_trajectory():
     from repro.fluid.stability import trajectory_is_stable
 
     k, m = gains()
-    model = PertPiFluidModel(capacity=C, n_flows=N_MINUS, rtt=0.1,
+    model = make_fluid_model("pert_pi", capacity=C, n_flows=N_MINUS, rtt=0.1,
                              k=k, m=m, tq_ref=0.05, clamp=True)
     sol = model.simulate(duration=120.0, dt=2e-3)
     assert trajectory_is_stable(sol, settle_fraction=0.6)
