@@ -6,23 +6,14 @@ event engine: discovering a built extension, deciding whether to use it
 when nothing is built — silently, because "no extension" is the normal
 state of a source checkout, not an error.
 
-Tiers
------
-Two kinds of compiled artifact are recognised, probed in this order:
-
-``module`` tier (mypyc or Cython)
-    A whole-module compilation of :mod:`repro.sim.engine` installed as
-    ``repro.compiled._compiled_engine``.  Built by
-    ``python -m repro.compiled.build --tier mypyc`` (or ``cython``) when
-    the corresponding toolchain is importable; the build stamps
-    ``_build_info.json`` next to the artifact so :func:`status` can
-    report which tool produced it.
-``cext`` tier
-    A hand-written CPython extension (``repro.compiled._core``) holding
-    C transliterations of the six hottest ``ArraySimulator`` methods,
-    bound into :class:`repro.compiled.engine.CompiledSimulator`.  Needs
-    only a C compiler and the CPython headers — no third-party
-    toolchain — so it is the tier that builds everywhere.
+Tier
+----
+One kind of compiled artifact exists, the ``cext`` tier: a hand-written
+CPython extension (``repro.compiled._core``) holding C transliterations
+of the six hottest ``ArraySimulator`` methods, bound into
+:class:`repro.compiled.engine.CompiledSimulator`.  It needs only a C
+compiler and the CPython headers — no third-party toolchain — and is
+built by ``python -m repro.compiled.build``.
 
 Selection
 ---------
@@ -65,9 +56,6 @@ __all__ = [
     "reset",
 ]
 
-#: probe order: whole-module artifacts (mypyc/Cython) win over the
-#: hand-written C core when both are built
-_MODULE_TIER = "repro.compiled._compiled_engine"
 _CEXT_TIER = "repro.compiled._core"
 
 _FALSEY = ("0", "off", "false", "no")
@@ -78,9 +66,8 @@ _TRUTHY = ("1", "on", "true", "yes", "require")
 class CoreStatus:
     """What the one-time extension probe found.
 
-    ``tier`` is ``"mypyc"``/``"cython"`` (module tier, per the build
-    stamp), ``"cext"`` (hand-written C core), or ``None`` when nothing
-    compiled is importable.  ``error`` carries the import failure text
+    ``tier`` is ``"cext"`` (hand-written C core) or ``None`` when
+    nothing compiled is importable.  ``error`` carries the import failure text
     for a *broken* artifact; a merely missing one leaves it ``None``.
     """
 
@@ -99,46 +86,26 @@ _warned_broken = False
 _warned_missing = False
 
 
-def _module_tier_name() -> str:
-    """Resolve the module tier's tool label from its build stamp."""
-    import json
-    from pathlib import Path
-
-    stamp = Path(__file__).with_name("_build_info.json")
-    try:
-        info = json.loads(stamp.read_text())
-        tool = str(info.get("tier", "module"))
-    except (OSError, ValueError):
-        tool = "module"
-    return tool
-
-
 def _import_tier(modname: str) -> Any:
-    """Import one candidate artifact (seam for the fallback tests)."""
+    """Import the extension module (seam for the fallback tests)."""
     return importlib.import_module(modname)
 
 
 def _probe() -> CoreStatus:
-    """Try each tier once; remember the outcome for the process."""
+    """Try the extension once; remember the outcome for the process."""
     global _status, _warned_broken
     if _status is not None:
         return _status
+    mod = None
     broken: Optional[str] = None
-    for modname in (_MODULE_TIER, _CEXT_TIER):
-        try:
-            mod = _import_tier(modname)
-        except ModuleNotFoundError:
-            continue  # not built — the normal state, stay silent
-        except Exception as exc:  # pragma: no cover - exercised via tests
-            broken = f"{modname}: {type(exc).__name__}: {exc}"
-            continue
-        if modname == _CEXT_TIER:
-            tier = "cext"
-        else:
-            tier = _module_tier_name()
-        _status = CoreStatus(tier=tier, module=mod, error=broken)
-        return _status
-    _status = CoreStatus(tier=None, module=None, error=broken)
+    try:
+        mod = _import_tier(_CEXT_TIER)
+    except ModuleNotFoundError:
+        pass  # not built — the normal state, stay silent
+    except Exception as exc:  # pragma: no cover - exercised via tests
+        broken = f"{_CEXT_TIER}: {type(exc).__name__}: {exc}"
+    _status = CoreStatus(tier="cext" if mod is not None else None,
+                         module=mod, error=broken)
     if broken is not None and not _warned_broken:
         _warned_broken = True
         warnings.warn(
@@ -171,7 +138,7 @@ def engine_class() -> Optional[type]:
     Combines the knob with the probe: returns ``None`` when
     ``REPRO_COMPILED=0`` or when no artifact is importable (warning once
     if one was explicitly requested), else the engine class backed by
-    the winning tier.
+    the extension.
     """
     global _warned_missing
     if compiled_disabled():
@@ -188,13 +155,9 @@ def engine_class() -> Optional[type]:
                 stacklevel=3,
             )
         return None
-    if st.tier == "cext":
-        from .engine import CompiledSimulator
+    from .engine import CompiledSimulator
 
-        return CompiledSimulator
-    # module tier: the compiled copy of repro.sim.engine exports the
-    # same ArraySimulator contract under its own module name
-    return st.module.ArraySimulator
+    return CompiledSimulator
 
 
 def active_tier() -> Optional[str]:

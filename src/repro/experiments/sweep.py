@@ -112,25 +112,23 @@ def sweep_dumbbell(
     ``checkpoint`` is forwarded to :func:`repro.runner.run_jobs` for
     crash-resumable cold jobs; warm-start runs in-process and ignores it.
 
-    ``fleet`` routes the sweep through :mod:`repro.fleet` instead of
-    :func:`~repro.runner.run_jobs`: a :class:`~repro.fleet.scheduler.Fleet`
-    instance, a fleet directory path, or ``None`` to consult
-    ``$REPRO_FLEET`` (unset → the plain runner path).  Fleet sweeps are
-    durably journaled — kill the process at any point and
-    ``python -m repro.fleet resume <dir>`` converges without recomputing
-    finished points.  Mutually exclusive with ``warm_start`` (the warm
-    path is in-process by construction).
+    ``fleet`` is forwarded to :func:`~repro.runner.run_jobs` too: a
+    :class:`~repro.fleet.scheduler.Fleet` instance, a fleet directory
+    path, or ``None`` to consult ``$REPRO_FLEET`` (unset → in-memory).
+    Fleeted sweeps are durably journaled — kill the process at any point
+    and re-running it (or ``python -m repro.fleet resume <dir>``)
+    converges without recomputing finished points.  Mutually exclusive
+    with ``warm_start`` (the warm path is in-process by construction).
     """
-    from ..fleet import resolve_fleet  # local: fleet depends on runner
-
     if tags is None:
         tags = list(points)
     elif len(tags) != len(points):
         raise ValueError("tags must have one entry per point")
     schemes = tuple(schemes)
-    live_fleet = resolve_fleet(fleet)
     if warm_start:
-        if live_fleet is not None:
+        from ..fleet import resolve_fleet  # local: only this check needs it
+
+        if resolve_fleet(fleet) is not None:
             raise ValueError(
                 "warm_start sweeps run in-process and cannot be fleeted; "
                 "pass fleet=False (or unset $REPRO_FLEET) for warm starts"
@@ -143,8 +141,6 @@ def sweep_dumbbell(
             kwargs.update(point)
             specs.append(dumbbell_spec(scheme, **kwargs))
             job_tags.append((scheme, tag))
-    if live_fleet is not None:
-        return _sweep_fleet(live_fleet, specs, job_tags, workers, checkpoint)
     results = run_jobs(
         specs,
         workers=workers,
@@ -153,6 +149,7 @@ def sweep_dumbbell(
         retries=retries,
         progress=progress,
         checkpoint=checkpoint,
+        fleet=fleet,
     )
     rows: List[Dict] = []
     for res, (scheme, tag) in zip(results, job_tags):
@@ -160,30 +157,6 @@ def sweep_dumbbell(
             rows.append(result_row(res.value, tag))
         else:
             rows.append(failed_row(scheme, tag, res.error))
-    return rows
-
-
-def _sweep_fleet(fleet, specs, job_tags, workers, checkpoint) -> List[Dict]:
-    """Fleet expansion: submit (deduping against the store), drain, read.
-
-    Rows come back in the same point-major order as the runner path —
-    :meth:`~repro.fleet.scheduler.Fleet.results` preserves the receipt's
-    submission order, which mirrors the spec list.  Points already in
-    the fleet's content-addressed store (from *any* earlier sweep) are
-    never recomputed; they surface as submit-time dedupes.
-    """
-    from ..runner.executor import resolve_workers  # local: optional dep
-
-    if checkpoint is not None:
-        fleet.checkpoint = checkpoint
-    receipt = fleet.submit(specs)
-    fleet.drain(workers=resolve_workers(workers))
-    rows: List[Dict] = []
-    for entry, (scheme, tag) in zip(fleet.results(receipt), job_tags):
-        if entry["state"] == "done":
-            rows.append(result_row(entry["payload"], tag))
-        else:
-            rows.append(failed_row(scheme, tag, entry["error"]))
     return rows
 
 

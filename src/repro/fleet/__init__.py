@@ -1,31 +1,27 @@
-"""Distributed, resumable sweep fabric (ROADMAP open item #2).
+"""Durable, resumable sweeps: the journal-backed queue of the one executor.
 
-:mod:`repro.runner` fans a finite job list out to one-shot processes and
-returns when the list is done; the fleet turns that into a *service*: a
-crash-safe on-disk job queue that any number of workers — started,
-killed and restarted at will — converge against with zero recomputation
-of finished points.  The pieces:
+:func:`repro.runner.run_jobs` drives a finite job list held in memory
+and forgets it on return; given ``fleet=`` (or ``$REPRO_FLEET``) the same
+loop pulls from a crash-safe on-disk queue instead, which any number of
+processes — started, killed and restarted at will — converge against
+with zero recomputation of finished points.  The pieces:
 
 * :class:`~repro.fleet.journal.Journal` — append-only JSONL op log with
   ``flock``-serialized writers and torn-tail-tolerant replay; the single
   source of truth for queue state.
 * :class:`~repro.fleet.queue.JobQueue` — the pending/leased/done/failed
   state machine replayed from the journal: priority-ordered leases with
-  expiry, double-lease prevention, dead-worker requeue.
-* :class:`~repro.fleet.store.ResultStore` — content-addressed results
-  (canonical job-param hash, shared with :mod:`repro.runner.cache`), so
-  identical points dedupe *across* sweeps and across fleet directories
-  pointed at the same store.
-* :class:`~repro.fleet.worker.FleetWorker` — lease → run → store → ack
-  loop; resumes killed points from their periodic
-  :mod:`repro.snapshot` checkpoints, renews its leases from a daemon
-  thread, and publishes lifecycle events on :mod:`repro.obs.bus`.
-* :class:`~repro.fleet.transport.LocalTransport` — spawns workers as
-  local processes; the :class:`~repro.fleet.transport.Transport`
-  interface is what a multi-host backend would implement instead.
+  expiry, double-lease prevention, dead-holder requeue, attempt budget.
 * :class:`~repro.fleet.scheduler.Fleet` — the user-facing facade:
   ``submit`` (with store-hit dedupe), ``drain``/``resume``, ``status``,
   ``results``; ``python -m repro.fleet`` wraps it in a CLI.
+
+Everything else is the runner's: attempts run through
+:func:`repro.runner.executor.run_attempt`, results live in a plain
+:class:`repro.runner.cache.ResultCache` (same layout and content keys as
+every runner cache, so identical points dedupe *across* sweeps and across
+fleet directories pointed at one store), and the draining process is
+what holds and renews the leases of its running attempts.
 
 Determinism contract: jobs are deterministic functions of their spec, so
 at-least-once execution (a lease that expires mid-run may be re-leased)
@@ -37,21 +33,13 @@ to a straight-through one (the :mod:`repro.snapshot` guarantee).
 from .journal import Journal
 from .queue import JOB_STATES, JobQueue, JobState
 from .scheduler import Fleet, SubmitReceipt, resolve_fleet
-from .store import ResultStore
-from .transport import LocalTransport, Transport
-from .worker import FleetWorker, work_loop
 
 __all__ = [
     "Fleet",
-    "FleetWorker",
     "JOB_STATES",
     "JobQueue",
     "JobState",
     "Journal",
-    "LocalTransport",
-    "ResultStore",
     "SubmitReceipt",
-    "Transport",
     "resolve_fleet",
-    "work_loop",
 ]

@@ -58,13 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep priority; higher drains first (default 0)")
 
     for name, help_text in (
-        ("drain", "run workers until every job is terminal"),
+        ("drain", "run attempts until every job is terminal"),
         ("resume", "requeue expired leases, then drain"),
     ):
         p = sub.add_parser(name, help=help_text)
         fleet_args(p)
         p.add_argument("--workers", type=int, default=0,
-                       help="worker processes (0 = drain in-process)")
+                       help="concurrent one-shot worker processes "
+                            "(0 = drain in-process)")
         p.add_argument("--ttl", type=float, default=DEFAULT_TTL,
                        help=f"lease TTL seconds (default {DEFAULT_TTL})")
         p.add_argument("--checkpoint", type=float, default=None,

@@ -74,7 +74,7 @@ def _validate(rec: Dict[str, Any]) -> None:
 class Journal:
     """One fleet directory's operation log plus its writer lock.
 
-    Each process (scheduler, every worker) holds its own :class:`Journal`
+    Each process (every submitter and drain) holds its own :class:`Journal`
     over the same directory.  All mutations go through
     :meth:`append` *inside* a :meth:`locked` block, after syncing state
     from the log — the lock is what upgrades "append-only file" into
@@ -108,8 +108,11 @@ class Journal:
                 yield
             finally:
                 self._lock_fd = None
+                # explicit: a process forked meanwhile by another thread
+                # inherits fd, and our close alone would leave it the lock
+                fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
-            os.close(fd)  # closing releases the flock
+            os.close(fd)
 
     # -- writing -------------------------------------------------------
     def append(self, op: str, **fields) -> Dict[str, Any]:
@@ -192,10 +195,7 @@ class Journal:
 
     def read_all(self) -> List[Dict[str, Any]]:
         """Full replay from byte zero, independent of the read position."""
-        fresh = Journal.__new__(Journal)
-        fresh.root, fresh.path, fresh.lock_path = self.root, self.path, self.lock_path
-        fresh._lock_fd, fresh._offset, fresh._tail = None, 0, b""
-        return fresh.read_new()
+        return Journal(self.root).read_new()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Journal path={self.path} offset={self._offset}>"

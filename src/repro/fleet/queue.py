@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -68,21 +68,6 @@ class JobState:
     attempts: int = 0  # leases burned so far
     error: Optional[str] = None
     store: Optional[str] = None  # "fresh" | "hit" once done
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-clean per-job record for ``status --json`` and tests."""
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "sweep": self.sweep,
-            "priority": self.priority,
-            "state": self.state,
-            "worker": self.worker,
-            "attempts": self.attempts,
-            "error": self.error,
-            "store": self.store,
-        }
 
 
 class JobQueue:
@@ -107,13 +92,10 @@ class JobQueue:
     # ------------------------------------------------------------------
     # replay
     # ------------------------------------------------------------------
-    def sync(self) -> int:
+    def sync(self) -> None:
         """Apply journal operations appended since the last sync."""
-        count = 0
         for rec in self.journal.read_new():
             self._apply(rec)
-            count += 1
-        return count
 
     def _apply(self, rec: Dict[str, Any]) -> None:
         op = rec["op"]
@@ -237,10 +219,13 @@ class JobQueue:
             self.journal.append("done", key=key, worker=worker, store=store)
             self.sync()
 
-    def fail(self, key: str, worker: str, error: str) -> str:
+    def fail(self, key: str, worker: str, error: str, *,
+             final: bool = False) -> str:
         """Record a failed attempt; requeue while attempts remain.
 
-        Returns the job's resulting state (``"pending"`` when requeued,
+        *final* marks the job failed even with leases left — the caller's
+        tighter budget (``run_jobs(retries=)``) is spent.  Returns
+        the job's resulting state (``"pending"`` when requeued,
         ``"failed"`` when its attempt budget is exhausted).
         """
         with self.journal.locked():
@@ -248,7 +233,7 @@ class JobQueue:
             job = self.jobs.get(key)
             if job is None or job.state in ("done", "failed"):
                 return job.state if job is not None else "failed"
-            if job.attempts < self.max_attempts:
+            if job.attempts < self.max_attempts and not final:
                 self.journal.append(
                     "requeue", key=key, reason=f"attempt failed: {error[:200]}",
                 )

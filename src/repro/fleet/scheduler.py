@@ -1,16 +1,17 @@
-"""Fleet facade: submit sweeps, drain them with workers, read results.
+"""Fleet facade: submit sweeps, drain them, read results.
 
-:class:`Fleet` ties the fabric's pieces together behind four verbs:
+:class:`Fleet` ties the journal, the queue and the store together behind
+a few verbs:
 
 * :meth:`Fleet.submit` — dedupe each point against the content-addressed
   store (a point finished by *any* earlier sweep is acknowledged as a
-  store hit without ever reaching a worker), journal the rest;
-* :meth:`Fleet.drain` — run workers (in-process, or a
-  :class:`~repro.fleet.transport.LocalTransport` process pool with
-  bounded respawn of dead workers) until every job is terminal;
-* :meth:`Fleet.resume` — requeue expired leases and drain; this is the
-  whole crash-recovery story, because the journal replay plus the store
-  already encode everything else;
+  store hit without ever being leased), journal the rest;
+* :meth:`Fleet.drain` / :meth:`Fleet.resume` — run
+  :func:`repro.runner.run_jobs`' scheduler loop over the journal until
+  every job is terminal: the same attempt driver, retry and crash
+  detection as a plain ``run_jobs``.  Recovery is just another drain —
+  a killed process's leases are requeued as they expire, and journal
+  replay plus the store already encode the rest;
 * :meth:`Fleet.results` — payloads for a sweep, in submission order,
   read back from the store.
 
@@ -25,23 +26,20 @@ A fleet directory is self-describing::
 from __future__ import annotations
 
 import os
+import socket
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..obs.bus import EventBus
+from ..obs.bus import BUS_FILENAME, EventBus
+from ..runner.cache import ResultCache
+from ..runner.executor import Ticket, run_jobs
 from ..runner.spec import JobSpec
 from .queue import DEFAULT_MAX_ATTEMPTS, DEFAULT_TTL, JobQueue
-from .store import ResultStore
-from .transport import LocalTransport
-from .worker import FleetWorker, resolve_fleet_bus
 
-__all__ = ["SubmitReceipt", "Fleet", "resolve_fleet"]
-
-#: environment variable naming a default fleet directory (CLI / sweeps)
-FLEET_ENV = "REPRO_FLEET"
-
+__all__ = ["SubmitReceipt", "Fleet", "Leases", "resolve_fleet"]
 
 @dataclass
 class SubmitReceipt:
@@ -71,7 +69,7 @@ class Fleet:
         self,
         root: Union[str, Path],
         *,
-        store: Optional[Union[str, Path, ResultStore]] = None,
+        store: Optional[Union[str, Path, ResultCache]] = None,
         bus=None,
         ttl: float = DEFAULT_TTL,
         checkpoint: Optional[float] = None,
@@ -81,20 +79,27 @@ class Fleet:
 
         *store* defaults to ``<root>/store`` but may point anywhere — in
         particular at an existing runner cache directory, which makes
-        every previously cached point a submit-time dedupe.  *ttl*,
-        *checkpoint* and *max_attempts* become the defaults for workers
-        this fleet launches.
+        every previously cached point a submit-time dedupe.  A fleet is
+        a long-running service whose point includes live visibility, so
+        unlike the runner's its bus is **on by default** at
+        ``<root>/events.jsonl``; ``bus=False`` silences it, a path
+        relocates it.  *ttl*, *checkpoint* and *max_attempts* apply to
+        every drain of this handle.
         """
         self.root = Path(root)
-        if isinstance(store, ResultStore):
+        if isinstance(store, ResultCache):
             self.store = store
         else:
-            self.store = ResultStore(store if store is not None
+            self.store = ResultCache(store if store is not None
                                      else self.root / "store")
         self.ttl = float(ttl)
         self.checkpoint = checkpoint
         self.max_attempts = int(max_attempts)
-        self.bus_path = resolve_fleet_bus(self.root, bus)
+        if bus is False:
+            self.bus_path: Optional[Path] = None
+        else:
+            self.bus_path = (Path(bus).expanduser() if bus is not None
+                             else self.root / BUS_FILENAME)
         self.queue = JobQueue(self.root, max_attempts=max_attempts)
         self._sweep_counter = 0
 
@@ -103,7 +108,7 @@ class Fleet:
                sweep: Optional[str] = None, priority: int = 0) -> SubmitReceipt:
         """Enqueue *jobs* (specs or ``(kind, params)`` pairs) as one sweep.
 
-        Dedupe happens here, not in workers: a job whose content key is
+        Dedupe happens here, not in drains: a job whose content key is
         already present in the store is journaled and immediately
         acknowledged ``done(store="hit")``, so drains converge without
         touching it.  Re-submitting an in-flight sweep is idempotent by
@@ -127,9 +132,10 @@ class Fleet:
                 receipt.deduped += 1
             else:
                 receipt.submitted += 1
-        self._emit("fleet_submitted", sweep=sweep, jobs=len(receipt.keys),
-                   deduped=receipt.deduped)
-        self._emit_queue()
+        if receipt.keys:
+            self._emit("fleet_submitted", sweep=sweep, jobs=len(receipt.keys),
+                       deduped=receipt.deduped)
+            self._emit("fleet_queue", **self.queue.counts())
         return receipt
 
     def _fresh_sweep_name(self) -> str:
@@ -139,89 +145,24 @@ class Fleet:
                 f"-{self._sweep_counter}")
 
     # ------------------------------------------------------------------
-    def drain(self, *, workers: int = 0, max_respawns: Optional[int] = None,
-              poll: float = 0.1, status_every: float = 1.0) -> Dict[str, int]:
-        """Run workers until every job is terminal; returns final counts.
+    def drain(self, *, workers: int = 0) -> Dict[str, int]:
+        """Run attempts until every job is terminal; returns final counts.
 
-        ``workers=0`` drains in-process (serial, debuggable — the exact
-        worker loop, same telemetry).  ``workers=N`` launches a
-        :class:`LocalTransport` pool; workers that die (crash, OOM,
-        ``kill -9``) are detected by reaping and respawned up to
-        *max_respawns* times (default ``4 * workers``) — their expired
-        leases requeue via the normal TTL path either way.  While
-        draining, a ``fleet_queue`` depth snapshot is emitted every
-        *status_every* seconds for the live dashboard.
+        This is :func:`repro.runner.run_jobs` with nothing new to submit
+        (``workers`` as there): a raised or crashed attempt goes straight
+        back to the queue — requeued, or failed once ``max_attempts``
+        leases are burned — instead of waiting out its lease.  Any number
+        of processes may drain one directory at once; a drain returns
+        when nothing is pending or leased *anywhere*.
         """
-        if workers <= 0:
-            worker = FleetWorker(
-                self.root, store=self.store, ttl=self.ttl,
-                checkpoint=self.checkpoint, bus=self._bus_arg(),
-                max_attempts=self.max_attempts,
-            )
-            worker.run(exit_when_drained=True)
-            self.queue.sync()
-            self._emit_queue()
-            return self.queue.counts()
-        if max_respawns is None:
-            max_respawns = 4 * workers
-        transport = self.transport()
-        transport.start(workers)
-        respawned = 0
-        last_status = 0.0
-        try:
-            while True:
-                self.queue.requeue_expired()
-                self.queue.sync()
-                now = time.monotonic()
-                if now - last_status >= status_every:
-                    self._emit_queue()
-                    last_status = now
-                if self.queue.drained():
-                    break
-                dead = transport.reap()
-                if dead:
-                    want = min(len(dead), max(0, max_respawns - respawned))
-                    if want:
-                        transport.start(want)
-                        respawned += want
-                    elif not transport.alive():
-                        # every worker is gone and the respawn budget is
-                        # spent: let TTL expiry fail the stuck leases
-                        # rather than spin forever on an undrainable queue
-                        expired = self.queue.requeue_expired()
-                        if self.queue.drained() or (
-                                not expired and not self.queue.counts()["leased"]
-                                and not self.queue.counts()["pending"]):
-                            break
-                        transport.start(1)
-                        respawned += 1
-                time.sleep(poll)
-        finally:
-            transport.stop()
+        # retries=max_attempts: only the journal's own budget ever binds
+        run_jobs((), fleet=self, workers=workers, retries=self.max_attempts)
         self.queue.sync()
-        self._emit_queue()
         return self.queue.counts()
 
-    def resume(self, *, workers: int = 0, **drain_kwargs) -> Dict[str, int]:
-        """Recover after a crash: requeue expired leases, then drain.
-
-        Nothing else is needed — journal replay reconstructs the queue,
-        finished points are store hits, and half-finished points resume
-        from their :mod:`repro.snapshot` checkpoints inside the workers.
-        """
-        for key in self.queue.requeue_expired():
-            self._emit("fleet_requeued", key=key, reason="lease_expired")
-        return self.drain(workers=workers, **drain_kwargs)
-
-    def transport(self, **worker_kwargs) -> LocalTransport:
-        """A :class:`LocalTransport` preloaded with this fleet's defaults."""
-        kwargs = dict(
-            store=str(self.store.root), ttl=self.ttl,
-            checkpoint=self.checkpoint, bus=self._bus_arg(),
-            max_attempts=self.max_attempts,
-        )
-        kwargs.update(worker_kwargs)
-        return LocalTransport(str(self.root), **kwargs)
+    #: crash recovery *is* a drain: finished points are store hits and
+    #: half-finished ones resume from their checkpoints inside the attempt
+    resume = drain
 
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
@@ -247,7 +188,7 @@ class Fleet:
             "drained": self.queue.drained(),
             "sweeps": sweeps,
             "computed": {"fresh": fresh, "hit": hit},
-            "store": self.store.stats.snapshot(),
+            "store": dict(self.store.stats),
         }
 
     def results(self, sweep: Union[str, SubmitReceipt]) -> List[Dict[str, Any]]:
@@ -280,28 +221,123 @@ class Fleet:
         return out
 
     # ------------------------------------------------------------------
-    def _bus_arg(self):
-        """The ``bus=`` value workers should inherit (path or ``False``)."""
-        return self.bus_path if self.bus_path is not None else False
-
     def _emit(self, event_type: str, **fields) -> None:
-        """Emit one scheduler-side bus event (no-op when the bus is off)."""
+        """Emit one submit-side bus event (no-op when the bus is off)."""
         if self.bus_path is None:
             return
-        bus = EventBus(self.bus_path, job=None)
-        try:
+        with EventBus(self.bus_path) as bus:
             bus.emit(event_type, **fields)
-        finally:
-            bus.close()
-
-    def _emit_queue(self) -> None:
-        """Emit a ``fleet_queue`` depth snapshot for the dashboard."""
-        if self.bus_path is None:
-            return
-        self._emit("fleet_queue", **self.queue.counts())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Fleet root={self.root} {self.queue.counts()}>"
+
+
+class Leases:
+    """Journal backend of :func:`repro.runner.run_jobs`' scheduler loop.
+
+    One draining process's view of the fleet: it leases under a
+    ``host:pid`` worker id, mirrors each transition on the bus
+    (``fleet_*`` events), and keeps the leases of running attempts alive
+    from one daemon thread that renews every held key each ``ttl/3``
+    seconds.  The thread shares this process's :class:`JobQueue`, hence
+    the lock around every queue call.  A refused renewal (the lease
+    expired and someone re-leased the key) just drops the key: the
+    attempt finishes as a zombie whose eventual ``done`` is still a
+    valid, idempotent acknowledgement.
+    """
+
+    def __init__(self, fleet: Fleet, receipt: SubmitReceipt,
+                 live: Optional[EventBus]):
+        self.fleet = fleet
+        self.queue = fleet.queue
+        self.live = live
+        self.worker = f"{socket.gethostname()}:{os.getpid()}"
+        runnable = {key for key, job in self.queue.jobs.items()
+                    if job.state in ("pending", "leased")}
+        self.total = len(runnable.union(receipt.keys))
+        self._held: set = set()
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._renew_loop, name="repro-fleet-renew", daemon=True)
+        self._emit("fleet_worker", worker=self.worker, state="started")
+        self._thread.start()
+
+    def take(self) -> Optional[Ticket]:
+        """Requeue expired leases, then lease the next pending job."""
+        with self._lock:
+            expired = self.queue.requeue_expired()
+            job = self.queue.lease(self.worker, ttl=self.fleet.ttl)
+            if job is not None:
+                self._held.add(job.key)
+        for key in expired:
+            self._emit("fleet_requeued", key=key, reason="lease_expired")
+        if job is None:
+            return None
+        self._emit("fleet_leased", key=job.key, worker=self.worker,
+                   expires=job.expires, attempt=job.attempts)
+        return Ticket(job.key, JobSpec(job.kind, job.params), job.attempts)
+
+    def done(self, ticket: Ticket, store: str) -> None:
+        """Journal ``done`` (*store* is ``"fresh"`` or ``"hit"``)."""
+        with self._lock:
+            self._held.discard(ticket.token)
+            self.queue.done(ticket.token, self.worker, store=store)
+        self._emit("fleet_done", key=ticket.token, worker=self.worker,
+                   store=store)
+        self._emit_queue()
+
+    def fail(self, ticket: Ticket, error: str, final: bool) -> bool:
+        """Journal a failed attempt; true when the job went back to pending."""
+        with self._lock:
+            self._held.discard(ticket.token)
+            state = self.queue.fail(ticket.token, self.worker, error,
+                                    final=final)
+        if state == "failed":
+            self._emit("fleet_failed", key=ticket.token, worker=self.worker,
+                       error=error[:500])
+        else:
+            self._emit("fleet_requeued", key=ticket.token,
+                       reason=f"attempt failed: {error[:200]}")
+        self._emit_queue()
+        return state == "pending"
+
+    def drained(self) -> bool:
+        """Is every job terminal, counting other processes' progress?"""
+        with self._lock:
+            self.queue.sync()
+            return self.queue.drained()
+
+    def close(self) -> None:
+        """Stop renewing and say goodbye on the bus."""
+        self._stop.set()
+        self._thread.join(timeout=2.0)
+        self._emit("fleet_worker", worker=self.worker, state="exited")
+        self._emit_queue()
+
+    def _renew_loop(self) -> None:
+        interval = max(0.05, self.fleet.ttl / 3.0)
+        while not self._stop.wait(interval):
+            with self._lock:
+                for key in sorted(self._held):
+                    try:
+                        held = self.queue.renew(key, self.worker,
+                                                ttl=self.fleet.ttl)
+                    except OSError:  # pragma: no cover - disk trouble
+                        return
+                    if not held:
+                        self._held.discard(key)
+
+    def _emit(self, event_type: str, **fields) -> None:
+        if self.live is not None:
+            self.live.emit(event_type, **fields)
+
+    def _emit_queue(self) -> None:
+        """``fleet_queue`` depth snapshot after a transition."""
+        if self.live is not None:
+            with self._lock:
+                counts = self.queue.counts()
+            self.live.emit("fleet_queue", **counts)
 
 
 def resolve_fleet(fleet=None) -> Optional[Fleet]:
@@ -316,7 +352,7 @@ def resolve_fleet(fleet=None) -> Optional[Fleet]:
     if isinstance(fleet, Fleet):
         return fleet
     if fleet is None:
-        env = os.environ.get(FLEET_ENV, "").strip()
+        env = os.environ.get("REPRO_FLEET", "").strip()
         if not env:
             return None
         fleet = env

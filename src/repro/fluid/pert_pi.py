@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _legacy
 from .dde import DdeSolution, integrate_dde
 
 __all__ = ["PertPiFluidModel"]
@@ -41,7 +40,6 @@ class PertPiFluidModel:
     clamp: bool = True
 
     def __post_init__(self) -> None:
-        _legacy.maybe_warn_legacy_init(type(self))
         if self.capacity <= 0 or self.n_flows <= 0 or self.rtt <= 0:
             raise ValueError("capacity, n_flows and rtt must be positive")
         if self.k <= 0 or self.m <= 0:

@@ -11,8 +11,7 @@ the queue disciplines use (:func:`repro.sim.queues.make_queue`):
 ``make_fluid_model`` validates every parameter against the implementing
 dataclass's constructor signature and rejects unknown model names and
 parameters eagerly, with the valid names listed.  Direct constructor
-calls (``PertRedFluidModel(...)``) still work but emit one
-:class:`DeprecationWarning` per class per process.
+calls (``PertRedFluidModel(...)``) simply work.
 
 The :class:`FluidModel` protocol documents the surface every registered
 model shares — the hybrid engine (:mod:`repro.hybrid`) and the rate
@@ -27,8 +26,6 @@ from typing import Any, Dict, Protocol, Tuple, Type, runtime_checkable
 
 import numpy as np
 
-from . import _legacy
-from ._legacy import reset_legacy_warnings
 from .dde import DdeSolution
 from .pert_pi import PertPiFluidModel
 from .pert_red import PertRedFluidModel
@@ -39,7 +36,6 @@ __all__ = [
     "FLUID_MODELS",
     "make_fluid_model",
     "fluid_model_params",
-    "reset_legacy_warnings",
 ]
 
 
@@ -84,12 +80,6 @@ FLUID_MODELS: Dict[str, Type] = {
     "pert_pi": PertPiFluidModel,
 }
 
-# Register the concrete classes so their __post_init__ warns on direct
-# construction (make_fluid_model suppresses the warning for itself).
-for _cls in FLUID_MODELS.values():
-    _legacy._LEGACY_SHIMMED.add(_cls)
-del _cls
-
 
 def fluid_model_params(name: str) -> Dict[str, inspect.Parameter]:
     """Constructor keywords accepted by the named model."""
@@ -118,6 +108,4 @@ def make_fluid_model(name: str, **params: Any) -> FluidModel:
             f"unknown parameter(s) {unknown} for fluid model {name!r}; "
             f"valid: {sorted(allowed)}"
         )
-    cls = FLUID_MODELS[name]
-    with _legacy.factory_construction():
-        return cls(**params)
+    return FLUID_MODELS[name](**params)

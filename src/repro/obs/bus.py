@@ -50,13 +50,15 @@ Schema v1 event types and their payload fields (beyond ``v``/``type``/
 ``fleet_requeued``  ``key, reason`` (lease expiry / failed attempt)
 ``fleet_done``      ``key, worker, store`` (``fresh`` or ``hit``)
 ``fleet_failed``    ``key, worker, error`` (attempt budget exhausted)
-``fleet_worker``    ``worker, state`` (``started``/``exited``/``killed``)
-``fleet_queue``     ``pending, leased, done, failed`` (+ ``store``)
+``fleet_worker``    ``worker, state`` (``started``/``exited``)
+``fleet_queue``     ``pending, leased, done, failed``
 ==================  ==================================================
 
-The ``fleet_*`` family is published by :mod:`repro.fleet` workers and
-schedulers over the same file: ``fleet_queue`` is a periodic whole-queue
-depth snapshot (what the dashboard's queue chips render), the rest are
+The ``fleet_*`` family is published over the same file when the
+scheduler loop drives a :mod:`repro.fleet` journal: ``fleet_queue`` is a
+whole-queue depth snapshot taken after each transition (what the
+dashboard's queue chips render), ``fleet_worker`` brackets one draining
+process (the lease holder named by every ``worker`` field), the rest are
 per-transition records mirroring the fleet journal.
 
 ``heartbeat.sched`` is the simulator's monotone event sequence counter —

@@ -9,14 +9,16 @@ wall-clock speed and incremental re-runs:
 * :class:`ResultCache` — on-disk JSON cache (``~/.cache/repro`` or
   ``$REPRO_CACHE_DIR``) so re-running a figure only simulates changed
   points;
-* :func:`run_jobs` — process fan-out with per-job timeout, bounded
-  retry, and crash isolation; ``workers=0`` is the serial debug path;
+* :func:`run_jobs` — the one execution path: process fan-out with
+  per-job timeout, bounded retry, and crash isolation (``workers=0`` is
+  the serial debug path), over an in-memory job list or, with
+  ``fleet=``/``$REPRO_FLEET``, the durable :mod:`repro.fleet` queue;
 * :class:`RunnerStats` — jobs done/failed/cached plus events-per-second
   throughput, delivered through a ``progress`` hook.
 
 Determinism guarantee: for the same specs, ``run_jobs`` returns the same
 results in the same (spec) order whether executed serially, in parallel,
-or from cache — enforced by ``tests/runner/``.
+from cache, or through a fleet — enforced by ``tests/runner/``.
 """
 
 from .cache import ResultCache, default_cache_dir, migrate_cache, resolve_cache

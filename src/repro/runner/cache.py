@@ -148,10 +148,15 @@ def _atomic_dump(obj: Dict, path: Path) -> None:
 
 
 class ResultCache:
-    """Directory of cached job results, addressed by content hash."""
+    """Directory of cached job results, addressed by content hash.
+
+    ``stats`` counts this process's ``get`` hits/misses and ``put`` calls
+    (advisory; the fleet journal's ``done`` records are the durable truth).
+    """
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
+        self.stats: Dict[str, int] = {"hits": 0, "misses": 0, "puts": 0}
         self._ensure_schema()
 
     def _ensure_schema(self) -> None:
@@ -197,12 +202,21 @@ class ResultCache:
         key = spec.cache_key
         return self.root / key[:2] / f"{key}{CHECKPOINT_SUFFIX}"
 
+    def contains(self, spec: JobSpec) -> bool:
+        """Uncounted existence probe (the fleet's submit-time dedupe)."""
+        return self.path_for(spec).exists()
+
     def get(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
         """Return the stored entry dict for *spec*, or ``None`` on a miss.
 
         A corrupt or mismatched file counts as a miss and is deleted so
         the entry gets rebuilt by the caller.
         """
+        entry = self._read(spec)
+        self.stats["misses" if entry is None else "hits"] += 1
+        return entry
+
+    def _read(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
         path = self.path_for(spec)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -223,6 +237,7 @@ class ResultCache:
 
     def put(self, spec: JobSpec, payload: Any, meta: Optional[Dict] = None) -> Path:
         """Atomically persist *payload* for *spec*; returns the file path."""
+        self.stats["puts"] += 1
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
@@ -232,17 +247,7 @@ class ResultCache:
             "payload": payload,
             "meta": meta or {},
         }
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_dump(entry, path)
         return path
 
     @staticmethod

@@ -1,21 +1,33 @@
-"""Process fan-out executor with caching, timeouts and bounded retry.
+"""The one execution path: one attempt, one driver, two queue backends.
 
-Jobs are deterministic functions of their :class:`JobSpec`, so execution
-strategy is purely an operational choice:
+Jobs are deterministic functions of their :class:`JobSpec`, so how they
+are executed is purely an operational choice, made in exactly one place:
 
-* ``workers=0`` — serial, in-process.  The debugging fallback: plain
-  stack traces, no forking, ``pdb`` works.  Timeouts cannot be enforced
-  without process isolation and are ignored (a warning-level note is in
-  the docs, not a runtime surprise).
-* ``workers=N`` — up to N concurrent **one-shot worker processes**, one
-  per job attempt.  One process per job (rather than a long-lived pool)
-  is what buys crash isolation: a segfaulting or diverging simulation
-  kills only its own process, the scheduler notices the dead/overdue
-  worker, retries up to ``retries`` times, and finally marks the job
-  failed — the rest of the sweep is unaffected.
+* :func:`run_attempt` runs **one attempt** of one job under the four
+  per-attempt scopes (telemetry bus, observation, heartbeat, checkpoint).
+* :func:`commit` makes a successful attempt durable **store first**:
+  payload, then manifest/trace, and only then the queue acknowledgement
+  (a crash in the gap costs one redundant lease that finds the entry,
+  never a recompute).
+* One scheduler loop pulls attempt tickets from a queue: ``workers=0``
+  runs them in-process (the debugging path — plain stack traces, ``pdb``
+  works, timeouts cannot be enforced), ``workers=N`` in up to N
+  concurrent **one-shot worker processes**.  One process per attempt
+  (rather than a long-lived pool) is what buys crash isolation: a
+  segfaulting, diverging or overdue simulation kills only its own
+  process; the loop hands the failure back to the queue and the rest of
+  the sweep is unaffected.
+
+A queue backend offers ``take()`` (the next :class:`Ticket`, or ``None``
+when nothing is runnable right now), ``done(ticket, store)``,
+``fail(ticket, error, final)`` (true when requeued; *final* says the
+call's ``retries`` are spent), ``drained()``, ``close()`` and ``total``.  There are
+two: the in-memory list below and the journal-backed leases of
+:mod:`repro.fleet` (``fleet=`` / ``$REPRO_FLEET``: durable, resumable,
+shareable between processes).
 
 Results are returned in spec order regardless of completion order, which
-is what makes ``workers=N`` output row-for-row identical to ``workers=0``.
+is what makes every strategy's output row-for-row identical.
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..obs.bus import EventBus, bus_scope, heartbeat_loop, resolve_bus_path
 from ..obs.manifest import build_manifest, write_manifest
@@ -37,10 +50,15 @@ from .registry import resolve_job
 from .spec import JobSpec
 from .telemetry import RunnerStats, resolve_progress
 
-__all__ = ["JobResult", "record_observation", "run_jobs", "resolve_workers"]
+__all__ = ["JobResult", "Ticket", "commit", "resolve_workers", "run_attempt",
+           "run_jobs"]
 
 #: grace period for a worker that already sent its result to exit
 _JOIN_GRACE = 5.0
+
+#: sleep between polls of a queue whose remaining jobs are all leased to
+#: other processes (only the journal backend can be in that state)
+_IDLE_POLL = 0.05
 
 
 @dataclass
@@ -60,6 +78,46 @@ class JobResult:
     def ok(self) -> bool:
         """True when the job produced a payload (fresh run or cache hit)."""
         return self.status == "ok"
+
+
+class Ticket(NamedTuple):
+    """One attempt handed out by a queue backend.
+
+    ``token`` is the backend's handle for the job (spec index in memory,
+    content key in the journal); ``attempt`` counts from 1.
+    """
+
+    token: Hashable
+    spec: JobSpec
+    attempt: int
+
+
+class _MemoryQueue:
+    """In-memory backend: every spec once, in order; a failed attempt
+    with budget left is retried next."""
+
+    def __init__(self, specs: Sequence[JobSpec]):
+        self.total = len(specs)
+        self._pending = [Ticket(i, spec, 1) for i, spec in enumerate(specs)]
+        self._pending.reverse()  # pop() from the tail keeps submission order
+
+    def take(self) -> Optional[Ticket]:
+        return self._pending.pop() if self._pending else None
+
+    def done(self, ticket: Ticket, store: str) -> None:
+        pass
+
+    def fail(self, ticket: Ticket, error: str, final: bool) -> bool:
+        if final:
+            return False
+        self._pending.append(Ticket(ticket.token, ticket.spec, ticket.attempt + 1))
+        return True
+
+    def drained(self) -> bool:
+        return not self._pending
+
+    def close(self) -> None:
+        pass
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -82,42 +140,86 @@ def _events_of(payload: Any) -> int:
     return 0
 
 
-def _child_main(kind: str, params: dict, conn, ckpt_path=None, ckpt_interval=None,
-                bus_path=None, job_key=None) -> None:
-    """Worker-process entry point: run one job, ship one message back.
+def run_attempt(spec: JobSpec, ckpt_path=None, ckpt_interval=None,
+                bus_path=None) -> Tuple[Any, Dict]:
+    """Run one attempt of *spec*; returns ``(payload, obs_meta)`` or raises.
 
     The job runs inside an :func:`observe_job` context so phase timings,
     peak RSS and (when ``REPRO_OBS``/``REPRO_TRACE`` are set) metrics and
-    trace records ride back to the parent alongside the payload; the
-    payload itself stays untouched, so cached results are byte-identical
-    with observability on or off.
+    trace records come back alongside the payload; the payload itself
+    stays untouched, so cached results are byte-identical with
+    observability on or off.
 
     When checkpointing is enabled a :func:`checkpoint_scope` wraps the
     job as well: a checkpoint-aware job resumes from *ckpt_path* if a
-    previous attempt left one (crash/timeout recovery) and saves
+    previous attempt left one (crash/timeout/kill recovery) and saves
     periodically.  On success the checkpoint file is deleted and its
-    lineage summary rides back in the observation under ``checkpoint``.
+    lineage summary is returned in the observation under ``checkpoint``.
 
-    When the telemetry bus is enabled (*bus_path*), the worker opens its
-    own :class:`~repro.obs.bus.EventBus` scoped to *job_key* so phase
+    When the telemetry bus is enabled (*bus_path*), the attempt opens its
+    own :class:`~repro.obs.bus.EventBus` scoped to the job's key so phase
     transitions, checkpoint resumes and a wall-clock heartbeat thread
     publish live progress straight into the run's ``events.jsonl`` —
-    the parent never proxies live telemetry, so a hung parent cannot
-    stall a worker.
+    the scheduler never proxies live telemetry, so a hung scheduler
+    cannot stall a worker.
     """
+    with bus_scope(bus_path, job=spec.cache_key) as bus, \
+            observe_job() as obs, \
+            heartbeat_loop(bus), \
+            checkpoint_scope(ckpt_path, ckpt_interval) as slot:
+        payload = resolve_job(spec.kind)(dict(spec.params))
+    obs_meta = obs.finish()
+    if slot is not None:
+        lineage = slot.summary()
+        if lineage is not None:
+            obs_meta["checkpoint"] = lineage
+        slot.discard()
+    return payload, obs_meta
+
+
+def commit(store: Optional[ResultCache], queue, ticket: Ticket, payload: Any,
+           meta: Dict, obs_meta: Optional[Dict]) -> None:
+    """Make a successful attempt durable, then acknowledge it.
+
+    Order matters: the payload lands in the store (atomically) before
+    the queue hears ``done``, so a process killed in between leaves a
+    job that is still runnable and whose next lease is a store hit.
+    The manifest (and trace) written next to the entry are best-effort:
+    a full disk or permission hiccup on the forensic record must not
+    fail a job whose payload already landed.
+    """
+    spec = ticket.spec
+    if store is not None:
+        store.put(spec, payload, meta=meta)
+        obs_meta = dict(obs_meta) if obs_meta else {}
+        trace_records = obs_meta.pop("trace_records", None)
+        trace_file = None
+        try:
+            if trace_records is not None:
+                trace_path = store.trace_path_for(spec)
+                write_trace(trace_path, trace_records)
+                trace_file = trace_path.name
+            manifest = build_manifest(
+                key=spec.cache_key,
+                kind=spec.kind,
+                params=spec.params,
+                wall_time=meta["wall_time"],
+                events=meta["events"],
+                attempts=meta["attempts"],
+                payload=payload,
+                obs_meta=obs_meta,
+                trace_file=trace_file,
+            )
+            write_manifest(store.manifest_path_for(spec), manifest)
+        except OSError:  # pragma: no cover - disk trouble
+            pass
+    queue.done(ticket, "fresh")
+
+
+def _child_main(spec: JobSpec, conn, ckpt_path, ckpt_interval, bus_path) -> None:
+    """Worker-process entry point: run one attempt, ship one message back."""
     try:
-        with bus_scope(bus_path, job=job_key) as bus, \
-                observe_job() as obs, \
-                heartbeat_loop(bus), \
-                checkpoint_scope(ckpt_path, ckpt_interval) as slot:
-            payload = resolve_job(kind)(dict(params))
-        obs_meta = obs.finish()
-        if slot is not None:
-            lineage = slot.summary()
-            if lineage is not None:
-                obs_meta["checkpoint"] = lineage
-            slot.discard()
-        conn.send(("ok", payload, obs_meta))
+        conn.send(("ok",) + run_attempt(spec, ckpt_path, ckpt_interval, bus_path))
     except BaseException as exc:  # noqa: BLE001 - isolate *any* job failure
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}", None))
@@ -135,18 +237,15 @@ def _mp_context():
     return multiprocessing.get_context(method)
 
 
+@dataclass
 class _Running:
     """Bookkeeping for one in-flight worker process."""
 
-    __slots__ = ("index", "proc", "conn", "deadline", "attempt", "t0")
-
-    def __init__(self, index, proc, conn, deadline, attempt, t0):
-        self.index = index
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-        self.attempt = attempt
-        self.t0 = t0
+    ticket: Ticket
+    proc: Any
+    conn: Any
+    deadline: Optional[float]
+    t0: float
 
 
 def run_jobs(
@@ -159,6 +258,7 @@ def run_jobs(
     progress=None,
     checkpoint: Optional[float] = None,
     bus=None,
+    fleet=None,
 ) -> List[JobResult]:
     """Execute *specs*, returning one :class:`JobResult` per spec, in order.
 
@@ -193,19 +293,43 @@ def run_jobs(
         names the JSONL file explicitly.  Enabled, the scheduler and
         every worker publish job lifecycle/heartbeat events there —
         purely observational, results are bit-identical either way.
+    fleet:
+        Journal the jobs in a :mod:`repro.fleet` directory instead of an
+        in-memory list: a :class:`~repro.fleet.scheduler.Fleet`, a
+        directory path, ``None`` to consult ``$REPRO_FLEET`` (unset →
+        in-memory), ``False`` to force in-memory.  The specs are
+        submitted (deduping against the fleet's store) and the same loop
+        drains the fleet's queue, so a killed call is resumed by calling
+        again with no finished point recomputed.  A fleet brings its own
+        store, bus and checkpoint default in place of ``cache``/``bus``;
+        ``retries`` counts against the job's journaled attempts (a
+        killed run's lease is one), under the fleet's ``max_attempts``.
     """
+    from ..fleet.scheduler import Leases, resolve_fleet  # local: fleet imports us
+
     specs = list(specs)
     n_workers = resolve_workers(workers)
-    store: Optional[ResultCache] = resolve_cache(cache)
+    fl = resolve_fleet(fleet)
+    if fl is None:
+        store: Optional[ResultCache] = resolve_cache(cache)
+        bus_path = resolve_bus_path(store, bus)
+    else:
+        store, bus_path = fl.store, fl.bus_path
+        if checkpoint is None:
+            checkpoint = fl.checkpoint
     ckpt_interval = resolve_checkpoint_interval(checkpoint) if store is not None else None
     hook = resolve_progress(progress)
-    stats = RunnerStats(total=len(specs))
-    results: List[Optional[JobResult]] = [None] * len(specs)
-    bus_path = resolve_bus_path(store, bus)
     live: Optional[EventBus] = EventBus(bus_path) if bus_path is not None else None
+    if fl is None:
+        queue = _MemoryQueue(specs)
+    else:
+        receipt = fl.submit(specs)
+        queue = Leases(fl, receipt, live)
+    stats = RunnerStats(total=queue.total)
+    settled: Dict[Hashable, JobResult] = {}
 
-    def settle(index: int, result: JobResult) -> None:
-        results[index] = result
+    def settle(token: Hashable, result: JobResult) -> None:
+        settled[token] = result
         if result.cached:
             stats.cached += 1
         elif result.ok:
@@ -232,186 +356,69 @@ def run_jobs(
         if hook is not None:
             hook(stats)
 
-    def announce(index: int, attempt: int) -> None:
-        if live is None:
-            return
-        spec = specs[index]
-        live.emit(
-            "job_started", key=spec.cache_key, kind=spec.kind,
-            scheme=spec.params.get("scheme"), seed=spec.params.get("seed"),
-            attempt=attempt,
-        )
-
-    if live is not None:
-        live.emit("run_started", total=len(specs))
-
-    # ---- cache pass: satisfy what we can without simulating ------------
-    misses: List[int] = []
-    for i, spec in enumerate(specs):
-        entry = store.get(spec) if store is not None else None
-        if entry is not None:
-            settle(i, JobResult(
-                spec, "ok", value=entry["payload"], cached=True,
-                attempts=0, meta=entry.get("meta") or {},
-            ))
-        else:
-            misses.append(i)
-
-    if not misses:
-        if live is not None:
-            live.emit("run_finished", stats=stats.snapshot())
-            live.close()
-        return [r for r in results if r is not None]
-
-    def record_success(
-        index: int, payload: Any, attempt: int, wall: float, obs_meta=None
-    ) -> None:
-        spec = specs[index]
-        meta = {"events": _events_of(payload), "wall_time": wall, "attempts": attempt}
-        stats.wall_time += wall
-        if obs_meta:
-            rss = obs_meta.get("peak_rss_kb")
-            if isinstance(rss, int):
-                stats.peak_rss_kb = max(stats.peak_rss_kb, rss)
-        if store is not None:
-            store.put(spec, payload, meta=meta)
-            record_observation(store, spec, meta, payload, obs_meta)
-        settle(index, JobResult(
-            spec, "ok", value=payload, attempts=attempt, wall_time=wall, meta=meta,
-        ))
-
-    def ckpt_path_of(spec: JobSpec):
-        if ckpt_interval is None or store is None:
-            return None
-        return store.checkpoint_path_for(spec)
-
     try:
-        if n_workers == 0:
-            _run_serial(
-                specs, misses, retries, stats, record_success, settle,
-                ckpt_path_of, ckpt_interval, announce, live, bus_path,
-            )
+        if live is not None:
+            live.emit("run_started", total=stats.total)
+        try:
+            _drive(queue, store, n_workers, timeout, retries, ckpt_interval,
+                   bus_path, live, stats, settle)
+        finally:
+            queue.close()
+        if fl is None:
+            results = [settled[i] for i in range(len(specs))]
         else:
-            _run_parallel(
-                specs, misses, n_workers, timeout, retries, stats,
-                record_success, settle, ckpt_path_of, ckpt_interval,
-                announce, live, bus_path,
-            )
+            # jobs this call never held finished earlier (submit-time
+            # dedupe, a previous run) or in another draining process
+            results = []
+            for spec, entry in zip(specs, fl.results(receipt)):
+                if entry["key"] not in settled:
+                    if entry["state"] == "done":
+                        known = JobResult(spec, "ok", value=entry["payload"], cached=True)
+                    else:
+                        known = JobResult(spec, "failed", error=entry["error"])
+                    settle(entry["key"], known)
+                results.append(settled[entry["key"]])
         if live is not None:
             live.emit("run_finished", stats=stats.snapshot())
     finally:
         if live is not None:
             live.close()
-    return [r for r in results if r is not None]
+    return results
 
 
-def record_observation(store, spec, meta, payload, obs_meta) -> None:
-    """Persist the job's run manifest (and trace) next to its cache entry.
-
-    Manifest writes are best-effort: a full disk or permission hiccup on
-    the forensic record must not fail a job whose payload already landed.
-    Shared with :mod:`repro.fleet.worker`, which stores results through
-    the same content-addressed layout.
-    """
-    obs_meta = dict(obs_meta) if obs_meta else {}
-    trace_records = obs_meta.pop("trace_records", None)
-    trace_file = None
-    try:
-        if trace_records is not None:
-            trace_path = store.trace_path_for(spec)
-            write_trace(trace_path, trace_records)
-            trace_file = trace_path.name
-        manifest = build_manifest(
-            key=spec.cache_key,
-            kind=spec.kind,
-            params=spec.params,
-            wall_time=meta["wall_time"],
-            events=meta["events"],
-            attempts=meta["attempts"],
-            payload=payload,
-            obs_meta=obs_meta,
-            trace_file=trace_file,
-        )
-        write_manifest(store.manifest_path_for(spec), manifest)
-    except OSError:  # pragma: no cover - disk trouble
-        pass
-
-
-# ----------------------------------------------------------------------
-# serial fallback
-# ----------------------------------------------------------------------
-def _run_serial(
-    specs, misses, retries, stats, record_success, settle,
-    ckpt_path_of, ckpt_interval, announce, live, bus_path,
-) -> None:
-    for index in misses:
-        spec = specs[index]
-        error = None
-        for attempt in range(1, retries + 2):
-            if attempt > 1:
-                stats.retries += 1
-                if live is not None:
-                    live.emit("job_retried", key=spec.cache_key,
-                              attempt=attempt - 1)
-            announce(index, attempt)
-            t0 = time.monotonic()
-            try:
-                with bus_scope(bus_path, job=spec.cache_key) as job_bus, \
-                        observe_job() as obs, \
-                        heartbeat_loop(job_bus), \
-                        checkpoint_scope(
-                            ckpt_path_of(spec), ckpt_interval
-                        ) as slot:
-                    payload = resolve_job(spec.kind)(dict(spec.params))
-            except Exception as exc:  # noqa: BLE001 - keep the sweep alive
-                error = f"{type(exc).__name__}: {exc}"
-                continue
-            obs_meta = obs.finish()
-            if slot is not None:
-                lineage = slot.summary()
-                if lineage is not None:
-                    obs_meta["checkpoint"] = lineage
-                slot.discard()
-            record_success(
-                index, payload, attempt, time.monotonic() - t0, obs_meta,
-            )
-            break
-        else:
-            settle(index, JobResult(
-                spec, "failed", error=error, attempts=retries + 1,
-            ))
-
-
-# ----------------------------------------------------------------------
-# process fan-out
-# ----------------------------------------------------------------------
-def _run_parallel(
-    specs, misses, n_workers, timeout, retries, stats, record_success, settle,
-    ckpt_path_of, ckpt_interval, announce, live, bus_path,
-) -> None:
-    ctx = _mp_context()
-    queue: List[tuple] = [(i, 1) for i in misses]  # (spec index, attempt no.)
-    queue.reverse()  # pop() from the tail keeps submission order
+def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
+           live, stats, settle: Callable[[Hashable, JobResult], None]) -> None:
+    """The scheduler loop: take tickets until the queue is drained."""
+    ctx = None
     running: List[_Running] = []
 
-    def launch(index: int, attempt: int) -> None:
-        spec = specs[index]
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main,
-            args=(
-                spec.kind, spec.params, child_conn,
-                ckpt_path_of(spec), ckpt_interval,
-                bus_path, spec.cache_key,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # parent keeps only the read end
-        announce(index, attempt)
-        now = time.monotonic()
-        deadline = now + timeout if timeout is not None else None
-        running.append(_Running(index, proc, parent_conn, deadline, attempt, now))
+    def ckpt_path_of(spec: JobSpec):
+        return store.checkpoint_path_for(spec) if ckpt_interval is not None else None
+
+    def succeed(ticket: Ticket, payload: Any, obs_meta, wall: float) -> None:
+        meta = {"events": _events_of(payload), "wall_time": wall,
+                "attempts": ticket.attempt}
+        stats.wall_time += wall
+        if obs_meta:
+            rss = obs_meta.get("peak_rss_kb")
+            if isinstance(rss, int):
+                stats.peak_rss_kb = max(stats.peak_rss_kb, rss)
+        commit(store, queue, ticket, payload, meta, obs_meta)
+        settle(ticket.token, JobResult(
+            ticket.spec, "ok", value=payload, attempts=ticket.attempt,
+            wall_time=wall, meta=meta,
+        ))
+
+    def fail(ticket: Ticket, error: str) -> None:
+        if queue.fail(ticket, error, ticket.attempt > retries):
+            stats.retries += 1
+            if live is not None:
+                live.emit("job_retried", key=ticket.spec.cache_key,
+                          attempt=ticket.attempt)
+        else:
+            settle(ticket.token, JobResult(
+                ticket.spec, "failed", error=error, attempts=ticket.attempt,
+            ))
 
     def reap(slot: _Running) -> None:
         slot.conn.close()
@@ -424,27 +431,61 @@ def _run_parallel(
         else:
             slot.proc.join()
 
-    def retry_or_fail(slot: _Running, error: str) -> None:
-        if slot.attempt <= retries:
-            stats.retries += 1
-            if live is not None:
-                live.emit("job_retried", key=specs[slot.index].cache_key,
-                          attempt=slot.attempt)
-            queue.append((slot.index, slot.attempt + 1))
-        else:
-            settle(slot.index, JobResult(
-                specs[slot.index], "failed", error=error, attempts=slot.attempt,
-            ))
-
     try:
-        while queue or running:
-            while queue and len(running) < n_workers:
-                index, attempt = queue.pop()
-                launch(index, attempt)
+        while True:
+            while len(running) < max(n_workers, 1):
+                ticket = queue.take()
+                if ticket is None:
+                    break
+                spec = ticket.spec
+                entry = store.get(spec) if store is not None else None
+                if entry is not None:
+                    queue.done(ticket, "hit")
+                    settle(ticket.token, JobResult(
+                        spec, "ok", value=entry["payload"], cached=True,
+                        meta=entry.get("meta") or {},
+                    ))
+                    continue
+                if live is not None:
+                    live.emit(
+                        "job_started", key=spec.cache_key, kind=spec.kind,
+                        scheme=spec.params.get("scheme"),
+                        seed=spec.params.get("seed"), attempt=ticket.attempt,
+                    )
+                t0 = time.monotonic()
+                if n_workers == 0:
+                    try:
+                        payload, obs_meta = run_attempt(
+                            spec, ckpt_path_of(spec), ckpt_interval, bus_path)
+                    except Exception as exc:  # noqa: BLE001 - keep the sweep alive
+                        fail(ticket, f"{type(exc).__name__}: {exc}")
+                    else:
+                        succeed(ticket, payload, obs_meta, time.monotonic() - t0)
+                    continue
+                if ctx is None:
+                    ctx = _mp_context()
+                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_child_main,
+                    args=(spec, child_conn, ckpt_path_of(spec), ckpt_interval,
+                          bus_path),
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()  # parent keeps only the read end
+                running.append(_Running(
+                    ticket, proc, parent_conn,
+                    t0 + timeout if timeout is not None else None, t0,
+                ))
+
+            if not running:
+                if queue.drained():
+                    return
+                time.sleep(_IDLE_POLL)  # leases held elsewhere: wait them out
+                continue
 
             now = time.monotonic()
             still_running: List[_Running] = []
-            progressed = False
             for slot in running:
                 message = None
                 if slot.conn.poll():
@@ -458,28 +499,23 @@ def _run_parallel(
                 if message is not None:
                     status, body, obs_meta = message
                     reap(slot)
-                    wall = now - slot.t0
                     if status == "ok":
-                        record_success(slot.index, body, slot.attempt, wall, obs_meta)
+                        succeed(slot.ticket, body, obs_meta, now - slot.t0)
                     else:
-                        retry_or_fail(slot, body)
-                    progressed = True
+                        fail(slot.ticket, body)
                 elif not slot.proc.is_alive():
                     reap(slot)
-                    retry_or_fail(
-                        slot,
+                    fail(
+                        slot.ticket,
                         f"worker crashed without result "
                         f"(exit code {slot.proc.exitcode})",
                     )
-                    progressed = True
                 elif slot.deadline is not None and now > slot.deadline:
                     reap(slot)
-                    retry_or_fail(slot, f"timed out after {timeout}s")
-                    progressed = True
+                    fail(slot.ticket, f"timed out after {timeout}s")
                 else:
                     still_running.append(slot)
-            running = still_running
-            if not progressed and running:
+            if len(still_running) == len(running):
                 # Sleep until a worker writes its result or exits, or the
                 # nearest per-attempt deadline passes — whichever is first.
                 deadlines = [s.deadline for s in running if s.deadline is not None]
@@ -487,6 +523,7 @@ def _run_parallel(
                     [s.conn for s in running] + [s.proc.sentinel for s in running],
                     max(0.0, min(deadlines) - now) if deadlines else None,
                 )
+            running = still_running
     finally:
         for slot in running:  # pragma: no cover - only on interrupt
             reap(slot)

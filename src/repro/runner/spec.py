@@ -44,10 +44,10 @@ CACHE_SCHEMA = 2
 def content_key(kind: str, params: Dict[str, Any]) -> str:
     """Content address of one job: hex SHA-256 of kind + canonical params.
 
-    This is the single keying function shared by the runner's
-    :class:`~repro.runner.cache.ResultCache` and the fleet's
-    :class:`~repro.fleet.store.ResultStore` — the reason a point finished
-    under either is a cache hit for both.
+    This is the single keying function of
+    :class:`~repro.runner.cache.ResultCache`, which serves both as the
+    runner's cache and as a fleet's store — the reason a point finished
+    under either is a hit for both.
     """
     material = f"{CACHE_SCHEMA}|{kind}|{canonical_json(params)}"
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -84,17 +84,6 @@ class JobSpec:
         and package versions, not just within one run.
         """
         return content_key(self.kind, self.params)
-
-    def describe(self) -> str:
-        """Short human label for logs: kind plus the identifying params."""
-        scheme = self.params.get("scheme")
-        seed = self.params.get("seed")
-        bits = [self.kind]
-        if scheme is not None:
-            bits.append(str(scheme))
-        if seed is not None:
-            bits.append(f"seed={seed}")
-        return "/".join(bits)
 
 
 def dumbbell_spec(scheme: str, **kwargs) -> JobSpec:

@@ -173,11 +173,10 @@ _ENGINE_CLASS_NAMES = (
 )
 
 #: modules those classes may live in (the compiled package ships the
-#: same engine contract under its own module names — see repro.compiled)
+#: same engine contract under its own module name — see repro.compiled)
 _ENGINE_MODULES = (
     "repro.sim.engine",
     "repro.compiled.engine",
-    "repro.compiled._compiled_engine",
 )
 
 

@@ -1,8 +1,8 @@
 """Job functions for fleet kill-tolerance tests.
 
-Referenced by dotted-path kind (``"tests.fleet.jobs:slow_once"``) so
-worker processes spawned by :class:`repro.fleet.transport.LocalTransport`
-resolve the same code as the test process.
+Referenced by dotted-path kind (``"tests.fleet.jobs:slow_once"``) so the
+``python -m repro.fleet drain`` subprocesses (and their one-shot worker
+processes) resolve the same code as the test process.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Kill -9 tolerance: converge after worker death with zero recomputation.
+"""Kill -9 tolerance: converge after a drain dies, with zero recomputation.
 
 The headline guarantee of :mod:`repro.fleet`: submit a sweep, SIGKILL
-workers mid-run, resume — every point finished before the kill is a
-content-addressed store hit, never simulated again, and half-finished
-points resume from their :mod:`repro.snapshot` checkpoints.
+the draining process mid-run, resume — every point finished before the
+kill is a content-addressed store hit, never simulated again, and
+half-finished points resume from their :mod:`repro.snapshot` checkpoints.
 """
 
 from __future__ import annotations
@@ -11,7 +11,10 @@ from __future__ import annotations
 import hashlib
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +25,10 @@ ECHO_LOG = "tests.fleet.jobs:touch_and_echo"
 SLOW_ONCE = "tests.fleet.jobs:slow_once"
 CRASHY = "tests.snapshot.jobs:crashy_dumbbell"
 
-#: generous wall-clock bound for "a worker finishes the quick jobs"
+#: generous wall-clock bound for "the drain finishes the quick jobs"
 DEADLINE = 60.0
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _wait_until(predicate, deadline=DEADLINE, poll=0.05):
@@ -55,30 +60,35 @@ def _fresh_done_counts(fleet):
     return counts
 
 
-def test_sigkill_mid_run_converges_with_zero_recompute(tmp_path):
+def _kill_mid_run_then_resume(tmp_path, workers):
     fleet = Fleet(tmp_path / "fleet", ttl=1.0)
     log = tmp_path / "computed.log"
     marker = tmp_path / "slow.marker"
     quick = [(ECHO_LOG, {"value": i, "log": str(log)}) for i in range(6)]
-    # the hang sorts last (lowest priority): the lone worker finishes all
-    # quick points first, then gets killed while stuck on this one
+    # the hang sorts last (lowest priority): the drain finishes all quick
+    # points first, then gets killed while stuck on this one
     receipt = fleet.submit(quick, sweep="quick", priority=1)
     fleet.submit([(SLOW_ONCE, {"value": 99, "marker": str(marker)})],
                  sweep="slow", priority=0)
 
-    transport = fleet.transport()
-    (worker_id,) = transport.start(1)
+    # a real `python -m repro.fleet drain`, in its own process group so
+    # the kill also takes the one-shot worker of the workers=1 case
+    drain = subprocess.Popen(
+        [sys.executable, "-m", "repro.fleet", "drain", str(fleet.root),
+         "--workers", str(workers), "--ttl", "1.0"],
+        cwd=REPO, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src"), str(REPO)])),
+    )
     try:
         _wait_until(lambda: (fleet.queue.sync() or True)
                     and fleet.queue.counts()["done"] == 6
                     and marker.exists())
-        pid = transport.pid_of(worker_id)
-        assert pid is not None
-        os.kill(pid, signal.SIGKILL)
-        _wait_until(lambda: not transport.alive())
-        assert transport.reap() == [worker_id]
+        assert drain.poll() is None  # still draining: stuck on the hang
     finally:
-        transport.stop()
+        os.killpg(drain.pid, signal.SIGKILL)
+        drain.wait(timeout=DEADLINE)
+    assert drain.returncode == -signal.SIGKILL
 
     fleet.queue.sync()
     assert fleet.queue.counts() == {"pending": 0, "leased": 1,
@@ -98,6 +108,16 @@ def test_sigkill_mid_run_converges_with_zero_recompute(tmp_path):
     # 3. the jobs themselves: one log line per quick point, ever
     lines = sorted(log.read_text().split())
     assert lines == [str(i) for i in range(6)]
+
+
+def test_sigkill_mid_run_converges_with_zero_recompute(tmp_path):
+    """The drain and its one-shot worker process both die."""
+    _kill_mid_run_then_resume(tmp_path, workers=1)
+
+
+def test_sigkill_of_in_process_drain_converges_too(tmp_path):
+    """``--workers 0``: the hang runs inside the killed process itself."""
+    _kill_mid_run_then_resume(tmp_path, workers=0)
 
 
 def test_killed_submitter_resumes_idempotently(tmp_path):
@@ -134,7 +154,6 @@ def test_crashed_attempt_resumes_from_checkpoint(tmp_path):
     assert counts["done"] == 1
     (entry,) = fleet.results(receipt)
     assert entry["payload"]["resumed"] is True  # attempt 2 used the checkpoint
-    fleet.queue.sync()
     assert fleet.queue.jobs[receipt.keys[0]].attempts == 2
 
     (golden_entry,) = golden.results(golden_receipt)

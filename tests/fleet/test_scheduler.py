@@ -1,17 +1,19 @@
-"""Fleet facade: submit dedupe, drain, results, env resolution."""
+"""Fleet facade: submit dedupe, drain, results, env resolution, and the
+``run_jobs(fleet=)`` route every experiment takes."""
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.fleet import Fleet, resolve_fleet
-from repro.fleet.worker import FleetWorker
-from repro.runner.spec import JobSpec
+from repro.runner import JobSpec, run_jobs
 
 ECHO = "tests.runner.jobs:echo"
 BOOM = "tests.runner.jobs:boom"
+SLEEPY = "tests.runner.jobs:sleepy"
 
 
 def test_submit_drain_results_roundtrip(tmp_path):
@@ -62,18 +64,18 @@ def test_failed_jobs_surface_in_results(tmp_path):
 
 
 def test_worker_acks_store_hit_without_running(tmp_path):
-    """A pending job whose result landed meanwhile becomes a store hit."""
+    """A pending job whose result landed meanwhile becomes a store hit —
+    the store-first half of a crash between ``put`` and ``done``."""
     fleet = Fleet(tmp_path / "fleet")
     receipt = fleet.submit([(ECHO, {"value": 5})])
     fleet.store.put(JobSpec(ECHO, {"value": 5}), {"value": 5})
-    worker = FleetWorker(fleet.root, store=fleet.store, bus=False)
-    worker.run()
-    fleet.queue.sync()
+    fleet.drain(workers=0)
     assert fleet.queue.jobs[receipt.keys[0]].store == "hit"
-    assert fleet.store.stats.puts == 1  # only our seeding put
+    assert fleet.store.stats["puts"] == 1  # only our seeding put
 
 
 def test_drain_with_local_transport(tmp_path):
+    """``workers=2`` fans attempts out to one-shot local processes."""
     fleet = Fleet(tmp_path / "fleet", ttl=10.0)
     fleet.submit([(ECHO, {"value": i}) for i in range(8)], sweep="mp")
     counts = fleet.drain(workers=2)
@@ -90,6 +92,9 @@ def test_bus_events_flow(tmp_path):
     for expected in ("fleet_submitted", "fleet_queue", "fleet_worker",
                      "fleet_leased", "fleet_done"):
         assert expected in types, f"missing {expected} in {types}"
+    # a clean job costs exactly three journal records
+    ops = [rec["op"] for rec in fleet.queue.journal.read_all()]
+    assert ops == ["submit", "lease", "done"]
 
 
 def test_bus_can_be_disabled(tmp_path):
@@ -140,3 +145,81 @@ def test_warm_start_and_fleet_are_exclusive(tmp_path):
         sweep_dumbbell([{"duration": 3.0}], schemes=("pert",),
                        warm_start=True, fleet=str(tmp_path / "fleet"),
                        bandwidth=4e6)
+
+
+def test_table1_and_fig11_journal_their_points(tmp_path, monkeypatch):
+    """``--fleet``/``$REPRO_FLEET`` reaches every ``run_jobs`` caller, not
+    only ``sweep_dumbbell``: rows equal the runner path's, points land in
+    the journal, and a second run recomputes nothing."""
+    from repro.experiments import fig11_multibottleneck, table1_rtts
+
+    table1_kw = dict(bandwidth=8e6, n_fwd=3, rtts=[0.012, 0.024, 0.036],
+                     web_sessions=0, schemes=("pert", "vegas"),
+                     duration=4.0, warmup=2.0, workers=0)
+    fig11_kw = dict(schemes=("pert",), n_routers=3, cloud_size=2,
+                    link_bw=8e6, duration=6.0, warmup=3.0, workers=0)
+    plain = (table1_rtts.run(cache=False, **table1_kw),
+             fig11_multibottleneck.run(cache=False, **fig11_kw))
+
+    monkeypatch.setenv("REPRO_FLEET", str(tmp_path / "fleet"))
+    fleeted = (table1_rtts.run(**table1_kw),
+               fig11_multibottleneck.run(**fig11_kw))
+    assert fleeted == plain
+    status = Fleet(tmp_path / "fleet").status()
+    assert status["counts"]["done"] == 3  # two table1 schemes + one fig11
+    assert status["computed"] == {"fresh": 3, "hit": 0}
+
+    again = (table1_rtts.run(**table1_kw),
+             fig11_multibottleneck.run(**fig11_kw))
+    assert again == plain
+    assert Fleet(tmp_path / "fleet").status()["computed"] == status["computed"]
+
+
+def test_fleeted_timeout_kills_and_fails_without_waiting_for_the_lease(tmp_path):
+    """``timeout``/``retries``/``progress`` act on the journal backend: a
+    hanging attempt is killed at its deadline and failed at once (the
+    lease has 10 minutes left), while its sibling completes."""
+    fleet = Fleet(tmp_path / "fleet", ttl=600.0)
+    snaps = []
+    t0 = time.monotonic()
+    results = run_jobs(
+        [JobSpec(SLEEPY, {"seconds": 60.0}), JobSpec(ECHO, {"value": "fast"})],
+        workers=2, timeout=0.5, retries=0, fleet=fleet,
+        progress=lambda s: snaps.append(s.snapshot()),
+    )
+    assert time.monotonic() - t0 < 30.0
+    assert results[0].status == "failed" and "timed out" in results[0].error
+    assert results[1].ok and results[1].value == {"value": "fast"}
+    assert snaps[-1] == dict(snaps[-1], total=2, done=1, failed=1, retries=0)
+    fleet.queue.sync()
+    assert fleet.queue.counts() == {"pending": 0, "leased": 0,
+                                    "done": 1, "failed": 1}
+    hung = fleet.queue.jobs[results[0].spec.cache_key]
+    assert hung.attempts == 1 and "timed out" in hung.error
+
+
+def test_fleeted_timeout_requeues_while_retries_remain(tmp_path):
+    """With a retry left the timed-out attempt goes back to pending and is
+    leased again immediately — two leases, no TTL wait."""
+    fleet = Fleet(tmp_path / "fleet", ttl=600.0)
+    res = run_jobs([JobSpec(SLEEPY, {"seconds": 60.0})], workers=1,
+                   timeout=0.3, retries=1, fleet=fleet)[0]
+    assert res.status == "failed" and res.attempts == 2
+    ops = [rec["op"] for rec in fleet.queue.journal.read_all()]
+    assert ops == ["submit", "lease", "requeue", "lease", "failed"]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_running_attempts_keep_their_leases(tmp_path, workers):
+    """Attempts longer than the TTL are renewed by the draining process:
+    the expired-lease sweep that precedes every lease (here: the third
+    job's, taken while the long one is still running under ``workers=2``)
+    finds nothing to requeue."""
+    fleet = Fleet(tmp_path / "fleet", ttl=0.3)
+    receipt = fleet.submit([(SLEEPY, {"seconds": seconds})
+                            for seconds in (0.4, 1.5, 0.1)])
+    counts = fleet.drain(workers=workers)
+    assert counts["done"] == 3 and counts["failed"] == 0
+    ops = [rec["op"] for rec in fleet.queue.journal.read_all()]
+    assert "renew" in ops and "requeue" not in ops
+    assert all(fleet.queue.jobs[key].attempts == 1 for key in receipt.keys)

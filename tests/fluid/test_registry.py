@@ -1,4 +1,4 @@
-"""Fluid-model registry: factory round-trips and legacy-shim warnings."""
+"""Fluid-model registry: factory round-trips and eager validation."""
 
 import warnings
 
@@ -9,18 +9,7 @@ from repro.fluid import (
     FluidModel,
     fluid_model_params,
     make_fluid_model,
-    reset_legacy_warnings,
 )
-from repro.fluid.pert_pi import PertPiFluidModel
-from repro.fluid.pert_red import PertRedFluidModel
-from repro.fluid.tcp_red import TcpRedFluidModel
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_legacy_warnings()
-    yield
-    reset_legacy_warnings()
 
 
 @pytest.mark.parametrize("name", sorted(FLUID_MODELS))
@@ -53,17 +42,13 @@ def test_fluid_model_params_lists_constructor_fields():
     assert {"capacity", "n_flows", "rtt", "t_min", "t_max"} <= set(params)
 
 
-@pytest.mark.parametrize("cls", [PertRedFluidModel, TcpRedFluidModel,
-                                 PertPiFluidModel])
-def test_direct_construction_warns_once_per_class(cls):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cls()
-        cls()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "make_fluid_model" in str(deprecations[0].message)
+@pytest.mark.parametrize("name", sorted(FLUID_MODELS))
+def test_direct_construction_simply_works(name):
+    """The dataclasses are plain constructors: no shim, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        direct = FLUID_MODELS[name](capacity=250.0, n_flows=5)
+    assert direct == make_fluid_model(name, capacity=250.0, n_flows=5)
 
 
 def test_factory_construction_does_not_warn():
@@ -72,14 +57,3 @@ def test_factory_construction_does_not_warn():
         make_fluid_model("pert_red")
     assert not [w for w in caught
                 if issubclass(w.category, DeprecationWarning)]
-
-
-def test_reset_rearms_the_warning():
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        PertRedFluidModel()
-    reset_legacy_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        PertRedFluidModel()
-    assert [w for w in caught if issubclass(w.category, DeprecationWarning)]

@@ -1,13 +1,15 @@
-"""Equivalence suite: serial, parallel, and cached paths are identical.
+"""Equivalence suite: serial, parallel, cached and fleeted paths are identical.
 
 This is the contract that makes the runner safe to put under every
-figure: fan-out and caching are pure execution strategies and must never
-change a single row.
+figure: fan-out, caching and the queue backend (in-memory list or fleet
+journal) are pure execution strategies and must never change a single
+row.
 """
 
 import pytest
 
 from repro.experiments.sweep import sweep_dumbbell
+from repro.fleet import Fleet
 from repro.runner import ResultCache, dumbbell_spec, run_jobs
 
 #: tiny but non-trivial 2-scheme x 3-point grid (seconds, not minutes)
@@ -27,6 +29,29 @@ def test_parallel_rows_equal_serial_rows_exactly():
     parallel = run_grid(workers=2, cache=False)
     assert len(serial) == len(GRID_POINTS) * len(GRID_SCHEMES)
     assert parallel == serial  # row-for-row, bit-for-bit
+
+
+def test_every_strategy_yields_the_same_rows(tmp_path):
+    """One spec list: serial == workers=2 == cached == fleeted serial ==
+    fleeted workers=2 == a re-run of a drained fleet."""
+    serial = run_grid(workers=0, cache=False)
+    strategies = {
+        "workers=2": dict(workers=2, cache=False),
+        "cold cache": dict(workers=2, cache=tmp_path / "cache"),
+        "warm cache": dict(workers=0, cache=tmp_path / "cache"),
+        "fleet workers=0": dict(workers=0, fleet=tmp_path / "fleet0"),
+        "fleet workers=2": dict(workers=2, fleet=tmp_path / "fleet2"),
+        "fleet re-run": dict(workers=2, fleet=tmp_path / "fleet2"),
+        "fleet over the runner's cache": dict(
+            workers=0, fleet=Fleet(tmp_path / "fleet3", store=tmp_path / "cache")),
+    }
+    for name, kw in strategies.items():
+        assert run_grid(**kw) == serial, name
+    # the last two computed nothing: drained journal, pre-warmed store
+    assert Fleet(tmp_path / "fleet2").status()["computed"] == {
+        "fresh": len(serial), "hit": 0}
+    assert Fleet(tmp_path / "fleet3").status()["computed"] == {
+        "fresh": 0, "hit": len(serial)}
 
 
 def test_second_run_is_fully_cached_with_identical_rows(tmp_path):

@@ -121,3 +121,55 @@ def test_unknown_kind_fails_gracefully():
     res = run_jobs([spec("no-such-kind")], workers=0, cache=False, retries=0)[0]
     assert res.status == "failed"
     assert "no-such-kind" in res.error
+
+
+# ----------------------------------------------------------------------
+# the same faults on the journal backend (run_jobs(fleet=)): one driver,
+# so raise / flaky / crash must settle exactly as they do in memory, and
+# the journal must agree with the returned results
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [0, 2])
+def test_raising_job_on_the_journal_backend(tmp_path, workers):
+    from repro.fleet import Fleet
+
+    fleet = Fleet(tmp_path / "fleet")
+    snaps = []
+    results = run_jobs(
+        [spec(ECHO, value=1), spec(BOOM), spec(ECHO, value=2)],
+        workers=workers, retries=1, fleet=fleet,
+        progress=lambda s: snaps.append(s.snapshot()),
+    )
+    assert [r.status for r in results] == ["ok", "failed", "ok"]
+    assert results[0].value == {"value": 1}
+    assert results[2].value == {"value": 2}
+    assert "injected failure" in results[1].error
+    assert results[1].attempts == 2  # original + one retry
+    assert snaps[-1] == dict(snaps[-1], done=2, failed=1, retries=1)
+    assert fleet.status()["counts"] == {"pending": 0, "leased": 0,
+                                        "done": 2, "failed": 1}
+    boom = fleet.queue.jobs[spec(BOOM).cache_key]
+    assert boom.attempts == 2 and "injected failure" in boom.error
+    assert fleet.store.get(spec(BOOM)) is None  # failures are never stored
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_flaky_job_on_the_journal_backend(tmp_path, workers):
+    marker = tmp_path / "flaky.marker"
+    res = run_jobs(
+        [spec(FLAKY, marker=str(marker))],
+        workers=workers, retries=1, fleet=tmp_path / "fleet",
+    )[0]
+    assert res.ok
+    assert res.value["recovered"] is True
+    assert res.attempts == 2
+
+
+def test_crashing_worker_on_the_journal_backend(tmp_path):
+    results = run_jobs(
+        [spec(CRASH), spec(ECHO, value="alive")],
+        workers=2, retries=1, fleet=tmp_path / "fleet",
+    )
+    assert results[0].status == "failed"
+    assert "crashed" in results[0].error
+    assert results[0].attempts == 2
+    assert results[1].ok
