@@ -745,16 +745,16 @@ class ArraySimulator(Simulator):
             while heap:
                 entry = heappop(heap)
                 if len(entry) == 4:
-                    time = entry[0]
+                    time, _, fn, arg = entry
                     if time > horizon:
                         heapq.heappush(heap, entry)
                         break
                     self.now = time
                     self._live -= 1
                     if profiler is None:
-                        entry[2](entry[3])
+                        fn(arg)
                     else:
-                        profiler.dispatch(entry[2], (entry[3],))
+                        profiler.dispatch(fn, (arg,))
                 else:
                     ev = entry[4]
                     if ev is not None:

@@ -50,7 +50,13 @@ class Link:
         "_ser_time",
         "obs",
         "obs_label",
+        "_deliver",
+        "_on_tx_done",
     )
+
+    #: slots derived from the others at construction and on restore —
+    #: never part of a snapshot (see :meth:`_bind_callbacks`)
+    _DERIVED_SLOTS = frozenset(("_deliver", "_on_tx_done"))
 
     def __init__(
         self,
@@ -84,15 +90,52 @@ class Link:
         #: observability attachment (:class:`repro.obs.Collector`)
         self.obs: Optional[Any] = None
         self.obs_label: Optional[str] = None
+        self._bind_callbacks()
+
+    def _bind_callbacks(self) -> None:
+        """Bind the two per-packet event callbacks once per link.
+
+        ``dst.receive`` and ``self._tx_done`` go into the event list once
+        per hop; looking them up here instead allocates two bound methods
+        per link, not two per packet.  Both resolve through the class at
+        this point, so a subclass's ``_tx_done`` and a class-level wrapper
+        installed before the link is built (``benchmarks/e2e/tracing.py``)
+        are what gets bound.
+        """
+        self._deliver = self.dst.receive
+        self._on_tx_done = self._tx_done
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> None:
-        """Offer *pkt* to this link's queue and kick the transmitter."""
-        accepted = self.qdisc.enqueue(pkt, self.sim.now)
-        if accepted and not self._busy:
-            self._start_next()
+        """Offer *pkt* to this link's queue and kick the transmitter.
+
+        Four sends in five find the link idle, so the transmitter start
+        (the body of :meth:`_start_next`, for a queue known to be
+        non-empty) is written out here instead of costing a frame a hop.
+        """
+        sim = self.sim
+        now = sim.now
+        qdisc = self.qdisc
+        if qdisc.enqueue(pkt, now) and not self._busy:
+            pkt = qdisc.dequeue(now)
+            if pkt is None:
+                return
+            self._busy = True
+            size = pkt.size
+            tx_time = self._ser_time.get(size)
+            if tx_time is None:
+                tx_time = size * 8.0 / self.bandwidth
+                self._ser_time[size] = tx_time
+            self.busy_time += tx_time
+            sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
     def _start_next(self) -> None:
+        """Start transmitting the head-of-line packet, or go idle.
+
+        The general form of what :meth:`send` and :meth:`_tx_done` write
+        out for themselves; a subclass that overrides ``_tx_done``
+        (:class:`~repro.sim.jitter.JitterLink`) ends with this.
+        """
         sim = self.sim
         pkt = self.qdisc.dequeue(sim.now)
         if pkt is None:
@@ -105,47 +148,45 @@ class Link:
             tx_time = size * 8.0 / self.bandwidth
             self._ser_time[size] = tx_time
         self.busy_time += tx_time
-        sim.schedule_fire1(tx_time, self._tx_done, pkt)
+        sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
-        """Complete *pkt*'s transmission, then drain the queue in a batch.
+        """Complete *pkt*'s transmission and start the next one.
 
-        Each iteration is one departure: counters, the propagation-delay
-        hand-off to the destination, and the dequeue of the next packet.
-        When the engine can prove no other event intercedes before the
-        next departure (``sim.advance_if_clear``), the chain continues
-        inline — no heap push/pop, no run-loop iteration — which is the
-        common case whenever the bottleneck drains a standing queue.  The
-        virtual-time trace (times, sequence numbers, dequeue instants,
-        observability hooks) is bit-identical to scheduling every
-        departure through the heap; under the legacy engine the claim
-        always fails and every departure is a real event, exactly as
-        before.
+        One departure: counters, the propagation-delay hand-off to the
+        destination, and the dequeue of the next packet.  When the engine
+        can prove no other event intercedes before that packet's own
+        departure (``sim.advance_if_clear``), the loop takes it inline —
+        no heap push/pop, no run-loop iteration.  That needs an event
+        list with nothing due within one serialization time, which a
+        many-flow bottleneck almost never offers (0.5 % of departures on
+        a 50-flow dumbbell, 10 % with short web flows), so the body is
+        written for the single pass: no locals are pre-bound for
+        iterations that do not come.  The virtual-time trace (times,
+        sequence numbers, dequeue instants, observability hooks) is
+        bit-identical to scheduling every departure through the heap;
+        under the legacy engine the claim always fails and every
+        departure is a real event.
         """
         sim = self.sim
-        qdisc = self.qdisc
-        dst_receive = self.dst.receive
-        delay = self.delay
-        ser_memo = self._ser_time
-        schedule1 = sim.schedule_fire1
-        advance_if_clear = sim.advance_if_clear
         while True:
             self.bytes_transmitted += pkt.size
             self.packets_transmitted += 1
             if self.obs is not None:
                 self.obs.link_tx(self, sim.now)
-            schedule1(delay, dst_receive, pkt)
-            pkt = qdisc.dequeue(sim.now)
+            sim.schedule_fire1(self.delay, self._deliver, pkt)
+            pkt = self.qdisc.dequeue(sim.now)
             if pkt is None:
                 self._busy = False
                 return
-            tx_time = ser_memo.get(pkt.size)
+            size = pkt.size
+            tx_time = self._ser_time.get(size)
             if tx_time is None:
-                tx_time = pkt.size * 8.0 / self.bandwidth
-                ser_memo[pkt.size] = tx_time
+                tx_time = size * 8.0 / self.bandwidth
+                self._ser_time[size] = tx_time
             self.busy_time += tx_time
-            if not advance_if_clear(sim.now + tx_time):
-                schedule1(tx_time, self._tx_done, pkt)
+            if not sim.advance_if_clear(sim.now + tx_time):
+                sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
                 return
 
     # ------------------------------------------------------------------
@@ -156,16 +197,23 @@ class Link:
         :class:`~repro.sim.jitter.JitterLink`) round-trip their extra
         slots without defining their own hooks.  Everything a link holds
         — counters, qdisc, the serialization memo, an attached collector
-        — is state worth keeping; nothing is process-local."""
+        — is state worth keeping; nothing is process-local.  The bound
+        callbacks are derived, not state: they stay out of the snapshot
+        (its bytes do not change with them) and are re-bound on restore
+        to the *restored* node and link."""
         state: Dict[str, Any] = {}
         for klass in type(self).__mro__:
             for slot in getattr(klass, "__slots__", ()):
-                state[slot] = getattr(self, slot)
+                if slot not in self._DERIVED_SLOTS:
+                    state[slot] = getattr(self, slot)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
+        # ``receive`` is a class attribute, so binding it works even when
+        # a reference cycle hands us ``dst`` before its own state is set
+        self._bind_callbacks()
 
     # ------------------------------------------------------------------
     def utilization(self, duration: float, since_bytes: int = 0) -> float:

@@ -83,9 +83,11 @@ class Node:
         self.packets_forwarded += 1
         link.send(pkt)
 
-    def send(self, pkt: Packet) -> None:
-        """Inject a locally generated packet into the network."""
-        self.receive(pkt)
+    #: Inject a locally generated packet into the network.  Injection *is*
+    #: the first hop, so this is ``receive`` under its sending-side name
+    #: (one frame per packet less than a method that forwards to it); the
+    #: two names stay separate class attributes that can be wrapped apart.
+    send = receive
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name} flows={len(self.endpoints)}>"

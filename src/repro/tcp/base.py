@@ -177,17 +177,11 @@ class TcpSender:
         window = self.high_water - self.cum_ack
         return window - len(self.sacked) - len(self.lost) + len(self.rtx_out)
 
-    def _has_new_data(self) -> bool:
-        return self.app_limit is None or self.next_seq < self.app_limit
-
-    def _next_to_send(self) -> Optional[Tuple[int, bool]]:
-        """Pick the next packet per RFC 6675 NextSeg: holes first, then new."""
-        if self.lost:
-            for seq in sorted(self.lost):
-                if seq not in self.rtx_out and seq not in self.sacked:
-                    return seq, True
-        if self.app_limit is None or self.next_seq < self.app_limit:
-            return self.next_seq, False
+    def _next_hole(self) -> Optional[int]:
+        """Lowest lost packet not yet retransmitted (RFC 6675 NextSeg rule 1)."""
+        for seq in sorted(self.lost):
+            if seq not in self.rtx_out and seq not in self.sacked:
+                return seq
         return None
 
     def _try_send(self) -> None:
@@ -200,21 +194,20 @@ class TcpSender:
             window = self.max_cwnd
         while (self.high_water - self.cum_ack - len(self.sacked)
                - len(self.lost) + len(self.rtx_out)) < window:
-            choice = self._next_to_send()
-            if choice is None:
+            # holes first (only recovery has any), then new data
+            seq = self._next_hole() if self.lost else None
+            if seq is not None:
+                self._transmit(seq, True)
+            elif self.app_limit is None or self.next_seq < self.app_limit:
+                self._transmit(self.next_seq, False)
+            else:
                 break
-            seq, is_rtx = choice
-            self._transmit(seq, is_rtx)
 
     def _transmit(self, seq: int, is_rtx: bool) -> None:
-        pkt = Packet(
-            flow_id=self.flow_id,
-            src=self.node.node_id,
-            dst=self.dst,
-            size=self.pkt_size,
-            seq=seq,
-            ect=self.ecn,
-        )
+        # positional: (flow_id, src, dst, size, seq, is_ack, ack_seq,
+        # sack_blocks, ect) — keyword binding showed up per packet
+        pkt = Packet(self.flow_id, self.node.node_id, self.dst, self.pkt_size,
+                     seq, False, -1, None, self.ecn)
         pkt.sent_time = self.sim.now
         pkt.is_retransmit = is_rtx
         if self._cwr_pending:
@@ -232,7 +225,8 @@ class TcpSender:
         else:
             self._sent_time[seq] = self.sim.now
             self.next_seq = seq + 1
-            self.high_water = max(self.high_water, self.next_seq)
+            if self.next_seq > self.high_water:
+                self.high_water = self.next_seq
         self.pkts_sent += 1
         timer = self._rtx_timer
         if timer is None or timer.cancelled:
@@ -247,11 +241,15 @@ class TcpSender:
         if not pkt.is_ack or self.done:
             return
         rtt_sample = self._process_ack_seq(pkt)
-        self._process_sack(pkt)
+        # The guards keep the loss-free ACK from paying a frame to learn
+        # it carries no SACK block and the flow has no end.
+        if pkt.sack_blocks:
+            self._process_sack(pkt)
         if self.ecn and pkt.ece:
             self._ecn_response()
         self.on_ack(pkt, rtt_sample)
-        self._check_complete()
+        if self.app_limit is not None:
+            self._check_complete()
         self._try_send()
         if self.obs is not None:
             self.obs.sender_ack(self, self.sim.now)
@@ -384,7 +382,8 @@ class TcpSender:
     # ------------------------------------------------------------------
     def _rtt_update(self, sample: float) -> None:
         self.last_rtt = sample
-        self.min_rtt = min(self.min_rtt, sample)
+        if sample < self.min_rtt:
+            self.min_rtt = sample
         if self.record_rtt:
             self.rtt_trace.append((self.sim.now, sample, self.cwnd))
         if self.srtt is None:
@@ -393,7 +392,12 @@ class TcpSender:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(MAX_RTO, max(MIN_RTO, self.srtt + 4.0 * self.rttvar))
+        rto = self.srtt + 4.0 * self.rttvar
+        if rto < MIN_RTO:
+            rto = MIN_RTO
+        elif rto > MAX_RTO:
+            rto = MAX_RTO
+        self.rto = rto
 
     def _arm_rtx_timer(self) -> None:
         """(Re)start the RTO timer from now; runs on every new ACK."""
@@ -510,7 +514,8 @@ class TcpSink:
         else:
             self.dup_pkts += 1
         if not self.delack or not in_order or pkt.ce or self.out_of_order:
-            self._flush_delack()
+            if self._delack_pending is not None:  # armed iff one is held
+                self._flush_delack()
             self._send_ack(pkt)
             return
         # delayed-ACK path: hold the first in-order segment, ack the second
@@ -549,15 +554,11 @@ class TcpSink:
         return blocks[-self.max_sack_blocks:]
 
     def _send_ack(self, data_pkt: Packet) -> None:
-        ack = Packet(
-            flow_id=self.flow_id,
-            src=self.node.node_id,
-            dst=self.src,
-            size=ACK_SIZE,
-            is_ack=True,
-            ack_seq=self.rcv_next,
-            sack_blocks=self._sack_blocks(),
-        )
+        # positional: (flow_id, src, dst, size, seq, is_ack, ack_seq,
+        # sack_blocks); None is the shared empty block list
+        ack = Packet(self.flow_id, self.node.node_id, self.src, ACK_SIZE, -1,
+                     True, self.rcv_next,
+                     self._sack_blocks() if self.out_of_order else None)
         ack.ece = self.ece_active
         # Echo the forward one-way delay of the packet being acknowledged
         # (simulation clocks are global; real deployments would use the

@@ -13,8 +13,8 @@ expectations in ``src/repro/validate/expected/*.json``:
   bands; measures fidelity).
 
 The verdict is machine-readable JSON; ``docs/RESULTS.md`` is regenerated
-from it on every run.  See ``docs/VALIDATION.md`` for the tolerance
-methodology and the ``update-golden`` workflow.
+from it by ``run --docs docs/RESULTS.md``.  See ``docs/VALIDATION.md`` for
+the tolerance methodology and the ``update-golden`` workflow.
 """
 
 from .bands import (

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.validate run [--quick|--full] [--figure F ...]
                                  [-j N] [--no-cache] [--cache-dir DIR]
-                                 [--docs PATH | --no-docs] [--out PATH]
+                                 [--docs PATH] [--out PATH]
     python -m repro.validate report [--quick|--full] [--verdict PATH]
     python -m repro.validate update-golden [--quick|--full] [--figure F ...]
     python -m repro.validate diff [--quick|--full] [--figure F ...]
@@ -13,8 +13,10 @@ Usage::
 compares every extracted metric against the committed bands in
 ``src/repro/validate/expected/``, writes the machine-readable verdict
 (plus per-figure deviation manifests for ``python -m repro.obs
-report``), regenerates ``docs/RESULTS.md``, and exits non-zero naming
-the offending figures when anything lands outside its band.
+report``), and exits non-zero naming the offending figures when
+anything lands outside its band.  It writes nothing inside the checkout
+unless told to: the generated results document is rendered only with
+``--docs PATH`` (``--docs docs/RESULTS.md`` refreshes the committed one).
 
 ``report`` re-renders the last verdict without re-running anything;
 ``diff`` shows every measured metric (banded or not) against its band;
@@ -34,9 +36,6 @@ from typing import Dict, Iterator, Optional
 from .docgen import write_results_md
 from .suite import SUITE, run_suite
 from .verdict import FigureVerdict, Verdict
-
-#: default location of the committed, generated results document
-DEFAULT_DOCS = Path("docs") / "RESULTS.md"
 
 
 @contextlib.contextmanager
@@ -157,10 +156,9 @@ def _cmd_run(args) -> int:
     verdict.save(out_path)
     _write_validation_manifests(verdict)
     print(f"verdict: {out_path}")
-    if not args.no_docs:
-        docs = Path(args.docs) if args.docs else DEFAULT_DOCS
-        write_results_md(verdict, docs)
-        print(f"results doc regenerated: {docs}")
+    if args.docs:
+        write_results_md(verdict, Path(args.docs))
+        print(f"results doc regenerated: {args.docs}")
     print(_summary(verdict))
     if verdict.status == "fail":
         _print_failures(verdict)
@@ -275,15 +273,14 @@ def main(argv=None) -> int:
                            help="log per-job runner progress")
 
     run_p = sub.add_parser(
-        "run", help="run a tier, regenerate docs/RESULTS.md, gate on bands")
+        "run", help="run a tier and gate on the committed bands")
     common(run_p)
     run_p.add_argument("--out", default=None, metavar="PATH",
                        help="verdict JSON path "
                             "(default: <cache>/validation/verdict-<tier>.json)")
     run_p.add_argument("--docs", default=None, metavar="PATH",
-                       help=f"results doc path (default: {DEFAULT_DOCS})")
-    run_p.add_argument("--no-docs", action="store_true",
-                       help="skip regenerating the results doc")
+                       help="also render the results doc to PATH "
+                            "(the committed one is docs/RESULTS.md)")
     run_p.set_defaults(fn=_cmd_run)
 
     rep_p = sub.add_parser("report", help="re-render the last verdict")

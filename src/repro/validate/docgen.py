@@ -1,12 +1,12 @@
 """Generate ``docs/RESULTS.md`` from a validation verdict.
 
-The headline results document is *never hand-maintained*: every
-``python -m repro.validate run`` regenerates it from the verdict, so the
-committed file is exactly what the quick tier measures on a clean
-checkout.  The renderer is a pure function of the verdict's
-deterministic fields (tier, metric ids, bands, measured values) — no
-timestamps, host names, or wall times — which is what makes "regenerate
-and ``git diff --exit-code``" a valid CI gate.
+The headline results document is *never hand-maintained*:
+``python -m repro.validate run --docs docs/RESULTS.md`` regenerates it
+from the verdict, so the committed file is exactly what the quick tier
+measures on a clean checkout.  The renderer is a pure function of the
+verdict's deterministic fields (tier, metric ids, bands, measured
+values) — no timestamps, host names, or wall times — which is what makes
+"regenerate and ``git diff --exit-code``" a valid CI gate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _HEADER = """\
 # Results — paper vs. reproduction
 
 <!-- GENERATED FILE — do not edit.
-     Regenerate with:  python -m repro.validate run --{tier}
+     Regenerate with:  python -m repro.validate run --{tier} --docs docs/RESULTS.md
      Methodology and tolerance rationale:  docs/VALIDATION.md -->
 """
 

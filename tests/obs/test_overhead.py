@@ -2,10 +2,12 @@
 
 The baseline monkeypatches the per-packet hook-bearing methods
 (``QueueDiscipline.enqueue``/``dequeue``, ``Link._tx_done``) with copies
-stripped of their ``obs`` hook sites, then times the same fixed-seed
-dumbbell both ways.  The two runs must also produce *identical* results —
-if the stripped copies ever drift from the real methods, the equality
-assertion fails before the timing comparison can mislead anyone.
+stripped of their ``obs`` hook sites and otherwise identical line for
+line (a baseline written any slower makes the guard pass for the wrong
+reason), then times the same fixed-seed dumbbell both ways.  The two
+runs must also produce *identical* results — if the stripped copies ever
+drift from the real methods, the equality assertion fails before the
+timing comparison can mislead anyone.
 """
 
 import time
@@ -20,17 +22,34 @@ _KWARGS = dict(
     bandwidth=8e6, duration=4.0, warmup=1.5, n_fwd=4, seed=5,
 )
 _MAX_RATIO = 1.05
-_REPEATS = 3
+_REPEATS = 7
 _ATTEMPTS = 3
 
 
 # ---- stripped copies of the hook-bearing hot-path methods ------------
 def _plain_enqueue(self, pkt, now):
     stats = self.stats
+    buf = self._buf
     if now > stats._last_change:
-        stats._q_integral += len(self._buf) * (now - stats._last_change)
+        stats._q_integral += len(buf) * (now - stats._last_change)
         stats._last_change = now
     stats.arrivals += 1
+    if self._plain_admit:
+        if len(buf) >= self.capacity or (
+            self.capacity_bytes is not None
+            and self._bytes + pkt.size > self.capacity_bytes
+        ):
+            stats.drops += 1
+            stats.forced_drops += 1
+            for fn in self.drop_listeners:
+                fn(pkt, now)
+            return False
+        pkt.enqueue_time = now
+        buf.append(pkt)
+        self._bytes += pkt.size
+        stats.enqueues += 1
+        stats.bytes_in += pkt.size
+        return True
     verdict = self.admit(pkt, now)
     if verdict == "enqueue":
         pass
@@ -72,12 +91,30 @@ def _plain_dequeue(self, now):
 
 
 def _plain_tx_done(self, pkt):
-    self.bytes_transmitted += pkt.size
-    self.packets_transmitted += 1
-    self.sim.schedule_fire(self.delay, self.dst.receive, pkt)
-    self._start_next()
+    # Link._tx_done minus the `obs` test, line for line
+    sim = self.sim
+    while True:
+        self.bytes_transmitted += pkt.size
+        self.packets_transmitted += 1
+        sim.schedule_fire1(self.delay, self._deliver, pkt)
+        pkt = self.qdisc.dequeue(sim.now)
+        if pkt is None:
+            self._busy = False
+            return
+        size = pkt.size
+        tx_time = self._ser_time.get(size)
+        if tx_time is None:
+            tx_time = size * 8.0 / self.bandwidth
+            self._ser_time[size] = tx_time
+        self.busy_time += tx_time
+        if not sim.advance_if_clear(sim.now + tx_time):
+            sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
+            return
 
 
+# Link.send carries no hook of its own, so it needs no stripped copy: both
+# configurations run the real one, and links bind `_tx_done` per instance
+# at construction — after the patch below is in place.
 _PATCHES = [
     (QueueDiscipline, "enqueue", _plain_enqueue),
     (QueueDiscipline, "dequeue", _plain_dequeue),
@@ -85,29 +122,42 @@ _PATCHES = [
 ]
 
 
-def _timed_run(stripped: bool):
-    """Best-of-N wall time (and the result) for one configuration."""
+def _one_run(stripped: bool):
+    """Wall time and result of one run of one configuration."""
     saved = [(cls, name, getattr(cls, name)) for cls, name, _ in _PATCHES]
     if stripped:
         for cls, name, fn in _PATCHES:
             setattr(cls, name, fn)
     try:
-        best, result = float("inf"), None
-        for _ in range(_REPEATS):
-            t0 = time.perf_counter()
-            result = run_dumbbell("pert", collector=False, **_KWARGS)
-            best = min(best, time.perf_counter() - t0)
-        return best, result
+        t0 = time.perf_counter()
+        result = run_dumbbell("pert", collector=False, **_KWARGS)
+        return time.perf_counter() - t0, result
     finally:
         for cls, name, fn in saved:
             setattr(cls, name, fn)
 
 
+def _timed_pair():
+    """Best-of-N wall time and result per configuration.
+
+    The two configurations alternate run by run, so a slow spell of the
+    host falls on both; with the baseline no longer slower by
+    construction the true ratio sits near 1.02, and block-wise timing
+    put one attempt in three above the limit on noise alone.
+    """
+    best = {True: float("inf"), False: float("inf")}
+    results = {}
+    for _ in range(_REPEATS):
+        for stripped in (True, False):
+            elapsed, results[stripped] = _one_run(stripped)
+            best[stripped] = min(best[stripped], elapsed)
+    return best[True], results[True], best[False], results[False]
+
+
 def test_disabled_instrumentation_overhead_under_5_percent():
     ratio = None
     for _ in range(_ATTEMPTS):
-        base_t, base_r = _timed_run(stripped=True)
-        inst_t, inst_r = _timed_run(stripped=False)
+        base_t, base_r, inst_t, inst_r = _timed_pair()
         # Self-check: the stripped copies must be behaviourally identical
         # to the real methods, or the timing comparison is meaningless.
         assert inst_r == base_r, (

@@ -135,3 +135,69 @@ def test_bfs_routes_prefer_fewest_hops():
     net.connect(nodes[3], nodes[0], 1e6, 0.001)
     net.compute_routes()
     assert nodes[0].routes[nodes[3].node_id].dst is nodes[3]
+
+
+def test_class_level_wrappers_see_every_hop(monkeypatch):
+    """Seam contract of the packet path.
+
+    ``benchmarks/e2e/tracing.py`` and ``repro.obs.Collector`` count the
+    packet path from outside, through wrappers set on the classes before
+    a run is built.  Links bind ``dst.receive`` and ``_tx_done`` once at
+    construction and ``Link.send`` starts the transmitter itself, so this
+    pins what such a wrapper sees: every call, and exactly the counts the
+    link, queue and node counters report.
+    """
+    from collections import Counter
+
+    from repro.experiments.common import run_dumbbell
+    from repro.sim.engine import get_engine_class
+    from repro.sim.queues.base import QueueDiscipline
+
+    seen = Counter()
+
+    def count(cls, attr, label=None, hit=lambda out: True):
+        orig = getattr(cls, attr)
+        label = label or f"{cls.__name__}.{attr}"
+
+        def wrapper(self, *args):
+            out = orig(self, *args)
+            if hit(out):
+                seen[label] += 1
+            return out
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    count(Node, "send")
+    count(Node, "receive")
+    count(Link, "send")
+    count(Link, "_tx_done")
+    count(QueueDiscipline, "dequeue", hit=lambda pkt: pkt is not None)
+    count(QueueDiscipline, "enqueue", "enqueue.accepted", hit=bool)
+    count(QueueDiscipline, "enqueue")
+    # a departure the engine takes inline is one `_tx_done` call fewer
+    count(get_engine_class(), "advance_if_clear", "inline", hit=bool)
+
+    result = run_dumbbell(
+        "sack-droptail", bandwidth=3e6, rtt=0.04, n_fwd=3, n_rev=1,
+        buffer_pkts=10, duration=2.5, warmup=1.0, seed=3,
+        collector=False, keep_refs=True,
+    )
+    net = result.extras["dumbbell"].net
+    flows = result.extras["fwd_flows"] + result.extras["rev_flows"]
+    stats = [link.qdisc.stats for link in net.links]
+    assert sum(s.drops for s in stats) > 0  # the refused-enqueue branch ran
+
+    injected = sum(snd.pkts_sent + sink.acks_sent for snd, sink in flows)
+    hops = sum(n.packets_forwarded + n.packets_delivered + n.packets_unroutable
+               for n in net.nodes)
+    assert seen["Node.send"] == injected
+    assert seen["Node.send"] + seen["Node.receive"] == hops
+    assert seen["Link.send"] == sum(n.packets_forwarded for n in net.nodes)
+    assert seen["QueueDiscipline.enqueue"] == sum(s.arrivals for s in stats)
+    assert seen["QueueDiscipline.enqueue"] == seen["Link.send"]
+    assert seen["enqueue.accepted"] == sum(s.enqueues for s in stats)
+    assert seen["QueueDiscipline.dequeue"] == sum(s.departures for s in stats)
+    assert seen["Link._tx_done"] + seen["inline"] == sum(
+        link.packets_transmitted for link in net.links)
+    # in flight at the end: serialized but still propagating
+    assert seen["Link._tx_done"] + seen["inline"] >= seen["Node.receive"]

@@ -147,7 +147,8 @@ def _scheme_build(name):
             )
             sender.start(at=0.01 * i)
             senders.append(sender)
-        return sim, {"senders": senders, "qdiscs": [db.fwd.qdisc]}
+        return sim, {"senders": senders, "qdiscs": [db.fwd.qdisc],
+                     "links": db.net.links}
     return build
 
 
@@ -180,6 +181,51 @@ def test_sack_scoreboard_mid_recovery_roundtrip():
     assert t_snap is not None, "no loss recovery observed; shrink the buffer"
 
     _roundtrip(build, t_snap=t_snap, t_end=t_snap + 2.0)
+
+
+def test_link_callbacks_rebind_to_restored_objects():
+    """Links bind ``dst.receive`` and ``_tx_done`` once, at construction.
+
+    The bound pair is derived, not state: it stays out of the snapshot
+    and is re-bound on restore — to the *restored* node and link, or the
+    continuation would deliver packets into the original run.
+    """
+    from repro.sim.jitter import JitterLink
+    from repro.sim.link import Link
+    from repro.sim.node import Node
+
+    build = _scheme_build("pert")
+    sim, ctx = build()
+    sim.run(until=1.5)
+    sim2, ctx2 = restore_bytes(capture_bytes(sim, ctx))
+    assert len(ctx2["links"]) == len(ctx["links"]) > 0
+    for old, new in zip(ctx["links"], ctx2["links"]):
+        assert new is not old and new.dst is not old.dst
+        assert new._deliver.__self__ is new.dst
+        assert new._deliver.__func__ is Node.receive
+        assert new._on_tx_done.__self__ is new
+        assert new._on_tx_done.__func__ is Link._tx_done
+    _roundtrip(build, t_snap=1.5, t_end=4.0)  # and resumes bit-identically
+
+    # A state dict written before the slots existed is today's state dict:
+    # the callbacks never enter it, and __setstate__ derives them.
+    link = ctx2["links"][0]
+    state = link.__getstate__()
+    assert not {"_deliver", "_on_tx_done"} & set(state)
+    clone = Link.__new__(Link)
+    clone.__setstate__(state)
+    assert clone._deliver == link._deliver
+    assert clone._on_tx_done.__self__ is clone
+
+    # a subclass's own `_tx_done` is what gets re-bound
+    a, b = Node(sim2, 90, "a"), Node(sim2, 91, "b")
+    jitter = JitterLink(sim2, a, b, 1e6, 0.01,
+                        make_queue(QueueConfig("droptail", capacity_pkts=5)),
+                        jitter=0.002)
+    _, restored = restore_bytes(capture_bytes(sim2, jitter))
+    assert restored._on_tx_done.__func__ is JitterLink._tx_done
+    assert restored._on_tx_done.__self__ is restored
+    assert restored.jitter == 0.002
 
 
 def test_rng_streams_continue_identically():

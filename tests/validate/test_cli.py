@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -91,10 +92,32 @@ def test_missing_paper_metric_fails_as_missing(tmp_path, fig5_expected, capsys):
     assert statuses["p@delay_ms=999"] == "missing"
 
 
-def test_no_docs_flag_skips_results_doc(tmp_path, fig5_expected):
-    code, _, docs = _run(tmp_path, fig5_expected, extra=("--no-docs",))
-    assert code == 0
-    assert not docs.exists()
+def test_plain_run_leaves_the_checkout_clean(tmp_path, monkeypatch):
+    """Without ``--docs`` a run writes nothing inside the repository.
+
+    Run from the repository root, as the README does: the tracked
+    ``docs/RESULTS.md`` used to be rewritten as a side effect (ROADMAP 1d),
+    leaving `` M docs/RESULTS.md`` behind every validation.
+    """
+    repo = Path(__file__).resolve().parents[2]
+
+    def status():
+        try:
+            out = subprocess.run(
+                ["git", "status", "--porcelain", "--untracked-files=all"],
+                cwd=repo, capture_output=True, text=True, check=True)
+        except (OSError, subprocess.CalledProcessError):
+            return None  # not a git checkout: the byte check below remains
+        return out.stdout
+
+    before = status()
+    results_md = (repo / "docs" / "RESULTS.md").read_bytes()
+    monkeypatch.chdir(repo)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["run", "--quick", "--figure", "fig5"]) == 0
+    assert (tmp_path / "cache" / "validation" / "verdict-quick.json").exists()
+    assert (repo / "docs" / "RESULTS.md").read_bytes() == results_md
+    assert status() == before
 
 
 def test_report_exits_2_without_a_verdict(tmp_path, capsys):
