@@ -24,8 +24,6 @@ from .topology import (
     Dumbbell,
     Network,
     ParkingLot,
-    build_dumbbell,
-    build_parking_lot,
     make_topology,
 )
 from .trace import FlowTracer, ascii_series
@@ -53,8 +51,6 @@ __all__ = [
     "ParkingLot",
     "TOPOLOGIES",
     "make_topology",
-    "build_dumbbell",
-    "build_parking_lot",
     "QueueSampler",
     "DropLog",
     "LinkWindow",

@@ -1,8 +1,7 @@
 """Queue disciplines: DropTail, RED (gentle/adaptive, ECN), PI and REM AQM.
 
-Construct disciplines through :func:`make_queue` with a
-:class:`QueueConfig`; the per-class constructors remain as deprecated
-shims (one :class:`DeprecationWarning` per class).
+Configuration-driven code builds disciplines through :func:`make_queue`
+with a :class:`QueueConfig`; the per-class constructors are public too.
 """
 
 from .base import QueueDiscipline, QueueStats

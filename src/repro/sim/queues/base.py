@@ -12,61 +12,12 @@ Queue capacity is expressed in *packets*, matching the paper (e.g. the
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from contextlib import contextmanager
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
-                    Set, Type)
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..packet import Packet
 
 __all__ = ["QueueDiscipline", "QueueStats"]
-
-# ---------------------------------------------------------------------------
-# Deprecation shims for direct queue construction.
-#
-# The canonical way to build a discipline is
-# :func:`repro.sim.queues.make_queue` with a
-# :class:`~repro.sim.queues.QueueConfig`; the per-class keyword
-# constructors remain as thin shims that warn (once per class, per
-# process) when called directly.  The registry lives here — not in
-# ``config.py`` — because every concrete queue module imports this one,
-# so this is the only place free of import cycles.
-# ---------------------------------------------------------------------------
-
-#: classes whose direct construction is deprecated (populated by
-#: ``repro.sim.queues.config`` at import time)
-_LEGACY_SHIMMED: Set[Type["QueueDiscipline"]] = set()
-#: class names that have already warned this process
-_LEGACY_WARNED: Set[str] = set()
-#: >0 while make_queue() itself is constructing (suppresses the warning)
-_legacy_suppressed = 0
-
-
-@contextmanager
-def _factory_construction() -> Iterator[None]:
-    """Mark constructions performed by make_queue() as non-deprecated."""
-    global _legacy_suppressed
-    _legacy_suppressed += 1
-    try:
-        yield
-    finally:
-        _legacy_suppressed -= 1
-
-
-def _maybe_warn_legacy_init(cls: Type["QueueDiscipline"]) -> None:
-    if _legacy_suppressed or cls not in _LEGACY_SHIMMED:
-        return
-    if cls.__name__ in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(cls.__name__)
-    warnings.warn(
-        f"constructing {cls.__name__} directly is deprecated; use "
-        f"repro.sim.queues.make_queue(QueueConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class QueueStats:
     """Counters shared by every queue discipline."""
@@ -133,7 +84,6 @@ class QueueDiscipline:
 
     def __init__(self, capacity_pkts: int,
                  capacity_bytes: Optional[int] = None) -> None:
-        _maybe_warn_legacy_init(type(self))
         if capacity_pkts < 1:
             raise ValueError("queue capacity must be >= 1 packet")
         if capacity_bytes is not None and capacity_bytes < 1:

@@ -22,8 +22,8 @@ replaces that with one declarative shape:
 * unknown disciplines and parameters are rejected eagerly, at
   :class:`QueueConfig` construction time, with the valid names listed.
 
-Direct constructor calls (``RedQueue(...)``) still work but emit one
-:class:`DeprecationWarning` per class per process.
+Direct constructor calls (``RedQueue(...)``) work too; ``make_queue`` is
+the entry point for anything driven by configuration.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Type
 
 from ..engine import Simulator
-from . import base
 from .base import QueueDiscipline
 from .droptail import DropTailQueue
 from .pi import PiQueue
 from .red import RedQueue
 from .rem import RemQueue
 
-__all__ = ["QueueConfig", "make_queue", "DISCIPLINES", "reset_legacy_warnings"]
+__all__ = ["QueueConfig", "make_queue", "DISCIPLINES"]
 
 #: discipline name -> implementing class
 DISCIPLINES: Dict[str, Type[QueueDiscipline]] = {
@@ -56,12 +55,6 @@ DISCIPLINES: Dict[str, Type[QueueDiscipline]] = {
 #: from ``sim`` — must match the labels the legacy experiment factories
 #: used, or fixed-seed goldens would shift.
 _STREAM_LABELS = {"red": "red", "pi": "pi", "rem": "rem"}
-
-# Register the concrete classes so QueueDiscipline.__init__ warns on
-# direct construction (make_queue suppresses the warning for itself).
-for _cls in DISCIPLINES.values():
-    base._LEGACY_SHIMMED.add(_cls)
-del _cls
 
 
 def _allowed_params(cls: Type[QueueDiscipline]) -> Dict[str, inspect.Parameter]:
@@ -152,10 +145,4 @@ def make_queue(
             kwargs["rng"] = rng
     if "sim" in sig and sim is not None:
         kwargs["sim"] = sim
-    with base._factory_construction():
-        return cls(config.capacity_pkts, **kwargs)
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which classes have warned (for tests of the shims)."""
-    base._LEGACY_WARNED.clear()
+    return cls(config.capacity_pkts, **kwargs)

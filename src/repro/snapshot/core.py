@@ -26,6 +26,7 @@ the unpickler's bare ``TypeError``.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,7 +165,10 @@ def _diagnose_failure(sim: Simulator, state: Any, exc: Exception) -> SnapshotErr
     return SnapshotError(f"cannot snapshot simulation: {exc}")
 
 
-#: engine classes a snapshot may reference; remapped on cross-engine restore
+#: simulator class names a snapshot written before PR 17 may reference:
+#: the virtual constructor, the tuple-heap and flat-entry engines and the
+#: C-backed subclass all wrote the same canonical state
+#: (``Simulator.__getstate__``), so all restore as the one engine
 _ENGINE_CLASS_NAMES = (
     "Simulator",
     "LegacySimulator",
@@ -172,8 +176,7 @@ _ENGINE_CLASS_NAMES = (
     "CompiledSimulator",
 )
 
-#: modules those classes may live in (the compiled package ships the
-#: same engine contract under its own module name — see repro.compiled)
+#: modules those classes lived in
 _ENGINE_MODULES = (
     "repro.sim.engine",
     "repro.compiled.engine",
@@ -181,47 +184,23 @@ _ENGINE_MODULES = (
 
 
 class _EngineRemapUnpickler(pickle.Unpickler):
-    """Unpickler that rebinds the simulator class to a chosen engine.
-
-    Snapshots pickle the concrete engine class by reference, so a body
-    captured under one ``REPRO_ENGINE`` would normally restore under the
-    same backend.  Both engines share one canonical state format (see
-    ``Simulator.__getstate__``), which makes the class substitutable at
-    load time: the target engine's ``__setstate__`` rebuilds its own
-    internal event-list representation from the shared state.
-    """
-
-    def __init__(self, file, target_cls: type):
-        super().__init__(file)
-        self._target_cls = target_cls
+    """Unpickler that rebinds every historical engine class to the engine."""
 
     def find_class(self, module, name):
         if module in _ENGINE_MODULES and name in _ENGINE_CLASS_NAMES:
-            return self._target_cls
+            return Simulator
         return super().find_class(module, name)
 
 
-def restore_bytes(body: bytes, *, engine: Optional[str] = None) -> Tuple[Simulator, Any]:
+def restore_bytes(body: bytes) -> Tuple[Simulator, Any]:
     """Unpickle a snapshot body; returns ``(sim, state)``.
 
-    *engine* (``"array"`` / ``"legacy"`` / ``"compiled"``) restores the
-    simulator under that backend regardless of which one captured the
-    snapshot; ``None`` keeps the capturing engine's class.  A snapshot
-    captured under the compiled engine restores with ``engine=None`` in
-    a process *without* the extension too: ``CompiledSimulator`` is
-    always defined and simply runs its inherited pure-Python methods
-    there (see :mod:`repro.compiled.engine`).
+    A body captured under any of the engine classes earlier versions
+    shipped (:data:`_ENGINE_CLASS_NAMES`) restores under the one engine
+    and continues bit-identically.
     """
-    import io
-
-    from ..sim.engine import get_engine_class
-
     try:
-        if engine is None:
-            root = pickle.loads(body)
-        else:
-            target = get_engine_class(engine)
-            root = _EngineRemapUnpickler(io.BytesIO(body), target).load()
+        root = _EngineRemapUnpickler(io.BytesIO(body)).load()
     except Exception as exc:  # noqa: BLE001
         raise SnapshotError(f"cannot restore snapshot body: {exc}") from exc
     if not isinstance(root, dict) or "sim" not in root:

@@ -1,17 +1,16 @@
-"""Differential testing: all engine backends must agree bit for bit.
+"""Differential testing: the engine must agree with its oracle bit for bit.
 
 Every sender scheme in the registry — together spanning all four queue
-disciplines (droptail, RED, PI, REM) — runs through the legacy
-reference engine, the pure-Python array engine, and (when the optional
-extension is built — see :mod:`repro.compiled`) the compiled engine.
-The comparison covers three layers:
+disciplines (droptail, RED, PI, REM) — runs through the tuple-heap
+reference in :mod:`.oracle` (``"legacy"``) and through the product's
+one event engine (``"array"``).  The comparison covers three layers:
 
 * the packet-event stream (every enqueue/drop/mark/sample trace record,
   with timestamps, flow ids, sequence numbers and queue lengths),
 * the steady-state figure metrics (goodputs, drop/mark rates,
   utilization, Jain index, mean queue),
-* snapshot round-trips across engines (capture under one backend,
-  restore under the other, continue, same result).
+* snapshot round-trips in both directions (capture under one, restore
+  under the other, continue, same result).
 
 Tier selection mirrors the validate suite: the quick tier (default, CI)
 runs one scheme per queue discipline on a small workload; set
@@ -23,7 +22,6 @@ import os
 
 import pytest
 
-from repro.compiled import status as compiled_status
 from repro.experiments.common import (
     _dumbbell_result,
     _DumbbellState,
@@ -32,17 +30,13 @@ from repro.experiments.common import (
     warm_dumbbell_bytes,
 )
 from repro.obs import Collector
-from repro.sim.engine import ArraySimulator, LegacySimulator, get_engine_class
-from repro.snapshot import restore_bytes
+
+from .oracle import ENGINES, restore_as, use_engine
 
 FULL = os.environ.get("REPRO_DIFF_FULL", "") not in ("", "0")
 
-#: is a compiled-engine artifact importable in this checkout?
-COMPILED_AVAILABLE = compiled_status().available
-
-#: the engines under differential comparison; "array" is pinned to pure
-#: Python via REPRO_COMPILED=0 so the compiled engine never hides it
-FAST_ENGINES = ("array", "compiled") if COMPILED_AVAILABLE else ("array",)
+#: the engines held to the oracle (one; a tuple so test ids keep naming it)
+FAST_ENGINES = ("array",)
 
 #: scheme -> bottleneck queue discipline it exercises
 SCHEME_DISCIPLINE = {
@@ -70,26 +64,15 @@ FULL_KW = dict(bandwidth=8e6, rtt=0.05, n_fwd=8, duration=6.0, warmup=2.0,
 KW = FULL_KW if FULL else QUICK_KW
 
 
-def _set_engine_env(monkeypatch, engine):
-    """Pin both engine knobs so *engine* means exactly one backend."""
-    if engine == "array":
-        # pure array: the compiled engine must not transparently serve it
-        monkeypatch.setenv("REPRO_ENGINE", "array")
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-    else:
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-
-
 def _run_with_engine(engine, scheme, monkeypatch, trace=True, **overrides):
     """One dumbbell run under *engine* with a full packet-event trace."""
-    _set_engine_env(monkeypatch, engine)
+    use_engine(monkeypatch, engine)
     collector = Collector(trace=trace) if trace else False
     kw = dict(KW)
     kw.update(overrides)
     result = run_dumbbell(scheme, collector=collector, keep_refs=True, **kw)
     sim = result.extras["sim"]
-    assert type(sim) is get_engine_class(engine)
+    assert type(sim) is ENGINES[engine]
     return result, (collector.records if trace else None)
 
 
@@ -117,7 +100,7 @@ def _queue_stat_tuple(result):
 @pytest.mark.parametrize("engine", FAST_ENGINES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_engines_agree(scheme, engine, monkeypatch):
-    """Event stream, queue stats and figure metrics match across engines."""
+    """Event stream, queue stats and figure metrics match the oracle's."""
     legacy, legacy_records = _run_with_engine("legacy", scheme, monkeypatch)
     fast, fast_records = _run_with_engine(engine, scheme, monkeypatch)
 
@@ -147,30 +130,20 @@ def test_tracing_does_not_perturb(scheme, monkeypatch):
     assert _metric_tuple(traced) == _metric_tuple(bare)
 
 
-_SNAPSHOT_PAIRS = [("legacy", "array"), ("array", "legacy")]
-if COMPILED_AVAILABLE:
-    _SNAPSHOT_PAIRS += [
-        ("compiled", "legacy"),
-        ("legacy", "compiled"),
-        ("compiled", "array"),
-        ("array", "compiled"),
-    ]
-
-
-@pytest.mark.parametrize("capture_engine,restore_engine", _SNAPSHOT_PAIRS)
+@pytest.mark.parametrize("capture_engine,restore_engine",
+                         [("legacy", "array"), ("array", "legacy")])
 def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
                                          monkeypatch):
     """Warm under one engine, restore under the other, finish identically."""
     kw = dict(KW)
     duration = kw.pop("duration")
 
-    _set_engine_env(monkeypatch, capture_engine)
+    use_engine(monkeypatch, capture_engine)
     body = warm_dumbbell_bytes("pert", **kw)
 
     # continue the run under the *other* engine
-    _set_engine_env(monkeypatch, restore_engine)
-    sim, state = restore_bytes(body, engine=restore_engine)
-    assert type(sim) is get_engine_class(restore_engine)
+    sim, state = restore_as(body, restore_engine)
+    assert type(sim) is ENGINES[restore_engine]
     assert isinstance(state, _DumbbellState)
     state.params = dict(state.params, duration=duration)
     crossed = _dumbbell_result_after_measure(state)
@@ -184,46 +157,3 @@ def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
 def _dumbbell_result_after_measure(state):
     _measure_dumbbell(state)
     return _dumbbell_result(state)
-
-
-def test_engine_selection_knob(monkeypatch):
-    """REPRO_ENGINE aliases resolve as documented; unknowns fail loudly."""
-    from repro.sim.engine import SimulationError, Simulator
-
-    # REPRO_COMPILED=0 pins pure Python, so the alias table is exact
-    # regardless of whether an extension is built in this checkout
-    monkeypatch.setenv("REPRO_COMPILED", "0")
-    for name, cls in [("legacy", LegacySimulator), ("v1", LegacySimulator),
-                      ("array", ArraySimulator), ("v2", ArraySimulator),
-                      ("", ArraySimulator)]:
-        monkeypatch.setenv("REPRO_ENGINE", name)
-        assert get_engine_class() is cls
-        assert type(Simulator(seed=0)) is cls
-    # requiring the compiled engine while REPRO_COMPILED=0 disables it
-    # must fail loudly, not silently hand back pure Python
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    with pytest.raises(SimulationError):
-        get_engine_class()
-    monkeypatch.setenv("REPRO_ENGINE", "simd")
-    with pytest.raises(SimulationError):
-        get_engine_class()
-
-
-@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled engine not built")
-def test_engine_selection_knob_compiled(monkeypatch):
-    """With an extension built, the array family is served compiled."""
-    from repro.compiled import engine_class
-    from repro.sim.engine import Simulator
-
-    monkeypatch.delenv("REPRO_COMPILED", raising=False)
-    compiled_cls = engine_class()
-    assert compiled_cls is not None
-    assert issubclass(compiled_cls, ArraySimulator)
-    for name in ("", "array", "v2", "compiled", "cext"):
-        monkeypatch.setenv("REPRO_ENGINE", name)
-        assert get_engine_class() is compiled_cls
-    monkeypatch.setenv("REPRO_ENGINE", "")
-    assert type(Simulator(seed=0)) is compiled_cls
-    # legacy stays pure no matter what
-    monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    assert get_engine_class() is LegacySimulator

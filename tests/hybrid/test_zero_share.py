@@ -3,18 +3,18 @@
 The hybrid coupling's contract: ``background=None``, a zero-share
 background and the historical no-background call are the *same run* —
 same resolved params, same event sequence, same result object — under
-both engine backends.  This is what keeps every committed golden and
-snapshot valid with the hybrid machinery in the tree.
+the engine and under its oracle.  This is what keeps every committed
+golden and snapshot valid with the hybrid machinery in the tree.
 """
 
 import pytest
 
 from repro.experiments.common import _resolve_params, run_dumbbell
 
+from ..differential.oracle import ENGINES, use_engine
+
 KW = dict(rtt=0.04, n_fwd=3, duration=2.5, warmup=1.0, seed=3)
 BW = 4e6
-
-ENGINES = ("legacy", "array")
 
 
 RESOLVE_DEFAULTS = dict(
@@ -35,7 +35,7 @@ def test_zero_share_resolves_to_no_background():
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_share_run_bit_identical(engine, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", engine)
+    use_engine(monkeypatch, engine)
     plain = run_dumbbell("pert", BW, **KW)
     zero = run_dumbbell(
         "pert", BW, background={"model": "pert_red", "share": 0.0}, **KW
@@ -49,8 +49,8 @@ def test_zero_share_run_bit_identical(engine, monkeypatch):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_hybrid_run_agrees_across_engines(engine, monkeypatch):
-    """A *non-zero* background is deterministic per engine backend."""
-    monkeypatch.setenv("REPRO_ENGINE", engine)
+    """A *non-zero* background is deterministic on engine and oracle."""
+    use_engine(monkeypatch, engine)
     bg = {"model": "pert_red", "share": 0.4, "n_flows": 8}
     a = run_dumbbell("pert", BW, background=bg, **KW)
     b = run_dumbbell("pert", BW, background=bg, **KW)
@@ -62,7 +62,7 @@ def test_hybrid_metrics_identical_between_engines(monkeypatch):
     bg = {"model": "pert_red", "share": 0.4, "n_flows": 8}
     results = {}
     for engine in ENGINES:
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+        use_engine(monkeypatch, engine)
         results[engine] = run_dumbbell("pert", BW, background=bg, **KW)
     legacy, array = results["legacy"], results["array"]
     assert legacy.events_processed == array.events_processed

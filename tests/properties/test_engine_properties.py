@@ -1,16 +1,15 @@
-"""Hypothesis properties of the event-engine contract, on all backends.
+"""Hypothesis properties of the event-engine contract, on engine and oracle.
 
-Each property is parametrized over :class:`LegacySimulator`,
-:class:`ArraySimulator` and — when the optional extension is built (see
-:mod:`repro.compiled`) — :class:`CompiledSimulator` (constructed
-directly, so the suite is independent of ``REPRO_ENGINE``), and one
+Each property is parametrized over the product's one engine
+(:class:`ArraySimulator`) and its tuple-heap specification
+(:class:`LegacySimulator`, ``tests/differential/oracle.py``), and one
 cross-engine property runs the same randomized schedule through both
-pure backends and demands identical dispatch sequences — the randomized
-counterpart of the scenario-level suite in ``tests/differential``.
+and demands identical dispatch sequences — the randomized counterpart
+of the scenario-level suite in ``tests/differential``.
 
-The timer-program property at the bottom is the equivalence proof for
-:meth:`Simulator.reschedule`: the legacy engine runs it as the literal
-``cancel`` + ``schedule``, and every in-place engine must be
+The timer-program property near the bottom is the equivalence proof for
+:meth:`Simulator.reschedule`: the oracle runs it as the literal
+``cancel`` + ``schedule``, and the in-place engine must be
 indistinguishable from that after every step of a random program.
 """
 
@@ -20,14 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import status as _compiled_status
-from repro.sim.engine import ArraySimulator, LegacySimulator
+from repro.sim.engine import ArraySimulator
+
+from ..differential.oracle import LegacySimulator
 
 ENGINES = [LegacySimulator, ArraySimulator]
-if _compiled_status().available:
-    from repro.compiled.engine import CompiledSimulator
-
-    ENGINES.append(CompiledSimulator)
 
 #: event times including exact duplicates (ties are the interesting case)
 delay_lists = st.lists(
@@ -149,6 +145,48 @@ def test_snapshot_roundtrip_under_random_schedule(engine, delays, split):
     assert sim_c._seq == sim_r._seq
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@given(delays=delay_lists, extra=delay_lists,
+       horizon=st.floats(min_value=0.0, max_value=12.0),
+       budget=st.integers(1, 7))
+@settings(max_examples=50)
+def test_budgeted_chunks_equal_one_run_and_never_rewind(engine, delays, extra,
+                                                        horizon, budget):
+    """``run(until=T, max_events=k)`` repeated until a chunk comes up short
+    fires the same ``(time, seq)`` sequence as one ``run(until=T)``; the
+    clock never moves backwards and never passes a live event."""
+    def build():
+        sim = engine(seed=0)
+        fired = []
+        spare = list(extra)
+
+        def fire(seq):
+            fired.append((sim.now, seq))
+            if spare:  # keyed off `now`, so a clock parked too far shows
+                sim.schedule_fire1(spare.pop(), fire, sim._seq)
+
+        for d in delays:
+            sim.schedule_fire1(d, fire, sim._seq)
+        return sim, fired
+
+    ref, straight = build()
+    ref.run(until=horizon)
+
+    sim, chunked = build()
+    clock = [sim.now]
+    while True:
+        before = sim.events_processed
+        sim.run(until=horizon, max_events=budget)
+        clock.append(sim.now)
+        assert all(entry[0] >= sim.now for entry in sim.live_entries())
+        if sim.events_processed - before < budget:
+            break
+    assert clock == sorted(clock)
+    assert chunked == straight
+    assert (sim.now, sim._seq, sim.events_processed, sim.pending()) == (
+        ref.now, ref._seq, ref.events_processed, ref.pending())
+
+
 @given(delays=delay_lists, data=st.data())
 @settings(max_examples=50)
 def test_engines_dispatch_identically(delays, data):
@@ -258,12 +296,12 @@ class TimerProgram:
         return self.fired, self.observed
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e is not LegacySimulator])
+@pytest.mark.parametrize("engine", [ArraySimulator])
 @given(ops=st.lists(timer_ops, min_size=1, max_size=40))
 @settings(max_examples=150)
 def test_reschedule_matches_cancel_plus_schedule(engine, ops):
     """Fired trace, clock, counters, handles and canonical event list
-    agree with the legacy engine after every op of a random program."""
+    agree with the oracle after every op of a random program."""
     want_fired, want_observed = TimerProgram(LegacySimulator).execute(ops)
     got_fired, got_observed = TimerProgram(engine).execute(ops)
     assert got_fired == want_fired
@@ -298,8 +336,6 @@ def test_pert_dumbbell_heap_carries_no_dead_timer_per_ack(monkeypatch):
             phase = "steady" if t > start_window + INITIAL_RTO else "startup"
             worst[phase] = max(worst[phase], dead)
 
-    monkeypatch.setenv("REPRO_ENGINE", "array")
-    monkeypatch.setenv("REPRO_COMPILED", "0")
     monkeypatch.setattr(ArraySimulator, "run", sampling_run)
     result = run_dumbbell("pert", bandwidth=20e6, rtt=0.06, n_fwd=n_flows,
                           duration=5.0, warmup=1.0, start_window=start_window,

@@ -1,15 +1,18 @@
 """Unit tests for the discrete-event engine."""
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.compiled import status as _compiled_status
 from repro.sim.engine import (
     ArraySimulator,
     Event,
-    LegacySimulator,
     SimulationError,
     Simulator,
 )
+
+from ..differential.oracle import LegacySimulator
 
 
 def test_events_run_in_time_order():
@@ -290,16 +293,12 @@ def test_cancelled_events_survive_pickle_roundtrip():
 # ----------------------------------------------------------------------
 # reschedule(): observationally `cancel(event); schedule(delay, fn, *args)`
 #
-# Every test runs on each engine; the legacy one executes the two calls
-# literally, so passing on all of them is the equivalence.  What only the
-# in-place engines can show (handle reuse, no dead heap entries) is
+# Every test runs on the engine and on its oracle; the oracle executes the
+# two calls literally, so passing on both is the equivalence.  What only
+# the in-place engine can show (handle reuse, no dead heap entries) is
 # asserted under `in_place`.
 # ----------------------------------------------------------------------
 ENGINES = [LegacySimulator, ArraySimulator]
-if _compiled_status().available:
-    from repro.compiled.engine import CompiledSimulator
-
-    ENGINES.append(CompiledSimulator)
 
 engines = pytest.mark.parametrize("engine", ENGINES)
 
@@ -506,6 +505,20 @@ def test_reschedule_rejects_nonfinite_delay_like_the_two_calls(engine):
         assert log.hits == []
 
 
+@engines
+def test_budget_ending_a_run_does_not_park_now_at_until(engine):
+    sim = engine(seed=0)
+    fired = []
+    for t in range(1, 11):
+        sim.schedule(float(t), fired.append, t)
+    sim.run(until=8.0, max_events=3)
+    assert (sim.now, sim.pending()) == (3.0, 7)  # not 8.0: t=4..8 are live
+    sim.schedule(0.5, fired.append, 3.5)  # keyed off the right `now`
+    sim.run(until=8.0)
+    assert fired == [1, 2, 3, 3.5, 4, 5, 6, 7, 8]
+    assert sim.now == 8.0
+
+
 def test_event_state_without_the_entry_slot_still_loads():
     # what a snapshot written before `_qtime` existed holds for an Event
     slots = dict(time=2.0, seq=7, fn=len, args=(), cancelled=False,
@@ -518,3 +531,15 @@ def test_event_state_without_the_entry_slot_still_loads():
     assert dead._qtime == float("inf")  # its entry was purged at capture
     # and the slot never rides in new snapshots either
     assert "_qtime" not in live.__getstate__()[1]
+
+
+def test_the_engine_is_one_class_and_imports_no_compiled_package():
+    assert Simulator is ArraySimulator
+    assert Simulator.__mro__ == (ArraySimulator, object)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.sim.engine; "
+         "print([m for m in sys.modules if m.startswith('repro.compiled')])"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -150,7 +150,6 @@ def test_class_level_wrappers_see_every_hop(monkeypatch):
     from collections import Counter
 
     from repro.experiments.common import run_dumbbell
-    from repro.sim.engine import get_engine_class
     from repro.sim.queues.base import QueueDiscipline
 
     seen = Counter()
@@ -175,7 +174,7 @@ def test_class_level_wrappers_see_every_hop(monkeypatch):
     count(QueueDiscipline, "enqueue", "enqueue.accepted", hit=bool)
     count(QueueDiscipline, "enqueue")
     # a departure the engine takes inline is one `_tx_done` call fewer
-    count(get_engine_class(), "advance_if_clear", "inline", hit=bool)
+    count(Simulator, "advance_if_clear", "inline", hit=bool)
 
     result = run_dumbbell(
         "sack-droptail", bandwidth=3e6, rtt=0.04, n_fwd=3, n_rev=1,

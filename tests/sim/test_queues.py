@@ -1,18 +1,24 @@
 """Unit tests for queue disciplines: DropTail, RED, PI.
 
-Queues are built the canonical way, ``make_queue(QueueConfig(...))``;
-one test at the bottom pins that the direct constructors still work and
-warn.
+Queues are built the config way, ``make_queue(QueueConfig(...))``; one
+test at the bottom pins that the direct constructors simply work.
 """
 
 import random
+import warnings
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, QueueConfig, make_queue
-from repro.sim.queues.config import reset_legacy_warnings
+from repro.sim.queues import (
+    DropTailQueue,
+    PiQueue,
+    QueueConfig,
+    RedQueue,
+    RemQueue,
+    make_queue,
+)
 
 
 def pkt(seq=0, ect=False, size=1000):
@@ -250,8 +256,9 @@ class TestPi:
             pi(sample_hz=0.0)
 
 
-def test_direct_construction_still_works_but_warns():
-    reset_legacy_warnings()
-    with pytest.warns(DeprecationWarning, match="make_queue"):
-        q = DropTailQueue(3)
-    assert q.enqueue(pkt(0), 0.0)
+def test_direct_construction_simply_works():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no shim: nothing to warn about
+        queues = [cls(3) for cls in (DropTailQueue, RedQueue, PiQueue, RemQueue)]
+    for q in queues:
+        assert q.capacity == 3 and q.enqueue(pkt(0), 0.0)

@@ -9,9 +9,11 @@ compares exhaustive fingerprints of both end states.
 
 from __future__ import annotations
 
+import sys
+import types
+
 import pytest
 
-from repro.compiled import status as _compiled_status
 from repro.experiments.scenarios import SCHEMES, get_scheme, scheme_sender_kwargs
 from repro.sim.engine import Simulator
 from repro.sim.queues import QueueConfig, make_queue
@@ -19,6 +21,8 @@ from repro.sim.topology import Dumbbell
 from repro.snapshot import capture_bytes, restore_bytes
 from repro.tcp.base import connect_flow
 from repro.tcp.sack import SackSender
+
+from ..differential.oracle import ENGINES, restore_as
 
 
 def _fingerprint(sim, ctx):
@@ -242,31 +246,47 @@ def test_rng_streams_continue_identically():
     assert [rng2.random() for _ in range(10)] == expect
 
 
+def test_every_historical_engine_class_restores_as_the_engine(monkeypatch):
+    """Bodies naming any engine class an earlier version pickled —
+    module gone or not — restore as the one engine and run on."""
+    for module in ("repro.sim.engine", "repro.compiled.engine"):
+        for name in ("Simulator", "LegacySimulator", "ArraySimulator",
+                     "CompiledSimulator"):
+            # capture under a stand-in that pickles as `module.name` ...
+            with monkeypatch.context() as patch:
+                stand_in = type(name, (Simulator,),
+                                {"__slots__": (), "__module__": module})
+                if module not in sys.modules:
+                    patch.setitem(sys.modules, module, types.ModuleType(module))
+                patch.setattr(sys.modules[module], name, stand_in, raising=False)
+                sim = stand_in(seed=5)
+                sim.schedule_fire1(1.0, sim.stream, "claimed-on-fire")
+                body = capture_bytes(sim, (module, name))
+            assert module.encode() in body and name.encode() in body
+            # ... and restore where that name is gone or means the engine
+            sim2, state = restore_bytes(body)
+            assert state == (module, name)
+            assert type(sim2) is Simulator
+            sim2.run()
+            assert (sim2.now, sim2.events_processed) == (1.0, 1)
+            assert "claimed-on-fire" in sim2._streams
+
+
 # ----------------------------------------------------------------------
 # reschedule() wake-ups: the canonical form hides the physical heap
 # ----------------------------------------------------------------------
-_ENGINES = ["legacy", "array"] + (
-    ["compiled"] if _compiled_status().available else [])
-
-
-def _pin_engine(monkeypatch, engine):
-    monkeypatch.setenv("REPRO_ENGINE", engine)
-    if engine == "array":  # pure: never transparently served compiled
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-    else:
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-
-
 def test_snapshot_with_wakeups_outstanding_is_engine_independent(monkeypatch):
     """Mid-flight every RTO timer has been re-armed in place, so the
-    in-place engines hold wake-up entries under stale keys.  The snapshot
-    must carry each handle under its current key: same bytes as the
-    legacy engine's, restorable anywhere, resuming identically."""
+    engine holds wake-up entries under stale keys.  The snapshot must
+    carry each handle under its current key: same bytes as the oracle's
+    (which never has a stale entry), restorable under either, resuming
+    identically."""
     t_snap, t_end = 1.5, 3.0
     bodies, refs = {}, {}
-    for engine in _ENGINES:
-        _pin_engine(monkeypatch, engine)
+    for engine, cls in ENGINES.items():
+        monkeypatch.setitem(globals(), "Simulator", cls)  # what build() calls
         sim, ctx = _queue_build("droptail")()
+        assert type(sim) is cls
         sim.run(until=t_snap)
         stale = [e for e in sim._heap
                  if len(e) == 5 and e[4] is not None and e[1] != e[4].seq]
@@ -277,15 +297,14 @@ def test_snapshot_with_wakeups_outstanding_is_engine_independent(monkeypatch):
         bodies[engine] = capture_bytes(sim, ctx)
         sim.run(until=t_end)
         refs[engine] = _fingerprint(sim, ctx)
-    assert all(ref == refs["legacy"] for ref in refs.values())
+    assert refs["array"] == refs["legacy"]
 
-    for target in _ENGINES:
-        _pin_engine(monkeypatch, target)
+    for target in ENGINES:
         recaptured = set()
         for engine, body in bodies.items():
-            sim, ctx = restore_bytes(body, engine=target)
+            sim, ctx = restore_as(body, target)
             # the only engine-specific bytes are the class reference, so
-            # under one target class all three bodies must coincide
+            # under one target class both bodies must coincide
             recaptured.add(capture_bytes(sim, ctx))
             sim.run(until=t_end)
             assert _fingerprint(sim, ctx) == refs["legacy"], (engine, target)

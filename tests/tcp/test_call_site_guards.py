@@ -6,17 +6,17 @@
 ``_sack_blocks`` have anything to do, because in the loss-free steady
 state they do not.  Each scenario here is one where a guarded call *is*
 needed: a spy proves the helper ran and did its work, and the fixed-seed
-trajectory is held to the legacy engine's through the differential
-harness, so the guarded path is checked on every backend.
+trajectory is held to the oracle engine's (``tests/differential/oracle.py``),
+so the guarded path is checked on the engine and on its specification.
 """
 
 import pytest
 
-from repro.sim.engine import Simulator
 from repro.tcp.base import TcpSender, TcpSink, connect_flow
 
 from ..conftest import make_dumbbell
-from ..differential.test_engine_equivalence import FAST_ENGINES, _set_engine_env
+from ..differential.oracle import ENGINES
+from ..differential.test_engine_equivalence import FAST_ENGINES
 from .test_loss_recovery import LossyQueue
 
 #: scenario -> (data seqs the bottleneck drops once, delayed ACKs?,
@@ -29,13 +29,12 @@ SCENARIOS = {
 NPACKETS = 90
 
 
-def _run(scenario, monkeypatch, engine=None):
+def _run(scenario, monkeypatch, engine="array"):
     """One finite SACK flow over a lossy dumbbell, helpers spied on.
 
     Returns ``(trajectory, sender, sink)``; ``trajectory["calls"]`` counts,
-    per guarded helper, the calls that had work to do.  *engine* pins a
-    backend through the differential harness; ``None`` takes the ambient
-    one (CI also runs this file under ``REPRO_ENGINE=legacy``).
+    per guarded helper, the calls that had work to do.  *engine* names
+    the simulator class in the differential harness's ``ENGINES``.
     """
     drop_seqs, delack, _ = SCENARIOS[scenario]
     calls = {}
@@ -53,8 +52,6 @@ def _run(scenario, monkeypatch, engine=None):
         patch.setattr(cls, attr, wrapper)
 
     with monkeypatch.context() as patch:  # spies must not stack across runs
-        if engine is not None:
-            _set_engine_env(patch, engine)
         spy(TcpSender, "_check_complete", before=lambda s: s.done,
             did_work=lambda s, was_done, _: s.done and not was_done)
         spy(TcpSender, "_next_hole", lambda s, _, seq: seq is not None)
@@ -66,7 +63,7 @@ def _run(scenario, monkeypatch, engine=None):
         spy(TcpSender, "_process_sack", before=lambda s: len(s.sacked),
             did_work=lambda s, n_sacked, _: len(s.sacked) > n_sacked)
 
-        sim = Simulator(seed=1)
+        sim = ENGINES[engine](seed=1)
         db = make_dumbbell(sim, qdisc_factory=lambda: LossyQueue(200, drop_seqs))
         sender, sink = connect_flow(
             sim, db.left[0], db.right[0], flow_id=1, sender_cls=TcpSender,
