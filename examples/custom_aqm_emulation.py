@@ -3,16 +3,19 @@
 
 The paper's closing claim: "the proposed scheme is flexible in the sense
 that other AQM schemes can be potentially emulated at the end-host."
-This example demonstrates exactly that with three response functions
+This example demonstrates exactly that with laws from ``repro.laws``
 plugged into the same sender machinery:
 
 * PERT/RED   — the paper's gentle-RED curve,
 * PERT/PI    — the discretised PI controller of Section 6,
 * PERT/REM   — Random Exponential Marking (the paper's reference [2]),
-* and a *user-defined* response: a quadratic curve written inline.
+* and a *user-defined* law: a quadratic curve written inline.
 
 All four run over plain DropTail routers and are compared on the same
-workload.
+workload.  A law is unit-agnostic, so the claim holds in the other
+direction too: the last row puts the *same* ``QuadraticCurve`` class in
+a RED router (thresholds in packets of average queue instead of seconds
+of queuing delay) under plain ECN SACK senders.
 
 Run:  python examples/custom_aqm_emulation.py
 (Set REPRO_QUICK=1 for a seconds-scale smoke run — used by CI.)
@@ -27,13 +30,15 @@ from repro import (
     PertPiConfig,
     PertPiSender,
     PertSender,
+    SackEcnSender,
     Simulator,
     connect_flow,
     jain_index,
 )
-from repro.core.pert_rem import PertRemSender
+from repro.core import PertRemSender
 from repro.fluid.stability import pert_pi_gains
 from repro.sim.monitors import DropLog, LinkWindow, QueueSampler
+from repro.sim.queues import QueueConfig, make_queue
 
 QUICK = os.environ.get("REPRO_QUICK", "").lower() in ("1", "on", "true", "yes")
 
@@ -44,10 +49,11 @@ DURATION, WARMUP = (12.0, 4.0) if QUICK else (40.0, 15.0)
 
 
 class QuadraticCurve:
-    """A custom response law: probability grows quadratically in delay.
+    """A custom law: probability grows quadratically in the signal.
 
-    Any object with a ``probability(queuing_delay) -> float`` method (or
-    ``__call__``) can replace PERT's curve — this one responds more
+    Any object with a ``probability(signal) -> float`` method is a curve
+    and can replace PERT's (signal: seconds of queuing delay) or a RED
+    router's (signal: packets of average queue) — this one responds more
     timidly than gentle RED near the threshold and more sharply later.
     """
 
@@ -55,13 +61,11 @@ class QuadraticCurve:
         self.t_min = t_min
         self.t_full = t_full
 
-    def probability(self, queuing_delay: float) -> float:
-        if queuing_delay <= self.t_min:
+    def probability(self, signal: float) -> float:
+        if signal <= self.t_min:
             return 0.0
-        x = min(1.0, (queuing_delay - self.t_min) / (self.t_full - self.t_min))
+        x = min(1.0, (signal - self.t_min) / (self.t_full - self.t_min))
         return x * x
-
-    __call__ = probability
 
 
 class QuadraticPertSender(PertSender):
@@ -72,11 +76,19 @@ class QuadraticPertSender(PertSender):
         self.curve = QuadraticCurve()
 
 
-def run(sender_cls, label, **sender_kwargs):
+def quadratic_red(sim):
+    """A RED router (its averaging, its coin) evaluating the custom law."""
+    queue = make_queue(QueueConfig("red", capacity_pkts=BUFFER), sim=sim)
+    queue.curve = QuadraticCurve(t_min=5.0, t_full=25.0)  # packets
+    return queue
+
+
+def run(sender_cls, label, qdisc=None, **sender_kwargs):
     sim = Simulator(seed=9)
     net = Dumbbell(
         sim, n_left=N_FLOWS, n_right=N_FLOWS, bottleneck_bw=BANDWIDTH,
-        bottleneck_delay=0.02, qdisc_fwd=lambda: DropTailQueue(BUFFER),
+        bottleneck_delay=0.02,
+        qdisc_fwd=lambda: qdisc(sim) if qdisc else DropTailQueue(BUFFER),
         access_delays_left=[0.005] * N_FLOWS,
         access_delays_right=[0.005] * N_FLOWS,
     )
@@ -97,16 +109,18 @@ def run(sender_cls, label, **sender_kwargs):
     window.close()
     span = DURATION - WARMUP
     goodputs = [(s.rcv_next - g) * 8000.0 / span for (_, s), g in zip(flows, d0)]
-    print(f"{label:14s} queue={queue.mean(WARMUP, DURATION):6.1f} pkts"
+    print(f"{label:16s} queue={queue.mean(WARMUP, DURATION):6.1f} pkts"
           f"  drops={drops.count(start=WARMUP):3d}"
           f"  util={window.utilization:6.1%}"
           f"  fairness={jain_index(goodputs):.3f}"
-          f"  early={sum(s.early_responses for s, _ in flows)}")
+          f"  early={sum(getattr(s, 'early_responses', 0) for s, _ in flows)}"
+          f"  marks={net.bottleneck_queue.stats.marks}")
 
 
 def main() -> None:
     print(f"{N_FLOWS} flows, {BANDWIDTH/1e6:.0f} Mbps DropTail bottleneck — "
-          "four emulated AQMs, zero router support\n")
+          "four AQMs emulated with zero router support,\nthen the custom "
+          "law moved into the router\n")
     run(PertSender, "PERT/RED")
     pkt_rate = BANDWIDTH / 8000.0
     k, m = pert_pi_gains(capacity=pkt_rate, n_minus=N_FLOWS // 2, r_plus=0.1)
@@ -115,8 +129,9 @@ def main() -> None:
                             delta=N_FLOWS / pkt_rate))
     run(PertRemSender, "PERT/REM")
     run(QuadraticPertSender, "PERT/custom")
-    print("\nSwapping the response law is a one-class change — the paper's"
-          "\ngenerality claim, demonstrated.")
+    run(SackEcnSender, "SACK/custom-ECN", qdisc=quadratic_red)
+    print("\nSwapping the law is a one-class change, at the end host or at"
+          "\nthe router — the paper's generality claim, demonstrated.")
 
 
 if __name__ == "__main__":

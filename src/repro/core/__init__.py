@@ -1,26 +1,29 @@
 """PERT — Probabilistic Early Response TCP (the paper's contribution).
 
-Public API: the PERT senders (:class:`PertSender`, :class:`PertPiSender`),
-their configuration dataclasses, the smoothed-RTT congestion signals and
-the pluggable response curves.
+Public API: the one PERT sender under the name of each law it emulates
+(:class:`PertSender` gentle RED, :class:`PertPiSender` PI,
+:class:`PertRemSender` REM) and its one-way-delay variant
+(:class:`PertOwdSender`), their configuration dataclasses, the
+smoothed-RTT congestion signals, and the laws themselves, re-exported
+from :mod:`repro.laws`.
 """
 
-from .config import PertConfig, PertPiConfig
+from .config import PertConfig, PertPiConfig, PertRemConfig
 from .pert import PertSender
 from .pert_owd import PertOwdSender
 from .pert_pi import PertPiSender
-from .pert_rem import PertRemConfig, PertRemSender
+from .pert_rem import PertRemSender
 from .response import GentleRedCurve, PiResponse, RedCurve, RemResponse
 from .srtt import SRTT_WEIGHT_PERT, SRTT_WEIGHT_TCP, EwmaRtt, MovingAverageRtt
 
 __all__ = [
     "PertConfig",
     "PertPiConfig",
+    "PertRemConfig",
     "PertSender",
     "PertOwdSender",
     "PertPiSender",
     "PertRemSender",
-    "PertRemConfig",
     "GentleRedCurve",
     "RedCurve",
     "PiResponse",

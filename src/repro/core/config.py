@@ -1,15 +1,71 @@
-"""Configuration objects for PERT agents."""
+"""Configuration objects for PERT agents.
+
+One dataclass per emulated law.  Each declares the law's own parameters
+and builds the law object (:meth:`law`); what every PERT sender needs
+whatever the law — the signal's smoothing, the early decrease, the
+response spacing — is declared, and validated, once in
+:class:`PertSenderConfig`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
-__all__ = ["PertConfig", "PertPiConfig"]
+from ..laws import GentleRedCurve, PiResponse, RedCurve, RemResponse
+
+__all__ = ["PertSenderConfig", "PertConfig", "PertPiConfig", "PertRemConfig"]
 
 
 @dataclass
-class PertConfig:
+class PertSenderConfig:
+    """Sender-side parameters shared by every emulated law.
+
+    Attributes
+    ----------
+    srtt_weight:
+        History weight of the smoothed-RTT signal (paper: 0.99).
+    early_decrease:
+        Multiplicative early-response decrease (paper: 35 %, i.e. the
+        window becomes 0.65x), derived from the buffer-sizing rule
+        B > f/(1-f) * BDP of eq. (1).
+    min_response_interval_rtts:
+        Early responses are spaced at least this many (smoothed) RTTs
+        apart (paper: once per RTT).
+    """
+
+    srtt_weight: float = 0.99
+    early_decrease: float = 0.35
+    min_response_interval_rtts: float = 1.0
+
+    # Section 7's adaptive pro-activeness is settable only where the
+    # paper sketches it, on PertConfig; for every other law it is off.
+    escalating_interval: ClassVar[bool] = False
+    deterministic_threshold: ClassVar[Optional[float]] = None
+    aggressive_increase: ClassVar[float] = 0.0
+
+    def law(self):
+        """Build the law object (:mod:`repro.laws`) this config describes."""
+        raise NotImplementedError
+
+    def validate(self) -> None:
+        if not 0 <= self.srtt_weight < 1:
+            raise ValueError("srtt_weight must be in [0, 1)")
+        if not 0 < self.early_decrease < 1:
+            raise ValueError("early_decrease must be in (0, 1)")
+        if self.min_response_interval_rtts < 0:
+            raise ValueError("min_response_interval_rtts must be >= 0")
+        if self.deterministic_threshold is not None and not (
+            0 < self.deterministic_threshold <= 1
+        ):
+            raise ValueError("deterministic_threshold must be in (0, 1]")
+        if self.aggressive_increase < 0:
+            raise ValueError("aggressive_increase must be >= 0")
+        self.law()  # a law validates its own parameters
+
+
+@dataclass
+class PertConfig(PertSenderConfig):
     """Parameters of PERT emulating gentle RED (paper Section 3).
 
     Attributes
@@ -20,15 +76,6 @@ class PertConfig:
         queuing-delay axis these are 5 ms and 10 ms.
     p_max:
         Response probability at ``t_max`` (paper: 0.05).
-    srtt_weight:
-        History weight of the smoothed-RTT signal (paper: 0.99).
-    early_decrease:
-        Multiplicative early-response decrease (paper: 35 %, i.e. the
-        window becomes 0.65x), derived from the buffer-sizing rule
-        B > f/(1-f) * BDP of eq. (1).
-    min_response_interval_rtts:
-        Early responses are spaced at least this many (smoothed) RTTs
-        apart (paper: once per RTT).
     gentle:
         Use the gentle-RED ramp to 1 at ``2*t_max`` (paper's choice).
 
@@ -57,53 +104,44 @@ class PertConfig:
     t_min: float = 0.005
     t_max: float = 0.010
     p_max: float = 0.05
-    srtt_weight: float = 0.99
-    early_decrease: float = 0.35
-    min_response_interval_rtts: float = 1.0
     gentle: bool = True
     escalating_interval: bool = False
     deterministic_threshold: Optional[float] = None
     aggressive_increase: float = 0.0
 
-    def validate(self) -> None:
-        if not 0 <= self.t_min < self.t_max:
-            raise ValueError("need 0 <= t_min < t_max")
-        if not 0 < self.p_max <= 1:
-            raise ValueError("p_max must be in (0, 1]")
-        if not 0 <= self.srtt_weight < 1:
-            raise ValueError("srtt_weight must be in [0, 1)")
-        if not 0 < self.early_decrease < 1:
-            raise ValueError("early_decrease must be in (0, 1)")
-        if self.min_response_interval_rtts < 0:
-            raise ValueError("min_response_interval_rtts must be >= 0")
-        if self.deterministic_threshold is not None and not (
-            0 < self.deterministic_threshold <= 1
-        ):
-            raise ValueError("deterministic_threshold must be in (0, 1]")
-        if self.aggressive_increase < 0:
-            raise ValueError("aggressive_increase must be >= 0")
+    def law(self) -> GentleRedCurve:
+        curve_cls = GentleRedCurve if self.gentle else RedCurve
+        return curve_cls(t_min=self.t_min, t_max=self.t_max, p_max=self.p_max)
 
 
 @dataclass
-class PertPiConfig:
+class PertPiConfig(PertSenderConfig):
     """Parameters of PERT emulating a PI controller (paper Section 6).
 
     ``k`` and ``m`` are the PI gains of eq. (16)/(21); ``target_delay``
-    is the queuing-delay set point (paper: 3 ms).
+    is the queuing-delay set point (paper: 3 ms) and ``delta`` the
+    nominal sampling interval of the bilinear transform.
     """
 
     k: float = 0.1
     m: float = 1.0
     target_delay: float = 0.003
     delta: float = 0.001
-    srtt_weight: float = 0.99
-    early_decrease: float = 0.35
-    min_response_interval_rtts: float = 1.0
 
-    def validate(self) -> None:
-        if self.k <= 0 or self.m <= 0:
-            raise ValueError("PI gains must be positive")
-        if self.target_delay < 0:
-            raise ValueError("target_delay must be >= 0")
-        if not 0 < self.early_decrease < 1:
-            raise ValueError("early_decrease must be in (0, 1)")
+    def law(self) -> PiResponse:
+        return PiResponse(k=self.k, m=self.m, target_delay=self.target_delay,
+                          delta=self.delta)
+
+
+@dataclass
+class PertRemConfig(PertSenderConfig):
+    """Parameters of PERT emulating REM (the paper's reference [2])."""
+
+    gamma: float = 0.5
+    alpha: float = 0.2
+    phi: float = 1.1
+    target_delay: float = 0.012
+
+    def law(self) -> RemResponse:
+        return RemResponse(gamma=self.gamma, alpha=self.alpha, phi=self.phi,
+                           target_delay=self.target_delay)

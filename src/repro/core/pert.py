@@ -5,10 +5,13 @@ PERT is a SACK TCP sender with one addition: on every incoming ACK it
 1. updates the ``srtt_0.99`` smoothed-RTT signal,
 2. converts it to a queuing-delay estimate (srtt minus the minimum
    observed RTT, the propagation-delay proxy),
-3. maps the estimate through the gentle-RED probability curve, and
-4. with that probability — and at most once per RTT — multiplicatively
-   reduces the congestion window by 35 % (``cwnd *= 0.65``), emulating
-   what an ECN mark from a RED router would have caused.
+3. feeds the estimate to a control law from :mod:`repro.laws` — the
+   gentle-RED curve (Section 3), a PI controller sampled once per ACK
+   (Section 6, δ ≈ N/C) or REM's price law — and
+4. with the law's probability — and at most once per RTT —
+   multiplicatively reduces the congestion window by 35 %
+   (``cwnd *= 0.65``), emulating what an ECN mark from a router running
+   that law would have caused.
 
 Packet losses are handled exactly as in SACK TCP (fast retransmit /
 recovery), so PERT degrades gracefully when prediction fails.
@@ -16,35 +19,40 @@ recovery), so PERT degrades gracefully when prediction fails.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Type
 
 from ..sim.packet import Packet
 from ..tcp.base import TcpSender
-from .config import PertConfig
-from .response import GentleRedCurve, RedCurve
+from .config import PertConfig, PertSenderConfig
 from .srtt import EwmaRtt
 
 __all__ = ["PertSender"]
 
 
 class PertSender(TcpSender):
-    """PERT sender emulating gentle-RED/ECN at the end host.
+    """PERT sender emulating an AQM law at the end host.
 
     Parameters beyond :class:`~repro.tcp.base.TcpSender`'s are supplied
-    via a :class:`~repro.core.config.PertConfig`.
+    via a config from :mod:`repro.core.config`, which also names the law:
+    a :class:`PertConfig` (the default here) emulates gentle RED/ECN, a
+    :class:`PertPiConfig` a PI router, a :class:`PertRemConfig` REM.
     """
 
-    def __init__(self, *args, config: Optional[PertConfig] = None, **kwargs):
+    config_cls: Type[PertSenderConfig] = PertConfig
+
+    def __init__(self, *args, config: Optional[PertSenderConfig] = None,
+                 **kwargs):
         kwargs.setdefault("ecn", False)  # PERT needs no router support
         super().__init__(*args, **kwargs)
-        self.config = config or PertConfig()
+        self.config = config or self.config_cls()
         self.config.validate()
-        curve_cls = GentleRedCurve if self.config.gentle else RedCurve
-        self.curve = curve_cls(
-            t_min=self.config.t_min,
-            t_max=self.config.t_max,
-            p_max=self.config.p_max,
-        )
+        law = self.config.law()
+        #: the law sits in the slot that says how to drive it, the other
+        #: is ``None``: a stateless *curve* is evaluated through
+        #: ``probability(signal)``, a stateful *controller* is stepped
+        #: through ``update(signal)``; either may be swapped by attribute
+        self.curve, self.controller = (
+            (None, law) if hasattr(law, "update") else (law, None))
         self.signal = EwmaRtt(weight=self.config.srtt_weight)
         self._last_early_response = -1e9
         self._interval_scale = 1.0  # Section 7: escalating response spacing
@@ -59,16 +67,16 @@ class PertSender(TcpSender):
         """Current smoothed queuing-delay estimate (srtt − min RTT)."""
         return self.signal.queuing_delay
 
-    def response_probability(self) -> float:
-        """Early-response probability for the current signal value."""
-        return self.curve.probability(self.signal.queuing_delay)
-
     # ------------------------------------------------------------------
     def on_ack(self, pkt: Packet, rtt_sample: Optional[float]) -> None:
         if rtt_sample is None:
             return
         self.signal.update(rtt_sample)
-        prob = self.response_probability()
+        controller = self.controller
+        if controller is None:
+            prob = self.curve.probability(self.signal.queuing_delay)
+        else:
+            prob = controller.update(self.signal.queuing_delay)
         if self.record_signal:
             self.signal_trace.append((self.sim.now, self.signal.value, prob))
         if prob <= 0.0:

@@ -1,71 +1,19 @@
 """PERT/PI: emulating a PI-controller AQM at the end host (Section 6).
 
-Identical to :class:`~repro.core.pert.PertSender` except that the
-response *probability* comes from a discretised PI controller over the
-smoothed queuing-delay signal (eq. 19 of the paper) instead of the
-gentle-RED curve.  The controller state advances on every ACK, i.e. the
-sampling interval is the inter-ACK time, mirroring the paper's analysis
-(δ ≈ N/C).
+:class:`~repro.core.pert.PertSender` with a :class:`PertPiConfig` by
+default: the response probability is the output of the discretised PI
+controller of eq. 19 (:class:`repro.laws.PiResponse`) stepped on every
+ACK, i.e. the sampling interval is the inter-ACK time, mirroring the
+paper's analysis (δ ≈ N/C).
 """
 
-from __future__ import annotations
-
-from typing import List, Optional, Tuple
-
-from ..sim.packet import Packet
-from ..tcp.base import TcpSender
 from .config import PertPiConfig
-from .response import PiResponse
-from .srtt import EwmaRtt
+from .pert import PertSender
 
 __all__ = ["PertPiSender"]
 
 
-class PertPiSender(TcpSender):
+class PertPiSender(PertSender):
     """PERT sender whose response probability is a PI controller output."""
 
-    def __init__(self, *args, config: Optional[PertPiConfig] = None, **kwargs):
-        kwargs.setdefault("ecn", False)
-        super().__init__(*args, **kwargs)
-        self.config = config or PertPiConfig()
-        self.config.validate()
-        self.controller = PiResponse(
-            k=self.config.k,
-            m=self.config.m,
-            target_delay=self.config.target_delay,
-            delta=self.config.delta,
-        )
-        self.signal = EwmaRtt(weight=self.config.srtt_weight)
-        self._last_early_response = -1e9
-        self.early_responses = 0
-        self.signal_trace: List[Tuple[float, float, float]] = []
-        self.record_signal = False
-
-    @property
-    def queuing_delay_estimate(self) -> float:
-        return self.signal.queuing_delay
-
-    def on_ack(self, pkt: Packet, rtt_sample: Optional[float]) -> None:
-        if rtt_sample is None:
-            return
-        self.signal.update(rtt_sample)
-        prob = self.controller.update(self.signal.queuing_delay)
-        if self.record_signal:
-            self.signal_trace.append((self.sim.now, self.signal.value, prob))
-        if prob <= 0.0 or self.in_recovery:
-            return
-        srtt = self.signal.value if self.signal.value is not None else self.rto
-        spacing = self.config.min_response_interval_rtts * srtt
-        if self.sim.now - self._last_early_response < spacing:
-            return
-        if self.rng.random() < prob:
-            self._early_response()
-
-    def _early_response(self) -> None:
-        self._last_early_response = self.sim.now
-        self.early_responses += 1
-        factor = 1.0 - self.config.early_decrease
-        self.cwnd = max(2.0, self.cwnd * factor)
-        self.ssthresh = max(2.0, self.cwnd)
-        if self.obs is not None:
-            self.obs.sender_event(self, "early_response", self.sim.now)
+    config_cls = PertPiConfig

@@ -2,89 +2,18 @@
 
 A third instantiation of the paper's pluggable-response design (its
 conclusion: "other AQM schemes can be potentially emulated at the
-end-host"): identical sender machinery to PERT/RED and PERT/PI, with the
-response probability produced by :class:`~repro.core.response.RemResponse`.
+end-host"): :class:`~repro.core.pert.PertSender` with a
+:class:`PertRemConfig` by default, so the response probability follows
+REM's price law (:class:`repro.laws.RemResponse`).
 """
 
-from __future__ import annotations
+from .config import PertRemConfig
+from .pert import PertSender
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-from ..sim.packet import Packet
-from ..tcp.base import TcpSender
-from .response import RemResponse
-from .srtt import EwmaRtt
-
-__all__ = ["PertRemConfig", "PertRemSender"]
+__all__ = ["PertRemSender"]
 
 
-@dataclass
-class PertRemConfig:
-    """Parameters of PERT emulating REM."""
-
-    gamma: float = 0.5
-    alpha: float = 0.2
-    phi: float = 1.1
-    target_delay: float = 0.012
-    srtt_weight: float = 0.99
-    early_decrease: float = 0.35
-    min_response_interval_rtts: float = 1.0
-
-    def validate(self) -> None:
-        if self.phi <= 1.0:
-            raise ValueError("phi must be > 1")
-        if not 0 < self.early_decrease < 1:
-            raise ValueError("early_decrease must be in (0, 1)")
-        if not 0 <= self.srtt_weight < 1:
-            raise ValueError("srtt_weight must be in [0, 1)")
-
-
-class PertRemSender(TcpSender):
+class PertRemSender(PertSender):
     """PERT sender whose response probability follows REM's price law."""
 
-    def __init__(self, *args, config: Optional[PertRemConfig] = None, **kwargs):
-        kwargs.setdefault("ecn", False)
-        super().__init__(*args, **kwargs)
-        self.config = config or PertRemConfig()
-        self.config.validate()
-        self.controller = RemResponse(
-            gamma=self.config.gamma,
-            alpha=self.config.alpha,
-            phi=self.config.phi,
-            target_delay=self.config.target_delay,
-        )
-        self.signal = EwmaRtt(weight=self.config.srtt_weight)
-        self._last_early_response = -1e9
-        self.early_responses = 0
-        self.signal_trace: List[Tuple[float, float, float]] = []
-        self.record_signal = False
-
-    @property
-    def queuing_delay_estimate(self) -> float:
-        return self.signal.queuing_delay
-
-    def on_ack(self, pkt: Packet, rtt_sample: Optional[float]) -> None:
-        if rtt_sample is None:
-            return
-        self.signal.update(rtt_sample)
-        prob = self.controller.update(self.signal.queuing_delay)
-        if self.record_signal:
-            self.signal_trace.append((self.sim.now, self.signal.value, prob))
-        if prob <= 0.0 or self.in_recovery:
-            return
-        srtt = self.signal.value if self.signal.value is not None else self.rto
-        spacing = self.config.min_response_interval_rtts * srtt
-        if self.sim.now - self._last_early_response < spacing:
-            return
-        if self.rng.random() < prob:
-            self._early_response()
-
-    def _early_response(self) -> None:
-        self._last_early_response = self.sim.now
-        self.early_responses += 1
-        factor = 1.0 - self.config.early_decrease
-        self.cwnd = max(2.0, self.cwnd * factor)
-        self.ssthresh = max(2.0, self.cwnd)
-        if self.obs is not None:
-            self.obs.sender_event(self, "early_response", self.sim.now)
+    config_cls = PertRemConfig

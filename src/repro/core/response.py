@@ -1,173 +1,5 @@
-"""Probabilistic early-response curves (paper Section 3, Figure 5).
+"""Public import path of the response laws, which live in :mod:`repro.laws`."""
 
-PERT maps its congestion signal — the smoothed queuing-delay estimate —
-through the *gentle RED* probability curve:
-
-* below ``t_min``: probability 0,
-* ``t_min``..``t_max``: linear ramp from 0 to ``p_max``,
-* ``t_max``..``2*t_max``: linear ramp from ``p_max`` to 1,
-* beyond ``2*t_max``: probability 1.
-
-The paper fixes ``(T_min, T_max, p_max) = (P + 5 ms, P + 10 ms, 0.05)``
-where P is the propagation-delay estimate; expressed on queuing delay
-that is ``(5 ms, 10 ms, 0.05)``, which is this module's default.
-
-A non-gentle variant (probability jumps to 1 at ``t_max``, as in original
-RED) and the PI-controller response (Section 6) are provided so the
-response function is pluggable, as the paper advertises.
-"""
-
-from __future__ import annotations
+from ..laws import GentleRedCurve, PiResponse, RedCurve, RemResponse
 
 __all__ = ["GentleRedCurve", "RedCurve", "PiResponse", "RemResponse"]
-
-
-class GentleRedCurve:
-    """Gentle-RED response probability over the queuing-delay signal.
-
-    Parameters are in seconds of queuing delay.
-    """
-
-    def __init__(self, t_min: float = 0.005, t_max: float = 0.010, p_max: float = 0.05):
-        if not 0 <= t_min < t_max:
-            raise ValueError("need 0 <= t_min < t_max")
-        if not 0 < p_max <= 1:
-            raise ValueError("p_max must be in (0, 1]")
-        self.t_min = t_min
-        self.t_max = t_max
-        self.p_max = p_max
-
-    def probability(self, queuing_delay: float) -> float:
-        """Early-response probability for the given queuing delay."""
-        q = queuing_delay
-        if q <= self.t_min:
-            return 0.0
-        if q < self.t_max:
-            return self.p_max * (q - self.t_min) / (self.t_max - self.t_min)
-        if q < 2.0 * self.t_max:
-            return self.p_max + (1.0 - self.p_max) * (q - self.t_max) / self.t_max
-        return 1.0
-
-    __call__ = probability
-
-    @property
-    def slope(self) -> float:
-        """L_PERT of the stability analysis: p_max / (T_max − T_min)."""
-        return self.p_max / (self.t_max - self.t_min)
-
-
-class RedCurve(GentleRedCurve):
-    """Non-gentle RED response: probability jumps to 1 above ``t_max``."""
-
-    def probability(self, queuing_delay: float) -> float:
-        q = queuing_delay
-        if q <= self.t_min:
-            return 0.0
-        if q < self.t_max:
-            return self.p_max * (q - self.t_min) / (self.t_max - self.t_min)
-        return 1.0
-
-    __call__ = probability
-
-
-class PiResponse:
-    """Discretised PI controller over the queuing-delay signal (eq. 19).
-
-    The continuous controller ``C(s) = K (1 + s/m) / s`` is discretised
-    with the bilinear transform at sampling interval ``delta``, giving
-
-        p(k) = p(k-1) + gamma * (Tq(k) - Tq*) - beta * (Tq(k-1) - Tq*)
-
-    with ``gamma = K/m + K*delta/2`` and ``beta = K/m - K*delta/2``.
-    The probability is clamped to [0, 1].
-
-    Parameters
-    ----------
-    k, m:
-        Controller gains (see :func:`repro.fluid.stability.pert_pi_gains`
-        for the Theorem 2 schedule).
-    target_delay:
-        Queuing-delay set point Tq* (the paper's experiment uses 3 ms).
-    delta:
-        Nominal sampling interval used in the bilinear transform.
-    """
-
-    def __init__(self, k: float, m: float, target_delay: float = 0.003,
-                 delta: float = 0.001):
-        if m <= 0 or k <= 0:
-            raise ValueError("gains k and m must be positive")
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.k = k
-        self.m = m
-        self.target_delay = target_delay
-        self.delta = delta
-        self.gamma = k / m + k * delta / 2.0
-        self.beta = k / m - k * delta / 2.0
-        self.p = 0.0
-        self._prev_err = 0.0
-
-    def update(self, queuing_delay: float) -> float:
-        """One controller step; returns the new response probability."""
-        err = queuing_delay - self.target_delay
-        p = self.p + self.gamma * err - self.beta * self._prev_err
-        self.p = min(1.0, max(0.0, p))
-        self._prev_err = err
-        return self.p
-
-    def reset(self) -> None:
-        self.p = 0.0
-        self._prev_err = 0.0
-
-
-class RemResponse:
-    """REM (Random Exponential Marking) over the queuing-delay signal.
-
-    Demonstrates the paper's generality claim with a third emulated AQM
-    (its reference [2]): a *price* integrates the queuing-delay mismatch
-    and the response probability follows REM's exponential law
-
-        price <- max(0, price + gamma * (alpha*(Tq - Tq*) + (Tq - Tq_prev)))
-        p      = 1 - phi^(-price)
-
-    Because end-to-end delay already sums per-hop delays, a single
-    end-host price plays the role of REM's per-link price sum.
-
-    Parameters
-    ----------
-    gamma, alpha, phi:
-        REM constants (phi > 1); defaults scaled for a delay-valued
-        (seconds) signal rather than REM's packet-valued queue.
-    target_delay:
-        Queuing-delay set point Tq*.
-    """
-
-    def __init__(self, gamma: float = 0.5, alpha: float = 0.2,
-                 phi: float = 1.1, target_delay: float = 0.012):
-        if phi <= 1.0:
-            raise ValueError("phi must be > 1")
-        if gamma <= 0 or alpha < 0:
-            raise ValueError("gamma must be > 0 and alpha >= 0")
-        if target_delay < 0:
-            raise ValueError("target_delay must be >= 0")
-        self.gamma = gamma
-        self.alpha = alpha
-        self.phi = phi
-        self.target_delay = target_delay
-        self.price = 0.0
-        self._prev = 0.0
-
-    def update(self, queuing_delay: float) -> float:
-        """One price step; returns the response probability."""
-        mismatch = (self.alpha * (queuing_delay - self.target_delay)
-                    + (queuing_delay - self._prev))
-        self.price = max(0.0, self.price + self.gamma * mismatch)
-        self._prev = queuing_delay
-        return self.probability()
-
-    def probability(self) -> float:
-        return 1.0 - self.phi ** (-self.price)
-
-    def reset(self) -> None:
-        self.price = 0.0
-        self._prev = 0.0

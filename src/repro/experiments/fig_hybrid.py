@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..core.config import PertConfig
 from .report import format_table
 from .scenarios import ScenarioPoint, ScenarioSpec
 
@@ -57,13 +58,15 @@ DEFAULT_FLOW_COUNTS = [10, 100, 1000]
 #: point the Figure 8 sweep covers
 PER_FLOW_BW = 0.8e6
 
+_PERT = PertConfig()
+
 #: fluid-model parameters matching the packet PERT sender's emulated
-#: gentle-RED curve (core.config.PertConfig defaults)
+#: gentle-RED curve: the paper's numbers, read from where they are typed
 MATCHED_PERT_CURVE: Dict[str, Any] = {
-    "t_min": 0.005,
-    "t_max": 0.010,
-    "p_max": 0.05,
-    "beta_decrease": 0.35,
+    "t_min": _PERT.t_min,
+    "t_max": _PERT.t_max,
+    "p_max": _PERT.p_max,
+    "beta_decrease": _PERT.early_decrease,
     "clamp": True,
 }
 

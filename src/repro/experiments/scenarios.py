@@ -24,6 +24,7 @@ from ..core.pert_owd import PertOwdSender
 from ..core.pert_pi import PertPiSender
 from ..core.pert_rem import PertRemSender
 from ..fluid.stability import pert_pi_gains
+from ..laws import PiResponse
 from ..sim.engine import Simulator
 from ..sim.queues import QueueConfig, QueueDiscipline, make_queue
 from ..tcp.base import TcpSender
@@ -93,17 +94,15 @@ def _pi_queue(sim: Simulator, buffer_pkts: int, bandwidth_bps: float,
     k, m = pert_pi_gains(capacity=pkt_rate, n_minus=max(1, n_flows // 2),
                          r_plus=max(rtt * 1.5, 0.05))
     sample_hz = 170.0
-    delta = 1.0 / sample_hz
-    gamma = k / m + k * delta / 2.0
-    beta = k / m - k * delta / 2.0
+    law = PiResponse(k, m, delta=1.0 / sample_hz)  # for its bilinear gains
     q_ref = max(1.0, 0.003 * pkt_rate)  # 3 ms target delay
     cfg = QueueConfig(
         "pi",
         capacity_pkts=buffer_pkts,
         params=dict(
             q_ref=q_ref,
-            a=gamma / pkt_rate,
-            b=beta / pkt_rate,
+            a=law.gamma / pkt_rate,
+            b=law.beta / pkt_rate,
             sample_hz=sample_hz,
             ecn=True,
         ),

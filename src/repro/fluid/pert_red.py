@@ -24,12 +24,12 @@ stray far from equilibrium; the paper's linear analysis corresponds to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..laws import lpf_pole, ramp_slope
 from .dde import DdeBatchSolution, DdeSolution, integrate_dde, integrate_dde_batch
 
 __all__ = ["PertRedFluidModel", "simulate_batch"]
@@ -92,12 +92,12 @@ class PertRedFluidModel:
     @property
     def l_pert(self) -> float:
         """Slope L_PERT = p_max / (T_max - T_min)  (paper eq. 10)."""
-        return self.p_max / (self.t_max - self.t_min)
+        return ramp_slope(self.p_max, self.t_min, self.t_max)
 
     @property
     def k_lpf(self) -> float:
         """LPF pole K = ln(alpha) / delta < 0  (paper eq. 10)."""
-        return math.log(self.alpha) / self.delta
+        return lpf_pole(self.alpha, self.delta)
 
     def equilibrium(self) -> Tuple[float, float, float]:
         """Stationary point (W*, p*, Tq*) generalising eq. (9).

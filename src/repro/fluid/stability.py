@@ -22,6 +22,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from ..laws import lpf_pole, ramp_slope
 from .dde import DdeBatchSolution, DdeSolution
 
 __all__ = [
@@ -43,7 +44,7 @@ def l_pert(p_max: float, t_min: float, t_max: float) -> float:
     """Slope of the emulated RED curve: p_max / (T_max - T_min)."""
     if t_max <= t_min:
         raise ValueError("need t_max > t_min")
-    return p_max / (t_max - t_min)
+    return ramp_slope(p_max, t_min, t_max)
 
 
 def k_lpf(alpha: float, delta: float) -> float:
@@ -52,7 +53,7 @@ def k_lpf(alpha: float, delta: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return math.log(alpha) / delta
+    return lpf_pole(alpha, delta)
 
 
 def omega_g(n_minus: float, r_plus: float, capacity: float) -> float:

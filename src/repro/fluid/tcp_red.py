@@ -16,12 +16,12 @@ average (packets).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ..laws import lpf_pole, ramp_slope
 from .dde import DdeSolution, integrate_dde
 
 __all__ = ["TcpRedFluidModel"]
@@ -55,11 +55,11 @@ class TcpRedFluidModel:
     @property
     def l_red(self) -> float:
         """Slope of RED's marking curve in probability per packet."""
-        return self.p_max / (self.max_th - self.min_th)
+        return ramp_slope(self.p_max, self.min_th, self.max_th)
 
     @property
     def k_lpf(self) -> float:
-        return math.log(self.alpha) / self.delta
+        return lpf_pole(self.alpha, self.delta)
 
     def equilibrium(self) -> Tuple[float, float, float]:
         """(W*, p*, q*) with q* = min_th + p*/L_RED."""

@@ -12,12 +12,14 @@ Queue capacity is expressed in *packets*, matching the paper (e.g. the
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
+from ..engine import Simulator
 from ..packet import Packet
 
-__all__ = ["QueueDiscipline", "QueueStats"]
+__all__ = ["QueueDiscipline", "QueueStats", "SampledAqmQueue"]
 
 class QueueStats:
     """Counters shared by every queue discipline."""
@@ -82,6 +84,10 @@ class QueueDiscipline:
     #: existed: restored instances take the slow (always-correct) path
     _plain_admit = False
 
+    #: AQM subclasses set this per instance: CE-mark the ECN-capable
+    #: packets the law picks instead of dropping them
+    ecn = False
+
     def __init__(self, capacity_pkts: int,
                  capacity_bytes: Optional[int] = None) -> None:
         if capacity_pkts < 1:
@@ -124,6 +130,12 @@ class QueueDiscipline:
         if self.is_full_for(pkt):
             return "drop"
         return "enqueue"
+
+    def _mark_or_drop(self, pkt: Packet) -> str:
+        """Verdict for a packet the AQM picked: CE mark if it can carry one."""
+        if self.ecn and pkt.ect:
+            return "mark"
+        return "drop"
 
     def aqm_state(self) -> Optional[Dict[str, Any]]:
         """Controller state for ``queue_sample`` trace records.
@@ -231,3 +243,38 @@ class QueueDiscipline:
             f"<{type(self).__name__} {len(self._buf)}/{self.capacity} pkts "
             f"drops={self.stats.drops} marks={self.stats.marks}>"
         )
+
+
+class SampledAqmQueue(QueueDiscipline):
+    """A queue that steps a *controller* law on its length at ``sample_hz``.
+
+    The router-side adapter for the stateful laws of :mod:`repro.laws`:
+    the signal is the instantaneous queue length in packets, sampled by a
+    self-scheduled tick when *sim* is given (otherwise callers invoke
+    :meth:`update` themselves).  Subclasses own their constructor
+    keywords and the per-arrival coin-flip rule (:meth:`admit`).
+    """
+
+    def __init__(self, capacity_pkts: int, controller: Any, sample_hz: float,
+                 ecn: bool, sim: Optional[Simulator],
+                 rng: random.Random) -> None:
+        super().__init__(capacity_pkts)
+        if sample_hz <= 0:
+            raise ValueError("sample_hz must be positive")
+        self.controller = controller
+        self.period = 1.0 / sample_hz
+        self.ecn = ecn
+        self.rng = rng
+        if sim is not None:
+            self._attach(sim)
+
+    def _attach(self, sim: Simulator) -> None:
+        sim.schedule_fire(self.period, self._tick, sim)
+
+    def _tick(self, sim: Simulator) -> None:
+        self.update()
+        sim.schedule_fire(self.period, self._tick, sim)
+
+    def update(self) -> float:
+        """One controller step; returns the new mark probability."""
+        return self.controller.update(float(len(self._buf)))

@@ -8,7 +8,8 @@ Implements the PI controller of Hollot, Misra, Towsley & Gong,
     p(kT) = a * (q(kT) - q_ref) - b * (q((k-1)T) - q_ref) + p((k-1)T)
 
 at sampling frequency ``1/T`` and applies it to every arrival, marking
-ECN-capable packets and dropping the rest.
+ECN-capable packets and dropping the rest.  The recurrence itself is
+:class:`repro.laws.PiResponse`, the law PERT/PI steps at the end host.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional
 
+from ...laws import PiResponse
 from ..engine import Simulator
 from ..packet import Packet
-from .base import QueueDiscipline
+from .base import SampledAqmQueue
 
 __all__ = ["PiQueue"]
 
 
-class PiQueue(QueueDiscipline):
+class PiQueue(SampledAqmQueue):
     """PI-controlled AQM queue.
 
     Parameters
@@ -47,7 +49,6 @@ class PiQueue(QueueDiscipline):
         otherwise callers must invoke :meth:`update` manually.
     """
 
-
     def __init__(
         self,
         capacity_pkts: int,
@@ -59,45 +60,16 @@ class PiQueue(QueueDiscipline):
         sim: Optional[Simulator] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__(capacity_pkts)
-        if q_ref < 0:
-            raise ValueError("q_ref must be non-negative")
-        if sample_hz <= 0:
-            raise ValueError("sample_hz must be positive")
-        self.q_ref = q_ref
-        self.a = a
-        self.b = b
-        self.period = 1.0 / sample_hz
-        self.ecn = ecn
-        self.rng = rng or random.Random(0xA1)
-        self.p = 0.0
-        self._q_old = 0.0
-        if sim is not None:
-            self._attach(sim)
-
-    def _attach(self, sim: Simulator) -> None:
-        sim.schedule_fire(self.period, self._tick, sim)
-
-    def _tick(self, sim: Simulator) -> None:
-        self.update()
-        sim.schedule_fire(self.period, self._tick, sim)
-
-    def update(self) -> float:
-        """One controller step; returns the new mark probability."""
-        q = float(len(self._buf))
-        p = self.a * (q - self.q_ref) - self.b * (self._q_old - self.q_ref) + self.p
-        self.p = min(1.0, max(0.0, p))
-        self._q_old = q
-        return self.p
+        super().__init__(capacity_pkts, PiResponse.from_gains(a, b, q_ref),
+                         sample_hz, ecn, sim, rng or random.Random(0xA1))
 
     def admit(self, pkt: Packet, now: float) -> str:
         if self.is_full_for(pkt):
             return "drop"
-        if self.p > 0.0 and self.rng.random() < self.p:
-            if self.ecn and pkt.ect:
-                return "mark"
-            return "drop"
+        p = self.controller.p
+        if p > 0.0 and self.rng.random() < p:  # no draw while p is 0
+            return self._mark_or_drop(pkt)
         return "enqueue"
 
     def aqm_state(self) -> Dict[str, Any]:
-        return {"p": self.p, "q_ref": self.q_ref}
+        return {"p": self.controller.p, "q_ref": self.controller.target_delay}

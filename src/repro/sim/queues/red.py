@@ -4,8 +4,9 @@ Implements the classic gateway algorithm of Floyd & Jacobson (1993) with
 the two extensions the paper's evaluation relies on:
 
 * the **gentle** variant, where the marking probability ramps linearly
-  from ``max_p`` at ``max_th`` up to 1 at ``2*max_th`` (this curve is what
-  PERT emulates at the end host — Figure 5 of the paper), and
+  from ``max_p`` at ``max_th`` up to 1 at ``2*max_th`` (this curve,
+  :class:`repro.laws.GentleRedCurve`, is the same object PERT evaluates
+  at the end host — Figure 5 of the paper), and
 * **Adaptive RED** (Floyd, Gummadi & Shenker, 2001), which slowly adapts
   ``max_p`` to hold the average queue inside a target band.  The paper's
   router baseline ("SACK/RED-ECN") uses ns-2's adaptive RED.
@@ -21,6 +22,7 @@ import math
 import random
 from typing import Any, Dict, Optional
 
+from ...laws import GentleRedCurve, RedCurve
 from ..packet import Packet
 from .base import QueueDiscipline
 
@@ -54,8 +56,13 @@ class RedQueue(QueueDiscipline):
         decay of the average and for auto-``w_q``.
     rng:
         Random stream for the marking coin flips.
-    """
 
+    What is RED's own stays here — the EWMA average with idle decay, the
+    count-uniformised ``p_a``, byte mode and Adaptive RED; the curve the
+    average is mapped through is the attribute :attr:`curve`, holding
+    ``min_th``, ``max_th`` and (adapted in place) ``max_p`` as its
+    ``t_min``, ``t_max`` and ``p_max``.
+    """
 
     def __init__(
         self,
@@ -75,14 +82,9 @@ class RedQueue(QueueDiscipline):
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(capacity_pkts, capacity_bytes=capacity_bytes)
-        if not 0 < min_th < max_th:
+        if min_th <= 0:
             raise ValueError("need 0 < min_th < max_th")
-        if not 0 < max_p <= 1:
-            raise ValueError("max_p must be in (0, 1]")
-        self.min_th = min_th
-        self.max_th = max_th
-        self.max_p = max_p
-        self.gentle = gentle
+        self.curve = (GentleRedCurve if gentle else RedCurve)(min_th, max_th, max_p)
         self.ecn = ecn
         self.adaptive = adaptive
         self.interval = interval
@@ -123,27 +125,21 @@ class RedQueue(QueueDiscipline):
     # ------------------------------------------------------------------
     def mark_probability(self) -> float:
         """Instantaneous p_b as a function of the current average queue."""
-        avg = self.avg
-        if avg < self.min_th:
-            return 0.0
-        if avg < self.max_th:
-            return self.max_p * (avg - self.min_th) / (self.max_th - self.min_th)
-        if self.gentle and avg < 2 * self.max_th:
-            return self.max_p + (1.0 - self.max_p) * (avg - self.max_th) / self.max_th
-        return 1.0
+        return self.curve.probability(self.avg)
 
     def _adapt_max_p(self, now: float) -> None:
         """Adaptive RED: hold avg inside the middle of [min_th, max_th]."""
         if now - self._last_adapt < self.interval:
             return
         self._last_adapt = now
-        span = self.max_th - self.min_th
-        target_lo = self.min_th + 0.4 * span
-        target_hi = self.min_th + 0.6 * span
-        if self.avg > target_hi and self.max_p <= 0.5:
-            self.max_p += min(0.01, self.max_p / 4.0)
-        elif self.avg < target_lo and self.max_p >= 0.01:
-            self.max_p *= 0.9
+        curve = self.curve
+        span = curve.t_max - curve.t_min
+        target_lo = curve.t_min + 0.4 * span
+        target_hi = curve.t_min + 0.6 * span
+        if self.avg > target_hi and curve.p_max <= 0.5:
+            curve.p_max += min(0.01, curve.p_max / 4.0)
+        elif self.avg < target_lo and curve.p_max >= 0.01:
+            curve.p_max *= 0.9
 
     # ------------------------------------------------------------------
     # admission
@@ -155,7 +151,7 @@ class RedQueue(QueueDiscipline):
         if self.is_full_for(pkt):
             self._count = 0
             return "drop"
-        p_b = self.mark_probability()
+        p_b = self.curve.probability(self.avg)
         if self.byte_mode and p_b > 0.0:
             p_b = min(1.0, p_b * pkt.size / self.mean_pkt_size)
         if p_b <= 0.0:
@@ -173,15 +169,10 @@ class RedQueue(QueueDiscipline):
             return self._mark_or_drop(pkt)
         return "enqueue"
 
-    def _mark_or_drop(self, pkt: Packet) -> str:
-        if self.ecn and pkt.ect:
-            return "mark"
-        return "drop"
-
     def aqm_state(self) -> Dict[str, Any]:
         return {
             "avg": self.avg,
-            "max_p": self.max_p,
+            "max_p": self.curve.p_max,
             "p": self.mark_probability(),
         }
 

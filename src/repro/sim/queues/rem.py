@@ -14,8 +14,9 @@ path.  The price update each period T is
 
 (the ``q - q_prev`` term approximates rate mismatch by queue growth).
 
-Included both as an additional router baseline and as the template for
-the end-host REM emulation (:class:`repro.core.response.RemResponse`),
+Included both as an additional router baseline and as the router side
+of the end-host REM emulation: the price law is
+:class:`repro.laws.RemResponse`, the same object PERT/REM steps per ACK,
 demonstrating the paper's claim that PERT generalises to other AQMs.
 """
 
@@ -24,14 +25,15 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional
 
+from ...laws import RemResponse
 from ..engine import Simulator
 from ..packet import Packet
-from .base import QueueDiscipline
+from .base import SampledAqmQueue
 
 __all__ = ["RemQueue"]
 
 
-class RemQueue(QueueDiscipline):
+class RemQueue(SampledAqmQueue):
     """REM AQM queue.
 
     Parameters
@@ -48,7 +50,6 @@ class RemQueue(QueueDiscipline):
         Price update frequency.
     """
 
-
     def __init__(
         self,
         capacity_pkts: int,
@@ -61,50 +62,19 @@ class RemQueue(QueueDiscipline):
         sim: Optional[Simulator] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__(capacity_pkts)
-        if phi <= 1.0:
-            raise ValueError("phi must be > 1")
-        if q_ref < 0 or gamma <= 0:
-            raise ValueError("q_ref must be >= 0 and gamma > 0")
-        self.q_ref = q_ref
-        self.gamma = gamma
-        self.alpha = alpha
-        self.phi = phi
-        self.period = 1.0 / sample_hz
-        self.ecn = ecn
-        self.rng = rng or random.Random(0x4E4)
-        self.price = 0.0
-        self._q_prev = 0.0
-        if sim is not None:
-            self._attach(sim)
-
-    def _attach(self, sim: Simulator) -> None:
-        sim.schedule_fire(self.period, self._tick, sim)
-
-    def _tick(self, sim: Simulator) -> None:
-        self.update()
-        sim.schedule_fire(self.period, self._tick, sim)
-
-    def update(self) -> float:
-        """One price step; returns the resulting mark probability."""
-        q = float(len(self._buf))
-        mismatch = self.alpha * (q - self.q_ref) + (q - self._q_prev)
-        self.price = max(0.0, self.price + self.gamma * mismatch)
-        self._q_prev = q
-        return self.mark_probability()
+        super().__init__(capacity_pkts, RemResponse(gamma, alpha, phi, q_ref),
+                         sample_hz, ecn, sim, rng or random.Random(0x4E4))
 
     def mark_probability(self) -> float:
-        """REM's exponential law: 1 - phi^(-price)."""
-        return 1.0 - self.phi ** (-self.price)
+        """The law's probability at the current price."""
+        return self.controller.probability()
 
     def admit(self, pkt: Packet, now: float) -> str:
         if self.is_full_for(pkt):
             return "drop"
-        if self.rng.random() < self.mark_probability():
-            if self.ecn and pkt.ect:
-                return "mark"
-            return "drop"
+        if self.rng.random() < self.controller.probability():  # always draws
+            return self._mark_or_drop(pkt)
         return "enqueue"
 
     def aqm_state(self) -> Dict[str, Any]:
-        return {"price": self.price, "p": self.mark_probability()}
+        return {"price": self.controller.price, "p": self.mark_probability()}

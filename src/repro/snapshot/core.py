@@ -26,7 +26,6 @@ the unpickler's bare ``TypeError``.
 
 from __future__ import annotations
 
-import io
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,42 +164,10 @@ def _diagnose_failure(sim: Simulator, state: Any, exc: Exception) -> SnapshotErr
     return SnapshotError(f"cannot snapshot simulation: {exc}")
 
 
-#: simulator class names a snapshot written before PR 17 may reference:
-#: the virtual constructor, the tuple-heap and flat-entry engines and the
-#: C-backed subclass all wrote the same canonical state
-#: (``Simulator.__getstate__``), so all restore as the one engine
-_ENGINE_CLASS_NAMES = (
-    "Simulator",
-    "LegacySimulator",
-    "ArraySimulator",
-    "CompiledSimulator",
-)
-
-#: modules those classes lived in
-_ENGINE_MODULES = (
-    "repro.sim.engine",
-    "repro.compiled.engine",
-)
-
-
-class _EngineRemapUnpickler(pickle.Unpickler):
-    """Unpickler that rebinds every historical engine class to the engine."""
-
-    def find_class(self, module, name):
-        if module in _ENGINE_MODULES and name in _ENGINE_CLASS_NAMES:
-            return Simulator
-        return super().find_class(module, name)
-
-
 def restore_bytes(body: bytes) -> Tuple[Simulator, Any]:
-    """Unpickle a snapshot body; returns ``(sim, state)``.
-
-    A body captured under any of the engine classes earlier versions
-    shipped (:data:`_ENGINE_CLASS_NAMES`) restores under the one engine
-    and continues bit-identically.
-    """
+    """Unpickle a snapshot body; returns ``(sim, state)``."""
     try:
-        root = _EngineRemapUnpickler(io.BytesIO(body)).load()
+        root = pickle.loads(body)
     except Exception as exc:  # noqa: BLE001
         raise SnapshotError(f"cannot restore snapshot body: {exc}") from exc
     if not isinstance(root, dict) or "sim" not in root:

@@ -3,7 +3,7 @@
 A snapshot file is three concatenated parts::
 
     REPROSNAP\n                  magic line (never changes)
-    {"format": 1, ...}\n         one-line JSON header, UTF-8
+    {"format": 2, ...}\n         one-line JSON header, UTF-8
     <pickle body>                the simulation object graph
 
 The header is plain text on purpose: ``head -2 file.ckpt`` tells you
@@ -41,7 +41,9 @@ __all__ = [
 ]
 
 #: bump when the container layout or body schema changes incompatibly
-FORMAT_VERSION = 1
+#: (2: AQM queues and PERT senders keep their law state in a
+#: :mod:`repro.laws` object, so a version-1 body would restore half-shaped)
+FORMAT_VERSION = 2
 
 MAGIC = b"REPROSNAP\n"
 

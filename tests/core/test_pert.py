@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import PertConfig
+from repro.core.config import PertConfig, PertPiConfig, PertRemConfig
 from repro.core.pert import PertSender
 from repro.sim.engine import Simulator
 from repro.tcp.sack import SackSender
@@ -22,6 +22,30 @@ def test_config_validation():
     PertConfig().validate()  # paper defaults are valid
 
 
+@pytest.mark.parametrize("config_cls", [PertConfig, PertPiConfig, PertRemConfig])
+@pytest.mark.parametrize("bad", [
+    dict(min_response_interval_rtts=-1),  # would switch off "once per RTT"
+    dict(srtt_weight=2.0),
+    dict(early_decrease=0.0),
+])
+def test_sender_fields_are_validated_whatever_the_law(config_cls, bad):
+    (field,) = bad
+    with pytest.raises(ValueError, match=field):
+        config_cls(**bad).validate()
+    config_cls().validate()
+
+
+@pytest.mark.parametrize("config, field", [
+    (PertPiConfig(delta=-1.0), "delta"),
+    (PertPiConfig(target_delay=-1.0), "target_delay"),
+    (PertRemConfig(target_delay=-1.0), "target_delay"),
+    (PertRemConfig(alpha=-1.0), "alpha"),
+])
+def test_validate_runs_the_laws_own_checks(config, field):
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+
+
 def test_paper_default_parameters():
     cfg = PertConfig()
     assert cfg.t_min == pytest.approx(0.005)
@@ -36,7 +60,7 @@ def test_response_probability_zero_at_empty_queue():
     db = make_dumbbell(sim)
     sender, _ = make_flow(sim, db, sender_cls=PertSender)
     sender.signal.update(0.024)  # min == srtt -> zero queuing delay
-    assert sender.response_probability() == 0.0
+    assert sender.curve.probability(sender.queuing_delay_estimate) == 0.0
 
 
 def test_early_response_reduces_by_35_percent():
@@ -169,4 +193,4 @@ def test_non_gentle_config():
     s.signal.update(0.01)
     s.signal.min_rtt = 0.01
     s.signal.value = 0.01 + 0.011  # queuing delay just above t_max
-    assert s.response_probability() == 1.0
+    assert s.curve.probability(s.queuing_delay_estimate) == 1.0

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.pert_rem import PertRemConfig, PertRemSender
+from repro.core.config import PertRemConfig
+from repro.core.pert_rem import PertRemSender
 from repro.core.response import RemResponse
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -73,18 +74,18 @@ class TestRemQueue:
             q.enqueue(self.pkt(i), 0.0)
         for _ in range(5):
             q.update()
-        assert q.price > 0 and q.mark_probability() > 0
+        assert q.controller.price > 0 and q.mark_probability() > 0
 
     def test_price_decays_when_light(self):
         q = RemQueue(100, q_ref=50.0, gamma=0.1, rng=random.Random(1))
-        q.price = 10.0
+        q.controller.price = 10.0
         for _ in range(50):
             q.update()
-        assert q.price < 10.0
+        assert q.controller.price < 10.0
 
     def test_marks_ect_drops_others(self):
         q = RemQueue(100, q_ref=0.0, rng=random.Random(1))
-        q.price = 1e9  # probability ~ 1
+        q.controller.price = 1e9  # probability ~ 1
         p = self.pkt(0, ect=True)
         assert q.enqueue(p, 0.0)
         assert p.ce
@@ -97,13 +98,19 @@ class TestRemQueue:
         for i in range(30):
             q.enqueue(self.pkt(i), 0.0)
         sim.run(until=0.5)
-        assert q.price > 0.0
+        assert q.controller.price > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RemQueue(10, phi=0.9)
         with pytest.raises(ValueError):
             RemQueue(10, gamma=0.0)
+        # a bad tick rate or gain fails here, naming the parameter, not at
+        # the first tick inside the event loop
+        for bad in (dict(sample_hz=0), dict(sample_hz=-5), dict(alpha=-1)):
+            (param,) = bad
+            with pytest.raises(ValueError, match=param):
+                RemQueue(10, **bad)
 
 
 class TestPertRemSender:

@@ -32,8 +32,9 @@ class TestRoundTrip:
         )
         q = make_queue(cfg)
         assert isinstance(q, RedQueue)
-        assert (q.capacity, q.min_th, q.max_th, q.max_p) == (77, 7.0, 21.0, 0.2)
-        assert (q.gentle, q.adaptive, q.ecn) == (False, True, False)
+        assert (q.capacity, q.curve.t_min, q.curve.t_max, q.curve.p_max) == (
+            77, 7.0, 21.0, 0.2)
+        assert (q.curve.gentle, q.adaptive, q.ecn) == (False, True, False)
 
     def test_pi(self):
         cfg = QueueConfig(
@@ -42,7 +43,8 @@ class TestRoundTrip:
         )
         q = make_queue(cfg)
         assert isinstance(q, PiQueue)
-        assert (q.q_ref, q.a, q.b) == (12.0, 2e-5, 1e-5)
+        law = q.controller
+        assert (law.target_delay, law.gamma, law.beta) == (12.0, 2e-5, 1e-5)
         assert q.period == pytest.approx(0.01)
 
     def test_rem(self):
@@ -52,7 +54,8 @@ class TestRoundTrip:
         )
         q = make_queue(cfg)
         assert isinstance(q, RemQueue)
-        assert (q.q_ref, q.gamma, q.phi) == (15.0, 0.002, 1.002)
+        law = q.controller
+        assert (law.target_delay, law.gamma, law.phi) == (15.0, 0.002, 1.002)
 
     def test_every_registered_discipline_constructs(self):
         for name, cls in DISCIPLINES.items():

@@ -182,16 +182,16 @@ class TestRed:
     def test_adaptive_max_p_increases_under_pressure(self):
         q = self.make(adaptive=True, interval=0.0)
         q.avg = 14.0  # above the target band
-        p0 = q.max_p
+        p0 = q.curve.p_max
         q._adapt_max_p(now=1.0)
-        assert q.max_p > p0
+        assert q.curve.p_max > p0
 
     def test_adaptive_max_p_decreases_when_light(self):
         q = self.make(adaptive=True, interval=0.0)
         q.avg = 5.5  # below the target band
-        q.max_p = 0.2
+        q.curve.p_max = 0.2
         q._adapt_max_p(now=1.0)
-        assert q.max_p < 0.2
+        assert q.curve.p_max < 0.2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -208,18 +208,18 @@ class TestPi:
         q = pi(q_ref=5.0, a=0.01, b=0.005)
         for i in range(20):
             q.enqueue(pkt(i), 0.0)
-        p_prev = q.p
+        p_prev = q.controller.p
         for _ in range(5):
             q.update()
-        assert q.p > p_prev
+        assert q.controller.p > p_prev
 
     def test_probability_decays_below_reference(self):
         q = pi(q_ref=50.0, a=0.01, b=0.005)
-        q.p = 0.5
-        q._q_old = 0.0
+        q.controller.p = 0.5
+        q.controller._prev_err = -50.0  # previous sample: an empty queue
         for _ in range(5):
             q.update()
-        assert q.p < 0.5
+        assert q.controller.p < 0.5
 
     def test_probability_clamped(self):
         q = pi(q_ref=0.0, a=10.0, b=0.0)
@@ -227,18 +227,18 @@ class TestPi:
             q.enqueue(pkt(i), 0.0)
         for _ in range(10):
             q.update()
-        assert 0.0 <= q.p <= 1.0
+        assert 0.0 <= q.controller.p <= 1.0
 
     def test_marks_ect_packets(self):
         q = pi(q_ref=1.0, ecn=True)
-        q.p = 1.0
+        q.controller.p = 1.0
         p = pkt(0, ect=True)
         assert q.enqueue(p, 0.0)
         assert p.ce
 
     def test_drops_non_ect(self):
         q = pi(q_ref=1.0, ecn=True)
-        q.p = 1.0
+        q.controller.p = 1.0
         assert not q.enqueue(pkt(0), 0.0)
 
     def test_self_scheduling_with_simulator(self):
@@ -247,7 +247,7 @@ class TestPi:
         for i in range(30):
             q.enqueue(pkt(i), 0.0)
         sim.run(until=0.5)
-        assert q.p > 0.0  # periodic updates fired
+        assert q.controller.p > 0.0  # periodic updates fired
 
     def test_validation(self):
         with pytest.raises(ValueError):

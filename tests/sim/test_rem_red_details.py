@@ -61,7 +61,7 @@ class TestRemDynamics:
         prices = []
         for _ in range(20):
             q.update()
-            prices.append(q.price)
+            prices.append(q.controller.price)
         assert prices == sorted(prices)  # monotone under constant overload
 
     def test_equilibrium_price_stable_at_reference(self):
@@ -70,15 +70,15 @@ class TestRemDynamics:
         for i in range(10):
             q.enqueue(pkt(i), 0.0)
         q.update()
-        p1 = q.price
+        p1 = q.controller.price
         q.update()  # q == q_ref and q == q_prev: no drift
-        assert q.price == pytest.approx(p1)
+        assert q.controller.price == pytest.approx(p1)
 
     def test_mark_probability_monotone_in_price(self):
         q = RemQueue(100, rng=random.Random(1))
         probs = []
         for price in (0.0, 1.0, 10.0, 100.0):
-            q.price = price
+            q.controller.price = price
             probs.append(q.mark_probability())
         assert probs == sorted(probs)
         assert probs[0] == 0.0 and probs[-1] < 1.0
@@ -96,7 +96,7 @@ class TestPiUnderLoad:
 
         def offer():
             # offered load responds inversely to p (TCP-ish backoff)
-            n = max(1, int(3 * (1.0 - q.p)))
+            n = max(1, int(3 * (1.0 - q.controller.p)))
             for _ in range(n):
                 q.enqueue(pkt(seq[0]), sim.now)
                 seq[0] += 1

@@ -12,6 +12,7 @@ from repro.snapshot import (
     active_checkpoint,
     capture_bytes,
     checkpoint_scope,
+    load,
     resolve_checkpoint_interval,
 )
 
@@ -133,6 +134,23 @@ class TestRuntime:
         assert fresh.resume() is None  # resume is an optimization...
         assert not path.exists()  # ...and the bad file is gone
         assert fresh.summary() is None
+
+    def test_resume_refuses_a_version_1_checkpoint(self, tmp_path):
+        """A checkpoint an older package left beside a half-finished job
+        (law state still flat on queues and senders) is refused by its
+        header, never unpickled into half-shaped objects."""
+        path = tmp_path / "old.ckpt"
+        CheckpointSlot(path, 1.0).save(Simulator(seed=1), {"k": 1})
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        assert b'"format": 2' in header
+        path.write_bytes(b"\n".join(
+            (magic, header.replace(b'"format": 2', b'"format": 1'), body)))
+        with pytest.raises(SnapshotError, match="format 1 is not supported"):
+            load(path)
+
+        fresh = CheckpointSlot(path, 1.0)
+        assert fresh.resume() is None  # the job reruns from scratch
+        assert not path.exists()
 
     def test_save_chains_parent_lineage(self, tmp_path):
         from repro.snapshot import inspect as snap_inspect

@@ -9,9 +9,6 @@ compares exhaustive fingerprints of both end states.
 
 from __future__ import annotations
 
-import sys
-import types
-
 import pytest
 
 from repro.experiments.scenarios import SCHEMES, get_scheme, scheme_sender_kwargs
@@ -244,32 +241,6 @@ def test_rng_streams_continue_identically():
     rng2 = sim2._streams["traffic"]
     assert rng2 is not rng
     assert [rng2.random() for _ in range(10)] == expect
-
-
-def test_every_historical_engine_class_restores_as_the_engine(monkeypatch):
-    """Bodies naming any engine class an earlier version pickled —
-    module gone or not — restore as the one engine and run on."""
-    for module in ("repro.sim.engine", "repro.compiled.engine"):
-        for name in ("Simulator", "LegacySimulator", "ArraySimulator",
-                     "CompiledSimulator"):
-            # capture under a stand-in that pickles as `module.name` ...
-            with monkeypatch.context() as patch:
-                stand_in = type(name, (Simulator,),
-                                {"__slots__": (), "__module__": module})
-                if module not in sys.modules:
-                    patch.setitem(sys.modules, module, types.ModuleType(module))
-                patch.setattr(sys.modules[module], name, stand_in, raising=False)
-                sim = stand_in(seed=5)
-                sim.schedule_fire1(1.0, sim.stream, "claimed-on-fire")
-                body = capture_bytes(sim, (module, name))
-            assert module.encode() in body and name.encode() in body
-            # ... and restore where that name is gone or means the engine
-            sim2, state = restore_bytes(body)
-            assert state == (module, name)
-            assert type(sim2) is Simulator
-            sim2.run()
-            assert (sim2.now, sim2.events_processed) == (1.0, 1)
-            assert "claimed-on-fire" in sim2._streams
 
 
 # ----------------------------------------------------------------------
