@@ -1,9 +1,13 @@
 """Experiment harness: one module per paper table/figure.
 
 ``common.run_dumbbell`` is the workhorse; ``scenarios.SCHEMES`` holds the
-protocol/queue pairings; each ``figN_*`` / ``table1_*`` module exposes
-``run()`` returning table rows and ``main()`` printing the reproduction
-alongside the paper's expectation.
+protocol/queue pairings; ``figures.FIGURES`` is the registry of figure
+modules, each of which is its figure's whole record — ``TITLE``,
+``PAPER_EXPECTATION``, the ``QUICK``/``FULL`` operating points,
+``run()``, ``validation_metrics()`` and ``tables()`` (see
+:mod:`repro.experiments.figures`).  The registry and the figure modules
+are imported on demand, never from here: a forked ``dumbbell`` job pays
+for the harness only.
 """
 
 from .common import DumbbellResult, bdp_packets, run_dumbbell

@@ -7,94 +7,34 @@ Usage::
     python -m repro.experiments all -j 8 --progress
     python -m repro.experiments report      # paper-fidelity verdict
 
-Each experiment prints the reproduced table next to the paper's
+Each figure of :data:`repro.experiments.figures.FIGURES` runs at its
+full tier and prints the reproduced tables next to the paper's
 expectation.  Grid-shaped experiments execute through
 :mod:`repro.runner`: ``--workers`` fans simulation jobs out over worker
 processes (default: one per CPU) and results are cached on disk
 (``~/.cache/repro`` or ``$REPRO_CACHE_DIR``) so a re-run only simulates
 changed points.  ``--workers 0`` forces the serial in-process path for
-debugging.  The module-level ``run()`` functions accept full-scale
+debugging.  The figure modules' ``run()`` functions accept full-scale
 parameters programmatically.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
-from . import (
-    fig2_loss_correlation,
-    fig3_predictors,
-    fig4_false_positive_pdf,
-    fig5_response_curve,
-    fig6_bandwidth,
-    fig7_rtt,
-    fig8_nflows,
-    fig9_web,
-    fig11_multibottleneck,
-    fig12_dynamics,
-    fig12b_cbr_dynamics,
-    fig13_fluid,
-    fig14_pert_pi,
-    fig_hybrid,
-    table1_rtts,
-)
-
-EXPERIMENTS = {
-    "fig2": fig2_loss_correlation,
-    "fig3": fig3_predictors,
-    "fig4": fig4_false_positive_pdf,
-    "fig5": fig5_response_curve,
-    "fig6": fig6_bandwidth,
-    "fig7": fig7_rtt,
-    "fig8": fig8_nflows,
-    "fig9": fig9_web,
-    "table1": table1_rtts,
-    "fig11": fig11_multibottleneck,
-    "fig12": fig12_dynamics,
-    "fig12b": fig12b_cbr_dynamics,
-    "fig13": fig13_fluid,
-    "fig14": fig14_pert_pi,
-    "fig_hybrid": fig_hybrid,
-}
+from ..runner.flags import add_runner_flags, runner_env, scoped_env
+from .figures import FIGURES, figure, print_figure, tiers
 
 
-@contextlib.contextmanager
-def _scoped_env(updates: Dict[str, Optional[str]]) -> Iterator[None]:
-    """Apply environment overrides for the duration of the run only."""
-    saved = {k: os.environ.get(k) for k in updates}
-    try:
-        for k, v in updates.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-def _runner_env(args) -> Dict[str, Optional[str]]:
+def _runner_env(args) -> Dict[str, str]:
     """Translate CLI flags into the runner's environment knobs."""
-    env: Dict[str, Optional[str]] = {}
-    if args.workers is not None:
-        env["REPRO_WORKERS"] = str(args.workers)
-    elif "REPRO_WORKERS" not in os.environ:
+    env = runner_env(args)
+    if args.workers is None and "REPRO_WORKERS" not in os.environ:
         env["REPRO_WORKERS"] = str(os.cpu_count() or 1)
-    if args.no_cache:
-        env["REPRO_CACHE"] = "0"
-    if args.cache_dir:
-        env["REPRO_CACHE_DIR"] = args.cache_dir
-    if args.progress:
-        env["REPRO_PROGRESS"] = "1"
     if args.obs:
         env["REPRO_OBS"] = "1"
     if args.trace:
@@ -148,27 +88,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["list", "all", "report"],
-        help="experiment id (e.g. fig6, table1), 'list', 'all', or "
+        choices=list(FIGURES) + ["list", "all", "report"],
+        help="figure id (e.g. fig6, table1), 'list', 'all', or "
              "'report' (paper-fidelity verdict via repro.validate)",
     )
-    parser.add_argument(
-        "-j", "--workers", type=int, default=None, metavar="N",
-        help="worker processes for grid experiments "
-             "(default: $REPRO_WORKERS or one per CPU; 0 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="log per-job runner progress (jobs done/cached/failed, events/s)",
-    )
+    add_runner_flags(parser, "$REPRO_WORKERS or one per CPU")
     parser.add_argument(
         "--obs", action="store_true",
         help="collect in-sim metrics; each fresh job writes a run manifest "
@@ -199,10 +123,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for name, mod in sorted(EXPERIMENTS.items()):
-            doc = (mod.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:8s} {doc}")
-        print("\nhow close is each figure to the paper?  "
+        for fid in FIGURES:
+            mod = figure(fid)
+            print(f"{fid:10s} {'+'.join(tiers(fid)):10s} "
+                  f"{mod.__name__:42s} {mod.TITLE}")
+        print("\n(id, validation tiers, module — each also runs standalone "
+              "with `python -m <module>` — and title)")
+        print("how close is each figure to the paper?  "
               "`python -m repro.experiments report` (or "
               "`python -m repro.validate run --quick`)")
         return 0
@@ -213,13 +140,13 @@ def main(argv=None) -> int:
 
         return validate_main(["report"])
 
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    with _scoped_env(_runner_env(args)):
+    names = list(FIGURES) if args.experiment == "all" else [args.experiment]
+    with scoped_env(_runner_env(args)):
         server = _maybe_serve(args)
         try:
             for name in names:
                 print(f"=== {name} " + "=" * max(0, 60 - len(name)))
-                EXPERIMENTS[name].main()
+                print_figure(figure(name))
                 print()
         finally:
             if server is not None:

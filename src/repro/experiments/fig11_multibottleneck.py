@@ -17,7 +17,6 @@ a common set of routers.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, List, Optional, Sequence
 
 from ..metrics.fairness import jain_index
@@ -26,16 +25,19 @@ from ..sim.engine import Simulator
 from ..sim.monitors import LinkWindow, QueueSampler
 from ..sim.topology import make_topology
 from ..tcp.base import connect_flow
-from .report import format_table
 from .scenarios import get_scheme, scheme_sender_kwargs
-from .sweep import SECTION4_SCHEMES
+from .sweep import SECTION4_SCHEMES, failed_row
 
-__all__ = ["run_parking_lot", "run", "validation_metrics", "main"]
+__all__ = ["run_parking_lot", "run", "validation_metrics", "tables"]
+
+TITLE = "Figure 11 — multiple bottlenecks (parking lot)"
 
 PAPER_EXPECTATION = (
     "PERT: low queue and zero drops on every hop; utilization similar "
     "to SACK/RED-ECN; per-hop fairness maintained (Figure 11)."
 )
+
+QUICK = dict(n_routers=4, cloud_size=3, link_bw=8e6, duration=12.0, warmup=5.0)
 
 
 def run_parking_lot(
@@ -157,40 +159,23 @@ def run(
         if res.ok:
             rows.extend(res.value["rows"])
         else:
-            rows.append(
-                {
-                    "hop": "*",
-                    "scheme": scheme,
-                    "norm_queue": math.nan,
-                    "drop_rate": math.nan,
-                    "utilization": math.nan,
-                    "jain": math.nan,
-                    "failed": True,
-                    "error": res.error or "unknown failure",
-                }
-            )
+            rows.append(failed_row(scheme, {"hop": "*"}, res.error))
     return rows
 
 
 def validation_metrics(rows: List[Dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-hop rows)."""
-    from ..validate.extract import rows_to_metrics
+    from ..validate.extract import headline_metrics
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("hop",),
-    )
+    return headline_metrics(rows, keys=("hop",))
 
 
-def main() -> None:
-    rows = run()
-    print(format_table(
-        rows,
-        ["hop", "scheme", "norm_queue", "drop_rate", "utilization", "jain"],
-        title="Figure 11 — multiple bottlenecks (parking lot)",
-    ))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(rows: List[Dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, ("hop", "scheme", "norm_queue", "drop_rate",
+                     "utilization", "jain"), rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

@@ -19,16 +19,50 @@ from typing import Dict, List, Sequence
 from ..sim.engine import Simulator
 from ..sim.topology import Dumbbell
 from ..tcp.base import connect_flow
-from .report import format_table
 from .scenarios import get_scheme, scheme_sender_kwargs
+from .sweep import SECTION4_SCHEMES
 
-__all__ = ["run_dynamics", "run", "cohort_share_error", "validation_metrics",
-           "main"]
+__all__ = ["scheme_dumbbell", "run_dynamics", "run", "cohort_share_error",
+           "link_share", "validation_metrics", "tables"]
+
+TITLE = "Figure 12 — dynamics under arriving/departing flows"
 
 PAPER_EXPECTATION = (
     "Cohort aggregate throughputs re-converge to equal shares within "
     "each epoch for PERT; Vegas cohorts stay unequal (Figure 12)."
 )
+
+QUICK = dict(schemes=("pert", "sack-droptail"), n_cohorts=2, cohort_size=3,
+             epoch=8.0, bandwidth=6e6)
+
+
+def scheme_dumbbell(scheme: str, sim: Simulator, bandwidth: float, rtt: float,
+                    n_flows: int, n_hosts: int, pkt_size: int):
+    """A symmetric *n_hosts*-pair dumbbell under *scheme*, sized for *n_flows*.
+
+    The paper's buffer rule (one BDP, floor of two packets per flow) and
+    a quarter of the RTT on the bottleneck, for the dynamics experiments
+    that drive their own arrival pattern instead of ``run_dumbbell``'s.
+    Returns ``(scheme spec, sender kwargs, dumbbell)``.
+    """
+    spec = get_scheme(scheme)
+    buffer_pkts = max(int(round(bandwidth * rtt / (8.0 * pkt_size))),
+                      2 * n_flows, 8)
+    bottleneck_delay = rtt / 4.0
+    access = (rtt / 2.0 - bottleneck_delay) / 2.0
+
+    def qdisc():
+        return spec.make_qdisc(sim, buffer_pkts, bandwidth, pkt_size,
+                               n_flows, rtt)
+
+    db = Dumbbell(
+        sim, n_left=n_hosts, n_right=n_hosts,
+        bottleneck_bw=bandwidth, bottleneck_delay=bottleneck_delay,
+        qdisc_fwd=qdisc, qdisc_rev=qdisc,
+        access_delays_left=[access] * n_hosts,
+        access_delays_right=[access] * n_hosts,
+    )
+    return spec, scheme_sender_kwargs(spec, bandwidth, pkt_size, n_flows, rtt), db
 
 
 def run_dynamics(
@@ -48,31 +82,10 @@ def run_dynamics(
     full population, cohorts stop in LIFO order, one per epoch.  Total
     simulated time: ``(2 * n_cohorts) * epoch``.
     """
-    spec = get_scheme(scheme)
     sim = Simulator(seed=seed)
     total_flows = n_cohorts * cohort_size
-    buffer_pkts = max(int(round(bandwidth * rtt / (8.0 * pkt_size))),
-                      2 * total_flows, 8)
-    sender_kwargs = scheme_sender_kwargs(spec, bandwidth, pkt_size,
-                                         total_flows, rtt)
-    bottleneck_delay = rtt / 4.0
-    access = (rtt / 2.0 - bottleneck_delay) / 2.0
-
-    def qdisc():
-        return spec.make_qdisc(sim, buffer_pkts, bandwidth, pkt_size,
-                               total_flows, rtt)
-
-    db = Dumbbell(
-        sim,
-        n_left=total_flows,
-        n_right=total_flows,
-        bottleneck_bw=bandwidth,
-        bottleneck_delay=bottleneck_delay,
-        qdisc_fwd=qdisc,
-        qdisc_rev=qdisc,
-        access_delays_left=[access] * total_flows,
-        access_delays_right=[access] * total_flows,
-    )
+    spec, sender_kwargs, db = scheme_dumbbell(
+        scheme, sim, bandwidth, rtt, total_flows, total_flows, pkt_size)
     flow_ids = itertools.count()
     cohorts: List[List] = []
     for k in range(n_cohorts):
@@ -126,64 +139,69 @@ def run_dynamics(
     }
 
 
+def _late_epoch_rates(result: Dict, epoch_index: int) -> List[float]:
+    """Each active cohort's mean rate over the last half of an arrival epoch."""
+    epoch = result["epoch"]
+    t_lo = epoch_index * epoch + epoch / 2.0
+    t_hi = (epoch_index + 1) * epoch
+    idx = [i for i, t in enumerate(result["times"]) if t_lo < t <= t_hi]
+    if not idx:
+        raise ValueError("no samples in the requested epoch")
+    return [
+        sum(result["cohort_rates_bps"][k][i] for i in idx) / len(idx)
+        for k in range(epoch_index + 1)
+    ]
+
+
 def cohort_share_error(result: Dict, epoch_index: int) -> float:
     """Mean relative deviation from equal shares late in an epoch.
 
     ``epoch_index`` counts arrival epochs (0-based); the last half of
     the epoch is evaluated, when ``epoch_index + 1`` cohorts are active.
     """
-    epoch = result["epoch"]
-    active = epoch_index + 1
-    t_lo = epoch_index * epoch + epoch / 2.0
-    t_hi = (epoch_index + 1) * epoch
-    idx = [i for i, t in enumerate(result["times"]) if t_lo < t <= t_hi]
-    if not idx:
-        raise ValueError("no samples in the requested epoch")
-    fair = result["bandwidth"] / active
-    errs = []
-    for k in range(active):
-        mean_rate = sum(result["cohort_rates_bps"][k][i] for i in idx) / len(idx)
-        errs.append(abs(mean_rate - fair) / fair)
-    return sum(errs) / len(errs)
+    rates = _late_epoch_rates(result, epoch_index)
+    fair = result["bandwidth"] / len(rates)
+    return sum(abs(r - fair) / fair for r in rates) / len(rates)
 
 
-def run(schemes: Sequence[str] = ("pert", "sack-droptail", "sack-red-ecn",
-                                  "vegas"), **kwargs) -> List[Dict]:
+def link_share(result: Dict, epoch_index: int) -> float:
+    """Fraction of the bottleneck the cohorts fill late in an epoch."""
+    return sum(_late_epoch_rates(result, epoch_index)) / result["bandwidth"]
+
+
+def run(schemes: Sequence[str] = SECTION4_SCHEMES, **kwargs) -> List[Dict]:
+    """Every scheme through the staircase; *kwargs* as for :func:`run_dynamics`."""
     return [run_dynamics(scheme, **kwargs) for scheme in schemes]
+
+
+def _epoch_rows(results: List[Dict]) -> List[Dict]:
+    return [
+        {"scheme": res["scheme"], "epoch": e, "active_cohorts": e + 1,
+         "share_error": cohort_share_error(res, e),
+         "link_share": link_share(res, e)}
+        for res in results for e in range(res["n_cohorts"])
+    ]
 
 
 def validation_metrics(results: List[Dict]):
     """Flatten :func:`run` output for ``repro.validate``.
 
-    One metric per scheme per arrival epoch: the mean relative deviation
-    of cohort throughputs from equal shares late in that epoch.
+    Per scheme and arrival epoch: the mean relative deviation of cohort
+    throughputs from equal shares late in that epoch, and how full the
+    cohorts keep the link through the transition.
     """
-    from ..validate.extract import metric_id
+    from ..validate.extract import rows_to_metrics
 
-    out = {}
-    for res in results:
-        for e in range(res["n_cohorts"]):
-            out[metric_id(res["scheme"], "share_error", {"epoch": e})] = \
-                cohort_share_error(res, e)
-    return out
+    return rows_to_metrics(_epoch_rows(results), ("share_error", "link_share"),
+                           keys=("epoch",))
 
 
-def main() -> None:
-    results = run()
-    rows = []
-    for res in results:
-        for e in range(res["n_cohorts"]):
-            rows.append({
-                "scheme": res["scheme"],
-                "epoch": e,
-                "active_cohorts": e + 1,
-                "share_error": cohort_share_error(res, e),
-            })
-    print(format_table(rows, ["scheme", "epoch", "active_cohorts",
-                              "share_error"],
-                       title="Figure 12 — convergence to fair shares per epoch"))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(results: List[Dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, ("scheme", "epoch", "active_cohorts", "share_error",
+                     "link_share"), _epoch_rows(results))]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

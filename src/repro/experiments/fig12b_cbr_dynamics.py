@@ -20,19 +20,25 @@ from typing import Dict, List, Sequence
 from ..metrics.timeseries import settling_time
 from ..sim.engine import Simulator
 from ..sim.monitors import DropLog
-from ..sim.topology import Dumbbell
 from ..tcp.base import connect_flow
 from ..traffic.cbr import CbrSink, CbrSource
-from .report import format_table
-from .scenarios import get_scheme, scheme_sender_kwargs
+from .fig12_dynamics import scheme_dumbbell
+from .sweep import SECTION4_SCHEMES
 
-__all__ = ["run_cbr_dynamics", "run", "validation_metrics", "main"]
+__all__ = ["run_cbr_dynamics", "run", "validation_metrics", "tables"]
+
+TITLE = "Section 4.7 — dynamics under CBR traffic"
 
 PAPER_EXPECTATION = (
     "Responsive flows concede quickly when unresponsive traffic arrives "
     "and reclaim the bandwidth promptly when it leaves; PERT does so "
     "with near-zero loss (Section 4.7: 'results are similar')."
 )
+
+#: full tier only: the settling times need the 20 s phases
+QUICK = None
+
+COLUMNS = ("scheme", "concede_s", "reclaim_s", "drops_squeeze", "drops_total")
 
 
 def run_cbr_dynamics(
@@ -49,26 +55,9 @@ def run_cbr_dynamics(
     sample_interval: float = 0.5,
 ) -> Dict:
     """One scheme under a CBR on/off squeeze; returns the rate series."""
-    spec = get_scheme(scheme)
     sim = Simulator(seed=seed)
-    buffer_pkts = max(int(round(bandwidth * rtt / (8.0 * pkt_size))),
-                      2 * n_flows, 8)
-    sender_kwargs = scheme_sender_kwargs(spec, bandwidth, pkt_size, n_flows,
-                                         rtt)
-    bottleneck_delay = rtt / 4.0
-    access = (rtt / 2.0 - bottleneck_delay) / 2.0
-
-    def qdisc():
-        return spec.make_qdisc(sim, buffer_pkts, bandwidth, pkt_size,
-                               n_flows, rtt)
-
-    db = Dumbbell(
-        sim, n_left=n_flows + 1, n_right=n_flows + 1,
-        bottleneck_bw=bandwidth, bottleneck_delay=bottleneck_delay,
-        qdisc_fwd=qdisc, qdisc_rev=qdisc,
-        access_delays_left=[access] * (n_flows + 1),
-        access_delays_right=[access] * (n_flows + 1),
-    )
+    spec, sender_kwargs, db = scheme_dumbbell(
+        scheme, sim, bandwidth, rtt, n_flows, n_flows + 1, pkt_size)
     drop_log = DropLog(db.bottleneck_queue)
     flow_ids = itertools.count()
     flows = []
@@ -135,8 +124,8 @@ def phase_settling_times(result: Dict, tolerance: float = 0.2) -> Dict:
     }
 
 
-def run(schemes: Sequence[str] = ("pert", "sack-droptail", "sack-red-ecn",
-                                  "vegas"), **kwargs) -> List[Dict]:
+def run(schemes: Sequence[str] = SECTION4_SCHEMES, **kwargs) -> List[Dict]:
+    """Every scheme through the squeeze; *kwargs* as for :func:`run_cbr_dynamics`."""
     rows = []
     for scheme in schemes:
         res = run_cbr_dynamics(scheme, **kwargs)
@@ -162,21 +151,17 @@ def validation_metrics(rows: List[Dict]):
 
     out = {}
     for row in rows:
-        for m in ("concede_s", "reclaim_s", "drops_squeeze", "drops_total"):
+        for m in COLUMNS[1:]:
             if row[m] is not None:
                 out[metric_id(row["scheme"], m)] = float(row[m])
     return out
 
 
-def main() -> None:
-    rows = run()
-    print(format_table(
-        rows, ["scheme", "concede_s", "reclaim_s", "drops_squeeze",
-               "drops_total"],
-        title="Section 4.7 — dynamics under non-responsive (CBR) traffic",
-    ))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(rows: List[Dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, COLUMNS, rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

@@ -16,15 +16,20 @@ from typing import Dict, List, Sequence
 
 from ..fluid.registry import make_fluid_model
 from ..fluid.stability import min_delta, trajectory_is_stable
-from .report import format_table
 
 __all__ = ["run_min_delta", "run_trajectories", "run", "validation_metrics",
-           "main"]
+           "tables"]
+
+TITLE = "Figure 13 — PERT/RED fluid-model stability"
 
 PAPER_EXPECTATION = (
     "(a) min delta decreases monotonically to ~0.1 s at N-=40; "
     "(b-d) stable at R=100 and 160 ms, unstable at 171 ms."
 )
+
+#: full paper parameters at both tiers: the DDE integration is the one
+#: sub-minute check whose paper numbers need no scaling
+QUICK = {}
 
 FIG13A_PARAMS = dict(capacity=1000.0, r_plus=0.2, p_max=0.1,
                      t_min=0.05, t_max=0.1, alpha=0.99)
@@ -68,6 +73,7 @@ def run_trajectories(
 
 
 def run(**kwargs) -> Dict[str, List[Dict]]:
+    """Both halves of the figure; *kwargs* as for :func:`run_trajectories`."""
     return {
         "fig13a": run_min_delta(),
         "fig13bd": run_trajectories(**kwargs),
@@ -94,17 +100,17 @@ def validation_metrics(output: Dict[str, List[Dict]]):
     return out
 
 
-def main() -> None:
-    out = run()
-    print(format_table(out["fig13a"], ["n_minus", "min_delta_s"],
-                       title="Figure 13(a) — minimum stable sampling interval"))
-    print()
-    print(format_table(out["fig13bd"],
-                       ["rtt_ms", "stable", "w_star", "w_tail_min",
-                        "w_tail_max"],
-                       title="Figure 13(b-d) — PERT/RED fluid trajectories"))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(output: Dict[str, List[Dict]]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [
+        ("Figure 13(a) — minimum stable sampling interval",
+         ("n_minus", "min_delta_s"), output["fig13a"]),
+        ("Figure 13(b-d) — PERT/RED fluid trajectories",
+         ("rtt_ms", "stable", "w_star", "w_tail_min", "w_tail_max"),
+         output["fig13bd"]),
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

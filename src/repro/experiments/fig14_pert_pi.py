@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .common import run_dumbbell
-from .report import format_table
-from .sweep import result_row
+from . import fig7_rtt
 
-__all__ = ["run", "validation_metrics", "main", "DEFAULT_RTTS",
+__all__ = ["run", "validation_metrics", "tables", "DEFAULT_RTTS",
            "FIG14_SCHEMES"]
+
+TITLE = "Figure 14 — emulating PI at end hosts"
 
 PAPER_EXPECTATION = (
     "PERT-PI utilization and queue similar to router PI/ECN; ~zero "
@@ -29,6 +29,9 @@ PAPER_EXPECTATION = (
 
 DEFAULT_RTTS = [0.02, 0.06, 0.120, 0.240]
 FIG14_SCHEMES = ("pert-pi", "sack-pi-ecn", "pert")
+
+QUICK = dict(rtts=[0.03, 0.06], bandwidth=8e6, n_fwd=6, web_sessions=1,
+             base_duration=8.0)
 
 
 def run(
@@ -40,45 +43,26 @@ def run(
     web_sessions: int = 3,
     base_duration: float = 40.0,
 ) -> List[dict]:
-    rtts = list(rtts) if rtts is not None else DEFAULT_RTTS
-    rows: List[dict] = []
-    for rtt in rtts:
-        duration = max(base_duration, 300.0 * rtt)
-        warmup = duration * 0.375
-        for scheme in schemes:
-            result = run_dumbbell(
-                scheme,
-                bandwidth=bandwidth,
-                rtt=rtt,
-                n_fwd=n_fwd,
-                duration=duration,
-                warmup=warmup,
-                seed=seed,
-                web_sessions=web_sessions,
-            )
-            rows.append(result_row(result, {"rtt_ms": rtt * 1e3}))
-    return rows
+    """The Figure 7 RTT sweep (same per-RTT run lengths) over the PI schemes."""
+    return fig7_rtt.spec(
+        rtts if rtts is not None else DEFAULT_RTTS, bandwidth=bandwidth,
+        n_fwd=n_fwd, seed=seed, schemes=schemes, web_sessions=web_sessions,
+        base_duration=base_duration,
+    ).run()
 
 
 def validation_metrics(rows: List[dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-RTT rows)."""
-    from ..validate.extract import rows_to_metrics
+    from ..validate.extract import headline_metrics
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("rtt_ms",),
-    )
+    return headline_metrics(rows, keys=("rtt_ms",))
 
 
-def main() -> None:
-    rows = run()
-    print(format_table(
-        rows,
-        ["rtt_ms", "scheme", "norm_queue", "drop_rate", "utilization", "jain"],
-        title="Figure 14 — emulating PI at end hosts",
-    ))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, fig7_rtt.COLUMNS, rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

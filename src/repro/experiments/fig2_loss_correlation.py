@@ -17,15 +17,18 @@ from typing import Dict, List, Optional
 
 from ..predictors.analysis import high_to_loss_fraction
 from ..predictors.threshold import InstantRttPredictor
-from .report import format_table
-from .section2 import CaseTrace, TrafficCase, collect_case_trace, default_cases
+from .section2 import QUICK_CASES, CaseTrace, TrafficCase, collect_all_cases
 
-__all__ = ["run", "rows_from_traces", "validation_metrics", "main"]
+__all__ = ["run", "rows_from_traces", "validation_metrics", "tables"]
+
+TITLE = "Figure 2 — flow-level vs queue-level loss correlation"
 
 PAPER_EXPECTATION = (
     "Queue-level high->loss fraction well above the flow-level fraction "
     "in every case (paper Figure 2: ~0.6-0.9 vs ~0.1-0.4)."
 )
+
+QUICK = dict(cases=QUICK_CASES, bandwidth=8e6, duration=20.0)
 
 
 def rows_from_traces(traces: Dict[str, CaseTrace],
@@ -62,37 +65,39 @@ def rows_from_traces(traces: Dict[str, CaseTrace],
     return rows
 
 
-def run(
-    cases: Optional[List[TrafficCase]] = None,
-    bandwidth: float = 16e6,
-    duration: float = 60.0,
-    seed: int = 1,
-) -> List[dict]:
-    """Collect traces for every case and compute the Figure 2 rows."""
-    cases = cases if cases is not None else default_cases()
-    traces = {
-        c.name: collect_case_trace(c, bandwidth=bandwidth, duration=duration,
-                                   seed=seed)
-        for c in cases
-    }
-    return rows_from_traces(traces)
+def run(cases: Optional[List[TrafficCase]] = None, **kwargs) -> List[dict]:
+    """Collect traces for every case and compute the Figure 2 rows.
+
+    *kwargs* as for :func:`~repro.experiments.section2.collect_all_cases`.
+    """
+    return rows_from_traces(collect_all_cases(cases, **kwargs))
 
 
 def validation_metrics(rows: List[dict]) -> Dict[str, float]:
-    """Flatten :func:`run` output for ``repro.validate`` (per-case fractions)."""
-    from ..validate.extract import rows_to_metrics
+    """Flatten :func:`run` output for ``repro.validate``.
 
-    return rows_to_metrics(rows, metrics=("flow_level", "queue_level"),
-                           prefix_col="case")
+    Per case: the two fractions, their gap (the claim is queue-level >=
+    flow-level) and the ratio of the raw loss processes — how many
+    bottleneck drops there are for every loss the tagged flow sees.
+    """
+    from ..validate.extract import metric_id, rows_to_metrics
+
+    out = rows_to_metrics(rows, metrics=("flow_level", "queue_level"),
+                          prefix_col="case")
+    for row in rows:
+        out[metric_id(row["case"], "queue_minus_flow")] = (
+            row["queue_level"] - row["flow_level"])
+        out[metric_id(row["case"], "drop_event_ratio")] = (
+            row["queue_drop_events"] / max(row["flow_loss_events"], 1))
+    return out
 
 
-def main() -> None:
-    rows = run()
-    print(format_table(rows, ["case", "long_flows", "web", "flow_level",
-                              "queue_level"],
-                       title="Figure 2 — high-RTT -> loss transition fraction"))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, ("case", "long_flows", "web", "flow_level", "queue_level",
+                     "flow_loss_events", "queue_drop_events"), rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

@@ -30,11 +30,12 @@ from ..predictors import (
     VegasPredictor,
     score_predictor,
 )
-from .report import format_table
-from .section2 import CaseTrace, TrafficCase, collect_case_trace, default_cases
+from .section2 import QUICK_CASES, CaseTrace, TrafficCase, collect_all_cases
 
 __all__ = ["predictor_suite", "rows_from_traces", "run", "validation_metrics",
-           "main"]
+           "tables"]
+
+TITLE = "Figure 3 — congestion-predictor comparison"
 
 PAPER_EXPECTATION = (
     "srtt_0.99 and the buffer-sized moving average dominate: high "
@@ -42,6 +43,11 @@ PAPER_EXPECTATION = (
     "best classic predictor.  The instantaneous signal is aggressive but "
     "noisy (higher false positives)."
 )
+
+QUICK = dict(cases=QUICK_CASES[:1], bandwidth=8e6, duration=20.0)
+
+#: the per-RTT predictors of the prior work Vegas is ranked against
+CLASSICS = ("card", "tri-s", "dual", "cim")
 
 
 def predictor_suite(threshold: float, buffer_window: int = 750) -> List[Predictor]:
@@ -90,37 +96,38 @@ def rows_from_traces(
     return rows
 
 
-def run(
-    cases: Optional[List[TrafficCase]] = None,
-    bandwidth: float = 16e6,
-    duration: float = 60.0,
-    seed: int = 1,
-) -> List[dict]:
-    cases = cases if cases is not None else default_cases()
-    traces = {
-        c.name: collect_case_trace(c, bandwidth=bandwidth, duration=duration,
-                                   seed=seed)
-        for c in cases
-    }
-    return rows_from_traces(traces)
+def run(cases: Optional[List[TrafficCase]] = None, **kwargs) -> List[dict]:
+    """Collect traces for every case and compute the Figure 3 rows.
+
+    *kwargs* as for :func:`~repro.experiments.section2.collect_all_cases`.
+    """
+    return rows_from_traces(collect_all_cases(cases, **kwargs))
 
 
 def validation_metrics(rows: List[dict]) -> Dict[str, float]:
-    """Flatten :func:`run` output for ``repro.validate`` (per-predictor scores)."""
+    """Flatten :func:`run` output for ``repro.validate``.
+
+    Per-predictor scores, plus Vegas' efficiency over the best *other*
+    classic (a maximum no derived band id can express).
+    """
     from ..validate.extract import rows_to_metrics
 
-    return rows_to_metrics(
+    out = rows_to_metrics(
         rows, metrics=("efficiency", "false_pos", "false_neg"),
         prefix_col="predictor",
     )
+    if rows:
+        out["vegas_vs_classics.efficiency_diff"] = out["vegas.efficiency"] - max(
+            out[f"{c}.efficiency"] for c in CLASSICS)
+    return out
 
 
-def main() -> None:
-    rows = run()
-    print(format_table(rows, ["predictor", "efficiency", "false_pos", "false_neg"],
-                       title="Figure 3 — predictor comparison (queue-level losses)"))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE + " (queue-level losses)",
+             ("predictor", "efficiency", "false_pos", "false_neg"), rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

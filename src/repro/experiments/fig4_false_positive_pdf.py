@@ -18,15 +18,19 @@ from typing import Dict, List, Optional, Tuple
 from ..metrics.stats import histogram_pdf
 from ..predictors.analysis import false_positive_samples
 from ..predictors.threshold import EwmaRttPredictor
-from .report import format_table
-from .section2 import CaseTrace, TrafficCase, collect_case_trace, default_cases
+from .section2 import QUICK_CASES, CaseTrace, TrafficCase, collect_all_cases
 
-__all__ = ["false_positive_queue_levels", "run", "validation_metrics", "main"]
+__all__ = ["false_positive_queue_levels", "run", "validation_metrics",
+           "tables"]
+
+TITLE = "Figure 4 — queue occupancy at srtt_0.99 false positives"
 
 PAPER_EXPECTATION = (
     "The PDF mass of normalized queue length at false positives sits "
     "mostly below 0.5 (Figure 4)."
 )
+
+QUICK = dict(cases=QUICK_CASES, bandwidth=8e6, duration=20.0)
 
 
 def false_positive_queue_levels(
@@ -42,25 +46,17 @@ def false_positive_queue_levels(
         times = false_positive_samples(pred, tr.rtt_trace, tr.queue_drops,
                                        horizon=2.0 * tr.base_rtt)
         for t in times:
-            levels.append(tr.queue_sampler.length_at(t) / tr.buffer_pkts)
+            levels.append(tr.queue_length_at(t) / tr.buffer_pkts)
     return levels
 
 
-def run(
-    cases: Optional[List[TrafficCase]] = None,
-    bandwidth: float = 16e6,
-    duration: float = 60.0,
-    seed: int = 1,
-    bins: int = 10,
-) -> Tuple[List[dict], List[float]]:
-    """Returns (PDF rows, raw normalized occupancies)."""
-    cases = cases if cases is not None else default_cases()
-    traces = {
-        c.name: collect_case_trace(c, bandwidth=bandwidth, duration=duration,
-                                   seed=seed)
-        for c in cases
-    }
-    levels = false_positive_queue_levels(traces)
+def run(cases: Optional[List[TrafficCase]] = None, bins: int = 10,
+        **kwargs) -> Tuple[List[dict], List[float]]:
+    """Returns (PDF rows, raw normalized occupancies).
+
+    *kwargs* as for :func:`~repro.experiments.section2.collect_all_cases`.
+    """
+    levels = false_positive_queue_levels(collect_all_cases(cases, **kwargs))
     pdf = histogram_pdf(levels, bins=bins, lo=0.0, hi=1.0)
     rows = [{"norm_queue_bin": c, "pdf": p} for c, p in pdf]
     return rows, levels
@@ -84,15 +80,16 @@ def validation_metrics(output: Tuple[List[dict], List[float]]) -> Dict[str, floa
     }
 
 
-def main() -> None:
-    rows, levels = run()
-    print(format_table(rows, ["norm_queue_bin", "pdf"],
-                       title="Figure 4 — PDF of normalized queue length at "
-                             "srtt_0.99 false positives"))
-    below_half = sum(1 for x in levels if x < 0.5) / len(levels) if levels else 0.0
-    print(f"\nfraction of false positives below half occupancy: {below_half:.2f}")
-    print(f"Paper expectation: {PAPER_EXPECTATION}")
+def tables(output: Tuple[List[dict], List[float]]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    rows, _ = output
+    summary = validation_metrics(output)
+    return [
+        (TITLE, ("norm_queue_bin", "pdf"), rows),
+        ("False positives below half occupancy", tuple(summary), [summary]),
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

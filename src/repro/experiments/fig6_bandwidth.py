@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .report import format_table
 from .scenarios import ScenarioPoint, ScenarioSpec
 from .sweep import SECTION4_SCHEMES
 
-__all__ = ["spec", "run", "validation_metrics", "main", "DEFAULT_BANDWIDTHS"]
+__all__ = ["spec", "run", "validation_metrics", "tables", "DEFAULT_BANDWIDTHS"]
+
+TITLE = "Figure 6 — impact of bottleneck bandwidth"
 
 PAPER_EXPECTATION = (
     "Queue: droptail high, PERT <= RED-ECN, Vegas sometimes above "
@@ -33,6 +34,11 @@ PAPER_EXPECTATION = (
 )
 
 DEFAULT_BANDWIDTHS = [1e6, 2e6, 4e6, 8e6, 16e6, 32e6]
+
+COLUMNS = ("bandwidth_mbps", "n_fwd", "scheme", "norm_queue",
+           "drop_rate", "utilization", "jain")
+
+QUICK = dict(bandwidths=[2e6, 8e6], duration=8.0, warmup=3.0, web_sessions=1)
 
 
 def _flows_for_bandwidth(bw: float) -> int:
@@ -59,47 +65,30 @@ def spec(
         for bw in bandwidths
     ]
     return ScenarioSpec(
-        name="fig6_bandwidth",
-        title="Figure 6 — impact of bottleneck bandwidth",
         points=points,
         schemes=tuple(schemes),
         base=dict(rtt=rtt, duration=duration, warmup=warmup, seed=seed,
                   web_sessions=web_sessions),
-        columns=("bandwidth_mbps", "n_fwd", "scheme", "norm_queue",
-                 "drop_rate", "utilization", "jain"),
-        expectation=PAPER_EXPECTATION,
     )
 
 
-def run(
-    bandwidths: Optional[Sequence[float]] = None,
-    rtt: float = 0.060,
-    duration: float = 40.0,
-    warmup: float = 15.0,
-    seed: int = 1,
-    schemes: Sequence[str] = SECTION4_SCHEMES,
-    web_sessions: int = 3,
-) -> List[dict]:
-    return spec(bandwidths, rtt=rtt, duration=duration, warmup=warmup,
-                seed=seed, schemes=schemes, web_sessions=web_sessions).run()
+def run(*args, **kwargs) -> List[dict]:
+    """Run the sweep; arguments as for :func:`spec`."""
+    return spec(*args, **kwargs).run()
 
 
 def validation_metrics(rows: List[dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-bandwidth rows)."""
-    from ..validate.extract import rows_to_metrics
+    from ..validate.extract import headline_metrics
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("bandwidth_mbps",),
-    )
+    return headline_metrics(rows, keys=("bandwidth_mbps",))
 
 
-def main() -> None:
-    scenario = spec()
-    rows = scenario.run()
-    print(format_table(rows, list(scenario.columns), title=scenario.title))
-    print(f"\nPaper expectation: {scenario.expectation}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, COLUMNS, rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .report import format_table
 from .scenarios import ScenarioPoint, ScenarioSpec
 from .sweep import SECTION4_SCHEMES
 
-__all__ = ["spec", "run", "validation_metrics", "main", "DEFAULT_RTTS"]
+__all__ = ["spec", "run", "validation_metrics", "tables", "DEFAULT_RTTS"]
+
+TITLE = "Figure 7 — impact of end-to-end RTT"
 
 PAPER_EXPECTATION = (
     "Queue and drop rate of PERT similar to SACK/RED-ECN across RTTs; "
@@ -26,6 +27,11 @@ PAPER_EXPECTATION = (
 )
 
 DEFAULT_RTTS = [0.02, 0.04, 0.06, 0.120, 0.240, 0.400]
+
+COLUMNS = ("rtt_ms", "scheme", "norm_queue", "drop_rate", "utilization",
+           "jain")
+
+QUICK = dict(rtts=[0.02, 0.05], bandwidth=8e6, n_fwd=6, base_duration=8.0)
 
 
 def spec(
@@ -53,48 +59,30 @@ def spec(
             tags={"rtt_ms": rtt * 1e3},
         ))
     return ScenarioSpec(
-        name="fig7_rtt",
-        title="Figure 7 — impact of end-to-end RTT",
         points=points,
         schemes=tuple(schemes),
         base=dict(bandwidth=bandwidth, n_fwd=n_fwd, seed=seed,
                   web_sessions=web_sessions),
-        columns=("rtt_ms", "scheme", "norm_queue", "drop_rate",
-                 "utilization", "jain"),
-        expectation=PAPER_EXPECTATION,
     )
 
 
-def run(
-    rtts: Optional[Sequence[float]] = None,
-    bandwidth: float = 16e6,
-    n_fwd: int = 12,
-    seed: int = 1,
-    schemes: Sequence[str] = SECTION4_SCHEMES,
-    web_sessions: int = 3,
-    base_duration: float = 40.0,
-) -> List[dict]:
-    return spec(rtts, bandwidth=bandwidth, n_fwd=n_fwd, seed=seed,
-                schemes=schemes, web_sessions=web_sessions,
-                base_duration=base_duration).run()
+def run(*args, **kwargs) -> List[dict]:
+    """Run the sweep; arguments as for :func:`spec`."""
+    return spec(*args, **kwargs).run()
 
 
 def validation_metrics(rows: List[dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-RTT rows)."""
-    from ..validate.extract import rows_to_metrics
+    from ..validate.extract import headline_metrics
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("rtt_ms",),
-    )
+    return headline_metrics(rows, keys=("rtt_ms",))
 
 
-def main() -> None:
-    scenario = spec()
-    rows = scenario.run()
-    print(format_table(rows, list(scenario.columns), title=scenario.title))
-    print(f"\nPaper expectation: {scenario.expectation}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, COLUMNS, rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

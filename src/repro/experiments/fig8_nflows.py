@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .report import format_table
 from .scenarios import ScenarioPoint, ScenarioSpec
 from .sweep import SECTION4_SCHEMES
 
-__all__ = ["spec", "run", "validation_metrics", "main", "DEFAULT_FLOW_COUNTS"]
+__all__ = ["spec", "run", "validation_metrics", "tables", "DEFAULT_FLOW_COUNTS"]
+
+TITLE = "Figure 8 — impact of the number of flows"
 
 PAPER_EXPECTATION = (
     "PERT queue/drops similar to RED-ECN at every flow count; Vegas "
@@ -27,6 +28,11 @@ PAPER_EXPECTATION = (
 )
 
 DEFAULT_FLOW_COUNTS = [1, 2, 5, 10, 20, 40, 80]
+
+COLUMNS = ("n_fwd", "scheme", "norm_queue", "drop_rate", "utilization", "jain")
+
+QUICK = dict(flow_counts=[2, 12], bandwidth=8e6, duration=8.0, warmup=3.0,
+             web_sessions=1)
 
 
 def spec(
@@ -48,49 +54,40 @@ def spec(
         for n in flow_counts
     ]
     return ScenarioSpec(
-        name="fig8_nflows",
-        title="Figure 8 — impact of the number of long-term flows",
         points=points,
         schemes=tuple(schemes),
         base=dict(bandwidth=bandwidth, rtt=rtt, duration=duration,
                   warmup=warmup, seed=seed, web_sessions=web_sessions),
-        columns=("n_fwd", "scheme", "norm_queue", "drop_rate",
-                 "utilization", "jain"),
-        expectation=PAPER_EXPECTATION,
     )
 
 
-def run(
-    flow_counts: Optional[Sequence[int]] = None,
-    bandwidth: float = 32e6,
-    rtt: float = 0.060,
-    duration: float = 40.0,
-    warmup: float = 15.0,
-    seed: int = 1,
-    schemes: Sequence[str] = SECTION4_SCHEMES,
-    web_sessions: int = 3,
-) -> List[dict]:
-    return spec(flow_counts, bandwidth=bandwidth, rtt=rtt, duration=duration,
-                warmup=warmup, seed=seed, schemes=schemes,
-                web_sessions=web_sessions).run()
+def run(*args, **kwargs) -> List[dict]:
+    """Run the sweep; arguments as for :func:`spec`."""
+    return spec(*args, **kwargs).run()
 
 
 def validation_metrics(rows: List[dict]):
-    """Flatten :func:`run` output for ``repro.validate`` (per-flow-count rows)."""
-    from ..validate.extract import rows_to_metrics
+    """Flatten :func:`run` output for ``repro.validate`` (per-flow-count rows).
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("n_fwd",),
-    )
+    Adds the one claim only this sweep makes: Vegas parks alpha..beta
+    packets per flow, so its standing queue grows from the smallest to
+    the largest population.
+    """
+    from ..validate.extract import headline_metrics
+
+    out = headline_metrics(rows, keys=("n_fwd",))
+    vegas = [r["norm_queue"] for r in rows
+             if r["scheme"] == "vegas" and not r.get("failed")]
+    if vegas:
+        out["vegas.norm_queue_growth"] = vegas[-1] - vegas[0]
+    return out
 
 
-def main() -> None:
-    scenario = spec()
-    rows = scenario.run()
-    print(format_table(rows, list(scenario.columns), title=scenario.title))
-    print(f"\nPaper expectation: {scenario.expectation}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, COLUMNS, rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

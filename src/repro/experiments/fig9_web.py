@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .report import format_table
 from .scenarios import ScenarioPoint, ScenarioSpec
 from .sweep import SECTION4_SCHEMES
 
-__all__ = ["spec", "run", "validation_metrics", "main",
+__all__ = ["spec", "run", "validation_metrics", "tables",
            "DEFAULT_SESSION_COUNTS"]
+
+TITLE = "Figure 9 — impact of web traffic"
 
 PAPER_EXPECTATION = (
     "PERT: low queue and ~zero drops at every web load, like RED-ECN; "
@@ -26,6 +27,12 @@ PAPER_EXPECTATION = (
 )
 
 DEFAULT_SESSION_COUNTS = [2, 4, 8, 16, 32]
+
+COLUMNS = ("web_sessions", "scheme", "norm_queue", "drop_rate", "utilization",
+           "jain")
+
+QUICK = dict(session_counts=[2, 6], bandwidth=6e6, n_fwd=4, duration=8.0,
+             warmup=3.0)
 
 
 def spec(
@@ -48,49 +55,30 @@ def spec(
         for n in session_counts
     ]
     return ScenarioSpec(
-        name="fig9_web",
-        title="Figure 9 — impact of web traffic",
         points=points,
         schemes=tuple(schemes),
         base=dict(bandwidth=bandwidth, rtt=rtt, n_fwd=n_fwd,
                   duration=duration, warmup=warmup, seed=seed),
-        columns=("web_sessions", "scheme", "norm_queue", "drop_rate",
-                 "utilization", "jain"),
-        expectation=PAPER_EXPECTATION,
     )
 
 
-def run(
-    session_counts: Optional[Sequence[int]] = None,
-    bandwidth: float = 10e6,
-    rtt: float = 0.060,
-    n_fwd: int = 8,
-    duration: float = 40.0,
-    warmup: float = 15.0,
-    seed: int = 1,
-    schemes: Sequence[str] = SECTION4_SCHEMES,
-) -> List[dict]:
-    return spec(session_counts, bandwidth=bandwidth, rtt=rtt, n_fwd=n_fwd,
-                duration=duration, warmup=warmup, seed=seed,
-                schemes=schemes).run()
+def run(*args, **kwargs) -> List[dict]:
+    """Run the sweep; arguments as for :func:`spec`."""
+    return spec(*args, **kwargs).run()
 
 
 def validation_metrics(rows: List[dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-web-load rows)."""
-    from ..validate.extract import rows_to_metrics
+    from ..validate.extract import headline_metrics
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("web_sessions",),
-    )
+    return headline_metrics(rows, keys=("web_sessions",))
 
 
-def main() -> None:
-    scenario = spec()
-    rows = scenario.run()
-    print(format_table(rows, list(scenario.columns), title=scenario.title))
-    print(f"\nPaper expectation: {scenario.expectation}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE, COLUMNS, rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

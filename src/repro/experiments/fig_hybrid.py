@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.config import PertConfig
-from .report import format_table
 from .scenarios import ScenarioPoint, ScenarioSpec
 
 __all__ = [
@@ -35,12 +34,14 @@ __all__ = [
     "run",
     "run_extreme",
     "validation_metrics",
-    "main",
+    "tables",
     "DEFAULT_FLOW_COUNTS",
     "PER_FLOW_BW",
     "foreground_count",
     "background_spec",
 ]
+
+TITLE = "Hybrid engine — fluid background vs packet agreement"
 
 PAPER_EXPECTATION = (
     "hybrid runs track the pure packet runs' queue/drops/utilization at "
@@ -51,6 +52,12 @@ PAPER_EXPECTATION = (
 
 #: total-flow counts of the agreement sweep (log axis, like Figure 8)
 DEFAULT_FLOW_COUNTS = [10, 100, 1000]
+
+COLUMNS = ("mode", "n", "bg_share", "norm_queue", "drop_rate", "utilization",
+           "jain")
+
+QUICK = dict(flow_counts=[10, 40], duration=12.0, warmup=4.0,
+             extreme_duration=12.0, extreme_warmup=4.0)
 
 #: per-flow bottleneck share kept constant as N grows: 0.8 Mbps = 100
 #: packets/s per flow at 1000-byte packets, i.e. a per-flow window of
@@ -120,14 +127,9 @@ def spec(
             background=background_spec(n, n_fg),
         ))
     return ScenarioSpec(
-        name="fig_hybrid",
-        title="Hybrid engine — fluid background vs pure packet agreement",
         points=points,
         schemes=("pert",),
         base=dict(rtt=rtt, duration=duration, warmup=warmup, seed=seed),
-        columns=("mode", "n", "bg_share", "norm_queue", "drop_rate",
-                 "utilization", "jain"),
-        expectation=PAPER_EXPECTATION,
     )
 
 
@@ -222,14 +224,11 @@ def validation_metrics(rows: List[dict]) -> Dict[str, float]:
     hand-set agreement bounds in the expected file), and the
     extreme-scale deliverable metrics.
     """
-    from ..validate.extract import metric_id, rows_to_metrics
+    from ..validate.extract import headline_metrics, metric_id
 
     sweep_rows = [r for r in rows if not r.get("extreme")]
     extreme_rows = [r for r in rows if r.get("extreme")]
-    out = rows_to_metrics(
-        sweep_rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("mode", "n"),
-    )
+    out = headline_metrics(sweep_rows, keys=("mode", "n"))
     by_point = {
         (r["mode"], r["n"]): r for r in sweep_rows if not r.get("failed")
     }
@@ -255,24 +254,17 @@ def validation_metrics(rows: List[dict]) -> Dict[str, float]:
     return out
 
 
-def main() -> None:
-    scenario = spec()
-    rows = run()
-    sweep_rows = [r for r in rows if not r.get("extreme")]
-    print(format_table(sweep_rows, list(scenario.columns),
-                       title=scenario.title))
-    for r in rows:
-        if r.get("extreme"):
-            print(
-                f"\n10^5-flow hybrid (pert, {r['n']} flows, "
-                f"bg share {r['bg_share']:.5f}): "
-                f"jain={r['jain']:.4f}  "
-                f"qdelay mean/p50/p95 = {r['qdelay_ms']:.2f}/"
-                f"{r['qdelay_p50_ms']:.2f}/{r['qdelay_p95_ms']:.2f} ms  "
-                f"util={r['utilization']:.3f}  drop={r['drop_rate']:.4f}"
-            )
-    print(f"\nPaper expectation: {scenario.expectation}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [
+        (TITLE, COLUMNS, [r for r in rows if not r.get("extreme")]),
+        ("Extreme scale — foreground PERT flows over the fluid ensemble",
+         ("n", "bg_share", "jain", "qdelay_ms", "qdelay_p50_ms",
+          "qdelay_p95_ms", "utilization", "drop_rate"),
+         [r for r in rows if r.get("extreme")]),
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

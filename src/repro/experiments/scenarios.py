@@ -185,27 +185,22 @@ class ScenarioPoint:
 class ScenarioSpec:
     """Declarative description of one figure-style dumbbell sweep.
 
-    A spec is the single source of truth an experiment module needs:
-    the shared topology/traffic parameters (``base``), the sweep points,
-    the schemes to overlay, and the reporting metadata (``columns``,
-    ``title``, ``expectation``).  :meth:`run` expands the grid through
-    :func:`repro.experiments.sweep.sweep_dumbbell`, which supplies
-    process fan-out, caching and crash isolation; rows come back in
-    point-major, scheme-minor order, exactly as the historical
+    A spec holds what the sweep *is*: the shared topology/traffic
+    parameters (``base``), the sweep points and the schemes to overlay.
+    (What the figure is *called* and how it is reported — title, columns,
+    the paper's expectation — is stated by the figure module; see
+    :mod:`repro.experiments.figures`.)  :meth:`run` expands the grid
+    through :func:`repro.experiments.sweep.sweep_dumbbell`, which
+    supplies process fan-out, caching and crash isolation; rows come
+    back in point-major, scheme-minor order, exactly as the historical
     hand-rolled loops produced them.
     """
 
-    name: str
-    title: str
     points: List[ScenarioPoint]
     #: ``None`` means the Section 4 comparison set
     schemes: Optional[Sequence[str]] = None
     #: shared ``run_dumbbell`` keyword arguments
     base: Dict[str, Any] = field(default_factory=dict)
-    #: table columns for reporting, in display order
-    columns: Sequence[str] = ()
-    #: the paper's qualitative expectation for this figure
-    expectation: str = ""
     #: optional fluid background load applied to every point (dict form
     #: of :class:`repro.hybrid.BackgroundLoad`); a point-level
     #: ``background`` overrides this spec-level one
@@ -216,14 +211,18 @@ class ScenarioSpec:
         bg = point.background if point.background is not None else self.background
         return None if bg is None else dict(bg)
 
-    def kwargs_for(self, point: ScenarioPoint) -> Dict[str, Any]:
-        """Full ``run_dumbbell`` kwargs for *point* (base + overrides)."""
-        kwargs = dict(self.base)
-        kwargs.update(point.overrides)
+    def overrides_for(self, point: ScenarioPoint) -> Dict[str, Any]:
+        """What *point* changes on top of ``base``: its overrides plus the
+        effective background."""
+        overrides = dict(point.overrides)
         bg = self.background_for(point)
         if bg is not None:
-            kwargs["background"] = bg
-        return kwargs
+            overrides["background"] = bg
+        return overrides
+
+    def kwargs_for(self, point: ScenarioPoint) -> Dict[str, Any]:
+        """Full ``run_dumbbell`` kwargs for *point* (base + overrides)."""
+        return {**self.base, **self.overrides_for(point)}
 
     def tags_for(self, point: ScenarioPoint) -> Dict[str, Any]:
         """Row tags for *point*, with hybrid points auto-tagged.
@@ -271,15 +270,8 @@ class ScenarioSpec:
         """
         from .sweep import sweep_dumbbell  # local: avoids an import cycle
 
-        def point_overrides(p: ScenarioPoint) -> Dict[str, Any]:
-            overrides = dict(p.overrides)
-            bg = self.background_for(p)
-            if bg is not None:
-                overrides["background"] = bg
-            return overrides
-
         return sweep_dumbbell(
-            [point_overrides(p) for p in self.points],
+            [self.overrides_for(p) for p in self.points],
             schemes=self.resolved_schemes(),
             tags=[self.tags_for(p) for p in self.points],
             workers=workers,

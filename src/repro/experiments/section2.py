@@ -16,17 +16,24 @@ comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from ..runner import JobSpec, run_jobs
+from ..sim.monitors import nearest_sample
 from .common import run_dumbbell
 
 __all__ = [
     "TrafficCase",
     "default_cases",
+    "QUICK_CASES",
+    "case_trace_job",
     "collect_case_trace",
     "collect_all_cases",
     "CaseTrace",
 ]
+
+#: dotted-path job kind of :func:`case_trace_job`
+_TRACE_KIND = "repro.experiments.section2:case_trace_job"
 
 
 @dataclass(frozen=True)
@@ -65,70 +72,98 @@ def default_cases(scale: float = 1.0) -> List[TrafficCase]:
     return cases
 
 
+#: the CI-sized load cases the quick tier of Figures 2-4 observes
+QUICK_CASES = [TrafficCase("case1", n_fwd=5, n_rev=2, web_sessions=2),
+               TrafficCase("case2", n_fwd=8, n_rev=4, web_sessions=4)]
+
+
 @dataclass
 class CaseTrace:
     """Artefacts of one observed-flow measurement run."""
 
     case: TrafficCase
-    rtt_trace: List[Tuple[float, float, float]]  # (time, rtt, cwnd)
+    rtt_trace: List[Sequence[float]]  # (time, rtt, cwnd) per ACK
     flow_losses: List[float]
     queue_drops: List[float]
-    queue_sampler: object  # QueueSampler (length_at / mean)
+    #: the bottleneck queue sampled on a 5 ms grid over the whole run
+    queue_times: List[float]
+    queue_lengths: List[int]
     buffer_pkts: int
     base_rtt: float
+    events_processed: int = 0
+
+    def queue_length_at(self, t: float) -> int:
+        """Bottleneck queue length at the sample nearest to time *t*."""
+        return nearest_sample(self.queue_times, self.queue_lengths, t)
 
 
-def collect_case_trace(
-    case: TrafficCase,
+def case_trace_job(params: dict) -> dict:
+    """Runner job: one load case's tagged-flow trace as a JSON-clean payload.
+
+    The observed flow (forward flow 0) records every per-ACK RTT; losses
+    are logged both at the flow (its own loss detections, the
+    tcpdump-style view) and at the bottleneck queue (every drop) — the
+    two loss definitions contrasted in Figure 2.
+
+    As in the paper's Section 2 topology, the competing flows get a
+    spread of RTTs (the observed flow keeps exactly ``rtt``), which
+    desynchronizes their sawtooths.
+    """
+    rtt, n_fwd, warmup = params["rtt"], params["n_fwd"], params["warmup"]
+    rtts = [rtt]
+    for i in range(1, n_fwd):
+        rtts.append(rtt * (0.6 + 1.4 * (i - 1) / max(1, n_fwd - 2)))
+    # the rest of *params* are run_dumbbell keywords under their own names
+    result = run_dumbbell(**params, rtts=rtts[:n_fwd], record_rtt_flow=0)
+    extras = result.extras
+    sampler = extras["queue_sampler"]
+    return {
+        "rtt_trace": [list(s) for s in extras["rtt_trace"] if s[0] >= warmup],
+        "flow_losses": [t for t in extras["flow_losses"] if t >= warmup],
+        "queue_drops": [t for t in extras["queue_drops"] if t >= warmup],
+        "queue_times": sampler.times,
+        "queue_lengths": sampler.lengths,
+        "buffer_pkts": result.buffer_pkts,
+        "base_rtt": result.rtt,
+        "events_processed": result.events_processed,
+    }
+
+
+def collect_all_cases(
+    cases: Optional[List[TrafficCase]] = None,
+    *,
     bandwidth: float = 16e6,
     rtt: float = 0.060,
     duration: float = 60.0,
     warmup: float = 10.0,
     seed: int = 1,
     scheme: str = "sack-droptail",
-) -> CaseTrace:
-    """Run one traffic case, observing forward flow 0 (the paper's flow).
-
-    The observed flow records every per-ACK RTT; losses are logged both
-    at the flow (its own loss detections, the tcpdump-style view) and at
-    the bottleneck queue (every drop) — the two loss definitions
-    contrasted in Figure 2.
-
-    As in the paper's Section 2 topology, the competing flows get a
-    spread of RTTs (the observed flow keeps exactly *rtt*), which
-    desynchronizes their sawtooths.
-    """
-    rtts = [rtt]
-    for i in range(1, case.n_fwd):
-        rtts.append(rtt * (0.6 + 1.4 * (i - 1) / max(1, case.n_fwd - 2)))
-    result = run_dumbbell(
-        scheme,
-        bandwidth=bandwidth,
-        rtt=rtt,
-        rtts=rtts[: case.n_fwd],
-        n_fwd=case.n_fwd,
-        n_rev=case.n_rev,
-        web_sessions=case.web_sessions,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        record_rtt_flow=0,
-    )
-    trace = [(t, r, w) for t, r, w in result.extras["rtt_trace"] if t >= warmup]
-    return CaseTrace(
-        case=case,
-        rtt_trace=trace,
-        flow_losses=[t for t in result.extras["flow_losses"] if t >= warmup],
-        queue_drops=[t for t in result.extras["queue_drops"] if t >= warmup],
-        queue_sampler=result.extras["queue_sampler"],
-        buffer_pkts=result.buffer_pkts,
-        base_rtt=result.rtt,
-    )
-
-
-def collect_all_cases(
-    cases: List[TrafficCase] = None, **kwargs
+    workers: Optional[int] = None,
+    cache=None,
 ) -> Dict[str, CaseTrace]:
-    """Collect traces for every case; keyed by case name."""
+    """Collect every case's trace through the runner; keyed by case name.
+
+    The one collection path behind Figures 2, 3 and 4: one job per case
+    (its label stays out of the cache key), so the cases run in parallel
+    and the three figures — and any re-run — share the cached traces.
+    """
     cases = cases if cases is not None else default_cases()
-    return {c.name: collect_case_trace(c, **kwargs) for c in cases}
+    results = run_jobs([
+        JobSpec(_TRACE_KIND, dict(
+            n_fwd=c.n_fwd, n_rev=c.n_rev, web_sessions=c.web_sessions,
+            bandwidth=bandwidth, rtt=rtt, duration=duration, warmup=warmup,
+            seed=seed, scheme=scheme))
+        for c in cases
+    ], workers=workers, cache=cache)
+    traces = {}
+    for case, res in zip(cases, results):
+        if not res.ok:
+            raise RuntimeError(f"Section 2 {case.name} failed: {res.error}")
+        traces[case.name] = CaseTrace(case=case, **res.value)
+    return traces
+
+
+def collect_case_trace(case: TrafficCase, **kwargs) -> CaseTrace:
+    """One case, in-process and uncached; *kwargs* as for
+    :func:`collect_all_cases` (``bandwidth``, ``duration``, ``scheme``...)."""
+    return collect_all_cases([case], workers=0, cache=False, **kwargs)[case.name]

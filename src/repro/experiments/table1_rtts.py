@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..runner import dumbbell_spec, run_jobs
-from .report import format_table
-from .sweep import SECTION4_SCHEMES, failed_row, result_row
+from .scenarios import ScenarioPoint, ScenarioSpec
+from .sweep import SECTION4_SCHEMES
 
-__all__ = ["run", "validation_metrics", "main", "PAPER_TABLE"]
+__all__ = ["run", "validation_metrics", "tables", "PAPER_TABLE"]
+
+TITLE = "Table 1 — heterogeneous RTTs"
 
 PAPER_TABLE = {
     "pert": {"Q": 0.28, "p": 3.98e-06, "U": 0.9381, "F": 0.86},
@@ -38,6 +39,8 @@ PAPER_EXPECTATION = (
     "PERT and Vegas reduce RTT unfairness (Jain index well above the "
     "SACK baselines); PERT queue/drops below both SACK variants."
 )
+
+QUICK = dict(bandwidth=8e6, n_fwd=6, web_sessions=4, duration=12.0, warmup=4.0)
 
 
 def default_rtts(n_flows: int = 10) -> List[float]:
@@ -60,57 +63,36 @@ def run(
     retries: int = 1,
     progress=None,
 ) -> List[dict]:
+    """One sweep point — the RTT vector — with the paper's Q and F beside it."""
     rtts = rtts if rtts is not None else default_rtts(n_fwd)
-    schemes = tuple(schemes)
-    specs = [
-        dumbbell_spec(
-            scheme,
-            bandwidth=bandwidth,
-            n_fwd=n_fwd,
-            rtts=rtts,
-            web_sessions=web_sessions,
-            duration=duration,
-            warmup=warmup,
-            seed=seed,
-        )
-        for scheme in schemes
-    ]
-    results = run_jobs(
-        specs, workers=workers, cache=cache, timeout=timeout,
-        retries=retries, progress=progress,
-    )
-    rows = []
-    for scheme, res in zip(schemes, results):
-        if res.ok:
-            row = result_row(res.value, {})
-        else:
-            row = failed_row(scheme, {}, res.error)
-        paper = PAPER_TABLE.get(scheme, {})
+    rows = ScenarioSpec(
+        points=[ScenarioPoint(overrides={"rtts": rtts}, tags={})],
+        schemes=tuple(schemes),
+        base=dict(bandwidth=bandwidth, n_fwd=n_fwd, web_sessions=web_sessions,
+                  duration=duration, warmup=warmup, seed=seed),
+    ).run(workers=workers, cache=cache, timeout=timeout, retries=retries,
+          progress=progress)
+    for row in rows:
+        paper = PAPER_TABLE.get(row["scheme"], {})
         row["paper_Q"] = paper.get("Q", "")
         row["paper_F"] = paper.get("F", "")
-        rows.append(row)
     return rows
 
 
 def validation_metrics(rows: List[dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-scheme Q/p/U/F)."""
-    from ..validate.extract import rows_to_metrics
+    from ..validate.extract import headline_metrics
 
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-    )
+    return headline_metrics(rows)
 
 
-def main() -> None:
-    rows = run()
-    print(format_table(
-        rows,
-        ["scheme", "norm_queue", "paper_Q", "drop_rate", "utilization",
-         "jain", "paper_F"],
-        title="Table 1 — heterogeneous RTTs (12..120 ms)",
-    ))
-    print(f"\nPaper expectation: {PAPER_EXPECTATION}")
+def tables(rows: List[dict]):
+    """Report tables for :func:`repro.experiments.figures.print_figure`."""
+    return [(TITLE + " (12..120 ms)",
+             ("scheme", "norm_queue", "paper_Q", "drop_rate", "utilization",
+              "jain", "paper_F"), rows)]
 
 
 if __name__ == "__main__":
-    main()
+    from .figures import print_figure
+    print_figure()

@@ -9,7 +9,7 @@ a 400 s run) and time series for the dynamic-behaviour experiment.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..obs.records import record
 from .engine import Simulator
@@ -17,7 +17,26 @@ from .link import Link
 from .packet import Packet
 from .queues.base import QueueDiscipline
 
-__all__ = ["QueueSampler", "DropLog", "LinkWindow", "ThroughputSampler"]
+__all__ = ["QueueSampler", "DropLog", "LinkWindow", "ThroughputSampler",
+           "nearest_sample"]
+
+
+def nearest_sample(times: Sequence[float], values: Sequence[int], t: float) -> int:
+    """Value of the sample nearest to time *t* (ties to the earlier; 0 if none).
+
+    *times* must be sorted.  Shared by :meth:`QueueSampler.length_at` and
+    by analyses that carry an exported ``times``/``lengths`` series
+    instead of the live sampler (the Section 2 case traces).
+    """
+    if not times:
+        return 0
+    i = bisect.bisect_left(times, t)
+    if i <= 0:
+        return values[0]
+    if i >= len(times):
+        return values[-1]
+    before, after = times[i - 1], times[i]
+    return values[i - 1] if t - before <= after - t else values[i]
 
 
 class QueueSampler:
@@ -45,15 +64,7 @@ class QueueSampler:
 
     def length_at(self, t: float) -> int:
         """Queue length at the sample nearest to time *t*."""
-        if not self.times:
-            return 0
-        i = bisect.bisect_left(self.times, t)
-        if i <= 0:
-            return self.lengths[0]
-        if i >= len(self.times):
-            return self.lengths[-1]
-        before, after = self.times[i - 1], self.times[i]
-        return self.lengths[i - 1] if t - before <= after - t else self.lengths[i]
+        return nearest_sample(self.times, self.lengths, t)
 
     def mean(self, start: float = 0.0, end: Optional[float] = None) -> float:
         """Mean sampled queue length over [start, end].

@@ -1,9 +1,9 @@
 """Paper-fidelity regression gate (``python -m repro.validate``).
 
-Runs every reproduced figure/table through the cached parallel runner,
-extracts the headline metrics via each experiment module's
-``validation_metrics`` hook, and compares them against the committed
-expectations in ``src/repro/validate/expected/*.json``:
+Runs every figure declared in :data:`repro.experiments.figures.FIGURES`
+through the cached parallel runner, extracts its metrics via the figure
+module's ``validation_metrics`` hook, and compares them against the
+committed expectations in ``src/repro/validate/expected/*.json``:
 
 * **quick** tier — CI-sized operating points checked against *golden*
   targets pinned from this reproduction (tight tolerances; catches any

@@ -27,48 +27,15 @@ intentional behaviour change (see ``docs/VALIDATION.md``).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, Optional
 
+from ..experiments import figures as registry
+from ..runner.flags import add_runner_flags, runner_env, scoped_env
 from .docgen import write_results_md
-from .suite import SUITE, run_suite
+from .extract import derive
+from .suite import SUITE, available_figures, run_suite
 from .verdict import FigureVerdict, Verdict
-
-
-@contextlib.contextmanager
-def _scoped_env(updates: Dict[str, Optional[str]]) -> Iterator[None]:
-    """Apply environment overrides for the duration of the run only."""
-    saved = {k: os.environ.get(k) for k in updates}
-    try:
-        for k, v in updates.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-def _runner_env(args) -> Dict[str, Optional[str]]:
-    """Translate CLI flags into the runner's environment knobs."""
-    env: Dict[str, Optional[str]] = {}
-    if getattr(args, "workers", None) is not None:
-        env["REPRO_WORKERS"] = str(args.workers)
-    if getattr(args, "no_cache", False):
-        env["REPRO_CACHE"] = "0"
-    if getattr(args, "cache_dir", None):
-        env["REPRO_CACHE_DIR"] = args.cache_dir
-    if getattr(args, "progress", False):
-        env["REPRO_PROGRESS"] = "1"
-    return env
 
 
 def _tier(args) -> str:
@@ -146,7 +113,7 @@ def _summary(verdict: Verdict) -> str:
 
 def _cmd_run(args) -> int:
     tier = _tier(args)
-    with _scoped_env(_runner_env(args)):
+    with scoped_env(runner_env(args)):
         verdict = run_suite(
             tier, figures=args.figure or None,
             expected_dir=Path(args.expected) if args.expected else None,
@@ -188,7 +155,7 @@ def _cmd_update_golden(args) -> int:
     from .golden import update_golden
 
     tier = _tier(args)
-    with _scoped_env(_runner_env(args)):
+    with scoped_env(runner_env(args)):
         changes = update_golden(
             tier, figures=args.figure or None,
             expected_dir=Path(args.expected) if args.expected else None,
@@ -209,23 +176,19 @@ def _cmd_update_golden(args) -> int:
 
 def _cmd_diff(args) -> int:
     from .suite import load_suite_expected, measure_figure
-    from .suite import available_figures as _avail
 
     tier = _tier(args)
-    figures = args.figure or _avail(tier)
-    with _scoped_env(_runner_env(args)):
-        for figure in figures:
-            if tier not in SUITE[figure].runners:
-                continue
+    with scoped_env(runner_env(args)):
+        for figure in available_figures(tier, args.figure):
             expected = load_suite_expected(
                 figure, Path(args.expected) if args.expected else None
             )
             bands = expected.bands(tier) if expected is not None else {}
             measured = measure_figure(figure, tier)
-            print(f"\n== {figure} — {SUITE[figure].title} ({tier}) ==")
+            print(f"\n== {figure} — {registry.figure(figure).TITLE} ({tier}) ==")
             for mid in sorted(set(bands) | set(measured)):
                 band = bands.get(mid)
-                value = measured.get(mid)
+                value = derive(mid, measured)
                 shown = "(not measured)" if value is None else f"{value!r}"
                 if band is None:
                     print(f"  {mid}: {shown}  [no band]")
@@ -254,23 +217,13 @@ def main(argv=None) -> int:
                           help="nightly tier: paper-scale points vs published "
                                "numbers")
         p.add_argument("--figure", action="append", metavar="ID",
-                       choices=sorted(SUITE),
+                       choices=list(SUITE),
                        help="restrict to one figure (repeatable)")
         p.add_argument("--expected", default=None, metavar="DIR",
                        help="override the committed expected/ directory "
                             "(tests use this)")
         if runner_flags:
-            p.add_argument("-j", "--workers", type=int, default=None,
-                           metavar="N",
-                           help="worker processes for grid figures "
-                                "(default: $REPRO_WORKERS; 0 = serial)")
-            p.add_argument("--no-cache", action="store_true",
-                           help="disable the on-disk result cache")
-            p.add_argument("--cache-dir", default=None, metavar="DIR",
-                           help="cache directory (default: $REPRO_CACHE_DIR "
-                                "or ~/.cache/repro)")
-            p.add_argument("--progress", action="store_true",
-                           help="log per-job runner progress")
+            add_runner_flags(p)
 
     run_p = sub.add_parser(
         "run", help="run a tier and gate on the committed bands")

@@ -31,13 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bands import Band, GOLDEN_ABS_TOL, GOLDEN_REL_TOL
 from .suite import (
-    SUITE,
     available_figures,
+    editable_expected,
     expected_path,
-    load_suite_expected,
     measure_figure,
 )
-from .verdict import ExpectedFigure, write_expected
+from .verdict import write_expected
 
 __all__ = ["update_golden"]
 
@@ -81,20 +80,11 @@ def update_golden(
     rewritten with no band changes).  Figures without an expected file
     get one created, all-golden.
     """
-    selected = list(figures) if figures else available_figures(tier)
     changes: Dict[str, List[str]] = {}
-    for figure in selected:
-        if tier not in SUITE[figure].runners:
-            continue
+    for figure in available_figures(tier, figures):
         measured = measure_figure(figure, tier)
-        existing = load_suite_expected(figure, expected_dir)
-        if existing is None:
-            existing = ExpectedFigure(
-                figure=figure, title=SUITE[figure].title, tiers={}
-            )
-        new_bands, changed = _reconcile(existing.bands(tier), measured)
-        existing.tiers[tier] = new_bands
-        existing.title = SUITE[figure].title
+        existing = editable_expected(figure, expected_dir)
+        existing.tiers[tier], changed = _reconcile(existing.bands(tier), measured)
         write_expected(existing, expected_path(figure, expected_dir))
         changes[figure] = changed
     return changes

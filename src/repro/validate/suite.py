@@ -1,12 +1,13 @@
-"""The validation suite: which figures run at which tier, and how.
+"""The validation suite: run every declared figure and judge it.
 
-Each :class:`FigureCheck` binds a figure id to per-tier *measurement
-runners* — thunks that execute the experiment (through the cached
-parallel runner wherever the figure is grid-shaped) and flatten the
-output into ``{metric_id: value}`` via the experiment module's
-``validation_metrics`` hook.  The suite compares those measurements
-against the committed bands in ``expected/<figure>.json`` and rolls the
-outcome up into a :class:`~repro.validate.verdict.Verdict`.
+What a figure *is* — its title, its quick- and full-tier operating
+points, how it runs and which metrics it yields — is declared once, in
+its module under :mod:`repro.experiments` and listed in
+:data:`repro.experiments.figures.FIGURES`.  This module owns the other
+half: execute a figure at a tier (through the cached parallel runner
+wherever the figure is grid-shaped), compare the measurements against
+the committed bands in ``expected/<figure>.json`` and roll the outcome
+up into a :class:`~repro.validate.verdict.Verdict`.
 
 Tiers:
 
@@ -16,7 +17,7 @@ Tiers:
   targets are the paper's published numbers and claims (fidelity), so
   this is the nightly tier.
 
-Measurement runners import experiment modules lazily so that importing
+Figure modules are imported on demand, so importing
 :mod:`repro.validate` stays cheap and cycle-free.
 
 Because every grid-shaped figure executes through
@@ -29,257 +30,49 @@ for ``python -m repro.obs report``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..experiments import figures as registry
 from .bands import check_metric
+from .extract import derive
 from .verdict import ExpectedFigure, FigureVerdict, Verdict, load_expected
 
 __all__ = [
     "EXPECTED_DIR",
-    "FigureCheck",
     "SUITE",
+    "TIERS",
     "available_figures",
     "expected_path",
     "load_suite_expected",
+    "editable_expected",
+    "measure_figure",
+    "check_figure",
     "run_suite",
 ]
 
 #: committed per-figure band files live next to this module
 EXPECTED_DIR = Path(__file__).resolve().parent / "expected"
 
-TIERS = ("quick", "full")
+#: the suite is the figure registry: every declared figure is validated,
+#: at the tiers its module declares
+SUITE = registry.FIGURES
+TIERS = registry.TIERS
 
 
-@dataclass(frozen=True)
-class FigureCheck:
-    """One figure's validation entry: title + per-tier measurement runners."""
+def available_figures(tier: str,
+                      figures: Optional[Sequence[str]] = None) -> List[str]:
+    """Figure ids participating in *tier*, in suite order.
 
-    figure: str
-    title: str
-    #: tier name -> thunk returning {metric_id: float}
-    runners: Dict[str, Callable[[], Dict[str, float]]]
-
-    def tiers(self) -> List[str]:
-        """Tier names this figure participates in, in canonical order."""
-        return [t for t in TIERS if t in self.runners]
-
-
-# ----------------------------------------------------------------------
-# measurement runners (lazy imports; tier parameters documented in
-# docs/VALIDATION.md — change them only together with update-golden)
-# ----------------------------------------------------------------------
-def _fig2(full: bool) -> Dict[str, float]:
-    from ..experiments import fig2_loss_correlation as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    from ..experiments.section2 import TrafficCase
-    cases = [TrafficCase("case1", n_fwd=5, n_rev=2, web_sessions=2),
-             TrafficCase("case2", n_fwd=8, n_rev=4, web_sessions=4)]
-    return mod.validation_metrics(
-        mod.run(cases=cases, bandwidth=8e6, duration=20.0)
-    )
-
-
-def _fig3(full: bool) -> Dict[str, float]:
-    from ..experiments import fig3_predictors as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    from ..experiments.section2 import TrafficCase
-    cases = [TrafficCase("case1", n_fwd=5, n_rev=2, web_sessions=2)]
-    return mod.validation_metrics(
-        mod.run(cases=cases, bandwidth=8e6, duration=20.0)
-    )
-
-
-def _fig4(full: bool) -> Dict[str, float]:
-    from ..experiments import fig4_false_positive_pdf as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    from ..experiments.section2 import TrafficCase
-    cases = [TrafficCase("case1", n_fwd=5, n_rev=2, web_sessions=2),
-             TrafficCase("case2", n_fwd=8, n_rev=4, web_sessions=4)]
-    return mod.validation_metrics(
-        mod.run(cases=cases, bandwidth=8e6, duration=20.0)
-    )
-
-
-def _fig5() -> Dict[str, float]:
-    from ..experiments import fig5_response_curve as mod
-    # 11 points over 0-25 ms lands exactly on the paper's anchor delays
-    # (5/7.5/10/15/20 ms), so the bands can quote Figure 5 directly.
-    return mod.validation_metrics(mod.run(n_points=11))
-
-
-def _fig6(full: bool) -> Dict[str, float]:
-    from ..experiments import fig6_bandwidth as mod
-    spec = mod.spec() if full else mod.spec(
-        bandwidths=[2e6, 8e6], duration=8.0, warmup=3.0, web_sessions=1
-    )
-    return mod.validation_metrics(spec.run())
-
-
-def _fig7(full: bool) -> Dict[str, float]:
-    from ..experiments import fig7_rtt as mod
-    spec = mod.spec() if full else mod.spec(
-        rtts=[0.02, 0.05], bandwidth=8e6, n_fwd=6, base_duration=8.0
-    )
-    return mod.validation_metrics(spec.run())
-
-
-def _fig8(full: bool) -> Dict[str, float]:
-    from ..experiments import fig8_nflows as mod
-    spec = mod.spec() if full else mod.spec(
-        flow_counts=[2, 12], bandwidth=8e6, duration=8.0, warmup=3.0,
-        web_sessions=1,
-    )
-    return mod.validation_metrics(spec.run())
-
-
-def _fig9(full: bool) -> Dict[str, float]:
-    from ..experiments import fig9_web as mod
-    spec = mod.spec() if full else mod.spec(
-        session_counts=[2, 6], bandwidth=6e6, n_fwd=4, duration=8.0,
-        warmup=3.0,
-    )
-    return mod.validation_metrics(spec.run())
-
-
-def _table1(full: bool) -> Dict[str, float]:
-    from ..experiments import table1_rtts as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    return mod.validation_metrics(mod.run(
-        bandwidth=8e6, n_fwd=6, web_sessions=4, duration=12.0, warmup=4.0
-    ))
-
-
-def _fig11(full: bool) -> Dict[str, float]:
-    from ..experiments import fig11_multibottleneck as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    return mod.validation_metrics(mod.run(
-        n_routers=4, cloud_size=3, link_bw=8e6, duration=12.0, warmup=5.0
-    ))
-
-
-def _fig12(full: bool) -> Dict[str, float]:
-    from ..experiments import fig12_dynamics as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    return mod.validation_metrics(mod.run(
-        schemes=("pert", "sack-droptail"), n_cohorts=2, cohort_size=3,
-        epoch=8.0, bandwidth=6e6,
-    ))
-
-
-def _fig12b(full: bool) -> Dict[str, float]:
-    from ..experiments import fig12b_cbr_dynamics as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    return mod.validation_metrics(mod.run(schemes=("pert", "sack-droptail")))
-
-
-def _fig13() -> Dict[str, float]:
-    from ..experiments import fig13_fluid as mod
-    # Full paper parameters at every tier: the DDE integration is the
-    # one sub-minute check whose paper numbers need no scaling.
-    return mod.validation_metrics(mod.run())
-
-
-def _fig14(full: bool) -> Dict[str, float]:
-    from ..experiments import fig14_pert_pi as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    return mod.validation_metrics(mod.run(
-        rtts=[0.03, 0.06], bandwidth=8e6, n_fwd=6, web_sessions=1,
-        base_duration=8.0,
-    ))
-
-
-def _warmstart(full: bool) -> Dict[str, float]:
-    # Exercises repro.snapshot end to end: one simulated warm-up per
-    # scheme, every duration measured from a clone of the warmed state.
-    # The continuations are bit-identical to cold runs, so their rows
-    # can be pinned as goldens like any other figure's.
-    from ..experiments.sweep import sweep_dumbbell
-    from .extract import rows_to_metrics
-    durations = (30.0, 45.0, 60.0) if full else (8.0, 12.0)
-    kwargs = (
-        dict(bandwidth=10e6, n_fwd=8, warmup=15.0, seed=1)
-        if full else dict(bandwidth=6e6, n_fwd=5, warmup=4.0, seed=1)
-    )
-    rows = sweep_dumbbell(
-        [{"duration": d} for d in durations],
-        schemes=("pert", "sack-droptail"),
-        warm_start=True,
-        **kwargs,
-    )
-    return rows_to_metrics(
-        rows, metrics=("norm_queue", "drop_rate", "utilization", "jain"),
-        keys=("duration",),
-    )
-
-
-def _hybrid(full: bool) -> Dict[str, float]:
-    # Hybrid fluid-packet engine: every agreement point runs twice (pure
-    # packet and hybrid) at the same per-flow bandwidth, plus the
-    # 10^5-flow scenario only the hybrid engine can afford.  The agree.*
-    # metrics carry hand-set bounds asserting packet-vs-hybrid
-    # agreement; everything else is a golden pin.
-    from ..experiments import fig_hybrid as mod
-    if full:
-        return mod.validation_metrics(mod.run())
-    return mod.validation_metrics(mod.run(
-        flow_counts=[10, 40], duration=12.0, warmup=4.0,
-        extreme_duration=12.0, extreme_warmup=4.0,
-    ))
-
-
-#: the registered checks, in docs/RESULTS.md order
-SUITE: Dict[str, FigureCheck] = {
-    c.figure: c
-    for c in (
-        FigureCheck("fig2", "Figure 2 — flow-level vs queue-level loss correlation",
-                    {"quick": lambda: _fig2(False), "full": lambda: _fig2(True)}),
-        FigureCheck("fig3", "Figure 3 — congestion-predictor comparison",
-                    {"quick": lambda: _fig3(False), "full": lambda: _fig3(True)}),
-        FigureCheck("fig4", "Figure 4 — queue occupancy at srtt_0.99 false positives",
-                    {"quick": lambda: _fig4(False), "full": lambda: _fig4(True)}),
-        FigureCheck("fig5", "Figure 5 — PERT response curve",
-                    {"quick": _fig5, "full": _fig5}),
-        FigureCheck("fig6", "Figure 6 — impact of bottleneck bandwidth",
-                    {"quick": lambda: _fig6(False), "full": lambda: _fig6(True)}),
-        FigureCheck("fig7", "Figure 7 — impact of end-to-end RTT",
-                    {"quick": lambda: _fig7(False), "full": lambda: _fig7(True)}),
-        FigureCheck("fig8", "Figure 8 — impact of the number of flows",
-                    {"quick": lambda: _fig8(False), "full": lambda: _fig8(True)}),
-        FigureCheck("fig9", "Figure 9 — impact of web traffic",
-                    {"quick": lambda: _fig9(False), "full": lambda: _fig9(True)}),
-        FigureCheck("table1", "Table 1 — heterogeneous RTTs",
-                    {"quick": lambda: _table1(False), "full": lambda: _table1(True)}),
-        FigureCheck("fig11", "Figure 11 — multiple bottlenecks (parking lot)",
-                    {"quick": lambda: _fig11(False), "full": lambda: _fig11(True)}),
-        FigureCheck("fig12", "Figure 12 — dynamics under arriving/departing flows",
-                    {"quick": lambda: _fig12(False), "full": lambda: _fig12(True)}),
-        FigureCheck("fig12b", "Section 4.7 — dynamics under CBR traffic",
-                    {"full": lambda: _fig12b(True)}),
-        FigureCheck("fig13", "Figure 13 — PERT/RED fluid-model stability",
-                    {"quick": _fig13, "full": _fig13}),
-        FigureCheck("fig14", "Figure 14 — emulating PI at end hosts",
-                    {"quick": lambda: _fig14(False), "full": lambda: _fig14(True)}),
-        FigureCheck("warmstart", "Warm-started duration sweep (snapshot fidelity)",
-                    {"quick": lambda: _warmstart(False), "full": lambda: _warmstart(True)}),
-        FigureCheck("hybrid", "Hybrid engine — fluid background vs packet agreement",
-                    {"quick": lambda: _hybrid(False), "full": lambda: _hybrid(True)}),
-    )
-}
-
-
-def available_figures(tier: str) -> List[str]:
-    """Figure ids participating in *tier*, in suite order."""
-    return [f for f, c in SUITE.items() if tier in c.runners]
+    *figures* restricts the answer to a selection (unknown ids raise);
+    a selected figure that skips *tier* is silently left out.
+    """
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}; valid: {TIERS}")
+    unknown = [f for f in figures or () if f not in SUITE]
+    if unknown:
+        raise KeyError(f"unknown figures {unknown}; valid: {list(SUITE)}")
+    return [f for f in figures or SUITE if tier in registry.tiers(f)]
 
 
 def expected_path(figure: str, expected_dir: Optional[Path] = None) -> Path:
@@ -298,15 +91,26 @@ def load_suite_expected(
     return load_expected(path)
 
 
+def editable_expected(
+    figure: str, expected_dir: Optional[Path] = None
+) -> ExpectedFigure:
+    """*figure*'s bands for rewriting: loaded or started empty, and titled
+    from the registry (the ``title`` in an expected file is never typed)."""
+    expected = load_suite_expected(figure, expected_dir)
+    if expected is None:
+        expected = ExpectedFigure(figure=figure, title="", tiers={})
+    expected.title = registry.figure(figure).TITLE
+    return expected
+
+
 def measure_figure(figure: str, tier: str) -> Dict[str, float]:
-    """Execute *figure*'s measurement runner for *tier*."""
-    check = SUITE[figure]
-    try:
-        runner = check.runners[tier]
-    except KeyError:
+    """Run *figure* at *tier* and flatten its output to ``{metric_id: value}``."""
+    mod = registry.figure(figure)
+    kwargs = registry.tier_kwargs(mod, tier)
+    if kwargs is None:
         raise KeyError(f"{figure} has no {tier!r} tier "
-                       f"(tiers: {check.tiers()})") from None
-    return runner()
+                       f"(tiers: {registry.tiers(figure)})")
+    return mod.validation_metrics(mod.run(**kwargs))
 
 
 def check_figure(
@@ -321,9 +125,8 @@ def check_figure(
     ``FigureVerdict.error`` and fails the figure, so one broken
     experiment cannot mask the verdicts of the rest.
     """
-    check = SUITE[figure]
     expected = load_suite_expected(figure, expected_dir)
-    fv = FigureVerdict(figure=figure, title=check.title)
+    fv = FigureVerdict(figure=figure, title=registry.figure(figure).TITLE)
     if expected is None:
         fv.error = (
             f"no expected file for {figure} "
@@ -341,7 +144,7 @@ def check_figure(
     fv.wall_time = time.monotonic() - t0
     bands = expected.bands(tier)
     for mid in sorted(bands):
-        fv.checks.append(check_metric(mid, bands[mid], measurements.get(mid)))
+        fv.checks.append(check_metric(mid, bands[mid], derive(mid, measurements)))
     fv.unchecked = len([m for m in measurements if m not in bands])
     return fv
 
@@ -353,16 +156,8 @@ def run_suite(
     progress: Optional[Callable[[FigureVerdict], None]] = None,
 ) -> Verdict:
     """Run every selected figure at *tier* and roll up the verdict."""
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; valid: {TIERS}")
-    selected = list(figures) if figures else available_figures(tier)
-    unknown = [f for f in selected if f not in SUITE]
-    if unknown:
-        raise KeyError(f"unknown figures {unknown}; valid: {sorted(SUITE)}")
     verdict = Verdict(tier=tier)
-    for figure in selected:
-        if tier not in SUITE[figure].runners:
-            continue
+    for figure in available_figures(tier, figures):
         fv = check_figure(figure, tier, expected_dir)
         verdict.figures.append(fv)
         if progress is not None:

@@ -2,30 +2,25 @@
 
 import pytest
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
+from repro.experiments.figures import FIGURES
 
 
 def test_list_prints_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
+    for name in FIGURES:
         assert name in out
 
 
 def test_registry_covers_every_paper_artifact():
-    assert set(EXPERIMENTS) == {
+    assert set(FIGURES) == {
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
         "table1", "fig11", "fig12", "fig12b", "fig13", "fig14",
-        # beyond the paper: the hybrid engine's agreement/extreme family
-        "fig_hybrid",
+        # beyond the paper: design-choice ablations, reseeding, snapshot
+        # fidelity, and the hybrid engine's agreement/extreme family
+        "ablations", "robustness", "warmstart", "hybrid",
     }
-
-
-def test_every_experiment_has_main_and_run():
-    for mod in EXPERIMENTS.values():
-        assert callable(getattr(mod, "main"))
-        assert callable(getattr(mod, "run", None) or
-                        getattr(mod, "run_min_delta", None))
 
 
 def test_fig5_via_cli(capsys):

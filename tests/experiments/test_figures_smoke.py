@@ -1,8 +1,9 @@
 """Smoke tests: every figure/table module runs end-to-end at tiny scale.
 
-These do not validate the paper claims (the benchmarks do, at a larger
-scale); they pin the module interfaces — run() signatures, row schemas —
-so refactors cannot silently break the reproduction harness.
+These do not validate the paper claims (``repro.validate``'s bands do, at
+the quick and full tiers); they pin the module interfaces — run()
+signatures, row schemas — so refactors cannot silently break the
+reproduction harness.
 """
 
 import pytest

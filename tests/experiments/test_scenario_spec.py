@@ -63,7 +63,7 @@ BG = {"model": "pert_red", "share": 0.5, "n_flows": 20}
 
 def _bg_spec(**kwargs):
     return ScenarioSpec(
-        name="bg", title="background threading", schemes=("pert",),
+        schemes=("pert",),
         base=dict(bandwidth=2e6, rtt=0.04, n_fwd=2, duration=2.0,
                   warmup=0.5, seed=3),
         points=[
@@ -136,8 +136,9 @@ def test_all_four_figures_expose_specs():
     for mod in (fig6_bandwidth, fig7_rtt, fig8_nflows, fig9_web):
         spec = mod.spec()
         assert spec.points, mod.__name__
-        assert spec.columns, mod.__name__
-        assert spec.title.startswith("Figure"), mod.__name__
+        # the reporting metadata is the module's, not the sweep's
+        assert mod.COLUMNS, mod.__name__
+        assert mod.TITLE.startswith("Figure"), mod.__name__
         # every point merges cleanly with the base kwargs
         for point in spec.points:
             kwargs = spec.kwargs_for(point)

@@ -83,7 +83,9 @@ class TestPertRedSpectrum:
     def test_agrees_with_trajectory_classification(self):
         from repro.fluid.stability import trajectory_is_stable
 
-        for rtt in (0.10, 0.16, 0.18):
+        # 100/160/171 ms are Figure 13(b-d)'s delays: the root's sign must
+        # flip where the paper observes the trajectory go unstable
+        for rtt in (0.10, 0.16, 0.171, 0.18):
             model = make_fluid_model("pert_red", rtt=rtt, **FIG13)
             root = pert_red_rightmost_root(model)
             traj = trajectory_is_stable(model.simulate(60.0, dt=2e-3))

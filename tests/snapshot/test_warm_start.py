@@ -80,15 +80,12 @@ def test_run_dumbbell_warm_rejects_foreign_bytes():
 
 def test_scenario_spec_warm_start_passthrough():
     spec = ScenarioSpec(
-        name="warm-demo",
-        title="warm-start demo",
         points=[
             ScenarioPoint(overrides={"duration": d}, tags={"duration": d})
             for d in DURATIONS[:2]
         ],
         schemes=("pert",),
         base=dict(BASE),
-        columns=("duration", "scheme", "utilization"),
     )
     cold = spec.run(workers=0, cache=False)
     warm = spec.run(cache=False, warm_start=True)

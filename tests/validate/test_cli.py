@@ -92,13 +92,16 @@ def test_missing_paper_metric_fails_as_missing(tmp_path, fig5_expected, capsys):
     assert statuses["p@delay_ms=999"] == "missing"
 
 
-def test_plain_run_leaves_the_checkout_clean(tmp_path, monkeypatch):
-    """Without ``--docs`` a run writes nothing inside the repository.
+def test_plain_run_leaves_the_checkout_clean(tmp_path, monkeypatch, capsys):
+    """Neither CLI writes inside the repository unless told to.
 
-    Run from the repository root, as the README does: the tracked
-    ``docs/RESULTS.md`` used to be rewritten as a side effect (ROADMAP 1d),
-    leaving `` M docs/RESULTS.md`` behind every validation.
+    Run from the repository root, as the README does: ``validate run``
+    used to rewrite the tracked ``docs/RESULTS.md`` as a side effect
+    (ROADMAP 1d), and regenerating a figure used to mean a benchmark
+    suite that rewrote tracked artifact files (ROADMAP 4c).
     """
+    from repro.experiments.__main__ import main as experiments_main
+
     repo = Path(__file__).resolve().parents[2]
 
     def status():
@@ -116,6 +119,8 @@ def test_plain_run_leaves_the_checkout_clean(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["run", "--quick", "--figure", "fig5"]) == 0
     assert (tmp_path / "cache" / "validation" / "verdict-quick.json").exists()
+    assert experiments_main(["fig5"]) == 0
+    assert "Figure 5" in capsys.readouterr().out
     assert (repo / "docs" / "RESULTS.md").read_bytes() == results_md
     assert status() == before
 
