@@ -1,6 +1,22 @@
-"""Fluid-flow models and stability theory (paper Sections 5-6)."""
+"""Fluid-flow models and stability theory (paper Sections 5-6).
 
-from .dde import DdeBatchSolution, DdeSolution, integrate_dde, integrate_dde_batch
+Two right-hand-side contracts, one scalar kernel.  The registered models
+(``make_fluid_model``) are written against the **float contract** —
+state and delayed state are sequences of Python floats — and integrate
+through :func:`integrate_dde_floats`; :func:`integrate_dde` keeps the
+**array contract** (``(dim,)`` float64 arrays, ``A @ x``-style code) for
+everything else, as an adapter over that same loop.
+:func:`integrate_dde_batch` advances many systems as array operations,
+bit-identical per member.  See :mod:`repro.fluid.dde`.
+"""
+
+from .dde import (
+    DdeBatchSolution,
+    DdeSolution,
+    integrate_dde,
+    integrate_dde_batch,
+    integrate_dde_floats,
+)
 from .pert_pi import PertPiFluidModel
 from .pert_red import PertRedFluidModel, simulate_batch
 from .rates import RateSegment, RateTrajectory, equilibrium_rate, rate_trajectory
@@ -33,6 +49,7 @@ from .tcp_red import TcpRedFluidModel
 
 __all__ = [
     "integrate_dde",
+    "integrate_dde_floats",
     "integrate_dde_batch",
     "DdeSolution",
     "DdeBatchSolution",

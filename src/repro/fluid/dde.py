@@ -11,36 +11,50 @@ method-of-steps approach Matlab's ``dde23`` uses, simplified to a fixed
 step.  Before ``t0`` the history is the constant initial state, matching
 the paper's simulations which start from a constant initial point.
 
-Two integration entry points share the grid and arithmetic:
+Three entry points share the grid and the arithmetic:
 
-* :func:`integrate_dde` — one system, scalar time stepping; history
-  lookups use O(1) uniform-grid index arithmetic (the grid is built by
-  repeated ``t += dt``, so the arithmetic guess is corrected by a
-  one-ulp fix-up loop to land on exactly the interval ``searchsorted``
-  would pick).
+* :func:`integrate_dde_floats` — one system, the **float contract**: the
+  state is a sequence of Python floats, ``history(t')`` returns a tuple
+  of floats and the rhs returns a tuple or list.  This is the scalar
+  kernel — the only scalar stepping loop — and what the registered
+  fluid models run on; no numpy ufunc is involved.  History lookups use
+  O(1) uniform-grid index arithmetic (the grid is built by repeated
+  ``t += dt``, so the arithmetic guess is corrected by a one-ulp fix-up
+  loop to land on exactly the interval ``searchsorted`` would pick).
+* :func:`integrate_dde` — one system, the **array contract**: ``(dim,)``
+  float64 arrays in and out, so an rhs can be written ``A @ x``.  An
+  adapter over the float kernel for everything that is not a registered
+  model; it carries no stepping arithmetic of its own.
 * :func:`integrate_dde_batch` — B independent systems advanced together
   as ``(B, dim)`` array operations, each with its own delayed-time
-  queries.  Every elementwise operation mirrors the scalar path, so a
-  batch run is bit-identical to B scalar runs — the property
-  ``tests/fluid/test_dde_batch.py`` pins exactly.
+  queries.
+
+Every elementwise operation is the same IEEE-754 double operation in the
+same order whether it runs on Python floats or inside a float64 ufunc,
+so a batch run is bit-identical to B scalar runs and the two scalar
+contracts agree bit for bit — the properties
+``tests/fluid/test_dde_batch.py`` and
+``tests/fluid/test_trajectory_pins.py`` pin exactly.
 
 The lookup contract (``history(t')`` as seen by a right-hand side)
 --------------------------------------------------------------------
-* **Results are read-only.**  Every array ``history(t')`` returns has
-  ``writeable=False`` — an interpolated row, the end-clamped last row
-  and the pre-history ``x0`` row alike — because a result may be handed
-  out again (see the memo) and may be a view into the stored solution.
+* **Results cannot be modified.**  A result may be handed out again (see
+  the memo), so the float contract returns tuples, and every array the
+  other two contracts return has ``writeable=False`` — an interpolated
+  row, the end-clamped last row and the pre-history ``x0`` row alike.
   An rhs that needs to modify a delayed state copies it first.
+* **Before ``t0``** the lookup returns ``x0``; **at or past the end of
+  the stored history** (``t' >= ts[-1]``: RK4 sub-steps of a lag shorter
+  than the step) it holds the last stored row.
 * **One lookup is memoised, keyed by the exact query** (scalar: the
   float ``t'``; batch: the bytes of the ``(B,)`` query vector).  RK4
   asks for ``t - R``, ``t + dt/2 - R`` twice and ``t + dt - R``, which
   is the next step's ``t - R``: two distinct interpolations per step
   in steady state, not four.
 * **Validity under append.**  The history is append-only, so a lookup
-  that lay strictly inside the stored grid (or before ``t0``) keeps its
-  value forever and the memo survives ``append``.  A lookup that was
-  clamped to the end of the stored history (``t' >= ts[-1]``, e.g. a lag
-  shorter than the step) would change once more history exists, so it is
+  that lay strictly inside the stored grid keeps its value forever and
+  the memo survives ``append``.  A lookup that was clamped to the end of
+  the stored history would change once more history exists, so it is
   never memoised.
 
 ``tests/fluid/test_dde_lookup.py`` holds the memo-free ``searchsorted``
@@ -58,6 +72,7 @@ __all__ = [
     "DdeSolution",
     "DdeBatchSolution",
     "integrate_dde",
+    "integrate_dde_floats",
     "integrate_dde_batch",
 ]
 
@@ -68,7 +83,10 @@ class DdeSolution:
     Attributes
     ----------
     t:
-        1-D array of time points (uniform grid).
+        1-D array of time points (uniform grid).  ``t[-1]`` is
+        ``round(span / dt)`` steps past ``t[0]`` — ``simulate(duration)``
+        ends at ``round(duration / dt) * dt``, not at ``duration``, when
+        the span is not a multiple of the step.
     y:
         2-D array, shape ``(len(t), dim)``.
     """
@@ -78,12 +96,16 @@ class DdeSolution:
         self.y = y
 
     def __call__(self, ti: float) -> np.ndarray:
-        """Linear interpolation of the solution at time *ti* (clamped)."""
+        """Linear interpolation of the solution at time *ti* (clamped).
+
+        Always a fresh array, at the clamped ends too: writing to the
+        result never edits the stored trajectory.
+        """
         t = self.t
         if ti <= t[0]:
-            return self.y[0]
+            return self.y[0].copy()
         if ti >= t[-1]:
-            return self.y[-1]
+            return self.y[-1].copy()
         idx = int(np.searchsorted(t, ti) - 1)
         frac = (ti - t[idx]) / (t[idx + 1] - t[idx])
         return self.y[idx] * (1 - frac) + self.y[idx + 1] * frac
@@ -92,97 +114,142 @@ class DdeSolution:
         return self.y[:, i]
 
 
-class _History:
-    """Growable solution history with constant pre-initial values.
+class _FloatHistory:
+    """Append-only solution history read and written as Python floats.
 
-    See the module docstring for the lookup contract ``eval`` keeps
-    (read-only results, one memoised lookup, validity under append).
+    The rows live in the preallocated float64 solution arrays (the ones
+    the :class:`DdeSolution` hands out), so memory does not grow with
+    the lookups; ``eval`` returns tuples.  See the module docstring for
+    the lookup contract (immutable results, one memoised lookup,
+    validity under append).
     """
 
-    def __init__(self, t0: float, x0: np.ndarray, n_steps: int, dim: int,
+    def __init__(self, t0: float, x0: Sequence[float], n_steps: int,
                  dt: float):
         self.t0 = t0
         self.dt = dt
         self.ts = np.empty(n_steps + 1)
-        self.xs = np.empty((n_steps + 1, dim))
+        self.xs = np.empty((n_steps + 1, len(x0)))
         self.ts[0] = t0
         self.xs[0] = x0
         self.filled = 1
-        # Python-float mirror of ``ts[:filled]``: comparing and
-        # subtracting list floats is several times cheaper than indexing
-        # ``np.float64`` scalars out of the array, and IEEE-identical.
-        self._tl = [float(t0)]
-        self._pre = self.xs[0]
-        self._pre.setflags(write=False)
+        # indexing a memoryview yields a Python float; indexing the
+        # array would box an ``np.float64`` at several times the cost
+        self._tv = memoryview(self.ts)
+        self._pre = tuple(x0)
         self._memo_t = math.nan  # never equal to a query
         self._memo_x = self._pre
 
-    def append(self, t: float, x: np.ndarray) -> None:
+    def append(self, t: float, x: Sequence[float]) -> None:
         self.ts[self.filled] = t
         self.xs[self.filled] = x
-        self._tl.append(float(t))
         self.filled += 1
 
-    def eval(self, ti: float) -> np.ndarray:
+    def eval(self, ti: float) -> Tuple[float, ...]:
         if ti == self._memo_t:
             return self._memo_x
         if ti <= self.t0:
             return self._pre
         n = self.filled
-        if ti >= self._tl[n - 1]:
+        if ti >= self._tv[n - 1]:
             # RK4 sub-steps may probe marginally past the stored history;
             # hold the last value (error is O(dt) on a smooth solution).
             # Not memoised: the answer changes once more history exists.
-            out = self.xs[n - 1]
-        else:
-            out = self._memo_x = self._interpolate(ti, n)
-            self._memo_t = ti
-        out.setflags(write=False)
+            return tuple(self.xs[n - 1].tolist())
+        self._memo_x = out = self._interpolate(ti, n)
+        self._memo_t = ti
         return out
 
-    def _interpolate(self, ti: float, n: int) -> np.ndarray:
+    def _interpolate(self, ti: float, n: int) -> Tuple[float, ...]:
         """Interior lookup, ``t0 < ti < ts[n - 1]``."""
         # O(1) uniform-grid lookup.  The grid is built by accumulated
         # ``t += dt``, so ``(ti - t0) / dt`` can be off by one interval;
         # the fix-up loops restore the exact invariant ``searchsorted``
         # establishes: ts[idx] < ti <= ts[idx + 1].
-        tl = self._tl
+        tv = self._tv
         idx = int((ti - self.t0) / self.dt)
         if idx > n - 2:
             idx = n - 2
         elif idx < 0:
             idx = 0
-        while idx > 0 and tl[idx] >= ti:
+        while idx > 0 and tv[idx] >= ti:
             idx -= 1
-        while tl[idx + 1] < ti:
+        while tv[idx + 1] < ti:
             idx += 1
-        t_lo = tl[idx]
-        frac = (ti - t_lo) / (tl[idx + 1] - t_lo)
-        return self.xs[idx] * (1 - frac) + self.xs[idx + 1] * frac
+        t_lo = tv[idx]
+        frac = (ti - t_lo) / (tv[idx + 1] - t_lo)
+        rest = 1 - frac
+        return tuple([a * rest + b * frac for a, b in
+                      zip(self.xs[idx].tolist(), self.xs[idx + 1].tolist())])
 
 
-def _advance(rhs, x, t, dt, n_steps, euler, hist) -> None:
-    """Step *x* from *t* over the grid, appending every state to *hist*.
+def _check_problem(t_span, dt: float, method: str) -> Tuple[float, int, bool]:
+    """Validate the grid arguments; ``(t0, n_steps, euler)``."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if method not in ("rk4", "euler"):
+        raise ValueError(f"unknown method {method!r}")
+    t0, t1 = t_span
+    if t1 <= t0:
+        raise ValueError("t_span must be increasing")
+    return t0, int(round((t1 - t0) / dt)), method == "euler"
 
-    Shared by the scalar and the batch entry point — the stepping
-    arithmetic is the same expression on ``(dim,)`` or ``(B, dim)``
-    arrays, which is what makes a batch member bit-identical to its
-    scalar run.
+
+def integrate_dde_floats(
+    rhs: Callable[[float, Sequence[float], Callable[[float], Tuple[float, ...]]],
+                  Sequence[float]],
+    x0: Sequence[float],
+    t_span: Tuple[float, float],
+    dt: float,
+    method: str = "rk4",
+) -> DdeSolution:
+    """Integrate a float-contract ``x' = rhs(t, x, history)`` over *t_span*.
+
+    The scalar kernel: the one stepping loop every single-system
+    integration runs (:func:`integrate_dde` adapts array right-hand
+    sides onto it).  Nothing in it touches a numpy ufunc.
+
+    Parameters
+    ----------
+    rhs:
+        Callable receiving the current time, the current state as a
+        sequence of ``dim`` Python floats, and ``history(t')`` returning
+        the (interpolated) state at any earlier time as a tuple of
+        floats; must return the ``dim`` derivatives as a tuple or list
+        of floats.
+    x0:
+        Initial state; also the constant pre-history.
+    method:
+        ``"rk4"`` (default) or ``"euler"``.
+
+    The grid is ``t0, t0 + dt, ...`` built by repeated addition over
+    ``round((t1 - t0) / dt)`` steps, so the run ends at that many steps
+    past ``t0`` — not at ``t1`` when the span is not a multiple of *dt*.
     """
+    t, n_steps, euler = _check_problem(t_span, dt, method)
+    x = [float(v) for v in x0]
+    dim = len(x)
+    hist = _FloatHistory(t, x, n_steps, dt)
     history = hist.eval
+    append = hist.append
     half = dt / 2
     sixth = dt / 6.0
     for _ in range(n_steps):
+        k1 = rhs(t, x, history)
+        if len(k1) != dim:
+            raise ValueError(f"rhs returned {len(k1)} derivatives for "
+                             f"{dim} state components")
         if euler:
-            x = x + dt * np.asarray(rhs(t, x, history))
+            x = [a + dt * b for a, b in zip(x, k1)]
         else:
-            k1 = np.asarray(rhs(t, x, history))
-            k2 = np.asarray(rhs(t + half, x + half * k1, history))
-            k3 = np.asarray(rhs(t + half, x + half * k2, history))
-            k4 = np.asarray(rhs(t + dt, x + dt * k3, history))
-            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = rhs(t + half, [a + half * b for a, b in zip(x, k1)], history)
+            k3 = rhs(t + half, [a + half * b for a, b in zip(x, k2)], history)
+            k4 = rhs(t + dt, [a + dt * b for a, b in zip(x, k3)], history)
+            x = [a + sixth * (b + 2 * c + 2 * d + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
         t += dt
-        hist.append(t, x)
+        append(t, x)
+    return DdeSolution(hist.ts, hist.xs)
 
 
 def integrate_dde(
@@ -192,35 +259,44 @@ def integrate_dde(
     dt: float,
     method: str = "rk4",
 ) -> DdeSolution:
-    """Integrate ``x' = rhs(t, x, history)`` over *t_span* with step *dt*.
+    """Integrate an array-contract ``x' = rhs(t, x, history)`` over *t_span*.
 
     Parameters
     ----------
     rhs:
-        Callable receiving the current time, current state, and a
-        ``history(t')`` function returning the (interpolated) state at
-        any earlier time; must return the state derivative as an array.
+        Callable receiving the current time, the current state as a
+        ``(dim,)`` float64 array, and a ``history(t')`` function
+        returning the (interpolated) state at any earlier time as a
+        read-only ``(dim,)`` float64 array; must return the state
+        derivative as an array (anything that broadcasts to ``(dim,)``).
     x0:
-        Initial state; also the constant pre-history.
+        Initial state (list, tuple or 1-D array); also the constant
+        pre-history.
     method:
         ``"rk4"`` (default) or ``"euler"``.
+
+    An adapter over :func:`integrate_dde_floats` — same grid, same
+    stepping, same lookups; only the values crossing into and out of
+    *rhs* are wrapped as arrays.
 
     Returns
     -------
     DdeSolution with the full trajectory on the uniform grid.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
-    n_steps = int(round((t1 - t0) / dt))
-    x = np.asarray(x0, dtype=float).copy()
-    hist = _History(t0, x, n_steps, x.size, dt)
-    _advance(rhs, x, t0, dt, n_steps, method == "euler", hist)
-    return DdeSolution(hist.ts[: hist.filled], hist.xs[: hist.filled])
+    start = np.asarray(x0, dtype=float)
+    if start.ndim != 1:
+        raise ValueError("x0 must be one-dimensional (one system)")
+
+    def float_rhs(t, x, history):
+        def lookup(ti):
+            out = np.array(history(ti))
+            out.setflags(write=False)
+            return out
+
+        dx = np.asarray(rhs(t, np.array(x), lookup), dtype=float)
+        return np.broadcast_to(dx, start.shape).tolist()
+
+    return integrate_dde_floats(float_rhs, start.tolist(), t_span, dt, method)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +338,7 @@ class _BatchHistory:
 
     ``eval`` takes a ``(B,)`` vector of query times (or a scalar,
     broadcast) and gathers each member's interpolated state — the same
-    guess-and-fix-up index arithmetic as :meth:`_History.eval`, applied
+    guess-and-fix-up index arithmetic as :meth:`_FloatHistory.eval`, applied
     elementwise, with identical interpolation arithmetic so batch and
     scalar runs agree bit for bit, and the same lookup contract (see the
     module docstring).
@@ -357,6 +433,29 @@ class _BatchHistory:
                 + self._xs1[idx, rows] * frac[:, None])
 
 
+def _advance(rhs, x, t, dt, n_steps, euler, hist) -> None:
+    """Step the ``(B, dim)`` block *x* from *t*, appending every state.
+
+    The stepping arithmetic is :func:`integrate_dde_floats`'s, the same
+    expression applied elementwise, which is what makes a batch member
+    bit-identical to its scalar run.
+    """
+    history = hist.eval
+    half = dt / 2
+    sixth = dt / 6.0
+    for _ in range(n_steps):
+        if euler:
+            x = x + dt * np.asarray(rhs(t, x, history))
+        else:
+            k1 = np.asarray(rhs(t, x, history))
+            k2 = np.asarray(rhs(t + half, x + half * k1, history))
+            k3 = np.asarray(rhs(t + half, x + half * k2, history))
+            k4 = np.asarray(rhs(t + dt, x + dt * k3, history))
+            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        hist.append(t, x)
+
+
 def integrate_dde_batch(
     rhs: Callable[[float, np.ndarray, Callable], np.ndarray],
     x0: np.ndarray,
@@ -382,17 +481,10 @@ def integrate_dde_batch(
     :func:`integrate_dde` exactly, so the trajectory of member *b*
     equals a scalar integration of that member bit for bit.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
+    t, n_steps, euler = _check_problem(t_span, dt, method)
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 2:
         raise ValueError("x0 must have shape (batch, dim)")
-    n_steps = int(round((t1 - t0) / dt))
-    hist = _BatchHistory(t0, x, n_steps, dt)
-    _advance(rhs, x, t0, dt, n_steps, method == "euler", hist)
-    return DdeBatchSolution(hist.ts[: hist.filled], hist.xs[: hist.filled])
+    hist = _BatchHistory(t, x, n_steps, dt)
+    _advance(rhs, x, t, dt, n_steps, euler, hist)
+    return DdeBatchSolution(hist.ts, hist.xs)

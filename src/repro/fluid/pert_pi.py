@@ -15,17 +15,15 @@ State vector: x1 = W (packets), x2 = Tq (seconds), x3 = p (probability).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from .dde import DdeSolution, integrate_dde
+from .dynamics import FloatDynamics
 
 __all__ = ["PertPiFluidModel"]
 
 
 @dataclass
-class PertPiFluidModel:
+class PertPiFluidModel(FloatDynamics):
     """PERT/PI fluid model with Theorem 2-style gains.
 
     ``k`` and ``m`` are the PI gains; ``tq_ref`` the queuing-delay target.
@@ -38,6 +36,8 @@ class PertPiFluidModel:
     m: float = 1.0
     tq_ref: float = 0.05
     clamp: bool = True
+
+    x0_default = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0 or self.n_flows <= 0 or self.rtt <= 0:
@@ -56,30 +56,28 @@ class PertPiFluidModel:
         w_star, p_star, tq_star = self.equilibrium()
         return w_star, tq_star, p_star
 
-    def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
+    def dynamics(self):
+        """Window dynamics and eq. (16)/(17), float contract."""
         r = self.rtt
-        xd = history(t - r)
-        w, tq, p = x.tolist()  # Python floats: see PertRedFluidModel.rhs
-        w_d = xd.item(0)
-        p_eff = min(1.0, max(0.0, p)) if self.clamp else p
-        dw = 1.0 / r - p_eff * w * w_d / (2.0 * r)
-        dtq = self.n_flows * w / (r * self.capacity) - 1.0
-        if self.clamp and tq <= 0.0 and dtq < 0.0:
-            dtq = 0.0
-        dp = self.k * (dtq + (tq - self.tq_ref) / self.m)
-        if self.clamp:
-            if p >= 1.0 and dp > 0.0:
-                dp = 0.0
-            elif p <= 0.0 and dp < 0.0:
-                dp = 0.0
-        return np.array((dw, dtq, dp))
+        inv_r = 1.0 / r
+        two_r = 2.0 * r
+        r_cap = r * self.capacity
+        n_flows = self.n_flows
+        k = self.k
+        m = self.m
+        tq_ref = self.tq_ref
+        clamp = self.clamp
 
-    def simulate(
-        self,
-        duration: float,
-        dt: float = 1e-3,
-        x0: Optional[Tuple[float, float, float]] = None,
-        method: str = "rk4",
-    ) -> DdeSolution:
-        start = np.array(x0 if x0 is not None else (1.0, 0.0, 0.0), dtype=float)
-        return integrate_dde(self.rhs, start, (0.0, duration), dt, method=method)
+        def rhs(t, x, history):
+            w, tq, p = x
+            p_eff = min(1.0, max(0.0, p)) if clamp else p
+            dw = inv_r - p_eff * w * history(t - r)[0] / two_r
+            dtq = n_flows * w / r_cap - 1.0
+            if clamp and tq <= 0.0 and dtq < 0.0:
+                dtq = 0.0
+            dp = k * (dtq + (tq - tq_ref) / m)
+            if clamp and ((p >= 1.0 and dp > 0.0) or (p <= 0.0 and dp < 0.0)):
+                dp = 0.0
+            return dw, dtq, dp
+
+        return rhs

@@ -30,14 +30,17 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..laws import lpf_pole, ramp_slope
-from .dde import DdeBatchSolution, DdeSolution, integrate_dde, integrate_dde_batch
+from .dde import DdeBatchSolution, integrate_dde_batch
+from .dynamics import FloatDynamics
 
 __all__ = ["PertRedFluidModel", "simulate_batch"]
 
 
 @dataclass
-class PertRedFluidModel:
+class PertRedFluidModel(FloatDynamics):
     """PERT/RED fluid model with the paper's Figure 13 defaults.
+
+    The default start ``(1, 1, 1)`` is the one Figure 13 uses.
 
     Parameters
     ----------
@@ -117,36 +120,36 @@ class PertRedFluidModel:
         return w_star, tq_star, tq_star
 
     # ------------------------------------------------------------------
-    def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
-        # Python floats throughout: IEEE-identical to np.float64 scalar
-        # arithmetic and several times cheaper per operation
+    def dynamics(self):
+        """Eq. (14), float contract."""
         r = self.rtt
-        xd = history(t - r)
-        w, tq, s = x.tolist()
-        w_d = w if self.approximate_self_delay else xd.item(0)
-        s_d = xd.item(2)
-        p = self.l_pert * (s_d - self.t_min)
-        if self.clamp:
-            p = min(1.0, max(0.0, p))
-            w = max(w, 0.0)
-        dw = 1.0 / r - self.beta_decrease * p * w * w_d / r
-        n = self.n_of_t(t) if self.n_of_t is not None else self.n_flows
-        dtq = n * w / (r * self.capacity) - 1.0
-        if self.clamp and tq <= 0.0 and dtq < 0.0:
-            dtq = 0.0
-        ds = self.k_lpf * (s - tq)
-        return np.array((dw, dtq, ds))
+        inv_r = 1.0 / r
+        r_cap = r * self.capacity
+        beta = self.beta_decrease
+        t_min = self.t_min
+        l_pert = self.l_pert
+        k_lpf = self.k_lpf
+        clamp = self.clamp
+        approx = self.approximate_self_delay
+        n_of_t = self.n_of_t
+        n_flows = self.n_flows
 
-    def simulate(
-        self,
-        duration: float,
-        dt: float = 1e-3,
-        x0: Optional[Tuple[float, float, float]] = None,
-        method: str = "rk4",
-    ) -> DdeSolution:
-        """Integrate the DDE from *x0* (paper Figure 13 uses (1, 1, 1))."""
-        start = np.array(x0 if x0 is not None else (1.0, 1.0, 1.0), dtype=float)
-        return integrate_dde(self.rhs, start, (0.0, duration), dt, method=method)
+        def rhs(t, x, history):
+            xd = history(t - r)
+            w, tq, s = x
+            w_d = w if approx else xd[0]
+            p = l_pert * (xd[2] - t_min)
+            if clamp:
+                p = min(1.0, max(0.0, p))
+                w = max(w, 0.0)
+            dw = inv_r - beta * p * w * w_d / r
+            n = n_flows if n_of_t is None else n_of_t(t)
+            dtq = n * w / r_cap - 1.0
+            if clamp and tq <= 0.0 and dtq < 0.0:
+                dtq = 0.0
+            return dw, dtq, k_lpf * (s - tq)
+
+        return rhs
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +167,7 @@ def simulate_batch(
     All members share the time grid but may differ in every numeric
     parameter, including the RTT (per-member delayed-time queries).  The
     right-hand side evaluates the same arithmetic as
-    :meth:`PertRedFluidModel.rhs` elementwise, so member *b*'s trajectory
+    :meth:`PertRedFluidModel.dynamics` elementwise, so member *b*'s trajectory
     is bit-identical to ``models[b].simulate(duration, dt, ...)`` — this
     is a throughput optimisation for stability sweeps (Figure 13's
     parameter grids), not an approximation.

@@ -25,6 +25,10 @@ import numpy as np
 
 from .dde import DdeSolution
 
+#: numpy >= 2.0 spells it ``trapezoid``; 1.x only has ``trapz`` (removed
+#: in 2.4).  Same arithmetic.
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 __all__ = [
     "RateSegment",
     "RateTrajectory",
@@ -109,7 +113,7 @@ class RateTrajectory:
         span = end - start
         if span <= 0:
             return float(rs[0])
-        return float(np.trapezoid(rs, ts) / span)
+        return float(_trapezoid(rs, ts) / span)
 
     def steady_rate(self, tail: float = 0.25) -> float:
         """Mean rate over the trailing *tail* fraction of the horizon."""

@@ -16,15 +16,16 @@ calls (``PertRedFluidModel(...)``) simply work.
 The :class:`FluidModel` protocol documents the surface every registered
 model shares — the hybrid engine (:mod:`repro.hybrid`) and the rate
 export (:mod:`repro.fluid.rates`) are written against it, never against
-a concrete class.
+a concrete class.  Registered models state their dynamics once, float
+native, and inherit ``rhs`` / ``simulate`` from
+:class:`repro.fluid.dynamics.FloatDynamics`; adding a model is that one
+function plus a line in :data:`FLUID_MODELS`.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Any, Dict, Protocol, Tuple, Type, runtime_checkable
-
-import numpy as np
+from typing import Any, Dict, Protocol, Sequence, Tuple, Type, runtime_checkable
 
 from .dde import DdeSolution
 from .pert_pi import PertPiFluidModel
@@ -63,8 +64,14 @@ class FluidModel(Protocol):
         """:meth:`equilibrium` mapped onto the model's state vector."""
         ...
 
-    def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
-        """DDE right-hand side (see :func:`repro.fluid.integrate_dde`)."""
+    def rhs(self, t: float, x: Sequence[float], history) -> Sequence[float]:
+        """One evaluation of the DDE right-hand side, float contract.
+
+        *x* is a sequence of Python floats, ``history(t')`` returns one
+        and so does the call (see
+        :func:`repro.fluid.integrate_dde_floats`); it is the function
+        :meth:`simulate` integrates, not a second copy of it.
+        """
         ...
 
     def simulate(self, duration: float, dt: float = 1e-3, x0=None,

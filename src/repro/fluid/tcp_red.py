@@ -19,16 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..laws import lpf_pole, ramp_slope
-from .dde import DdeSolution, integrate_dde
+from .dynamics import FloatDynamics
 
 __all__ = ["TcpRedFluidModel"]
 
 
 @dataclass
-class TcpRedFluidModel:
+class TcpRedFluidModel(FloatDynamics):
     """TCP/RED fluid model.
 
     ``min_th``/``max_th`` are queue-length thresholds in packets and
@@ -73,28 +71,29 @@ class TcpRedFluidModel:
         w_star, _, q_star = self.equilibrium()
         return w_star, q_star, q_star
 
-    def rhs(self, t: float, x: np.ndarray, history) -> np.ndarray:
+    def dynamics(self):
+        """The Misra–Gong–Towsley dynamics, float contract."""
         r = self.rtt
-        xd = history(t - r)
-        w, q, s = x.tolist()  # Python floats: see PertRedFluidModel.rhs
-        w_d, s_d = xd.item(0), xd.item(2)
-        p = self.l_red * (s_d - self.min_th)  # router marks, felt an RTT later
-        if self.clamp:
-            p = min(1.0, max(0.0, p))
-            w = max(w, 0.0)
-        dw = 1.0 / r - p * w * w_d / (2.0 * r)
-        dq = self.n_flows * w / r - self.capacity
-        if self.clamp and q <= 0.0 and dq < 0.0:
-            dq = 0.0
-        ds = self.k_lpf * (s - q)
-        return np.array((dw, dq, ds))
+        inv_r = 1.0 / r
+        two_r = 2.0 * r
+        capacity = self.capacity
+        n_flows = self.n_flows
+        min_th = self.min_th
+        l_red = self.l_red
+        k_lpf = self.k_lpf
+        clamp = self.clamp
 
-    def simulate(
-        self,
-        duration: float,
-        dt: float = 1e-3,
-        x0: Optional[Tuple[float, float, float]] = None,
-        method: str = "rk4",
-    ) -> DdeSolution:
-        start = np.array(x0 if x0 is not None else (1.0, 1.0, 1.0), dtype=float)
-        return integrate_dde(self.rhs, start, (0.0, duration), dt, method=method)
+        def rhs(t, x, history):
+            xd = history(t - r)
+            w, q, s = x
+            p = l_red * (xd[2] - min_th)  # router marks, felt an RTT later
+            if clamp:
+                p = min(1.0, max(0.0, p))
+                w = max(w, 0.0)
+            dw = inv_r - p * w * xd[0] / two_r
+            dq = n_flows * w / r - capacity
+            if clamp and q <= 0.0 and dq < 0.0:
+                dq = 0.0
+            return dw, dq, k_lpf * (s - q)
+
+        return rhs

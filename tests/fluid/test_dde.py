@@ -59,6 +59,13 @@ def test_solution_interpolation_and_clamping():
     assert sol(99.0)[0] == pytest.approx(1.0)  # clamped to end
 
 
+def test_solution_call_never_hands_out_a_view_of_the_trajectory():
+    sol = integrate_dde(lambda t, x, h: np.array([1.0]), [0.0], (0.0, 1.0), dt=0.1)
+    for ti in (-1.0, 0.0, 0.55, 1.0, 99.0):
+        sol(ti)[0] = 1e9
+    assert sol.y[0, 0] == 0.0 and sol.y[-1, 0] == pytest.approx(1.0)
+
+
 def test_component_accessor():
     sol = integrate_dde(lambda t, x, h: np.array([1.0, 2.0]), [0.0, 0.0],
                         (0.0, 1.0), dt=0.1)

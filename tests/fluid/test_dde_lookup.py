@@ -1,6 +1,7 @@
 """The delayed-state lookup contract of ``repro.fluid.dde``.
 
-Three guards for the memoised constant-lag history kernel:
+Guards for the memoised constant-lag history kernel — one float-native
+scalar history (``_FloatHistory``) behind both scalar contracts:
 
 * an independent oracle — a reference integrator whose history is
   ``np.searchsorted`` plus the same interpolation expression and *no*
@@ -10,7 +11,9 @@ Three guards for the memoised constant-lag history kernel:
   absolute time re-queried after every append);
 * lookups are read-only, so an rhs cannot corrupt a result the memo
   hands out again or the stored solution behind a view;
-* an exact count: RK4 interpolates at most twice per step, Euler once.
+* an exact count: RK4 interpolates at most twice per step, Euler once;
+* the two scalar contracts at their seams: what the array adapter hands
+  an rhs and accepts from it, what the float kernel does.
 """
 
 from collections import Counter
@@ -21,9 +24,10 @@ import pytest
 from repro.fluid import make_fluid_model, simulate_batch
 from repro.fluid.dde import (
     _BatchHistory,
-    _History,
+    _FloatHistory,
     integrate_dde,
     integrate_dde_batch,
+    integrate_dde_floats,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -215,7 +219,7 @@ def test_scalar_interpolations_per_step(monkeypatch, method, per_step_max):
     model = make_fluid_model("pert_red", rtt=0.1)
     n_steps, dt = 1000, 1e-3
     counts = count_interpolations(
-        monkeypatch, _History,
+        monkeypatch, _FloatHistory,
         lambda: model.simulate(n_steps * dt, dt=dt, method=method))
     assert max(counts.values()) <= per_step_max
     # past the first R/dt steps every step does look up, exactly that often
@@ -234,3 +238,92 @@ def test_batch_interpolations_per_step(monkeypatch, method, per_step_max):
     assert max(counts.values()) <= per_step_max
     settled = range(int(max(m.rtt for m in models) / dt) + 2, n_steps + 1)
     assert all(counts[n] == per_step_max for n in settled)
+
+
+# ----------------------------------------------------------------------
+# the array adapter (integrate_dde) at its seams
+# ----------------------------------------------------------------------
+def test_adapter_lookups_are_read_only_float64_and_repeat_on_a_memo_hit():
+    seen = []
+
+    def rhs(t, x, history):
+        a, b = history(t - 0.25), history(t - 0.25)  # second one: memo hit
+        seen.append((x, a, b))
+        return -a
+
+    integrate_dde(rhs, [1.0, 2.0], (0.0, 1.0), dt=0.1)
+    for x, a, b in seen:
+        assert type(x) is np.ndarray and x.dtype == np.float64
+        for xd in (a, b):
+            assert type(xd) is np.ndarray and xd.dtype == np.float64
+            assert xd.shape == (2,) and not xd.flags.writeable
+        assert np.array_equal(a, b)
+
+
+def test_adapter_takes_x0_as_list_tuple_or_array():
+    def rhs(t, x, history):
+        return -0.5 * history(t - 0.3) + 0.1 * x
+
+    runs = [integrate_dde(rhs, x0, (0.0, 2.0), dt=0.05)
+            for x0 in ([1.0, -2.0], (1.0, -2.0), np.array([1.0, -2.0]))]
+    for sol in runs[1:]:
+        assert np.array_equal(sol.y, runs[0].y)
+
+
+def test_adapter_rejects_a_batch_shaped_problem():
+    with pytest.raises(ValueError):
+        integrate_dde(lambda t, x, h: -x, np.ones((3, 2)), (0.0, 1.0), dt=0.1)
+    with pytest.raises(ValueError):  # (B, dim) derivatives for a (dim,) state
+        integrate_dde(lambda t, x, h: np.ones((3, 2)), [1.0, 2.0],
+                      (0.0, 1.0), dt=0.1)
+
+
+# ----------------------------------------------------------------------
+# the float kernel (integrate_dde_floats) at its seams
+# ----------------------------------------------------------------------
+def test_float_end_clamped_lookup_is_never_memoised():
+    """Lag < dt: k4's query is the next k1's, with an append in between."""
+    calls = []
+
+    def rhs(t, x, history):
+        calls.append((t - 0.03, history(t - 0.03)[0]))
+        return (1.0,)
+
+    sol = integrate_dde_floats(rhs, [0.0], (0.0, 1.0), dt=0.1)
+    rows = sol.y[:, 0].tolist()
+    for step in range(1, 10):
+        (q4, at_k4), (q1, at_k1) = calls[4 * step - 1], calls[4 * step]
+        assert q4 == q1
+        # k4 probed past the stored history and held the last row; one
+        # append later the same query is interior and must interpolate
+        assert at_k4 == rows[step - 1]
+        assert rows[step - 1] < at_k1 < rows[step]
+
+
+def test_float_pre_history_lookup_is_x0_as_a_tuple():
+    seen = []
+
+    def rhs(t, x, history):
+        seen.append(history(t - 5.0))
+        return [-v for v in x]
+
+    integrate_dde_floats(rhs, (3.0, -1.0), (0.0, 0.5), dt=0.1)
+    assert seen and all(xd == (3.0, -1.0) and type(xd) is tuple
+                        and all(type(v) is float for v in xd) for xd in seen)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_float_rhs_may_return_tuple_or_list(method):
+    def as_tuple(t, x, history):
+        return -history(t - 0.25)[1], x[0]
+
+    def as_list(t, x, history):
+        return list(as_tuple(t, x, history))
+
+    a, b = (integrate_dde_floats(rhs, [1.0, 0.5], (0.0, 2.0), dt=0.05,
+                                 method=method)
+            for rhs in (as_tuple, as_list))
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.t, b.t)
+    with pytest.raises(ValueError, match="derivatives"):
+        integrate_dde_floats(lambda t, x, h: (1.0, 2.0, 3.0), [1.0, 0.5],
+                             (0.0, 1.0), dt=0.1, method=method)

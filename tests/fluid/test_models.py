@@ -127,3 +127,28 @@ class TestPertPi:
             make_fluid_model("pert_pi", k=0.0)
         with pytest.raises(ValueError):
             make_fluid_model("pert_pi", n_flows=0)
+
+
+# ----------------------------------------------------------------------
+# one dynamics() per model, bound once per simulate() call
+# ----------------------------------------------------------------------
+MODELS = ("pert_red", "tcp_red", "pert_pi")
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_rhs_is_one_evaluation_of_what_simulate_integrates(name):
+    m = make_fluid_model(name)
+    x0, dt = m.x0_default, 1e-3
+    dx = m.rhs(0.0, x0, lambda t: x0)
+    assert len(dx) == 3 and all(type(v) is float for v in dx)
+    step = m.simulate(dt, dt=dt, method="euler").y[1].tolist()
+    assert step == [a + dt * b for a, b in zip(x0, dx)]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_parameter_changed_between_runs_is_honoured(name):
+    m = make_fluid_model(name)
+    m.simulate(0.5)
+    m.rtt, m.clamp = 0.05, not m.clamp
+    fresh = make_fluid_model(name, rtt=0.05, clamp=m.clamp)
+    assert m.simulate(0.5).y.tobytes() == fresh.simulate(0.5).y.tobytes()

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import run_dumbbell
 from repro.fluid import RateSegment, make_fluid_model
 from repro.hybrid import BackgroundLoad
+
+#: numpy >= 2.0 has ``trapezoid``, 1.x only ``trapz`` (see fluid/rates.py)
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 KW = dict(rtt=0.04, n_fwd=3, duration=4.0, warmup=1.0, seed=3)
 BW = 8e6  # 1000 pkts/s at the default 1000-byte packets
@@ -98,9 +102,7 @@ def test_segments_preserve_trajectory_volume():
     for a, b in zip(segs, segs[1:]):
         assert a.end == pytest.approx(b.start)
     seg_volume = sum((s.end - s.start) * s.rate_pps for s in segs)
-    import numpy as np
-
-    true_volume = float(np.trapezoid(traj.rate_pps, traj.times))
+    true_volume = float(trapezoid(traj.rate_pps, traj.times))
     assert seg_volume == pytest.approx(true_volume, rel=1e-6)
 
 
