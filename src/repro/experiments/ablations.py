@@ -28,6 +28,7 @@ from ..core.config import PertConfig
 from ..core.pert import PertSender
 from ..runner import JobSpec, resolve_job, run_jobs
 from .scenarios import SCHEMES, Scheme
+from .sweep import job_values
 
 __all__ = ["ABLATIONS", "variant_job", "run", "validation_metrics", "tables"]
 
@@ -92,13 +93,8 @@ def run(
             seed=seed))
         for knob, value in variants
     ])
-    rows = []
-    for (knob, value), res in zip(variants, results):
-        if not res.ok:
-            raise RuntimeError(f"ablation {knob}={value} failed: {res.error}")
-        rows.append({"knob": knob, "value": value,
-                     **{c: res.value[c] for c in COLUMNS[2:]}})
-    return rows
+    return [{"knob": knob, "value": value, **{c: payload[c] for c in COLUMNS[2:]}}
+            for (knob, value), payload in zip(variants, job_values(results))]
 
 
 def validation_metrics(rows: List[Dict]) -> Dict[str, float]:

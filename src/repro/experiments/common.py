@@ -1,40 +1,42 @@
-"""Shared experiment harness: the paper's dumbbell methodology.
+"""Shared experiment harness: one phased packet run, whatever the topology.
 
-One call to :func:`run_dumbbell` reproduces one data point of the
-Section 4 figures: build the single-bottleneck topology, start long-term
-flows (optionally in both directions) plus web sessions, run past a
-warm-up period, and measure — over the steady-state window only, as the
-paper does — the four headline metrics:
+The paper's evaluation is one methodology on several topologies: build
+the network, start long-term flows (plus web sessions, a CBR source, a
+fluid background...), run past a warm-up period and measure over the
+steady-state window only.  A *scenario* states what differs — a
+``build(params, sim)`` function that lays out topology and traffic and
+returns a :class:`PacketRun` naming the measured links and flows — and
+:func:`run_scenario` is the one shell every scenario runs in:
 
-* normalized average bottleneck queue length,
-* bottleneck drop rate,
-* bottleneck utilization,
-* Jain fairness index of the forward long-term flows' goodputs.
+    resolve -> resume-or-build -> warm -> measure -> result
 
-The paper's buffer-sizing rule is applied: buffer = bandwidth-delay
-product, with a floor of twice the number of flows.
+The shell owns the only ``Simulator(...)`` call, the profiler /
+heartbeat / collector attachment, the phase timings and checkpointing:
+when the executor installs a checkpoint slot
+(:mod:`repro.snapshot.runtime`) the run is snapshotted with its
+simulator at periodic boundaries and a retried attempt resumes from the
+last one — to exactly the result an uninterrupted run produces, because
+``sim.run(until=...)`` chunking is bit-identical to a single call
+(pinned by the resume goldens in ``tests/snapshot``).  For that a
+``build`` is a pure function of *params* (construction order fixes RNG
+draws and event sequence numbers), finds ``seed`` / ``warmup`` /
+``duration`` among them, and leaves nothing on the event heap that
+cannot be pickled (no closures).  docs/ARCHITECTURE.md has the table of
+scenarios.
 
-The run is phased — resolve parameters, build, warm up, measure — with
-the live objects carried between phases in a :class:`_DumbbellState`.
-That split is what makes runs checkpointable: when the executor installs
-a checkpoint slot (:mod:`repro.snapshot.runtime`), the state object is
-snapshotted together with the simulator at periodic boundaries, and a
-retried attempt resumes from the last checkpoint instead of starting
-over.  Because ``sim.run(until=...)`` chunking is bit-identical to a
-single call, a resumed run produces exactly the result an uninterrupted
-one would (pinned by the resume goldens in ``tests/snapshot``).  The
-same split powers warm-started sweeps: :func:`warm_dumbbell_bytes`
-captures the state right after warm-up and
+The same phases power warm-started sweeps: :func:`warm_dumbbell_bytes`
+captures a dumbbell run right after warm-up and
 :func:`run_dumbbell_warm` measures any number of divergent durations
 from clones of it.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..metrics.fairness import jain_index
 from ..obs import runtime as obs_runtime
@@ -43,9 +45,9 @@ from ..sim.monitors import DropLog, LinkWindow, QueueSampler
 from ..sim.topology import Dumbbell, make_topology
 from ..snapshot import runtime as snapshot_runtime
 from ..snapshot.core import capture_bytes, restore_bytes
-from ..tcp.base import TcpSender, TcpSink, connect_flow
+from ..traffic.ftp import start_long_flows
 from ..traffic.web import start_web_sessions
-from .scenarios import Scheme, get_scheme, scheme_sender_kwargs
+from .scenarios import get_scheme, scheme_at
 
 __all__ = [
     "DumbbellResult",
@@ -54,15 +56,29 @@ __all__ = [
     "run_dumbbell_warm",
     "access_delays_for_rtts",
     "bdp_packets",
+    "paper_buffer_pkts",
+    "MeasuredLink",
+    "PacketRun",
+    "run_scenario",
+    "scheme_dumbbell",
 ]
 
-#: generous FIFO for access links and the reverse bottleneck direction
-_ACCESS_BUFFER = 5000
+#: queue-length sampling periods (seconds): for the steady-state mean, and
+#: for tagged-flow runs, whose analysis reads the queue at single ACK instants
+QUEUE_SAMPLE = 0.02
+TAGGED_QUEUE_SAMPLE = 0.005
 
 
 def bdp_packets(bandwidth_bps: float, rtt: float, pkt_size: int) -> int:
     """Bandwidth-delay product in packets (at least 1)."""
     return max(1, int(round(bandwidth_bps * rtt / (8.0 * pkt_size))))
+
+
+def paper_buffer_pkts(bandwidth_bps: float, rtt: float, pkt_size: int,
+                      n_flows: int) -> int:
+    """The paper's buffer rule: one bandwidth-delay product, with a floor
+    of two packets per flow (and of eight packets)."""
+    return max(bdp_packets(bandwidth_bps, rtt, pkt_size), 2 * n_flows, 8)
 
 
 def access_delays_for_rtts(
@@ -84,6 +100,222 @@ def access_delays_for_rtts(
     return delays
 
 
+def bound_params(fn, *args, **kwargs) -> Dict[str, Any]:
+    """*fn*'s parameters as this call would bind them, defaults filled in
+    (so code resolving a call it does not make retypes no default)."""
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def delivered_bytes(flows, pkt_size: int) -> int:
+    """Bytes delivered in order to *flows*' sinks: a picklable counter for
+    :class:`~repro.sim.monitors.ThroughputSampler` (via ``partial``)."""
+    return sum(sink.rcv_next for _, sink in flows) * pkt_size
+
+
+# ----------------------------------------------------------------------
+# the shell: what every packet scenario runs in
+# ----------------------------------------------------------------------
+class MeasuredLink:
+    """One link's steady-state measurement, as the paper takes it: a
+    :class:`LinkWindow` (utilization, drop and mark rates), the queue
+    sampled every *sample_interval* seconds and the goodput of the
+    *flows* crossing it, over the window the shell opens at ``warmup``
+    and closes at ``duration``."""
+
+    def __init__(self, sim: Simulator, label: str, link, flows, sample_interval):
+        self.label, self.link, self.flows = label, link, flows
+        self.window = LinkWindow(sim, link)
+        self.sampler = QueueSampler(sim, link.qdisc, interval=sample_interval)
+        #: each flow's delivered count when the window opened
+        self.goodput0: Optional[List[int]] = None
+
+    def metrics(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """The headline metrics over the closed window, from the run's
+        ``warmup`` / ``duration`` / ``pkt_size`` / ``buffer_pkts``."""
+        start, end = params["warmup"], params["duration"]
+        goodputs = [
+            (sink.rcv_next - g0) * params["pkt_size"] * 8.0 / (end - start)
+            for (_, sink), g0 in zip(self.flows, self.goodput0)
+        ]
+        mean_q = self.sampler.mean(start=start, end=end)
+        return dict(
+            mean_queue_pkts=mean_q,
+            norm_queue=mean_q / params["buffer_pkts"],
+            drop_rate=self.window.drop_rate,
+            mark_rate=self.window.mark_rate,
+            utilization=self.window.utilization,
+            jain=jain_index(goodputs) if goodputs else 0.0,
+            flow_goodputs_bps=goodputs,
+        )
+
+
+class PacketRun:
+    """One packet run: what a scenario's ``build(params, sim)`` returns and
+    the shell carries between phases — the state a checkpoint captures.
+
+    ``links`` are the :class:`MeasuredLink` s (a collector observes their
+    queue and transmitter), ``senders`` every long-lived sender (observed
+    per flow), ``observed`` further ``label -> link`` pairs whose queue a
+    collector sees; whatever else the result function reads rides along
+    as attributes.  The shell adds ``collector`` and ``build``, with
+    ``params`` the identity a resumed attempt is held to.
+    """
+
+    def __init__(self, params: Dict[str, Any], sim: Simulator, links=(),
+                 senders=(), observed=None, **parts: Any):
+        self.params, self.sim = params, sim
+        self.links, self.senders = list(links), list(senders)
+        self.observed = dict(observed or {})
+        self.build = self.collector = None
+        #: the measurement window has opened (warm-up is behind us)
+        self.opened = False
+        self.__dict__.update(parts)
+
+    def payload(self, **fields: Any) -> Dict[str, Any]:
+        """A runner-job payload: *fields* plus the event count every job
+        reports (``--progress`` events/s, ``job_finished``, manifests)."""
+        return dict(fields, events_processed=self.sim.events_processed)
+
+
+def run_scenario(build, params: Dict[str, Any], collector=None) -> PacketRun:
+    """Run *build*'s scenario at the resolved *params* through the phases;
+    returns the finished run for the scenario's result function.
+
+    *collector*: a :class:`repro.obs.Collector`; ``None`` uses the active
+    job observation's (if the runner enabled one), ``False`` forces
+    observability off.  Attachment is passive — results are identical
+    either way — and a resumed run keeps the collector it was built with.
+    """
+    if collector is None:
+        collector = obs_runtime.active_collector()
+    elif collector is False:
+        collector = None
+    ckpt = snapshot_runtime.active_checkpoint()
+    run = _resume_or_build(build, params, collector, ckpt)
+    _warm(run, ckpt)
+    _measure(run, ckpt)
+    return run
+
+
+def _build(build, params: Dict[str, Any], collector) -> PacketRun:
+    """Construct the simulator and *build*'s scenario on it."""
+    sim = Simulator(seed=params["seed"])
+    sim.profiler = obs_runtime.active_profiler()
+    obs_runtime.note_simulator(sim)
+    run = build(params, sim)
+    run.build, run.collector = build, collector
+    if collector is not None:
+        for m in run.links:
+            collector.attach_queue(m.link.qdisc, m.label, bandwidth=m.link.bandwidth)
+            collector.attach_link(m.link, m.label)
+        for label, link in run.observed.items():
+            collector.attach_queue(link.qdisc, label, bandwidth=link.bandwidth)
+        for sender in run.senders:
+            collector.attach_sender(sender)
+    return run
+
+
+def _resume_or_build(build, params, collector, ckpt) -> PacketRun:
+    """Restore the checkpoint slot's run, or build fresh.
+
+    A restored run is accepted only if its scenario and resolved
+    parameters match this call exactly — the checkpoint file is keyed by
+    spec hash when the runner installs it, but direct callers get the
+    same guarantee.
+    """
+    if ckpt is not None:
+        resumed = ckpt.resume()
+        if resumed is not None:
+            _sim, run = resumed
+            if (isinstance(run, PacketRun) and run.build == build
+                    and run.params == params):
+                run.sim.profiler = obs_runtime.active_profiler()
+                obs_runtime.note_simulator(run.sim)
+                if run.collector is not None:
+                    obs_runtime.adopt_collector(run.collector)
+                return run
+            ckpt.reject()
+    t0 = time.monotonic()
+    run = _build(build, params, collector)
+    active = obs_runtime.active()
+    if active is not None:
+        active.add_phase("setup", time.monotonic() - t0)
+    return run
+
+
+def _advance(run: PacketRun, until: float, ckpt) -> None:
+    """Run the simulation to *until*, checkpointing at interval boundaries.
+
+    Chunked ``run(until=...)`` calls are bit-identical to a single call
+    (the engine's pop-first loop pushes the one horizon-crossing event
+    back), so checkpoint cadence never changes results.  No checkpoint is
+    written at *until* itself — phase ends either lead straight into more
+    simulation or into job completion, where the file is deleted anyway.
+    """
+    sim = run.sim
+    if ckpt is None:
+        sim.run(until=until)
+        return
+    while sim.now < until:
+        target = min(until, sim.now + ckpt.interval)
+        sim.run(until=target)
+        if target < until:
+            ckpt.save(sim, run)
+
+
+def _warm(run: PacketRun, ckpt=None) -> None:
+    """Run to the end of warm-up and open the measurement windows.
+
+    Idempotent across resumes: a run restored mid-measure (windows
+    already open) passes straight through.
+    """
+    warmup = run.params["warmup"]
+    if run.sim.now < warmup:
+        with obs_runtime.phase("warmup"):
+            _advance(run, warmup, ckpt)
+    if not run.opened:
+        for m in run.links:
+            m.window.open()
+            m.goodput0 = [sink.rcv_next for _, sink in m.flows]
+        run.opened = True
+
+
+def _measure(run: PacketRun, ckpt=None) -> None:
+    """Run the steady-state window to ``duration`` and close it."""
+    with obs_runtime.phase("measure"):
+        _advance(run, run.params["duration"], ckpt)
+    for m in run.links:
+        m.window.close()
+    if run.collector is not None:
+        run.collector.finalize(run.sim)
+
+
+def scheme_dumbbell(sim: Simulator, qdisc, buffer_pkts: int, bandwidth: float,
+                    flow_rtts: Sequence[float], n_hosts: int, n_rev: int) -> Dumbbell:
+    """An *n_hosts*-pair dumbbell with :func:`scheme_at`'s *qdisc* on the
+    bottleneck, both ways (the reverse one sized for *n_rev* flows).
+
+    A quarter of the smallest RTT sits on the bottleneck; host pair i's
+    access links carry the rest of ``flow_rtts[i]`` (pairs beyond the
+    list reuse its first entry).
+    """
+    bottleneck_delay = min(flow_rtts) / 2.0 * 0.5
+    access = access_delays_for_rtts(list(flow_rtts), bottleneck_delay)
+    delays = (access + access[:1] * n_hosts)[:n_hosts]
+    return make_topology(
+        "dumbbell", sim, n_left=n_hosts, n_right=n_hosts,
+        bottleneck_bw=bandwidth, bottleneck_delay=bottleneck_delay,
+        qdisc_fwd=lambda: qdisc(sim, buffer_pkts),
+        qdisc_rev=lambda: qdisc(sim, buffer_pkts, n_rev),
+        access_delays_left=delays, access_delays_right=list(delays),
+    )
+
+
+# ----------------------------------------------------------------------
+# the dumbbell scenario (Section 4)
+# ----------------------------------------------------------------------
 @dataclass
 class DumbbellResult:
     """Steady-state metrics of one dumbbell run."""
@@ -111,6 +343,11 @@ class DumbbellResult:
     background_pkts: int = 0
     extras: Dict = field(default_factory=dict)
 
+    def payload(self) -> Dict[str, Any]:
+        """The JSON-clean ``dumbbell`` job payload: every field but ``extras``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "extras"}
+
 
 def run_dumbbell(
     scheme: str,
@@ -127,7 +364,6 @@ def run_dumbbell(
     rtts: Optional[List[float]] = None,
     start_window: Optional[float] = None,
     record_rtt_flow: Optional[int] = None,
-    queue_sample_interval: float = 0.02,
     background=None,
     keep_refs: bool = False,
     collector=None,
@@ -164,185 +400,75 @@ def run_dumbbell(
     keep_refs:
         Also return live simulator objects in ``extras`` (for tests).
     collector:
-        Optional :class:`repro.obs.Collector` to attach to the
-        bottleneck queues, link and senders.  ``None`` uses the active
-        job observation's collector (if the runner enabled one); pass
-        ``False`` to force observability off.  Attachment is passive —
-        results are identical with or without a collector.  On a
-        checkpoint resume, the restored run keeps the collector it was
-        built with.
+        As for :func:`run_scenario`.
     """
     params = _resolve_params(
         scheme=scheme, bandwidth=bandwidth, rtt=rtt, n_fwd=n_fwd, n_rev=n_rev,
         web_sessions=web_sessions, duration=duration, warmup=warmup, seed=seed,
         pkt_size=pkt_size, buffer_pkts=buffer_pkts, rtts=rtts,
         start_window=start_window, record_rtt_flow=record_rtt_flow,
-        queue_sample_interval=queue_sample_interval, background=background,
+        background=background,
     )
-    if collector is None:
-        collector = obs_runtime.active_collector()
-    elif collector is False:
-        collector = None
-
-    ckpt = snapshot_runtime.active_checkpoint()
-    state = _resume_or_build(params, collector, ckpt)
-    _warm_dumbbell(state, ckpt)
-    _measure_dumbbell(state, ckpt)
-    return _dumbbell_result(state, keep_refs=keep_refs)
+    return _dumbbell_result(run_scenario(build_dumbbell, params, collector),
+                            keep_refs=keep_refs)
 
 
-# ----------------------------------------------------------------------
-# the phased machinery behind run_dumbbell
-# ----------------------------------------------------------------------
-@dataclass
-class _DumbbellState:
-    """Everything a dumbbell run carries between phases.
-
-    This is exactly the harness state a checkpoint captures alongside
-    the simulator: the resolved identifying parameters (so a resumed
-    attempt can refuse a checkpoint written by a different run) plus the
-    live topology, flows, monitors and baselines the measure phase
-    needs.  ``goodput0 is None`` doubles as "the measurement window has
-    not opened yet".
-    """
-
-    params: Dict[str, Any]
-    sim: Simulator
-    db: Dumbbell
-    fwd_flows: List[Tuple[TcpSender, TcpSink]]
-    rev_flows: List[Tuple[TcpSender, TcpSink]]
-    window: LinkWindow
-    drop_log: DropLog
-    sampler: QueueSampler
-    collector: Any = None
-    goodput0: Optional[List[int]] = None
-    #: live fluid-background injector (None for pure packet runs)
-    bg_source: Any = None
-
-
-def _resolve_params(
-    *, scheme, bandwidth, rtt, n_fwd, n_rev, web_sessions, duration, warmup,
-    seed, pkt_size, buffer_pkts, rtts, start_window, record_rtt_flow,
-    queue_sample_interval, background=None,
-) -> Dict[str, Any]:
+def _resolve_params(*, rtt, rtts, background=None, **params) -> Dict[str, Any]:
     """Validate and resolve the run parameters into their canonical form.
 
-    The resolved dict fully determines the simulation, so it is also the
+    *params* are :func:`run_dumbbell`'s other simulation keywords.  The
+    resolved dict fully determines the simulation, so it is also the
     identity a checkpoint resume compares against.
     """
-    get_scheme(scheme)  # fail fast on unknown names
+    get_scheme(params["scheme"])  # fail fast on unknown names
+    n_fwd = params["n_fwd"]
     if rtts is not None and len(rtts) != n_fwd:
         raise ValueError("rtts must have one entry per forward flow")
     flow_rtts = list(rtts) if rtts is not None else [rtt] * max(n_fwd, 1)
-    base_rtt = min(flow_rtts)
-    # The paper sizes the buffer to the bandwidth-delay product; with
-    # heterogeneous RTTs we use the mean RTT as the representative delay.
-    mean_rtt = sum(flow_rtts) / len(flow_rtts)
-    if buffer_pkts is None:
-        buffer_pkts = max(
-            bdp_packets(bandwidth, mean_rtt, pkt_size), 2 * max(1, n_fwd), 8
-        )
-    if start_window is None:
-        start_window = min(5.0, warmup / 2.0)
+    if params["buffer_pkts"] is None:
+        # The paper sizes the buffer to the bandwidth-delay product; with
+        # heterogeneous RTTs we use the mean RTT as the representative delay.
+        params["buffer_pkts"] = paper_buffer_pkts(
+            params["bandwidth"], sum(flow_rtts) / len(flow_rtts),
+            params["pkt_size"], n_fwd)
+    if params["start_window"] is None:
+        params["start_window"] = min(5.0, params["warmup"] / 2.0)
     # Normalise the background spec; a zero share collapses to None so
     # the resolved params (and therefore the build) are bit-identical
     # to a run that never mentioned a background at all.
     from ..hybrid.background import BackgroundLoad  # local: avoids a cycle
 
     bg = BackgroundLoad.from_spec(background)
-    return dict(
-        scheme=scheme,
-        bandwidth=bandwidth,
-        flow_rtts=flow_rtts,
-        base_rtt=base_rtt,
-        n_fwd=n_fwd,
-        n_rev=n_rev,
-        web_sessions=web_sessions,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        pkt_size=pkt_size,
-        buffer_pkts=buffer_pkts,
-        start_window=start_window,
-        record_rtt_flow=record_rtt_flow,
-        queue_sample_interval=queue_sample_interval,
-        background=None if bg is None else bg.canonical(),
-    )
+    return dict(params, flow_rtts=flow_rtts, base_rtt=min(flow_rtts),
+                background=None if bg is None else bg.canonical())
 
 
-def _build_dumbbell(params: Dict[str, Any], collector) -> _DumbbellState:
-    """Construct topology, flows, traffic and monitors for *params*.
+def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
+    """Dumbbell, long flows both ways, web sessions, fluid background.
 
     The construction order below is load-bearing: components claim RNG
     streams and event sequence numbers as they are built, so any
-    reordering changes the simulation.  Checkpoint/warm-start correctness
-    relies on this function being a pure function of *params*.
+    reordering changes the simulation.
     """
-    spec: Scheme = get_scheme(params["scheme"])
-    bandwidth = params["bandwidth"]
-    pkt_size = params["pkt_size"]
+    bandwidth, pkt_size = params["bandwidth"], params["pkt_size"]
     n_fwd, n_rev = params["n_fwd"], params["n_rev"]
-    base_rtt = params["base_rtt"]
-    buffer_pkts = params["buffer_pkts"]
     start_window = params["start_window"]
-    record_rtt_flow = params["record_rtt_flow"]
+    tagged = params["record_rtt_flow"]
 
+    qdisc, flow_kw = scheme_at(params["scheme"], bandwidth, pkt_size, n_fwd,
+                               params["base_rtt"])
     n_hosts = max(n_fwd, n_rev, 1) + 1  # +1 pair reserved for web traffic
-    bottleneck_delay = base_rtt / 2.0 * 0.5
-    fwd_access = access_delays_for_rtts(params["flow_rtts"], bottleneck_delay)
-    # pad access-delay lists up to the host count
-    pad = [fwd_access[0] if fwd_access else 1e-3]
-    left_delays = (fwd_access + pad * n_hosts)[:n_hosts]
-    right_delays = list(left_delays)
-
-    sim = Simulator(seed=params["seed"])
-    sim.profiler = obs_runtime.active_profiler()
-    obs_runtime.note_simulator(sim)
-    sender_kwargs = scheme_sender_kwargs(spec, bandwidth, pkt_size, n_fwd, base_rtt)
-
-    def fwd_qdisc():
-        return spec.make_qdisc(sim, buffer_pkts, bandwidth, pkt_size, n_fwd, base_rtt)
-
-    def rev_qdisc():
-        # The bottleneck is symmetric: reverse-direction data (and the
-        # forward flows' ACKs) see the same buffer and discipline.
-        return spec.make_qdisc(sim, buffer_pkts, bandwidth, pkt_size, n_rev, base_rtt)
-
-    db = make_topology(
-        "dumbbell",
-        sim,
-        n_left=n_hosts,
-        n_right=n_hosts,
-        bottleneck_bw=bandwidth,
-        bottleneck_delay=bottleneck_delay,
-        qdisc_fwd=fwd_qdisc,
-        qdisc_rev=rev_qdisc,
-        access_delays_left=left_delays,
-        access_delays_right=right_delays,
-    )
-
+    db = scheme_dumbbell(sim, qdisc, params["buffer_pkts"], bandwidth,
+                         params["flow_rtts"], n_hosts, n_rev)
     flow_ids = itertools.count()
     rng = sim.stream("starts")
-
-    fwd_flows: List[Tuple[TcpSender, TcpSink]] = []
-    for i in range(n_fwd):
-        fid = next(flow_ids)
-        sender, sink = connect_flow(
-            sim, db.left[i], db.right[i], flow_id=fid, sender_cls=spec.sender_cls,
-            pkt_size=pkt_size, record_rtt=(record_rtt_flow == i), **sender_kwargs,
-        )
-        sender.start(at=rng.uniform(0.0, start_window))
-        fwd_flows.append((sender, sink))
-    rev_flows: List[Tuple[TcpSender, TcpSink]] = []
-    for i in range(n_rev):
-        fid = next(flow_ids)
-        sender, sink = connect_flow(
-            sim, db.right[i], db.left[i], flow_id=fid, sender_cls=spec.sender_cls,
-            pkt_size=pkt_size, **sender_kwargs,
-        )
-        sender.start(at=rng.uniform(0.0, start_window))
-        rev_flows.append((sender, sink))
-
+    fwd_flows = start_long_flows(
+        sim, list(zip(db.left[:n_fwd], db.right)), flow_ids,
+        start_window=start_window, rng=rng, record_rtt_flow_index=tagged,
+        **flow_kw)
+    rev_flows = start_long_flows(
+        sim, list(zip(db.right[:n_rev], db.left)), flow_ids,
+        start_window=start_window, rng=rng, **flow_kw)
     if params["web_sessions"] > 0:
         start_web_sessions(
             sim,
@@ -352,24 +478,13 @@ def _build_dumbbell(params: Dict[str, Any], collector) -> _DumbbellState:
             flow_ids=flow_ids,
             rng=sim.stream("web-starts"),
             start_window=start_window,
-            sender_cls=spec.sender_cls,
-            pkt_size=pkt_size,
-            **sender_kwargs,
+            **flow_kw,
         )
 
-    window = LinkWindow(sim, db.fwd)
+    bottleneck = MeasuredLink(
+        sim, "bottleneck.fwd", db.fwd, fwd_flows,
+        QUEUE_SAMPLE if tagged is None else TAGGED_QUEUE_SAMPLE)
     drop_log = DropLog(db.bottleneck_queue)
-    sampler = QueueSampler(
-        sim, db.bottleneck_queue,
-        interval=params["queue_sample_interval"] if record_rtt_flow is None else 0.005,
-    )
-
-    if collector is not None:
-        collector.attach_queue(db.bottleneck_queue, "bottleneck.fwd", bandwidth=bandwidth)
-        collector.attach_queue(db.rev.qdisc, "bottleneck.rev", bandwidth=bandwidth)
-        collector.attach_link(db.fwd, "bottleneck.fwd")
-        for sender, _ in fwd_flows + rev_flows:
-            collector.attach_sender(sender)
 
     # The fluid background attaches strictly after everything above, so
     # the pure-packet construction prefix (streams, event sequence
@@ -384,138 +499,53 @@ def _build_dumbbell(params: Dict[str, Any], collector) -> _DumbbellState:
             BackgroundLoad(**params["background"]),
             bandwidth=bandwidth,
             pkt_size=pkt_size,
-            base_rtt=base_rtt,
+            base_rtt=params["base_rtt"],
             duration=params["duration"],
         )
 
-    return _DumbbellState(
-        params=params, sim=sim, db=db, fwd_flows=fwd_flows, rev_flows=rev_flows,
-        window=window, drop_log=drop_log, sampler=sampler, collector=collector,
+    return PacketRun(
+        params, sim, links=[bottleneck],
+        senders=[s for s, _ in fwd_flows + rev_flows],
+        observed={"bottleneck.rev": db.rev},
+        db=db, fwd_flows=fwd_flows, rev_flows=rev_flows, drop_log=drop_log,
         bg_source=bg_source,
     )
 
 
-def _resume_or_build(params, collector, ckpt) -> _DumbbellState:
-    """Restore the checkpoint slot's state, or build fresh.
-
-    A restored state is accepted only if its resolved parameters match
-    this call exactly — the checkpoint file is keyed by spec hash when
-    the runner installs it, but direct callers get the same guarantee.
-    """
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            _sim, state = resumed
-            if isinstance(state, _DumbbellState) and state.params == params:
-                state.sim.profiler = obs_runtime.active_profiler()
-                obs_runtime.note_simulator(state.sim)
-                if state.collector is not None:
-                    obs_runtime.adopt_collector(state.collector)
-                return state
-            ckpt.reject()
-    t0 = time.monotonic()
-    state = _build_dumbbell(params, collector)
-    active = obs_runtime.active()
-    if active is not None:
-        active.add_phase("setup", time.monotonic() - t0)
-    return state
-
-
-def _advance(state: _DumbbellState, until: float, ckpt) -> None:
-    """Run the simulation to *until*, checkpointing at interval boundaries.
-
-    Chunked ``run(until=...)`` calls are bit-identical to a single call
-    (the engine's pop-first loop pushes the one horizon-crossing event
-    back), so checkpoint cadence never changes results.  No checkpoint is
-    written at *until* itself — phase ends either lead straight into more
-    simulation or into job completion, where the file is deleted anyway.
-    """
-    sim = state.sim
-    if ckpt is None:
-        sim.run(until=until)
-        return
-    while sim.now < until:
-        target = min(until, sim.now + ckpt.interval)
-        sim.run(until=target)
-        if target < until:
-            ckpt.save(sim, state)
-
-
-def _warm_dumbbell(state: _DumbbellState, ckpt=None) -> None:
-    """Run to the end of warm-up and open the measurement window.
-
-    Idempotent across resumes: a state restored mid-measure (window
-    already open, ``goodput0`` recorded) passes straight through.
-    """
-    warmup = state.params["warmup"]
-    if state.sim.now < warmup:
-        with obs_runtime.phase("warmup"):
-            _advance(state, warmup, ckpt)
-    if state.goodput0 is None:
-        state.window.open()
-        state.goodput0 = [sink.rcv_next for _, sink in state.fwd_flows]
-
-
-def _measure_dumbbell(state: _DumbbellState, ckpt=None) -> None:
-    """Run the steady-state window to ``duration`` and close it."""
-    with obs_runtime.phase("measure"):
-        _advance(state, state.params["duration"], ckpt)
-    state.window.close()
-    if state.collector is not None:
-        state.collector.finalize(state.sim)
-
-
-def _dumbbell_result(state: _DumbbellState, keep_refs: bool = False) -> DumbbellResult:
-    """Compute the steady-state metrics from a measured state."""
-    p = state.params
-    span = p["duration"] - p["warmup"]
-    goodputs = [
-        (sink.rcv_next - g0) * p["pkt_size"] * 8.0 / span
-        for (_, sink), g0 in zip(state.fwd_flows, state.goodput0)
-    ]
-    mean_q = state.sampler.mean(start=p["warmup"], end=p["duration"])
-    all_senders = [s for s, _ in state.fwd_flows + state.rev_flows]
+def _dumbbell_result(run: PacketRun, keep_refs: bool = False) -> DumbbellResult:
+    """Compute the steady-state metrics from a measured run."""
+    p, bottleneck = run.params, run.links[0]
     result = DumbbellResult(
-        scheme=p["scheme"],
-        bandwidth=p["bandwidth"],
         rtt=p["base_rtt"],
-        n_fwd=p["n_fwd"],
-        n_rev=p["n_rev"],
-        web_sessions=p["web_sessions"],
-        buffer_pkts=p["buffer_pkts"],
-        mean_queue_pkts=mean_q,
-        norm_queue=mean_q / p["buffer_pkts"],
-        drop_rate=state.window.drop_rate,
-        mark_rate=state.window.mark_rate,
-        utilization=state.window.utilization,
-        jain=jain_index(goodputs) if goodputs else 0.0,
-        flow_goodputs_bps=goodputs,
-        early_responses=sum(getattr(s, "early_responses", 0) for s in all_senders),
-        timeouts=sum(s.timeouts for s in all_senders),
-        events_processed=state.sim.events_processed,
+        **{k: p[k] for k in ("scheme", "bandwidth", "n_fwd", "n_rev",
+                             "web_sessions", "buffer_pkts")},
+        early_responses=sum(getattr(s, "early_responses", 0) for s in run.senders),
+        timeouts=sum(s.timeouts for s in run.senders),
+        events_processed=run.sim.events_processed,
+        **bottleneck.metrics(p),
     )
     bg = p.get("background")
-    if bg and state.bg_source is not None:
+    if bg and run.bg_source is not None:
         result.background_model = bg["model"]
         result.background_share = bg["share"]
-        result.background_pkts = state.bg_source.pkts_sent
-        result.extras["background_offered_pkts"] = state.bg_source.offered_pkts
-        if state.bg_source.sink is not None:
+        result.background_pkts = run.bg_source.pkts_sent
+        result.extras["background_offered_pkts"] = run.bg_source.offered_pkts
+        if run.bg_source.sink is not None:
             result.extras["background_delivered_pkts"] = (
-                state.bg_source.sink.pkts_received
+                run.bg_source.sink.pkts_received
             )
     if p["record_rtt_flow"] is not None:
-        tagged = state.fwd_flows[p["record_rtt_flow"]][0]
+        tagged = run.fwd_flows[p["record_rtt_flow"]][0]
         result.extras["rtt_trace"] = tagged.rtt_trace
         result.extras["flow_losses"] = tagged.loss_events
-        result.extras["queue_drops"] = state.drop_log.times()
-        result.extras["queue_sampler"] = state.sampler
-        result.extras["queue_stats"] = state.db.bottleneck_queue.stats
+        result.extras["queue_drops"] = run.drop_log.times()
+        result.extras["queue_sampler"] = bottleneck.sampler
+        result.extras["queue_stats"] = run.db.bottleneck_queue.stats
     if keep_refs:
-        result.extras["sim"] = state.sim
-        result.extras["dumbbell"] = state.db
-        result.extras["fwd_flows"] = state.fwd_flows
-        result.extras["rev_flows"] = state.rev_flows
+        result.extras["sim"] = run.sim
+        result.extras["dumbbell"] = run.db
+        result.extras["fwd_flows"] = run.fwd_flows
+        result.extras["rev_flows"] = run.rev_flows
     return result
 
 
@@ -532,33 +562,29 @@ def warm_dumbbell_bytes(scheme: str, bandwidth: float, **kwargs) -> bytes:
     construction and warm-up do not depend on ``duration``, every
     continuation is bit-identical to the corresponding cold run.
     """
-    kwargs.setdefault("duration", kwargs.get("warmup", 20.0))
-    defaults = dict(
-        rtt=0.060, n_fwd=10, n_rev=0, web_sessions=0, warmup=20.0, seed=1,
-        pkt_size=1000, buffer_pkts=None, rtts=None, start_window=None,
-        record_rtt_flow=None, queue_sample_interval=0.02, background=None,
-    )
-    defaults.update(kwargs)
-    params = _resolve_params(scheme=scheme, bandwidth=bandwidth, **defaults)
-    state = _build_dumbbell(params, collector=None)
-    _warm_dumbbell(state)
-    return capture_bytes(state.sim, state)
+    args = bound_params(run_dumbbell, scheme, bandwidth, **kwargs)
+    del args["keep_refs"], args["collector"]
+    if "duration" not in kwargs:
+        args["duration"] = args["warmup"]
+    run = _build(build_dumbbell, _resolve_params(**args), collector=None)
+    _warm(run)
+    return capture_bytes(run.sim, run)
 
 
 def run_dumbbell_warm(body: bytes, duration: float) -> DumbbellResult:
     """Measure one continuation of a :func:`warm_dumbbell_bytes` capture.
 
-    Restores an independent clone of the warmed state (the original
-    bytes stay reusable), runs the steady-state window out to *duration*
-    and returns the same :class:`DumbbellResult` a cold
-    :func:`run_dumbbell` with that duration produces.
+    Restores an independent clone of the warmed run (the original bytes
+    stay reusable), runs the steady-state window out to *duration* and
+    returns the same :class:`DumbbellResult` a cold :func:`run_dumbbell`
+    with that duration produces.
     """
-    _sim, state = restore_bytes(body)
-    if not isinstance(state, _DumbbellState):
+    _sim, run = restore_bytes(body)
+    if not (isinstance(run, PacketRun) and run.build == build_dumbbell):
         raise TypeError(
             "run_dumbbell_warm needs bytes from warm_dumbbell_bytes, got "
-            f"state of type {type(state).__name__}"
+            f"state of type {type(run).__name__}"
         )
-    state.params = dict(state.params, duration=float(duration))
-    _measure_dumbbell(state)
-    return _dumbbell_result(state)
+    run.params = dict(run.params, duration=float(duration))
+    _measure(run)
+    return _dumbbell_result(run)

@@ -17,18 +17,19 @@ a common set of routers.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..metrics.fairness import jain_index
-from ..runner import parking_lot_spec, run_jobs
+from ..runner import run_jobs
 from ..sim.engine import Simulator
-from ..sim.monitors import LinkWindow, QueueSampler
 from ..sim.topology import make_topology
-from ..tcp.base import connect_flow
-from .scenarios import get_scheme, scheme_sender_kwargs
-from .sweep import SECTION4_SCHEMES, failed_row
+from ..traffic.ftp import start_long_flows
+from .common import (MeasuredLink, PacketRun, bound_params, paper_buffer_pkts,
+                     run_scenario)
+from .scenarios import scheme_at
+from .sweep import SECTION4_SCHEMES, failed_row, scheme_jobs
 
-__all__ = ["run_parking_lot", "run", "validation_metrics", "tables"]
+__all__ = ["run_parking_lot", "parking_lot_job", "build", "run",
+           "validation_metrics", "tables"]
 
 TITLE = "Figure 11 — multiple bottlenecks (parking lot)"
 
@@ -38,6 +39,15 @@ PAPER_EXPECTATION = (
 )
 
 QUICK = dict(n_routers=4, cloud_size=3, link_bw=8e6, duration=12.0, warmup=5.0)
+
+
+#: dotted-path job kind of :func:`parking_lot_job`
+_KIND = "repro.experiments.fig11_multibottleneck:parking_lot_job"
+
+#: how often each core queue's length is sampled (seconds)
+HOP_QUEUE_SAMPLE = 0.05
+
+ROW_METRICS = ("norm_queue", "drop_rate", "utilization", "jain")
 
 
 def run_parking_lot(
@@ -52,89 +62,62 @@ def run_parking_lot(
     pkt_size: int = 1000,
 ) -> List[Dict]:
     """One scheme over the parking lot; returns one row per core hop."""
-    spec = get_scheme(scheme)
-    sim = Simulator(seed=seed)
+    return parking_lot_job(dict(
+        scheme=scheme, n_routers=n_routers, cloud_size=cloud_size,
+        link_bw=link_bw, link_delay=link_delay, duration=duration,
+        warmup=warmup, seed=seed, pkt_size=pkt_size))["rows"]
+
+
+def parking_lot_job(params: dict) -> Dict[str, Any]:
+    """Runner job: :func:`run_parking_lot` keywords in, ``{"rows": ...}`` out."""
+    p = bound_params(run_parking_lot, **params)
     # Path RTT for the longest (end-to-end) flows bounds the BDP.
-    e2e_rtt = 2.0 * (link_delay * (n_routers - 1) + 2 * 0.005)
-    buffer_pkts = max(
-        int(round(link_bw * e2e_rtt / (8.0 * pkt_size))), 2 * cloud_size * 2, 8
-    )
-    n_hop_flows = cloud_size
-    sender_kwargs = scheme_sender_kwargs(spec, link_bw, pkt_size,
-                                         n_hop_flows * 2, e2e_rtt)
+    p["e2e_rtt"] = 2.0 * (p["link_delay"] * (p["n_routers"] - 1) + 2 * 0.005)
+    p["buffer_pkts"] = paper_buffer_pkts(p["link_bw"], p["e2e_rtt"], p["pkt_size"],
+                                         2 * p["cloud_size"])
+    run = run_scenario(build, p)
+    rows = []
+    for hop in run.links:
+        metrics = hop.metrics(p)
+        rows.append({"hop": hop.label, "scheme": p["scheme"],
+                     **{m: metrics[m] for m in ROW_METRICS}})
+    return run.payload(rows=rows)
 
-    def qdisc():
-        return spec.make_qdisc(sim, buffer_pkts, link_bw, pkt_size,
-                               n_hop_flows * 2, e2e_rtt)
 
+def build(params: Dict[str, Any], sim: Simulator) -> PacketRun:
+    """The router chain; each cloud sends to the next one and cloud 1 also
+    end to end, so a hop carries two clouds' flows; every hop is measured."""
+    cloud_size, buffer_pkts = params["cloud_size"], params["buffer_pkts"]
+    qdisc, flow_kw = scheme_at(params["scheme"], params["link_bw"],
+                               params["pkt_size"], 2 * cloud_size, params["e2e_rtt"])
     lot = make_topology(
         "parking_lot",
         sim,
-        n_routers=n_routers,
+        n_routers=params["n_routers"],
         cloud_size=cloud_size,
-        link_bw=link_bw,
-        link_delay=link_delay,
-        qdisc=qdisc,
+        link_bw=params["link_bw"],
+        link_delay=params["link_delay"],
+        qdisc=lambda: qdisc(sim, buffer_pkts),
     )
     flow_ids = itertools.count()
-    rng = sim.stream("starts")
-    hop_flows: List[List] = [[] for _ in range(n_routers - 1)]
-
+    starts = dict(start_window=5.0, rng=sim.stream("starts"), **flow_kw)
     # Each cloud i sends to cloud i+1 (crossing hop i).
-    for i in range(n_routers - 1):
-        for j in range(cloud_size):
-            fid = next(flow_ids)
-            sender, sink = connect_flow(
-                sim, lot.clouds[i][j], lot.clouds[i + 1][j], flow_id=fid,
-                sender_cls=spec.sender_cls, pkt_size=pkt_size, **sender_kwargs,
-            )
-            sender.start(at=rng.uniform(0.0, 5.0))
-            hop_flows[i].append((sender, sink))
-    # Cloud 1 also sends end-to-end to the last cloud (crossing all hops).
-    e2e_flows = []
-    for j in range(cloud_size):
-        fid = next(flow_ids)
-        sender, sink = connect_flow(
-            sim, lot.clouds[0][j], lot.clouds[-1][j], flow_id=fid,
-            sender_cls=spec.sender_cls, pkt_size=pkt_size, **sender_kwargs,
-        )
-        sender.start(at=rng.uniform(0.0, 5.0))
-        e2e_flows.append((sender, sink))
-
-    fwd_links = [pair[0] for pair in lot.core_links]
-    windows = [LinkWindow(sim, link) for link in fwd_links]
-    samplers = [QueueSampler(sim, link.qdisc, interval=0.05) for link in fwd_links]
-
-    sim.run(until=warmup)
-    for w in windows:
-        w.open()
-    snapshots = [
-        [sink.rcv_next for _, sink in hop_flows[i] + e2e_flows]
-        for i in range(n_routers - 1)
+    hop_flows = [
+        start_long_flows(sim, list(zip(src, dst)), flow_ids, **starts)
+        for src, dst in zip(lot.clouds, lot.clouds[1:])
     ]
-    sim.run(until=duration)
-    for w in windows:
-        w.close()
-
-    span = duration - warmup
-    rows = []
-    for i, (w, qs) in enumerate(zip(windows, samplers)):
-        flows_here = hop_flows[i] + e2e_flows
-        goodputs = [
-            (sink.rcv_next - g0) * pkt_size * 8.0 / span
-            for (_, sink), g0 in zip(flows_here, snapshots[i])
-        ]
-        rows.append(
-            {
-                "hop": f"R{i+1}-R{i+2}",
-                "scheme": scheme,
-                "norm_queue": qs.mean(warmup, duration) / buffer_pkts,
-                "drop_rate": w.drop_rate,
-                "utilization": w.utilization,
-                "jain": jain_index(goodputs),
-            }
-        )
-    return rows
+    # Cloud 1 also sends end-to-end to the last cloud (crossing all hops).
+    e2e_flows = start_long_flows(
+        sim, list(zip(lot.clouds[0], lot.clouds[-1])), flow_ids, **starts)
+    return PacketRun(
+        params, sim,
+        links=[
+            MeasuredLink(sim, f"R{i+1}-R{i+2}", fwd, flows + e2e_flows,
+                         HOP_QUEUE_SAMPLE)
+            for i, ((fwd, _rev), flows) in enumerate(zip(lot.core_links, hop_flows))
+        ],
+        senders=[s for flows in hop_flows + [e2e_flows] for s, _ in flows],
+    )
 
 
 def run(
@@ -149,10 +132,9 @@ def run(
 ) -> List[Dict]:
     """All schemes over the parking lot, one runner job per scheme."""
     schemes = tuple(schemes)
-    specs = [parking_lot_spec(scheme, **kwargs) for scheme in schemes]
     results = run_jobs(
-        specs, workers=workers, cache=cache, timeout=timeout,
-        retries=retries, progress=progress,
+        scheme_jobs(_KIND, schemes, kwargs), workers=workers, cache=cache,
+        timeout=timeout, retries=retries, progress=progress,
     )
     rows: List[Dict] = []
     for scheme, res in zip(schemes, results):
@@ -172,8 +154,7 @@ def validation_metrics(rows: List[Dict]):
 
 def tables(rows: List[Dict]):
     """Report tables for :func:`repro.experiments.figures.print_figure`."""
-    return [(TITLE, ("hop", "scheme", "norm_queue", "drop_rate",
-                     "utilization", "jain"), rows)]
+    return [(TITLE, ("hop", "scheme") + ROW_METRICS, rows)]
 
 
 if __name__ == "__main__":

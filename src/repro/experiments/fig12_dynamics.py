@@ -14,15 +14,19 @@ unfairness between cohorts that started at different times.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import Any, Dict, List, Sequence
 
+from ..runner import run_jobs
 from ..sim.engine import Simulator
-from ..sim.topology import Dumbbell
-from ..tcp.base import connect_flow
-from .scenarios import get_scheme, scheme_sender_kwargs
-from .sweep import SECTION4_SCHEMES
+from ..sim.monitors import ThroughputSampler
+from ..traffic.ftp import start_long_flows
+from .common import (PacketRun, delivered_bytes, paper_buffer_pkts,
+                     run_scenario, scheme_dumbbell)
+from .scenarios import scheme_at
+from .sweep import SECTION4_SCHEMES, job_values, scheme_jobs
 
-__all__ = ["scheme_dumbbell", "run_dynamics", "run", "cohort_share_error",
+__all__ = ["run_dynamics", "dynamics_job", "build", "run", "cohort_share_error",
            "link_share", "validation_metrics", "tables"]
 
 TITLE = "Figure 12 — dynamics under arriving/departing flows"
@@ -36,33 +40,8 @@ QUICK = dict(schemes=("pert", "sack-droptail"), n_cohorts=2, cohort_size=3,
              epoch=8.0, bandwidth=6e6)
 
 
-def scheme_dumbbell(scheme: str, sim: Simulator, bandwidth: float, rtt: float,
-                    n_flows: int, n_hosts: int, pkt_size: int):
-    """A symmetric *n_hosts*-pair dumbbell under *scheme*, sized for *n_flows*.
-
-    The paper's buffer rule (one BDP, floor of two packets per flow) and
-    a quarter of the RTT on the bottleneck, for the dynamics experiments
-    that drive their own arrival pattern instead of ``run_dumbbell``'s.
-    Returns ``(scheme spec, sender kwargs, dumbbell)``.
-    """
-    spec = get_scheme(scheme)
-    buffer_pkts = max(int(round(bandwidth * rtt / (8.0 * pkt_size))),
-                      2 * n_flows, 8)
-    bottleneck_delay = rtt / 4.0
-    access = (rtt / 2.0 - bottleneck_delay) / 2.0
-
-    def qdisc():
-        return spec.make_qdisc(sim, buffer_pkts, bandwidth, pkt_size,
-                               n_flows, rtt)
-
-    db = Dumbbell(
-        sim, n_left=n_hosts, n_right=n_hosts,
-        bottleneck_bw=bandwidth, bottleneck_delay=bottleneck_delay,
-        qdisc_fwd=qdisc, qdisc_rev=qdisc,
-        access_delays_left=[access] * n_hosts,
-        access_delays_right=[access] * n_hosts,
-    )
-    return spec, scheme_sender_kwargs(spec, bandwidth, pkt_size, n_flows, rtt), db
+#: dotted-path job kind of :func:`dynamics_job`
+_KIND = "repro.experiments.fig12_dynamics:dynamics_job"
 
 
 def run_dynamics(
@@ -82,61 +61,65 @@ def run_dynamics(
     full population, cohorts stop in LIFO order, one per epoch.  Total
     simulated time: ``(2 * n_cohorts) * epoch``.
     """
-    sim = Simulator(seed=seed)
-    total_flows = n_cohorts * cohort_size
-    spec, sender_kwargs, db = scheme_dumbbell(
-        scheme, sim, bandwidth, rtt, total_flows, total_flows, pkt_size)
+    run = run_scenario(build, dict(
+        scheme=scheme, n_cohorts=n_cohorts, cohort_size=cohort_size,
+        epoch=epoch, bandwidth=bandwidth, rtt=rtt, seed=seed,
+        pkt_size=pkt_size, sample_interval=sample_interval,
+        warmup=0.0, duration=2 * n_cohorts * epoch,
+    ))
+    return run.payload(
+        scheme=scheme,
+        times=run.rates.times,
+        cohort_rates_bps=run.rates.series,
+        bandwidth=bandwidth,
+        epoch=epoch,
+        n_cohorts=n_cohorts,
+    )
+
+
+def dynamics_job(params: dict) -> Dict:
+    """Runner job: one scheme's staircase (:func:`run_dynamics` keywords)."""
+    return run_dynamics(**params)
+
+
+def stop_flows(flows) -> None:
+    """Departure event: every sender of *flows* stops offering new data."""
+    for sender, _ in flows:
+        sender.stop()
+
+
+def build(params: Dict[str, Any], sim: Simulator) -> PacketRun:
+    """One host pair per flow; cohorts arrive an epoch apart and, after a
+    full-load epoch, leave LIFO one per epoch; every cohort's delivered
+    bytes are sampled together."""
+    n_cohorts, cohort_size = params["n_cohorts"], params["cohort_size"]
+    epoch, rtt, pkt_size = params["epoch"], params["rtt"], params["pkt_size"]
+    n_flows = n_cohorts * cohort_size
+    qdisc, flow_kw = scheme_at(params["scheme"], params["bandwidth"], pkt_size,
+                               n_flows, rtt)
+    db = scheme_dumbbell(
+        sim, qdisc, paper_buffer_pkts(params["bandwidth"], rtt, pkt_size, n_flows),
+        params["bandwidth"], [rtt], n_flows, n_flows)
     flow_ids = itertools.count()
-    cohorts: List[List] = []
+    cohorts = []
     for k in range(n_cohorts):
-        cohort = []
-        for j in range(cohort_size):
-            host = k * cohort_size + j
-            fid = next(flow_ids)
-            sender, sink = connect_flow(
-                sim, db.left[host], db.right[host], flow_id=fid,
-                sender_cls=spec.sender_cls, pkt_size=pkt_size, **sender_kwargs,
-            )
-            sender.start(at=k * epoch + 0.01 * j)
-            cohort.append((sender, sink))
-        cohorts.append(cohort)
-
+        hosts = slice(k * cohort_size, (k + 1) * cohort_size)
+        cohorts.append(start_long_flows(
+            sim, list(zip(db.left[hosts], db.right[hosts])), flow_ids,
+            start_times=[k * epoch + 0.01 * j for j in range(cohort_size)],
+            **flow_kw))
     # Departures: LIFO, one cohort per epoch after the full-load period.
-    depart_start = n_cohorts * epoch
     for k in range(n_cohorts - 1):
-        cohort = cohorts[n_cohorts - 1 - k]
-
-        def stop_cohort(cohort=cohort):
-            for sender, _ in cohort:
-                sender.stop()
-
-        sim.schedule_at(depart_start + k * epoch, stop_cohort)
-
-    total_time = 2 * n_cohorts * epoch
-    times: List[float] = []
-    series: List[List[float]] = [[] for _ in range(n_cohorts)]
-    last = [[sink.rcv_next for _, sink in cohort] for cohort in cohorts]
-
-    def sample() -> None:
-        times.append(sim.now)
-        for k, cohort in enumerate(cohorts):
-            cur = [sink.rcv_next for _, sink in cohort]
-            delivered = sum(c - l for c, l in zip(cur, last[k]))
-            last[k] = cur
-            series[k].append(delivered * pkt_size * 8.0 / sample_interval)
-        if sim.now < total_time:
-            sim.schedule(sample_interval, sample)
-
-    sim.schedule(sample_interval, sample)
-    sim.run(until=total_time)
-    return {
-        "scheme": scheme,
-        "times": times,
-        "cohort_rates_bps": series,
-        "bandwidth": bandwidth,
-        "epoch": epoch,
-        "n_cohorts": n_cohorts,
-    }
+        sim.schedule_at(n_cohorts * epoch + k * epoch, stop_flows,
+                        cohorts[n_cohorts - 1 - k])
+    rates = ThroughputSampler(
+        sim, *[partial(delivered_bytes, cohort, pkt_size) for cohort in cohorts],
+        interval=params["sample_interval"])
+    return PacketRun(
+        params, sim, senders=[s for cohort in cohorts for s, _ in cohort],
+        observed={"bottleneck.fwd": db.fwd, "bottleneck.rev": db.rev},
+        rates=rates,
+    )
 
 
 def _late_epoch_rates(result: Dict, epoch_index: int) -> List[float]:
@@ -170,8 +153,9 @@ def link_share(result: Dict, epoch_index: int) -> float:
 
 
 def run(schemes: Sequence[str] = SECTION4_SCHEMES, **kwargs) -> List[Dict]:
-    """Every scheme through the staircase; *kwargs* as for :func:`run_dynamics`."""
-    return [run_dynamics(scheme, **kwargs) for scheme in schemes]
+    """Every scheme through the staircase, one runner job per scheme;
+    *kwargs* as for :func:`run_dynamics`."""
+    return job_values(run_jobs(scheme_jobs(_KIND, schemes, kwargs)))
 
 
 def _epoch_rows(results: List[Dict]) -> List[Dict]:

@@ -15,17 +15,22 @@ each phase — plus the loss behaviour during the squeeze.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import Any, Dict, List, Sequence
 
 from ..metrics.timeseries import settling_time
+from ..runner import run_jobs
 from ..sim.engine import Simulator
-from ..sim.monitors import DropLog
-from ..tcp.base import connect_flow
+from ..sim.monitors import DropLog, ThroughputSampler
 from ..traffic.cbr import CbrSink, CbrSource
-from .fig12_dynamics import scheme_dumbbell
-from .sweep import SECTION4_SCHEMES
+from ..traffic.ftp import start_long_flows
+from .common import (PacketRun, delivered_bytes, paper_buffer_pkts,
+                     run_scenario, scheme_dumbbell)
+from .scenarios import scheme_at
+from .sweep import SECTION4_SCHEMES, job_values, scheme_jobs
 
-__all__ = ["run_cbr_dynamics", "run", "validation_metrics", "tables"]
+__all__ = ["run_cbr_dynamics", "cbr_job", "build", "run", "validation_metrics",
+           "tables"]
 
 TITLE = "Section 4.7 — dynamics under CBR traffic"
 
@@ -39,6 +44,10 @@ PAPER_EXPECTATION = (
 QUICK = None
 
 COLUMNS = ("scheme", "concede_s", "reclaim_s", "drops_squeeze", "drops_total")
+
+
+#: dotted-path job kind of :func:`cbr_job`
+_KIND = "repro.experiments.fig12b_cbr_dynamics:cbr_job"
 
 
 def run_cbr_dynamics(
@@ -55,54 +64,58 @@ def run_cbr_dynamics(
     sample_interval: float = 0.5,
 ) -> Dict:
     """One scheme under a CBR on/off squeeze; returns the rate series."""
-    sim = Simulator(seed=seed)
-    spec, sender_kwargs, db = scheme_dumbbell(
-        scheme, sim, bandwidth, rtt, n_flows, n_flows + 1, pkt_size)
+    run = run_scenario(build, dict(
+        scheme=scheme, bandwidth=bandwidth, rtt=rtt, n_flows=n_flows,
+        cbr_fraction=cbr_fraction, t_on=t_on, t_off=t_off, duration=duration,
+        seed=seed, pkt_size=pkt_size, sample_interval=sample_interval,
+        warmup=0.0,
+    ))
+    return run.payload(
+        scheme=scheme,
+        times=run.rates.times,
+        agg_rates_bps=run.rates.rates_bps,
+        bandwidth=bandwidth,
+        cbr_fraction=cbr_fraction,
+        t_on=t_on,
+        t_off=t_off,
+        drops_during_squeeze=run.drop_log.count(start=t_on, end=t_off),
+        drops_total=run.drop_log.count(),
+    )
+
+
+def cbr_job(params: dict) -> Dict:
+    """Runner job: one scheme's squeeze (:func:`run_cbr_dynamics` keywords)."""
+    return run_cbr_dynamics(**params)
+
+
+def build(params: Dict[str, Any], sim: Simulator) -> PacketRun:
+    """Long flows on a dumbbell plus, on a host pair of its own, a CBR
+    source that is on from ``t_on`` to ``t_off``; the flows' aggregate
+    delivered bytes are sampled and every bottleneck drop is logged."""
+    bandwidth, rtt = params["bandwidth"], params["rtt"]
+    n_flows, pkt_size = params["n_flows"], params["pkt_size"]
+    qdisc, flow_kw = scheme_at(params["scheme"], bandwidth, pkt_size, n_flows, rtt)
+    db = scheme_dumbbell(
+        sim, qdisc, paper_buffer_pkts(bandwidth, rtt, pkt_size, n_flows),
+        bandwidth, [rtt], n_flows + 1, n_flows)
     drop_log = DropLog(db.bottleneck_queue)
     flow_ids = itertools.count()
-    flows = []
-    for i in range(n_flows):
-        fid = next(flow_ids)
-        sender, sink = connect_flow(
-            sim, db.left[i], db.right[i], flow_id=fid,
-            sender_cls=spec.sender_cls, pkt_size=pkt_size, **sender_kwargs,
-        )
-        sender.start(at=0.1 * i)
-        flows.append((sender, sink))
-
+    flows = start_long_flows(
+        sim, list(zip(db.left[:n_flows], db.right)), flow_ids,
+        start_times=[0.1 * i for i in range(n_flows)], **flow_kw)
     cbr = CbrSource(sim, db.left[n_flows], dst=db.right[n_flows].node_id,
                     flow_id=next(flow_ids),
-                    rate_bps=cbr_fraction * bandwidth, pkt_size=pkt_size)
+                    rate_bps=params["cbr_fraction"] * bandwidth, pkt_size=pkt_size)
     CbrSink(db.right[n_flows], flow_id=cbr.flow_id)
-    sim.schedule_at(t_on, cbr.start)
-    sim.schedule_at(t_off, cbr.stop)
-
-    times: List[float] = []
-    agg_rates: List[float] = []
-    last = [sink.rcv_next for _, sink in flows]
-
-    def sample() -> None:
-        times.append(sim.now)
-        cur = [sink.rcv_next for _, sink in flows]
-        delivered = sum(c - l for c, l in zip(cur, last))
-        last[:] = cur
-        agg_rates.append(delivered * pkt_size * 8.0 / sample_interval)
-        if sim.now < duration:
-            sim.schedule(sample_interval, sample)
-
-    sim.schedule(sample_interval, sample)
-    sim.run(until=duration)
-    return {
-        "scheme": scheme,
-        "times": times,
-        "agg_rates_bps": agg_rates,
-        "bandwidth": bandwidth,
-        "cbr_fraction": cbr_fraction,
-        "t_on": t_on,
-        "t_off": t_off,
-        "drops_during_squeeze": drop_log.count(start=t_on, end=t_off),
-        "drops_total": drop_log.count(),
-    }
+    sim.schedule_at(params["t_on"], cbr.start)
+    sim.schedule_at(params["t_off"], cbr.stop)
+    rates = ThroughputSampler(sim, partial(delivered_bytes, flows, pkt_size),
+                              interval=params["sample_interval"])
+    return PacketRun(
+        params, sim, senders=[s for s, _ in flows],
+        observed={"bottleneck.fwd": db.fwd, "bottleneck.rev": db.rev},
+        rates=rates, drop_log=drop_log,
+    )
 
 
 def phase_settling_times(result: Dict, tolerance: float = 0.2) -> Dict:
@@ -125,13 +138,13 @@ def phase_settling_times(result: Dict, tolerance: float = 0.2) -> Dict:
 
 
 def run(schemes: Sequence[str] = SECTION4_SCHEMES, **kwargs) -> List[Dict]:
-    """Every scheme through the squeeze; *kwargs* as for :func:`run_cbr_dynamics`."""
+    """Every scheme through the squeeze, one runner job per scheme;
+    *kwargs* as for :func:`run_cbr_dynamics`."""
     rows = []
-    for scheme in schemes:
-        res = run_cbr_dynamics(scheme, **kwargs)
+    for res in job_values(run_jobs(scheme_jobs(_KIND, schemes, kwargs))):
         st = phase_settling_times(res)
         rows.append({
-            "scheme": scheme,
+            "scheme": res["scheme"],
             "concede_s": st["concede_s"],
             "reclaim_s": st["reclaim_s"],
             "drops_squeeze": res["drops_during_squeeze"],

@@ -27,12 +27,15 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.config import PertConfig
+from ..runner import JobSpec, run_jobs
 from .scenarios import ScenarioPoint, ScenarioSpec
+from .sweep import job_values
 
 __all__ = [
     "spec",
     "run",
     "run_extreme",
+    "extreme_job",
     "validation_metrics",
     "tables",
     "DEFAULT_FLOW_COUNTS",
@@ -64,6 +67,9 @@ QUICK = dict(flow_counts=[10, 40], duration=12.0, warmup=4.0,
 #: ~6 packets at the 60 ms base RTT — the same mid-range operating
 #: point the Figure 8 sweep covers
 PER_FLOW_BW = 0.8e6
+
+#: dotted-path job kind of :func:`extreme_job`
+_EXTREME_KIND = "repro.experiments.fig_hybrid:extreme_job"
 
 _PERT = PertConfig()
 
@@ -187,7 +193,13 @@ def run_extreme(
         "drop_rate": res.drop_rate,
         "norm_queue": res.norm_queue,
         "background_pkts": float(summary.background_pkts),
+        "events_processed": res.events_processed,
     }
+
+
+def extreme_job(params: dict) -> Dict[str, Any]:
+    """Runner job: the extreme-scale row (:func:`run_extreme` keywords)."""
+    return run_extreme(**params)
 
 
 def run(
@@ -208,11 +220,11 @@ def run(
     rows = spec(flow_counts, per_flow_bw=per_flow_bw, rtt=rtt,
                 duration=duration, warmup=warmup, seed=seed).run()
     if include_extreme:
-        rows.append(run_extreme(
+        rows += job_values(run_jobs([JobSpec(_EXTREME_KIND, dict(
             n_flows=extreme_flows, n_fg=extreme_fg, per_flow_bw=per_flow_bw,
             rtt=rtt, duration=extreme_duration, warmup=extreme_warmup,
             seed=seed, aggregate=extreme_aggregate,
-        ))
+        ))]))
     return rows
 
 

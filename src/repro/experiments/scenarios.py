@@ -37,6 +37,7 @@ __all__ = [
     "SCHEMES",
     "get_scheme",
     "scheme_sender_kwargs",
+    "scheme_at",
     "ScenarioPoint",
     "ScenarioSpec",
 ]
@@ -151,6 +152,27 @@ def scheme_sender_kwargs(scheme: Scheme, bandwidth_bps: float, pkt_size: int,
         kw.update(_make_pert_pi_kwargs(bandwidth_bps, pkt_size, n_flows, rtt))
         return kw
     return dict(scheme.sender_kwargs)
+
+
+def scheme_at(name: str, bandwidth_bps: float, pkt_size: int, n_flows: int,
+              rtt: float):
+    """Scheme *name* at an operating point, as ``(qdisc, flow_kwargs)``.
+
+    The PI gains, at the router or the end host, depend on these four
+    numbers, so a run binds them once.  ``qdisc(sim, buffer_pkts[,
+    n_flows])`` builds a bottleneck queue (for a direction carrying
+    another flow count, if given); *flow_kwargs* — sender class, packet
+    size, sender kwargs — go to ``start_long_flows`` / ``start_web_sessions``.
+    """
+    scheme = get_scheme(name)
+
+    def qdisc(sim: Simulator, buffer_pkts: int, n_flows: int = n_flows):
+        return scheme.make_qdisc(sim, buffer_pkts, bandwidth_bps, pkt_size,
+                                 n_flows, rtt)
+
+    return qdisc, dict(
+        sender_cls=scheme.sender_cls, pkt_size=pkt_size,
+        **scheme_sender_kwargs(scheme, bandwidth_bps, pkt_size, n_flows, rtt))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from ..runner import JobSpec, run_jobs
 from ..sim.monitors import nearest_sample
 from .common import run_dumbbell
+from .sweep import job_values
 
 __all__ = [
     "TrafficCase",
@@ -155,12 +156,8 @@ def collect_all_cases(
             seed=seed, scheme=scheme))
         for c in cases
     ], workers=workers, cache=cache)
-    traces = {}
-    for case, res in zip(cases, results):
-        if not res.ok:
-            raise RuntimeError(f"Section 2 {case.name} failed: {res.error}")
-        traces[case.name] = CaseTrace(case=case, **res.value)
-    return traces
+    return {case.name: CaseTrace(case=case, **payload)
+            for case, payload in zip(cases, job_values(results))}
 
 
 def collect_case_trace(case: TrafficCase, **kwargs) -> CaseTrace:

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import fields as dataclass_fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..runner import dumbbell_spec, run_jobs
+from ..runner import JobSpec, dumbbell_spec, run_jobs
 from ..runner.cache import resolve_cache
 from .common import DumbbellResult, run_dumbbell_warm, warm_dumbbell_bytes
 
-__all__ = ["SECTION4_SCHEMES", "sweep_dumbbell", "result_row", "failed_row"]
+__all__ = ["SECTION4_SCHEMES", "sweep_dumbbell", "result_row", "failed_row",
+           "scheme_jobs", "job_values"]
 
 #: the paper's Section 4 comparison set
 SECTION4_SCHEMES = ("pert", "sack-droptail", "sack-red-ecn", "vegas")
@@ -45,12 +45,9 @@ def result_row(result, point: Dict) -> Dict:
     *result* may be a :class:`~repro.experiments.common.DumbbellResult`
     or the equivalent JSON dict payload produced by the runner.
     """
-    row = dict(point)
     if isinstance(result, DumbbellResult):
-        row.update({name: getattr(result, name) for name in _ROW_FIELDS})
-    else:
-        row.update({name: result[name] for name in _ROW_FIELDS})
-    return row
+        result = result.payload()
+    return dict(point, **{name: result[name] for name in _ROW_FIELDS})
 
 
 def failed_row(scheme: str, point: Dict, error: Optional[str]) -> Dict:
@@ -68,6 +65,24 @@ def failed_row(scheme: str, point: Dict, error: Optional[str]) -> Dict:
         error=error or "unknown failure",
     )
     return row
+
+
+def scheme_jobs(kind: str, schemes: Iterable[str], kwargs: Dict) -> List[JobSpec]:
+    """One dotted-path *kind* job per scheme, each with *kwargs* — and, as
+    in :func:`repro.runner.dumbbell_spec`, the seed (every scenario's
+    default is 1) made explicit for cache keys and manifests."""
+    return [JobSpec(kind, dict(kwargs, scheme=scheme, seed=kwargs.get("seed", 1)))
+            for scheme in schemes]
+
+
+def job_values(results) -> List:
+    """The payloads of runner *results*, for figures whose output needs
+    every job: the first one that exhausted its retries raises."""
+    for res in results:
+        if not res.ok:
+            raise RuntimeError(
+                f"{res.spec.kind} {res.spec.params} failed: {res.error}")
+    return [res.value for res in results]
 
 
 def sweep_dumbbell(
@@ -160,16 +175,6 @@ def sweep_dumbbell(
     return rows
 
 
-def _payload_of(result: DumbbellResult) -> Dict:
-    """Flatten a result exactly like the runner's ``dumbbell`` job kind,
-    so warm-started cache entries are indistinguishable from cold ones."""
-    return {
-        f.name: getattr(result, f.name)
-        for f in dataclass_fields(DumbbellResult)
-        if f.name != "extras"
-    }
-
-
 def _sweep_warm_start(
     points: Sequence[Dict],
     schemes: Tuple[str, ...],
@@ -224,7 +229,7 @@ def _sweep_warm_start(
                     scheme, tags[pi], f"{type(exc).__name__}: {exc}"
                 )
                 continue
-            payload = _payload_of(result)
+            payload = result.payload()
             if store is not None:
                 store.put(spec, payload, meta={
                     "events": result.events_processed,

@@ -1,8 +1,7 @@
 """Parallel, cached execution of simulation jobs.
 
-The grid-shaped experiments (Figures 6-9, Table 1, Figure 11) are
-embarrassingly parallel: every (scheme, point, seed) cell is an
-independent deterministic simulation.  This subsystem turns that into
+The experiments are embarrassingly parallel: every (scheme, point, seed)
+cell of a figure is an independent deterministic simulation.  This subsystem turns that into
 wall-clock speed and incremental re-runs:
 
 * :class:`JobSpec` — pure-data job description hashed into a stable key;
@@ -21,7 +20,7 @@ results in the same (spec) order whether executed serially, in parallel,
 from cache, or through a fleet — enforced by ``tests/runner/``.
 """
 
-from .cache import ResultCache, default_cache_dir, migrate_cache, resolve_cache
+from .cache import ResultCache, default_cache_dir, resolve_cache
 from .executor import JobResult, resolve_workers, run_jobs
 from .registry import register, registered_kinds, resolve_job
 from .spec import (
@@ -30,7 +29,6 @@ from .spec import (
     canonical_json,
     content_key,
     dumbbell_spec,
-    parking_lot_spec,
 )
 from .telemetry import (
     RunnerStats,
@@ -50,9 +48,7 @@ __all__ = [
     "content_key",
     "default_cache_dir",
     "dumbbell_spec",
-    "migrate_cache",
     "format_eta",
-    "parking_lot_spec",
     "progress_line",
     "progress_printer",
     "register",

@@ -3,13 +3,15 @@
 A job function takes the spec's ``params`` dict and returns a
 JSON-serializable payload.  Two resolution mechanisms:
 
-* built-in / registered kinds — functions registered via :func:`register`
-  in this module (importable from any worker, including spawn-start
-  children, because registration happens at import time of
+* registered kinds — functions registered via :func:`register`; the one
+  built-in is ``dumbbell`` (importable from any worker, including
+  spawn-start children, because registration happens at import time of
   ``repro.runner.registry``);
 * dotted paths — a kind containing ``:`` is resolved as
-  ``"package.module:function"``.  This is the extension point tests and
-  downstream code use without touching the registry.
+  ``"package.module:function"``.  Every other packet figure point (the
+  parking lot, the staircase, the CBR squeeze, the Section 2 traces, the
+  ablations, the hybrid extreme point) is one, as are the jobs tests and
+  downstream code bring, without touching the registry.
 
 Runtime registrations made by the parent after import are visible to
 fork-start workers (the default on Linux) but not to spawn-start ones;
@@ -19,7 +21,6 @@ dotted paths work everywhere.
 from __future__ import annotations
 
 import importlib
-from dataclasses import fields as dataclass_fields
 from typing import Any, Callable, Dict
 
 __all__ = ["register", "resolve_job", "registered_kinds"]
@@ -64,20 +65,7 @@ def resolve_job(kind: str) -> Callable[[dict], Any]:
 @register("dumbbell")
 def run_dumbbell_job(params: dict) -> Dict[str, Any]:
     """One dumbbell point: flatten the result dataclass to a JSON dict."""
-    from ..experiments.common import DumbbellResult, run_dumbbell
+    from ..experiments.common import run_dumbbell
 
-    result = run_dumbbell(**params)
-    return {
-        f.name: getattr(result, f.name)
-        for f in dataclass_fields(DumbbellResult)
-        if f.name != "extras"
-    }
+    return run_dumbbell(**params).payload()
 
-
-@register("parking_lot")
-def run_parking_lot_job(params: dict) -> Dict[str, Any]:
-    """One Figure-11 parking-lot run (all hops of one scheme)."""
-    from ..experiments.fig11_multibottleneck import run_parking_lot
-
-    rows = run_parking_lot(**params)
-    return {"rows": rows}

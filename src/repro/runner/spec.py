@@ -12,12 +12,6 @@ identically everywhere — across sweeps, across fleet directories, and
 across package versions — so a result computed once is served forever;
 ``CACHE_SCHEMA`` is the one deliberate invalidation knob, bumped when
 the payload layout (or the keying itself) changes incompatibly.
-
-Historical note: schema 1 additionally salted keys with
-``repro.__version__``, which quarantined every version bump into a fresh
-cache namespace and defeated cross-sweep dedupe.  Schema 2 dropped the
-salt; :func:`repro.runner.cache.migrate_cache` rehashes old cache
-directories in place, one-shot.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ __all__ = [
     "canonical_json",
     "content_key",
     "dumbbell_spec",
-    "parking_lot_spec",
 ]
 
 #: bump when the payload layout of cached results (or the keying scheme)
@@ -98,10 +91,3 @@ def dumbbell_spec(scheme: str, **kwargs) -> JobSpec:
     params.setdefault("seed", 1)
     return JobSpec(kind="dumbbell", params=params)
 
-
-def parking_lot_spec(scheme: str, **kwargs) -> JobSpec:
-    """Spec for one parking-lot run (Figure 11), one scheme per job."""
-    params = dict(kwargs)
-    params["scheme"] = scheme
-    params.setdefault("seed", 1)
-    return JobSpec(kind="parking_lot", params=params)

@@ -195,26 +195,36 @@ class LinkWindow:
 
 
 class ThroughputSampler:
-    """Per-interval byte counts from a monotone counter callback.
+    """Per-interval rates from monotone byte counters, all read by one
+    tick event per sample instant.
 
-    Used by the dynamic-behaviour experiment (Figure 12) to plot aggregate
-    cohort throughput over time.
+    The Figure 12 staircase (a counter per cohort) and the Section 4.7
+    CBR squeeze (one aggregate counter) plot throughput over time with
+    it.  Checkpointed runs need picklable counters (``functools.partial``
+    of a module-level function, not a lambda).
     """
 
-    def __init__(self, sim: Simulator, counter_fn, interval: float = 1.0):
+    def __init__(self, sim: Simulator, *counter_fns, interval: float = 1.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
-        self.counter_fn = counter_fn
+        self.counter_fns = counter_fns
         self.interval = interval
         self.times: List[float] = []
-        self.rates_bps: List[float] = []
-        self._last = counter_fn()
+        #: one rate series (bits per second) per counter
+        self.series: List[List[float]] = [[] for _ in counter_fns]
+        self._last = [fn() for fn in counter_fns]
         sim.schedule(interval, self._tick)
 
+    @property
+    def rates_bps(self) -> List[float]:
+        """The first counter's series (the only one, for a single counter)."""
+        return self.series[0]
+
     def _tick(self) -> None:
-        cur = self.counter_fn()
         self.times.append(self.sim.now)
-        self.rates_bps.append((cur - self._last) * 8.0 / self.interval)
-        self._last = cur
+        for k, fn in enumerate(self.counter_fns):
+            cur = fn()
+            self.series[k].append((cur - self._last[k]) * 8.0 / self.interval)
+            self._last[k] = cur
         self.sim.schedule(self.interval, self._tick)

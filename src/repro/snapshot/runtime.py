@@ -1,11 +1,12 @@
 """Job-scoped checkpoint context shared between the runner and jobs.
 
 Mirrors :mod:`repro.obs.runtime`: the executor wraps a job attempt in
-:func:`checkpoint_scope`, and checkpoint-aware job code (the dumbbell
-harness) reaches the active slot through :func:`active_checkpoint`
-without any plumbing through job parameters — job *specs* (and cache
-keys) never mention checkpointing, because a resumed run is bit-identical
-to a straight-through one and may share its cache entry.
+:func:`checkpoint_scope`, and checkpoint-aware job code (the experiment
+shell every packet scenario runs in) reaches the active slot through
+:func:`active_checkpoint` without any plumbing through job parameters —
+job *specs* (and cache keys) never mention checkpointing, because a
+resumed run is bit-identical to a straight-through one and may share its
+cache entry.
 
 The slot's life cycle over a crashy job::
 

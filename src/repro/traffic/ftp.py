@@ -2,13 +2,15 @@
 
 The paper's background load is a set of long-term flows whose start
 times are drawn uniformly from an interval (0-50 s in the paper) so that
-late starters exercise the fairness concerns of Section 3.
+late starters exercise the fairness concerns of Section 3.  Every
+scenario of :mod:`repro.experiments` starts its long flows here: dumbbell
+and parking lot at drawn times, staircase and CBR squeeze on a schedule.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple, Type
+from typing import Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..sim.engine import Simulator
 from ..sim.node import Node
@@ -25,9 +27,10 @@ def start_long_flows(
     start_window: float = 5.0,
     rng: Optional[random.Random] = None,
     record_rtt_flow_index: Optional[int] = None,
+    start_times: Optional[Sequence[float]] = None,
     **sender_kwargs,
 ) -> List[Tuple[TcpSender, TcpSink]]:
-    """Start one infinite flow per (src, dst) pair at a random time.
+    """Start one infinite flow per (src, dst) pair.
 
     Parameters
     ----------
@@ -35,13 +38,17 @@ def start_long_flows(
         Source/destination host pairs, one long flow each.
     flow_ids:
         Iterator yielding unique flow ids (share one across all traffic).
-    start_window:
-        Start times are uniform in [0, start_window).
+    start_window, rng:
+        Start times are uniform in [0, start_window), one draw per flow
+        in pair order from *rng* (default: the ``"ftp-starts"`` stream).
     record_rtt_flow_index:
         If given, that flow records its per-ACK RTT trace (the paper's
         "observed" flow of Section 2).
+    start_times:
+        A fixed schedule, one time per pair, instead of the draws.
     """
-    rng = rng or sim.stream("ftp-starts")
+    if start_times is None:
+        rng = rng or sim.stream("ftp-starts")
     flows: List[Tuple[TcpSender, TcpSink]] = []
     for idx, (src, dst) in enumerate(pairs):
         fid = next(flow_ids)
@@ -50,6 +57,7 @@ def start_long_flows(
             sim, src, dst, flow_id=fid, sender_cls=sender_cls,
             record_rtt=record, **sender_kwargs,
         )
-        sender.start(at=rng.uniform(0.0, start_window))
+        sender.start(at=start_times[idx] if start_times is not None
+                     else rng.uniform(0.0, start_window))
         flows.append((sender, sink))
     return flows

@@ -205,13 +205,9 @@ class LegacySimulator(ArraySimulator):
 #: the product's one engine — under the names test ids have always used
 ENGINES = {"legacy": LegacySimulator, "array": ArraySimulator}
 
-#: modules whose global ``Simulator`` constructs a run's simulator
-_CONSTRUCTION_SITES = (
-    "repro.experiments.common",
-    "repro.experiments.fig11_multibottleneck",
-    "repro.experiments.fig12_dynamics",
-    "repro.experiments.fig12b_cbr_dynamics",
-)
+#: modules whose global ``Simulator`` constructs a run's simulator: the
+#: one shell every packet scenario runs in
+_CONSTRUCTION_SITES = ("repro.experiments.common",)
 
 
 def use_engine(monkeypatch, name: str) -> None:

@@ -23,9 +23,9 @@ import os
 import pytest
 
 from repro.experiments.common import (
+    PacketRun,
     _dumbbell_result,
-    _DumbbellState,
-    _measure_dumbbell,
+    _measure,
     run_dumbbell,
     warm_dumbbell_bytes,
 )
@@ -144,7 +144,7 @@ def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
     # continue the run under the *other* engine
     sim, state = restore_as(body, restore_engine)
     assert type(sim) is ENGINES[restore_engine]
-    assert isinstance(state, _DumbbellState)
+    assert isinstance(state, PacketRun)
     state.params = dict(state.params, duration=duration)
     crossed = _dumbbell_result_after_measure(state)
 
@@ -155,5 +155,5 @@ def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
 
 
 def _dumbbell_result_after_measure(state):
-    _measure_dumbbell(state)
+    _measure(state)
     return _dumbbell_result(state)

@@ -149,29 +149,38 @@ def test_warm_start_and_fleet_are_exclusive(tmp_path):
 
 def test_table1_and_fig11_journal_their_points(tmp_path, monkeypatch):
     """``--fleet``/``$REPRO_FLEET`` reaches every ``run_jobs`` caller, not
-    only ``sweep_dumbbell``: rows equal the runner path's, points land in
-    the journal, and a second run recomputes nothing."""
-    from repro.experiments import fig11_multibottleneck, table1_rtts
+    only ``sweep_dumbbell`` — a registered kind, a dotted-path job behind
+    runner keywords (fig11) and one behind the environment alone (fig12):
+    rows equal the runner path's, points land in the journal, and a
+    second run recomputes nothing."""
+    from repro.experiments import (fig11_multibottleneck, fig12_dynamics,
+                                   table1_rtts)
 
     table1_kw = dict(bandwidth=8e6, n_fwd=3, rtts=[0.012, 0.024, 0.036],
                      web_sessions=0, schemes=("pert", "vegas"),
                      duration=4.0, warmup=2.0, workers=0)
     fig11_kw = dict(schemes=("pert",), n_routers=3, cloud_size=2,
                     link_bw=8e6, duration=6.0, warmup=3.0, workers=0)
-    plain = (table1_rtts.run(cache=False, **table1_kw),
-             fig11_multibottleneck.run(cache=False, **fig11_kw))
+    fig12_kw = dict(schemes=("pert",), n_cohorts=2, cohort_size=2, epoch=2.0,
+                    bandwidth=6e6)
+
+    def figures(**runner):
+        return (table1_rtts.run(**runner, **table1_kw),
+                fig11_multibottleneck.run(**runner, **fig11_kw),
+                fig12_dynamics.run(**fig12_kw))
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    plain = figures(cache=False)
+    monkeypatch.delenv("REPRO_CACHE")
 
     monkeypatch.setenv("REPRO_FLEET", str(tmp_path / "fleet"))
-    fleeted = (table1_rtts.run(**table1_kw),
-               fig11_multibottleneck.run(**fig11_kw))
-    assert fleeted == plain
+    assert figures() == plain
     status = Fleet(tmp_path / "fleet").status()
-    assert status["counts"]["done"] == 3  # two table1 schemes + one fig11
-    assert status["computed"] == {"fresh": 3, "hit": 0}
+    # two table1 schemes + one fig11 + one fig12
+    assert status["counts"]["done"] == 4
+    assert status["computed"] == {"fresh": 4, "hit": 0}
 
-    again = (table1_rtts.run(**table1_kw),
-             fig11_multibottleneck.run(**fig11_kw))
-    assert again == plain
+    assert figures() == plain
     assert Fleet(tmp_path / "fleet").status()["computed"] == status["computed"]
 
 

@@ -19,7 +19,7 @@ BW = 4e6
 
 RESOLVE_DEFAULTS = dict(
     n_rev=0, web_sessions=0, pkt_size=1000, buffer_pkts=None, rtts=None,
-    start_window=None, record_rtt_flow=None, queue_sample_interval=None,
+    start_window=None, record_rtt_flow=None,
 )
 
 

@@ -1,13 +1,16 @@
 """Unit tests: job specs, cache keys, and the on-disk result cache."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.runner import (
+    CACHE_SCHEMA,
     JobSpec,
     ResultCache,
     canonical_json,
+    content_key,
     dumbbell_spec,
     resolve_cache,
     resolve_workers,
@@ -21,6 +24,15 @@ def test_cache_key_independent_of_param_order():
     a = JobSpec("dumbbell", {"bandwidth": 4e6, "seed": 1, "scheme": "pert"})
     b = JobSpec("dumbbell", {"scheme": "pert", "bandwidth": 4e6, "seed": 1})
     assert a.cache_key == b.cache_key
+
+
+def test_content_key_is_version_free():
+    """The same content, the same key, forever: no package version in it."""
+    key = content_key("dumbbell", {"scheme": "pert", "x": 1})
+    assert key == JobSpec("dumbbell", {"x": 1, "scheme": "pert"}).cache_key
+    material = f"{CACHE_SCHEMA}|dumbbell|" + canonical_json(
+        {"scheme": "pert", "x": 1})
+    assert key == hashlib.sha256(material.encode()).hexdigest()
 
 
 def test_cache_key_covers_every_param_and_kind():

@@ -182,6 +182,21 @@ def test_throughput_sampler_alignment_and_deltas():
     assert sampler.rates_bps[2] == pytest.approx(0.0)
 
 
+def test_throughput_sampler_reads_every_counter_in_one_tick():
+    sim = Simulator()
+    counters = {"a": 0, "b": 100}
+    sampler = ThroughputSampler(sim, lambda: counters["a"],
+                                lambda: counters["b"], interval=0.5)
+    sim.schedule(0.2, lambda: counters.update(a=250))
+    sim.schedule(0.7, lambda: counters.update(b=600))
+    before = sim.events_processed
+    sim.run(until=1.2)
+    assert sampler.times == pytest.approx([0.5, 1.0])
+    assert sampler.series == [[250 * 8 / 0.5, 0.0], [0.0, 500 * 8 / 0.5]]
+    assert sampler.rates_bps is sampler.series[0]
+    assert sim.events_processed - before == 2 + 2  # two updates, two ticks
+
+
 def test_throughput_sampler_validation():
     sim = Simulator()
     with pytest.raises(ValueError):

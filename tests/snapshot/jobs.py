@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 
 from repro.experiments.common import run_dumbbell
+from repro.runner import resolve_job
 from repro.snapshot import runtime
 
 
@@ -28,6 +29,35 @@ class _DyingSlot(runtime.CheckpointSlot):
         return info
 
 
+def _arm(params: dict):
+    """Pop ``marker``/``die_after`` off *params*; on the first attempt (no
+    marker file yet) swap the executor-installed checkpoint slot for a
+    dying one.  Returns the active slot (``None``: checkpointing off)."""
+    marker = params.pop("marker")
+    die_after = int(params.pop("die_after", 2))
+    slot = runtime.active_checkpoint()
+    if slot is not None and not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        slot = runtime._ACTIVE = _DyingSlot(slot, die_after)
+    return slot
+
+
+def crashy_job(params: dict) -> dict:
+    """Any runner job (``params["kind"]``), its first attempt dying right
+    after its ``die_after``-th checkpoint; reports the wrapped job's
+    payload and whether the surviving attempt resumed."""
+    params = dict(params)
+    job = resolve_job(params.pop("kind"))
+    slot = _arm(params)
+    payload = job(params)
+    return {
+        "payload": payload,
+        "resumed": bool(slot is not None and slot.resumed),
+        "resumed_at": None if slot is None else slot.resumed_at,
+    }
+
+
 def crashy_dumbbell(params: dict) -> dict:
     """A dumbbell job whose first attempt dies mid-measure.
 
@@ -37,13 +67,7 @@ def crashy_dumbbell(params: dict) -> dict:
     runs clean on the first attempt.
     """
     params = dict(params)
-    marker = params.pop("marker")
-    die_after = int(params.pop("die_after", 2))
-    slot = runtime.active_checkpoint()
-    if slot is not None and not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        slot = runtime._ACTIVE = _DyingSlot(slot, die_after)
+    slot = _arm(params)
     result = run_dumbbell(**params)
     return {
         "resumed": bool(slot is not None and slot.resumed),

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.trace import TraceWriter
 from repro.sim.engine import Simulator
 from repro.snapshot import (
+    FORMAT_VERSION,
     CheckpointSlot,
     SnapshotError,
     active_checkpoint,
@@ -142,9 +143,10 @@ class TestRuntime:
         path = tmp_path / "old.ckpt"
         CheckpointSlot(path, 1.0).save(Simulator(seed=1), {"k": 1})
         magic, header, body = path.read_bytes().split(b"\n", 2)
-        assert b'"format": 2' in header
+        current = b'"format": %d' % FORMAT_VERSION
+        assert current in header
         path.write_bytes(b"\n".join(
-            (magic, header.replace(b'"format": 2', b'"format": 1'), body)))
+            (magic, header.replace(current, b'"format": 1'), body)))
         with pytest.raises(SnapshotError, match="format 1 is not supported"):
             load(path)
 

@@ -41,6 +41,19 @@ def test_start_long_flows_random_starts_and_tagging():
     assert flows[1][0].rtt_trace and not flows[0][0].rtt_trace
 
 
+def test_start_long_flows_on_a_fixed_schedule_claims_no_stream():
+    sim = Simulator(seed=1)
+    db = make_dumbbell(sim, n=3)
+    pairs = [(db.left[i], db.right[i]) for i in range(3)]
+    flows = start_long_flows(sim, pairs, itertools.count(),
+                             start_times=[0.0, 1.0, 2.5])
+    assert "ftp-starts" not in sim._stream_labels  # nothing is drawn
+    sim.run(until=0.5)
+    assert [sender.started for sender, _ in flows] == [True, False, False]
+    sim.run(until=3.0)
+    assert all(sender.started for sender, _ in flows)
+
+
 def test_web_session_fetches_pages():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, n=2)
