@@ -37,7 +37,8 @@ from repro import (
 )
 from repro.core import PertRemSender
 from repro.fluid.stability import pert_pi_gains
-from repro.sim.monitors import DropLog, LinkWindow, QueueSampler
+from repro.obs import Collector, select
+from repro.sim.monitors import LinkWindow, QueueSampler
 from repro.sim.queues import QueueConfig, make_queue
 
 QUICK = os.environ.get("REPRO_QUICK", "").lower() in ("1", "on", "true", "yes")
@@ -100,8 +101,9 @@ def run(sender_cls, label, qdisc=None, **sender_kwargs):
         sender.start(at=0.2 * i)
         flows.append((sender, sink))
     window = LinkWindow(sim, net.fwd)
-    drops = DropLog(net.bottleneck_queue)
     queue = QueueSampler(sim, net.bottleneck_queue, interval=0.05)
+    collector = Collector(trace=True, trace_packet_events=False)
+    collector.attach_queue(net.bottleneck_queue, "bottleneck")
     sim.run(until=WARMUP)
     window.open()
     d0 = [sink.rcv_next for _, sink in flows]
@@ -109,8 +111,9 @@ def run(sender_cls, label, qdisc=None, **sender_kwargs):
     window.close()
     span = DURATION - WARMUP
     goodputs = [(s.rcv_next - g) * 8000.0 / span for (_, s), g in zip(flows, d0)]
+    drops = [r for r in select(collector.records, "drop") if r["t"] >= WARMUP]
     print(f"{label:16s} queue={queue.mean(WARMUP, DURATION):6.1f} pkts"
-          f"  drops={drops.count(start=WARMUP):3d}"
+          f"  drops={len(drops):3d}"
           f"  util={window.utilization:6.1%}"
           f"  fairness={jain_index(goodputs):.3f}"
           f"  early={sum(getattr(s, 'early_responses', 0) for s, _ in flows)}"

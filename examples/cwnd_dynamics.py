@@ -13,7 +13,8 @@ Run:  python examples/cwnd_dynamics.py
 import os
 
 from repro import DropTailQueue, Dumbbell, PertSender, SackSender, Simulator, connect_flow
-from repro.sim.trace import FlowTracer, ascii_series
+from repro.metrics.timeseries import ascii_series
+from repro.obs import Collector, select
 
 QUICK = os.environ.get("REPRO_QUICK", "").lower() in ("1", "on", "true", "yes")
 TRACE_START, DURATION = (2.0, 12.0) if QUICK else (5.0, 30.0)
@@ -26,16 +27,21 @@ def trace(sender_cls, label):
         qdisc_fwd=lambda: DropTailQueue(80),
         access_delays_left=[0.005] * 3, access_delays_right=[0.005] * 3,
     )
-    tracer = None
+    # an observed sender leaves a ``cwnd_sample`` record at most every
+    # ``sample_interval`` seconds, taken on the first ACK past the mark
+    collector = Collector(trace=True, sample_interval=0.05)
     for i in range(3):
         sender, _ = connect_flow(sim, net.left[i], net.right[i], flow_id=i,
                                  sender_cls=sender_cls)
         sender.start(at=0.2 * i)
         if i == 0:
-            tracer = FlowTracer(sim, sender, interval=0.05, start=TRACE_START)
+            collector.attach_sender(sender)
     sim.run(until=DURATION)
-    stats = tracer.cwnd_stats()
-    print(ascii_series(tracer.cwnd,
+    cwnd = [r["cwnd"] for r in select(collector.records, "cwnd_sample", flow=0)
+            if r["t"] >= TRACE_START]
+    stats = {"mean": sum(cwnd) / len(cwnd), "min": min(cwnd), "max": max(cwnd),
+             "swing": max(cwnd) / min(cwnd)}
+    print(ascii_series(cwnd,
                        label=f"{label} cwnd (packets), "
                              f"{TRACE_START:.0f}-{DURATION:.0f} s"))
     print(f"  mean={stats['mean']:.1f}  min={stats['min']:.1f}  "

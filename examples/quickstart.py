@@ -21,7 +21,8 @@ from repro import (
     connect_flow,
     jain_index,
 )
-from repro.sim.monitors import DropLog, LinkWindow, QueueSampler
+from repro.obs import Collector, select
+from repro.sim.monitors import LinkWindow, QueueSampler
 
 QUICK = os.environ.get("REPRO_QUICK", "").lower() in ("1", "on", "true", "yes")
 
@@ -54,8 +55,11 @@ def run(sender_cls, label: str) -> None:
         flows.append((sender, sink))
 
     window = LinkWindow(sim, dumbbell.fwd)
-    drops = DropLog(dumbbell.bottleneck_queue)
     queue = QueueSampler(sim, dumbbell.bottleneck_queue, interval=0.05)
+    # every drop, mark and window cut of what it is attached to becomes a
+    # record on the collector's one stream (docs/OBSERVABILITY.md)
+    collector = Collector(trace=True, trace_packet_events=False)
+    collector.attach_queue(dumbbell.bottleneck_queue, "bottleneck")
 
     sim.run(until=WARMUP)
     window.open()
@@ -69,9 +73,10 @@ def run(sender_cls, label: str) -> None:
         for (_, sink), d0 in zip(flows, delivered0)
     ]
     early = sum(getattr(s, "early_responses", 0) for s, _ in flows)
+    drops = [r for r in select(collector.records, "drop") if r["t"] >= WARMUP]
     print(
         f"{label:12s} queue={queue.mean(WARMUP, DURATION):6.1f} pkts"
-        f"  drops={drops.count(start=WARMUP):4d}"
+        f"  drops={len(drops):4d}"
         f"  utilization={window.utilization:5.1%}"
         f"  fairness={jain_index(goodputs):.3f}"
         f"  early_responses={early}"

@@ -19,7 +19,7 @@ recovery), so PERT degrades gracefully when prediction fails.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Type
+from typing import Optional, Type
 
 from ..sim.packet import Packet
 from ..tcp.base import TcpSender
@@ -57,9 +57,6 @@ class PertSender(TcpSender):
         self._last_early_response = -1e9
         self._interval_scale = 1.0  # Section 7: escalating response spacing
         self.early_responses = 0
-        #: optional trace of (time, srtt, probability) for analysis
-        self.signal_trace: List[Tuple[float, float, float]] = []
-        self.record_signal = False
 
     # ------------------------------------------------------------------
     @property
@@ -77,8 +74,8 @@ class PertSender(TcpSender):
             prob = self.curve.probability(self.signal.queuing_delay)
         else:
             prob = controller.update(self.signal.queuing_delay)
-        if self.record_signal:
-            self.signal_trace.append((self.sim.now, self.signal.value, prob))
+        if self.obs is not None:
+            self.obs.sender_signal(self, self.sim.now, prob)
         if prob <= 0.0:
             # No congestion: the escalation resets, and the optional
             # aggressive-increase compensation may add extra growth.
@@ -102,18 +99,20 @@ class PertSender(TcpSender):
             return
         threshold = self.config.deterministic_threshold
         if threshold is not None and prob >= threshold:
-            self._early_response()
+            self._early_response(prob)
         elif self.rng.random() < prob:
-            self._early_response()
+            self._early_response(prob)
 
-    def _early_response(self) -> None:
-        """Multiplicative early decrease (paper: 35 %), no retransmission."""
+    def _early_response(self, prob: float) -> None:
+        """Multiplicative early decrease (paper: 35 %), no retransmission;
+        *prob* is the law's output being answered (recorded, not used)."""
         self._last_early_response = self.sim.now
         self.early_responses += 1
         if self.config.escalating_interval:
             self._interval_scale = min(self._interval_scale * 2.0, 16.0)
         factor = 1.0 - self.config.early_decrease
-        self.cwnd = max(2.0, self.cwnd * factor)
+        cwnd = self.cwnd
+        self.cwnd = max(2.0, cwnd * factor)
         self.ssthresh = max(2.0, self.cwnd)
         if self.obs is not None:
-            self.obs.sender_event(self, "early_response", self.sim.now)
+            self.obs.sender_event(self, "early_response", self.sim.now, cwnd, prob)

@@ -40,8 +40,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..metrics.fairness import jain_index
 from ..obs import runtime as obs_runtime
+from ..obs.collect import Collector
+from ..obs.records import select
 from ..sim.engine import Simulator
-from ..sim.monitors import DropLog, LinkWindow, QueueSampler
+from ..sim.monitors import LinkWindow, QueueSampler
 from ..sim.topology import Dumbbell, make_topology
 from ..snapshot import runtime as snapshot_runtime
 from ..snapshot.core import capture_bytes, restore_bytes
@@ -158,17 +160,22 @@ class PacketRun:
     ``links`` are the :class:`MeasuredLink` s (a collector observes their
     queue and transmitter), ``senders`` every long-lived sender (observed
     per flow), ``observed`` further ``label -> link`` pairs whose queue a
-    collector sees; whatever else the result function reads rides along
-    as attributes.  The shell adds ``collector`` and ``build``, with
-    ``params`` the identity a resumed attempt is held to.
+    collector sees; ``recorded`` names those of them — links and senders —
+    whose trace records the scenario's *result* reads, so the shell sees
+    to it that ``recorder`` keeps them (a recorded sender is tagged:
+    every ACK).  Whatever else the result function reads rides along as
+    attributes.  The shell adds ``collector`` (the job's, if any),
+    ``recorder`` and ``build``, with ``params`` the identity a resumed
+    attempt is held to.
     """
 
     def __init__(self, params: Dict[str, Any], sim: Simulator, links=(),
-                 senders=(), observed=None, **parts: Any):
+                 senders=(), observed=None, recorded=(), **parts: Any):
         self.params, self.sim = params, sim
         self.links, self.senders = list(links), list(senders)
         self.observed = dict(observed or {})
-        self.build = self.collector = None
+        self.recorded = list(recorded)
+        self.build = self.collector = self.recorder = None
         #: the measurement window has opened (warm-up is behind us)
         self.opened = False
         self.__dict__.update(parts)
@@ -187,6 +194,9 @@ def run_scenario(build, params: Dict[str, Any], collector=None) -> PacketRun:
     job observation's (if the runner enabled one), ``False`` forces
     observability off.  Attachment is passive — results are identical
     either way — and a resumed run keeps the collector it was built with.
+    A scenario whose result reads records (``PacketRun.recorded``) gets
+    them from that collector when it traces, else from a private one on
+    those parts only.
     """
     if collector is None:
         collector = obs_runtime.active_collector()
@@ -206,14 +216,35 @@ def _build(build, params: Dict[str, Any], collector) -> PacketRun:
     obs_runtime.note_simulator(sim)
     run = build(params, sim)
     run.build, run.collector = build, collector
-    if collector is not None:
-        for m in run.links:
-            collector.attach_queue(m.link.qdisc, m.label, bandwidth=m.link.bandwidth)
-            collector.attach_link(m.link, m.label)
-        for label, link in run.observed.items():
-            collector.attach_queue(link.qdisc, label, bandwidth=link.bandwidth)
-        for sender in run.senders:
-            collector.attach_sender(sender)
+    if run.recorded:
+        run.recorder = collector
+        if collector is None or collector.records is None:
+            # Nothing the job asked for keeps records: a private recorder —
+            # in step with the job's metrics-only collector, if there is
+            # one, and publishing into its registry, so the job's metrics
+            # still cover every part.
+            shared = {} if collector is None else dict(
+                registry=collector.registry,
+                sample_interval=collector.sample_interval)
+            run.recorder = Collector(trace=True, trace_packet_events=False,
+                                     **shared)
+
+    def observer(part):
+        return run.recorder if part in run.recorded else collector
+
+    for m in run.links:
+        obs = observer(m.link)
+        if obs is not None:
+            obs.attach_queue(m.link.qdisc, m.label, bandwidth=m.link.bandwidth)
+            obs.attach_link(m.link, m.label)
+    for label, link in run.observed.items():
+        obs = observer(link)
+        if obs is not None:
+            obs.attach_queue(link.qdisc, label, bandwidth=link.bandwidth)
+    for sender in run.senders:
+        obs = observer(sender)
+        if obs is not None:
+            obs.attach_sender(sender, every_ack=sender in run.recorded)
     return run
 
 
@@ -388,9 +419,11 @@ def run_dumbbell(
         Bottleneck buffer; defaults to the paper's rule (BDP with a floor
         of twice the flow count).
     record_rtt_flow:
-        Forward-flow index whose per-ACK RTT trace and loss events are
-        retained (``extras["rtt_trace"]``, ``extras["flow_losses"]``,
-        plus a fine-grained queue sampler in ``extras["queue_sampler"]``).
+        Forward-flow index to tag: its per-ACK RTT samples, its loss
+        detections and the bottleneck's drops are read out of the run's
+        trace records (``extras["rtt_trace"]``, ``extras["flow_losses"]``,
+        ``extras["queue_drops"]``), plus a fine-grained queue sampler in
+        ``extras["queue_sampler"]``.
     background:
         Optional fluid-driven background load at the bottleneck — a
         :class:`repro.hybrid.BackgroundLoad` or its dict form (see
@@ -464,8 +497,7 @@ def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
     rng = sim.stream("starts")
     fwd_flows = start_long_flows(
         sim, list(zip(db.left[:n_fwd], db.right)), flow_ids,
-        start_window=start_window, rng=rng, record_rtt_flow_index=tagged,
-        **flow_kw)
+        start_window=start_window, rng=rng, **flow_kw)
     rev_flows = start_long_flows(
         sim, list(zip(db.right[:n_rev], db.left)), flow_ids,
         start_window=start_window, rng=rng, **flow_kw)
@@ -484,7 +516,6 @@ def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
     bottleneck = MeasuredLink(
         sim, "bottleneck.fwd", db.fwd, fwd_flows,
         QUEUE_SAMPLE if tagged is None else TAGGED_QUEUE_SAMPLE)
-    drop_log = DropLog(db.bottleneck_queue)
 
     # The fluid background attaches strictly after everything above, so
     # the pure-packet construction prefix (streams, event sequence
@@ -507,8 +538,8 @@ def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
         params, sim, links=[bottleneck],
         senders=[s for s, _ in fwd_flows + rev_flows],
         observed={"bottleneck.rev": db.rev},
-        db=db, fwd_flows=fwd_flows, rev_flows=rev_flows, drop_log=drop_log,
-        bg_source=bg_source,
+        recorded=() if tagged is None else (fwd_flows[tagged][0], db.fwd),
+        db=db, fwd_flows=fwd_flows, rev_flows=rev_flows, bg_source=bg_source,
     )
 
 
@@ -535,10 +566,15 @@ def _dumbbell_result(run: PacketRun, keep_refs: bool = False) -> DumbbellResult:
                 run.bg_source.sink.pkts_received
             )
     if p["record_rtt_flow"] is not None:
-        tagged = run.fwd_flows[p["record_rtt_flow"]][0]
-        result.extras["rtt_trace"] = tagged.rtt_trace
-        result.extras["flow_losses"] = tagged.loss_events
-        result.extras["queue_drops"] = run.drop_log.times()
+        records = run.recorder.records
+        flow = run.fwd_flows[p["record_rtt_flow"]][0].flow_id
+        result.extras["rtt_trace"] = [
+            (r["t"], r["rtt"], r["cwnd"])
+            for r in select(records, "rtt_sample", flow=flow)]
+        result.extras["flow_losses"] = [
+            r["t"] for r in select(records, "loss", "timeout", flow=flow)]
+        result.extras["queue_drops"] = [
+            r["t"] for r in select(records, "drop", queue=bottleneck.label)]
         result.extras["queue_sampler"] = bottleneck.sampler
         result.extras["queue_stats"] = run.db.bottleneck_queue.stats
     if keep_refs:

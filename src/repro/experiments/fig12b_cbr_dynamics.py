@@ -19,9 +19,10 @@ from functools import partial
 from typing import Any, Dict, List, Sequence
 
 from ..metrics.timeseries import settling_time
+from ..obs.records import select
 from ..runner import run_jobs
 from ..sim.engine import Simulator
-from ..sim.monitors import DropLog, ThroughputSampler
+from ..sim.monitors import ThroughputSampler
 from ..traffic.cbr import CbrSink, CbrSource
 from ..traffic.ftp import start_long_flows
 from .common import (PacketRun, delivered_bytes, paper_buffer_pkts,
@@ -70,6 +71,8 @@ def run_cbr_dynamics(
         seed=seed, pkt_size=pkt_size, sample_interval=sample_interval,
         warmup=0.0,
     ))
+    drops = [r["t"] for r in select(run.recorder.records, "drop",
+                                    queue="bottleneck.fwd")]
     return run.payload(
         scheme=scheme,
         times=run.rates.times,
@@ -78,8 +81,8 @@ def run_cbr_dynamics(
         cbr_fraction=cbr_fraction,
         t_on=t_on,
         t_off=t_off,
-        drops_during_squeeze=run.drop_log.count(start=t_on, end=t_off),
-        drops_total=run.drop_log.count(),
+        drops_during_squeeze=sum(1 for t in drops if t_on <= t <= t_off),
+        drops_total=len(drops),
     )
 
 
@@ -91,14 +94,14 @@ def cbr_job(params: dict) -> Dict:
 def build(params: Dict[str, Any], sim: Simulator) -> PacketRun:
     """Long flows on a dumbbell plus, on a host pair of its own, a CBR
     source that is on from ``t_on`` to ``t_off``; the flows' aggregate
-    delivered bytes are sampled and every bottleneck drop is logged."""
+    delivered bytes are sampled and the result counts the bottleneck's
+    ``drop`` records."""
     bandwidth, rtt = params["bandwidth"], params["rtt"]
     n_flows, pkt_size = params["n_flows"], params["pkt_size"]
     qdisc, flow_kw = scheme_at(params["scheme"], bandwidth, pkt_size, n_flows, rtt)
     db = scheme_dumbbell(
         sim, qdisc, paper_buffer_pkts(bandwidth, rtt, pkt_size, n_flows),
         bandwidth, [rtt], n_flows + 1, n_flows)
-    drop_log = DropLog(db.bottleneck_queue)
     flow_ids = itertools.count()
     flows = start_long_flows(
         sim, list(zip(db.left[:n_flows], db.right)), flow_ids,
@@ -114,7 +117,7 @@ def build(params: Dict[str, Any], sim: Simulator) -> PacketRun:
     return PacketRun(
         params, sim, senders=[s for s, _ in flows],
         observed={"bottleneck.fwd": db.fwd, "bottleneck.rev": db.rev},
-        rates=rates, drop_log=drop_log,
+        recorded=[db.fwd], rates=rates,
     )
 
 

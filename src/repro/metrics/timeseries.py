@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-__all__ = ["moving_average", "settling_time", "relative_error_series"]
+__all__ = ["moving_average", "settling_time", "relative_error_series",
+           "ascii_series"]
 
 
 def moving_average(xs: Sequence[float], window: int) -> List[float]:
@@ -69,3 +70,24 @@ def settling_time(
     if candidate is None:
         return None
     return times[candidate]
+
+
+def ascii_series(values, width: int = 64, height: int = 10,
+                 label: str = "") -> str:
+    """Render a numeric series as a small ASCII plot (for examples/CLI)."""
+    vals = [float(v) for v in values if v is not None]
+    if not vals:
+        return f"{label}(no data)"
+    lo, hi = min(vals), max(vals)
+    span = (hi - lo) or 1.0
+    step = max(1, len(vals) // width)
+    cols = vals[::step][:width]
+    lines = []
+    if label:
+        lines.append(label)
+    for level in range(height, -1, -1):
+        thresh = lo + span * level / height
+        row = "".join("*" if v >= thresh else " " for v in cols)
+        lines.append(f"{thresh:9.2f} |{row}")
+    lines.append(" " * 11 + "-" * len(cols))
+    return "\n".join(lines)

@@ -37,9 +37,9 @@ from .manifest import (
     load_manifests_with_warnings,
     write_manifest,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Reading
 from .profiler import SamplingProfiler
-from .records import TRACE_SCHEMA, record, validate_record
+from .records import TRACE_SCHEMA, record, select, validate_record
 from .report import format_table, generate_report, history_section, scheme_summary
 from .runtime import (
     JobObservation,
@@ -63,6 +63,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "MetricsRegistry",
     "ObsFlags",
+    "Reading",
     "SamplingProfiler",
     "TRACE_SCHEMA",
     "active",
@@ -89,6 +90,7 @@ __all__ = [
     "resolve_bus_path",
     "resolve_obs_flags",
     "scheme_summary",
+    "select",
     "validate_record",
     "write_manifest",
     "write_trace",

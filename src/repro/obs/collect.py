@@ -1,26 +1,32 @@
-"""The Collector: where component hooks publish metrics and trace records.
+"""The Collector: the one place a simulated component is recorded.
 
 Instrumented components (queue disciplines, links, TCP senders) carry an
 ``obs`` attribute that is ``None`` by default; the hot-path cost of the
 instrumentation when disabled is one attribute load and an ``is None``
 test per hook site (guarded by ``tests/obs/test_overhead.py``).
-Attaching a component points its ``obs`` at a :class:`Collector` and
-registers a small per-component instrument holding pre-resolved counter
-and histogram references, so the enabled path does no dict lookups by
-metric name per event either.
+Attaching a component gives it an *instrument* of its own in that slot —
+its label, its sample clock, its histograms and a reference to the
+collector's record list — so a hook is one method call on the
+component's own attribute, with nothing to look up.
 
-Design rule (pinned by the obs-on/off golden test): a collector never
+What a component already counts (``QueueStats``, a sender's
+``timeouts``) is published as a :class:`~repro.obs.metrics.Reading` of
+that counter, taken when the snapshot is; a hook never counts an event a
+second time.  Every trace record of a run — packet events, window cuts,
+a tagged flow's per-ACK samples, the periodic samples — is appended to
+:attr:`Collector.records`, in simulation order; there is no other list.
+
+Design rule (pinned by the obs-on/off golden test): an instrument never
 schedules simulator events, never draws randomness, and never mutates
-the objects it observes beyond the ``obs``/``obs_label`` attachment
-fields — so enabling collection cannot perturb a simulation.  "Periodic"
-queue/cwnd samples are therefore evaluated lazily at hook time: a sample
-record is emitted at most once per ``sample_interval`` of simulated
-time, timestamped with the event that triggered it.
+the component it observes — so enabling collection cannot perturb a
+simulation.  "Periodic" samples are therefore evaluated lazily at hook
+time: a sample record is emitted at most once per ``sample_interval`` of
+simulated time, timestamped with the event that triggered it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .metrics import (
     CWND_EDGES,
@@ -34,49 +40,147 @@ __all__ = ["Collector"]
 
 
 class _QueueInstrument:
-    __slots__ = (
-        "qdisc", "label", "bandwidth", "next_sample",
-        "c_enqueues", "c_drops", "c_forced", "c_marks",
-        "h_qlen", "h_delay",
-    )
+    """A queue discipline's ``obs`` (hooks in ``enqueue`` / ``dequeue``)."""
 
-    def __init__(self, qdisc, label: str, bandwidth: Optional[float], reg: MetricsRegistry):
-        self.qdisc = qdisc
+    __slots__ = ("label", "bandwidth", "interval", "next_sample", "records",
+                 "packet_events", "h_qlen", "h_delay")
+
+    def __init__(self, col: "Collector", label: str, bandwidth: Optional[float]):
         self.label = label
         self.bandwidth = bandwidth
+        self.interval = col.sample_interval
         self.next_sample = 0.0
-        base = f"queue.{label}"
-        self.c_enqueues = reg.counter(f"{base}.enqueues")
-        self.c_drops = reg.counter(f"{base}.drops")
-        self.c_forced = reg.counter(f"{base}.forced_drops")
-        self.c_marks = reg.counter(f"{base}.marks")
-        self.h_qlen = reg.histogram(f"{base}.qlen", QUEUE_LEN_EDGES)
-        self.h_delay = reg.histogram(f"{base}.delay", QUEUE_DELAY_EDGES)
+        self.records = col.records
+        self.packet_events = col.trace_packet_events
+        self.h_qlen = col.registry.histogram(f"queue.{label}.qlen", QUEUE_LEN_EDGES)
+        self.h_delay = col.registry.histogram(f"queue.{label}.delay", QUEUE_DELAY_EDGES)
+
+    def queue_event(self, qdisc, kind: str, pkt, now: float, forced: bool = False) -> None:
+        """Hook: *pkt* was enqueued, dropped or marked (*kind*) at *qdisc*."""
+        records = self.records
+        if records is not None and (kind != "enqueue" or self.packet_events):
+            rec = {
+                "v": TRACE_SCHEMA, "type": kind, "t": now,
+                "queue": self.label, "flow": pkt.flow_id, "seq": pkt.seq,
+                "qlen": len(qdisc),
+            }
+            if kind == "drop":
+                rec["forced"] = forced
+            records.append(rec)
+        if now >= self.next_sample:
+            self._sample(qdisc, now)
+
+    def queue_departure(self, qdisc, pkt, now: float) -> None:
+        """Hook: *pkt* left *qdisc*; may emit a periodic queue sample."""
+        if now >= self.next_sample:
+            self._sample(qdisc, now)
+
+    def _sample(self, qdisc, now: float) -> None:
+        self.next_sample = now + self.interval
+        qlen = len(qdisc)
+        nbytes = qdisc.byte_length
+        delay = nbytes * 8.0 / self.bandwidth if self.bandwidth else None
+        self.h_qlen.observe(qlen)
+        if delay is not None:
+            self.h_delay.observe(delay)
+        if self.records is not None:
+            rec = {
+                "v": TRACE_SCHEMA, "type": "queue_sample", "t": now,
+                "queue": self.label, "qlen": qlen, "bytes": nbytes,
+                "delay": delay,
+            }
+            aqm = qdisc.aqm_state()
+            if aqm is not None:
+                rec["aqm"] = aqm
+            self.records.append(rec)
 
 
 class _SenderInstrument:
-    __slots__ = (
-        "sender", "label", "next_sample",
-        "c_early", "c_timeouts", "h_cwnd",
-    )
+    """A TCP sender's ``obs`` (hooks in ``TcpSender`` and ``PertSender``)."""
 
-    def __init__(self, sender, label: str, reg: MetricsRegistry):
-        self.sender = sender
-        self.label = label
+    __slots__ = ("interval", "next_sample", "every_ack", "next_signal",
+                 "records", "h_cwnd")
+
+    def __init__(self, col: "Collector", label: str, every_ack: bool):
+        self.interval = col.sample_interval
         self.next_sample = 0.0
-        base = f"flow.{label}"
-        self.c_early = reg.counter(f"{base}.early_responses")
-        self.c_timeouts = reg.counter(f"{base}.timeouts")
-        self.h_cwnd = reg.histogram(f"{base}.cwnd", CWND_EDGES)
+        self.every_ack = every_ack
+        #: ``signal`` records only exist in a trace: never due without one
+        self.next_signal = 0.0 if col.records is not None else float("inf")
+        self.records = col.records
+        self.h_cwnd = col.registry.histogram(f"flow.{label}.cwnd", CWND_EDGES)
+
+    def rtt_sample(self, sender, now: float, rtt: float) -> None:
+        """Hook: *sender* took a valid RTT sample (its window not yet grown)."""
+        if self.every_ack:
+            self.records.append({
+                "v": TRACE_SCHEMA, "type": "rtt_sample", "t": now,
+                "flow": sender.flow_id, "rtt": rtt, "cwnd": sender.cwnd,
+            })
+
+    def sender_signal(self, sender, now: float, p: float) -> None:
+        """Hook: a PERT *sender* evaluated its law to *p* on this ACK."""
+        if now < self.next_signal:
+            return
+        if not self.every_ack:
+            self.next_signal = now + self.interval
+        signal = sender.signal
+        self.records.append({
+            "v": TRACE_SCHEMA, "type": "signal", "t": now,
+            "flow": sender.flow_id, "srtt": signal.value,
+            "signal": signal.queuing_delay, "p": p,
+        })
+
+    def sender_event(self, sender, kind: str, now: float, cwnd: float,
+                     p: Optional[float] = None) -> None:
+        """Hook: *sender* cut its window from *cwnd* — a ``loss``, a
+        ``timeout`` or, with the law's output *p*, an ``early_response``."""
+        if self.records is None:
+            return
+        rec = {
+            "v": TRACE_SCHEMA, "type": kind, "t": now,
+            "flow": sender.flow_id, "cwnd": cwnd, "cwnd_after": sender.cwnd,
+        }
+        if kind == "early_response":
+            signal = sender.signal
+            rec.update(srtt=signal.value, signal=signal.queuing_delay, p=p)
+        self.records.append(rec)
+
+    def sender_ack(self, sender, now: float) -> None:
+        """Hook: *sender* processed an ACK; may emit a cwnd sample."""
+        if now < self.next_sample:
+            return
+        self.next_sample = now + self.interval
+        self.h_cwnd.observe(sender.cwnd)
+        if self.records is not None:
+            self.records.append({
+                "v": TRACE_SCHEMA, "type": "cwnd_sample", "t": now,
+                "flow": sender.flow_id, "cwnd": sender.cwnd,
+                "ssthresh": sender.ssthresh, "srtt": sender.srtt,
+            })
 
 
 class _LinkInstrument:
-    __slots__ = ("link", "label", "next_sample")
+    """A link's ``obs`` (hook in ``Link._tx_done``)."""
 
-    def __init__(self, link, label: str):
-        self.link = link
+    __slots__ = ("label", "interval", "next_sample", "records")
+
+    def __init__(self, col: "Collector", label: str):
         self.label = label
+        self.interval = col.sample_interval
         self.next_sample = 0.0
+        self.records = col.records
+
+    def link_tx(self, link, now: float) -> None:
+        """Hook: *link* transmitted a packet; may emit a link sample."""
+        if now < self.next_sample:
+            return
+        self.next_sample = now + self.interval
+        self.records.append({
+            "v": TRACE_SCHEMA, "type": "link_sample", "t": now,
+            "link": self.label, "bytes": link.bytes_transmitted,
+            "pkts": link.packets_transmitted,
+        })
 
 
 class Collector:
@@ -87,13 +191,14 @@ class Collector:
     registry:
         Metrics registry to publish into (a fresh one by default).
     trace:
-        Keep per-event trace records (enqueue/drop/mark/early-response/
-        timeout plus periodic samples) in :attr:`records` for the JSONL
-        sink.  Off by default because packet-event traces grow with the
-        event count.
+        Keep trace records (enqueue/drop/mark, window cuts, a tagged
+        flow's per-ACK samples, plus periodic samples) in :attr:`records`
+        for the JSONL sink.  Off by default because packet-event traces
+        grow with the event count.
     sample_interval:
         Minimum simulated seconds between consecutive ``queue_sample`` /
-        ``cwnd_sample`` / ``link_sample`` emissions per component.
+        ``cwnd_sample`` / ``signal`` / ``link_sample`` emissions per
+        component.
     trace_packet_events:
         When tracing, also record one ``enqueue`` record per admitted
         packet (the chattiest record type).  Drops and marks are always
@@ -113,9 +218,6 @@ class Collector:
         self.records: Optional[List[dict]] = [] if trace else None
         self.sample_interval = sample_interval
         self.trace_packet_events = trace_packet_events
-        self._queues: Dict[int, _QueueInstrument] = {}
-        self._senders: Dict[int, _SenderInstrument] = {}
-        self._links: Dict[int, _LinkInstrument] = {}
 
     # ------------------------------------------------------------------
     # attachment
@@ -123,168 +225,40 @@ class Collector:
     def attach_queue(self, qdisc, label: str, bandwidth: Optional[float] = None) -> None:
         """Observe a queue discipline; *bandwidth* (bps) enables the
         drain-time queue-delay estimate in samples and histograms."""
-        self._queues[id(qdisc)] = _QueueInstrument(
-            qdisc, label, bandwidth, self.registry
-        )
-        qdisc.obs = self
-        qdisc.obs_label = label
+        for counter in ("enqueues", "drops", "forced_drops", "marks",
+                        "arrivals", "drop_rate"):
+            self.registry.reading(f"queue.{label}.{counter}", qdisc.stats, counter)
+        qdisc.obs = _QueueInstrument(self, label, bandwidth)
 
-    def attach_sender(self, sender, label: Optional[str] = None) -> None:
-        """Observe a TCP sender (early responses, timeouts, cwnd)."""
+    def attach_sender(self, sender, label: Optional[str] = None,
+                      every_ack: bool = False) -> None:
+        """Observe a TCP sender (window cuts, cwnd, PERT's signal).
+
+        *every_ack* tags the flow: every valid RTT sample is recorded
+        (``rtt_sample``) and PERT's ``signal`` on every ACK instead of on
+        the sample clock — the per-ACK view of one flow the paper's
+        Section 2 studies.  Needs a tracing collector.
+        """
+        if every_ack and self.records is None:
+            raise ValueError("every_ack needs a collector that keeps records "
+                             "(trace=True)")
         label = label if label is not None else str(sender.flow_id)
-        self._senders[id(sender)] = _SenderInstrument(sender, label, self.registry)
-        sender.obs = self
-        sender.obs_label = label
+        for counter in ("early_responses", "timeouts"):
+            self.registry.reading(f"flow.{label}.{counter}", sender, counter)
+        sender.obs = _SenderInstrument(self, label, every_ack)
 
     def attach_link(self, link, label: str) -> None:
-        """Observe a link's transmit progress (periodic byte counters)."""
-        self._links[id(link)] = _LinkInstrument(link, label)
-        link.obs = self
-        link.obs_label = label
-
-    # ------------------------------------------------------------------
-    # queue hooks (called from QueueDiscipline.enqueue/dequeue)
-    # ------------------------------------------------------------------
-    def queue_event(self, qdisc, kind: str, pkt, now: float, forced: bool = False) -> None:
-        """Hook: a packet was enqueued, dropped, or marked at *qdisc*."""
-        qi = self._queues[id(qdisc)]
-        records = self.records
-        if kind == "enqueue":
-            qi.c_enqueues.inc()
-            if records is not None and self.trace_packet_events:
-                records.append({
-                    "v": TRACE_SCHEMA, "type": "enqueue", "t": now,
-                    "queue": qi.label, "flow": pkt.flow_id, "seq": pkt.seq,
-                    "qlen": len(qdisc),
-                })
-        elif kind == "drop":
-            qi.c_drops.inc()
-            if forced:
-                qi.c_forced.inc()
-            if records is not None:
-                records.append({
-                    "v": TRACE_SCHEMA, "type": "drop", "t": now,
-                    "queue": qi.label, "flow": pkt.flow_id, "seq": pkt.seq,
-                    "qlen": len(qdisc), "forced": forced,
-                })
-        else:  # mark
-            qi.c_marks.inc()
-            if records is not None:
-                records.append({
-                    "v": TRACE_SCHEMA, "type": "mark", "t": now,
-                    "queue": qi.label, "flow": pkt.flow_id, "seq": pkt.seq,
-                    "qlen": len(qdisc),
-                })
-        if now >= qi.next_sample:
-            self._queue_sample(qi, now)
-
-    def queue_departure(self, qdisc, pkt, now: float) -> None:
-        """Hook: a packet left *qdisc*; may emit a periodic queue sample."""
-        qi = self._queues[id(qdisc)]
-        if now >= qi.next_sample:
-            self._queue_sample(qi, now)
-
-    def _queue_sample(self, qi: _QueueInstrument, now: float) -> None:
-        qi.next_sample = now + self.sample_interval
-        qlen = len(qi.qdisc)
-        nbytes = qi.qdisc.byte_length
-        delay = nbytes * 8.0 / qi.bandwidth if qi.bandwidth else None
-        qi.h_qlen.observe(qlen)
-        if delay is not None:
-            qi.h_delay.observe(delay)
+        """Observe a link's transmit progress: periodic byte counters in
+        the trace, so nothing to attach unless tracing."""
         if self.records is not None:
-            rec = {
-                "v": TRACE_SCHEMA, "type": "queue_sample", "t": now,
-                "queue": qi.label, "qlen": qlen, "bytes": nbytes,
-                "delay": delay,
-            }
-            aqm = qi.qdisc.aqm_state()
-            if aqm is not None:
-                rec["aqm"] = aqm
-            self.records.append(rec)
-
-    # ------------------------------------------------------------------
-    # sender hooks (called from TcpSender and the PERT variants)
-    # ------------------------------------------------------------------
-    def sender_event(self, sender, kind: str, now: float) -> None:
-        """Hook: *sender* took an early response or a timeout."""
-        si = self._senders[id(sender)]
-        if kind == "early_response":
-            si.c_early.inc()
-        else:  # timeout
-            si.c_timeouts.inc()
-        if self.records is not None:
-            self.records.append({
-                "v": TRACE_SCHEMA, "type": kind, "t": now,
-                "flow": sender.flow_id, "cwnd": sender.cwnd,
-            })
-
-    def sender_ack(self, sender, now: float) -> None:
-        """Hook: *sender* processed an ACK; may emit a cwnd sample."""
-        si = self._senders[id(sender)]
-        if now < si.next_sample:
-            return
-        si.next_sample = now + self.sample_interval
-        si.h_cwnd.observe(sender.cwnd)
-        if self.records is not None:
-            self.records.append({
-                "v": TRACE_SCHEMA, "type": "cwnd_sample", "t": now,
-                "flow": sender.flow_id, "cwnd": sender.cwnd,
-                "ssthresh": sender.ssthresh, "srtt": sender.srtt,
-            })
-
-    # ------------------------------------------------------------------
-    # link hook (called from Link._tx_done)
-    # ------------------------------------------------------------------
-    def link_tx(self, link, now: float) -> None:
-        """Hook: *link* transmitted a packet; may emit a link sample."""
-        li = self._links[id(link)]
-        if now < li.next_sample:
-            return
-        li.next_sample = now + self.sample_interval
-        if self.records is not None:
-            self.records.append({
-                "v": TRACE_SCHEMA, "type": "link_sample", "t": now,
-                "link": li.label, "bytes": link.bytes_transmitted,
-                "pkts": link.packets_transmitted,
-            })
+            link.obs = _LinkInstrument(self, label)
 
     # ------------------------------------------------------------------
     def finalize(self, sim) -> None:
         """Record end-of-run engine gauges (events processed, sim time)."""
-        reg = self.registry
-        reg.gauge("sim.events_processed").set(sim.events_processed)
-        reg.gauge("sim.time").set(sim.now)
-        for qi in self._queues.values():
-            stats = qi.qdisc.stats
-            base = f"queue.{qi.label}"
-            reg.gauge(f"{base}.arrivals").set(stats.arrivals)
-            reg.gauge(f"{base}.drop_rate").set(stats.drop_rate)
+        self.registry.gauge("sim.events_processed").set(sim.events_processed)
+        self.registry.gauge("sim.time").set(sim.now)
 
     def snapshot(self) -> dict:
         """Metrics snapshot (delegates to the registry)."""
         return self.registry.snapshot()
-
-    # ------------------------------------------------------------------
-    # snapshot (checkpoint) support
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        """The instrument maps are keyed by ``id(component)``, which is
-        meaningless in a restored process — pickle the instruments as
-        lists (each holds a reference to its component, and the pickle
-        memo keeps those identical to the components inside the restored
-        simulator graph) and re-key on the way back in."""
-        state = self.__dict__.copy()
-        state["_queues"] = list(self._queues.values())
-        state["_senders"] = list(self._senders.values())
-        state["_links"] = list(self._links.values())
-        return state
-
-    def __setstate__(self, state):
-        queues = state.pop("_queues")
-        senders = state.pop("_senders")
-        links = state.pop("_links")
-        self.__dict__.update(state)
-        self._queues = {id(qi.qdisc): qi for qi in queues}
-        self._senders = {id(si.sender): si for si in senders}
-        self._links = {id(li.link): li for li in links}

@@ -39,6 +39,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from .. import __version__
+
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
@@ -81,10 +83,6 @@ def build_manifest(
     trace_file: Optional[str] = None,
 ) -> dict:
     """Assemble a schema-v1 manifest dict (JSON-clean)."""
-    # Imported lazily: repro/__init__ -> sim -> monitors -> obs would
-    # otherwise form a cycle through this module at import time.
-    from .. import __version__
-
     manifest: dict = {
         "schema": MANIFEST_SCHEMA,
         "key": key,
@@ -128,8 +126,6 @@ def build_validation_manifest(
     Written by ``python -m repro.validate run`` into the run directory's
     ``validation/`` folder.
     """
-    from .. import __version__
-
     return {
         "schema": MANIFEST_SCHEMA,
         "kind": "validation",

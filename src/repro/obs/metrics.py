@@ -1,6 +1,6 @@
-"""Deterministic metrics primitives: counters, gauges, histograms.
+"""Deterministic metrics primitives: counters, gauges, histograms, readings.
 
-All three instruments are plain Python state with no clocks, no RNG and
+All four instruments are plain Python state with no clocks, no RNG and
 no background threads, so a registry snapshot is a pure function of the
 simulation that fed it — the same fixed-seed run always yields the same
 snapshot, which lets golden tests pin metric output exactly.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Gauge", "Histogram", "Reading", "MetricsRegistry",
            "QUEUE_DELAY_EDGES", "QUEUE_LEN_EDGES", "CWND_EDGES"]
 
 #: default bucket edges for queue-delay histograms (seconds)
@@ -67,6 +67,26 @@ class Gauge:
     def snapshot(self):
         """The last-set value (``None`` when never set)."""
         return self.value
+
+
+class Reading:
+    """A number some object already keeps, read when the snapshot is taken.
+
+    What a component counts for itself (a queue's ``stats.drops``, a
+    sender's ``timeouts``) is published by naming it, not by counting it
+    a second time per event; an attribute the source lacks reads 0.
+    """
+
+    __slots__ = ("name", "source", "attr")
+
+    def __init__(self, name: str, source: object, attr: str):
+        self.name = name
+        self.source = source
+        self.attr = attr
+
+    def snapshot(self):
+        """The attribute's current value."""
+        return getattr(self.source, self.attr, 0)
 
 
 class Histogram:
@@ -160,6 +180,12 @@ class MetricsRegistry:
     def histogram(self, name: str, edges: Sequence[float]) -> Histogram:
         """Get-or-create the :class:`Histogram` under *name* (fixed edges)."""
         return self._get(name, Histogram, lambda: Histogram(name, edges))
+
+    def reading(self, name: str, source: object, attr: str) -> Reading:
+        """Publish ``source.attr`` under *name*; naming it again re-points it."""
+        inst = self._get(name, Reading, lambda: Reading(name, source, attr))
+        inst.source, inst.attr = source, attr
+        return inst
 
     def _get(self, name, cls, make):
         inst = self._instruments.get(name)

@@ -16,72 +16,7 @@ from typing import Iterable, Iterator, List, Union
 
 from .records import validate_record
 
-__all__ = ["TraceWriter", "write_trace", "read_trace", "iter_trace"]
-
-
-class TraceWriter:
-    """Streaming JSONL sink for runs too long to buffer records in memory.
-
-    Append validated records one at a time; :meth:`close` (or the context
-    manager exit) atomically publishes the file via temp + ``os.replace``
-    just like :func:`write_trace`.
-
-    A :class:`TraceWriter` holds an open file handle, so it is explicitly
-    *not* checkpointable: attach it to harness state and
-    ``repro.snapshot`` fails fast with an error naming the writer instead
-    of a cryptic pickle traceback.  Close the writer (or keep it out of
-    the snapshotted state) before checkpointing.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self._tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
-        self._fh = os.fdopen(fd, "w", encoding="utf-8")
-        self.records_written = 0
-
-    def write(self, rec: dict) -> None:
-        """Validate and append one record as a JSON line."""
-        validate_record(rec)
-        self._fh.write(json.dumps(rec, sort_keys=True))
-        self._fh.write("\n")
-        self.records_written += 1
-
-    def close(self) -> Path:
-        """Flush and atomically publish the trace file."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            os.replace(self._tmp, self.path)
-        return self.path
-
-    def abort(self) -> None:
-        """Discard the partial trace without publishing it."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            try:
-                os.unlink(self._tmp)
-            except OSError:
-                pass
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-    def __getstate__(self):
-        from ..snapshot.errors import SnapshotError
-
-        raise SnapshotError(
-            f"cannot snapshot: a live TraceWriter ({self.path}) holds an "
-            f"open file handle; close it or keep it out of the "
-            f"checkpointed state"
-        )
+__all__ = ["write_trace", "read_trace", "iter_trace"]
 
 
 def write_trace(path: Union[str, Path], records: Iterable[dict]) -> Path:

@@ -8,7 +8,7 @@ topology builders (dumbbell, parking lot) and measurement monitors.
 from .engine import Event, SimulationError, Simulator
 from .jitter import JitterLink
 from .link import Link
-from .monitors import DropLog, LinkWindow, QueueSampler, ThroughputSampler
+from .monitors import LinkWindow, QueueSampler, ThroughputSampler
 from .node import Node
 from .packet import ACK_SIZE, DATA_SIZE, Packet
 from .queues import (
@@ -26,7 +26,6 @@ from .topology import (
     ParkingLot,
     make_topology,
 )
-from .trace import FlowTracer, ascii_series
 
 __all__ = [
     "Simulator",
@@ -44,15 +43,12 @@ __all__ = [
     "RedQueue",
     "PiQueue",
     "RemQueue",
-    "FlowTracer",
-    "ascii_series",
     "Network",
     "Dumbbell",
     "ParkingLot",
     "TOPOLOGIES",
     "make_topology",
     "QueueSampler",
-    "DropLog",
     "LinkWindow",
     "ThroughputSampler",
 ]

@@ -49,7 +49,6 @@ class Link:
         "busy_time",
         "_ser_time",
         "obs",
-        "obs_label",
         "_deliver",
         "_on_tx_done",
     )
@@ -87,9 +86,8 @@ class Link:
         #: exact expression ``size * 8.0 / bandwidth`` so cached and
         #: uncached runs are bit-identical.
         self._ser_time: Dict[int, float] = {}
-        #: observability attachment (:class:`repro.obs.Collector`)
+        #: this link's instrument (``Collector.attach_link``)
         self.obs: Optional[Any] = None
-        self.obs_label: Optional[str] = None
         self._bind_callbacks()
 
     def _bind_callbacks(self) -> None:
@@ -196,7 +194,7 @@ class Link:
         """Walk ``__slots__`` across the MRO so subclasses (e.g.
         :class:`~repro.sim.jitter.JitterLink`) round-trip their extra
         slots without defining their own hooks.  Everything a link holds
-        — counters, qdisc, the serialization memo, an attached collector
+        — counters, qdisc, the serialization memo, an attached instrument
         — is state worth keeping; nothing is process-local.  The bound
         callbacks are derived, not state: they stay out of the snapshot
         (its bytes do not change with them) and are re-bound on restore

@@ -1,5 +1,7 @@
-"""Measurement instruments: queue samplers, window counters, drop logs.
+"""Measurement instruments: queue samplers and window counters.
 
+Drops, per-ACK samples and everything else event-shaped are records on a
+:class:`repro.obs.Collector`; what lives here is tick- or window-driven.
 These are deliberately passive — they observe queues and links without
 perturbing the simulation — and they support the paper's measurement
 style: steady-state metrics over a window (the paper measures 100-300 s of
@@ -9,16 +11,13 @@ a 400 s run) and time series for the dynamic-behaviour experiment.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..obs.records import record
 from .engine import Simulator
 from .link import Link
-from .packet import Packet
 from .queues.base import QueueDiscipline
 
-__all__ = ["QueueSampler", "DropLog", "LinkWindow", "ThroughputSampler",
-           "nearest_sample"]
+__all__ = ["QueueSampler", "LinkWindow", "ThroughputSampler", "nearest_sample"]
 
 
 def nearest_sample(times: Sequence[float], values: Sequence[int], t: float) -> int:
@@ -79,49 +78,6 @@ class QueueSampler:
         hi = bisect.bisect_right(self.times, end) if end is not None else len(self.times)
         vals = self.lengths[lo:hi]
         return sum(vals) / len(vals) if vals else 0.0
-
-    def records(self, label: str = "queue") -> List[dict]:
-        """Samples as schema-versioned ``queue_sample`` trace records."""
-        return [
-            record("queue_sample", t, queue=label, qlen=q, bytes=None, delay=None)
-            for t, q in zip(self.times, self.lengths)
-        ]
-
-
-class DropLog:
-    """Records every drop at a queue as a schema-versioned trace record.
-
-    Internally this is a list of ``drop`` records (see
-    :mod:`repro.obs.records`) ready for the JSONL trace sink; the
-    tuple-based ``events`` view and the ``times()``/``count()`` helpers
-    keep the original analysis API intact.
-    """
-
-    def __init__(self, qdisc: QueueDiscipline, label: str = "queue"):
-        self.label = label
-        self.records: List[dict] = []
-        self._qdisc = qdisc
-        qdisc.drop_listeners.append(self._on_drop)
-
-    def _on_drop(self, pkt: Packet, now: float) -> None:
-        self.records.append(record(
-            "drop", now, queue=self.label, flow=pkt.flow_id, seq=pkt.seq,
-            qlen=len(self._qdisc), forced=self._qdisc.is_full_for(pkt),
-        ))
-
-    @property
-    def events(self) -> List[Tuple[float, int]]:
-        """Drops as ``(time, flow_id)`` tuples (legacy view)."""
-        return [(r["t"], r["flow"]) for r in self.records]
-
-    def times(self, flow_id: Optional[int] = None) -> List[float]:
-        """Drop timestamps, optionally restricted to one flow."""
-        if flow_id is None:
-            return [r["t"] for r in self.records]
-        return [r["t"] for r in self.records if r["flow"] == flow_id]
-
-    def count(self, start: float = 0.0, end: float = float("inf")) -> int:
-        return sum(1 for r in self.records if start <= r["t"] <= end)
 
 
 class LinkWindow:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, Optional
 
 from ..engine import Simulator
 from ..packet import Packet
@@ -106,15 +106,11 @@ class QueueDiscipline:
         self._buf: Deque[Packet] = deque()
         self._bytes = 0
         self.stats = QueueStats()
-        #: callbacks invoked as ``fn(pkt, now)`` whenever a packet is
-        #: dropped here — used to correlate queue-level losses with
-        #: end-host RTT signals (Figure 2 of the paper).
-        self.drop_listeners: List[Callable[[Packet, float], None]] = []
-        #: observability attachment (:class:`repro.obs.Collector`); when
+        #: this queue's instrument, set by ``Collector.attach_queue`` —
+        #: the one way a queue is observed (drops included); while
         #: ``None`` — the default — the hooks below cost one attribute
         #: test per packet and nothing else
         self.obs: Optional[Any] = None
-        self.obs_label: Optional[str] = None
 
     # -- admission policy -------------------------------------------------
     def is_full_for(self, pkt: Packet) -> bool:
@@ -166,8 +162,6 @@ class QueueDiscipline:
             ):
                 stats.drops += 1
                 stats.forced_drops += 1
-                for fn in self.drop_listeners:
-                    fn(pkt, now)
                 if self.obs is not None:
                     self.obs.queue_event(self, "drop", pkt, now, forced=True)
                 return False
@@ -193,8 +187,6 @@ class QueueDiscipline:
                 stats.forced_drops += 1
             else:
                 stats.early_drops += 1
-            for fn in self.drop_listeners:
-                fn(pkt, now)
             if self.obs is not None:
                 self.obs.queue_event(self, "drop", pkt, now, forced=forced)
             return False

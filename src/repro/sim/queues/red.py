@@ -172,7 +172,7 @@ class RedQueue(QueueDiscipline):
     def aqm_state(self) -> Dict[str, Any]:
         return {
             "avg": self.avg,
-            "max_p": self.curve.p_max,
+            "max_p": getattr(self.curve, "p_max", None),  # any curve will do
             "p": self.mark_probability(),
         }
 

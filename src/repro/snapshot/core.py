@@ -14,8 +14,8 @@ What is **not** captured, by design:
 
 * ``sim.profiler`` — a wall-clock observer; :class:`Simulator` refuses
   to pickle with one attached (detach, snapshot, reattach);
-* open file handles (streaming trace writers) — their ``__getstate__``
-  raises :class:`SnapshotError` naming the offending writer;
+* open file handles — a state object holding one is refused with a
+  :class:`SnapshotError` saying it is not picklable;
 * the result cache / runner machinery — snapshots are below that layer.
 
 On a pickling failure the error is re-raised as :class:`SnapshotError`

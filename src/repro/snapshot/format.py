@@ -3,7 +3,7 @@
 A snapshot file is three concatenated parts::
 
     REPROSNAP\n                  magic line (never changes)
-    {"format": 3, ...}\n         one-line JSON header, UTF-8
+    {"format": 4, ...}\n         one-line JSON header, UTF-8
     <pickle body>                the simulation object graph
 
 The header is plain text on purpose: ``head -2 file.ckpt`` tells you
@@ -44,8 +44,10 @@ __all__ = [
 #: (2: AQM queues and PERT senders keep their law state in a
 #: :mod:`repro.laws` object, so a version-1 body would restore half-shaped;
 #: 3: the harness state is ``experiments.common.PacketRun`` for every
-#: packet scenario, so a version-2 body names a class that is gone)
-FORMAT_VERSION = 3
+#: packet scenario, so a version-2 body names a class that is gone;
+#: 4: a component's ``obs`` is its own instrument and ``PacketRun`` carries
+#: the recorder, so a version-3 body's senders and collector are mis-shaped)
+FORMAT_VERSION = 4
 
 MAGIC = b"REPROSNAP\n"
 

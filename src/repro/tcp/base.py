@@ -56,10 +56,11 @@ class TcpSender:
     rng:
         Random stream (used only by subclasses that respond
         probabilistically; the base sender is deterministic).
-    record_rtt:
-        If true, every valid RTT sample is appended to ``rtt_trace`` as
-        ``(time, rtt)`` — the raw material for the paper's Section 2
-        predictor study.
+
+    A sender keeps counters, never series: its RTT samples, loss
+    detections and timeouts are hook calls on ``obs``, and
+    ``Collector.attach_sender(sender, every_ack=True)`` is what records
+    every one of them (the paper's Section 2 "observed" flow).
     """
 
     def __init__(
@@ -74,7 +75,6 @@ class TcpSender:
         max_cwnd: float = 1e9,
         loss_beta: float = 0.5,
         rng: Optional[random.Random] = None,
-        record_rtt: bool = False,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -84,7 +84,6 @@ class TcpSender:
         self.ecn = ecn
         self.loss_beta = loss_beta
         self.rng = rng or sim.stream(f"tcp{flow_id}")
-        self.record_rtt = record_rtt
 
         # congestion state
         self.cwnd = float(initial_cwnd)
@@ -113,10 +112,6 @@ class TcpSender:
         self._last_rtx_time = -1.0  # Karn guard for gated cumulative ACKs
         self.min_rtt = float("inf")
         self.last_rtt: Optional[float] = None
-        #: per-ACK samples ``(time, rtt, cwnd)`` when ``record_rtt`` is set
-        self.rtt_trace: List[Tuple[float, float, float]] = []
-        #: times at which this sender detected a loss (fast rtx or RTO)
-        self.loss_events: List[float] = []
 
         # ECN
         self._cwr_pending = False
@@ -135,10 +130,9 @@ class TcpSender:
         self.fast_recoveries = 0
         self.ecn_responses = 0
 
-        #: observability attachment (:class:`repro.obs.Collector`); the
+        #: this sender's instrument (``Collector.attach_sender``); the
         #: hooks are no-ops (one attribute test) while this is ``None``
         self.obs: Optional[Any] = None
-        self.obs_label: Optional[str] = None
 
         #: the flow's one restartable RTO timer.  The handle is kept
         #: while cancelled so the next arm can revive its heap entry
@@ -335,10 +329,12 @@ class TcpSender:
             return
         self.in_recovery = True
         self.fast_recoveries += 1
-        self.loss_events.append(self.sim.now)
         self.recovery_point = self.high_water
-        self.ssthresh = max(2.0, self.cwnd * self.loss_beta)
+        cwnd = self.cwnd
+        self.ssthresh = max(2.0, cwnd * self.loss_beta)
         self.cwnd = self.ssthresh
+        if self.obs is not None:
+            self.obs.sender_event(self, "loss", self.sim.now, cwnd)
         self.on_loss_response()
 
     def _exit_recovery(self) -> None:
@@ -384,8 +380,8 @@ class TcpSender:
         self.last_rtt = sample
         if sample < self.min_rtt:
             self.min_rtt = sample
-        if self.record_rtt:
-            self.rtt_trace.append((self.sim.now, sample, self.cwnd))
+        if self.obs is not None:
+            self.obs.rtt_sample(self, self.sim.now, sample)
         if self.srtt is None:
             self.srtt = sample
             self.rttvar = sample / 2.0
@@ -417,11 +413,11 @@ class TcpSender:
         if self.done or self.cum_ack >= self.high_water:
             return
         self.timeouts += 1
-        self.loss_events.append(self.sim.now)
-        if self.obs is not None:
-            self.obs.sender_event(self, "timeout", self.sim.now)
-        self.ssthresh = max(2.0, self.cwnd * self.loss_beta)
+        cwnd = self.cwnd
+        self.ssthresh = max(2.0, cwnd * self.loss_beta)
         self.cwnd = 1.0
+        if self.obs is not None:
+            self.obs.sender_event(self, "timeout", self.sim.now, cwnd)
         self.in_recovery = False
         self.dupacks = 0
         # Go-back-N at the scoreboard level: everything unsacked is lost.

@@ -26,7 +26,6 @@ def start_long_flows(
     sender_cls: Type[TcpSender] = TcpSender,
     start_window: float = 5.0,
     rng: Optional[random.Random] = None,
-    record_rtt_flow_index: Optional[int] = None,
     start_times: Optional[Sequence[float]] = None,
     **sender_kwargs,
 ) -> List[Tuple[TcpSender, TcpSink]]:
@@ -41,9 +40,6 @@ def start_long_flows(
     start_window, rng:
         Start times are uniform in [0, start_window), one draw per flow
         in pair order from *rng* (default: the ``"ftp-starts"`` stream).
-    record_rtt_flow_index:
-        If given, that flow records its per-ACK RTT trace (the paper's
-        "observed" flow of Section 2).
     start_times:
         A fixed schedule, one time per pair, instead of the draws.
     """
@@ -52,11 +48,8 @@ def start_long_flows(
     flows: List[Tuple[TcpSender, TcpSink]] = []
     for idx, (src, dst) in enumerate(pairs):
         fid = next(flow_ids)
-        record = record_rtt_flow_index is not None and idx == record_rtt_flow_index
         sender, sink = connect_flow(
-            sim, src, dst, flow_id=fid, sender_cls=sender_cls,
-            record_rtt=record, **sender_kwargs,
-        )
+            sim, src, dst, flow_id=fid, sender_cls=sender_cls, **sender_kwargs)
         sender.start(at=start_times[idx] if start_times is not None
                      else rng.uniform(0.0, start_window))
         flows.append((sender, sink))

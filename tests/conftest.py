@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from repro.obs.collect import Collector
+from repro.obs.records import select
 from repro.sim.engine import Simulator
 from repro.sim.queues import DropTailQueue
 from repro.sim.topology import Dumbbell
@@ -74,12 +76,56 @@ def make_dumbbell(
     )
 
 
-def make_flow(sim, db, idx=0, sender_cls=TcpSender, **kwargs):
-    """One flow across the dumbbell; returns (sender, sink)."""
-    return connect_flow(
+def make_flow(sim, db, idx=0, sender_cls=TcpSender, tagged=False, **kwargs):
+    """One flow across the dumbbell; returns (sender, sink).  A *tagged*
+    flow is recorded on every ACK (see :func:`tag`)."""
+    sender, sink = connect_flow(
         sim, db.left[idx], db.right[idx], flow_id=1000 + idx,
         sender_cls=sender_cls, **kwargs,
     )
+    if tagged:
+        tag(sender)
+    return sender, sink
+
+
+def tag(sender, **collector_kwargs):
+    """Tag *sender* on a tracing collector of its own: every ACK recorded.
+    Returns the record list (also reachable as ``sender.obs.records``)."""
+    collector = Collector(trace=True, **collector_kwargs)
+    collector.attach_sender(sender, every_ack=True)
+    return collector.records
+
+
+def rtt_trace(sender):
+    """A tagged sender's ``(time, rtt, cwnd)`` per valid RTT sample."""
+    return [(r["t"], r["rtt"], r["cwnd"]) for r in
+            select(sender.obs.records, "rtt_sample", flow=sender.flow_id)]
+
+
+def loss_events(sender):
+    """Times a tagged sender detected a loss (fast retransmit or RTO)."""
+    return [r["t"] for r in
+            select(sender.obs.records, "loss", "timeout", flow=sender.flow_id)]
+
+
+def signal_trace(sender):
+    """A tagged PERT sender's ``(time, srtt, p)`` per ACK."""
+    return [(r["t"], r["srtt"], r["p"]) for r in
+            select(sender.obs.records, "signal", flow=sender.flow_id)]
+
+
+def drop_log(qdisc, label="queue"):
+    """Record every drop at *qdisc*; returns the record list (the ``drop``
+    records, packet ``enqueue`` records left out)."""
+    collector = Collector(trace=True, trace_packet_events=False)
+    collector.attach_queue(qdisc, label)
+    return collector.records
+
+
+def drop_times(records, flow_id=None):
+    """Drop timestamps from :func:`drop_log`, optionally one flow's."""
+    match = {} if flow_id is None else {"flow": flow_id}
+    return [r["t"] for r in select(records, "drop", **match)]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from repro.sim.topology import Dumbbell
 from repro.tcp.base import connect_flow
 from repro.traffic.cbr import CbrSink, CbrSource
 
-from ..conftest import make_dumbbell, make_flow
+from ..conftest import drop_log, drop_times, make_dumbbell, make_flow
 
 
 # ----------------------------------------------------------------------
@@ -42,8 +42,7 @@ def run_with_reverse_congestion(sender_cls):
 def test_owd_ack_echo_present():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db, sender_cls=PertOwdSender)
-    sender.record_signal = True
+    sender, _ = make_flow(sim, db, sender_cls=PertOwdSender, tagged=True)
     sender.start(npackets=50)
     sim.run(until=10.0)
     assert sender.signal.samples > 0
@@ -61,11 +60,9 @@ def test_rtt_pert_responds_to_reverse_congestion_owd_does_not():
 
 
 def test_owd_pert_still_controls_forward_queue():
-    from repro.sim.monitors import DropLog
-
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, n=4, bw=8e6, buffer_pkts=60)
-    log = DropLog(db.bottleneck_queue)
+    log = drop_log(db.bottleneck_queue)
     for i in range(4):
         s, _ = make_flow(sim, db, idx=i, sender_cls=PertOwdSender)
         s.start()
@@ -78,7 +75,8 @@ def test_owd_pert_still_controls_forward_queue():
     sim.schedule(5.0, sample)
     sim.run(until=20.0)
     assert sum(samples) / len(samples) < 30
-    assert log.count(start=5.0) == 0  # steady state is lossless
+    # steady state is lossless
+    assert not [t for t in drop_times(log) if t >= 5.0]
 
 
 # ----------------------------------------------------------------------
@@ -100,9 +98,9 @@ def test_escalating_interval_doubles_spacing():
     db = make_dumbbell(sim)
     s = make_saturated_pert(sim, db, escalating_interval=True)
     assert s._interval_scale == 1.0
-    s._early_response()
+    s._early_response(1.0)
     assert s._interval_scale == 2.0
-    s._early_response()
+    s._early_response(1.0)
     assert s._interval_scale == 4.0
     # signal returning below t_min resets the escalation
     s.on_ack(FakeAck(), rtt_sample=0.02)
@@ -114,7 +112,7 @@ def test_escalating_interval_capped():
     db = make_dumbbell(sim)
     s = make_saturated_pert(sim, db, escalating_interval=True)
     for _ in range(10):
-        s._early_response()
+        s._early_response(1.0)
     assert s._interval_scale == 16.0
 
 

@@ -7,7 +7,8 @@ from repro.core.pert import PertSender
 from repro.sim.engine import Simulator
 from repro.tcp.sack import SackSender
 
-from ..conftest import make_dumbbell, make_flow
+from ..conftest import (drop_log, drop_times, make_dumbbell, make_flow,
+                        signal_trace)
 
 
 def test_config_validation():
@@ -68,7 +69,7 @@ def test_early_response_reduces_by_35_percent():
     db = make_dumbbell(sim)
     sender, _ = make_flow(sim, db, sender_cls=PertSender)
     sender.cwnd = 100.0
-    sender._early_response()
+    sender._early_response(1.0)
     assert sender.cwnd == pytest.approx(65.0)
     assert sender.early_responses == 1
 
@@ -78,7 +79,7 @@ def test_early_response_floor_at_two_packets():
     db = make_dumbbell(sim)
     sender, _ = make_flow(sim, db, sender_cls=PertSender)
     sender.cwnd = 2.0
-    sender._early_response()
+    sender._early_response(1.0)
     assert sender.cwnd == 2.0
 
 
@@ -116,12 +117,10 @@ def test_at_most_one_response_per_rtt():
 
 
 def test_pert_keeps_queue_low_vs_sack():
-    from repro.sim.monitors import DropLog
-
     def run(cls):
         sim = Simulator(seed=1)
         db = make_dumbbell(sim, n=4, bw=8e6, buffer_pkts=60)
-        log = DropLog(db.bottleneck_queue)
+        log = drop_log(db.bottleneck_queue)
         senders = []
         for i in range(4):
             s, _ = make_flow(sim, db, idx=i, sender_cls=cls)
@@ -137,7 +136,8 @@ def test_pert_keeps_queue_low_vs_sack():
         sim.run(until=20.0)
         # measure losses in steady state only (slow-start overshoot is
         # loss-driven for every TCP, PERT included)
-        return (sum(samples) / len(samples), log.count(start=5.0), senders)
+        return (sum(samples) / len(samples),
+                sum(t >= 5.0 for t in drop_times(log)), senders)
 
     q_sack, drops_sack, _ = run(SackSender)
     q_pert, drops_pert, pert_senders = run(PertSender)
@@ -176,12 +176,11 @@ def test_pert_falls_back_to_loss_recovery():
 def test_signal_trace_recording():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim)
-    s, _ = make_flow(sim, db, sender_cls=PertSender)
-    s.record_signal = True
+    s, _ = make_flow(sim, db, sender_cls=PertSender, tagged=True)
     s.start(npackets=50)
     sim.run(until=10.0)
-    assert len(s.signal_trace) > 0
-    t, srtt, prob = s.signal_trace[-1]
+    assert len(signal_trace(s)) == s.signal.samples > 0  # one per sample
+    t, srtt, prob = signal_trace(s)[-1]
     assert srtt > 0 and 0.0 <= prob <= 1.0
 
 

@@ -38,7 +38,7 @@ def test_early_response_uses_35_percent_decrease():
     db = make_dumbbell(sim)
     s, _ = make_flow(sim, db, sender_cls=PertPiSender)
     s.cwnd = 10.0
-    s._early_response()
+    s._early_response(1.0)
     assert s.cwnd == pytest.approx(6.5)
 
 

@@ -12,7 +12,7 @@ from repro.sim.packet import Packet
 from repro.sim.queues import RemQueue
 from repro.tcp.sack import SackSender
 
-from ..conftest import make_dumbbell, make_flow
+from ..conftest import drop_log, drop_times, make_dumbbell, make_flow
 
 
 class TestRemResponse:
@@ -122,11 +122,9 @@ class TestPertRemSender:
         PertRemConfig().validate()
 
     def test_controls_queue_like_pert(self):
-        from repro.sim.monitors import DropLog
-
         sim = Simulator(seed=1)
         db = make_dumbbell(sim, n=4, bw=8e6, buffer_pkts=60)
-        log = DropLog(db.bottleneck_queue)
+        log = drop_log(db.bottleneck_queue)
         senders = []
         for i in range(4):
             s, _ = make_flow(sim, db, idx=i, sender_cls=PertRemSender)
@@ -142,7 +140,7 @@ class TestPertRemSender:
         sim.run(until=25.0)
         mean_q = sum(samples) / len(samples)
         assert mean_q < 30  # held well below the 60-packet buffer
-        assert log.count(start=5.0) == 0
+        assert not [t for t in drop_times(log) if t >= 5.0]
         assert sum(s.early_responses for s in senders) > 0
 
     def test_keeps_queue_below_plain_sack(self):

@@ -85,8 +85,9 @@ def test_killed_job_resumes_to_the_straight_through_payload(name, tmp_path):
 
 
 def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path):
-    """Format 2 pickled ``_DumbbellState``; its header is refused, the
-    file deleted and the job starts over — nothing is half-restored."""
+    """Format 3 pickled senders that kept their own trace lists and a
+    collector keyed by ``id()``; its header is refused, the file deleted
+    and the job starts over — nothing is half-restored."""
     kind, params, interval, _, _, _ = SCENARIOS["parking_lot"]
     cache = ResultCache(tmp_path / "cache")
     spec = JobSpec(CRASHY, dict(params, kind=kind,
@@ -95,10 +96,10 @@ def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path
     assert not run_jobs([spec], workers=0, cache=cache, retries=0,
                         checkpoint=interval)[0].ok
     path = cache.checkpoint_path_for(spec)
-    assert read_header(path)["format"] == FORMAT_VERSION == 3
+    assert read_header(path)["format"] == FORMAT_VERSION == 4
     magic, header, body = path.read_bytes().split(b"\n", 2)
     path.write_bytes(b"\n".join(
-        (magic, header.replace(b'"format": 3', b'"format": 2'), body)))
+        (magic, header.replace(b'"format": 4', b'"format": 3'), body)))
 
     res = run_jobs([spec], workers=0, cache=cache, retries=0,
                    checkpoint=interval)[0]

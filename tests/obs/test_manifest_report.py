@@ -108,6 +108,9 @@ def test_generate_report_on_real_sweep(tmp_path):
     assert "== queue delay / drop summary" in report
     assert "== traces ==" in report
     assert "queue delay: mean=" in report
+    # the trace section counts every schema-2 type a run produced
+    for rtype in ("signal=", "early_response=", "loss=", "cwnd_sample="):
+        assert rtype in report
 
 
 def test_report_cli_main(tmp_path, capsys):

@@ -41,8 +41,6 @@ def _plain_enqueue(self, pkt, now):
         ):
             stats.drops += 1
             stats.forced_drops += 1
-            for fn in self.drop_listeners:
-                fn(pkt, now)
             return False
         pkt.enqueue_time = now
         buf.append(pkt)
@@ -62,8 +60,6 @@ def _plain_enqueue(self, pkt, now):
             stats.forced_drops += 1
         else:
             stats.early_drops += 1
-        for fn in self.drop_listeners:
-            fn(pkt, now)
         return False
     else:
         raise ValueError(f"bad admit() verdict {verdict!r}")

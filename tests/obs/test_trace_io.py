@@ -11,8 +11,12 @@ def _sample_records():
         record("enqueue", 0.5, queue="q", flow=1, seq=0, qlen=1),
         record("drop", 1.0, queue="q", flow=1, seq=3, qlen=10, forced=True),
         record("mark", 1.2, queue="q", flow=2, seq=4, qlen=9),
-        record("early_response", 1.5, flow=1, cwnd=12.5),
-        record("timeout", 2.0, flow=2, cwnd=2.0),
+        record("rtt_sample", 1.3, flow=1, rtt=0.052, cwnd=12.0),
+        record("signal", 1.3, flow=1, srtt=0.051, signal=0.006, p=0.01),
+        record("early_response", 1.5, flow=1, cwnd=12.5, cwnd_after=8.125,
+               srtt=0.051, signal=0.006, p=0.01),
+        record("loss", 1.8, flow=2, cwnd=9.0, cwnd_after=4.5),
+        record("timeout", 2.0, flow=2, cwnd=2.0, cwnd_after=1.0),
         record("queue_sample", 2.5, queue="q", qlen=4, bytes=4000, delay=0.0032),
         record("cwnd_sample", 3.0, flow=1, cwnd=8.0, ssthresh=6.0, srtt=0.051),
         record("link_sample", 3.5, link="l", bytes=123456, pkts=123),
@@ -38,10 +42,11 @@ def test_record_rejects_unknown_type():
 
 
 def test_validate_rejects_wrong_schema_version():
-    rec = record("timeout", 1.0, flow=1, cwnd=2.0)
-    rec["v"] = TRACE_SCHEMA + 1
-    with pytest.raises(ValueError, match="schema version"):
-        validate_record(rec)
+    rec = record("timeout", 1.0, flow=1, cwnd=2.0, cwnd_after=1.0)
+    for version in (TRACE_SCHEMA + 1, 1):  # schema 2 only: no reading old traces
+        rec["v"] = version
+        with pytest.raises(ValueError, match="schema version"):
+            validate_record(rec)
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -52,7 +57,8 @@ def test_jsonl_roundtrip(tmp_path):
 
 def test_iter_trace_reports_line_numbers(tmp_path):
     path = tmp_path / "trace.jsonl"
-    path.write_text('{"v": 1, "type": "timeout", "t": 1.0, "flow": 1, "cwnd": 2}\nnot json\n')
+    path.write_text('{"v": 2, "type": "timeout", "t": 1.0, "flow": 1, "cwnd": 2, '
+                    '"cwnd_after": 1}\nnot json\n')
     it = iter_trace(path)
     next(it)
     with pytest.raises(ValueError, match=":2: bad JSON"):
@@ -62,5 +68,5 @@ def test_iter_trace_reports_line_numbers(tmp_path):
 def test_write_trace_validates_before_commit(tmp_path):
     path = tmp_path / "trace.jsonl"
     with pytest.raises(ValueError):
-        write_trace(path, [{"v": 1, "type": "nope", "t": 0.0}])
+        write_trace(path, [{"v": TRACE_SCHEMA, "type": "nope", "t": 0.0}])
     assert not path.exists()  # atomic: nothing half-written

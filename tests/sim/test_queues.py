@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from repro.obs.records import select
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import (
@@ -19,6 +20,8 @@ from repro.sim.queues import (
     RemQueue,
     make_queue,
 )
+
+from ..conftest import drop_log
 
 
 def pkt(seq=0, ect=False, size=1000):
@@ -69,13 +72,12 @@ class TestDropTail:
         with pytest.raises(ValueError):
             droptail(0)
 
-    def test_drop_listener_invoked(self):
+    def test_drop_is_recorded_through_obs(self):
         q = droptail(1)
-        seen = []
-        q.drop_listeners.append(lambda p, t: seen.append((p.seq, t)))
+        records = drop_log(q)
         q.enqueue(pkt(0), 0.0)
         q.enqueue(pkt(1), 2.0)
-        assert seen == [(1, 2.0)]
+        assert [(r["seq"], r["t"]) for r in select(records, "drop")] == [(1, 2.0)]
 
     def test_mean_queue_time_average(self):
         q = droptail(10)

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.obs.records import select, validate_record
 from repro.sim.engine import Simulator
-from repro.sim.monitors import DropLog, LinkWindow, QueueSampler, ThroughputSampler
+from repro.sim.monitors import LinkWindow, QueueSampler, ThroughputSampler
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 from repro.sim.topology import Dumbbell, ParkingLot
+
+from ..conftest import drop_log, drop_times
 
 
 def test_dumbbell_shape():
@@ -91,25 +94,15 @@ def test_queue_sampler_mean_respects_window_bounds():
     assert sampler.mean(start=0.0, end=0.0) == pytest.approx(0.0)
 
 
-def test_queue_sampler_exports_schema_records():
-    sim = Simulator()
-    q = DropTailQueue(10)
-    sampler = QueueSampler(sim, q, interval=1.0)
-    sim.run(until=2.0)
-    recs = sampler.records(label="bn")
-    assert [r["t"] for r in recs] == sampler.times
-    assert all(r["type"] == "queue_sample" and r["queue"] == "bn" for r in recs)
-
-
 def test_drop_log_filters_by_flow():
     q = DropTailQueue(1)
-    log = DropLog(q)
+    log = drop_log(q)
     q.enqueue(Packet(1, 0, 1, seq=0), 0.0)
     q.enqueue(Packet(1, 0, 1, seq=1), 1.0)  # dropped
     q.enqueue(Packet(2, 0, 1, seq=0), 2.0)  # dropped
-    assert log.times() == [1.0, 2.0]
-    assert log.times(flow_id=2) == [2.0]
-    assert log.count(start=1.5) == 1
+    assert drop_times(log) == [1.0, 2.0]
+    assert drop_times(log, flow_id=2) == [2.0]
+    assert sum(t >= 1.5 for t in drop_times(log)) == 1
 
 
 def test_link_window_requires_open_close(sim, dumbbell):
@@ -142,11 +135,12 @@ def test_link_window_can_reopen_after_close(sim, dumbbell):
 
 def test_drop_log_stores_schema_records():
     q = DropTailQueue(1)
-    log = DropLog(q, label="bn")
+    log = drop_log(q, label="bn")
     q.enqueue(Packet(1, 0, 1, seq=0), 0.0)
     q.enqueue(Packet(1, 0, 1, seq=7), 1.0)  # dropped (buffer full)
-    assert log.events == [(1.0, 1)]
-    [rec] = log.records
+    [rec] = select(log, "drop")
+    assert (rec["t"], rec["flow"]) == (1.0, 1)
+    validate_record(rec)
     assert rec["type"] == "drop" and rec["queue"] == "bn"
     assert rec["seq"] == 7 and rec["forced"] is True
 

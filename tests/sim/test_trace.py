@@ -1,91 +1,44 @@
-"""Tests for the flow tracer and ASCII rendering."""
+"""Tracing one flow in a bare simulator, and ASCII rendering of the series.
+
+``repro.sim.trace.FlowTracer`` (its own tick event, its own record list)
+is gone: a flow's ``cwnd`` / ``ssthresh`` / ``srtt`` series is the
+``cwnd_sample`` records a :class:`~repro.obs.collect.Collector` keeps
+for an attached sender, taken on the ACK path at most once per sample
+interval, and ``ascii_series`` lives in :mod:`repro.metrics.timeseries`
+(``examples/cwnd_dynamics.py`` is the usage).
+"""
 
 import pytest
 
+from repro.metrics.timeseries import ascii_series
+from repro.obs.collect import Collector
+from repro.obs.records import select, validate_record
 from repro.sim.engine import Simulator
-from repro.sim.trace import FlowTracer, ascii_series
 
 from ..conftest import make_dumbbell, make_flow
-
-
-def test_tracer_samples_on_grid():
-    sim = Simulator(seed=1)
-    db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db)
-    tracer = FlowTracer(sim, sender, interval=0.5)
-    sender.start()
-    sim.run(until=5.0)
-    assert len(tracer.times) == pytest.approx(11, abs=1)
-    assert len(tracer.cwnd) == len(tracer.times) == len(tracer.srtt)
-    assert all(c >= 1.0 for c in tracer.cwnd)
-
-
-def test_tracer_delayed_start():
-    sim = Simulator(seed=1)
-    db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db)
-    tracer = FlowTracer(sim, sender, interval=0.5, start=2.0)
-    sender.start()
-    sim.run(until=5.0)
-    assert tracer.times[0] == pytest.approx(2.0)
-    # samples stay on the grid anchored at the delayed start
-    assert tracer.times == pytest.approx([2.0 + 0.5 * i
-                                          for i in range(len(tracer.times))])
-    assert len(tracer.times) == pytest.approx(7, abs=1)
-
-
-def test_tracer_start_in_past_clamps_to_now():
-    sim = Simulator(seed=1)
-    db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db)
-    sim.run(until=1.0)
-    tracer = FlowTracer(sim, sender, interval=0.5, start=0.0)
-    sim.run(until=2.0)
-    assert tracer.times[0] == pytest.approx(1.0)
 
 
 def test_tracer_stores_schema_records():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim)
     sender, _ = make_flow(sim, db)
-    tracer = FlowTracer(sim, sender, interval=1.0)
+    tracer = Collector(trace=True, sample_interval=1.0)
+    tracer.attach_sender(sender)
     sender.start()
     sim.run(until=3.0)
-    from repro.obs.records import validate_record
-    for rec in tracer.records:
+    samples = select(tracer.records, "cwnd_sample")
+    assert len(samples) == 3  # the first ACK, then one per second
+    for rec in samples:
         validate_record(rec)
-        assert rec["type"] == "cwnd_sample"
         assert rec["flow"] == sender.flow_id
-    assert tracer.cwnd == [r["cwnd"] for r in tracer.records]
-    assert tracer.ssthresh == [r["ssthresh"] for r in tracer.records]
-
-
-def test_tracer_stats():
-    sim = Simulator(seed=1)
-    db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db)
-    tracer = FlowTracer(sim, sender, interval=0.2)
-    sender.start()
-    sim.run(until=10.0)
-    stats = tracer.cwnd_stats()
-    assert stats["min"] <= stats["mean"] <= stats["max"]
-    assert stats["swing"] >= 1.0
-
-
-def test_tracer_empty_stats():
-    sim = Simulator(seed=1)
-    db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db)
-    tracer = FlowTracer(sim, sender, interval=1.0)
-    assert tracer.cwnd_stats()["mean"] == 0.0
+        assert rec["cwnd"] >= 1.0 and rec["ssthresh"] > 0 and rec["srtt"] > 0
+    gaps = [b["t"] - a["t"] for a, b in zip(samples, samples[1:])]
+    assert min(gaps) >= 1.0
 
 
 def test_tracer_validation():
-    sim = Simulator(seed=1)
-    db = make_dumbbell(sim)
-    sender, _ = make_flow(sim, db)
     with pytest.raises(ValueError):
-        FlowTracer(sim, sender, interval=0.0)
+        Collector(trace=True, sample_interval=0.0)
 
 
 def test_ascii_series_shape():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.trace import TraceWriter
 from repro.sim.engine import Simulator
 from repro.snapshot import (
     FORMAT_VERSION,
@@ -65,14 +64,12 @@ class TestDiagnostics:
         sim2.run()
         assert sim2.events_processed == 1
 
-    def test_live_trace_writer_in_state_is_named(self, tmp_path):
+    def test_open_file_handle_in_state_is_diagnosed(self, tmp_path):
         sim = Simulator(seed=1)
-        writer = TraceWriter(tmp_path / "t.jsonl")
-        try:
-            with pytest.raises(SnapshotError, match="TraceWriter"):
-                capture_bytes(sim, {"writer": writer})
-        finally:
-            writer.abort()
+        with open(tmp_path / "t.jsonl", "w") as handle:
+            with pytest.raises(SnapshotError,
+                               match=r"state object \(dict\) is not picklable"):
+                capture_bytes(sim, {"sink": handle})
 
     def test_attached_profiler_fails_fast(self):
         sim = Simulator(seed=1)

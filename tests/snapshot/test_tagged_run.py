@@ -1,0 +1,117 @@
+"""A tagged run still checkpoints, resumes and warm-starts.
+
+A run whose *result* reads trace records (``record_rtt_flow``: the
+Section 2 case traces, the hybrid summary) carries its recorder inside
+the snapshot — the job's collector when that traces, else a private one
+the shell made.  Either way a restored run's components must keep
+publishing into the restored recorder, or the resumed payload is short
+the records taken after the checkpoint.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.experiments.common import run_dumbbell, run_dumbbell_warm
+from repro.experiments.section2 import QUICK_CASES, _TRACE_KIND, case_trace_job
+from repro.hybrid import summarize_hybrid, warm_hybrid_bytes
+from repro.runner import JobSpec, ResultCache, run_jobs
+
+CRASHY = "tests.snapshot.jobs:crashy_job"
+OBS_ENV = ("REPRO_OBS", "REPRO_TRACE", "REPRO_PROFILE", "REPRO_BUS")
+
+CASE = QUICK_CASES[0]
+PARAMS = dict(n_fwd=CASE.n_fwd, n_rev=CASE.n_rev,
+              web_sessions=CASE.web_sessions, bandwidth=16e6, rtt=0.060,
+              duration=8.0, warmup=3.0, seed=1, scheme="sack-droptail")
+#: saves land at 2.5 and (mid-measure, fatal on the first attempt) 5.5
+INTERVAL, SECOND_SAVE = 2.5, 5.5
+
+
+def _job(tmp_path, name, crash: bool):
+    """Run the case-trace job through the runner with checkpointing on,
+    its first attempt dying after the second save iff *crash*; returns
+    ``(result, manifest)``."""
+    marker = tmp_path / f"{name}.marker"
+    if not crash:
+        marker.touch()  # an existing marker disarms the crash injection
+    cache = ResultCache(tmp_path / name)
+    spec = JobSpec(CRASHY, dict(PARAMS, kind=_TRACE_KIND, marker=str(marker)))
+    res = run_jobs([spec], workers=0, cache=cache, retries=1,
+                   checkpoint=INTERVAL)[0]
+    assert res.ok and res.attempts == (2 if crash else 1)
+    assert res.value["resumed"] is crash
+    return res, json.loads(cache.manifest_path_for(spec).read_text())
+
+
+@pytest.fixture
+def obs_off(monkeypatch):
+    for var in OBS_ENV:
+        monkeypatch.delenv(var, raising=False)
+
+
+def test_killed_tagged_job_resumes_to_the_straight_through_payload(
+        tmp_path, obs_off):
+    direct = case_trace_job(dict(PARAMS))
+    assert direct["flow_losses"] and direct["queue_drops"]
+    # records on both sides of the checkpoint, so a recorder that went
+    # deaf on restore would show
+    assert direct["rtt_trace"][0][0] < SECOND_SAVE < direct["rtt_trace"][-1][0]
+
+    straight, straight_manifest = _job(tmp_path, "straight", crash=False)
+    resumed, resumed_manifest = _job(tmp_path, "resumed", crash=True)
+    assert resumed.value["resumed_at"] == SECOND_SAVE
+    assert resumed.value["payload"] == straight.value["payload"] == direct
+    # the private recorder rode in the snapshot but is nobody's observation
+    assert set(resumed_manifest) == set(straight_manifest)
+    assert "metrics" not in resumed_manifest
+    assert "trace_file" not in resumed_manifest
+
+
+def test_resumed_components_publish_into_the_restored_collector(
+        tmp_path, obs_off, monkeypatch):
+    """``REPRO_OBS=1``: the job's collector is metrics-only, the records
+    are the private recorder's, and after a resume both still fill."""
+    monkeypatch.setenv("REPRO_OBS", "1")
+    straight, straight_manifest = _job(tmp_path, "straight", crash=False)
+    resumed, resumed_manifest = _job(tmp_path, "resumed", crash=True)
+    assert resumed.value["payload"] == straight.value["payload"]
+    metrics = resumed_manifest["metrics"]
+    assert metrics == straight_manifest["metrics"]
+    # every part is covered, the recorded ones (tagged flow, forward
+    # bottleneck) included, and the histograms kept filling after 5.5 s
+    assert metrics["queue.bottleneck.fwd.drops"] > 0
+    assert metrics["queue.bottleneck.rev.enqueues"] > 0
+    assert metrics["flow.0.timeouts"] > 0 and metrics["flow.0.cwnd"]["count"] > 0
+    assert metrics["queue.bottleneck.fwd.qlen"]["count"] > SECOND_SAVE / 0.1
+    assert metrics["sim.time"] == PARAMS["duration"]
+    assert "trace_file" not in resumed_manifest
+
+
+def test_traced_tagged_job_resumes_with_its_whole_trace(
+        tmp_path, obs_off, monkeypatch):
+    """``REPRO_TRACE=1``: the job's own collector is the recorder."""
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    straight, straight_manifest = _job(tmp_path, "straight", crash=False)
+    resumed, resumed_manifest = _job(tmp_path, "resumed", crash=True)
+    assert resumed.value["payload"] == straight.value["payload"]
+    assert resumed_manifest["metrics"] == straight_manifest["metrics"]
+    (a,), (b,) = (list((tmp_path / name).rglob("*.trace.jsonl"))
+                  for name in ("straight", "resumed"))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_warm_hybrid_continuation_equals_the_cold_tagged_run():
+    kw = dict(rtt=0.04, n_fwd=3, warmup=1.0, seed=3, record_rtt_flow=0)
+    bg = {"model": "pert_red", "share": 0.4, "n_flows": 8}
+    body = warm_hybrid_bytes("pert", 4e6, bg, **kw)
+    warm = run_dumbbell_warm(body, 3.0)
+    cold = run_dumbbell("pert", 4e6, background=bg, duration=3.0, **kw)
+    for key in ("rtt_trace", "flow_losses", "queue_drops"):
+        assert warm.extras[key] == cold.extras[key]
+    assert warm.extras["rtt_trace"][-1][0] > kw["warmup"]  # kept recording
+    assert warm.payload() == cold.payload()
+    assert (summarize_hybrid(warm, warmup=1.0).qdelay_p95
+            == summarize_hybrid(cold, warmup=1.0).qdelay_p95)

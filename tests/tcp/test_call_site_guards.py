@@ -14,7 +14,7 @@ import pytest
 
 from repro.tcp.base import TcpSender, TcpSink, connect_flow
 
-from ..conftest import make_dumbbell
+from ..conftest import loss_events, make_dumbbell, rtt_trace, tag
 from ..differential.oracle import ENGINES
 from ..differential.test_engine_equivalence import FAST_ENGINES
 from .test_loss_recovery import LossyQueue
@@ -67,18 +67,19 @@ def _run(scenario, monkeypatch, engine="array"):
         db = make_dumbbell(sim, qdisc_factory=lambda: LossyQueue(200, drop_seqs))
         sender, sink = connect_flow(
             sim, db.left[0], db.right[0], flow_id=1, sender_cls=TcpSender,
-            record_rtt=True, sink_kwargs={"delack": delack},
+            sink_kwargs={"delack": delack},
         )
+        tag(sender)
         completed = []
         sender.on_complete = lambda s: completed.append((sim.now, s.cum_ack))
         sender.start(npackets=NPACKETS)
         sim.run(until=60.0)
     trajectory = dict(
-        rtt_trace=tuple(sender.rtt_trace),  # (time, rtt, cwnd) per sample
+        rtt_trace=tuple(rtt_trace(sender)),  # (time, rtt, cwnd) per sample
         cwnd=sender.cwnd, ssthresh=sender.ssthresh, cum_ack=sender.cum_ack,
         pkts_sent=sender.pkts_sent, retransmits=sender.retransmits,
         fast_recoveries=sender.fast_recoveries, timeouts=sender.timeouts,
-        loss_events=tuple(sender.loss_events), completed=tuple(completed),
+        loss_events=tuple(loss_events(sender)), completed=tuple(completed),
         acks_sent=sink.acks_sent, dup_pkts=sink.dup_pkts,
         events_processed=sim.events_processed, pending=sim.pending(),
         calls=calls,

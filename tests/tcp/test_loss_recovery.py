@@ -8,7 +8,7 @@ from repro.sim.queues import DropTailQueue
 from repro.tcp.base import TcpSender, TcpSink
 from repro.tcp.reno import NewRenoSender
 
-from ..conftest import make_dumbbell, make_flow
+from ..conftest import loss_events, make_dumbbell, make_flow, rtt_trace
 
 
 class LossyQueue(DropTailQueue):
@@ -28,7 +28,7 @@ class LossyQueue(DropTailQueue):
 def run_lossy(drop_seqs, npackets=60, sender_cls=TcpSender):
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, qdisc_factory=lambda: LossyQueue(200, drop_seqs))
-    sender, sink = make_flow(sim, db, sender_cls=sender_cls)
+    sender, sink = make_flow(sim, db, sender_cls=sender_cls, tagged=True)
     sender.start(npackets=npackets)
     sim.run(until=60.0)
     return sender, sink
@@ -123,7 +123,7 @@ def test_timeout_resets_to_slow_start():
 
 def test_loss_events_recorded():
     sender, sink = run_lossy({10, 30})
-    assert len(sender.loss_events) == 2
+    assert len(loss_events(sender)) == 2
 
 
 def test_newreno_recovers_single_loss():
@@ -140,11 +140,11 @@ def test_newreno_recovers_multiple_losses():
 def test_karn_no_rtt_sample_from_retransmit():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, qdisc_factory=lambda: LossyQueue(200, {5}))
-    sender, sink = make_flow(sim, db, record_rtt=True)
+    sender, sink = make_flow(sim, db, tagged=True)
     sender.start(npackets=30)
     sim.run(until=30.0)
     # all recorded samples must be plausible path RTTs (no rtx ambiguity:
     # a sample measured from the original send of a retransmitted packet
     # would be far larger than the true RTT)
-    rtts = [r for _, r, _ in sender.rtt_trace]
+    rtts = [r for _, r, _ in rtt_trace(sender)]
     assert max(rtts) < 0.2

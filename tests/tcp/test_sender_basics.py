@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.obs.collect import Collector
+from repro.obs.records import select
 from repro.sim.engine import Simulator
 from repro.tcp.base import TcpSender
 
-from ..conftest import make_dumbbell, make_flow
+from ..conftest import make_dumbbell, make_flow, rtt_trace
 
 
 def run_transfer(npackets=50, bw=8e6, buffer_pkts=100, **kwargs):
@@ -74,12 +76,21 @@ def test_rtt_estimation_close_to_path_rtt():
 
 
 def test_rtt_trace_recorded_only_when_asked():
-    sim, sender, _, _ = run_transfer(npackets=30, record_rtt=True)
-    assert len(sender.rtt_trace) > 0
-    t, rtt, cwnd = sender.rtt_trace[0]
+    sim, sender, _, _ = run_transfer(npackets=30, tagged=True)
+    assert len(rtt_trace(sender)) > 0
+    t, rtt, cwnd = rtt_trace(sender)[0]
     assert rtt > 0 and cwnd >= 1
-    sim2, sender2, _, _ = run_transfer(npackets=30)
-    assert sender2.rtt_trace == []
+    # an observed but untagged flow keeps no per-ACK samples, and an
+    # unobserved one has nowhere to keep any
+    collector = Collector(trace=True)
+    sim2 = Simulator(seed=1)
+    sender2, _ = make_flow(sim2, make_dumbbell(sim2))
+    collector.attach_sender(sender2)
+    sender2.start(npackets=30)
+    sim2.run(until=60.0)
+    assert sender2.done and not select(collector.records, "rtt_sample")
+    sim3, sender3, _, _ = run_transfer(npackets=30)
+    assert sender3.obs is None
 
 
 def test_max_cwnd_respected():

@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +68,19 @@ def test_every_subpackage_is_importable():
 
 def test_version():
     assert repro.__version__ == "1.0.0"
+
+
+def test_the_simulator_imports_without_the_observability_machinery():
+    """``obs`` is a slot the components leave empty: ``repro.sim``,
+    ``repro.tcp``, ``repro.core`` and ``repro.traffic`` import nothing
+    from ``repro.obs`` (it knows them, not the other way round)."""
+    code = ("import repro, repro.sim, repro.tcp, repro.core, repro.traffic, sys;"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert repro.sim.monitors.__all__ == [
+        "QueueSampler", "LinkWindow", "ThroughputSampler", "nearest_sample"]
 
 
 def test_public_classes_documented():

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.obs.collect import Collector
+from repro.obs.records import select
 from repro.sim.engine import Simulator
 from repro.traffic.cbr import CbrSink, CbrSource
 from repro.traffic.ftp import start_long_flows
@@ -33,12 +35,16 @@ def test_start_long_flows_random_starts_and_tagging():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, n=4)
     pairs = [(db.left[i], db.right[i]) for i in range(4)]
-    flows = start_long_flows(sim, pairs, itertools.count(),
-                             start_window=2.0, record_rtt_flow_index=1)
+    flows = start_long_flows(sim, pairs, itertools.count(), start_window=2.0)
     assert len(flows) == 4
+    # tagging is the collector's business: one recorded flow among four
+    collector = Collector(trace=True)
+    for idx, (sender, _) in enumerate(flows):
+        collector.attach_sender(sender, every_ack=idx == 1)
     sim.run(until=10.0)
     assert all(sink.rcv_next > 0 for _, sink in flows)
-    assert flows[1][0].rtt_trace and not flows[0][0].rtt_trace
+    assert ({r["flow"] for r in select(collector.records, "rtt_sample")}
+            == {flows[1][0].flow_id})
 
 
 def test_start_long_flows_on_a_fixed_schedule_claims_no_stream():
