@@ -468,12 +468,15 @@ def _resolve_params(*, rtt, rtts, background=None, **params) -> Dict[str, Any]:
         params["start_window"] = min(5.0, params["warmup"] / 2.0)
     # Normalise the background spec; a zero share collapses to None so
     # the resolved params (and therefore the build) are bit-identical
-    # to a run that never mentioned a background at all.
-    from ..hybrid.background import BackgroundLoad  # local: avoids a cycle
+    # to a run that never mentioned a background at all.  A pure packet
+    # run never imports repro.hybrid (numpy and the fluid models).
+    if background is not None:
+        from ..hybrid.background import BackgroundLoad  # local: avoids a cycle
 
-    bg = BackgroundLoad.from_spec(background)
+        bg = BackgroundLoad.from_spec(background)
+        background = None if bg is None else bg.canonical()
     return dict(params, flow_rtts=flow_rtts, base_rtt=min(flow_rtts),
-                background=None if bg is None else bg.canonical())
+                background=background)
 
 
 def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:

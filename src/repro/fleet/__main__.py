@@ -64,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         fleet_args(p)
         p.add_argument("--workers", type=int, default=0,
-                       help="concurrent one-shot worker processes "
-                            "(0 = drain in-process)")
+                       help="worker processes kept for the drain, one "
+                            "attempt each at a time, replaced after a "
+                            "failed one (0 = drain in-process)")
         p.add_argument("--ttl", type=float, default=DEFAULT_TTL,
                        help=f"lease TTL seconds (default {DEFAULT_TTL})")
         p.add_argument("--checkpoint", type=float, default=None,

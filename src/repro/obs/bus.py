@@ -12,10 +12,10 @@ timeline.
 
 Transport
 ---------
-Every process — the scheduling parent and each one-shot worker — opens
-the same file with ``O_APPEND`` and emits each event as a **single
-``os.write`` of one newline-terminated JSON line**.  POSIX guarantees
-append-mode writes of this size land atomically at end-of-file, so
+Every process — the scheduling parent and each worker, once per attempt
+it serves — opens the same file with ``O_APPEND`` and emits each event
+as a **single ``os.write`` of one newline-terminated JSON line**.  POSIX
+guarantees append-mode writes of this size land atomically at end-of-file, so
 concurrent workers never interleave bytes mid-line and no locks or
 queues are needed; a reader at worst sees a not-yet-complete final line,
 which :func:`iter_events` tolerates.  Events are deliberately small

@@ -22,7 +22,9 @@ Schema v1 fields:
 ``events``          simulator events processed
 ``attempts``        attempts consumed (1 = first try)
 ``phases``          phase name -> wall seconds (setup/warmup/measure)
-``peak_rss_kb``     peak resident set size of the job process
+``peak_rss_kb``     high-water resident set size of the process that ran
+                    the job, up to and including it (a worker's mark
+                    covers the jobs it ran before this one)
 ``result``          scalar fields of the job payload (drop_rate, ...)
 ``metrics``         metrics-registry snapshot (with ``--obs``)
 ``profile``         sampling-profiler summary (with ``REPRO_PROFILE``)

@@ -11,12 +11,14 @@ are executed is purely an operational choice, made in exactly one place:
   never a recompute).
 * One scheduler loop pulls attempt tickets from a queue: ``workers=0``
   runs them in-process (the debugging path — plain stack traces, ``pdb``
-  works, timeouts cannot be enforced), ``workers=N`` in up to N
-  concurrent **one-shot worker processes**.  One process per attempt
-  (rather than a long-lived pool) is what buys crash isolation: a
-  segfaulting, diverging or overdue simulation kills only its own
-  process; the loop hands the failure back to the queue and the rest of
-  the sweep is unaffected.
+  works, timeouts cannot be enforced), ``workers=N`` on up to N
+  **worker processes** that live for the call, started on the first
+  store miss and handed their next ticket before the finished one is
+  committed.  The worker is the isolation unit and is **replaced on
+  failure**: a raising, segfaulting, diverging or overdue attempt takes
+  only its own worker down; the loop hands the failure back to the queue,
+  the next attempt runs on a fresh process and the rest of the sweep is
+  unaffected.
 
 A queue backend offers ``take()`` (the next :class:`Ticket`, or ``None``
 when nothing is runnable right now), ``done(ticket, store)``,
@@ -216,10 +218,26 @@ def commit(store: Optional[ResultCache], queue, ticket: Ticket, payload: Any,
     queue.done(ticket, "fresh")
 
 
-def _child_main(spec: JobSpec, conn, ckpt_path, ckpt_interval, bus_path) -> None:
-    """Worker-process entry point: run one attempt, ship one message back."""
+def _worker_main(conn, inherited) -> None:
+    """Worker-process entry point: serve attempts until the driver hangs up.
+
+    Loops ``recv (spec, ckpt_path, ckpt_interval, bus_path) ->
+    run_attempt -> send``.  A failed attempt is reported and ends the
+    worker (the driver starts a fresh one); EOF on the pipe — the driver
+    closed its end, or died — ends it too, which is why a forked worker
+    first closes the driver-side pipe ends it *inherited* (its own and
+    its older siblings'): held open here, they would keep those workers
+    waiting on a dead driver.
+    """
+    for other in inherited:
+        other.close()
     try:
-        conn.send(("ok",) + run_attempt(spec, ckpt_path, ckpt_interval, bus_path))
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                break
+            conn.send(("ok",) + run_attempt(*job))
     except BaseException as exc:  # noqa: BLE001 - isolate *any* job failure
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}", None))
@@ -239,7 +257,7 @@ def _mp_context():
 
 @dataclass
 class _Running:
-    """Bookkeeping for one in-flight worker process."""
+    """Bookkeeping for one in-flight attempt and the worker it runs on."""
 
     ticket: Ticket
     proc: Any
@@ -391,6 +409,8 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
     """The scheduler loop: take tickets until the queue is drained."""
     ctx = None
     running: List[_Running] = []
+    idle: List[Tuple[Any, Any]] = []  # (proc, conn) of workers awaiting a ticket
+    landed: List[Tuple[Ticket, Any, Any, float]] = []  # replies not yet committed
 
     def ckpt_path_of(spec: JobSpec):
         return store.checkpoint_path_for(spec) if ckpt_interval is not None else None
@@ -420,16 +440,16 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
                 ticket.spec, "failed", error=error, attempts=ticket.attempt,
             ))
 
-    def reap(slot: _Running) -> None:
-        slot.conn.close()
-        if slot.proc.is_alive():
-            slot.proc.terminate()
-            slot.proc.join(_JOIN_GRACE)
-            if slot.proc.is_alive():  # pragma: no cover - stubborn child
-                slot.proc.kill()
-                slot.proc.join(_JOIN_GRACE)
+    def reap(proc, conn) -> None:
+        conn.close()
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(_JOIN_GRACE)
+            if proc.is_alive():  # pragma: no cover - stubborn child
+                proc.kill()
+                proc.join(_JOIN_GRACE)
         else:
-            slot.proc.join()
+            proc.join()
 
     try:
         while True:
@@ -462,22 +482,29 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
                     else:
                         succeed(ticket, payload, obs_meta, time.monotonic() - t0)
                     continue
-                if ctx is None:
-                    ctx = _mp_context()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child_main,
-                    args=(spec, child_conn, ckpt_path_of(spec), ckpt_interval,
-                          bus_path),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()  # parent keeps only the read end
+                if idle:
+                    proc, conn = idle.pop()
+                else:
+                    ctx = ctx or _mp_context()
+                    conn, child_conn = ctx.Pipe()
+                    proc = ctx.Process(
+                        target=_worker_main, daemon=True,
+                        args=(child_conn, [conn] + [s.conn for s in running]))
+                    proc.start()
+                    child_conn.close()  # so a dead worker reads as EOF
+                try:
+                    conn.send((spec, ckpt_path_of(spec), ckpt_interval, bus_path))
+                except OSError:  # worker died idle: reported as a crash below
+                    pass
                 running.append(_Running(
-                    ticket, proc, parent_conn,
+                    ticket, proc, conn,
                     t0 + timeout if timeout is not None else None, t0,
                 ))
 
+            # the freed workers are on their next tickets: now commit
+            for done in landed:
+                succeed(*done)
+            landed.clear()
             if not running:
                 if queue.drained():
                     return
@@ -496,22 +523,21 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
                         # its way out.  Let it finish, so the crash branch
                         # below reports its real exit code.
                         slot.proc.join(_JOIN_GRACE)
-                if message is not None:
-                    status, body, obs_meta = message
-                    reap(slot)
-                    if status == "ok":
-                        succeed(slot.ticket, body, obs_meta, now - slot.t0)
-                    else:
-                        fail(slot.ticket, body)
+                if message is not None and message[0] == "ok":
+                    idle.append((slot.proc, slot.conn))
+                    landed.append((slot.ticket, *message[1:], now - slot.t0))
+                elif message is not None:
+                    reap(slot.proc, slot.conn)
+                    fail(slot.ticket, message[1])
                 elif not slot.proc.is_alive():
-                    reap(slot)
+                    reap(slot.proc, slot.conn)
                     fail(
                         slot.ticket,
                         f"worker crashed without result "
                         f"(exit code {slot.proc.exitcode})",
                     )
                 elif slot.deadline is not None and now > slot.deadline:
-                    reap(slot)
+                    reap(slot.proc, slot.conn)
                     fail(slot.ticket, f"timed out after {timeout}s")
                 else:
                     still_running.append(slot)
@@ -525,5 +551,5 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
                 )
             running = still_running
     finally:
-        for slot in running:  # pragma: no cover - only on interrupt
-            reap(slot)
+        for proc, conn in idle + [(s.proc, s.conn) for s in running]:
+            reap(proc, conn)

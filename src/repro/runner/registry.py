@@ -16,6 +16,18 @@ JSON-serializable payload.  Two resolution mechanisms:
 Runtime registrations made by the parent after import are visible to
 fork-start workers (the default on Linux) but not to spawn-start ones;
 dotted paths work everywhere.
+
+The contract a job signs: its payload is a function of ``params`` and
+nothing else.  Attempts share processes — ``workers=0`` runs them all in
+the caller's, ``workers=N`` runs each worker's one after another in a
+process that is replaced only after a failed attempt — and nothing is
+reset in between, so a job must not read process state another job can
+write (``os.environ``, the working directory, module globals, the
+``random`` module's stream) and should leave that state as it found it.
+Every kind in this package keeps to it, which is why rows are identical
+at any worker count and in any order
+(``tests/runner/test_equivalence.py``, and after a job that breaks the
+contract, ``tests/runner/test_faults.py``).
 """
 
 from __future__ import annotations

@@ -58,25 +58,26 @@ def canonical_json(obj: Any) -> str:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One unit of work for the runner: ``kind`` + JSON params."""
+    """One unit of work for the runner: ``kind`` + JSON params.
+
+    ``cache_key`` is the content address uniquely identifying this job's
+    result: purely a function of ``kind`` + ``params`` (via
+    :func:`content_key`), so identical points dedupe across sweeps and
+    package versions, not just within one run.  It is computed once, at
+    construction, and travels with the spec (pickled to workers): it
+    names the params the spec was **built with** — a spec is a value, so
+    build a new one rather than editing ``params`` in place.
+    """
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
+    cache_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Fail fast (at spec-construction time, in the parent process)
-        # rather than deep inside a worker: params must be JSON-clean.
-        canonical_json(self.params)
-
-    @property
-    def cache_key(self) -> str:
-        """Content address uniquely identifying this job's result.
-
-        Purely a function of ``kind`` + ``params`` (via
-        :func:`content_key`), so identical points dedupe across sweeps
-        and package versions, not just within one run.
-        """
-        return content_key(self.kind, self.params)
+        # rather than deep inside a worker: params must be JSON-clean,
+        # or keying them raises.
+        object.__setattr__(self, "cache_key", content_key(self.kind, self.params))
 
 
 def dumbbell_spec(scheme: str, **kwargs) -> JobSpec:

@@ -38,7 +38,7 @@ class RunnerStats:
     retries: int = 0  # extra attempts consumed
     events: int = 0  # simulator events processed by fresh jobs
     wall_time: float = 0.0  # summed per-job wall seconds (fresh jobs)
-    peak_rss_kb: int = 0  # max peak RSS across fresh job processes
+    peak_rss_kb: int = 0  # highest RSS high-water mark of any process that ran a job
     started: float = field(default_factory=time.monotonic)
 
     @property

@@ -1,7 +1,7 @@
 """Job functions for fleet kill-tolerance tests.
 
 Referenced by dotted-path kind (``"tests.fleet.jobs:slow_once"``) so the
-``python -m repro.fleet drain`` subprocesses (and their one-shot worker
+``python -m repro.fleet drain`` subprocesses (and their worker
 processes) resolve the same code as the test process.
 """
 

@@ -75,7 +75,7 @@ def test_worker_acks_store_hit_without_running(tmp_path):
 
 
 def test_drain_with_local_transport(tmp_path):
-    """``workers=2`` fans attempts out to one-shot local processes."""
+    """``workers=2`` fans attempts out to local worker processes."""
     fleet = Fleet(tmp_path / "fleet", ttl=10.0)
     fleet.submit([(ECHO, {"value": i}) for i in range(8)], sweep="mp")
     counts = fleet.drain(workers=2)

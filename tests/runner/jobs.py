@@ -44,3 +44,24 @@ def flaky(params: dict) -> dict:
         marker.write_text("attempt 1 failed")
         raise RuntimeError("flaky first attempt")
     return {"ok": True, "recovered": True}
+
+
+def pid(params: dict) -> dict:
+    """Report which process ran the attempt (after an optional pause)."""
+    if params.get("pidfile"):
+        pathlib.Path(params["pidfile"]).write_text(str(os.getpid()))
+    time.sleep(params.get("seconds", 0.0))
+    return {"value": params.get("value"), "pid": os.getpid()}
+
+
+#: process state :func:`pollute` leaves behind for whoever runs next
+POLLUTED = False
+
+
+def pollute(params: dict) -> dict:
+    """Break the registry's contract: leave env, cwd and a global changed."""
+    global POLLUTED
+    POLLUTED = True
+    os.environ["REPRO_TEST_POLLUTED"] = "1"
+    os.chdir(params["cwd"])
+    return {"pid": os.getpid()}

@@ -6,10 +6,13 @@ journal) are pure execution strategies and must never change a single
 row.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.sweep import sweep_dumbbell
 from repro.fleet import Fleet
+from repro.obs.manifest import MANIFEST_SUFFIX
 from repro.runner import ResultCache, dumbbell_spec, run_jobs
 
 #: tiny but non-trivial 2-scheme x 3-point grid (seconds, not minutes)
@@ -124,3 +127,35 @@ def test_failed_jobs_yield_marked_rows_not_exceptions():
     assert len(bad) == 1 and bad[0]["scheme"] == "no-such-scheme"
     assert "error" in bad[0]
     assert bad[0]["norm_queue"] != bad[0]["norm_queue"]  # NaN marker
+
+
+def test_the_benchmark_sweep_is_identical_at_every_worker_count(tmp_path):
+    """``sweep.runner``'s 32 points: payloads and cache entries are the
+    same bytes whether attempts ran in-process, all on one long-lived
+    worker or spread over four, and in whichever order they were handed
+    out.  (Of an entry, everything but ``meta.wall_time``, the one field
+    that is a stopwatch reading.)"""
+    from benchmarks.e2e.workloads import sweep_specs
+
+    specs = sweep_specs(seed=2, smoke=False)
+    assert len(specs) == 32
+
+    def sweep(name, workers, order=specs):
+        cache = ResultCache(tmp_path / name)
+        results = run_jobs(order, workers=workers, cache=cache)
+        assert all(r.ok and not r.cached for r in results)
+        entries = {}
+        for path in sorted(cache.root.glob("??/*.json")):
+            if path.name.endswith(MANIFEST_SUFFIX):
+                continue
+            entry = json.loads(path.read_bytes())
+            del entry["meta"]["wall_time"]
+            entries[path.name] = json.dumps(entry)
+        payloads = {r.spec.cache_key: json.dumps(r.value) for r in results}
+        return payloads, entries
+
+    serial = sweep("w0", 0)
+    assert len(serial[1]) == 32
+    for workers in (1, 2, 4):
+        assert sweep(f"w{workers}", workers) == serial, workers
+    assert sweep("reversed", 2, specs[::-1]) == serial
