@@ -7,11 +7,13 @@ processes — started, killed and restarted at will — converge against
 with zero recomputation of finished points.  The pieces:
 
 * :class:`~repro.fleet.journal.Journal` — append-only JSONL op log with
-  ``flock``-serialized writers and torn-tail-tolerant replay; the single
-  source of truth for queue state.
+  ``flock``-serialized writers and torn-tail-tolerant replay; the fleet's
+  only record of queue state (the telemetry bus carries no copy).
 * :class:`~repro.fleet.queue.JobQueue` — the pending/leased/done/failed
   state machine replayed from the journal: priority-ordered leases with
-  expiry, double-lease prevention, dead-holder requeue, attempt budget.
+  expiry, double-lease prevention, dead-holder requeue, attempt budget;
+  :meth:`~repro.fleet.queue.JobQueue.status` is the one summary fold that
+  ``status``, its CLI and the dashboard's fleet tiles all read.
 * :class:`~repro.fleet.scheduler.Fleet` — the user-facing facade:
   ``submit`` (with store-hit dedupe), ``drain``/``resume``, ``status``,
   ``results``; ``python -m repro.fleet`` wraps it in a CLI.

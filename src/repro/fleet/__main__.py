@@ -13,7 +13,9 @@ job vocabulary — any registered job kind can be fleeted.  ``submit`` and
 ``drain`` are separate processes on purpose: the kill-tolerance story is
 "submit once, drain from as many machines/terminals as you like, kill
 any of them, ``resume``" — all coordination lives in the fleet
-directory, none in any single process.
+directory, none in any single process.  ``status`` prints
+:meth:`~repro.fleet.queue.JobQueue.status`, folded from the journal —
+the same dict the dashboard serves for the directory.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lease attempts before a job fails terminally "
                             f"(default {DEFAULT_MAX_ATTEMPTS})")
 
-    p = sub.add_parser("status", help="print queue depths and store traffic")
+    p = sub.add_parser("status", help="print the journal's queue summary")
     fleet_args(p)
     return parser
 
@@ -144,7 +146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"fleet: {status['root']}")
             print(f"counts: {status['counts']}")
             print(f"computed: {status['computed']}")
-            print(f"store: {status['store']}")
+            print(f"requeues: {status['requeues']}")
+            print(f"workers: {status['workers']}")
             print(f"drained: {status['drained']}")
             for sweep, per in sorted(status["sweeps"].items()):
                 print(f"sweep {sweep}: {per}")

@@ -22,9 +22,9 @@ Concurrency and crash-safety rules:
   fragment.  The lost operation was never durable, and every operation
   is safe to lose: an un-journaled lease expires implicitly, an
   un-journaled ``done`` re-leases into a content-addressed store hit.
-* **Replay is incremental.**  Readers keep a byte offset and a buffered
-  partial tail (the same technique as the dashboard's bus tailer), so
-  syncing a multi-megabyte journal costs only the new bytes.
+* **Replay is incremental.**  Readers go through the bus's
+  :class:`~repro.obs.bus.JsonlTail` (byte offset, partial tail held
+  back), so syncing a multi-megabyte journal costs only the new bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
+
+from ..obs.bus import JsonlTail
 
 __all__ = ["JOURNAL_SCHEMA", "JOURNAL_FILENAME", "OPS", "Journal"]
 
@@ -87,8 +89,7 @@ class Journal:
         self.lock_path = self.root / "journal.lock"
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock_fd: Optional[int] = None
-        self._offset = 0
-        self._tail = b""
+        self._tail = JsonlTail(self.path)
 
     # -- locking -------------------------------------------------------
     @contextmanager
@@ -164,38 +165,15 @@ class Journal:
         operations.  A final line still missing its newline is buffered
         until a later read completes it.
         """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except OSError:
-            return []
-        if not chunk:
-            return []
-        self._offset += len(chunk)
-        data = self._tail + chunk
-        lines = data.split(b"\n")
-        self._tail = lines.pop()  # b"" when data ended in a newline
-        records: List[Dict[str, Any]] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                _validate(rec)
-            except ValueError:
-                continue
-            records.append(rec)
-        return records
+        return self._tail.records(_validate)
 
     def rewind(self) -> None:
         """Forget the read position (the next :meth:`read_new` replays all)."""
-        self._offset = 0
-        self._tail = b""
+        self._tail = JsonlTail(self.path)
 
     def read_all(self) -> List[Dict[str, Any]]:
         """Full replay from byte zero, independent of the read position."""
         return Journal(self.root).read_new()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Journal path={self.path} offset={self._offset}>"
+        return f"<Journal path={self.path} offset={self._tail.offset}>"

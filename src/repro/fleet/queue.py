@@ -87,6 +87,7 @@ class JobQueue:
         self.sweeps: Dict[str, List[str]] = {}  # sweep -> keys, submit order
         self._ready: List[tuple] = []  # lazy heap of (-priority, seq, key)
         self._seq = 0
+        self.requeues = 0  # requeue operations replayed so far
         self.sync()
 
     # ------------------------------------------------------------------
@@ -140,6 +141,7 @@ class JobQueue:
                 job.state = "pending"
                 job.worker = None
                 job.expires = None
+                self.requeues += 1
                 self._push_ready(job)
 
     def _push_ready(self, job: JobState) -> None:
@@ -283,6 +285,33 @@ class JobQueue:
         for job in self.jobs.values():
             out[job.state] += 1
         return out
+
+    def status(self) -> Dict[str, Any]:
+        """The fleet's summary, folded from the journal alone.
+
+        ``counts`` (jobs per state), ``sweeps`` (the same per sweep),
+        ``computed`` (done jobs: ``fresh`` runs vs store ``hit``s),
+        ``requeues`` (replayed requeue operations) and ``workers`` (holders
+        of an unexpired lease — a killed drain drops out once its TTL
+        passes).  ``Fleet.status``, ``python -m repro.fleet status`` and
+        the dashboard all serve this dict.
+        """
+        now = time.time()
+        sweeps = {}
+        for sweep, keys in self.sweeps.items():
+            per = sweeps[sweep] = {state: 0 for state in JOB_STATES}
+            for key in keys:
+                per[self.jobs[key].state] += 1
+        done = [job.store for job in self.jobs.values() if job.state == "done"]
+        return {
+            "counts": self.counts(),
+            "sweeps": sweeps,
+            "computed": {"fresh": len(done) - done.count("hit"),
+                         "hit": done.count("hit")},
+            "requeues": self.requeues,
+            "workers": sorted({job.worker for job in self.jobs.values()
+                               if job.state == "leased" and job.expires > now}),
+        }
 
     def drained(self) -> bool:
         """True when nothing is pending or leased (all jobs terminal)."""

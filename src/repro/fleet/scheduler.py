@@ -13,14 +13,18 @@ a few verbs:
   a killed process's leases are requeued as they expire, and journal
   replay plus the store already encode the rest;
 * :meth:`Fleet.results` — payloads for a sweep, in submission order,
-  read back from the store.
+  read back from the store;
+* :meth:`Fleet.status` — :meth:`JobQueue.status`, the journal's fold.
 
 A fleet directory is self-describing::
 
     <root>/journal.jsonl   operation log (the queue)
     <root>/journal.lock    writer mutex (flock)
     <root>/store/          content-addressed results (ResultCache layout)
-    <root>/events.jsonl    telemetry bus (fleet_* + per-job events)
+    <root>/events.jsonl    telemetry bus (each drain's run_* / job_* events)
+
+The journal is the fleet's only record of queue state; the bus carries
+no copy of it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..obs.bus import BUS_FILENAME, EventBus
+from ..obs.bus import BUS_FILENAME
 from ..runner.cache import ResultCache
 from ..runner.executor import Ticket, run_jobs
 from ..runner.spec import JobSpec
@@ -52,7 +56,7 @@ class SubmitReceipt:
     known: int = 0  # already in this fleet's queue (resubmission)
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-clean receipt (for ``submit --json`` and bus payloads)."""
+        """JSON-clean receipt (for ``submit --json``)."""
         return {
             "sweep": self.sweep,
             "jobs": len(self.keys),
@@ -63,7 +67,11 @@ class SubmitReceipt:
 
 
 class Fleet:
-    """One fleet directory's scheduler-side handle."""
+    """One fleet directory's scheduler-side handle.
+
+    Every transition it makes is one journal record and nothing else;
+    what it reports (:meth:`status`) is folded back out of the journal.
+    """
 
     def __init__(
         self,
@@ -81,10 +89,11 @@ class Fleet:
         particular at an existing runner cache directory, which makes
         every previously cached point a submit-time dedupe.  A fleet is
         a long-running service whose point includes live visibility, so
-        unlike the runner's its bus is **on by default** at
-        ``<root>/events.jsonl``; ``bus=False`` silences it, a path
-        relocates it.  *ttl*, *checkpoint* and *max_attempts* apply to
-        every drain of this handle.
+        unlike the runner's its bus (each drain's ``run_*`` / ``job_*``
+        telemetry) is **on by default** at ``<root>/events.jsonl``;
+        ``bus=False`` silences it, a path relocates it.  *ttl*,
+        *checkpoint* and *max_attempts* apply to every drain of this
+        handle.
         """
         self.root = Path(root)
         if isinstance(store, ResultCache):
@@ -132,10 +141,6 @@ class Fleet:
                 receipt.deduped += 1
             else:
                 receipt.submitted += 1
-        if receipt.keys:
-            self._emit("fleet_submitted", sweep=sweep, jobs=len(receipt.keys),
-                       deduped=receipt.deduped)
-            self._emit("fleet_queue", **self.queue.counts())
         return receipt
 
     def _fresh_sweep_name(self) -> str:
@@ -166,30 +171,10 @@ class Fleet:
 
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """Queue depths, per-sweep progress, and store traffic, fresh."""
+        """:meth:`JobQueue.status`, fresh, plus ``root`` and ``drained``."""
         self.queue.sync()
-        counts = self.queue.counts()
-        sweeps: Dict[str, Dict[str, int]] = {}
-        fresh = hit = 0
-        for sweep, keys in self.queue.sweeps.items():
-            per = {state: 0 for state in ("pending", "leased", "done", "failed")}
-            for key in keys:
-                per[self.queue.jobs[key].state] += 1
-            sweeps[sweep] = per
-        for job in self.queue.jobs.values():
-            if job.state == "done":
-                if job.store == "hit":
-                    hit += 1
-                else:
-                    fresh += 1
-        return {
-            "root": str(self.root),
-            "counts": counts,
-            "drained": self.queue.drained(),
-            "sweeps": sweeps,
-            "computed": {"fresh": fresh, "hit": hit},
-            "store": dict(self.store.stats),
-        }
+        return {"root": str(self.root), "drained": self.queue.drained(),
+                **self.queue.status()}
 
     def results(self, sweep: Union[str, SubmitReceipt]) -> List[Dict[str, Any]]:
         """Per-job outcomes for *sweep*, in submission order.
@@ -220,14 +205,6 @@ class Fleet:
             })
         return out
 
-    # ------------------------------------------------------------------
-    def _emit(self, event_type: str, **fields) -> None:
-        """Emit one submit-side bus event (no-op when the bus is off)."""
-        if self.bus_path is None:
-            return
-        with EventBus(self.bus_path) as bus:
-            bus.emit(event_type, **fields)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Fleet root={self.root} {self.queue.counts()}>"
 
@@ -236,8 +213,7 @@ class Leases:
     """Journal backend of :func:`repro.runner.run_jobs`' scheduler loop.
 
     One draining process's view of the fleet: it leases under a
-    ``host:pid`` worker id, mirrors each transition on the bus
-    (``fleet_*`` events), and keeps the leases of running attempts alive
+    ``host:pid`` worker id and keeps the leases of running attempts alive
     from one daemon thread that renews every held key each ``ttl/3``
     seconds.  The thread shares this process's :class:`JobQueue`, hence
     the lock around every queue call.  A refused renewal (the lease
@@ -246,11 +222,9 @@ class Leases:
     valid, idempotent acknowledgement.
     """
 
-    def __init__(self, fleet: Fleet, receipt: SubmitReceipt,
-                 live: Optional[EventBus]):
+    def __init__(self, fleet: Fleet, receipt: SubmitReceipt):
         self.fleet = fleet
         self.queue = fleet.queue
-        self.live = live
         self.worker = f"{socket.gethostname()}:{os.getpid()}"
         runnable = {key for key, job in self.queue.jobs.items()
                     if job.state in ("pending", "leased")}
@@ -260,22 +234,16 @@ class Leases:
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._renew_loop, name="repro-fleet-renew", daemon=True)
-        self._emit("fleet_worker", worker=self.worker, state="started")
         self._thread.start()
 
     def take(self) -> Optional[Ticket]:
         """Requeue expired leases, then lease the next pending job."""
         with self._lock:
-            expired = self.queue.requeue_expired()
+            self.queue.requeue_expired()
             job = self.queue.lease(self.worker, ttl=self.fleet.ttl)
-            if job is not None:
-                self._held.add(job.key)
-        for key in expired:
-            self._emit("fleet_requeued", key=key, reason="lease_expired")
-        if job is None:
-            return None
-        self._emit("fleet_leased", key=job.key, worker=self.worker,
-                   expires=job.expires, attempt=job.attempts)
+            if job is None:
+                return None
+            self._held.add(job.key)
         return Ticket(job.key, JobSpec(job.kind, job.params), job.attempts)
 
     def done(self, ticket: Ticket, store: str) -> None:
@@ -283,24 +251,13 @@ class Leases:
         with self._lock:
             self._held.discard(ticket.token)
             self.queue.done(ticket.token, self.worker, store=store)
-        self._emit("fleet_done", key=ticket.token, worker=self.worker,
-                   store=store)
-        self._emit_queue()
 
     def fail(self, ticket: Ticket, error: str, final: bool) -> bool:
         """Journal a failed attempt; true when the job went back to pending."""
         with self._lock:
             self._held.discard(ticket.token)
-            state = self.queue.fail(ticket.token, self.worker, error,
-                                    final=final)
-        if state == "failed":
-            self._emit("fleet_failed", key=ticket.token, worker=self.worker,
-                       error=error[:500])
-        else:
-            self._emit("fleet_requeued", key=ticket.token,
-                       reason=f"attempt failed: {error[:200]}")
-        self._emit_queue()
-        return state == "pending"
+            return self.queue.fail(ticket.token, self.worker, error,
+                                   final=final) == "pending"
 
     def drained(self) -> bool:
         """Is every job terminal, counting other processes' progress?"""
@@ -309,11 +266,9 @@ class Leases:
             return self.queue.drained()
 
     def close(self) -> None:
-        """Stop renewing and say goodbye on the bus."""
+        """Stop renewing."""
         self._stop.set()
         self._thread.join(timeout=2.0)
-        self._emit("fleet_worker", worker=self.worker, state="exited")
-        self._emit_queue()
 
     def _renew_loop(self) -> None:
         interval = max(0.05, self.fleet.ttl / 3.0)
@@ -327,17 +282,6 @@ class Leases:
                         return
                     if not held:
                         self._held.discard(key)
-
-    def _emit(self, event_type: str, **fields) -> None:
-        if self.live is not None:
-            self.live.emit(event_type, **fields)
-
-    def _emit_queue(self) -> None:
-        """``fleet_queue`` depth snapshot after a transition."""
-        if self.live is not None:
-            with self._lock:
-                counts = self.queue.counts()
-            self.live.emit("fleet_queue", **counts)
 
 
 def resolve_fleet(fleet=None) -> Optional[Fleet]:

@@ -18,7 +18,7 @@ as a **single ``os.write`` of one newline-terminated JSON line**.  POSIX
 guarantees append-mode writes of this size land atomically at end-of-file, so
 concurrent workers never interleave bytes mid-line and no locks or
 queues are needed; a reader at worst sees a not-yet-complete final line,
-which :func:`iter_events` tolerates.  Events are deliberately small
+which :class:`JsonlTail` holds back.  Events are deliberately small
 (well under the 4 KiB atomicity floor); :meth:`EventBus.emit` refuses
 oversized records rather than risking a torn line.
 
@@ -30,7 +30,7 @@ process ids, which is why they live in their own ``events.jsonl`` file,
 segregated from every golden-checked artifact (cache entries, manifests,
 traces).
 
-Schema v1 event types and their payload fields (beyond ``v``/``type``/
+Schema v2 event types and their payload fields (beyond ``v``/``type``/
 ``ts``/``pid``):
 
 ==================  ==================================================
@@ -45,21 +45,10 @@ Schema v1 event types and their payload fields (beyond ``v``/``type``/
 ``phase_started``   ``key, phase``
 ``phase_finished``  ``key, phase, seconds``
 ``heartbeat``       ``key, sim_now, events, sched, peak_rss_kb``
-``fleet_submitted`` ``sweep, jobs, deduped`` (store hits at submit)
-``fleet_leased``    ``key, worker, expires, attempt``
-``fleet_requeued``  ``key, reason`` (lease expiry / failed attempt)
-``fleet_done``      ``key, worker, store`` (``fresh`` or ``hit``)
-``fleet_failed``    ``key, worker, error`` (attempt budget exhausted)
-``fleet_worker``    ``worker, state`` (``started``/``exited``)
-``fleet_queue``     ``pending, leased, done, failed``
 ==================  ==================================================
 
-The ``fleet_*`` family is published over the same file when the
-scheduler loop drives a :mod:`repro.fleet` journal: ``fleet_queue`` is a
-whole-queue depth snapshot taken after each transition (what the
-dashboard's queue chips render), ``fleet_worker`` brackets one draining
-process (the lease holder named by every ``worker`` field), the rest are
-per-transition records mirroring the fleet journal.
+Schema 2 dropped v1's ``fleet_*`` family (a fleet's only record is its
+journal, :mod:`repro.fleet`); a schema-1 file reads as empty.
 
 ``heartbeat.sched`` is the simulator's monotone event sequence counter —
 a live proxy for work done that the hot loop already maintains, so
@@ -83,6 +72,7 @@ __all__ = [
     "BUS_FILENAME",
     "EVENT_TYPES",
     "EventBus",
+    "JsonlTail",
     "bus_scope",
     "active_bus",
     "emit",
@@ -95,7 +85,7 @@ __all__ = [
 ]
 
 #: bump when event types / fields change incompatibly
-BUS_SCHEMA = 1
+BUS_SCHEMA = 2
 
 #: bus filename, written next to the cache entries of its run
 BUS_FILENAME = "events.jsonl"
@@ -117,14 +107,6 @@ EVENT_TYPES: Dict[str, tuple] = {
     "phase_started": ("key", "phase"),
     "phase_finished": ("key", "phase", "seconds"),
     "heartbeat": ("key", "sim_now", "events", "sched", "peak_rss_kb"),
-    # fleet (repro.fleet) lifecycle — mirrors the fleet journal
-    "fleet_submitted": ("sweep", "jobs", "deduped"),
-    "fleet_leased": ("key", "worker", "expires", "attempt"),
-    "fleet_requeued": ("key", "reason"),
-    "fleet_done": ("key", "worker", "store"),
-    "fleet_failed": ("key", "worker", "error"),
-    "fleet_worker": ("worker", "state"),
-    "fleet_queue": ("pending", "leased", "done", "failed"),
 }
 
 _TRUTHY = {"1", "on", "true", "yes"}
@@ -332,31 +314,48 @@ def heartbeat_loop(bus: Optional[EventBus], interval: Optional[float] = None):
         beat()  # final beat: the job's closing progress sample
 
 
-def iter_events(path: Union[str, Path]) -> Iterator[dict]:
-    """Stream events from a bus file, tolerating live-run torn tails.
+class JsonlTail:
+    """Incremental reader of a JSON Lines file other processes append to:
+    keeps a byte *offset* and holds back an unterminated last line (a
+    writer mid-append) until a later read completes it, so each complete
+    line is returned exactly once and a refresh reads only new bytes."""
 
-    A final line without a trailing newline (a writer mid-append) is
-    skipped, as is any line that fails to parse or validate — a live
-    dashboard must render whatever is durable, not crash on the frontier.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.endswith("\n"):
-                return  # torn tail: a writer is mid-append
-            line = line.strip()
-            if not line:
-                continue
+    def __init__(self, path: Union[str, Path], offset: int = 0):
+        self.path = Path(path)
+        self.offset = int(offset)
+        self._partial = b""
+
+    def lines(self) -> List[bytes]:
+        """Complete, non-blank lines appended since the last call."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.offset)
+                chunk = fh.read()
+        except OSError:
+            return []
+        self.offset += len(chunk)
+        lines = (self._partial + chunk).split(b"\n")
+        self._partial = lines.pop()  # b"" when the chunk ended in a newline
+        return [line for line in lines if line.strip()]
+
+    def records(self, validate) -> List[dict]:
+        """Parsed :meth:`lines` that *validate* accepts (raises no ValueError)."""
+        out = []
+        for line in self.lines():
             try:
                 rec = json.loads(line)
-                validate_event(rec)
+                validate(rec)
             except ValueError:
                 continue
-            yield rec
+            out.append(rec)
+        return out
+
+
+def iter_events(path: Union[str, Path]) -> Iterator[dict]:
+    """Stream a bus file's valid events, holding back a torn final line."""
+    return iter(JsonlTail(path).records(validate_event))
 
 
 def read_events(path: Union[str, Path]) -> List[dict]:
     """Load a whole bus file into memory (missing file -> empty list)."""
-    try:
-        return list(iter_events(path))
-    except OSError:
-        return []
+    return list(iter_events(path))

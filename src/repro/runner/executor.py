@@ -342,7 +342,7 @@ def run_jobs(
         queue = _MemoryQueue(specs)
     else:
         receipt = fl.submit(specs)
-        queue = Leases(fl, receipt, live)
+        queue = Leases(fl, receipt)
     stats = RunnerStats(total=queue.total)
     settled: Dict[Hashable, JobResult] = {}
 

@@ -6,6 +6,7 @@
 ==================  ==================================================
 ``/``               the dashboard page (inline HTML/CSS/JS, no assets)
 ``/api/runs``       run-level summary + job-state counts + fleet rollup
+                    (the journal's ``JobQueue.status`` in a fleet dir)
 ``/api/jobs``       one JSON record per job key
 ``/api/metrics``    per-scheme rollup from the manifests on disk
 ``/api/history``    tail of the bench-history trajectory (if given)
@@ -329,12 +330,12 @@ async function poll() {
     const fl = runs.fleet;
     $("fleetSec").hidden = !fl;
     if (fl) {
-      const q = fl.queue || {};
+      const q = fl.counts;
       $("fleetTiles").innerHTML =
         tile("pending", q.pending) + tile("leased", q.leased) +
         tile("done", q.done) + tile("failed", q.failed) +
-        tile("fresh", fl.done_fresh) + tile("store hits", fl.done_hit) +
-        tile("requeued", fl.requeued) + tile("workers", fl.workers_alive);
+        tile("fresh", fl.computed.fresh) + tile("store hits", fl.computed.hit) +
+        tile("requeued", fl.requeues) + tile("workers", fl.workers.length);
     }
     $("jobs").innerHTML = table(
       ["key", "scheme", "seed", "state", "phase", "sim t", "ev/s", "wall s"],

@@ -1,12 +1,15 @@
 """Run-state aggregation for the live dashboard.
 
-:class:`RunView` merges the two on-disk sources a run directory offers
-into one queryable picture:
+:class:`RunView` merges the on-disk sources a run directory offers into
+one queryable picture:
 
 * ``events.jsonl`` — the live bus (:mod:`repro.obs.bus`): job lifecycle,
   phases and heartbeats, appended while the sweep is still executing.
-  The view tails it incrementally (byte offset, torn-tail tolerant), so
-  refreshing is cheap even against a multi-megabyte bus file.
+  The view tails it incrementally (:class:`~repro.obs.bus.JsonlTail`),
+  so refreshing is cheap even against a multi-megabyte bus file.
+* ``journal.jsonl`` — in a fleet directory, the queue's only record
+  (:mod:`repro.fleet`); the fleet rollup is its
+  :meth:`~repro.fleet.queue.JobQueue.status` fold.
 * ``*.manifest.json`` — the durable post-hoc record, rolled up with
   :func:`repro.obs.report.scheme_summary` for per-scheme metrics.
 
@@ -25,7 +28,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..obs.bus import BUS_FILENAME
+from ..fleet.journal import JOURNAL_FILENAME
+from ..fleet.queue import JobQueue
+from ..obs.bus import BUS_FILENAME, JsonlTail, validate_event
 from ..obs.manifest import load_manifests_with_warnings
 from ..obs.report import scheme_summary
 
@@ -51,21 +56,11 @@ class RunView:
         self.bus_path = self.run_dir / BUS_FILENAME
         self.history_path = Path(history) if history else None
         self._lock = threading.Lock()
-        self._offset = 0
-        self._tail = b""
+        self._tail = JsonlTail(self.bus_path)
         self._jobs: Dict[str, dict] = {}
         self._runs: List[dict] = []
         self._event_count = 0
-        self._fleet: Dict[str, object] = {
-            "seen": False,  # any fleet_* event observed yet?
-            "queue": None,  # latest fleet_queue depth snapshot
-            "workers": {},  # worker id -> "started" | "exited"
-            "sweeps": [],  # fleet_submitted receipts, submit order
-            "done_fresh": 0,
-            "done_hit": 0,
-            "failed": 0,
-            "requeued": 0,
-        }
+        self._queue: Optional[JobQueue] = None  # opened once a journal shows
 
     # ------------------------------------------------------------------
     # bus tailing
@@ -76,30 +71,10 @@ class RunView:
             return self._refresh_locked()
 
     def _refresh_locked(self) -> int:
-        try:
-            with open(self.bus_path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except OSError:
-            return 0
-        if not chunk:
-            return 0
-        self._offset += len(chunk)
-        data = self._tail + chunk
-        lines = data.split(b"\n")
-        self._tail = lines.pop()  # b"" when data ended in a newline
-        applied = 0
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                ev = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(ev, dict) and ev.get("type"):
-                self._apply(ev)
-                applied += 1
-        return applied
+        events = self._tail.records(validate_event)
+        for ev in events:
+            self._apply(ev)
+        return len(events)
 
     def _apply(self, ev: dict) -> None:
         self._event_count += 1
@@ -118,9 +93,6 @@ class RunView:
                     run["finished_ts"] = ev.get("ts")
                     run["stats"] = ev.get("stats")
                     break
-            return
-        if etype.startswith("fleet_"):
-            self._apply_fleet(etype, ev)
             return
         key = ev.get("key")
         if key is None:
@@ -176,71 +148,27 @@ class RunView:
                     and ts > prev_ts and sched >= prev_sched):
                 job["rate"] = (sched - prev_sched) / (ts - prev_ts)
 
-    def _apply_fleet(self, etype: str, ev: dict) -> None:
-        """Fold one ``fleet_*`` bus event into the fleet rollup.
-
-        Fleet events describe the *queue*, not individual runner jobs —
-        their ``key`` fields are content-addressed store keys, so they
-        are aggregated here instead of entering the per-job table (the
-        per-job telemetry still arrives separately from inside each
-        leased run).
-        """
-        fl = self._fleet
-        fl["seen"] = True
-        if etype == "fleet_queue":
-            fl["queue"] = {
-                state: ev.get(state)
-                for state in ("pending", "leased", "done", "failed")
-            }
-        elif etype == "fleet_worker":
-            fl["workers"][str(ev.get("worker"))] = ev.get("state")
-        elif etype == "fleet_submitted":
-            fl["sweeps"].append({
-                "sweep": ev.get("sweep"),
-                "jobs": ev.get("jobs"),
-                "deduped": ev.get("deduped"),
-                "ts": ev.get("ts"),
-            })
-        elif etype == "fleet_done":
-            if ev.get("store") == "hit":
-                fl["done_hit"] += 1
-            else:
-                fl["done_fresh"] += 1
-        elif etype == "fleet_failed":
-            fl["failed"] += 1
-        elif etype == "fleet_requeued":
-            fl["requeued"] += 1
-
     # ------------------------------------------------------------------
     # API payloads
 
     def fleet(self) -> Optional[dict]:
-        """Fleet rollup for ``/api/runs``; ``None`` until fleet events show.
+        """Fleet rollup for ``/api/runs``; ``None`` unless a journal exists.
 
-        ``queue`` is the latest ``fleet_queue`` depth snapshot,
-        ``workers_alive`` counts workers that started and have not
-        emitted their exit event (a SIGKILLed worker therefore stays
-        "alive" here until its leases expire — exactly the ambiguity the
-        queue's TTL machinery exists to resolve).
+        Exactly :meth:`repro.fleet.queue.JobQueue.status` over the
+        directory's ``journal.jsonl`` — what ``python -m repro.fleet
+        status`` prints, so ``workers`` are the holders of an unexpired
+        lease and a killed drain drops out once its TTL passes.
         """
         with self._lock:
             return self._fleet_locked()
 
     def _fleet_locked(self) -> Optional[dict]:
-        fl = self._fleet
-        if not fl["seen"]:
-            return None
-        workers = fl["workers"]
-        return {
-            "queue": dict(fl["queue"]) if fl["queue"] else None,
-            "workers_alive": sum(1 for s in workers.values() if s == "started"),
-            "workers_seen": len(workers),
-            "sweeps": [dict(s) for s in fl["sweeps"]],
-            "done_fresh": fl["done_fresh"],
-            "done_hit": fl["done_hit"],
-            "failed": fl["failed"],
-            "requeued": fl["requeued"],
-        }
+        if self._queue is None:
+            if not (self.run_dir / JOURNAL_FILENAME).exists():
+                return None
+            self._queue = JobQueue(self.run_dir)
+        self._queue.sync()
+        return self._queue.status()
 
     def runs(self) -> dict:
         """``/api/runs`` payload: run-level summary plus job-state counts."""
@@ -322,30 +250,15 @@ class RunView:
         slow consumers keep idle connections open (tests shrink it to
         exercise the path without waiting 15 real seconds).
         """
-        offset = 0 if from_start else self._size()
-        tail = b""
+        tail = JsonlTail(self.bus_path, 0 if from_start else self._size())
         idle = 0.0
         while stop is None or not stop.is_set():
-            chunk = b""
-            try:
-                with open(self.bus_path, "rb") as fh:
-                    fh.seek(offset)
-                    chunk = fh.read()
-            except OSError:
-                pass
-            if chunk:
-                offset += len(chunk)
-                data = tail + chunk
-                lines = data.split(b"\n")
-                tail = lines.pop()
-                sent = False
-                for line in lines:
-                    if line.strip():
-                        yield "event", line.decode("utf-8", "replace")
-                        sent = True
-                if sent:
-                    idle = 0.0
-                    continue
+            lines = tail.lines()
+            for line in lines:
+                yield "event", line.decode("utf-8", "replace")
+            if lines:
+                idle = 0.0
+                continue
             time.sleep(poll)
             idle += poll
             if idle >= keepalive_every:

@@ -89,9 +89,11 @@ def test_bus_events_flow(tmp_path):
     fleet.drain(workers=0)
     lines = (fleet.root / "events.jsonl").read_text().splitlines()
     types = [json.loads(line)["type"] for line in lines]
-    for expected in ("fleet_submitted", "fleet_queue", "fleet_worker",
-                     "fleet_leased", "fleet_done"):
+    for expected in ("run_started", "job_started", "job_finished",
+                     "run_finished"):
         assert expected in types, f"missing {expected} in {types}"
+    # the journal is the queue's only record: the bus carries no copy
+    assert not [t for t in types if t.startswith("fleet_")], types
     # a clean job costs exactly three journal records
     ops = [rec["op"] for rec in fleet.queue.journal.read_all()]
     assert ops == ["submit", "lease", "done"]

@@ -149,8 +149,8 @@ def test_resolve_heartbeat_interval(monkeypatch):
 
 def test_iter_events_skips_bad_lines_and_torn_tail(tmp_path):
     path = tmp_path / "e.jsonl"
-    good = json.dumps({"v": 1, "type": "job_cached", "ts": 1.0, "pid": 1,
-                       "key": "k"})
+    good = json.dumps({"v": BUS_SCHEMA, "type": "job_cached", "ts": 1.0,
+                       "pid": 1, "key": "k"})
     path.write_text(good + "\n" + "{garbage\n" + good + "\n" + good[:20])
     events = list(iter_events(path))
     assert len(events) == 2  # bad line skipped, torn tail not yielded

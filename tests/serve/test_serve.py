@@ -7,7 +7,9 @@ import urllib.request
 
 import pytest
 
-from repro.obs.bus import EventBus
+from repro.fleet import Fleet, JobQueue, Journal
+from repro.fleet.journal import JOURNAL_SCHEMA
+from repro.obs.bus import BUS_SCHEMA, EventBus
 from repro.runner import JobSpec, run_jobs
 from repro.runner.cache import ResultCache
 from repro.serve import RunView, make_server, serve_in_background
@@ -80,7 +82,7 @@ def test_runview_failed_job_and_torn_tail(tmp_path):
     path = tmp_path / "events.jsonl"
     _emit_lifecycle(path, fail=True)
     with path.open("a") as fh:
-        fh.write('{"v": 1, "type": "job_started", "ke')  # torn write
+        fh.write('{"v": %d, "type": "job_started", "ke' % BUS_SCHEMA)  # torn
     view = RunView(tmp_path)
     view.refresh()
     job = view.jobs()[0]
@@ -96,32 +98,77 @@ def test_runview_failed_job_and_torn_tail(tmp_path):
 
 
 def test_runview_aggregates_fleet_events(tmp_path):
-    bus = EventBus(tmp_path / "events.jsonl")
-    bus.emit("fleet_submitted", sweep="s", jobs=3, deduped=1)
-    bus.emit("fleet_queue", pending=2, leased=0, done=1, failed=0)
-    bus.emit("fleet_worker", worker="w1", state="started")
-    bus.emit("fleet_worker", worker="w2", state="started")
-    bus.emit("fleet_leased", key="a" * 64, worker="w1", expires=99.0,
-             attempt=1)
-    bus.emit("fleet_done", key="a" * 64, worker="w1", store="fresh")
-    bus.emit("fleet_done", key="b" * 64, worker="w2", store="hit")
-    bus.emit("fleet_requeued", key="c" * 64, reason="lease_expired")
-    bus.emit("fleet_failed", key="c" * 64, worker="w2", error="boom")
-    bus.emit("fleet_worker", worker="w2", state="exited")
-    bus.emit("fleet_queue", pending=0, leased=0, done=2, failed=1)
-    bus.close()
+    """The fleet rollup is the journal's fold — the dict ``Fleet.status``
+    returns — and an expired lease is no live worker."""
+    queue = JobQueue(tmp_path)
+    for key in "abc":
+        queue.submit(key * 64, "tests.runner.jobs:echo", {"value": key},
+                     sweep="s")
+    now = time.time()
+    queue.lease("w1", now=now)
+    queue.done("a" * 64, "w1")
+    queue.lease("w2", ttl=1.0, now=now - 10.0)  # b: expired at once
+    assert queue.requeue_expired() == ["b" * 64]
+    queue.lease("w3", ttl=1.0, now=now - 10.0)  # b again, expired again
+    queue.lease("w4", now=now)  # c: live
     view = RunView(tmp_path)
     view.refresh()
     fleet = view.fleet()
-    assert fleet["queue"] == {"pending": 0, "leased": 0, "done": 2,
-                              "failed": 1}
-    assert fleet["workers_alive"] == 1 and fleet["workers_seen"] == 2
-    assert fleet["sweeps"][0]["sweep"] == "s"
-    assert fleet["done_fresh"] == 1 and fleet["done_hit"] == 1
-    assert fleet["failed"] == 1 and fleet["requeued"] == 1
-    # fleet events aggregate; they must not pollute the per-job table
+    status = Fleet(tmp_path).status()
+    assert fleet == {k: v for k, v in status.items()
+                     if k not in ("root", "drained")}
+    assert fleet["counts"] == {"pending": 0, "leased": 2, "done": 1,
+                               "failed": 0}
+    assert fleet["sweeps"] == {"s": fleet["counts"]}
+    assert fleet["computed"] == {"fresh": 1, "hit": 0}
+    assert fleet["requeues"] == 1
+    assert fleet["workers"] == ["w4"]  # w3 holds b, but its lease expired
+    # the fleet does not pollute the per-job table
     assert view.jobs() == []
-    assert view.runs()["fleet"]["queue"]["done"] == 2
+    assert view.runs()["fleet"] == fleet
+
+
+def test_runview_applies_only_valid_events(tmp_path):
+    """A line ``validate_event`` rejects never becomes a job, even when it
+    carries a ``key`` — an unknown type, or any schema-1 line."""
+    lines = [{"v": BUS_SCHEMA, "type": "nope", "ts": 1.0, "pid": 1,
+              "key": "k1"},
+             {"v": 1, "type": "job_cached", "ts": 1.0, "pid": 1, "key": "k2"}]
+    (tmp_path / "events.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines))
+    view = RunView(tmp_path)
+    assert view.refresh() == 0
+    assert view.runs()["jobs_seen"] == 0
+    assert view.jobs() == []
+
+
+def test_torn_line_is_read_once_by_journal_view_and_sse(tmp_path):
+    """Journal replay, the view and the SSE tail share one reader: a line
+    torn mid-write surfaces exactly once, after the append completing it."""
+    rec = json.dumps({"v": JOURNAL_SCHEMA, "op": "submit", "key": "k",
+                      "kind": "tests.runner.jobs:echo", "params": {},
+                      "sweep": "s", "priority": 0, "ts": 1.0})
+    ev = json.dumps({"v": BUS_SCHEMA, "type": "job_cached", "key": "k",
+                     "ts": 1.0, "pid": 1})
+    journal_path, bus_path = tmp_path / "journal.jsonl", tmp_path / "events.jsonl"
+    journal_path.write_text(rec[:20])
+    bus_path.write_text(ev[:20])
+    journal, view = Journal(tmp_path), RunView(tmp_path)
+    sse = view.tail_events(from_start=True, poll=0.01, keepalive_every=0.01)
+    assert journal.read_new() == []
+    assert view.refresh() == 0
+    assert view.fleet()["counts"]["pending"] == 0
+    assert next(sse) == ("keepalive", "")  # the fragment was held back
+    with journal_path.open("a") as fh:
+        fh.write(rec[20:] + "\n")
+    with bus_path.open("a") as fh:
+        fh.write(ev[20:] + "\n")
+    assert [r["key"] for r in journal.read_new()] == ["k"]
+    assert journal.read_new() == []
+    assert view.refresh() == 1 and view.refresh() == 0
+    assert view.fleet()["counts"]["pending"] == 1
+    assert next(sse) == ("event", ev)
+    assert next(sse) == ("keepalive", "")  # not the same line again
 
 
 def test_runview_fleet_is_none_without_fleet_events(tmp_path):
