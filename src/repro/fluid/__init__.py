@@ -2,7 +2,8 @@
 
 Two right-hand-side contracts, one scalar kernel.  The registered models
 (``make_fluid_model``) are written against the **float contract** —
-state and delayed state are sequences of Python floats — and integrate
+state and delayed state ``x(t - rtt)`` are sequences of Python floats,
+the delay declared to the kernel as its ``lag`` — and integrate
 through :func:`integrate_dde_floats`; :func:`integrate_dde` keeps the
 **array contract** (``(dim,)`` float64 arrays, ``A @ x``-style code) for
 everything else, as an adapter over that same loop.

@@ -3,7 +3,9 @@
 A registered model states its dynamics exactly once, as a float-contract
 right-hand side (see :func:`repro.fluid.dde.integrate_dde_floats`):
 ``dynamics()`` binds the derived constants — curve slope, filter pole,
-reciprocals — and returns ``f(t, x, history)`` working on Python floats.
+reciprocals — and returns ``f(t, x, xd)`` working on Python floats, with
+``xd = x(t - rtt)`` computed by the kernel (the model's ``rtt`` is the
+lag :meth:`~FloatDynamics.simulate` declares).
 Everything else is here.  Adding a fluid model is that one method, a
 default start, and a line in :data:`repro.fluid.registry.FLUID_MODELS`.
 """
@@ -31,13 +33,15 @@ class FloatDynamics:
         """
         raise NotImplementedError
 
-    def rhs(self, t: float, x: Sequence[float], history) -> Tuple[float, ...]:
+    def rhs(self, t: float, x: Sequence[float],
+            xd: Sequence[float]) -> Tuple[float, ...]:
         """One evaluation of :meth:`dynamics` at ``(t, x)``.
 
-        *x* is a sequence of floats and ``history(t')`` returns one; for
-        a whole trajectory call :meth:`simulate`, which binds once.
+        *x* and the delayed state *xd* (``x(t - rtt)``) are sequences of
+        floats; for a whole trajectory call :meth:`simulate`, which binds
+        once.
         """
-        return self.dynamics()(t, x, history)
+        return self.dynamics()(t, x, xd)
 
     def simulate(
         self,
@@ -53,4 +57,4 @@ class FloatDynamics:
         """
         start = self.x0_default if x0 is None else x0
         return integrate_dde_floats(self.dynamics(), start, (0.0, duration),
-                                    dt, method=method)
+                                    dt, method=method, lag=self.rtt)

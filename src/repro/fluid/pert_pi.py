@@ -68,10 +68,10 @@ class PertPiFluidModel(FloatDynamics):
         tq_ref = self.tq_ref
         clamp = self.clamp
 
-        def rhs(t, x, history):
+        def rhs(t, x, xd):
             w, tq, p = x
             p_eff = min(1.0, max(0.0, p)) if clamp else p
-            dw = inv_r - p_eff * w * history(t - r)[0] / two_r
+            dw = inv_r - p_eff * w * xd[0] / two_r
             dtq = n_flows * w / r_cap - 1.0
             if clamp and tq <= 0.0 and dtq < 0.0:
                 dtq = 0.0

@@ -134,8 +134,7 @@ class PertRedFluidModel(FloatDynamics):
         n_of_t = self.n_of_t
         n_flows = self.n_flows
 
-        def rhs(t, x, history):
-            xd = history(t - r)
+        def rhs(t, x, xd):
             w, tq, s = x
             w_d = w if approx else xd[0]
             p = l_pert * (xd[2] - t_min)
@@ -165,7 +164,7 @@ def simulate_batch(
     """Integrate many :class:`PertRedFluidModel` instances in lockstep.
 
     All members share the time grid but may differ in every numeric
-    parameter, including the RTT (per-member delayed-time queries).  The
+    parameter, including the RTT (each member's own lag).  The
     right-hand side evaluates the same arithmetic as
     :meth:`PertRedFluidModel.dynamics` elementwise, so member *b*'s trajectory
     is bit-identical to ``models[b].simulate(duration, dt, ...)`` — this
@@ -205,8 +204,7 @@ def simulate_batch(
     inv_r = 1.0 / r
     r_cap = r * cap
 
-    def rhs(t: float, x: np.ndarray, history) -> np.ndarray:
-        xd = history(t - r)
+    def rhs(t: float, x: np.ndarray, xd: np.ndarray) -> np.ndarray:
         w = x[:, 0]
         tq = x[:, 1]
         w_d = w if approx else xd[:, 0]
@@ -229,4 +227,5 @@ def simulate_batch(
         start = np.broadcast_to(start, (batch, start.size))
     elif start.shape[0] != batch:
         raise ValueError(f"x0 has {start.shape[0]} rows for {batch} models")
-    return integrate_dde_batch(rhs, start, (0.0, duration), dt, method=method)
+    return integrate_dde_batch(rhs, start, (0.0, duration), dt, method=method,
+                               lag=r)

@@ -64,11 +64,12 @@ class FluidModel(Protocol):
         """:meth:`equilibrium` mapped onto the model's state vector."""
         ...
 
-    def rhs(self, t: float, x: Sequence[float], history) -> Sequence[float]:
+    def rhs(self, t: float, x: Sequence[float],
+            xd: Sequence[float]) -> Sequence[float]:
         """One evaluation of the DDE right-hand side, float contract.
 
-        *x* is a sequence of Python floats, ``history(t')`` returns one
-        and so does the call (see
+        *x* and the delayed state *xd* = ``x(t - rtt)`` are sequences of
+        Python floats and so is the call's result (see
         :func:`repro.fluid.integrate_dde_floats`); it is the function
         :meth:`simulate` integrates, not a second copy of it.
         """

@@ -83,8 +83,7 @@ class TcpRedFluidModel(FloatDynamics):
         k_lpf = self.k_lpf
         clamp = self.clamp
 
-        def rhs(t, x, history):
-            xd = history(t - r)
+        def rhs(t, x, xd):
             w, q, s = x
             p = l_red * (xd[2] - min_th)  # router marks, felt an RTT later
             if clamp:

@@ -12,7 +12,7 @@ from repro.fluid.stability import classify_trajectories, trajectory_is_stable
 def _linear_decay_batch(rates):
     rates = np.asarray(rates, dtype=float)
 
-    def rhs(t, x, history):
+    def rhs(t, x, xd):
         return -rates[:, None] * x
 
     return rhs
@@ -27,36 +27,32 @@ def test_batch_matches_scalar_ode():
     )
     for b, k in enumerate(rates):
         scalar = integrate_dde(
-            lambda t, x, h, k=k: -k * x, [1.0], (0.0, 2.0), dt=1e-2
+            lambda t, x, xd, k=k: -k * x, [1.0], (0.0, 2.0), dt=1e-2
         )
         assert np.array_equal(batch.t, scalar.t)
         assert np.array_equal(batch.y[:, b, :], scalar.y)
 
 
 def test_batch_delayed_term_matches_scalar():
-    """x' = -x(t - tau) with per-member delays, including history lookups."""
+    """x' = -x(t - tau) with per-member delays."""
     taus = np.array([0.3, 0.7, 1.0])
-
-    def rhs(t, x, history):
-        return -history(t - taus)
-
-    batch = integrate_dde_batch(rhs, np.ones((3, 1)), (0.0, 4.0), dt=1e-2)
+    batch = integrate_dde_batch(lambda t, x, xd: -xd, np.ones((3, 1)),
+                                (0.0, 4.0), dt=1e-2, lag=taus)
     for b, tau in enumerate(taus):
         scalar = integrate_dde(
-            lambda t, x, h, tau=tau: -h(t - tau), [1.0], (0.0, 4.0), dt=1e-2
+            lambda t, x, xd: -xd, [1.0], (0.0, 4.0), dt=1e-2, lag=tau
         )
         assert np.array_equal(batch.y[:, b, :], scalar.y)
 
 
 def test_batch_euler_matches_scalar():
-    def rhs(t, x, history):
-        return -history(t - 0.5)
-
     batch = integrate_dde_batch(
-        rhs, np.ones((2, 1)), (0.0, 2.0), dt=1e-2, method="euler"
+        lambda t, x, xd: -xd, np.ones((2, 1)), (0.0, 2.0), dt=1e-2,
+        method="euler", lag=0.5
     )
     scalar = integrate_dde(
-        lambda t, x, h: -h(t - 0.5), [1.0], (0.0, 2.0), dt=1e-2, method="euler"
+        lambda t, x, xd: -xd, [1.0], (0.0, 2.0), dt=1e-2, method="euler",
+        lag=0.5
     )
     for b in range(2):
         assert np.array_equal(batch.y[:, b, :], scalar.y)
@@ -117,5 +113,5 @@ def test_simulate_batch_input_validation():
         )
     with pytest.raises(ValueError):
         integrate_dde_batch(
-            lambda t, x, h: x, np.ones(3), (0.0, 1.0), dt=0.1
+            lambda t, x, xd: x, np.ones(3), (0.0, 1.0), dt=0.1
         )

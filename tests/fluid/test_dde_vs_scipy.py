@@ -16,7 +16,7 @@ def test_linear_ode_matches_matrix_exponential(seed):
     A = rng.normal(size=(3, 3))
     A -= 2.0 * np.eye(3)  # shift to keep trajectories bounded
     x0 = rng.normal(size=3)
-    sol = integrate_dde(lambda t, x, h: A @ x, x0, (0.0, 2.0), dt=1e-3)
+    sol = integrate_dde(lambda t, x, xd: A @ x, x0, (0.0, 2.0), dt=1e-3)
     exact = expm(A * 2.0) @ x0
     assert np.allclose(sol.y[-1], exact, rtol=1e-5, atol=1e-8)
 
@@ -25,7 +25,7 @@ def test_nonlinear_ode_matches_solve_ivp():
     def rhs(t, x):
         return np.array([x[1], -np.sin(x[0])])  # pendulum
 
-    ours = integrate_dde(lambda t, x, h: rhs(t, x), [1.0, 0.0], (0.0, 10.0),
+    ours = integrate_dde(lambda t, x, xd: rhs(t, x), [1.0, 0.0], (0.0, 10.0),
                          dt=1e-3)
     ref = solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0], rtol=1e-10, atol=1e-12)
     assert np.allclose(ours.y[-1], ref.y[:, -1], atol=1e-5)
@@ -37,8 +37,8 @@ def test_dde_vs_method_of_steps_reference():
     On [k, k+1] the delayed term is the (known) previous segment, so the
     DDE reduces to a chain of ODE solves — an independent reference.
     """
-    sol = integrate_dde(lambda t, x, h: -h(t - 1.0), [1.0], (0.0, 4.0),
-                        dt=5e-4)
+    sol = integrate_dde(lambda t, x, xd: -xd, [1.0], (0.0, 4.0),
+                        dt=5e-4, lag=1.0)
 
     # method of steps with dense scipy segments
     from scipy.interpolate import interp1d

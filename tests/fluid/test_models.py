@@ -139,7 +139,7 @@ MODELS = ("pert_red", "tcp_red", "pert_pi")
 def test_rhs_is_one_evaluation_of_what_simulate_integrates(name):
     m = make_fluid_model(name)
     x0, dt = m.x0_default, 1e-3
-    dx = m.rhs(0.0, x0, lambda t: x0)
+    dx = m.rhs(0.0, x0, x0)  # at t = 0, x(t - rtt) is the pre-history
     assert len(dx) == 3 and all(type(v) is float for v in dx)
     step = m.simulate(dt, dt=dt, method="euler").y[1].tolist()
     assert step == [a + dt * b for a, b in zip(x0, dx)]

@@ -60,7 +60,7 @@ CASES = {
     for method in ("rk4", "euler")
 }
 CASES.update({
-    # every k1..k4 lookup is clamped to the end of the stored history
+    # a lag shorter than the step: k4's row is end-clamped every step
     "pert_red.lag_below_dt": lambda: make_fluid_model(
         "pert_red", rtt=0.004, capacity=5000.0, clamp=True
     ).simulate(2.0, dt=5e-3),
@@ -82,26 +82,25 @@ CASES.update({
 _A = np.array([[-0.5, 1.0, 0.0], [-1.0, -0.5, 0.25], [0.0, 0.0, -0.125]])
 
 
-def _two_d(t, x, h):
-    xd = h(t - 0.37)
+def _two_d(t, x, xd):
     return np.array([x[1], -x[0] - 0.5 * xd[1]])
 
 
 CASES.update({
     "array.matvec": lambda: integrate_dde(
-        lambda t, x, h: _A @ x, [1.0, 0.0, 2.0], (0.0, 4.0), dt=1e-3),
+        lambda t, x, xd: _A @ x, [1.0, 0.0, 2.0], (0.0, 4.0), dt=1e-3),
     "array.hayes": lambda: integrate_dde(
-        lambda t, x, h: -h(t - 1.0), [1.0], (0.0, 6.0), dt=1e-3),
+        lambda t, x, xd: -xd, [1.0], (0.0, 6.0), dt=1e-3, lag=1.0),
     "array.hayes_euler": lambda: integrate_dde(
-        lambda t, x, h: -h(t - 1.0), (1.0,), (-0.5, 5.5), dt=1e-2,
-        method="euler"),
+        lambda t, x, xd: -xd, (1.0,), (-0.5, 5.5), dt=1e-2,
+        method="euler", lag=1.0),
     "array.two_d_delayed_component": lambda: integrate_dde(
-        _two_d, np.array([1.0, 0.0]), (0.0, 8.0), dt=1e-2),
+        _two_d, np.array([1.0, 0.0]), (0.0, 8.0), dt=1e-2, lag=0.37),
     "array.lag_below_dt": lambda: integrate_dde(
-        lambda t, x, h: -h(t - 0.03) + 0.25 * x, [1.0, -2.0], (0.0, 6.0),
-        dt=0.1),
+        lambda t, x, xd: -xd + 0.25 * x, [1.0, -2.0], (0.0, 6.0),
+        dt=0.1, lag=0.03),
     "array.constant_rhs": lambda: integrate_dde(
-        lambda t, x, h: np.array([1.0, -2.0]), [0.0, 0.0], (0.0, 1.0),
+        lambda t, x, xd: np.array([1.0, -2.0]), [0.0, 0.0], (0.0, 1.0),
         dt=0.1),
 })
 
