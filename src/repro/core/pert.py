@@ -59,12 +59,6 @@ class PertSender(TcpSender):
         self.early_responses = 0
 
     # ------------------------------------------------------------------
-    @property
-    def queuing_delay_estimate(self) -> float:
-        """Current smoothed queuing-delay estimate (srtt − min RTT)."""
-        return self.signal.queuing_delay
-
-    # ------------------------------------------------------------------
     def on_ack(self, pkt: Packet, rtt_sample: Optional[float]) -> None:
         if rtt_sample is None:
             return

@@ -85,12 +85,10 @@ class MovingAverageRtt:
         self.window = window
         self._buf: Deque[float] = deque(maxlen=window)
         self._sum = 0.0
-        self.min_rtt = float("inf")
 
     def update(self, sample: float) -> float:
         if sample <= 0:
             raise ValueError("RTT samples must be positive")
-        self.min_rtt = min(self.min_rtt, sample)
         if len(self._buf) == self.window:
             self._sum -= self._buf[0]
         self._buf.append(sample)
@@ -102,10 +100,3 @@ class MovingAverageRtt:
         if not self._buf:
             return None
         return self._sum / len(self._buf)
-
-    @property
-    def queuing_delay(self) -> float:
-        v = self.value
-        if v is None:
-            return 0.0
-        return max(0.0, v - self.min_rtt)

@@ -182,7 +182,7 @@ def _sweep_warm_start(
     cache,
     base_kwargs: Dict,
 ) -> List[Dict]:
-    """Warm-started expansion: per scheme, warm once, fork per duration.
+    """Warm-started expansion: per scheme, warm once, restore per duration.
 
     The warm-up prefix (topology, traffic, seeds, warm-up horizon) must
     be identical across points for the shared warm state to be valid, so

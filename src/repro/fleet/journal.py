@@ -167,10 +167,6 @@ class Journal:
         """
         return self._tail.records(_validate)
 
-    def rewind(self) -> None:
-        """Forget the read position (the next :meth:`read_new` replays all)."""
-        self._tail = JsonlTail(self.path)
-
     def read_all(self) -> List[Dict[str, Any]]:
         """Full replay from byte zero, independent of the read position."""
         return Journal(self.root).read_new()

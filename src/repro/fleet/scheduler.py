@@ -117,12 +117,14 @@ class Fleet:
                sweep: Optional[str] = None, priority: int = 0) -> SubmitReceipt:
         """Enqueue *jobs* (specs or ``(kind, params)`` pairs) as one sweep.
 
-        Dedupe happens here, not in drains: a job whose content key is
-        already present in the store is journaled and immediately
-        acknowledged ``done(store="hit")``, so drains converge without
-        touching it.  Re-submitting an in-flight sweep is idempotent by
-        key (counted in ``known``), which is how a crashed *submitter*
-        recovers: just run the same submit again.
+        Dedupe happens here, not in drains: a job whose store entry
+        reads back valid is journaled and immediately acknowledged
+        ``done(store="hit")``, so drains converge without touching it.
+        A damaged entry reads as a miss (and is removed), so the job is
+        queued and recomputed, as ``run_jobs`` would.  Re-submitting an
+        in-flight sweep is idempotent by key (counted in ``known``),
+        which is how a crashed *submitter* recovers: just run the same
+        submit again.
         """
         if sweep is None:
             sweep = self._fresh_sweep_name()
@@ -136,7 +138,7 @@ class Fleet:
             if not fresh:
                 receipt.known += 1
                 continue
-            if self.store.contains(spec):
+            if self.store.get(spec) is not None:
                 self.queue.done(key, "scheduler", store="hit")
                 receipt.deduped += 1
             else:

@@ -316,13 +316,6 @@ class DdeBatchSolution:
         self.t = t
         self.y = y
 
-    @property
-    def batch_size(self) -> int:
-        return self.y.shape[1]
-
-    def __len__(self) -> int:
-        return self.y.shape[1]
-
     def __getitem__(self, b: int) -> DdeSolution:
         """Member *b*'s trajectory as an ordinary :class:`DdeSolution`."""
         return DdeSolution(self.t, self.y[:, b, :])

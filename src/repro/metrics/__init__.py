@@ -1,16 +1,13 @@
 """Metrics: fairness, summary statistics, histograms, time series."""
 
 from .fairness import jain_index
-from .stats import histogram_pdf, mean, percentile, stdev
-from .timeseries import moving_average, relative_error_series, settling_time
+from .stats import histogram_pdf, mean, stdev
+from .timeseries import settling_time
 
 __all__ = [
     "jain_index",
     "mean",
     "stdev",
-    "percentile",
     "histogram_pdf",
-    "moving_average",
     "settling_time",
-    "relative_error_series",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-__all__ = ["mean", "stdev", "percentile", "histogram_pdf"]
+__all__ = ["mean", "stdev", "histogram_pdf"]
 
 
 def mean(xs: Sequence[float]) -> float:
@@ -21,22 +21,6 @@ def stdev(xs: Sequence[float]) -> float:
         return 0.0
     m = mean(xs)
     return math.sqrt(sum((x - m) ** 2 for x in xs) / len(xs))
-
-
-def percentile(xs: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile, q in [0, 100]."""
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    data = sorted(xs)
-    if not data:
-        return 0.0
-    if len(data) == 1:
-        return data[0]
-    pos = (len(data) - 1) * q / 100.0
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    frac = pos - lo
-    return data[lo] * (1 - frac) + data[hi] * frac
 
 
 def histogram_pdf(

@@ -1,4 +1,4 @@
-"""Time-series utilities: smoothing, convergence detection, settling time.
+"""Time-series utilities: settling time and a text plot.
 
 Used by the dynamic-behaviour experiments (Figure 12 and the
 non-responsive-traffic variant) to quantify how quickly a scheme
@@ -7,33 +7,9 @@ re-apportions bandwidth after a load change.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["moving_average", "settling_time", "relative_error_series",
-           "ascii_series"]
-
-
-def moving_average(xs: Sequence[float], window: int) -> List[float]:
-    """Centered-causal sliding mean: output[i] averages xs[max(0,i-w+1)..i]."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    out: List[float] = []
-    acc = 0.0
-    for i, x in enumerate(xs):
-        acc += x
-        if i >= window:
-            acc -= xs[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
-
-
-def relative_error_series(
-    series: Sequence[float], target: float
-) -> List[float]:
-    """|x - target| / target for each sample (target must be non-zero)."""
-    if target == 0:
-        raise ValueError("target must be non-zero")
-    return [abs(x - target) / abs(target) for x in series]
+__all__ = ["settling_time", "ascii_series"]
 
 
 def settling_time(
@@ -54,8 +30,9 @@ def settling_time(
         raise ValueError("times and series must have equal length")
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must be in (0, 1)")
-    errs = relative_error_series(series, target)
-    inside = [e <= tolerance for e in errs]
+    if target == 0:
+        raise ValueError("target must be non-zero")
+    inside = [abs(x - target) / abs(target) <= tolerance for x in series]
     n = len(inside)
     candidate: Optional[int] = None
     run = 0

@@ -187,12 +187,6 @@ class EventBus:
             except OSError:  # pragma: no cover
                 pass
 
-    def __enter__(self) -> "EventBus":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EventBus path={self.path} job={self.job}>"
 

@@ -123,29 +123,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Upper bucket edge containing the q-quantile (``None`` if empty).
-
-        The overflow bucket reports the maximum observed value, so the
-        estimate is always finite.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return None
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank and c:
-                return self.edges[i] if i < len(self.edges) else self.max
-        return self.max
-
     def snapshot(self):
         """JSON-clean dict: bucket edges/counts plus sum/count/min/max."""
         return {
@@ -198,12 +175,6 @@ class MetricsRegistry:
                 f"{type(inst).__name__}, requested {cls.__name__}"
             )
         return inst
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def __len__(self) -> int:
-        return len(self._instruments)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable view of every instrument, sorted by name."""

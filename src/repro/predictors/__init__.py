@@ -7,7 +7,7 @@ from .analysis import (
     high_to_loss_fraction,
     score_predictor,
 )
-from .base import Predictor, run_predictor
+from .base import Predictor
 from .classic import (
     CardPredictor,
     CimPredictor,
@@ -24,7 +24,6 @@ from .threshold import (
 
 __all__ = [
     "Predictor",
-    "run_predictor",
     "CardPredictor",
     "TriSPredictor",
     "DualPredictor",

@@ -10,9 +10,7 @@ efficiency, false positives and false negatives.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
-
-__all__ = ["Predictor", "run_predictor"]
+__all__ = ["Predictor"]
 
 
 class Predictor:
@@ -28,13 +26,3 @@ class Predictor:
     def reset(self) -> None:
         """Restore initial state so a predictor can be replayed."""
         raise NotImplementedError
-
-
-def run_predictor(
-    predictor: Predictor, trace: Iterable[Tuple[float, float, float]]
-) -> List[Tuple[float, bool]]:
-    """Replay *predictor* over a trace; returns the (time, state) series."""
-    out: List[Tuple[float, bool]] = []
-    for t, rtt, cwnd in trace:
-        out.append((t, predictor.update(t, rtt, cwnd)))
-    return out

@@ -99,10 +99,6 @@ class ResultCache:
         key = spec.cache_key
         return self.root / key[:2] / f"{key}{CHECKPOINT_SUFFIX}"
 
-    def contains(self, spec: JobSpec) -> bool:
-        """Uncounted existence probe (the fleet's submit-time dedupe)."""
-        return self.path_for(spec).exists()
-
     def get(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
         """Return the stored entry dict for *spec*, or ``None`` on a miss.
 

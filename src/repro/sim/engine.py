@@ -73,7 +73,6 @@ _STATE_SLOTS = (
     "events_processed",
     "_stream_labels",
     "_stream_counts",
-    "_streams",
 )
 
 
@@ -90,10 +89,8 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically
     increasing counter that breaks ties deterministically.  Cancellation is
-    lazy: the event is flagged and skipped when popped.  The heap itself
-    never compares :class:`Event` objects (its entries are keyed on
-    tuples), so ``__lt__`` below exists only for explicit comparisons in
-    user code and tests — the hot path never calls it.
+    lazy: the event is flagged and skipped when popped.  The heap never
+    compares :class:`Event` objects: its entries are keyed on tuples.
 
     ``time``/``seq`` are the handle's *current* firing key.  After an
     in-place :meth:`Simulator.reschedule` they run ahead of the key of
@@ -134,11 +131,6 @@ class Event:
         self.cancelled = True
         if self._sim is not None:
             self._sim._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
         # The default slots state minus `_qtime`: snapshots export every
@@ -222,7 +214,6 @@ class ArraySimulator:
         "events_processed",
         "_stream_labels",
         "_stream_counts",
-        "_streams",
         "profiler",
         "_heap",
         "_horizon",
@@ -238,7 +229,6 @@ class ArraySimulator:
         self.events_processed = 0
         self._stream_labels: Set[str] = set()
         self._stream_counts: Dict[str, int] = {}
-        self._streams: Dict[str, random.Random] = {}
         #: optional :class:`repro.obs.SamplingProfiler`; when set, event
         #: dispatch routes through it (results are unaffected — it times
         #: callbacks, nothing more)
@@ -272,11 +262,7 @@ class ArraySimulator:
                 f"label or stream(..., unique=True) for per-instance streams"
             )
         self._stream_labels.add(label)
-        rng = random.Random(f"{self.seed}/{label}")
-        # Registered so snapshot forking can reseed every handed-out
-        # stream in place (holders keep references to these objects).
-        self._streams[label] = rng
-        return rng
+        return random.Random(f"{self.seed}/{label}")
 
     def _unique_label(self, prefix: str) -> str:
         """Deterministically suffix *prefix* so it has never been claimed."""

@@ -213,18 +213,6 @@ class Link:
         # a reference cycle hands us ``dst`` before its own state is set
         self._bind_callbacks()
 
-    # ------------------------------------------------------------------
-    def utilization(self, duration: float, since_bytes: int = 0) -> float:
-        """Fraction of capacity used over *duration* seconds.
-
-        ``since_bytes`` subtracts a byte-counter snapshot so callers can
-        measure a window (e.g. the paper's steady-state 100-300 s slice).
-        """
-        if duration <= 0:
-            return 0.0
-        used = (self.bytes_transmitted - since_bytes) * 8.0
-        return min(1.0, used / (self.bandwidth * duration))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Link {self.src.node_id}->{self.dst.node_id} "

@@ -23,9 +23,9 @@ __all__ = ["QueueSampler", "LinkWindow", "ThroughputSampler", "nearest_sample"]
 def nearest_sample(times: Sequence[float], values: Sequence[int], t: float) -> int:
     """Value of the sample nearest to time *t* (ties to the earlier; 0 if none).
 
-    *times* must be sorted.  Shared by :meth:`QueueSampler.length_at` and
-    by analyses that carry an exported ``times``/``lengths`` series
-    instead of the live sampler (the Section 2 case traces).
+    *times* must be sorted.  Read on a sampler's ``times``/``lengths``
+    or on an exported series of the same shape (the Section 2 case
+    traces).
     """
     if not times:
         return 0
@@ -60,10 +60,6 @@ class QueueSampler:
         self.times.append(self.sim.now)
         self.lengths.append(len(self.qdisc))
         self.sim.schedule(self.interval, self._tick)
-
-    def length_at(self, t: float) -> int:
-        """Queue length at the sample nearest to time *t*."""
-        return nearest_sample(self.times, self.lengths, t)
 
     def mean(self, start: float = 0.0, end: Optional[float] = None) -> float:
         """Mean sampled queue length over [start, end].
@@ -122,10 +118,6 @@ class LinkWindow:
         if self._open_t is None or self._close_t is None:
             raise RuntimeError("window must be opened and closed first")
         return self._close_t - self._open_t
-
-    @property
-    def duration(self) -> float:
-        return self._require_closed()
 
     @property
     def utilization(self) -> float:

@@ -2,9 +2,9 @@
 
 A :class:`QueueDiscipline` sits at the head of each unidirectional link and
 decides, per arriving packet, whether to enqueue, mark (ECN), or drop.  All
-disciplines keep uniform statistics so the experiment harness can compute
-drop rates and time-averaged queue lengths without knowing which AQM is in
-use.
+disciplines keep uniform counters so the experiment harness can compute
+drop and mark rates without knowing which AQM is in use (time-averaged
+queue lengths come from :class:`repro.sim.monitors.QueueSampler`).
 
 Queue capacity is expressed in *packets*, matching the paper (e.g. the
 750-packet queues of Section 2.2) and ns-2's default byte-agnostic queues.
@@ -34,8 +34,6 @@ class QueueStats:
         "departures",
         "bytes_in",
         "bytes_out",
-        "_q_integral",
-        "_last_change",
     )
 
     def __init__(self) -> None:
@@ -48,19 +46,6 @@ class QueueStats:
         self.departures = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        self._q_integral = 0.0  # ∫ q(t) dt, for the time-averaged queue
-        self._last_change = 0.0
-
-    def account(self, now: float, qlen: int) -> None:
-        """Accumulate the queue-length integral up to *now*."""
-        if now > self._last_change:
-            self._q_integral += qlen * (now - self._last_change)
-            self._last_change = now
-
-    def mean_queue(self, now: float, qlen: int) -> float:
-        """Time-averaged queue length in packets over [0, now]."""
-        self.account(now, qlen)
-        return self._q_integral / now if now > 0 else 0.0
 
     @property
     def drop_rate(self) -> float:
@@ -145,13 +130,8 @@ class QueueDiscipline:
     # -- mechanics ---------------------------------------------------------
     def enqueue(self, pkt: Packet, now: float) -> bool:
         """Offer *pkt* to the queue; returns True if it was accepted."""
-        # QueueStats.account inlined: one enqueue/dequeue per packet hop
-        # makes this the second-hottest path after the event loop.
         stats = self.stats
         buf = self._buf
-        if now > stats._last_change:
-            stats._q_integral += len(buf) * (now - stats._last_change)
-            stats._last_change = now
         stats.arrivals += 1
         if self._plain_admit:
             # Inlined tail-drop admit(): same decision, no method call,
@@ -207,9 +187,6 @@ class QueueDiscipline:
         if not buf:
             return None
         stats = self.stats
-        if now > stats._last_change:
-            stats._q_integral += len(buf) * (now - stats._last_change)
-            stats._last_change = now
         pkt = buf.popleft()
         self._bytes -= pkt.size
         stats.departures += 1
@@ -225,10 +202,6 @@ class QueueDiscipline:
     @property
     def byte_length(self) -> int:
         return self._bytes
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._buf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,7 +28,6 @@ the entry point for anything driven by configuration.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import random
 from dataclasses import dataclass, field
@@ -111,12 +110,6 @@ class QueueConfig:
             )
         # freeze the param mapping so configs are safely shareable
         object.__setattr__(self, "params", dict(self.params))
-
-    def with_params(self, **params: Any) -> "QueueConfig":
-        """Return a copy with *params* merged over the existing ones."""
-        merged = dict(self.params)
-        merged.update(params)
-        return dataclasses.replace(self, params=merged)
 
 
 def make_queue(

@@ -101,9 +101,6 @@ class Network:
             for dst_id, link in first_hop.items():
                 src.add_route(dst_id, link)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
 
 class Dumbbell:
     """Single-bottleneck topology of the paper's Section 4 experiments.
@@ -144,10 +141,6 @@ class Dumbbell:
         for host, d in zip(self.right, dr):
             self.net.connect(host, self.r2, access_bw, d)
         self.net.compute_routes()
-
-    @property
-    def sim(self) -> Simulator:
-        return self.net.sim
 
     @property
     def bottleneck_queue(self) -> QueueDiscipline:
@@ -192,10 +185,6 @@ class ParkingLot:
                 self.net.connect(host, router, access_bw, access_delay)
             self.clouds.append(cloud)
         self.net.compute_routes()
-
-    @property
-    def sim(self) -> Simulator:
-        return self.net.sim
 
 
 #: topology name -> implementing class

@@ -1,20 +1,19 @@
-"""repro.snapshot — deterministic checkpoint / restore / fork.
+"""repro.snapshot — deterministic checkpoint / restore.
 
-The subsystem that turns long-horizon simulation into resumable,
-fork-able work:
+The subsystem that turns long-horizon simulation into resumable work:
 
 * :func:`save` / :func:`load` — checkpoint a live simulator (plus the
   experiment harness's state object) to a versioned, checksummed file;
   a restored run continues bit-identically to an uninterrupted one.
-* :func:`fork` / :func:`fork_bytes` — N divergent continuations of one
-  warm checkpoint, with deterministic per-fork RNG reseeding.
+* :func:`capture_bytes` / :func:`restore_bytes` — the same in memory;
+  warm-started sweeps restore one captured body once per grid point.
 * :mod:`repro.snapshot.runtime` — the checkpoint slot the runner's
   executor installs around each job attempt (periodic checkpoint,
   resume after crash/timeout).
-* ``python -m repro.snapshot inspect|verify|diff`` — checkpoint tooling.
+* ``python -m repro.snapshot inspect|verify`` — checkpoint tooling.
 
-See ``docs/ARCHITECTURE.md`` (Snapshot subsystem) for format details,
-what is and is not captured, and fork semantics.
+See ``docs/ARCHITECTURE.md`` (Snapshot subsystem) for format details
+and what is and is not captured.
 """
 
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
     verify,
 )
 from .errors import SnapshotError
-from .fork import fork, fork_bytes, reseed_streams
 from .format import FORMAT_VERSION
 from .runtime import (
     CheckpointSlot,
@@ -50,9 +48,6 @@ __all__ = [
     "inspect",
     "verify",
     "sim_summary",
-    "fork",
-    "fork_bytes",
-    "reseed_streams",
     "CheckpointSlot",
     "checkpoint_scope",
     "active_checkpoint",

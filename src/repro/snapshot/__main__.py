@@ -2,13 +2,10 @@
 
     PYTHONPATH=src python -m repro.snapshot inspect  FILE [--json]
     PYTHONPATH=src python -m repro.snapshot verify   FILE [--json]
-    PYTHONPATH=src python -m repro.snapshot diff     FILE_A FILE_B
 
 ``inspect`` reads only the plain-text header (works even when the body
 no longer unpickles); ``verify`` additionally checksums and restores the
-body and checks engine invariants; ``diff`` compares two checkpoints'
-headers and restored simulator summaries (exit code 1 when they differ,
-like ``diff(1)``).
+body and checks engine invariants.
 """
 
 from __future__ import annotations
@@ -21,15 +18,10 @@ from typing import Any, Dict
 from . import core
 from .errors import SnapshotError
 
-_SUMMARY_FIELDS = ("now", "events_processed", "pending", "heap_len", "seq", "seed")
-
-
 def _print_header(header: Dict[str, Any]) -> None:
     sim = header.get("sim") or {}
     print(f"id:             {header.get('id')}")
     print(f"parent:         {header.get('parent')}")
-    if "fork_salt" in header:
-        print(f"fork salt:      {header['fork_salt']}")
     if "label" in header:
         print(f"label:          {header['label']}")
     print(f"format:         {header.get('format')}")
@@ -71,46 +63,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_diff(args) -> int:
-    """``diff``: compare two checkpoints' summaries; exit 1 on mismatch."""
-    def facts(path: str) -> Dict[str, Any]:
-        header = core.inspect(path)
-        sim = dict(header.get("sim") or {})
-        out = {f: sim.get(f) for f in _SUMMARY_FIELDS}
-        out["id"] = header.get("id")
-        out["parent"] = header.get("parent")
-        out["repro_version"] = header.get("repro_version")
-        out["body_bytes"] = header.get("body_bytes")
-        out["streams"] = sim.get("streams") or []
-        return out
-
-    a, b = facts(args.file_a), facts(args.file_b)
-    differ = False
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key), b.get(key)
-        if key == "streams":
-            only_a = sorted(set(va) - set(vb))
-            only_b = sorted(set(vb) - set(va))
-            if only_a or only_b:
-                differ = True
-                if only_a:
-                    print(f"streams only in {args.file_a}: {', '.join(only_a)}")
-                if only_b:
-                    print(f"streams only in {args.file_b}: {', '.join(only_b)}")
-            continue
-        if va != vb:
-            differ = True
-            print(f"{key}: {va} != {vb}")
-    if not differ:
-        print("snapshots match (header summaries are identical)")
-    return 1 if differ else 0
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     ap = argparse.ArgumentParser(
         prog="repro.snapshot",
-        description="Inspect, verify and diff simulation checkpoints",
+        description="Inspect and verify simulation checkpoints",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -125,11 +82,6 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--json", action="store_true", help="raw JSON output")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("diff", help="compare two checkpoints' summaries")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(fn=cmd_diff)
 
     args = ap.parse_args(argv)
     try:

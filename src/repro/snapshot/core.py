@@ -70,11 +70,6 @@ class SnapshotInfo:
     sim_now: float
     events_processed: int
 
-    @property
-    def size_mb(self) -> float:
-        """Checkpoint body size in megabytes (decimal)."""
-        return self.body_bytes / 1e6
-
 
 @dataclass
 class Restored:

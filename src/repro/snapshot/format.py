@@ -3,7 +3,7 @@
 A snapshot file is three concatenated parts::
 
     REPROSNAP\n                  magic line (never changes)
-    {"format": 4, ...}\n         one-line JSON header, UTF-8
+    {"format": 5, ...}\n         one-line JSON header, UTF-8
     <pickle body>                the simulation object graph
 
 The header is plain text on purpose: ``head -2 file.ckpt`` tells you
@@ -46,8 +46,10 @@ __all__ = [
 #: 3: the harness state is ``experiments.common.PacketRun`` for every
 #: packet scenario, so a version-2 body names a class that is gone;
 #: 4: a component's ``obs`` is its own instrument and ``PacketRun`` carries
-#: the recorder, so a version-3 body's senders and collector are mis-shaped)
-FORMAT_VERSION = 4
+#: the recorder, so a version-3 body's senders and collector are mis-shaped;
+#: 5: the simulator no longer keeps a registry of the RNG streams it handed
+#: out, so a version-4 body carries a slot the engine does not have)
+FORMAT_VERSION = 5
 
 MAGIC = b"REPROSNAP\n"
 

@@ -25,7 +25,7 @@ from .bands import (
     check_metric,
 )
 from .docgen import render_results_md, write_results_md
-from .extract import fmt_num, metric_id, rows_to_metrics, subset
+from .extract import fmt_num, metric_id, rows_to_metrics
 from .golden import update_golden
 from .suite import (
     SUITE,
@@ -53,7 +53,6 @@ __all__ = [
     "metric_id",
     "fmt_num",
     "rows_to_metrics",
-    "subset",
     "VERDICT_SCHEMA",
     "ExpectedFigure",
     "FigureVerdict",

@@ -26,7 +26,7 @@ one, so stating such a claim costs one band and no code::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 __all__ = ["fmt_num", "metric_id", "rows_to_metrics", "HEADLINE_METRICS",
            "headline_metrics", "derive"]
@@ -113,8 +113,3 @@ def derive(mid: str, metrics: Mapping[str, float]) -> Optional[float]:
                   if m.startswith(f"{prefix}.{name[5:]}@")]
         return sum(family) / len(family) if family else None
     return None
-
-
-def subset(metrics: Mapping[str, float], ids: Sequence[str]) -> List[str]:
-    """Expected ids absent from *metrics* (debugging aid for suites)."""
-    return [i for i in ids if i not in metrics]

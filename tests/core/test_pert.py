@@ -61,7 +61,7 @@ def test_response_probability_zero_at_empty_queue():
     db = make_dumbbell(sim)
     sender, _ = make_flow(sim, db, sender_cls=PertSender)
     sender.signal.update(0.024)  # min == srtt -> zero queuing delay
-    assert sender.curve.probability(sender.queuing_delay_estimate) == 0.0
+    assert sender.curve.probability(sender.signal.queuing_delay) == 0.0
 
 
 def test_early_response_reduces_by_35_percent():
@@ -192,4 +192,4 @@ def test_non_gentle_config():
     s.signal.update(0.01)
     s.signal.min_rtt = 0.01
     s.signal.value = 0.01 + 0.011  # queuing delay just above t_max
-    assert s.curve.probability(s.queuing_delay_estimate) == 1.0
+    assert s.curve.probability(s.signal.queuing_delay) == 1.0

@@ -85,12 +85,6 @@ class TestMovingAverageRtt:
     def test_none_before_samples(self):
         assert MovingAverageRtt().value is None
 
-    def test_queuing_delay(self):
-        m = MovingAverageRtt(window=2)
-        m.update(0.1)
-        m.update(0.2)
-        assert m.queuing_delay == pytest.approx(0.15 - 0.1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MovingAverageRtt(window=0)

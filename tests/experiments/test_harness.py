@@ -10,6 +10,7 @@ from repro.experiments.common import (
 from repro.experiments.report import format_table, format_value
 from repro.experiments.scenarios import SCHEMES, get_scheme, scheme_sender_kwargs
 from repro.experiments.sweep import sweep_dumbbell
+from repro.sim.monitors import nearest_sample
 
 
 def test_bdp_packets():
@@ -81,7 +82,7 @@ def test_run_dumbbell_record_trace_extras():
     assert "queue_drops" in r.extras
     assert len(r.extras["rtt_trace"]) > 100
     sampler = r.extras["queue_sampler"]
-    assert sampler.length_at(10.0) >= 0
+    assert nearest_sample(sampler.times, sampler.lengths, 10.0) >= 0
 
 
 def test_run_dumbbell_reproducible():

@@ -86,16 +86,16 @@ def test_buffered_partial_tail_completes_later(tmp_path):
     assert [r["op"] for r in reader.read_new()] == ["requeue"]
 
 
-def test_rewind_and_read_all(tmp_path):
+def test_read_all_leaves_the_incremental_position(tmp_path):
     journal = Journal(tmp_path)
     _submit(journal, "a")
     _submit(journal, "b")
     assert len(journal.read_new()) == 2
-    journal.rewind()
-    assert len(journal.read_new()) == 2
     assert len(journal.read_all()) == 2
-    # read_all leaves the incremental position alone
     assert journal.read_new() == []
+    _submit(journal, "c")
+    assert len(journal.read_all()) == 3
+    assert [r["key"] for r in journal.read_new()] == ["c"]
 
 
 def test_unknown_schema_records_are_skipped(tmp_path):

@@ -53,6 +53,23 @@ def test_submit_dedupes_against_prewarmed_store(tmp_path):
     assert fleet.status()["computed"] == {"fresh": 1, "hit": 1}
 
 
+def test_submit_recomputes_a_damaged_store_entry(tmp_path):
+    """A store file that does not read back is a miss, as in ``run_jobs``:
+    the point is queued and recomputed, and ``results`` returns its
+    payload instead of reporting it done with none."""
+    fleet = Fleet(tmp_path / "fleet")
+    spec = JobSpec(ECHO, {"value": 3})
+    path = fleet.store.path_for(spec)
+    path.parent.mkdir(parents=True)
+    path.write_text("{not json")
+    receipt = fleet.submit([spec], sweep="s")
+    assert receipt.deduped == 0 and receipt.submitted == 1
+    fleet.drain(workers=0)
+    assert [(r["state"], r["payload"]) for r in fleet.results(receipt)] \
+        == [("done", {"value": 3})]
+    assert fleet.status()["computed"] == {"fresh": 1, "hit": 0}
+
+
 def test_failed_jobs_surface_in_results(tmp_path):
     fleet = Fleet(tmp_path / "fleet", max_attempts=2)
     receipt = fleet.submit([(BOOM, {}), (ECHO, {"value": 1})], sweep="s")

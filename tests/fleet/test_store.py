@@ -1,4 +1,4 @@
-"""The fleet's result store is the runner's cache: counters and dedupe."""
+"""The fleet's result store is the runner's cache: counters and keys."""
 
 from __future__ import annotations
 
@@ -16,15 +16,6 @@ def test_counters_track_traffic(tmp_path):
     assert store.stats == {"hits": 1, "misses": 1, "puts": 1}
 
 
-def test_contains_probe_is_uncounted(tmp_path):
-    store = ResultCache(tmp_path)
-    spec = JobSpec("kind", {"x": 1})
-    assert not store.contains(spec)
-    store.put(spec, {})
-    assert store.contains(spec)
-    assert store.stats == {"hits": 0, "misses": 0, "puts": 1}
-
-
 def test_store_interoperates_with_runner_cache(tmp_path):
     """A point cached by the runner is a fleet store hit, and vice versa."""
     cache = ResultCache(tmp_path)
@@ -32,7 +23,6 @@ def test_store_interoperates_with_runner_cache(tmp_path):
     cache.put(spec, {"utilization": 0.9})
     store = Fleet(tmp_path / "fleet", store=tmp_path).store  # same directory
     assert type(store) is ResultCache
-    assert store.contains(spec)
     assert store.get(spec)["payload"] == {"utilization": 0.9}
     spec2 = JobSpec("dumbbell", {"scheme": "vegas", "duration": 5.0})
     store.put(spec2, {"utilization": 1.0})

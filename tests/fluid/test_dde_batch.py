@@ -66,7 +66,7 @@ def test_pert_red_simulate_batch_bit_identical(clamp):
         for rtt, n in [(0.08, 5), (0.1, 5), (0.12, 8), (0.17, 5)]
     ]
     batch = simulate_batch(models, duration=5.0, dt=1e-3)
-    assert batch.batch_size == len(models)
+    assert batch.y.shape[1] == len(models)
     for b, model in enumerate(models):
         scalar = model.simulate(5.0, dt=1e-3)
         assert np.array_equal(batch.t, scalar.t)
@@ -76,7 +76,7 @@ def test_pert_red_simulate_batch_bit_identical(clamp):
 def test_batch_solution_indexing_and_components():
     models = [make_fluid_model("pert_red", rtt=r) for r in (0.1, 0.15)]
     batch = simulate_batch(models, duration=2.0, dt=1e-3)
-    assert len(batch) == 2
+    assert batch.y.shape[1] == 2
     sol0 = batch[0]
     assert np.array_equal(sol0.component(0), batch.component(0)[:, 0])
     # dense-output interpolation works on the sliced member

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.fairness import jain_index
-from repro.metrics.stats import histogram_pdf, mean, percentile, stdev
+from repro.metrics.stats import histogram_pdf, mean, stdev
 
 
 class TestJain:
@@ -40,21 +40,6 @@ class TestStats:
         assert stdev([2, 2, 2]) == 0.0
         assert stdev([1]) == 0.0
         assert stdev([0, 2]) == pytest.approx(1.0)
-
-    def test_percentile(self):
-        xs = [1, 2, 3, 4, 5]
-        assert percentile(xs, 0) == 1
-        assert percentile(xs, 50) == 3
-        assert percentile(xs, 100) == 5
-        assert percentile(xs, 25) == pytest.approx(2.0)
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_percentile_empty_and_single(self):
-        assert percentile([], 50) == 0.0
-        assert percentile([7], 99) == 7
 
 
 class TestHistogram:

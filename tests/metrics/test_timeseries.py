@@ -2,38 +2,7 @@
 
 import pytest
 
-from repro.metrics.timeseries import (
-    moving_average,
-    relative_error_series,
-    settling_time,
-)
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        xs = [1.0, 5.0, 2.0]
-        assert moving_average(xs, 1) == xs
-
-    def test_partial_prefix(self):
-        out = moving_average([2.0, 4.0, 6.0, 8.0], 3)
-        assert out[0] == 2.0
-        assert out[1] == 3.0
-        assert out[2] == 4.0
-        assert out[3] == 6.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
-
-class TestRelativeError:
-    def test_values(self):
-        assert relative_error_series([8.0, 12.0], 10.0) == [
-            pytest.approx(0.2), pytest.approx(0.2)]
-
-    def test_zero_target_rejected(self):
-        with pytest.raises(ValueError):
-            relative_error_series([1.0], 0.0)
+from repro.metrics.timeseries import ascii_series, settling_time
 
 
 class TestSettlingTime:
@@ -68,3 +37,21 @@ class TestSettlingTime:
             settling_time([0], [1, 2], 1.0)
         with pytest.raises(ValueError):
             settling_time([0], [1], 1.0, tolerance=1.5)
+
+    def test_zero_target_rejected(self):
+        with pytest.raises(ValueError):
+            settling_time([0], [1], 0.0)  # the band is relative to target
+
+
+class TestAsciiSeries:
+    def test_shape(self):
+        out = ascii_series([1, 2, 3, 4, 5], width=5, height=4, label="demo")
+        lines = out.splitlines()
+        assert lines[0] == "demo"
+        assert len(lines) == 1 + 5 + 1  # label + (height+1) rows + axis
+        assert "*" in out
+
+    def test_handles_flat_and_empty(self):
+        assert "no data" in ascii_series([], label="x ")
+        out = ascii_series([2.0, 2.0, 2.0])
+        assert "*" in out  # flat series still renders

@@ -92,6 +92,27 @@ def test_sampling_is_rate_limited_by_sim_time():
     assert len(samples) == 1  # first event sampled, the rest gated
 
 
+def test_attached_sender_cwnd_samples_are_schema_records():
+    """A flow's cwnd / ssthresh / srtt series is the ``cwnd_sample``
+    records the collector takes on the ACK path, at most once per
+    sample interval."""
+    sim = Simulator(seed=1)
+    db = make_dumbbell(sim)
+    sender, _ = make_flow(sim, db)
+    col = Collector(trace=True, sample_interval=1.0)
+    col.attach_sender(sender)
+    sender.start()
+    sim.run(until=3.0)
+    samples = select(col.records, "cwnd_sample")
+    assert len(samples) == 3  # the first ACK, then one per second
+    for rec in samples:
+        validate_record(rec)
+        assert rec["flow"] == sender.flow_id
+        assert rec["cwnd"] >= 1.0 and rec["ssthresh"] > 0 and rec["srtt"] > 0
+    gaps = [b["t"] - a["t"] for a, b in zip(samples, samples[1:])]
+    assert min(gaps) >= 1.0
+
+
 def test_trace_records_validate_against_schema():
     col = Collector(trace=True, sample_interval=0.05)
     result = run_dumbbell(
@@ -118,6 +139,11 @@ def test_finalize_records_engine_gauges():
 def test_collector_rejects_bad_interval():
     with pytest.raises(ValueError):
         Collector(sample_interval=0.0)
+
+
+def test_tracing_collector_rejects_bad_interval():
+    with pytest.raises(ValueError):
+        Collector(trace=True, sample_interval=0.0)
 
 
 def test_tagging_needs_somewhere_to_record():

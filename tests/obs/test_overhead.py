@@ -30,9 +30,6 @@ _ATTEMPTS = 3
 def _plain_enqueue(self, pkt, now):
     stats = self.stats
     buf = self._buf
-    if now > stats._last_change:
-        stats._q_integral += len(buf) * (now - stats._last_change)
-        stats._last_change = now
     stats.arrivals += 1
     if self._plain_admit:
         if len(buf) >= self.capacity or (
@@ -76,9 +73,6 @@ def _plain_dequeue(self, now):
     if not buf:
         return None
     stats = self.stats
-    if now > stats._last_change:
-        stats._q_integral += len(buf) * (now - stats._last_change)
-        stats._last_change = now
     pkt = buf.popleft()
     self._bytes -= pkt.size
     stats.departures += 1

@@ -11,7 +11,6 @@ from repro.predictors import (
     MovingAverageRttPredictor,
     TriSPredictor,
     VegasPredictor,
-    run_predictor,
 )
 
 
@@ -134,11 +133,6 @@ class TestCim:
     def test_validation(self):
         with pytest.raises(ValueError):
             CimPredictor(short=5, long=5)
-
-
-def test_run_predictor_returns_series():
-    out = run_predictor(InstantRttPredictor(0.1), trace([0.05, 0.2, 0.05]))
-    assert [s for _, s in out] == [False, True, False]
 
 
 def test_per_rtt_sampling_gates_updates():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.response import GentleRedCurve, PiResponse, RedCurve
 from repro.core.srtt import EwmaRtt, MovingAverageRtt
 from repro.metrics.fairness import jain_index
-from repro.metrics.stats import histogram_pdf, percentile
+from repro.metrics.stats import histogram_pdf
 from repro.predictors.analysis import TransitionCounts, coalesce_events
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -90,14 +90,6 @@ def test_jain_bounds(xs):
         assert j == 0.0
     else:
         assert 1.0 / len(xs) - 1e-12 <= j <= 1.0 + 1e-12
-
-
-@given(xs=st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
-                   max_size=100),
-       q=st.floats(min_value=0, max_value=100))
-def test_percentile_within_range(xs, q):
-    p = percentile(xs, q)
-    assert min(xs) - 1e-9 <= p <= max(xs) + 1e-9
 
 
 @given(xs=st.lists(st.floats(min_value=-2, max_value=3), min_size=1,

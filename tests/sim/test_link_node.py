@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
+from repro.sim.monitors import LinkWindow
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
@@ -72,8 +73,12 @@ def test_utilization_measurement():
     b.register_endpoint(5, Collector(sim))
     for i in range(10):
         sim.schedule(0.0, a.send, Packet(flow_id=5, src=0, dst=1, size=1000, seq=i))
+    win = LinkWindow(sim, link)
+    win.open()
     sim.run(until=0.0101)  # tiny slack for float accumulation in tx times
-    assert link.utilization(duration=0.01) == pytest.approx(1.0)
+    win.close()
+    # 10 ms of back-to-back transmission in a 10.1 ms window
+    assert win.utilization == pytest.approx(0.01 / 0.0101)
 
 
 def test_unroutable_packet_counted():

@@ -86,12 +86,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="capacity_bytes"):
             QueueConfig("pi", capacity_bytes=9000)
 
-    def test_with_params_merges(self):
-        cfg = QueueConfig("red", params=dict(min_th=5.0))
-        cfg2 = cfg.with_params(max_th=20.0)
-        assert cfg2.params == {"min_th": 5.0, "max_th": 20.0}
-        assert cfg.params == {"min_th": 5.0}  # original untouched
-
 
 class TestRngAndSim:
     def test_sim_derives_the_legacy_stream_label(self):

@@ -79,14 +79,6 @@ class TestDropTail:
         q.enqueue(pkt(1), 2.0)
         assert [(r["seq"], r["t"]) for r in select(records, "drop")] == [(1, 2.0)]
 
-    def test_mean_queue_time_average(self):
-        q = droptail(10)
-        q.enqueue(pkt(0), 0.0)  # queue 0 before, 1 after
-        q.enqueue(pkt(1), 1.0)  # 1 for [0,1]
-        q.dequeue(3.0)  # 2 for [1,3]
-        # mean over [0,4]: (0*0 + 1*1 + 2*2 + 1*1)/4 = 1.5
-        assert q.stats.mean_queue(4.0, len(q)) == pytest.approx(1.5)
-
     def test_conservation(self):
         q = droptail(4)
         accepted = sum(q.enqueue(pkt(i), 0.0) for i in range(10))

@@ -116,15 +116,3 @@ class TestCli:
         path.write_bytes(bytes(raw))
         assert cli.main(["verify", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_diff_same_and_different(self, tmp_path, capsys):
-        path_a, _ = _save(tmp_path)
-        path_b = tmp_path / "b.ckpt"
-        sim = _small_sim()
-        sim.run(until=0.35)  # one more event fired
-        save(path_b, sim, None)
-        assert cli.main(["diff", str(path_a), str(path_a)]) == 0
-        assert "match" in capsys.readouterr().out
-        assert cli.main(["diff", str(path_a), str(path_b)]) == 1
-        out = capsys.readouterr().out
-        assert "events_processed" in out or "now" in out

@@ -232,13 +232,14 @@ def test_link_callbacks_rebind_to_restored_objects():
 def test_rng_streams_continue_identically():
     """Restored RNG streams resume mid-sequence, not from their seeds."""
     sim = Simulator(seed=5)
-    rng = sim.stream("traffic")
+    red = make_queue(QueueConfig("red", capacity_pkts=20), sim)
+    rng = red.rng
     _burn = [rng.random() for _ in range(100)]
-    body = capture_bytes(sim)
+    body = capture_bytes(sim, red)
     expect = [rng.random() for _ in range(10)]
 
-    sim2, _state = restore_bytes(body)
-    rng2 = sim2._streams["traffic"]
+    _sim2, red2 = restore_bytes(body)
+    rng2 = red2.rng
     assert rng2 is not rng
     assert [rng2.random() for _ in range(10)] == expect
 

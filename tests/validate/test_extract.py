@@ -10,7 +10,6 @@ from repro.validate.extract import (
     headline_metrics,
     metric_id,
     rows_to_metrics,
-    subset,
 )
 
 
@@ -72,13 +71,6 @@ class TestRowsToMetrics:
         out = rows_to_metrics(rows, metrics=("flow_level", "queue_level"),
                               prefix_col="case")
         assert out == {"case1.flow_level": 0.2, "case1.queue_level": 0.8}
-
-    def test_subset_reports_absent_ids(self):
-        out = rows_to_metrics(self.ROWS, metrics=("norm_queue",),
-                              keys=("bandwidth_mbps",))
-        assert subset(out, ["pert.norm_queue@bandwidth_mbps=8",
-                            "pert.norm_queue@bandwidth_mbps=99"]) \
-            == ["pert.norm_queue@bandwidth_mbps=99"]
 
 
 class TestDerivedIds:
