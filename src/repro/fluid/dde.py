@@ -14,10 +14,16 @@ from a constant initial point.
 Three entry points share the grid and the arithmetic:
 
 * :func:`integrate_dde_floats` — one system, the **float contract**: the
-  state and the delayed state are sequences of Python floats and the rhs
+  state and the delayed state are tuples of Python floats and the rhs
   returns a tuple or list.  This is the scalar kernel — the only scalar
   stepping loop — and what the registered fluid models run on; no numpy
-  ufunc is involved.
+  ufunc is involved.  The loop is one source template
+  (:data:`_FLOAT_KERNEL`), compiled once per state dimension on first
+  use, with the state, the four RK4 stages and the two rows of an
+  interpolation unrolled into named locals (``x0, x1, x2``, ``a0 ..``,
+  ``p0 ..``) rather than lists walked per component;
+  ``tests/fluid/reference.py`` keeps that list loop as the reference the
+  generated one equals bit for bit.
 * :func:`integrate_dde` — one system, the **array contract**: ``(dim,)``
   float64 arrays in and out, so an rhs can be written ``A @ x``.  An
   adapter over the float kernel for everything that is not a registered
@@ -55,6 +61,9 @@ these rules are checked against, and the interpolations-per-step guard.
 
 from __future__ import annotations
 
+import functools
+import linecache
+import re
 from itertools import accumulate, repeat
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -130,17 +139,19 @@ def _grid(t0: float, dt: float, n_steps: int) -> np.ndarray:
                        float, n_steps + 1)
 
 
-def _ring_interpolator(tv: memoryview, ring: list, t0: float, dt: float):
-    """The float kernel's interior lookup over the rows kept in *ring*.
-
-    *tv* is the grid (indexing a memoryview yields a Python float; the
-    array would box an ``np.float64``) and row ``i`` sits at
-    ``ring[i % len(ring)]``.
-    """
+#: The float kernel's source: the ring interpolator and the stepping
+#: loop, compiled once per state dimension by :func:`_float_kernel`.
+#: ``{expr}`` stands for the tuple display of *expr* taken once per state
+#: component: the single letters ``x a b c d p q`` gain the component's
+#: index and ``i`` becomes it, so with two components
+#: ``{x + half * a}`` reads ``(x0 + half * a0, x1 + half * a1)``.  The
+#: state ``x``, the stages ``a b c d`` (k1 .. k4) and the two rows ``p q``
+#: of an interpolation are then named locals, not lists.
+_FLOAT_KERNEL = '''\
+def ring_interpolator(tv, ring, t0, dt):
     size = len(ring)
 
-    def interpolate(ti: float, n: int) -> Tuple[float, ...]:
-        """``x(ti)`` for ``t0 < ti < ts[n - 1]``, rows ``0 .. n - 1`` stored."""
+    def interpolate(ti, n):
         # O(1) uniform-grid guess.  The grid is built by accumulated
         # ``t += dt``, so ``(ti - t0) / dt`` can be off by one interval;
         # the fix-up loops restore the exact invariant ``searchsorted``
@@ -155,10 +166,114 @@ def _ring_interpolator(tv: memoryview, ring: list, t0: float, dt: float):
         t_lo = tv[idx]
         frac = (ti - t_lo) / (tv[idx + 1] - t_lo)
         rest = 1 - frac
-        return tuple([a * rest + b * frac for a, b in
-                      zip(ring[idx % size], ring[(idx + 1) % size])])
+        {p} = ring[idx % size]
+        {q} = ring[(idx + 1) % size]
+        return {p * rest + q * frac}
 
     return interpolate
+
+
+def step(rhs, start, t, n_steps, dt, euler, lag, out, ring, interpolate):
+    dim = len(start)
+    {x} = start
+    t0 = t
+    delayed = lag is not None
+    pre = last = start
+    xd = pre if delayed else None  # the first k1 reads t0 - lag
+    if delayed:
+        size = len(ring)
+    fresh = False  # k1 cannot reuse the previous k4's row
+    half = dt / 2
+    sixth = dt / 6.0
+    k = start
+    try:
+        for n in range(1, n_steps + 1):
+            # rows 0 .. n - 1 are stored, the newest (``last``) at ``t``
+            if fresh:
+                tq = t - lag
+                xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
+            k = rhs(t, {x}, xd)
+            {a} = k
+            if euler:
+                {x} = {x + dt * a}
+                fresh = delayed
+            else:
+                t_mid = t + half
+                t_end = t + dt
+                if delayed:
+                    tq = t_mid - lag
+                    xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
+                k = rhs(t_mid, {x + half * a}, xd)
+                {b} = k
+                k = rhs(t_mid, {x + half * b}, xd)
+                {c} = k
+                if delayed:
+                    # also the next step's t - lag; an end-clamped row is
+                    # not that step's answer, one more row will be stored
+                    # by then
+                    tq = t_end - lag
+                    xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
+                    fresh = tq >= t
+                k = rhs(t_end, {x + dt * c}, xd)
+                {d} = k
+                {x} = {x + sixth * (a + 2 * b + 2 * c + d)}
+            t += dt
+            row = n * dim
+            {out[row + i]} = {x}
+            if delayed:
+                last = ring[n % size] = {x}
+    except ValueError:
+        # every unpacking above follows the call that bound ``k``: a
+        # wrong-length ``k`` is what failed, anything else is the rhs's own
+        if len(k) != dim:
+            raise ValueError("rhs returned %d derivatives for %d state "
+                             "components" % (len(k), dim)) from None
+        raise
+'''
+
+#: a ``{expr}`` of the template, and a per-component name inside one
+_TEMPLATE_FIELD = re.compile(r"\{([^{}]*)\}")
+_COMPONENT_NAME = re.compile(r"\b([xabcdpqi])\b")
+
+
+def _per_component(expr: str, dim: int) -> str:
+    """*expr* once per component, as a tuple display (see the template)."""
+    items = [_COMPONENT_NAME.sub(
+        lambda m: str(i) if m[1] == "i" else f"{m[1]}{i}", expr)
+        for i in range(dim)]
+    return "(" + ", ".join(items) + ("," if dim == 1 else "") + ")"
+
+
+@functools.lru_cache(maxsize=None)
+def _float_kernel(dim: int) -> Tuple[Callable, Callable]:
+    """The template compiled for *dim* components: its two functions.
+
+    ``(ring_interpolator, step)``, generated on first use, the way
+    ``dataclasses`` writes ``__init__``; the source is registered with
+    ``linecache`` under a descriptive file name, so a traceback through
+    the kernel shows its lines.
+    """
+    source = _TEMPLATE_FIELD.sub(lambda m: _per_component(m[1], dim),
+                                 _FLOAT_KERNEL)
+    filename = f"<repro.fluid.dde float kernel, dim={dim}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["ring_interpolator"], namespace["step"]
+
+
+def _ring_interpolator(tv: memoryview, ring: list, t0: float, dt: float):
+    """The float kernel's interior lookup over the rows kept in *ring*.
+
+    *tv* is the grid (indexing a memoryview yields a Python float; the
+    array would box an ``np.float64``) and row ``i`` sits at
+    ``ring[i % len(ring)]``.  The returned ``interpolate(ti, n)`` is
+    ``x(ti)`` for ``t0 < ti < ts[n - 1]`` with rows ``0 .. n - 1``
+    stored, generated for rows of ``len(ring[0])`` components.
+    """
+    make, _ = _float_kernel(len(ring[0]))
+    return make(tv, ring, t0, dt)
 
 
 def integrate_dde_floats(
@@ -180,9 +295,10 @@ def integrate_dde_floats(
     ----------
     rhs:
         Callable receiving the current time, the current state as a
-        sequence of ``dim`` Python floats, and ``xd = x(t - lag)`` as a
+        tuple of ``dim`` Python floats, and ``xd = x(t - lag)`` as a
         tuple of floats (``None`` without a lag); must return the
-        ``dim`` derivatives as a tuple or list of floats.
+        ``dim`` derivatives as a tuple or list of floats (any other
+        count raises ``ValueError``, at whichever stage returns it).
     x0:
         Initial state; also the constant pre-history.
     method:
@@ -193,59 +309,26 @@ def integrate_dde_floats(
     The grid is ``t0, t0 + dt, ...`` built by repeated addition over
     ``round((t1 - t0) / dt)`` steps, so the run ends at that many steps
     past ``t0`` — not at ``t1`` when the span is not a multiple of *dt*.
-    Rows are written to the preallocated solution arrays; the lookups
-    read them back from a ring of the last ``lag / dt + 4`` rows.
+    Rows are written to the preallocated solution arrays through a flat
+    memoryview; the lookups read them back from a ring of the last
+    ``lag / dt + 4`` rows.
     """
     t, n_steps, euler = _check_problem(t_span, dt, method, lag)
-    x = [float(v) for v in x0]
-    dim = len(x)
+    start = tuple([float(v) for v in x0])
+    # generated before the solution arrays exist, so compiling a new
+    # dimension's kernel never adds to a run's peak memory
+    _, step = _float_kernel(len(start))
     ts = _grid(t, dt, n_steps)
-    xs = np.empty((n_steps + 1, dim))
-    xs[0] = x
-    t0 = t
-    delayed = lag is not None
-    pre = last = tuple(x)
-    xd = pre if delayed else None  # the first k1 reads t0 - lag
-    if delayed:
+    xs = np.empty((n_steps + 1, len(start)))
+    xs[0] = start
+    ring = interpolate = None
+    if lag is not None:
         # an interval read ``lag`` back starts at most lag / dt + 2 rows
         # behind the newest, one more with the grid's rounding
-        ring = [pre] * (int(min(lag / dt, n_steps)) + 4)
-        size = len(ring)
-        interpolate = _ring_interpolator(memoryview(ts), ring, t0, dt)
-    fresh = False  # k1 cannot reuse the previous k4's row
-    half = dt / 2
-    sixth = dt / 6.0
-    for n in range(1, n_steps + 1):
-        # rows 0 .. n - 1 are stored, the newest (``last``) at ``t``
-        if fresh:
-            tq = t - lag
-            xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
-        k1 = rhs(t, x, xd)
-        if len(k1) != dim:
-            raise ValueError(f"rhs returned {len(k1)} derivatives for "
-                             f"{dim} state components")
-        if euler:
-            x = [a + dt * b for a, b in zip(x, k1)]
-            fresh = delayed
-        else:
-            if delayed:
-                tq = (t + half) - lag
-                xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
-            k2 = rhs(t + half, [a + half * b for a, b in zip(x, k1)], xd)
-            k3 = rhs(t + half, [a + half * b for a, b in zip(x, k2)], xd)
-            if delayed:
-                # also the next step's t - lag; an end-clamped row is not
-                # that step's answer, one more row will be stored by then
-                tq = (t + dt) - lag
-                xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
-                fresh = tq >= t
-            k4 = rhs(t + dt, [a + dt * b for a, b in zip(x, k3)], xd)
-            x = [a + sixth * (b + 2 * c + 2 * d + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-        t += dt
-        xs[n] = x
-        if delayed:
-            last = ring[n % size] = tuple(x)
+        ring = [start] * (int(min(lag / dt, n_steps)) + 4)
+        interpolate = _ring_interpolator(memoryview(ts), ring, t, dt)
+    step(rhs, start, t, n_steps, dt, euler, lag, memoryview(xs.reshape(-1)),
+         ring, interpolate)
     return DdeSolution(ts, xs)
 
 

@@ -168,8 +168,9 @@ def simulate_batch(
     right-hand side evaluates the same arithmetic as
     :meth:`PertRedFluidModel.dynamics` elementwise, so member *b*'s trajectory
     is bit-identical to ``models[b].simulate(duration, dt, ...)`` — this
-    is a throughput optimisation for stability sweeps (Figure 13's
-    parameter grids), not an approximation.
+    is a throughput optimisation for stability sweeps over parameter
+    grids (the ``fluid.grid`` benchmark; Figure 13 itself runs
+    ``simulate()`` per delay), not an approximation.
 
     Structural options must be uniform across the batch: ``clamp`` and
     ``approximate_self_delay`` flags must agree, and time-varying flow

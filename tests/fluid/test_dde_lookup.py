@@ -370,3 +370,30 @@ def test_float_rhs_may_return_tuple_or_list(method):
     with pytest.raises(ValueError, match="derivatives"):
         integrate_dde_floats(lambda t, x, xd: (1.0, 2.0, 3.0), [1.0, 0.5],
                              (0.0, 1.0), dt=0.1, method=method)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_float_every_stage_derivative_count_is_checked(stage, count):
+    """A wrong count at k2..k4 is the k1 error, not a dropped value."""
+    calls = []
+
+    def rhs(t, x, xd):
+        calls.append(t)
+        if len(calls) == 4 + stage:  # the second step's stage
+            return (0.5,) * count
+        return -x[1], x[0]
+
+    with pytest.raises(ValueError, match=f"rhs returned {count} derivatives "
+                                         "for 2 state components"):
+        integrate_dde_floats(rhs, [1.0, 0.5], (0.0, 1.0), dt=0.1, lag=0.25)
+
+
+def test_float_rhs_value_error_is_not_a_count_error():
+    def rhs(t, x, xd):
+        if t > 0.5:
+            raise ValueError("from the model")
+        return -x[1], x[0]
+
+    with pytest.raises(ValueError, match="from the model"):
+        integrate_dde_floats(rhs, [1.0, 0.5], (0.0, 1.0), dt=0.1, lag=0.25)
