@@ -7,7 +7,9 @@ deterministic :class:`MetricsRegistry` and (optionally) a
 schema-versioned JSONL trace.  The runner writes one manifest per job
 next to its cache entry, and ``python -m repro.obs report <run-dir>``
 turns a directory of manifests/traces into wall-time, throughput and
-queue-behaviour summaries.
+queue-behaviour summaries; that report, ``python -m repro.obs diff`` and
+the dashboard all render one :class:`~repro.obs.rundir.RunView` fold of
+the directory.
 
 Everything here is strictly passive: attaching a collector schedules no
 simulator events and draws from no RNG stream, so instrumented and
@@ -30,17 +32,12 @@ from .bus import (
 )
 from .collect import Collector
 from .diff import diff_runs, flagged_deltas, format_diff
-from .manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    load_manifests,
-    load_manifests_with_warnings,
-    write_manifest,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Reading
+from .manifest import MANIFEST_SCHEMA, build_manifest, load_manifests, write_manifest
+from .metrics import Gauge, Histogram, MetricsRegistry, Reading
 from .profiler import SamplingProfiler
 from .records import TRACE_SCHEMA, record, select, validate_record
-from .report import format_table, generate_report, history_section, scheme_summary
+from .report import format_table, generate_report
+from .rundir import scheme_summary
 from .runtime import (
     JobObservation,
     ObsFlags,
@@ -55,7 +52,6 @@ from .trace import iter_trace, read_trace, write_trace
 __all__ = [
     "BUS_SCHEMA",
     "Collector",
-    "Counter",
     "EventBus",
     "Gauge",
     "Histogram",
@@ -76,11 +72,9 @@ __all__ = [
     "format_diff",
     "format_table",
     "generate_report",
-    "history_section",
     "iter_events",
     "iter_trace",
     "load_manifests",
-    "load_manifests_with_warnings",
     "note_simulator",
     "observe_job",
     "phase",

@@ -2,15 +2,14 @@
 
 Usage::
 
-    python -m repro.obs report <run-dir> [--top N] [--no-trace] [--history [F]]
+    python -m repro.obs report <run-dir> [--top N] [--no-trace]
     python -m repro.obs diff <runA> <runB> [--threshold PCT] [--strict]
     python -m repro.obs profile [--scheme pert] [--bandwidth BPS]
                                 [--duration S] [--seed N] [--period K]
 
 ``report`` post-processes the manifests and traces a runner execution
 left next to its cache entries (point it at the ``--cache-dir`` of a
-``python -m repro.experiments ... --obs --trace`` run); ``--history``
-appends the ``BENCH_history.jsonl`` perf trajectory.  ``diff`` compares
+``python -m repro.experiments ... --obs --trace`` run).  ``diff`` compares
 two run directories scheme by scheme with signed percent deltas and a
 configurable flag threshold (``--strict`` exits 1 when any delta
 exceeds it).  ``profile`` runs one dumbbell simulation under the
@@ -23,22 +22,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .report import format_table, generate_report
 
-#: repo-root bench history (src/repro/obs/__main__.py -> three parents up)
-_DEFAULT_HISTORY = Path(__file__).resolve().parents[3] / "BENCH_history.jsonl"
-
 
 def _cmd_report(args) -> int:
-    history = args.history
-    if history == "":  # bare --history: the committed repo trajectory
-        history = str(_DEFAULT_HISTORY)
-    print(generate_report(
-        args.run_dir, top=args.top, include_trace=not args.no_trace,
-        history=history,
-    ))
+    print(generate_report(args.run_dir, top=args.top,
+                          include_trace=not args.no_trace))
     return 0
 
 
@@ -103,10 +93,6 @@ def main(argv=None) -> int:
                      help="rows in the slowest-jobs/hot-callbacks tables")
     rep.add_argument("--no-trace", action="store_true",
                      help="skip reading sibling *.trace.jsonl files")
-    rep.add_argument("--history", nargs="?", const="", default=None,
-                     metavar="FILE",
-                     help="append the bench-history trajectory (default "
-                          "file: the repo's BENCH_history.jsonl)")
     rep.set_defaults(fn=_cmd_report)
 
     dif = sub.add_parser("diff", help="compare two run directories")

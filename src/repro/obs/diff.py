@@ -2,8 +2,9 @@
 
 ``python -m repro.obs diff <runA> <runB>`` answers "what changed
 between these two sweeps?" from their on-disk manifests alone — no
-re-simulation, works across machines.  Both directories are rolled up
-with :func:`repro.obs.report.scheme_summary` and every shared scheme is
+re-simulation, works across machines.  Each directory is one
+:class:`repro.obs.rundir.RunView` fold, rolled up per scheme exactly as
+the report and the dashboard roll it up, and every shared scheme is
 compared metric by metric (throughput, drop rate, normalized queue,
 utilization, mean queue delay), with signed percent deltas and a
 configurable threshold that flags — and, with ``--strict``, fails —
@@ -16,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .manifest import load_manifests_with_warnings
-from .report import format_table, scheme_summary
+from .report import format_table
+from .rundir import RunView
 
 __all__ = ["DEFAULT_DIFF_METRICS", "diff_runs", "flagged_deltas", "format_diff"]
 
@@ -65,19 +66,20 @@ def diff_runs(
     Validation manifests are excluded; schemes present in only one run
     are listed, not compared.
     """
-    out: Dict = {"runs": [str(run_a), str(run_b)], "schemes": {}}
-    summaries = []
-    out["jobs"] = []
-    out["warnings"] = []
+    sides = []
     for run_dir in (run_a, run_b):
-        manifests, warnings = load_manifests_with_warnings(run_dir)
-        manifests = [m for m in manifests if m.get("kind") != "validation"]
-        summaries.append(scheme_summary(manifests))
-        out["jobs"].append(len(manifests))
-        out["warnings"].append(len(warnings))
-    a, b = summaries
-    out["only_a"] = sorted(set(a) - set(b))
-    out["only_b"] = sorted(set(b) - set(a))
+        view = RunView(run_dir)
+        view.refresh()
+        sides.append(view.metrics())
+    a, b = (side["schemes"] for side in sides)
+    out: Dict = {
+        "runs": [str(run_a), str(run_b)],
+        "jobs": [side["jobs"] for side in sides],
+        "warnings": [len(side["warnings"]) for side in sides],
+        "schemes": {},
+        "only_a": sorted(set(a) - set(b)),
+        "only_b": sorted(set(b) - set(a)),
+    }
     for scheme in sorted(set(a) & set(b)):
         cell: Dict[str, dict] = {}
         for metric in metrics:

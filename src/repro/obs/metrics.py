@@ -1,6 +1,6 @@
-"""Deterministic metrics primitives: counters, gauges, histograms, readings.
+"""Deterministic metrics primitives: gauges, histograms, readings.
 
-All four instruments are plain Python state with no clocks, no RNG and
+All three instruments are plain Python state with no clocks, no RNG and
 no background threads, so a registry snapshot is a pure function of the
 simulation that fed it — the same fixed-seed run always yields the same
 snapshot, which lets golden tests pin metric output exactly.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Reading", "MetricsRegistry",
+__all__ = ["Gauge", "Histogram", "Reading", "MetricsRegistry",
            "QUEUE_DELAY_EDGES", "QUEUE_LEN_EDGES", "CWND_EDGES"]
 
 #: default bucket edges for queue-delay histograms (seconds)
@@ -31,24 +31,6 @@ QUEUE_LEN_EDGES: Tuple[float, ...] = (
 CWND_EDGES: Tuple[float, ...] = (
     2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,
 )
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add *n* (default 1) to the count."""
-        self.value += n
-
-    def snapshot(self):
-        """The current count (already JSON-clean)."""
-        return self.value
 
 
 class Gauge:
@@ -145,10 +127,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get-or-create the :class:`Counter` registered under *name*."""
-        return self._get(name, Counter, lambda: Counter(name))
 
     def gauge(self, name: str) -> Gauge:
         """Get-or-create the :class:`Gauge` registered under *name*."""

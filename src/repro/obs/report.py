@@ -1,28 +1,23 @@
 """Turn a run directory of manifests/traces into a readable report.
 
 The report CLI (``python -m repro.obs report <run-dir>``) is pure
-post-processing: it only reads the ``*.manifest.json`` and
-``*.trace.jsonl`` files the runner wrote, so it works on any completed
-run — including one produced on another machine — without re-simulating
-anything.
+post-processing: it renders the run directory's one fold
+(:class:`repro.obs.rundir.RunView` — the manifests, the bus when there
+is one) plus the ``*.trace.jsonl`` files the runner wrote, so it works
+on any completed run — including one produced on another machine —
+without re-simulating anything.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .manifest import load_manifests_with_warnings
+from .rundir import RunView
 from .trace import iter_trace
 
-__all__ = [
-    "generate_report",
-    "format_table",
-    "scheme_summary",
-    "history_section",
-]
+__all__ = ["generate_report", "format_table"]
 
 
 def format_table(headers: List[str], rows: List[List[str]]) -> str:
@@ -62,60 +57,9 @@ def _job_label(m: dict) -> str:
     return "/".join(bits)
 
 
-def scheme_summary(manifests: List[dict]) -> Dict[str, dict]:
-    """Numeric per-scheme rollup of a manifest set.
-
-    Groups by hoisted ``scheme`` (falling back to ``kind``) and returns,
-    per group: job count, summed wall seconds, summed events, events/s,
-    and the mean ``drop_rate`` / ``norm_queue`` / ``utilization`` of the
-    jobs that reported them (``None`` when none did).  This is the shared
-    aggregation behind the report table, the live dashboard's
-    ``/api/metrics``, and ``python -m repro.obs diff``.
-    """
-    by_scheme: Dict[str, dict] = {}
-    acc: Dict[str, dict] = {}
-    for m in manifests:
-        key = str(m.get("scheme") or m.get("kind") or "?")
-        agg = acc.setdefault(
-            key, {"jobs": 0, "wall": 0.0, "events": 0, "drop": [], "queue": [], "util": []}
-        )
-        agg.setdefault("delay", [])
-        agg["jobs"] += 1
-        agg["wall"] += m.get("wall_time") or 0.0
-        agg["events"] += m.get("events") or 0
-        result = m.get("result") or {}
-        for field, dest in (("drop_rate", "drop"), ("norm_queue", "queue"),
-                            ("utilization", "util")):
-            v = result.get(field)
-            if isinstance(v, (int, float)) and not math.isnan(v):
-                agg[dest].append(float(v))
-        # mean queue delay across this job's --obs metric snapshots
-        for name, snap in (m.get("metrics") or {}).items():
-            if (name.startswith("queue.") and name.endswith(".delay")
-                    and isinstance(snap, dict) and snap.get("count")):
-                agg["delay"].append(snap["sum"] / snap["count"])
-
-    def mean(xs):
-        return sum(xs) / len(xs) if xs else None
-
-    for scheme in sorted(acc):
-        agg = acc[scheme]
-        by_scheme[scheme] = {
-            "jobs": agg["jobs"],
-            "wall_time": agg["wall"],
-            "events": agg["events"],
-            "events_per_sec": agg["events"] / agg["wall"] if agg["wall"] > 0 else 0.0,
-            "drop_rate": mean(agg["drop"]),
-            "norm_queue": mean(agg["queue"]),
-            "utilization": mean(agg["util"]),
-            "queue_delay": mean(agg["delay"]),
-        }
-    return by_scheme
-
-
-def _scheme_rollup(manifests: List[dict]) -> List[List[str]]:
+def _scheme_rollup(schemes: Dict[str, dict]) -> List[List[str]]:
     rows = []
-    for scheme, agg in scheme_summary(manifests).items():
+    for scheme, agg in schemes.items():
         rows.append([
             scheme, str(agg["jobs"]), _fmt_secs(agg["wall_time"]),
             f"{agg['events']:,}", f"{agg['events_per_sec']:,.0f}",
@@ -210,109 +154,86 @@ def _trace_summary(manifests: List[dict]) -> List[str]:
     return lines
 
 
-def generate_report(
-    run_dir, top: int = 10, include_trace: bool = True,
-    history: Optional[str] = None,
-) -> str:
-    """Build the full text report for *run_dir*.
-
-    *history* optionally names a ``BENCH_history.jsonl`` file whose perf
-    trajectory is appended as a final section (see
-    :func:`history_section`).
-    """
-    all_manifests, warnings = load_manifests_with_warnings(run_dir)
-    validations = [m for m in all_manifests if m.get("kind") == "validation"]
-    manifests = [m for m in all_manifests if m.get("kind") != "validation"]
+def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
+    """Build the full text report for *run_dir*."""
+    view = RunView(run_dir)
+    view.refresh()
+    manifests, validations = view.manifests, view.validations
     out: List[str] = []
-    if not all_manifests:
-        text = (
+    if not (manifests or validations):
+        out.append(
             f"no manifests found under {run_dir}\n"
             "(manifests are written next to cache entries by fresh runs; "
             "re-run with --no-cache disabled, e.g. "
             "`python -m repro.experiments fig6 --obs --cache-dir <run-dir>`; "
             "for paper-fidelity verdicts see `python -m repro.validate report`)"
         )
-        if warnings:
-            text += "\n" + _warnings_section(warnings)
-        if history:
-            text += "\n" + history_section(history)
-        return text
-    if not manifests:
+    else:
         out.append(f"run directory : {run_dir}")
-        out.append("jobs          : 0 (validation manifests only)")
-        out.append(_validation_section(validations))
-        if warnings:
-            out.append(_warnings_section(warnings))
-        if history:
-            out.append(history_section(history))
-        return "\n".join(out)
+        out.append(f"jobs          : {len(manifests)}"
+                   + ("" if manifests else " (validation manifests only)"))
 
-    total_wall = sum(m.get("wall_time") or 0.0 for m in manifests)
-    total_events = sum(m.get("events") or 0 for m in manifests)
-    out.append(f"run directory : {run_dir}")
-    out.append(f"jobs          : {len(manifests)}")
-    out.append(f"job wall time : {_fmt_secs(total_wall)}")
-    out.append(f"sim events    : {total_events:,}")
-    if total_wall > 0:
-        out.append(f"events/s      : {total_events / total_wall:,.0f}")
+    if manifests:
+        total_wall = sum(m.get("wall_time") or 0.0 for m in manifests)
+        total_events = sum(m.get("events") or 0 for m in manifests)
+        out.append(f"job wall time : {_fmt_secs(total_wall)}")
+        out.append(f"sim events    : {total_events:,}")
+        if total_wall > 0:
+            out.append(f"events/s      : {total_events / total_wall:,.0f}")
 
-    out.append("\n== events/s by scheme ==")
-    out.append(format_table(
-        ["scheme", "jobs", "wall", "events", "events/s",
-         "drop_rate", "norm_queue", "util"],
-        _scheme_rollup(manifests),
-    ))
-
-    phases = _phase_rollup(manifests)
-    if phases:
-        out.append("\n== wall time by phase ==")
-        out.append(format_table(["phase", "wall", "share"], phases))
-
-    slowest = sorted(manifests, key=lambda m: -(m.get("wall_time") or 0.0))[:top]
-    rows = []
-    for m in slowest:
-        wall = m.get("wall_time") or 0.0
-        events = m.get("events") or 0
-        rss = m.get("peak_rss_kb")
-        rows.append([
-            _job_label(m), _fmt_secs(wall), f"{events:,}",
-            f"{events / wall:,.0f}" if wall > 0 else "-",
-            f"{rss / 1024:.0f}MB" if rss else "-",
-            str(m.get("attempts", 1)),
-        ])
-    out.append(f"\n== slowest jobs (top {len(rows)}) ==")
-    out.append(format_table(
-        ["job", "wall", "events", "events/s", "peak_rss", "attempts"], rows,
-    ))
-
-    hot = _profile_rollup(manifests, top)
-    if hot:
-        out.append(f"\n== hottest callbacks (top {len(hot)}, sampled) ==")
-        out.append(format_table(["callback", "samples", "est_time"], hot))
-
-    qrows = _queue_delay_summary(manifests)
-    if qrows:
-        out.append("\n== queue delay / drop summary (from --obs metrics) ==")
+        out.append("\n== events/s by scheme ==")
         out.append(format_table(
-            ["queue", "mean_delay", "max_delay", "samples", "drop_rate", "marks"],
-            qrows,
+            ["scheme", "jobs", "wall", "events", "events/s",
+             "drop_rate", "norm_queue", "util"],
+            _scheme_rollup(view.metrics()["schemes"]),
         ))
 
-    if include_trace:
-        tlines = _trace_summary(manifests)
-        if tlines:
-            out.append("\n== traces ==")
-            out.extend(tlines)
+        phases = _phase_rollup(manifests)
+        if phases:
+            out.append("\n== wall time by phase ==")
+            out.append(format_table(["phase", "wall", "share"], phases))
+
+        finished = [j for j in view.jobs() if j.get("wall_time") is not None]
+        slowest = sorted(finished, key=lambda j: -j["wall_time"])[:top]
+        rows = []
+        for j in slowest:
+            wall = j["wall_time"]
+            events = j.get("events") or 0
+            rss = j.get("peak_rss_kb")
+            rows.append([
+                _job_label(j), _fmt_secs(wall), f"{events:,}",
+                f"{events / wall:,.0f}" if wall > 0 else "-",
+                f"{rss / 1024:.0f}MB" if rss else "-",
+                str(j.get("attempts", 1)),
+            ])
+        out.append(f"\n== slowest jobs (top {len(rows)}) ==")
+        out.append(format_table(
+            ["job", "wall", "events", "events/s", "peak_rss", "attempts"], rows,
+        ))
+
+        hot = _profile_rollup(manifests, top)
+        if hot:
+            out.append(f"\n== hottest callbacks (top {len(hot)}, sampled) ==")
+            out.append(format_table(["callback", "samples", "est_time"], hot))
+
+        qrows = _queue_delay_summary(manifests)
+        if qrows:
+            out.append("\n== queue delay / drop summary (from --obs metrics) ==")
+            out.append(format_table(
+                ["queue", "mean_delay", "max_delay", "samples", "drop_rate", "marks"],
+                qrows,
+            ))
+
+        if include_trace:
+            tlines = _trace_summary(manifests)
+            if tlines:
+                out.append("\n== traces ==")
+                out.extend(tlines)
 
     if validations:
         out.append(_validation_section(validations))
-
-    if warnings:
-        out.append(_warnings_section(warnings))
-
-    if history:
-        out.append(history_section(history))
-
+    if view.warnings:
+        out.append(_warnings_section(view.warnings))
     return "\n".join(out)
 
 
@@ -324,62 +245,6 @@ def _warnings_section(warnings: List[dict]) -> str:
     lines.append("(torn writes from a crashed run; delete them or re-run "
                  "the affected jobs)")
     return "\n".join(lines)
-
-
-def history_section(path, last: int = 10) -> str:
-    """Render the bench-history trajectory (``BENCH_history.jsonl``).
-
-    Each line of the file is one ``python -m benchmarks.perf`` run
-    (schema-tagged, engine + git-sha stamped — see
-    :func:`benchmarks.perf.append_history`); the section tabulates the
-    most recent *last* entries per benchmark with the rate delta from
-    the previous entry, so perf drift is visible run over run.
-    """
-    path = Path(path)
-    if not path.exists():
-        return (f"\n== bench history ==\nno history at {path} "
-                "(populated by `python -m benchmarks.perf`)")
-    entries: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict) and isinstance(rec.get("rates"), dict):
-                entries.append(rec)
-    if not entries:
-        return f"\n== bench history ==\nno parseable entries in {path}"
-    rows = []
-    window = entries[-last:]
-    prev_by_name: Dict[str, float] = {}
-    for e in entries[: len(entries) - len(window)]:
-        for name, rate in e["rates"].items():
-            prev_by_name[name] = rate
-    for e in window:
-        for name in sorted(e["rates"]):
-            rate = e["rates"][name]
-            prev = prev_by_name.get(name)
-            delta = (
-                f"{100.0 * (rate - prev) / prev:+.1f}%"
-                if prev else "-"
-            )
-            rows.append([
-                name, str(e.get("git_sha") or "?"),
-                str(e.get("engine") or "?"),
-                "quick" if e.get("quick") else "full",
-                f"{rate:,.0f}", delta,
-            ])
-            prev_by_name[name] = rate
-    return (
-        f"\n== bench history (last {len(window)} runs of {len(entries)}) ==\n"
-        + format_table(
-            ["benchmark", "git_sha", "engine", "tier", "rate", "delta"], rows,
-        )
-    )
 
 
 def _validation_section(validations: List[dict]) -> str:

@@ -2,14 +2,14 @@
 
 Usage::
 
-    python -m repro.serve <run-dir> [--host H] [--port P] [--history F]
+    python -m repro.serve <run-dir> [--host H] [--port P]
 
 Serves the live dashboard for *run-dir* (a runner cache directory —
-the ``--cache-dir`` of an experiments run).  Point a browser at the
-printed URL; the page tails ``events.jsonl`` when a sweep writes one
-(``REPRO_BUS=1``) and falls back to manifest-only reporting otherwise.
-``--history`` additionally exposes a ``BENCH_history.jsonl`` perf
-trajectory on ``/api/history``.  Stop with Ctrl-C.
+the ``--cache-dir`` of an experiments run — or a fleet directory).
+Point a browser at the printed URL.  The job table has one row per
+manifest, with the live state of ``events.jsonl`` laid over it when a
+sweep writes one (``REPRO_BUS=1``), so a bus-off directory shows its
+finished jobs too.  Stop with Ctrl-C.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import sys
 from pathlib import Path
 
 from .app import make_server
-
-#: repo-root bench history (src/repro/serve/__main__.py -> three parents up)
-_DEFAULT_HISTORY = Path(__file__).resolve().parents[3] / "BENCH_history.jsonl"
 
 
 def main(argv=None) -> int:
@@ -34,18 +31,13 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8350,
                         help="port to bind (0 = ephemeral; default 8350)")
-    parser.add_argument("--history", nargs="?", const=str(_DEFAULT_HISTORY),
-                        default=None, metavar="FILE",
-                        help="expose a BENCH_history.jsonl on /api/history "
-                             "(default file: the repo's)")
     args = parser.parse_args(argv)
 
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         print(f"error: {run_dir} is not a directory", file=sys.stderr)
         return 2
-    server = make_server(run_dir, host=args.host, port=args.port,
-                         history=args.history)
+    server = make_server(run_dir, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"serving {run_dir} on http://{host}:{port}/  (Ctrl-C to stop)")
     try:

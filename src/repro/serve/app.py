@@ -9,30 +9,72 @@
                     (the journal's ``JobQueue.status`` in a fleet dir)
 ``/api/jobs``       one JSON record per job key
 ``/api/metrics``    per-scheme rollup from the manifests on disk
-``/api/history``    tail of the bench-history trajectory (if given)
 ``/events``         Server-Sent Events stream tailing ``events.jsonl``
 ==================  ==================================================
 
-Everything is read-only against the run directory, so the server can
-safely watch a sweep that is still executing.  The SSE stream starts at
-the current end of the bus file (pass ``?replay=1`` to start from the
-beginning) and sends a comment keepalive during idle stretches so
-proxies do not drop the connection.  No third-party packages: the whole
-stack is ``http.server`` + ``json`` + the :mod:`repro.serve.view`
-aggregator.
+The ``/api/*`` routes render one :class:`~repro.obs.rundir.RunView`
+fold of the directory, refreshed per request; the SSE stream is the
+HTTP layer's own concern (:func:`tail_events`).  Everything is read-only
+against the run directory, so the server can safely watch a sweep that
+is still executing.  The SSE stream starts at the current end of the bus
+file (pass ``?replay=1`` to start from the beginning) and sends a
+comment keepalive during idle stretches so proxies do not drop the
+connection.  No third-party packages: the whole stack is
+``http.server`` + ``json`` + the fold.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Tuple
 from urllib.parse import parse_qs, urlparse
 
-from .view import RunView
+from ..obs.bus import JsonlTail
+from ..obs.rundir import RunView
 
-__all__ = ["MonitorServer", "DashboardHandler", "make_server", "serve_in_background"]
+__all__ = ["MonitorServer", "DashboardHandler", "make_server",
+           "serve_in_background", "tail_events"]
+
+#: ``/api/*`` route -> payload of a freshly refreshed fold
+_API = {
+    "/api/runs": RunView.runs,
+    "/api/jobs": lambda view: {"jobs": view.jobs()},
+    "/api/metrics": RunView.metrics,
+}
+
+
+def tail_events(bus_path, from_start: bool = False, poll: float = 0.5,
+                stop=None, keepalive_every: float = 15.0):
+    """Yield ``(kind, text)`` pairs for an SSE stream, forever.
+
+    *kind* is ``"event"`` (text = one raw JSON line from the bus at
+    *bus_path*) or ``"keepalive"``.  Starts at end-of-file unless
+    *from_start*; polls every *poll* seconds; *stop* is an optional
+    ``threading.Event`` that ends the generator (tests use it — HTTP
+    clients just disconnect).  A keepalive is yielded after every
+    *keepalive_every* seconds without bus traffic so proxies and slow
+    consumers keep idle connections open (tests shrink it to exercise
+    the path without waiting 15 real seconds).
+    """
+    tail = JsonlTail(bus_path)
+    if not from_start:
+        tail.lines()  # skip what is already there
+    idle = 0.0
+    while stop is None or not stop.is_set():
+        lines = tail.lines()
+        for line in lines:
+            yield "event", line.decode("utf-8", "replace")
+        if lines:
+            idle = 0.0
+            continue
+        time.sleep(poll)
+        idle += poll
+        if idle >= keepalive_every:
+            yield "keepalive", ""
+            idle = 0.0
 
 
 class MonitorServer(ThreadingHTTPServer):
@@ -77,16 +119,9 @@ class DashboardHandler(BaseHTTPRequestHandler):
         if route == "/":
             self._send(200, PAGE_HTML.encode("utf-8"),
                        "text/html; charset=utf-8")
-        elif route == "/api/runs":
+        elif route in _API:
             view.refresh()
-            self._send_json(view.runs())
-        elif route == "/api/jobs":
-            view.refresh()
-            self._send_json({"jobs": view.jobs()})
-        elif route == "/api/metrics":
-            self._send_json(view.metrics())
-        elif route == "/api/history":
-            self._send_json(view.history())
+            self._send_json(_API[route](view))
         elif route == "/events":
             replay = "replay" in parse_qs(parsed.query)
             self._stream_events(replay)
@@ -115,8 +150,9 @@ class DashboardHandler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         try:
-            stream = self.server.view.tail_events(
-                from_start=replay, stop=self.server.stop_event,
+            stream = tail_events(
+                self.server.view.bus_path, from_start=replay,
+                stop=self.server.stop_event,
                 keepalive_every=self.server.keepalive_every,
             )
             for kind, text in stream:
@@ -130,25 +166,25 @@ class DashboardHandler(BaseHTTPRequestHandler):
 
 
 def make_server(run_dir, host: str = "127.0.0.1", port: int = 0,
-                history=None, keepalive_every: float = 15.0) -> MonitorServer:
+                keepalive_every: float = 15.0) -> MonitorServer:
     """Build a bound (not yet serving) :class:`MonitorServer`.
 
     ``port=0`` picks a free ephemeral port — read it back from
     ``server.server_address`` (the CI smoke test relies on this).
     """
-    return MonitorServer((host, port), RunView(run_dir, history=history),
+    return MonitorServer((host, port), RunView(run_dir),
                          keepalive_every=keepalive_every)
 
 
-def serve_in_background(run_dir, host: str = "127.0.0.1", port: int = 0,
-                        history=None) -> Tuple[MonitorServer, str]:
+def serve_in_background(run_dir, host: str = "127.0.0.1",
+                        port: int = 0) -> Tuple[MonitorServer, str]:
     """Start a dashboard server on a daemon thread; return (server, url).
 
     Used by the experiment CLIs' ``--serve`` flag: the sweep keeps the
     foreground, the dashboard tags along and dies with the process (or
     earlier via ``server.shutdown()``).
     """
-    server = make_server(run_dir, host=host, port=port, history=history)
+    server = make_server(run_dir, host=host, port=port)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-serve", daemon=True
     )
@@ -273,11 +309,6 @@ td.key { font-family: ui-monospace, monospace; font-size: 12px;
   <div id="metrics"></div>
 </section>
 
-<section id="historySec" hidden>
-  <h2>Bench history</h2>
-  <div id="history"></div>
-</section>
-
 <section>
   <h2>Event stream</h2>
   <div id="log"></div>
@@ -357,21 +388,6 @@ async function poll() {
   setTimeout(poll, 2000);
 }
 
-async function loadHistory() {
-  try {
-    const h = await fetch("/api/history").then((r) => r.json());
-    if (!h.entries.length) return;
-    $("historySec").hidden = false;
-    $("history").innerHTML = table(
-      ["when", "git", "engine", "benchmark", "events/s"],
-      h.entries.slice(-20).reverse().flatMap((e) =>
-        Object.entries(e.rates || {}).map(([bench, rate]) => [
-          esc((e.date || "").slice(0, 19)), fmt(e.git_sha), fmt(e.engine),
-          esc(bench), fmt(rate, 0),
-        ])), new Set([4]));
-  } catch (e) { /* endpoint is optional */ }
-}
-
 function logLine(text) {
   const log = $("log");
   let rec;
@@ -390,7 +406,6 @@ function logLine(text) {
 }
 
 poll();
-loadHistory();
 new EventSource("/events?replay=1").onmessage = (ev) => logLine(ev.data);
 </script>
 </body>

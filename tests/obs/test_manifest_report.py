@@ -13,7 +13,8 @@ from repro.obs.manifest import (
     load_manifests_with_warnings,
     write_manifest,
 )
-from repro.obs.report import generate_report, scheme_summary
+from repro.obs.report import generate_report
+from repro.obs.rundir import scheme_summary
 from repro.obs.trace import read_trace
 from repro.runner import run_jobs
 from repro.runner.cache import ResultCache

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-
-def test_counter_increments():
-    c = Counter("x")
-    c.inc()
-    c.inc(3)
-    assert c.value == 4
-    assert c.snapshot() == 4
+from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 
 
 def test_gauge_keeps_last_value():
@@ -47,9 +39,9 @@ def test_empty_histogram_snapshot():
 
 def test_registry_creates_on_first_use_and_reuses():
     reg = MetricsRegistry()
-    c1 = reg.counter("a")
-    c2 = reg.counter("a")
-    assert c1 is c2
+    g1 = reg.gauge("a")
+    g2 = reg.gauge("a")
+    assert g1 is g2
     reg.gauge("g").set(1)
     reg.histogram("h", edges=[1, 2])
     assert sorted(reg.snapshot()) == ["a", "g", "h"]
@@ -57,15 +49,15 @@ def test_registry_creates_on_first_use_and_reuses():
 
 def test_registry_rejects_type_mismatch():
     reg = MetricsRegistry()
-    reg.counter("x")
+    reg.gauge("x")
     with pytest.raises(TypeError):
-        reg.gauge("x")
+        reg.histogram("x", edges=[1.0])
 
 
 def test_snapshot_is_deterministic():
     def build():
         reg = MetricsRegistry()
-        reg.counter("z").inc(2)
+        reg.gauge("z").set(2)
         h = reg.histogram("h", edges=[1.0, 4.0])
         for v in (0.5, 2.0, 9.0):
             h.observe(v)

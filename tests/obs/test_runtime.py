@@ -63,7 +63,7 @@ def test_observation_without_flags_is_phases_only():
 
 def test_finish_includes_metrics_and_trace_when_enabled():
     with observe_job(ObsFlags(collect=True, trace=True)) as obs:
-        obs.collector.registry.counter("x").inc()
+        obs.collector.registry.gauge("x").set(1)
     meta = obs.finish()
     assert meta["metrics"]["x"] == 1
     assert meta["trace_records"] == []

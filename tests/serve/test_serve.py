@@ -1,4 +1,4 @@
-"""Dashboard server: RunView aggregation, JSON APIs, SSE stream."""
+"""Dashboard server: the RunView fold, JSON APIs, SSE stream."""
 
 import json
 import threading
@@ -12,7 +12,12 @@ from repro.fleet.journal import JOURNAL_SCHEMA
 from repro.obs.bus import BUS_SCHEMA, EventBus
 from repro.runner import JobSpec, run_jobs
 from repro.runner.cache import ResultCache
+from repro.runner.spec import dumbbell_spec
+from repro.obs.diff import diff_runs
+from repro.obs.manifest import load_manifests
+from repro.obs.report import _scheme_rollup, format_table, generate_report
 from repro.serve import RunView, make_server, serve_in_background
+from repro.serve.app import tail_events
 
 
 def _emit_lifecycle(path, key="k1", fail=False):
@@ -154,7 +159,8 @@ def test_torn_line_is_read_once_by_journal_view_and_sse(tmp_path):
     journal_path.write_text(rec[:20])
     bus_path.write_text(ev[:20])
     journal, view = Journal(tmp_path), RunView(tmp_path)
-    sse = view.tail_events(from_start=True, poll=0.01, keepalive_every=0.01)
+    sse = tail_events(view.bus_path, from_start=True, poll=0.01,
+                      keepalive_every=0.01)
     assert journal.read_new() == []
     assert view.refresh() == 0
     assert view.fleet()["counts"]["pending"] == 0
@@ -179,23 +185,99 @@ def test_runview_fleet_is_none_without_fleet_events(tmp_path):
     assert view.runs()["fleet"] is None
 
 
-def test_runview_metrics_and_history(tmp_path):
+def test_runview_metrics(tmp_path):
     (tmp_path / "k.manifest.json").write_text(json.dumps({
         "schema": 1, "key": "k", "kind": "dumbbell", "params": {},
         "scheme": "pert", "seed": 1, "wall_time": 2.0, "events": 5000,
         "result": {"drop_rate": 0.01},
     }))
-    hist = tmp_path / "BENCH_history.jsonl"
-    hist.write_text(json.dumps({"schema": "repro-bench-history/1",
-                                "rates": {"engine.churn": 1e6}}) + "\n"
-                    + "{garbage\n")
-    view = RunView(tmp_path, history=hist)
+    (tmp_path / "v.manifest.json").write_text(json.dumps({
+        "schema": 1, "kind": "validation", "wall_time": 1.0,
+        "validation": {"figure": "fig6"}}))
+    (tmp_path / "torn.manifest.json").write_text("{torn")
+    view = RunView(tmp_path)
+    view.refresh()
     metrics = view.metrics()
     assert metrics["jobs"] == 1
     assert metrics["schemes"]["pert"]["events_per_sec"] == pytest.approx(2500)
-    history = view.history()
-    assert len(history["entries"]) == 1  # garbage line skipped
-    assert RunView(tmp_path).history()["entries"] == []  # no history wired
+    assert len(metrics["warnings"]) == 1
+    assert [m["kind"] for m in view.validations] == ["validation"]
+
+
+def _events_specs():
+    return [
+        JobSpec(kind="tests.runner.jobs:events",
+                params={"value": i, "events": 20, "scheme": "pert", "seed": i})
+        for i in range(2)
+    ]
+
+
+def test_runview_lists_manifest_jobs_of_a_bus_off_directory(tmp_path):
+    """With the bus off, the manifests alone are the job table."""
+    specs = _events_specs()
+    run_jobs(specs, workers=0, cache=ResultCache(tmp_path), bus=False)
+    view = RunView(tmp_path)
+    assert view.refresh() == 0
+    jobs = view.jobs()
+    assert sorted(j["key"] for j in jobs) == sorted(s.cache_key for s in specs)
+    for job in jobs:
+        assert job["state"] == "done"
+        assert job["kind"] == "tests.runner.jobs:events"
+        assert job["scheme"] == "pert"
+    assert view.runs()["job_counts"]["done"] == 2
+
+
+def test_runview_cached_rows_carry_their_manifest(tmp_path):
+    """A key the bus only saw served from the cache still says what it
+    is: its manifest supplies kind/scheme/seed/wall_time, the bus the
+    state."""
+    specs = _events_specs()
+    run_jobs(specs, workers=0, cache=ResultCache(tmp_path), bus=False)
+    run_jobs(specs, workers=0, cache=ResultCache(tmp_path),
+             bus=tmp_path / "events.jsonl")
+    view = RunView(tmp_path)
+    view.refresh()
+    manifests = {m["key"]: m for m in load_manifests(tmp_path)}
+    jobs = view.jobs()
+    assert len(jobs) == 2
+    for job in jobs:
+        m = manifests[job["key"]]
+        assert job["state"] == "cached" and job["finished_ts"] is not None
+        for field in ("kind", "scheme", "seed", "wall_time"):
+            assert job[field] == m[field]
+
+
+def test_report_diff_and_dashboard_roll_up_one_fold(tmp_path, monkeypatch):
+    """The report's per-scheme table, ``diff_runs``' A column and
+    ``/api/metrics``' schemes are one dict of one fold."""
+    monkeypatch.setenv("REPRO_OBS", "1")  # queue_delay comes from --obs
+    run_jobs([dumbbell_spec(scheme=scheme, bandwidth=bw, n_fwd=3,
+                            duration=4.0, warmup=1.5, seed=3)
+              for scheme in ("pert", "sack-droptail") for bw in (2e6, 4e6)],
+             workers=0, cache=ResultCache(tmp_path), bus=False)
+    view = RunView(tmp_path)
+    view.refresh()
+    schemes = view.metrics()["schemes"]
+    assert set(schemes) == {"pert", "sack-droptail"}
+    assert all(agg["jobs"] == 2 and agg["queue_delay"] is not None
+               for agg in schemes.values())
+
+    server, url = serve_in_background(tmp_path)
+    try:
+        assert _get_json(url + "api/metrics")["schemes"] == schemes
+    finally:
+        server.shutdown()
+        server.server_close()
+
+    diff = diff_runs(tmp_path, tmp_path)
+    assert {s: {m: cell["a"] for m, cell in metrics.items()}
+            for s, metrics in diff["schemes"].items()} == {
+        s: {m: agg[m] for m in diff["schemes"][s]} for s, agg in schemes.items()}
+
+    table = format_table(
+        ["scheme", "jobs", "wall", "events", "events/s",
+         "drop_rate", "norm_queue", "util"], _scheme_rollup(schemes))
+    assert "== events/s by scheme ==\n" + table in generate_report(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +286,7 @@ def test_runview_metrics_and_history(tmp_path):
 
 @pytest.fixture
 def live_server(tmp_path):
-    specs = [
-        JobSpec(kind="tests.runner.jobs:events",
-                params={"value": i, "events": 20, "scheme": "pert", "seed": i})
-        for i in range(2)
-    ]
-    run_jobs(specs, workers=0, cache=ResultCache(tmp_path),
+    run_jobs(_events_specs(), workers=0, cache=ResultCache(tmp_path),
              bus=tmp_path / "events.jsonl")
     server, url = serve_in_background(tmp_path)
     yield server, url
@@ -234,8 +311,6 @@ def test_api_endpoints_serve_run_state(live_server):
     metrics = _get_json(url + "api/metrics")
     assert metrics["jobs"] == 2
     assert "pert" in metrics["schemes"]
-    history = _get_json(url + "api/history")
-    assert history["entries"] == []
 
 
 def test_dashboard_page_and_404(live_server):
@@ -313,9 +388,9 @@ def test_sse_keepalive_reaches_slow_consumer(tmp_path):
 
 
 def test_tail_events_keepalive_interval_is_configurable(tmp_path):
-    view = RunView(tmp_path)
     stop = threading.Event()
-    stream = view.tail_events(poll=0.05, stop=stop, keepalive_every=0.1)
+    stream = tail_events(tmp_path / "events.jsonl", poll=0.05, stop=stop,
+                         keepalive_every=0.1)
     kind, text = next(stream)
     assert (kind, text) == ("keepalive", "")
     stop.set()

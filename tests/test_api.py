@@ -81,6 +81,13 @@ def test_the_simulator_imports_without_the_observability_machinery():
     assert out.stdout.strip() == "[]"
     assert repro.sim.monitors.__all__ == [
         "QueueSampler", "LinkWindow", "ThroughputSampler", "nearest_sample"]
+    # and the run-directory fold loads neither the fleet nor the server
+    code = ("import repro.obs, sys;"
+            "print(sorted(m for m in sys.modules"
+            "             if m.startswith(('repro.fleet', 'repro.serve'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_a_pure_packet_run_imports_no_hybrid_machinery():
