@@ -472,9 +472,8 @@ def append_history(results: Dict, path: Optional[Path] = None) -> Path:
     """Append one suite run to the ``BENCH_history.jsonl`` trajectory.
 
     One JSON line per run, append-only — successive benchmark runs build
-    the perf-over-time record that ``python -m repro.obs report
-    --history``, ``repro.serve``'s ``/api/history``, and the perf
-    guard's failure diagnostics read.
+    the perf-over-time record.  :func:`read_history` is its only reader;
+    neither ``repro.obs`` nor ``repro.serve`` reads the file.
     """
     path = Path(path) if path is not None else DEFAULT_HISTORY
     line = json.dumps(history_record(results), sort_keys=True)

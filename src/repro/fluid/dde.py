@@ -11,13 +11,14 @@ uses, simplified to a fixed step.  Before ``t0`` the history is the
 constant initial state, matching the paper's simulations which start
 from a constant initial point.
 
-Three entry points share the grid and the arithmetic:
+Three entry points share the grid, the arithmetic and one plan of the
+delayed state:
 
 * :func:`integrate_dde_floats` — one system, the **float contract**: the
   state and the delayed state are tuples of Python floats and the rhs
   returns a tuple or list.  This is the scalar kernel — the only scalar
-  stepping loop — and what the registered fluid models run on; no numpy
-  ufunc is involved.  The loop is one source template
+  stepping loop — and what the registered fluid models run on; inside
+  the loop no numpy ufunc is involved.  The loop is one source template
   (:data:`_FLOAT_KERNEL`), compiled once per state dimension on first
   use, with the state, the four RK4 stages and the two rows of an
   interpolation unrolled into named locals (``x0, x1, x2``, ``a0 ..``,
@@ -29,7 +30,12 @@ Three entry points share the grid and the arithmetic:
   adapter over the float kernel for everything that is not a registered
   model; it carries no stepping arithmetic of its own.
 * :func:`integrate_dde_batch` — B independent systems advanced together
-  as ``(B, dim)`` array operations, each with its own lag.
+  as ``(B, dim)`` array operations on fixed buffers, each with its own
+  lag.  Its rhs is the float contract's per-component shape written in
+  place: ``rhs(t, x, xd, out)`` gets ``x`` and ``xd`` as tuples of
+  read-only ``(B,)`` column views and writes every component of the
+  derivative into ``out``, the writable ``(B,)`` columns of the stage
+  buffer.
 
 Every elementwise operation is the same IEEE-754 double operation in the
 same order whether it runs on Python floats or inside a float64 ufunc,
@@ -43,28 +49,38 @@ The delayed state (``xd`` in ``rhs(t, x, xd)``)
 * **The kernel computes it**: ``xd = x(t - lag)`` for the *lag* declared
   to the kernel (``None`` for an ODE, whose rhs then gets ``xd = None``).
   Between grid points it is ``x_lo * (1 - f) + x_hi * f`` on exactly the
-  interval ``searchsorted`` would pick: a uniform-grid guess, corrected
-  by a one-ulp fix-up (the grid is built by repeated ``t += dt``).  An
-  RK4 step interpolates at most twice, at ``t + dt/2 - lag`` and
-  ``t + dt - lag``; the latter row is the next step's ``t - lag`` and
-  carries over unless it was end-clamped.  Euler interpolates once.
+  interval ``searchsorted`` would pick.
+* **One plan**: :func:`_resolve` is the only implementation of that
+  rule.  Over a chunk of steps at once, vectorised over steps and
+  members, it finds each query's interval — a uniform-grid guess,
+  corrected by a one-ulp fix-up (the grid is built by repeated
+  ``t += dt``) — and its weight ``f``, or marks the query as a row to
+  copy.  Both kernels step through that plan: the batch gathers a
+  step's rows from the stored solution, the float kernel reads ring
+  slots, weights and edge flags through memoryviews and interpolates
+  inline.  An RK4
+  step plans two queries, at ``t + dt/2 - lag`` and ``t + dt - lag``;
+  the latter row is the next step's ``t - lag`` and carries over unless
+  it was end-clamped, when k1's query is planned again.  Euler plans
+  one.
 * **Before ``t0``** it is ``x0``; **at or past the last stored row**
   (a lag shorter than the step: RK4's later stages look past the stored
   history) it holds that row.
-* **It cannot be modified**: a tuple in the float contract, an array
+* **It cannot be modified**: a tuple in the float contract, arrays
   with ``writeable=False`` in the other two.  An rhs that needs to
   modify it copies it first.
 
 ``tests/fluid/test_dde_lookup.py`` holds the ``searchsorted`` oracle
-these rules are checked against, and the interpolations-per-step guard.
+these rules are checked against, and the planned-queries-per-step guard.
 """
 
 from __future__ import annotations
 
 import functools
 import linecache
+import math
 import re
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,8 +93,12 @@ __all__ = [
     "integrate_dde_batch",
 ]
 
-#: (step, member) queries the batch kernel resolves per plan chunk
-_PLAN_QUERIES = 1024
+#: (step, member) pairs a batch plan chunk covers: ``_PLAN_QUERIES // B``
+#: steps.  The float kernel's chunks are an eighth of it, 96 steps: its
+#: plan takes ≈ 130 bytes a step while a chunk is resolved, beside an
+#: O(R/dt) ring of rows, and a 60 s run at R = 171 ms stays 64 KB above
+#: its solution arrays with its kernel compiled in the same run.
+_PLAN_QUERIES = 768
 
 
 class DdeSolution:
@@ -121,16 +141,19 @@ class DdeSolution:
 def _check_problem(t_span, dt: float, method: str,
                    lag) -> Tuple[float, int, bool]:
     """Validate the grid arguments and the lag; ``(t0, n_steps, euler)``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if method not in ("rk4", "euler"):
         raise ValueError(f"unknown method {method!r}")
     t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError("t_span must be finite and increasing")
+    steps = (t1 - t0) / dt
+    if not steps < math.inf:
+        raise ValueError("t_span holds more steps of dt than a float counts")
     if lag is not None and not np.all(np.asarray(lag) >= 0):
         raise ValueError("lag must be non-negative")
-    return t0, int(round((t1 - t0) / dt)), method == "euler"
+    return t0, int(round(steps)), method == "euler"
 
 
 def _grid(t0: float, dt: float, n_steps: int) -> np.ndarray:
@@ -139,89 +162,191 @@ def _grid(t0: float, dt: float, n_steps: int) -> np.ndarray:
                        float, n_steps + 1)
 
 
-#: The float kernel's source: the ring interpolator and the stepping
-#: loop, compiled once per state dimension by :func:`_float_kernel`.
-#: ``{expr}`` stands for the tuple display of *expr* taken once per state
-#: component: the single letters ``x a b c d p q`` gain the component's
-#: index and ``i`` becomes it, so with two components
-#: ``{x + half * a}`` reads ``(x0 + half * a0, x1 + half * a1)``.  The
-#: state ``x``, the stages ``a b c d`` (k1 .. k4) and the two rows ``p q``
-#: of an interpolation are then named locals, not lists.
+# ----------------------------------------------------------------------
+# the plan of the delayed state, shared by both kernels
+# ----------------------------------------------------------------------
+def _resolve(q: np.ndarray, steps: np.ndarray, ts: np.ndarray, dt: float,
+             batch: int) -> tuple:
+    """Where a chunk of delayed-time queries reads the stored solution.
+
+    ``q[c, j]`` is made at step ``steps[c]`` (row ``steps[c]`` is the
+    newest stored) for member ``j % batch``.  Returns ``(lo, hi, f,
+    edge)``, each indexed ``[c, j]``: flat row indices into
+    ``xs.reshape(-1, dim)`` (the row itself when ``batch`` is 1), the
+    weight ``f`` of row ``hi`` (``1 - f`` is row ``lo``'s), and the mask
+    of boundary entries — pre-history or end-clamped, ``lo == hi`` the
+    row to copy.
+    """
+    t0 = ts[0]
+    newest = steps[:, None]
+    pre = q <= t0
+    end = q >= ts[newest]
+    edge = pre | end
+    guess = q - t0
+    guess /= dt
+    np.maximum(guess, 0, out=guess)  # pre-history: row 0
+    np.minimum(guess, len(ts) - 2, out=guess)
+    lo = guess.astype(np.intp)
+    del guess  # the dels hold a chunk to five of its arrays at a time
+    t_lo, t_hi = ts[lo], ts[lo + 1]
+    # one-ulp fix-up to t_lo < q <= t_hi (interior entries)
+    inner = ~edge
+    while True:
+        down = t_lo >= q
+        up = t_hi < q
+        off = down | up
+        off &= inner
+        if not off.any():
+            break
+        lo += up & off
+        lo -= down & off
+        t_lo, t_hi = ts[lo], ts[lo + 1]
+    t_hi -= t_lo
+    frac = np.subtract(q, t_lo, out=t_lo)
+    frac /= t_hi
+    del t_lo, t_hi
+    np.copyto(frac, 0.0, where=edge)
+    np.copyto(lo, newest, where=end)  # pre-history entries are at row 0
+    hi = lo + 1
+    np.copyto(hi, lo, where=edge)
+    if batch > 1:
+        members = np.arange(q.shape[1]) % batch
+        lo *= batch
+        lo += members
+        hi *= batch
+        hi += members
+    return lo, hi, frac, edge
+
+
+def _plan(ts: np.ndarray, lags: np.ndarray, dt: float, euler: bool,
+          chunk: int):
+    """Yield the delayed-state plan of each chunk of steps.
+
+    A chunk is ``(main, fresh, redo)``.  ``main`` is :func:`_resolve` of
+    the queries the chunk's steps make for their own stages: Euler's
+    ``t - lag``; RK4's ``t + dt/2 - lag``, then ``t + dt - lag``, B
+    members each.  RK4's k1 reuses the previous step's ``t + dt - lag``
+    row unless that row was end-clamped: ``fresh`` masks the (step,
+    member) pairs where it was, and ``redo`` resolves ``t - lag`` at the
+    steps with any (``None`` without one; Euler has neither).  A chunk
+    is *chunk* steps, so a plan is O(chunk × B), never O(steps × B); a
+    chunk is not referenced here once it is yielded.
+    """
+    n_steps = len(ts) - 1
+    chunk = max(1, chunk)
+    for first in range(0, n_steps, chunk):
+        yield _plan_chunk(ts, lags, dt, euler,
+                          np.arange(first, min(first + chunk, n_steps)))
+
+
+def _plan_chunk(ts, lags, dt, euler, steps):
+    """One chunk of :func:`_plan`, for the consecutive *steps*."""
+    batch = len(lags)
+    first, stop = steps[0], steps[-1] + 1
+    t = ts[first:stop, None]
+    q1 = t - lags
+    if euler:
+        return _resolve(q1, steps, ts, dt, batch), None, None
+    # step 0 compares with ts[-1], the last grid time: never fresh
+    fresh = q1 >= ts[steps - 1][:, None]
+    again = fresh.any(axis=1)
+    redo = (_resolve(q1[again], steps[again], ts, dt, batch)
+            if again.any() else None)
+    del q1
+    main = _resolve(np.concatenate([(t + dt / 2) - lags,
+                                    ts[first + 1:stop + 1, None] - lags],
+                                   axis=1),
+                    steps, ts, dt, batch)
+    return main, fresh, redo
+
+
+# ----------------------------------------------------------------------
+# the float kernel
+# ----------------------------------------------------------------------
+#: The float kernel's source: the stepping loop, compiled once per state
+#: dimension by :func:`_float_kernel`.  ``{expr}`` stands for the tuple
+#: display of *expr* taken once per state component: the single letters
+#: ``x a b c d p q`` gain the component's index and ``i`` becomes it, so
+#: with two components ``{x + half * a}`` reads ``(x0 + half * a0, x1 +
+#: half * a1)``.  The state ``x``, the stages ``a b c d`` (k1 .. k4) and
+#: the two rows ``p q`` of an interpolation are then named locals, not
+#: lists.  A lookup of the plan (:func:`_ring_plans`) is ``l h f e``:
+#: the ring slots of the two rows, row ``h``'s weight (``g = 1 - f`` is
+#: row ``l``'s) and the edge flag (copy slot ``l``), suffixed by the
+#: stage it serves.
 _FLOAT_KERNEL = '''\
-def ring_interpolator(tv, ring, t0, dt):
-    size = len(ring)
-
-    def interpolate(ti, n):
-        # O(1) uniform-grid guess.  The grid is built by accumulated
-        # ``t += dt``, so ``(ti - t0) / dt`` can be off by one interval;
-        # the fix-up loops restore the exact invariant ``searchsorted``
-        # establishes: ts[idx] < ti <= ts[idx + 1].
-        idx = int((ti - t0) / dt)
-        if idx > n - 2:
-            idx = n - 2
-        while idx > 0 and tv[idx] >= ti:
-            idx -= 1
-        while tv[idx + 1] < ti:
-            idx += 1
-        t_lo = tv[idx]
-        frac = (ti - t_lo) / (tv[idx + 1] - t_lo)
-        rest = 1 - frac
-        {p} = ring[idx % size]
-        {q} = ring[(idx + 1) % size]
-        return {p * rest + q * frac}
-
-    return interpolate
-
-
-def step(rhs, start, t, n_steps, dt, euler, lag, out, ring, interpolate):
+def step(rhs, start, t, dt, euler, lag, out, ring, plans):
     dim = len(start)
-    {x} = start
-    t0 = t
+    size = len(ring)
     delayed = lag is not None
-    pre = last = start
-    xd = pre if delayed else None  # the first k1 reads t0 - lag
-    if delayed:
-        size = len(ring)
-    fresh = False  # k1 cannot reuse the previous k4's row
+    {x} = start
+    xd = ring[0]  # the first k1 reads t0 - lag: x0, or None for an ODE
     half = dt / 2
     sixth = dt / 6.0
+    n = 0
     k = start
     try:
-        for n in range(1, n_steps + 1):
-            # rows 0 .. n - 1 are stored, the newest (``last``) at ``t``
-            if fresh:
-                tq = t - lag
-                xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
-            k = rhs(t, {x}, xd)
-            {a} = k
+        for rows, redo in plans:
             if euler:
-                {x} = {x + dt * a}
-                fresh = delayed
+                for l1, h1, f1, e1 in rows:
+                    if e1:
+                        xd = ring[l1]
+                    else:
+                        {p} = ring[l1]
+                        {q} = ring[h1]
+                        g = 1 - f1
+                        xd = {p * g + q * f1}
+                    k = rhs(t, {x}, xd)
+                    {a} = k
+                    {x} = {x + dt * a}
+                    t += dt
+                    n += 1
+                    row = n * dim
+                    {out[row + i]} = {x}
+                    if delayed:
+                        ring[n % size] = {x}
             else:
-                t_mid = t + half
-                t_end = t + dt
-                if delayed:
-                    tq = t_mid - lag
-                    xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
-                k = rhs(t_mid, {x + half * a}, xd)
-                {b} = k
-                k = rhs(t_mid, {x + half * b}, xd)
-                {c} = k
-                if delayed:
-                    # also the next step's t - lag; an end-clamped row is
-                    # not that step's answer, one more row will be stored
-                    # by then
-                    tq = t_end - lag
-                    xd = pre if tq <= t0 else last if tq >= t else interpolate(tq, n)
-                    fresh = tq >= t
-                k = rhs(t_end, {x + dt * c}, xd)
-                {d} = k
-                {x} = {x + sixth * (a + 2 * b + 2 * c + d)}
-            t += dt
-            row = n * dim
-            {out[row + i]} = {x}
-            if delayed:
-                last = ring[n % size] = {x}
+                for again, l2, h2, f2, e2, l4, h4, f4, e4 in rows:
+                    if again:  # the last k4 row was end-clamped: look anew
+                        l1, h1, f1, e1 = next(redo)
+                        if e1:
+                            xd = ring[l1]
+                        else:
+                            {p} = ring[l1]
+                            {q} = ring[h1]
+                            g = 1 - f1
+                            xd = {p * g + q * f1}
+                    k = rhs(t, {x}, xd)
+                    {a} = k
+                    if e2:
+                        xd = ring[l2]
+                    else:
+                        {p} = ring[l2]
+                        {q} = ring[h2]
+                        g = 1 - f2
+                        xd = {p * g + q * f2}
+                    t_mid = t + half
+                    k = rhs(t_mid, {x + half * a}, xd)
+                    {b} = k
+                    k = rhs(t_mid, {x + half * b}, xd)
+                    {c} = k
+                    if e4:
+                        xd = ring[l4]
+                    else:
+                        {p} = ring[l4]
+                        {q} = ring[h4]
+                        g = 1 - f4
+                        xd = {p * g + q * f4}
+                    k = rhs(t + dt, {x + dt * c}, xd)
+                    {d} = k
+                    {x} = {x + sixth * (a + 2 * b + 2 * c + d)}
+                    t += dt
+                    n += 1
+                    row = n * dim
+                    {out[row + i]} = {x}
+                    if delayed:
+                        ring[n % size] = {x}
+            del rows, redo  # the chunk's plan goes before the next is made
     except ValueError:
         # every unpacking above follows the call that bound ``k``: a
         # wrong-length ``k`` is what failed, anything else is the rhs's own
@@ -245,13 +370,12 @@ def _per_component(expr: str, dim: int) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _float_kernel(dim: int) -> Tuple[Callable, Callable]:
-    """The template compiled for *dim* components: its two functions.
+def _float_kernel(dim: int) -> Callable:
+    """The template's ``step`` compiled for *dim* components.
 
-    ``(ring_interpolator, step)``, generated on first use, the way
-    ``dataclasses`` writes ``__init__``; the source is registered with
-    ``linecache`` under a descriptive file name, so a traceback through
-    the kernel shows its lines.
+    Generated on first use, the way ``dataclasses`` writes ``__init__``;
+    the source is registered with ``linecache`` under a descriptive file
+    name, so a traceback through the kernel shows its lines.
     """
     source = _TEMPLATE_FIELD.sub(lambda m: _per_component(m[1], dim),
                                  _FLOAT_KERNEL)
@@ -260,20 +384,34 @@ def _float_kernel(dim: int) -> Tuple[Callable, Callable]:
                                  source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["ring_interpolator"], namespace["step"]
+    return namespace["step"]
 
 
-def _ring_interpolator(tv: memoryview, ring: list, t0: float, dt: float):
-    """The float kernel's interior lookup over the rows kept in *ring*.
+def _ring_plans(ts: np.ndarray, lag: float, dt: float, euler: bool,
+                size: int):
+    """The float kernel's ``(rows, redo)``, one per chunk of :func:`_plan`.
 
-    *tv* is the grid (indexing a memoryview yields a Python float; the
-    array would box an ``np.float64``) and row ``i`` sits at
-    ``ring[i % len(ring)]``.  The returned ``interpolate(ti, n)`` is
-    ``x(ti)`` for ``t0 < ti < ts[n - 1]`` with rows ``0 .. n - 1``
-    stored, generated for rows of ``len(ring[0])`` components.
+    A lookup is the ring slots of its two rows, the weight ``f`` of the
+    second and its edge flag.  ``rows`` iterates each step's lookups,
+    behind RK4's flag that k1 looks again, and ``redo`` those k1 lookups:
+    memoryviews of the plan's arrays, which yield Python ints, floats and
+    bools one step at a time.
     """
-    make, _ = _float_kernel(len(ring[0]))
-    return make(tv, ring, t0, dt)
+    def lookups(plan):
+        lo, hi, frac, edge = plan
+        lo %= size
+        hi %= size
+        return [memoryview(field) for j in range(lo.shape[1])
+                for field in (lo[:, j], hi[:, j], frac[:, j], edge[:, j])]
+
+    def chunk(main, fresh, redo):
+        rows = lookups(main)
+        if fresh is not None:
+            rows.insert(0, memoryview(fresh[:, 0]))
+        return zip(*rows), None if redo is None else zip(*lookups(redo))
+
+    return starmap(chunk, _plan(ts, np.array([lag], dtype=float), dt, euler,
+                                _PLAN_QUERIES // 8))
 
 
 def integrate_dde_floats(
@@ -289,7 +427,7 @@ def integrate_dde_floats(
 
     The scalar kernel: the one stepping loop every single-system
     integration runs (:func:`integrate_dde` adapts array right-hand
-    sides onto it).  Nothing in it touches a numpy ufunc.
+    sides onto it).  Nothing in the loop touches a numpy ufunc.
 
     Parameters
     ----------
@@ -311,24 +449,29 @@ def integrate_dde_floats(
     past ``t0`` — not at ``t1`` when the span is not a multiple of *dt*.
     Rows are written to the preallocated solution arrays through a flat
     memoryview; the lookups read them back from a ring of the last
-    ``lag / dt + 4`` rows.
+    ``lag / dt + 4`` rows, where the plan's slots point.
     """
     t, n_steps, euler = _check_problem(t_span, dt, method, lag)
     start = tuple([float(v) for v in x0])
     # generated before the solution arrays exist, so compiling a new
     # dimension's kernel never adds to a run's peak memory
-    _, step = _float_kernel(len(start))
+    step = _float_kernel(len(start))
     ts = _grid(t, dt, n_steps)
     xs = np.empty((n_steps + 1, len(start)))
     xs[0] = start
-    ring = interpolate = None
-    if lag is not None:
+    if lag is None:
+        # every lookup copies the one slot, which holds no state
+        ring = [None]
+        lookup = (0, 0, 0.0, True)
+        plans = [(repeat(lookup if euler else (False,) + lookup * 2,
+                         n_steps), None)]
+    else:
         # an interval read ``lag`` back starts at most lag / dt + 2 rows
         # behind the newest, one more with the grid's rounding
         ring = [start] * (int(min(lag / dt, n_steps)) + 4)
-        interpolate = _ring_interpolator(memoryview(ts), ring, t, dt)
-    step(rhs, start, t, n_steps, dt, euler, lag, memoryview(xs.reshape(-1)),
-         ring, interpolate)
+        plans = _ring_plans(ts, lag, dt, euler, len(ring))
+    step(rhs, start, t, dt, euler, lag, memoryview(xs.reshape(-1)), ring,
+         plans)
     return DdeSolution(ts, xs)
 
 
@@ -408,109 +551,83 @@ class DdeBatchSolution:
         return self.y[:, :, i]
 
 
-def _resolve(q: np.ndarray, steps: np.ndarray, ts: np.ndarray, dt: float,
-             batch: int) -> list:
-    """Where a chunk of delayed-time queries reads the stored solution.
+def _columns(block: np.ndarray, writeable: bool = False) -> tuple:
+    """The ``(B,)`` column views of a ``(B, dim)`` buffer, made once."""
+    columns = tuple(block[:, i] for i in range(block.shape[1]))
+    for column in columns:
+        column.flags.writeable = writeable
+    return columns
 
-    ``q[c, j]`` is made at step ``steps[c]`` (row ``steps[c]`` is the
-    newest stored) for member ``j % batch``.  The same guess-and-fix-up
-    index arithmetic as the float kernel's, elementwise, over the whole
-    chunk at once.  Returns one ``(lo, hi, w_lo, w_hi, edge)`` per step
-    for :func:`_gather`: flat row indices into ``xs.reshape(-1, dim)``,
-    weights ``1 - f`` and ``f``, and the mask of boundary entries —
-    pre-history or end-clamped, ``lo == hi`` the row to copy — or
-    ``None`` when the step has none.
-    """
-    t0 = ts[0]
-    newest = steps[:, None]
-    pre = q <= t0
-    edge = pre | (q >= ts[newest])
-    inner = ~edge
-    guess = (q - t0) / dt
-    np.clip(guess, 0, len(ts) - 2, out=guess)
-    idx = guess.astype(np.intp)
-    # one-ulp fix-up to ts[idx] < q <= ts[idx + 1] (interior entries)
-    while True:
-        down = inner & (ts[idx] >= q)
-        if not down.any():
-            break
-        idx[down] -= 1
-    while True:
-        up = inner & (ts[idx + 1] < q)
-        if not up.any():
-            break
-        idx[up] += 1
-    t_lo = ts[idx]
-    frac = (q - t_lo) / (ts[idx + 1] - t_lo)
-    row = np.where(pre, 0, newest)
-    members = np.arange(q.shape[1]) % batch
-    lo = np.where(edge, row, idx) * batch + members
-    hi = np.where(edge, row, idx + 1) * batch + members
-    w_hi = np.where(edge, 0.0, frac)[..., None]
-    w_lo = 1 - w_hi
+
+def _per_step(plan: tuple):
+    """*plan*'s lookups one step at a time: row indices, the two rows'
+    weights as columns, and the edge mask (``None`` when a step has no
+    boundary entry)."""
+    lo, hi, frac, edge = plan
+    w_hi = frac[..., None]
     edges = [e if any_ else None
              for e, any_ in zip(edge[..., None], edge.any(axis=1))]
-    return list(zip(lo, hi, w_lo, w_hi, edges))
+    return zip(lo, hi, 1 - w_hi, w_hi, edges)
 
 
-def _gather(flat: np.ndarray, lo, hi, w_lo, w_hi, edge) -> np.ndarray:
-    """One step's delayed rows, ``x_lo * (1 - f) + x_hi * f``, read-only.
+def _gather(flat: np.ndarray, lo, hi, w_lo, w_hi, edge, out: np.ndarray,
+            rows_lo: np.ndarray, rows_hi: np.ndarray) -> None:
+    """One step's delayed rows, ``x_lo * (1 - f) + x_hi * f``, into *out*.
 
     Boundary entries are copied from their row exactly (``x * 1 + x * 0``
-    is not ``x`` for an infinite ``x``).
+    is not ``x`` for an infinite ``x``).  The indices are always in
+    range; ``"clip"`` only spares ``take`` a buffered copy of its output.
     """
-    x_lo = flat.take(lo, axis=0)
-    out = x_lo * w_lo + flat.take(hi, axis=0) * w_hi
+    flat.take(lo, 0, rows_lo, "clip")
+    flat.take(hi, 0, rows_hi, "clip")
+    np.multiply(rows_lo, w_lo, out)
+    np.multiply(rows_hi, w_hi, rows_hi)
+    np.add(out, rows_hi, out)
     if edge is not None:
-        np.copyto(out, x_lo, where=edge)
-    out.setflags(write=False)
-    return out
+        np.copyto(out, rows_lo, where=edge)
 
 
 def _batch_lookups(ts: np.ndarray, xs: np.ndarray, lags: np.ndarray,
                    dt: float, euler: bool):
-    """Yield each step's delayed states ``(xd1, xd2, xd4)``.
+    """Yield each step's delayed states ``(xd1, xd2, xd4)`` as columns.
 
     ``xd2`` serves k2 and k3; Euler uses ``xd1`` alone.  Step ``s``'s
-    states are gathered when the caller asks for them, after it stored
-    row ``s``.  Intervals and weights are resolved :data:`_PLAN_QUERIES`
-    at a time, so the plan is O(chunk × B), never O(steps × B).
+    rows are gathered when the caller asks for them, after it stored
+    row ``s``, into one of two fixed buffers in turn: a step's k4 rows
+    are the next step's k1 rows, where the plan does not redo them.
     """
-    n_steps = len(ts) - 1
-    half = dt / 2
-    batch = len(lags)
-    flat = xs.reshape(-1, xs.shape[2])
-    xd4 = xs[0].copy()  # the first k1 reads t0 - lag: pre-history
-    xd4.setflags(write=False)
-    chunk = max(1, _PLAN_QUERIES // batch)
-    for first in range(0, n_steps, chunk):
-        steps = np.arange(first, min(first + chunk, n_steps))
-        t = ts[steps][:, None]
-        q1 = t - lags
+    batch, dim = xs.shape[1:]
+    flat = xs.reshape(-1, dim)
+    width = batch if euler else 2 * batch
+    bufs = list(np.empty((2, width, dim)))
+    bufs[1][-batch:] = xs[0]  # the first k1 reads t0 - lag: pre-history
+    rows_lo, rows_hi = np.empty((2, width, dim))
+    redo_rows = np.empty((batch, dim))
+    mid = [_columns(buf[:batch]) for buf in bufs]
+    end = [_columns(buf[-batch:]) for buf in bufs]
+    new, old = 1, 0
+    for main, fresh, redo in _plan(ts, lags, dt, euler,
+                                   _PLAN_QUERIES // batch):
+        steps = _per_step(main)
         if euler:
-            for plan in _resolve(q1, steps, ts, dt, batch):
-                yield _gather(flat, *plan), None, None
+            for lookups in steps:
+                _gather(flat, *lookups, bufs[0], rows_lo, rows_hi)
+                yield mid[0], None, None
             continue
-        plans = _resolve(np.hstack([(t + half) - lags,
-                                    ts[steps + 1][:, None] - lags]),
-                         steps, ts, dt, batch)
-        # k1 reuses the previous step's k4 row unless that was end-clamped
-        fresh = (q1 > ts[0]) & (q1 >= ts[steps - 1][:, None])
-        fresh[steps == 0] = False
-        again = (_resolve(q1, steps, ts, dt, batch) if fresh.any()
-                 else repeat(None))
-        for plan, redo, mask in zip(plans, again, fresh):
-            xd1 = xd4
-            if redo is not None and mask.any():
-                xd1 = np.where(mask[:, None], _gather(flat, *redo), xd4)
-                xd1.setflags(write=False)
-            xd24 = _gather(flat, *plan)
-            xd4 = xd24[batch:]
-            yield xd1, xd24[:batch], xd4
+        redos = None if redo is None else _per_step(redo)
+        for lookups, mask, again in zip(steps, fresh[..., None],
+                                        fresh.any(axis=1)):
+            new, old = old, new
+            _gather(flat, *lookups, bufs[new], rows_lo, rows_hi)
+            if again:
+                _gather(flat, *next(redos), redo_rows, rows_lo[:batch],
+                        rows_hi[:batch])
+                np.copyto(bufs[old][batch:], redo_rows, where=mask)
+            yield end[old], mid[new], end[new]
 
 
 def integrate_dde_batch(
-    rhs: Callable[[float, np.ndarray, Optional[np.ndarray]], np.ndarray],
+    rhs: Callable[[float, tuple, Optional[tuple], tuple], None],
     x0: np.ndarray,
     t_span: Tuple[float, float],
     dt: float,
@@ -522,10 +639,12 @@ def integrate_dde_batch(
     Parameters
     ----------
     rhs:
-        Callable ``rhs(t, X, XD) -> (B, dim)`` where ``X`` is the
-        ``(B, dim)`` state block and ``XD`` the read-only ``(B, dim)``
-        block of delayed states, row *b* at ``t - lag[b]`` (``None``
-        without a lag).
+        Callable ``rhs(t, x, xd, out)`` per stage.  ``x`` is the state
+        and ``xd`` the delayed state, row *b* at ``t - lag[b]`` (``None``
+        without a lag), each a tuple of ``dim`` read-only ``(B,)``
+        float64 columns; ``out`` is a tuple of ``dim`` writable ``(B,)``
+        columns, into which *rhs* must write every component of the
+        derivative.  Its return value is ignored.
     x0:
         ``(B, dim)`` array of initial states (also the constant
         pre-history of each member).
@@ -534,11 +653,12 @@ def integrate_dde_batch(
         >= 0), or ``None`` for an ODE.
 
     All members share the time grid.  The stepping arithmetic mirrors
-    :func:`integrate_dde` exactly, so the trajectory of member *b*
-    equals a scalar integration of that member bit for bit.
+    :func:`integrate_dde_floats` exactly, on fixed ``(B, dim)`` buffers
+    (the columns are views of them, made once), so the trajectory of
+    member *b* equals a scalar integration of that member bit for bit.
     """
     t, n_steps, euler = _check_problem(t_span, dt, method, lag)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     if x.ndim != 2:
         raise ValueError("x0 must have shape (batch, dim)")
     ts = _grid(t, dt, n_steps)
@@ -549,17 +669,36 @@ def integrate_dde_batch(
     else:
         lags = np.broadcast_to(np.asarray(lag, dtype=float), x.shape[:1])
         lookups = _batch_lookups(ts, xs, lags, dt, euler)
+    y = np.empty_like(x)  # the state a stage evaluates at
+    k1, k2, k3, k4 = ks = np.empty((4,) + x.shape)
+    state, stage = _columns(x), _columns(y)
+    d1, d2, d3, d4 = (_columns(k, writeable=True) for k in ks)
     half = dt / 2
     sixth = dt / 6.0
+    mul, add = np.multiply, np.add  # the third argument is the output
     for n, (xd1, xd2, xd4) in enumerate(lookups, 1):
+        rhs(t, state, xd1, d1)
         if euler:
-            x = x + dt * np.asarray(rhs(t, x, xd1))
+            mul(dt, k1, k1)
+            add(x, k1, x)
         else:
-            k1 = np.asarray(rhs(t, x, xd1))
-            k2 = np.asarray(rhs(t + half, x + half * k1, xd2))
-            k3 = np.asarray(rhs(t + half, x + half * k2, xd2))
-            k4 = np.asarray(rhs(t + dt, x + dt * k3, xd4))
-            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            mul(half, k1, y)
+            add(x, y, y)
+            rhs(t + half, stage, xd2, d2)
+            mul(half, k2, y)
+            add(x, y, y)
+            rhs(t + half, stage, xd2, d3)
+            mul(dt, k3, y)
+            add(x, y, y)
+            rhs(t + dt, stage, xd4, d4)
+            # x + sixth * (k1 + 2 * k2 + 2 * k3 + k4), in that order
+            mul(2, k2, k2)
+            add(k1, k2, k1)
+            mul(2, k3, k3)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            mul(sixth, k1, k1)
+            add(x, k1, x)
         t += dt
         xs[n] = x
     return DdeBatchSolution(ts, xs)

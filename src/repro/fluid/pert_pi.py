@@ -70,7 +70,9 @@ class PertPiFluidModel(FloatDynamics):
 
         def rhs(t, x, xd):
             w, tq, p = x
-            p_eff = min(1.0, max(0.0, p)) if clamp else p
+            p_eff = p
+            if clamp:  # min(1.0, max(0.0, p)), as comparisons
+                p_eff = (p if p < 1.0 else 1.0) if p > 0.0 else 0.0
             dw = inv_r - p_eff * w * xd[0] / two_r
             dtq = n_flows * w / r_cap - 1.0
             if clamp and tq <= 0.0 and dtq < 0.0:

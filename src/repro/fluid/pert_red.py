@@ -139,8 +139,11 @@ class PertRedFluidModel(FloatDynamics):
             w_d = w if approx else xd[0]
             p = l_pert * (xd[2] - t_min)
             if clamp:
-                p = min(1.0, max(0.0, p))
-                w = max(w, 0.0)
+                # min(1.0, max(0.0, p)) and max(w, 0.0) as the
+                # comparisons the builtins make (a NaN p clamps to 0.0)
+                p = (p if p < 1.0 else 1.0) if p > 0.0 else 0.0
+                if w < 0.0:
+                    w = 0.0
             dw = inv_r - beta * p * w * w_d / r
             n = n_flows if n_of_t is None else n_of_t(t)
             dtq = n * w / r_cap - 1.0
@@ -205,23 +208,32 @@ def simulate_batch(
     inv_r = 1.0 / r
     r_cap = r * cap
 
-    def rhs(t: float, x: np.ndarray, xd: np.ndarray) -> np.ndarray:
-        w = x[:, 0]
-        tq = x[:, 1]
-        w_d = w if approx else xd[:, 0]
-        s_d = xd[:, 2]
-        p = l_arr * (s_d - t_min)
+    # the scalar rhs's operations in its order, into ``out``: each ufunc's
+    # third argument is its output (a keyword, or a global lookup of the
+    # ufunc, costs more than the arithmetic on 16 elements)
+    mul, sub, div = np.multiply, np.subtract, np.divide
+
+    def rhs(t: float, x: tuple, xd: tuple, out: tuple) -> None:
+        w, tq, s = x
+        dw, dtq, ds = out
+        w_d = w if approx else xd[0]
+        p = sub(xd[2], t_min, ds)  # ds holds p until its own turn
+        mul(l_arr, p, p)
+        if clamp:  # the scalar clamps' comparisons, elementwise
+            p = np.where(p > 0.0, np.where(p < 1.0, p, 1.0), 0.0)
+            w = np.where(w < 0.0, 0.0, w)
+        mul(beta, p, dw)
+        mul(dw, w, dw)
+        mul(dw, w_d, dw)
+        div(dw, r, dw)
+        sub(inv_r, dw, dw)
+        mul(n_flows, w, dtq)
+        div(dtq, r_cap, dtq)
+        sub(dtq, 1.0, dtq)
         if clamp:
-            p = np.minimum(1.0, np.maximum(0.0, p))
-            w = np.maximum(w, 0.0)
-        dx = np.empty((batch, 3))
-        dx[:, 0] = inv_r - beta * p * w * w_d / r
-        dtq = n_flows * w / r_cap - 1.0
-        if clamp:
-            dtq = np.where((tq <= 0.0) & (dtq < 0.0), 0.0, dtq)
-        dx[:, 1] = dtq
-        dx[:, 2] = k_arr * (x[:, 2] - tq)
-        return dx
+            np.copyto(dtq, 0.0, where=(tq <= 0.0) & (dtq < 0.0))
+        sub(s, tq, ds)
+        mul(k_arr, ds, ds)
 
     start = np.array(x0 if x0 is not None else (1.0, 1.0, 1.0), dtype=float)
     if start.ndim == 1:

@@ -87,8 +87,10 @@ class TcpRedFluidModel(FloatDynamics):
             w, q, s = x
             p = l_red * (xd[2] - min_th)  # router marks, felt an RTT later
             if clamp:
-                p = min(1.0, max(0.0, p))
-                w = max(w, 0.0)
+                # min(1.0, max(0.0, p)) and max(w, 0.0), as comparisons
+                p = (p if p < 1.0 else 1.0) if p > 0.0 else 0.0
+                if w < 0.0:
+                    w = 0.0
             dw = inv_r - p * w * xd[0] / two_r
             dq = n_flows * w / r - capacity
             if clamp and q <= 0.0 and dq < 0.0:

@@ -1,5 +1,7 @@
 """Batched DDE integration: bit-identical to per-member scalar runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,16 @@ from repro.fluid.stability import classify_trajectories, trajectory_is_stable
 def _linear_decay_batch(rates):
     rates = np.asarray(rates, dtype=float)
 
-    def rhs(t, x, xd):
-        return -rates[:, None] * x
+    def rhs(t, x, xd, out):
+        np.multiply(-rates, x[0], out=out[0])
 
     return rhs
+
+
+def _delayed_decay(t, x, xd, out):
+    """x' = -x(t - tau), component by component."""
+    for column, delayed in zip(out, xd):
+        np.negative(delayed, out=column)
 
 
 def test_batch_matches_scalar_ode():
@@ -36,7 +44,7 @@ def test_batch_matches_scalar_ode():
 def test_batch_delayed_term_matches_scalar():
     """x' = -x(t - tau) with per-member delays."""
     taus = np.array([0.3, 0.7, 1.0])
-    batch = integrate_dde_batch(lambda t, x, xd: -xd, np.ones((3, 1)),
+    batch = integrate_dde_batch(_delayed_decay, np.ones((3, 1)),
                                 (0.0, 4.0), dt=1e-2, lag=taus)
     for b, tau in enumerate(taus):
         scalar = integrate_dde(
@@ -47,7 +55,7 @@ def test_batch_delayed_term_matches_scalar():
 
 def test_batch_euler_matches_scalar():
     batch = integrate_dde_batch(
-        lambda t, x, xd: -xd, np.ones((2, 1)), (0.0, 2.0), dt=1e-2,
+        _delayed_decay, np.ones((2, 1)), (0.0, 2.0), dt=1e-2,
         method="euler", lag=0.5
     )
     scalar = integrate_dde(
@@ -113,5 +121,47 @@ def test_simulate_batch_input_validation():
         )
     with pytest.raises(ValueError):
         integrate_dde_batch(
-            lambda t, x, xd: x, np.ones(3), (0.0, 1.0), dt=0.1
+            _delayed_decay, np.ones(3), (0.0, 1.0), dt=0.1
         )
+
+
+@pytest.mark.parametrize("s0", [math.nan, math.inf])
+def test_clamped_batch_equals_scalar_on_a_non_finite_signal(s0):
+    """A NaN drop probability clamps to 0 in both, as builtin max does."""
+    models = [make_fluid_model("pert_red", rtt=rtt, clamp=True)
+              for rtt in (0.08, 0.1, 0.17)]
+    x0 = (1.0, 1.0, s0)
+    with np.errstate(invalid="ignore"):  # inf - inf in the signal's LPF
+        batch = simulate_batch(models, duration=3.0, dt=1e-3, x0=x0)
+    for b, model in enumerate(models):
+        scalar = model.simulate(3.0, dt=1e-3, x0=x0)
+        assert np.array_equal(batch.y[:, b, :], scalar.y, equal_nan=True)
+        assert np.isfinite(scalar.y[-1, 0])
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _bits(v: float) -> tuple:
+    """A float up to its NaN payload: equal bits, or both NaN."""
+    return (True,) if v != v else (False, v, math.copysign(1.0, v))
+
+
+@given(st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf,
+                                      -math.inf, 1.0, -1.0]))
+def test_clamps_are_the_builtins_comparisons(v):
+    """The models' clamps and the batch's, against builtin min/max.
+
+    ``max(a, b)`` is ``b if b > a else a`` and ``min(a, b)`` is
+    ``b if b < a else a``: NaN, -0.0 and the infinities included.
+    """
+    p = min(1.0, max(0.0, v))
+    w = max(v, 0.0)
+    assert _bits((v if v < 1.0 else 1.0) if v > 0.0 else 0.0) == _bits(p)
+    assert _bits(0.0 if v < 0.0 else v) == _bits(w)
+    arr = np.array([v])
+    batch_p = np.where(arr > 0.0, np.where(arr < 1.0, arr, 1.0), 0.0)
+    assert _bits(float(batch_p[0])) == _bits(p)
+    assert _bits(float(np.where(arr < 0.0, 0.0, arr)[0])) == _bits(w)

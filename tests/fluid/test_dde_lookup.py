@@ -10,13 +10,19 @@ themselves.  Guards:
   steps, methods, start times and lags (zero, shorter than the step,
   not a multiple of it, several seconds, longer than the run);
 * a batch equals its members' scalar runs, lags mixed freely;
-* ``xd`` cannot be modified: a tuple, or a read-only array;
-* an exact count: RK4 interpolates at most twice per step, Euler once;
-* bounded memory: the batch plan is chunked, the scalar ring O(R/dt);
+* both kernels' plans join seamlessly across chunks;
+* ``xd`` cannot be modified: a tuple, or a read-only array (and the
+  batch's ``x`` columns are read-only too);
+* an exact count of the queries ``_resolve`` plans, the one seam both
+  kernels use: RK4 two per step and member, Euler one, and k1 planned
+  again only after an end-clamped k4;
+* bounded memory: the plans are chunked, the scalar ring O(R/dt);
+* the grid arguments are checked, non-finite ones named;
 * the two scalar contracts at their seams: what the array adapter hands
   an rhs and accepts from it, what the float kernel does.
 """
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -77,6 +83,13 @@ def rhs(t, x, xd):
     return -0.5 * xd + 0.3 * xd / (1.0 + xd * xd) + 0.05 * (xd - x)
 
 
+def batch_rhs(t, x, xd, out):
+    """:func:`rhs` in the batch contract: it is elementwise, so each
+    derivative column is :func:`rhs` of the same state columns."""
+    for i, column in enumerate(out):
+        column[...] = rhs(t, x[i], xd[i])
+
+
 #: lag as a multiple of dt: zero, inside the step (k4's row end-clamped,
 #: so k1 must not reuse it), around it, not a multiple, an exact multiple
 #: (queries land on grid points), and far beyond any run (pre-history)
@@ -132,7 +145,8 @@ def test_batch_equals_per_member_scalar_runs(problem, data):
     if data.draw(st.booleans()):
         lags = lags + dt * np.arange(batch) * 0.5
     x0s = np.asarray(x0)[None, :] * (1.0 + 0.25 * np.arange(batch))[:, None]
-    sol = integrate_dde_batch(rhs, x0s, t_span, dt, method=method, lag=lags)
+    sol = integrate_dde_batch(batch_rhs, x0s, t_span, dt, method=method,
+                              lag=lags)
     for b in range(batch):
         member = integrate_dde(rhs, x0s[b], t_span, dt, method=method,
                                lag=float(lags[b]))
@@ -145,11 +159,29 @@ def test_batch_plan_chunks_join_seamlessly(monkeypatch):
     lags = np.array([0.0, 0.03, 0.1, 0.25, 0.7])
     x0 = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
     for method in ("rk4", "euler"):
-        whole = integrate_dde_batch(rhs, x0, (0.0, 3.0), 0.1, method, lags)
+        whole = integrate_dde_batch(batch_rhs, x0, (0.0, 3.0), 0.1, method,
+                                    lags)
         monkeypatch.setattr(dde, "_PLAN_QUERIES", 1)
-        steps = integrate_dde_batch(rhs, x0, (0.0, 3.0), 0.1, method, lags)
+        steps = integrate_dde_batch(batch_rhs, x0, (0.0, 3.0), 0.1, method,
+                                    lags)
         monkeypatch.undo()
         assert np.array_equal(whole.y, steps.y)
+
+
+@pytest.mark.parametrize("lag", [0.0, 0.03, 0.1, 0.25, 0.7, 100.0])
+def test_scalar_plan_chunks_join_seamlessly(monkeypatch, lag):
+    """The float kernel's plan too: one step per chunk, the same bytes."""
+    def float_rhs(t, x, xd):
+        return [-0.5 * d + 0.05 * (d - v) for v, d in zip(x, xd)]
+
+    for method in ("rk4", "euler"):
+        whole = integrate_dde_floats(float_rhs, [1.0, -0.5], (0.0, 30.0),
+                                     0.1, method, lag)
+        monkeypatch.setattr(dde, "_PLAN_QUERIES", 1)
+        steps = integrate_dde_floats(float_rhs, [1.0, -0.5], (0.0, 30.0),
+                                     0.1, method, lag)
+        monkeypatch.undo()
+        assert whole.y.tobytes() == steps.y.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -176,61 +208,89 @@ def test_scalar_lookup_is_read_only(lag):
     pytest.param([10.0, 0.25, 0.0], id="mixed-rows"),
 ])
 def test_batch_lookup_is_read_only(lags):
-    def rhs(t, x, xd):
-        if t > 0.5:
-            xd *= 2
-        return -xd
+    """``xd`` and ``x`` are columns of the kernel's buffers: no writes."""
+    def writes(name):
+        def rhs(t, x, xd, out):
+            if t > 0.5:
+                {"x": x, "xd": xd}[name][1] *= 2
+            for column, delayed in zip(out, xd):
+                np.negative(delayed, out=column)
 
-    with pytest.raises(ValueError, match="read-only"):
-        integrate_dde_batch(rhs, np.ones((3, 2)), (0.0, 1.0), dt=0.1,
-                            lag=np.array(lags))
+        return rhs
+
+    for name in ("x", "xd"):
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_dde_batch(writes(name), np.ones((3, 2)), (0.0, 1.0),
+                                dt=0.1, lag=np.array(lags))
 
 
 # ----------------------------------------------------------------------
-# lookup count: the redundant interpolations must not come back
+# planned queries: the redundant lookups must not come back
 # ----------------------------------------------------------------------
+def planned_per_step(monkeypatch, run) -> Counter:
+    """Queries per member ``_resolve`` plans for each step while *run*."""
+    per_step = Counter()
+    resolve = dde._resolve
+
+    def counting(q, steps, ts, dt, batch):
+        for s in steps.tolist():
+            per_step[s] += q.shape[1] // batch
+        return resolve(q, steps, ts, dt, batch)
+
+    monkeypatch.setattr(dde, "_resolve", counting)
+    run()
+    return per_step
+
+
 @pytest.mark.parametrize("method, per_step_max", [("rk4", 2), ("euler", 1)])
 def test_scalar_interpolations_per_step(monkeypatch, method, per_step_max):
-    """Counts the float kernel's interpolations, keyed by rows stored."""
-    per_step = Counter()
-    make = dde._ring_interpolator
-
-    def counting(*args):
-        inner = make(*args)
-
-        def interpolate(ti, n):
-            per_step[n] += 1
-            return inner(ti, n)
-
-        return interpolate
-
-    monkeypatch.setattr(dde, "_ring_interpolator", counting)
+    """The float kernel's queries, counted where both kernels plan them."""
     model = make_fluid_model("pert_red", rtt=0.1)
     n_steps, dt = 1000, 1e-3
-    model.simulate(n_steps * dt, dt=dt, method=method)
+    per_step = planned_per_step(monkeypatch, lambda: model.simulate(
+        n_steps * dt, dt=dt, method=method))
+    assert sorted(per_step) == list(range(n_steps))
     assert max(per_step.values()) <= per_step_max
-    # past the first R/dt steps every step does look up, exactly that often
-    settled = range(int(model.rtt / dt) + 2, n_steps + 1)
-    assert all(per_step[n] == per_step_max for n in settled)
+    # past the first R/dt steps every query interpolates, exactly that many
+    settled = range(int(model.rtt / dt) + 2, n_steps)
+    assert all(per_step[s] == per_step_max for s in settled)
 
 
 @pytest.mark.parametrize("method, per_step_max", [("rk4", 2), ("euler", 1)])
 def test_batch_interpolations_per_step(monkeypatch, method, per_step_max):
-    """One gather per step, of that many rows per member."""
-    rows = []
-    gather = dde._gather
-
-    def counting(flat, lo, *rest):
-        rows.append(len(lo))
-        return gather(flat, lo, *rest)
-
-    monkeypatch.setattr(dde, "_gather", counting)
+    """The batch's queries, per member, through the same seam."""
     models = [make_fluid_model("pert_red", rtt=0.08 + 0.006 * i)
               for i in range(16)]
     n_steps, dt = 1000, 1e-3
-    simulate_batch(models, n_steps * dt, dt=dt, method=method)
-    assert len(rows) == n_steps
-    assert set(rows) == {per_step_max * len(models)}
+    per_step = planned_per_step(monkeypatch, lambda: simulate_batch(
+        models, n_steps * dt, dt=dt, method=method))
+    assert per_step == Counter(dict.fromkeys(range(n_steps), per_step_max))
+
+
+@pytest.mark.parametrize("lags", [[0.03], [0.1], [0.25], [0.03, 0.25],
+                                  [0.0, 0.1, 0.7]])
+def test_k1_is_planned_again_only_after_an_end_clamped_k4(monkeypatch,
+                                                           lags):
+    """RK4's k1 takes the last k4 row unless that row was end-clamped.
+
+    Step ``s - 1``'s k4 asks for ``ts[s] - lag`` with row ``s - 1`` the
+    newest: end-clamped when that time is not before ``ts[s - 1]``.  Then,
+    and only then, step ``s`` plans k1 once more (for the whole batch).
+    """
+    dt, n_steps = 0.1, 40
+    x0 = np.linspace(0.5, 1.5, 2 * len(lags)).reshape(len(lags), 2)
+    ts = dde._grid(0.0, dt, n_steps)
+    clamped = {s for s in range(1, n_steps)
+               if any(ts[s] - lag >= ts[s - 1] for lag in lags)}
+    expected = {s: 2 + (s in clamped) for s in range(n_steps)}
+    batch = planned_per_step(monkeypatch, lambda: integrate_dde_batch(
+        batch_rhs, x0, (0.0, n_steps * dt), dt, lag=np.array(lags)))
+    assert batch == expected
+    if len(lags) == 1:
+        monkeypatch.undo()
+        scalar = planned_per_step(monkeypatch, lambda: integrate_dde(
+            rhs, x0[0], (0.0, n_steps * dt), dt, lag=lags[0]))
+        assert scalar == expected
 
 
 # ----------------------------------------------------------------------
@@ -286,20 +346,50 @@ def test_an_ode_gets_no_delayed_state():
 
     integrate_dde_floats(rhs, [1.0], (0.0, 1.0), dt=0.1)
     integrate_dde(rhs, [1.0], (0.0, 1.0), dt=0.1, method="euler")
-    integrate_dde_batch(lambda t, x, xd: -rhs(t, x, xd)[0], np.ones((2, 1)),
-                        (0.0, 1.0), dt=0.1)
+
+    def batch_rhs(t, x, xd, out):
+        seen.add(xd)
+        np.negative(x[0], out=out[0])
+
+    integrate_dde_batch(batch_rhs, np.ones((2, 1)), (0.0, 1.0), dt=0.1)
     assert seen == {None}
 
 
 @pytest.mark.parametrize("lag", [-0.1, float("nan"), np.array([0.1, -0.1])])
 def test_a_negative_lag_is_rejected(lag):
     with pytest.raises(ValueError, match="lag"):
-        integrate_dde_batch(lambda t, x, xd: -xd, np.ones((2, 1)),
-                            (0.0, 1.0), dt=0.1, lag=lag)
+        integrate_dde_batch(batch_rhs, np.ones((2, 1)), (0.0, 1.0), dt=0.1,
+                            lag=lag)
     if np.ndim(lag) == 0:
         with pytest.raises(ValueError, match="lag"):
             integrate_dde_floats(lambda t, x, xd: xd, [1.0], (0.0, 1.0),
                                  dt=0.1, lag=lag)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("t_span, dt, named", [
+    pytest.param((0.0, 1.0), INF, "dt", id="dt-inf"),
+    pytest.param((0.0, 1.0), NAN, "dt", id="dt-nan"),
+    pytest.param((0.0, NAN), 0.1, "t_span", id="t1-nan"),
+    pytest.param((NAN, 1.0), 0.1, "t_span", id="t0-nan"),
+    pytest.param((0.0, INF), 0.1, "t_span", id="t1-inf"),
+    pytest.param((-INF, 0.0), 0.1, "t_span", id="t0-inf"),
+    pytest.param((-1e308, 1e308), 1.0, "t_span", id="span-overflows"),
+])
+def test_a_non_finite_grid_is_rejected_by_name(t_span, dt, named):
+    """Not a one-point solution, an int conversion or an OverflowError."""
+    for run in (
+        lambda: integrate_dde_floats(lambda t, x, xd: xd, [1.0], t_span,
+                                     dt, lag=0.1),
+        lambda: integrate_dde(lambda t, x, xd: -xd, [1.0], t_span, dt,
+                              lag=0.1),
+        lambda: integrate_dde_batch(batch_rhs, np.ones((2, 1)), t_span, dt,
+                                    lag=0.1),
+    ):
+        with pytest.raises(ValueError, match=named):
+            run()
 
 
 def test_adapter_takes_x0_as_list_tuple_or_array():
