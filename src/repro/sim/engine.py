@@ -29,17 +29,21 @@ layout — see :meth:`Simulator.__getstate__`.
 Performance notes
 -----------------
 The event list is the hottest data structure in the whole reproduction —
-every packet hop is at least two heap operations.  The comparison key is
-a ``(time, seq, ...)`` tuple prefix: tuple comparison happens in C and
+every packet hop is at least two events.  The comparison key is a
+``(time, seq, ...)`` tuple prefix: tuple comparison happens in C and
 never reaches the third element (``seq`` is unique), which removes the
 per-comparison Python call that used to dominate profiles.
 Single-argument callbacks dispatch as a direct ``fn(arg)`` instead of
-``fn(*args)``, no :class:`Event` handle is allocated unless the caller
-can cancel, and back-to-back link departures bypass the heap entirely
-via :meth:`Simulator.advance_if_clear`.
-:meth:`Simulator.schedule`, :meth:`Simulator.schedule_fire` and
-:meth:`Simulator.schedule_at` are deliberately flat (no delegation
-between them) for the same reason.
+``fn(*args)``, and no :class:`Event` handle is allocated unless the
+caller can cancel.  An entry that is already the next to fire when it
+is scheduled — more than a third of all events on a 50-flow dumbbell,
+back-to-back link departures among them — waits in a one-entry slot in
+front of the heap and is dispatched from there, with no
+``heappush``/``heappop``.  Cancellations are the counted case:
+:meth:`Simulator.pending` is the queued-entry count minus the dead
+ones, so neither scheduling nor dispatch touches a counter.
+:meth:`Simulator.schedule_fire1`, the per-hop call, writes the slot rule
+out instead of calling :meth:`Simulator._push`.
 """
 
 from __future__ import annotations
@@ -57,19 +61,17 @@ __all__ = [
 ]
 
 _INF = float("inf")
-_NEG_INF = float("-inf")
 
 #: canonical (snapshot-format) heap entry: ``(time, seq, fn, args, event)``
 _LegacyEntry = Tuple[float, int, Callable[..., Any], tuple, Optional["Event"]]
 
-#: slots every snapshot carries (``_running``, ``profiler`` and the
-#: inline-dispatch window are process-local and deliberately excluded;
-#: the event list itself travels under the canonical ``"_heap"`` key)
+#: slots every snapshot restores (``_running`` and ``profiler`` are
+#: process-local and deliberately excluded; the event list travels under
+#: the canonical ``"_heap"`` key and the live count under ``"_live"``)
 _STATE_SLOTS = (
     "now",
     "seed",
     "_seq",
-    "_live",
     "events_processed",
     "_stream_labels",
     "_stream_counts",
@@ -94,7 +96,7 @@ class Event:
 
     ``time``/``seq`` are the handle's *current* firing key.  After an
     in-place :meth:`Simulator.reschedule` they run ahead of the key of
-    the heap entry the handle owns; ``_qtime`` remembers that entry's
+    the queued entry the handle owns; ``_qtime`` remembers that entry's
     time (``inf`` once the entry is gone) so the next re-arm can tell
     whether the entry still wakes the engine up early enough.
     """
@@ -123,14 +125,14 @@ class Event:
         """Mark the event so it will be skipped when its time arrives.
 
         Idempotent, and safe on events that have already fired: only the
-        first cancellation of a still-pending event updates the owning
-        simulator's live-event count.
+        first cancellation of a still-pending event counts its queued
+        entry as dead in the owning simulator.
         """
         if self.cancelled or self.fired:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._live -= 1
+            self._sim._dead += 1
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
         # The default slots state minus `_qtime`: snapshots export every
@@ -195,36 +197,36 @@ class ArraySimulator:
     *and* bookkeeping-free; the payload "arrays" and the heap are one and
     the same.
 
-    Batching
-    --------
-    The real throughput lever is dispatching *without the heap*:
-    :meth:`advance_if_clear` lets the link layer chain back-to-back
-    departures inline — zero heap traffic, no run-loop iteration —
-    whenever doing so is provably identical to scheduling through the
-    heap; inline dispatches are counted into ``events_processed`` so the
-    total equals what the heap-only test oracle counts.
+    The next-event slot
+    -------------------
+    ``_next`` holds at most one entry, strictly earlier by ``(time,
+    seq)`` than every heap entry.  A new entry takes the slot when its
+    time is before the slot entry's (which is pushed into the heap) or,
+    with the slot empty, before ``heap[0]``'s; a new entry holds the
+    newest ``seq`` and loses every tie, so ``<`` on the time is exact.
+    :meth:`run` takes the slot before it pops the heap, so an entry that
+    is the next to fire when scheduled never costs a push and a pop.
     """
 
     __slots__ = (
         "now",
         "seed",
         "_seq",
-        "_live",
+        "_dead",
         "_running",
         "events_processed",
         "_stream_labels",
         "_stream_counts",
         "profiler",
         "_heap",
-        "_horizon",
-        "_ninline",
+        "_next",
     )
 
     def __init__(self, seed: int = 1) -> None:
         self.now: float = 0.0
         self.seed = seed
         self._seq = 0
-        self._live = 0  # non-cancelled, not-yet-fired events
+        self._dead = 0  # queued entries of cancelled handles
         self._running = False
         self.events_processed = 0
         self._stream_labels: Set[str] = set()
@@ -234,10 +236,7 @@ class ArraySimulator:
         #: callbacks, nothing more)
         self.profiler: Optional[Any] = None
         self._heap: List[tuple] = []
-        # Inline-dispatch window: -inf outside run() (never claim), the
-        # run horizon inside an unbudgeted, unprofiled run().
-        self._horizon: float = _NEG_INF
-        self._ninline: int = 0
+        self._next: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # random-number streams
@@ -277,6 +276,21 @@ class ArraySimulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
+    def _push(self, entry: tuple) -> None:
+        """Queue a new *entry* (it holds the newest ``seq``) by the slot rule."""
+        nxt = self._next
+        if nxt is None:
+            heap = self._heap
+            if not heap or entry[0] < heap[0][0]:
+                self._next = entry
+                return
+            heapq.heappush(heap, entry)
+        elif entry[0] < nxt[0]:
+            self._next = entry
+            heapq.heappush(self._heap, nxt)
+        else:
+            heapq.heappush(self._heap, entry)
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule *fn(*args)* to run *delay* seconds from now.
 
@@ -289,9 +303,8 @@ class ArraySimulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         ev = Event(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, fn, args, ev))
+        self._push((time, seq, fn, args, ev))
         return ev
 
     def schedule_fire(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -308,24 +321,34 @@ class ArraySimulator:
             raise SimulationError(f"bad delay {delay!r}: must be finite and >= 0")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         if len(args) == 1:
-            heapq.heappush(self._heap, (self.now + delay, seq, fn, args[0]))
+            self._push((self.now + delay, seq, fn, args[0]))
         else:
-            heapq.heappush(self._heap, (self.now + delay, seq, fn, args, None))
+            self._push((self.now + delay, seq, fn, args, None))
 
     def schedule_fire1(self, delay: float, fn: Callable[..., Any], arg: Any) -> None:
         """Single-argument :meth:`schedule_fire` (the per-packet shape).
 
         Skips the varargs tuple entirely: the argument rides inline in
-        the heap entry and dispatches as ``fn(arg)``.
+        the entry and dispatches as ``fn(arg)``; :meth:`_push` written out.
         """
         if not 0.0 <= delay < _INF:
             raise SimulationError(f"bad delay {delay!r}: must be finite and >= 0")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, arg))
+        time = self.now + delay
+        nxt = self._next
+        if nxt is None:
+            heap = self._heap
+            if not heap or time < heap[0][0]:
+                self._next = (time, seq, fn, arg)
+                return
+            heapq.heappush(heap, (time, seq, fn, arg))
+        elif time < nxt[0]:
+            self._next = (time, seq, fn, arg)
+            heapq.heappush(self._heap, nxt)
+        else:
+            heapq.heappush(self._heap, (time, seq, fn, arg))
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule *fn(*args)* at absolute simulation *time*.
@@ -339,9 +362,8 @@ class ArraySimulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         ev = Event(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, fn, args, ev))
+        self._push((time, seq, fn, args, ev))
         return ev
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -384,7 +406,7 @@ class ArraySimulator:
                 self._seq = seq + 1
                 if event.cancelled:
                     event.cancelled = False
-                    self._live += 1
+                    self._dead -= 1
                 event.time = time
                 event.seq = seq
                 event.args = args
@@ -395,7 +417,7 @@ class ArraySimulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled, not-yet-fired) events — O(1)."""
-        return self._live
+        return len(self._heap) + (self._next is not None) - self._dead
 
     # ------------------------------------------------------------------
     # execution
@@ -407,12 +429,14 @@ class ArraySimulator:
         ----------
         until:
             Stop once the next event would fire strictly after this time;
-            ``sim.now`` is left at ``until``.  ``None`` runs to exhaustion.
+            ``sim.now`` is left at ``until``.  ``None`` runs to exhaustion;
+            ``nan`` raises :class:`SimulationError`.
         max_events:
             Safety valve for tests; stop after this many events, leaving
             ``sim.now`` at the last one fired (live events may still
-            precede ``until``).  Setting it disables inline batching so
-            every dispatch is countable.
+            precede ``until``).  ``0`` dispatches nothing and leaves
+            ``now`` where it is; a negative budget raises
+            :class:`SimulationError`.
 
         A popped entry whose ``seq`` no longer matches its handle's is a
         wake-up left by :meth:`reschedule`: it is pushed back under the
@@ -421,6 +445,13 @@ class ArraySimulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until != until:
+            raise SimulationError("bad horizon nan: until must be a time or None")
+        if max_events is not None:
+            if max_events < 0:
+                raise SimulationError(f"bad max_events {max_events!r}: must be >= 0")
+            if max_events == 0:
+                return
         self._running = True
         processed = 0
         profiler = self.profiler
@@ -428,21 +459,23 @@ class ArraySimulator:
         heappop = heapq.heappop
         horizon = until if until is not None else _INF
         budget = max_events if max_events is not None else -1
-        if budget < 0 and profiler is None:
-            # Open the inline-dispatch window for advance_if_clear():
-            # batching is exact only when every dispatch is unbudgeted
-            # and unprofiled.
-            self._horizon = horizon
         try:
-            while heap:
-                entry = heappop(heap)
+            while True:
+                # an entry beyond the horizon, the earliest of all, goes
+                # back into the slot
+                entry = self._next
+                if entry is not None:
+                    self._next = None
+                elif heap:
+                    entry = heappop(heap)
+                else:
+                    break
                 if len(entry) == 4:
                     time, _, fn, arg = entry
                     if time > horizon:
-                        heapq.heappush(heap, entry)
+                        self._next = entry
                         break
                     self.now = time
-                    self._live -= 1
                     if profiler is None:
                         fn(arg)
                     else:
@@ -452,17 +485,18 @@ class ArraySimulator:
                     if ev is not None:
                         if ev.cancelled:
                             ev._qtime = _INF  # the handle owns no entry now
+                            self._dead -= 1
                             continue
                         if entry[1] != ev.seq:
+                            # the slot is empty here: any key may go to the heap
                             time = ev._qtime = ev.time
                             heapq.heappush(heap, (time, ev.seq, ev.fn, ev.args, ev))
                             continue
                     time = entry[0]
                     if time > horizon:
-                        heapq.heappush(heap, entry)
+                        self._next = entry
                         break
                     self.now = time
-                    self._live -= 1
                     if ev is not None:
                         ev.fired = True
                     if profiler is None:
@@ -477,45 +511,7 @@ class ArraySimulator:
                 self.now = until
         finally:
             self._running = False
-            self._horizon = _NEG_INF
-            # Inline dispatches claimed via advance_if_clear() count like
-            # any other event; batched outside the loop as before.
-            self.events_processed += processed + self._ninline
-            self._ninline = 0
-
-    def advance_if_clear(self, time: float) -> bool:
-        """Claim an inline dispatch slot at *time*.
-
-        The batching hook behind the link layer's departure drain: when it
-        returns ``True``, the engine has advanced ``now`` to *time* and
-        consumed one sequence number and one ``events_processed`` count,
-        exactly as if the caller had scheduled a callback at *time* and
-        the run loop had just popped it — the caller must then invoke that
-        callback immediately, once.
-
-        The claim succeeds only when it is provably equivalent to going
-        through the heap: inside :meth:`run` (no ``max_events`` budget, no
-        profiler), *time* within the run horizon, and no pending heap
-        entry at or before *time* — any heap entry tied at *time* holds an
-        older sequence number and must fire first.  (The test oracle
-        never claims, which is what the differential suite diffs this
-        against.)
-        """
-        # `time` beyond `_horizon` covers all three refusal modes at
-        # once: outside run() the window is -inf, and a budgeted or
-        # profiled run() never opens it.
-        if time > self._horizon:
-            return False
-        heap = self._heap
-        # A heap entry at or before `time` must fire first: every queued
-        # seq predates the one we are about to consume, so ties always
-        # block.
-        if heap and heap[0][0] <= time:
-            return False
-        self.now = time
-        self._seq += 1
-        self._ninline += 1
-        return True
+            self.events_processed += processed
 
     # ------------------------------------------------------------------
     # snapshot support
@@ -524,13 +520,14 @@ class ArraySimulator:
         """Live events as ``(time, seq, fn, args, event)`` 5-tuples.
 
         Layout-neutral view of the event list for snapshots, diagnostics
-        and integrity checks: cancelled-but-unpopped entries are excluded,
-        and ``event`` is ``None`` for fire-and-forget callbacks.  The
-        returned list is ordered by heap layout, not sorted; only its key
-        multiset is meaningful.
+        and integrity checks: slot and heap together, cancelled-but-
+        unpopped entries excluded, and ``event`` is ``None`` for
+        fire-and-forget callbacks.  The returned list is ordered by
+        physical layout, not sorted; only its key multiset is meaningful.
         """
         out: List[_LegacyEntry] = []
-        for entry in self._heap:
+        queued = self._heap if self._next is None else [self._next, *self._heap]
+        for entry in queued:
             if len(entry) == 4:
                 out.append((entry[0], entry[1], entry[2], (entry[3],), None))
                 continue
@@ -557,16 +554,16 @@ class ArraySimulator:
 
         The event list is exported under the canonical ``"_heap"`` key as
         :meth:`live_entries` 5-tuples sorted by ``(time, seq)``, so the
-        bytes do not depend on the physical heap (flat 4-tuples,
-        :meth:`reschedule` wake-ups) and the test oracle restores them
-        too.  Cancelled-but-unpopped entries are purged from the
-        exported copy (the live event list is untouched): lazy
-        cancellation means a popped cancelled entry is skipped without
-        side effects, so the purge cannot change the continuation — and
-        it keeps a cancelled entry's possibly-unpicklable callback from
-        blocking the snapshot.  Pop order depends only on the
-        ``(time, seq)`` key multiset, so rebuilding the heap from the
-        exported list is exact.
+        bytes do not depend on the physical layout (the slot, flat
+        4-tuples, :meth:`reschedule` wake-ups) and the test oracle
+        restores them too; ``"_live"`` carries :meth:`pending`.
+        Cancelled-but-unpopped entries are purged from the exported copy
+        (the live event list is untouched): lazy cancellation means a
+        popped cancelled entry is skipped without side effects, so the
+        purge cannot change the continuation — and it keeps a cancelled
+        entry's possibly-unpicklable callback from blocking the snapshot.
+        Pop order depends only on the ``(time, seq)`` key multiset, so
+        rebuilding the heap from the exported list is exact.
         """
         from ..snapshot.errors import SnapshotError
 
@@ -580,10 +577,14 @@ class ArraySimulator:
                 "cannot snapshot: a profiler is attached to the simulator; "
                 "detach it (sim.profiler = None) around the snapshot"
             )
-        state = {slot: getattr(self, slot) for slot in _STATE_SLOTS}
+        # key order is part of the snapshot bytes
+        state = {"now": self.now, "seed": self.seed, "_seq": self._seq,
+                 "_live": self.pending(), "events_processed": self.events_processed,
+                 "_stream_labels": self._stream_labels,
+                 "_stream_counts": self._stream_counts}
         # seq is unique, so the sort never compares past the key; a
         # sorted list is a valid heap and does not depend on the
-        # physical heap layout
+        # physical layout
         state["_heap"] = sorted(self.live_entries())
         return state
 
@@ -594,8 +595,8 @@ class ArraySimulator:
             setattr(self, slot, state[slot])
         self._running = False
         self.profiler = None
-        self._horizon = _NEG_INF
-        self._ninline = 0
+        self._dead = 0  # the export holds no cancelled entry
+        self._next = None
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self._restore_shared(state)
@@ -605,8 +606,6 @@ class ArraySimulator:
             if ev is not None:
                 if not ev.cancelled:
                     heap.append(entry)
-                # _live in the shared state already excludes cancelled
-                # entries, so dropping them here keeps the counter exact.
             elif len(entry[3]) == 1:
                 heap.append((entry[0], entry[1], entry[2], entry[3][0]))
             else:
@@ -615,7 +614,7 @@ class ArraySimulator:
         self._heap = heap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self.now:.6f} pending={self._live}>"
+        return f"<Simulator now={self.now:.6f} pending={self.pending()}>"
 
 
 #: the name every caller and annotation uses; the class keeps its

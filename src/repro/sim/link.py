@@ -152,40 +152,29 @@ class Link:
         """Complete *pkt*'s transmission and start the next one.
 
         One departure: counters, the propagation-delay hand-off to the
-        destination, and the dequeue of the next packet.  When the engine
-        can prove no other event intercedes before that packet's own
-        departure (``sim.advance_if_clear``), the loop takes it inline —
-        no heap push/pop, no run-loop iteration.  That needs an event
-        list with nothing due within one serialization time, which a
-        many-flow bottleneck almost never offers (0.5 % of departures on
-        a 50-flow dumbbell, 10 % with short web flows), so the body is
-        written for the single pass: no locals are pre-bound for
-        iterations that do not come.  The virtual-time trace (times,
-        sequence numbers, dequeue instants, observability hooks) is
-        bit-identical to scheduling every departure through the heap;
-        under the legacy engine the claim always fails and every
-        departure is a real event.
+        destination, and the dequeue of the next packet, whose own
+        departure is scheduled like any event.  A back-to-back departure
+        with nothing due before it is the next event to fire, so the
+        engine keeps it in its next-event slot and it never touches the
+        heap.
         """
         sim = self.sim
-        while True:
-            self.bytes_transmitted += pkt.size
-            self.packets_transmitted += 1
-            if self.obs is not None:
-                self.obs.link_tx(self, sim.now)
-            sim.schedule_fire1(self.delay, self._deliver, pkt)
-            pkt = self.qdisc.dequeue(sim.now)
-            if pkt is None:
-                self._busy = False
-                return
-            size = pkt.size
-            tx_time = self._ser_time.get(size)
-            if tx_time is None:
-                tx_time = size * 8.0 / self.bandwidth
-                self._ser_time[size] = tx_time
-            self.busy_time += tx_time
-            if not sim.advance_if_clear(sim.now + tx_time):
-                sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
-                return
+        self.bytes_transmitted += pkt.size
+        self.packets_transmitted += 1
+        if self.obs is not None:
+            self.obs.link_tx(self, sim.now)
+        sim.schedule_fire1(self.delay, self._deliver, pkt)
+        pkt = self.qdisc.dequeue(sim.now)
+        if pkt is None:
+            self._busy = False
+            return
+        size = pkt.size
+        tx_time = self._ser_time.get(size)
+        if tx_time is None:
+            tx_time = size * 8.0 / self.bandwidth
+            self._ser_time[size] = tx_time
+        self.busy_time += tx_time
+        sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
     # ------------------------------------------------------------------
     # snapshot support

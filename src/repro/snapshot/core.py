@@ -92,7 +92,8 @@ def sim_summary(sim: Simulator) -> Dict[str, Any]:
         "seed": str(sim.seed),
         "events_processed": sim.events_processed,
         "pending": sim.pending(),
-        "heap_len": len(sim._heap),
+        # every queued entry: the next-event slot and the heap
+        "heap_len": len(sim._heap) + (sim._next is not None),
         "seq": sim._seq,
         "streams": sorted(sim._stream_labels),
     }

@@ -40,16 +40,25 @@ class LegacySimulator(ArraySimulator):
     bare :class:`Event` objects; the ``event`` slot is ``None`` for
     callbacks scheduled through :meth:`Simulator.schedule_fire`, the
     fire-and-forget path used by the per-hop link machinery.  This engine
-    never batches (:meth:`advance_if_clear` is a constant ``False``), so
-    every dispatch goes through the heap — which is exactly what makes it
-    the reference implementation for the differential suite.
+    has no next-event slot (``_next`` stays ``None``), so every dispatch
+    goes through the heap — which is exactly what makes it the reference
+    implementation for the differential suite.
+
+    It keeps its own live count, the literal one: ``_live`` counts
+    scheduled minus fired, and ``_dead``, bumped by :meth:`Event.cancel`,
+    counts every cancellation — a handle is never revived here, and a
+    popped cancelled entry changes neither.
 
     A subclass of the engine only for what is not scheduling (RNG
-    streams, ``cancel``/``pending``, ``__getstate__``, the empty heap
-    ``__init__`` leaves); every scheduling method is overridden.
+    streams, ``cancel``, ``__getstate__``, the empty heap ``__init__``
+    leaves); every scheduling method is overridden.
     """
 
-    __slots__ = ()
+    __slots__ = ("_live",)
+
+    def __init__(self, seed: int = 1) -> None:
+        super().__init__(seed)
+        self._live = 0
 
     # ------------------------------------------------------------------
     # scheduling
@@ -124,9 +133,8 @@ class LegacySimulator(ArraySimulator):
             event.cancel()
         return self.schedule(delay, fn, *args)
 
-    def advance_if_clear(self, time: float) -> bool:
-        """Never claims an inline slot: every dispatch goes through the heap."""
-        return False
+    def pending(self) -> int:
+        return self._live - self._dead
 
     # ------------------------------------------------------------------
     # execution
@@ -138,12 +146,21 @@ class LegacySimulator(ArraySimulator):
         ----------
         until:
             Stop once the next event would fire strictly after this time;
-            ``sim.now`` is left at ``until``.  ``None`` runs to exhaustion.
+            ``sim.now`` is left at ``until``.  ``None`` runs to exhaustion;
+            ``nan`` raises :class:`SimulationError`.
         max_events:
-            Safety valve for tests; stop after this many events.
+            Safety valve for tests; stop after this many events.  ``0``
+            dispatches nothing; a negative budget raises.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until != until:
+            raise SimulationError("bad horizon nan: until must be a time or None")
+        if max_events is not None:
+            if max_events < 0:
+                raise SimulationError(f"bad max_events {max_events!r}: must be >= 0")
+            if max_events == 0:
+                return
         self._running = True
         processed = 0
         profiler = self.profiler
@@ -192,6 +209,7 @@ class LegacySimulator(ArraySimulator):
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self._restore_shared(state)
+        self._live = state["_live"]
         heap = list(state["_heap"])
         # Re-heapify defensively: the canonical export is already a valid
         # heap, but an array-engine export interleaved with purges (or a

@@ -83,23 +83,20 @@ def _plain_dequeue(self, now):
 def _plain_tx_done(self, pkt):
     # Link._tx_done minus the `obs` test, line for line
     sim = self.sim
-    while True:
-        self.bytes_transmitted += pkt.size
-        self.packets_transmitted += 1
-        sim.schedule_fire1(self.delay, self._deliver, pkt)
-        pkt = self.qdisc.dequeue(sim.now)
-        if pkt is None:
-            self._busy = False
-            return
-        size = pkt.size
-        tx_time = self._ser_time.get(size)
-        if tx_time is None:
-            tx_time = size * 8.0 / self.bandwidth
-            self._ser_time[size] = tx_time
-        self.busy_time += tx_time
-        if not sim.advance_if_clear(sim.now + tx_time):
-            sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
-            return
+    self.bytes_transmitted += pkt.size
+    self.packets_transmitted += 1
+    sim.schedule_fire1(self.delay, self._deliver, pkt)
+    pkt = self.qdisc.dequeue(sim.now)
+    if pkt is None:
+        self._busy = False
+        return
+    size = pkt.size
+    tx_time = self._ser_time.get(size)
+    if tx_time is None:
+        tx_time = size * 8.0 / self.bandwidth
+        self._ser_time[size] = tx_time
+    self.busy_time += tx_time
+    sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
 
 # Link.send carries no hook of its own, so it needs no stripped copy: both

@@ -330,9 +330,10 @@ def test_pert_dumbbell_heap_carries_no_dead_timer_per_ack(monkeypatch):
         while t < until:
             t = min(until, t + 0.05)
             pure_run(self, t, max_events)
-            dead = sum(1 for e in self._heap
+            queue = [e for e in (self._next, *self._heap) if e is not None]
+            dead = sum(1 for e in queue
                        if len(e) == 5 and e[4] is not None and e[4].cancelled)
-            assert dead == len(self._heap) - self.pending()
+            assert dead == self._dead == len(queue) - self.pending()
             phase = "steady" if t > start_window + INITIAL_RTO else "startup"
             worst[phase] = max(worst[phase], dead)
 

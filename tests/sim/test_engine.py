@@ -12,7 +12,14 @@ from repro.sim.engine import (
     Simulator,
 )
 
+from repro.snapshot import sim_summary
+
 from ..differential.oracle import LegacySimulator
+
+
+def queued(sim):
+    """Every queued entry, dead ones included: slot and heap."""
+    return sim_summary(sim)["heap_len"]
 
 
 def test_events_run_in_time_order():
@@ -126,7 +133,7 @@ def test_pending_is_constant_time_counter():
     for ev in events[:60]:
         ev.cancel()
     assert sim.pending() == 40
-    assert len(sim._heap) == 100  # lazy deletion: heap still holds them
+    assert queued(sim) == 100  # lazy deletion: cancelled entries stay queued
 
 
 def test_cancel_is_idempotent():
@@ -334,7 +341,7 @@ def test_reschedule_moves_the_timer_and_its_args(engine):
     assert sim.pending() == 1
     assert (ev.time, ev.seq, ev.args) == (6.0, 5, (4,))
     if in_place(engine):
-        assert len(sim._heap) == 1  # no corpse per re-arm
+        assert queued(sim) == 1  # no corpse per re-arm
     sim.run()
     assert log.hits == [(6.0, 4)]
     assert sim.events_processed == 1
@@ -406,7 +413,7 @@ def test_reschedule_revives_a_cancelled_but_queued_handle(engine):
     assert sim.pending() == 2
     if in_place(engine):
         assert ev2 is ev and not ev.cancelled
-        assert len(sim._heap) == 2
+        assert queued(sim) == 2
     sim.run()
     assert log.hits == [(3.0, "revived"), (9.0, "end")]
     assert sim.events_processed == 2
@@ -517,6 +524,36 @@ def test_budget_ending_a_run_does_not_park_now_at_until(engine):
     sim.run(until=8.0)
     assert fired == [1, 2, 3, 3.5, 4, 5, 6, 7, 8]
     assert sim.now == 8.0
+
+
+@engines
+@pytest.mark.parametrize("until", [None, 2.0, 9.0])
+def test_zero_budget_dispatches_nothing(engine, until):
+    sim = engine(seed=0)
+    fired = []
+    for t in range(1, 6):
+        sim.schedule_fire1(float(t), fired.append, t)
+    sim.run(until=1.5)
+    sim.run(until=until, max_events=0)
+    assert (fired, sim.now, sim.events_processed, sim.pending()) == ([1], 1.5, 1, 4)
+    sim.run()
+    assert fired == [1, 2, 3, 4, 5]
+
+
+@engines
+@pytest.mark.parametrize("args", [dict(max_events=-1), dict(max_events=-5),
+                                  dict(until=float("nan")),
+                                  dict(until=float("nan"), max_events=3)])
+def test_run_rejects_a_negative_budget_and_a_nan_horizon(engine, args):
+    sim = engine(seed=0)
+    fired = []
+    for t in range(1, 6):
+        sim.schedule_fire1(float(t), fired.append, t)
+    with pytest.raises(SimulationError):
+        sim.run(**args)
+    assert (fired, sim.now, sim.events_processed, sim.pending()) == ([], 0.0, 0, 5)
+    sim.run()  # the refusal left the simulator runnable
+    assert fired == [1, 2, 3, 4, 5]
 
 
 def test_event_state_without_the_entry_slot_still_loads():

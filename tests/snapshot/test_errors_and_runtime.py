@@ -14,6 +14,7 @@ from repro.snapshot import (
     checkpoint_scope,
     load,
     resolve_checkpoint_interval,
+    sim_summary,
 )
 
 
@@ -55,11 +56,11 @@ class TestDiagnostics:
         bad.cancel()
         body = capture_bytes(sim)  # must not raise
         assert fired is not None
-        # the original heap still physically holds both entries
-        assert len(sim._heap) == 2
+        # the original event list still physically holds both entries
+        assert sim_summary(sim)["heap_len"] == 2
 
         sim2, _ = restore_bytes(body)
-        assert len(sim2._heap) == 1  # purged copy
+        assert sim_summary(sim2)["heap_len"] == 1  # purged copy
         assert sim2.pending() == 1
         sim2.run()
         assert sim2.events_processed == 1

@@ -260,8 +260,8 @@ def test_snapshot_with_wakeups_outstanding_is_engine_independent(monkeypatch):
         sim, ctx = _queue_build("droptail")()
         assert type(sim) is cls
         sim.run(until=t_snap)
-        stale = [e for e in sim._heap
-                 if len(e) == 5 and e[4] is not None and e[1] != e[4].seq]
+        stale = [e for e in (sim._next, *sim._heap) if e is not None
+                 and len(e) == 5 and e[4] is not None and e[1] != e[4].seq]
         assert bool(stale) == (engine != "legacy")
         for entry in sim.live_entries():
             if entry[4] is not None:
