@@ -10,7 +10,7 @@ Three benchmarks cover the three performance-critical layers:
 * ``fluid.dde`` — RK4 step rate of the Section 5 PERT/RED fluid model.
 * ``fluid.dde_batch`` — the vectorized sweep integrator: a whole RTT
   grid of PERT/RED models advanced in lockstep via
-  :func:`repro.fluid.pert_red.simulate_batch`, reported as aggregate
+  :func:`repro.fluid.model.simulate_batch`, reported as aggregate
   member-steps/s plus the speedup over the equivalent scalar loop.
 * ``dumbbell.warmstart`` — warm-started sweep fan-out: one warm-up
   snapshot measured at four durations vs four cold runs, plus the raw
@@ -344,7 +344,7 @@ def bench_fluid_batch(batch: int = 16, duration: float = 20.0,
     """
     _ensure_src_on_path()
     from repro.fluid import make_fluid_model
-    from repro.fluid.pert_red import simulate_batch
+    from repro.fluid.model import simulate_batch
 
     models = [
         make_fluid_model("pert_red", rtt=0.08 + 0.006 * i) for i in range(batch)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..fluid.registry import make_fluid_model
+from ..fluid.model import make_fluid_model
 from ..fluid.stability import min_delta, trajectory_is_stable
 
 __all__ = ["run_min_delta", "run_trajectories", "run", "validation_metrics",

@@ -1,7 +1,12 @@
 """Fluid-flow models and stability theory (paper Sections 5-6).
 
+One model, :class:`FluidModel` (:mod:`repro.fluid.model`), writes the
+window, queue and filter equations once and asks a :mod:`repro.laws`
+law for the probability; ``pert_red``, ``tcp_red`` and ``pert_pi`` are
+parameter sets of it (``make_fluid_model``).
+
 Two right-hand-side contracts, one scalar kernel.  The registered models
-(``make_fluid_model``) are written against the **float contract** —
+are written against the **float contract** —
 state and delayed state ``x(t - rtt)`` are sequences of Python floats,
 the delay declared to the kernel as its ``lag`` — and integrate
 through :func:`integrate_dde_floats`; :func:`integrate_dde` keeps the
@@ -18,21 +23,18 @@ from .dde import (
     integrate_dde_batch,
     integrate_dde_floats,
 )
-from .pert_pi import PertPiFluidModel
-from .pert_red import PertRedFluidModel, simulate_batch
-from .rates import RateSegment, RateTrajectory, equilibrium_rate, rate_trajectory
-from .registry import (
+from .model import (
     FLUID_MODELS,
     FluidModel,
+    PertPi,
+    PertRed,
+    TcpRed,
     fluid_model_params,
     make_fluid_model,
+    simulate_batch,
 )
-from .spectrum import (
-    pert_red_linearization,
-    pert_red_rightmost_root,
-    pert_red_spectral_boundary,
-    rightmost_root,
-)
+from .rates import RateSegment, RateTrajectory, equilibrium_rate, rate_trajectory
+from .spectrum import pert_red_spectral_boundary, rightmost_root
 from .stability import (
     classify_trajectories,
     equilibrium,
@@ -46,7 +48,6 @@ from .stability import (
     theorem1_holds,
     trajectory_is_stable,
 )
-from .tcp_red import TcpRedFluidModel
 
 __all__ = [
     "integrate_dde",
@@ -64,9 +65,9 @@ __all__ = [
     "rate_trajectory",
     "equilibrium_rate",
     "classify_trajectories",
-    "PertRedFluidModel",
-    "TcpRedFluidModel",
-    "PertPiFluidModel",
+    "PertRed",
+    "TcpRed",
+    "PertPi",
     "l_pert",
     "k_lpf",
     "omega_g",
@@ -78,7 +79,5 @@ __all__ = [
     "trajectory_is_stable",
     "find_stability_boundary",
     "rightmost_root",
-    "pert_red_linearization",
-    "pert_red_rightmost_root",
     "pert_red_spectral_boundary",
 ]

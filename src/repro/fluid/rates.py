@@ -1,6 +1,6 @@
 """Sending-rate trajectories: the fluid side of the hybrid coupling.
 
-Every registered fluid model (:mod:`repro.fluid.registry`) describes
+Every registered fluid model (:mod:`repro.fluid.model`) describes
 ``n_flows`` identical flows whose per-flow congestion window W(t) is the
 first state component, so the aggregate arrival rate the ensemble offers
 at the bottleneck is the same expression for all of them:
@@ -161,7 +161,7 @@ def rate_trajectory(
     """
     sol = model.simulate(duration, dt=dt, x0=x0, method=method)
     w = np.maximum(_window_component(sol), 0.0)
-    n_of_t = getattr(model, "n_of_t", None)
+    n_of_t = model.n_of_t
     if n_of_t is not None:
         n = np.array([float(n_of_t(t)) for t in sol.t])
     else:

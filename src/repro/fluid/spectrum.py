@@ -2,8 +2,9 @@
 
 An independent check of the paper's stability results: instead of
 integrating trajectories and eyeballing convergence (Figure 13) or
-applying Theorem 1's sufficient condition, we linearize the PERT/RED
-fluid model around its equilibrium,
+applying Theorem 1's sufficient condition, we take the fluid model's
+linearization around its equilibrium
+(:meth:`repro.fluid.model.FluidModel.linearization`),
 
     x'(t) = A x(t) + B x(t - R),
 
@@ -25,17 +26,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .pert_pi import PertPiFluidModel
-from .pert_red import PertRedFluidModel
+from .model import make_fluid_model
 
 __all__ = [
     "cheb",
     "rightmost_root",
-    "pert_red_linearization",
-    "pert_red_rightmost_root",
     "pert_red_spectral_boundary",
-    "pert_pi_linearization",
-    "pert_pi_rightmost_root",
 ]
 
 
@@ -92,73 +88,6 @@ def rightmost_root(A: np.ndarray, B: np.ndarray, tau: float, m: int = 24) -> com
     return eigs[np.argmax(eigs.real)]
 
 
-def pert_red_linearization(model: PertRedFluidModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Linearize the PERT/RED fluid model (eq. 14) at its equilibrium.
-
-    State order (w, Tq, s); returns (A, B) of the linear delay system.
-    """
-    w_star, p_star, _ = model.equilibrium()
-    r = model.rtt
-    c = model.capacity
-    n = model.n_flows
-    lp = model.l_pert
-    k = model.k_lpf
-    beta = model.beta_decrease
-    a11 = -beta * p_star * w_star / r
-    A = np.array([
-        [a11 if not model.approximate_self_delay else 2 * a11, 0.0, 0.0],
-        [n / (r * c), 0.0, 0.0],
-        [0.0, -k, k],
-    ])
-    b11 = 0.0 if model.approximate_self_delay else a11
-    B = np.array([
-        [b11, 0.0, -beta * lp * w_star**2 / r],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
-    return A, B
-
-
-def pert_red_rightmost_root(model: PertRedFluidModel, m: int = 24) -> complex:
-    """Rightmost characteristic root of the linearized PERT/RED model."""
-    A, B = pert_red_linearization(model)
-    return rightmost_root(A, B, model.rtt, m=m)
-
-
-def pert_pi_linearization(model: PertPiFluidModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Linearize the PERT/PI fluid model at its equilibrium.
-
-    State order (w, Tq, p).  Window dynamics follow eq. (3) with
-    β = 0.5 (the analysis setting); the controller contributes
-    p' = K (Tq' + (Tq - Tq*)/m) with Tq' = N w /(RC) - 1.
-    """
-    w_star, p_star, _ = model.equilibrium()
-    r = model.rtt
-    c = model.capacity
-    n = model.n_flows
-    k = model.k
-    m = model.m
-    a11 = -p_star * w_star / (2.0 * r)
-    dtq_dw = n / (r * c)
-    A = np.array([
-        [a11, 0.0, -w_star**2 / (2.0 * r)],
-        [dtq_dw, 0.0, 0.0],
-        [k * dtq_dw, k / m, 0.0],
-    ])
-    B = np.array([
-        [a11, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
-    return A, B
-
-
-def pert_pi_rightmost_root(model: PertPiFluidModel, m: int = 24) -> complex:
-    """Rightmost characteristic root of the linearized PERT/PI model."""
-    A, B = pert_pi_linearization(model)
-    return rightmost_root(A, B, model.rtt, m=m)
-
-
 def pert_red_spectral_boundary(
     lo: float,
     hi: float,
@@ -169,11 +98,8 @@ def pert_red_spectral_boundary(
     """Bisect the RTT at which the linearized model loses stability."""
 
     def real_part(rtt: float) -> float:
-        from .registry import make_fluid_model  # local: registry imports us
-
-        return pert_red_rightmost_root(
-            make_fluid_model("pert_red", rtt=rtt, **model_kwargs), m=m
-        ).real
+        A, B = make_fluid_model("pert_red", rtt=rtt, **model_kwargs).linearization()
+        return rightmost_root(A, B, rtt, m=m).real
 
     if real_part(lo) >= 0:
         raise ValueError("model is already unstable at the lower bound")

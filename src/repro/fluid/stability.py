@@ -199,7 +199,7 @@ def classify_trajectories(
 
     Applies the identical peak-to-peak decay test to every member of a
     :class:`~repro.fluid.dde.DdeBatchSolution` (e.g. one produced by
-    :func:`repro.fluid.pert_red.simulate_batch` over a parameter grid)
+    :func:`repro.fluid.model.simulate_batch` over a parameter grid)
     in a handful of array reductions, returning a boolean array of shape
     ``(batch,)``.  Member *b*'s verdict equals
     ``trajectory_is_stable(sol[b], ...)`` by construction.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..fluid.rates import RateSegment, rate_trajectory
-from ..fluid.registry import make_fluid_model
+from ..fluid.model import fluid_model_params, make_fluid_model
 from ..sim.engine import Event, Simulator
 from ..sim.node import Node
 from ..sim.packet import Packet
@@ -114,8 +114,6 @@ class BackgroundLoad:
         if self.arrival not in ("poisson", "paced"):
             raise ValueError("arrival must be 'poisson' or 'paced'")
         # validate model name and params eagerly (and freeze the mapping)
-        from ..fluid.registry import fluid_model_params
-
         allowed = fluid_model_params(self.model)
         unknown = sorted(set(self.params) - set(allowed))
         if unknown:

@@ -9,17 +9,20 @@ place              signal                       adapter
 =================  ===========================  ==========================
 router             queue length [packets]       :mod:`repro.sim.queues`
 end host           ``srtt_0.99 − P`` [seconds]  :mod:`repro.core`
-fluid model        the law's slope / pole       :mod:`repro.fluid`
+fluid model        the DDE's q(t) [s or pkts]   :mod:`repro.fluid.model`
 =================  ===========================  ==========================
 
 A law is one of two shapes, and an adapter tells them apart by the slot
 it keeps the object in:
 
 * a **curve** is stateless: ``probability(signal) -> p`` (plus ``slope``
-  for the stability analysis).  :class:`GentleRedCurve`, :class:`RedCurve`.
+  for the stability analysis).  :class:`GentleRedCurve`, :class:`RedCurve`,
+  and the fluid analysis's :class:`LinearRamp`.
 * a **controller** carries state from sample to sample:
   ``update(signal) -> p`` advances it by one sample.
-  :class:`PiResponse`, :class:`RemResponse`.
+  :class:`PiResponse`, :class:`RemResponse`.  A controller the fluid
+  model integrates also states its continuous form,
+  ``rate(signal, dsignal) -> dp/dt`` (:class:`PiResponse`).
 
 What an adapter adds is what is genuinely its own: how the signal is
 measured and how often it is sampled, the coin-flip rule, and what a
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "LinearRamp",
     "GentleRedCurve",
     "RedCurve",
     "PiResponse",
@@ -52,6 +56,29 @@ def lpf_pole(alpha: float, delta: float) -> float:
     """Continuous-time pole K = ln(alpha) / delta < 0 of an EWMA with
     history weight *alpha* sampled every *delta*  (paper eq. 10)."""
     return math.log(alpha) / delta
+
+
+class LinearRamp:
+    """RED's first segment without its bounds: ``slope * (signal - lo)``.
+
+    The curve of the fluid analysis (paper eq. 14): the ramp through
+    ``(lo, 0)`` and ``(hi, p_max)``, continued over the whole signal
+    axis so the model stays linear around its equilibrium.  Limiting
+    ``p`` to [0, 1] is the fluid model's ``clamp``, not the law's.
+    """
+
+    def __init__(self, p_max: float, lo: float, hi: float):
+        if not 0 <= lo < hi:
+            raise ValueError("need 0 <= lo < hi")
+        if not 0 < p_max <= 1:
+            raise ValueError("p_max must be in (0, 1]")
+        self.lo = lo
+        #: L of the stability analysis (L_PERT per second, L_RED per packet)
+        self.slope = ramp_slope(p_max, lo, hi)
+
+    def probability(self, signal: float) -> float:
+        """The ramp's value at *signal* (negative below ``lo``)."""
+        return self.slope * (signal - self.lo)
 
 
 class GentleRedCurve:
@@ -112,7 +139,8 @@ class PiResponse:
         p(k) = gamma * e(k) - beta * e(k-1) + p(k-1),   e = signal - target
 
     with ``gamma = K/m + K*delta/2`` and ``beta = K/m - K*delta/2``.
-    The probability is clamped to [0, 1].
+    The probability is clamped to [0, 1].  :meth:`rate` is the
+    continuous form the fluid model integrates.
 
     Parameters
     ----------
@@ -132,6 +160,8 @@ class PiResponse:
             raise ValueError("gains k and m must be positive")
         if delta <= 0:
             raise ValueError("delta must be positive")
+        self.k = k
+        self.m = m
         self._configure(k / m + k * delta / 2.0, k / m - k * delta / 2.0,
                         target_delay)
 
@@ -164,6 +194,11 @@ class PiResponse:
         self.p = min(1.0, max(0.0, p))
         self._prev_err = err
         return self.p
+
+    def rate(self, signal: float, dsignal: float) -> float:
+        """dp/dt of the continuous controller, ``k (ds/dt + (s - target)/m)``
+        (paper eq. 16/17); needs the gains :meth:`from_gains` does not keep."""
+        return self.k * (dsignal + (signal - self.target_delay) / self.m)
 
     def reset(self) -> None:
         self.p = 0.0

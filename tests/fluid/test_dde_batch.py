@@ -7,7 +7,7 @@ import pytest
 
 from repro.fluid import make_fluid_model
 from repro.fluid.dde import integrate_dde, integrate_dde_batch
-from repro.fluid.pert_red import simulate_batch
+from repro.fluid.model import simulate_batch
 from repro.fluid.stability import classify_trajectories, trajectory_is_stable
 
 
@@ -165,3 +165,10 @@ def test_clamps_are_the_builtins_comparisons(v):
     batch_p = np.where(arr > 0.0, np.where(arr < 1.0, arr, 1.0), 0.0)
     assert _bits(float(batch_p[0])) == _bits(p)
     assert _bits(float(np.where(arr < 0.0, 0.0, arr)[0])) == _bits(w)
+
+
+@pytest.mark.parametrize("name", ["tcp_red", "pert_pi"])
+def test_simulate_batch_names_a_member_it_cannot_integrate(name):
+    models = [make_fluid_model("pert_red"), make_fluid_model(name)]
+    with pytest.raises(ValueError, match=f"member 1 is {name}"):
+        simulate_batch(models, 0.01)

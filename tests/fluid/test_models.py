@@ -61,7 +61,7 @@ class TestTcpRed:
                              p_max=0.1, min_th=5.0, max_th=10.0)
         w, p, q = m.equilibrium()
         assert w == pytest.approx(2.0)
-        assert q == pytest.approx(5.0 + p / m.l_red)
+        assert q == pytest.approx(5.0 + p / m.law.slope)
 
     def test_default_delta_is_per_packet(self):
         m = make_fluid_model("tcp_red", capacity=200.0)
@@ -90,7 +90,7 @@ class TestTcpRed:
             "tcp_red", capacity=100.0, n_flows=5, rtt=0.1, p_max=0.1,
             min_th=0.05 * 100.0, max_th=0.1 * 100.0, alpha=0.99, delta=1e-4,
         )
-        assert red.l_red == pytest.approx(pert.l_pert / 100.0)
+        assert red.law.slope == pytest.approx(pert.l_pert / 100.0)
         s1 = pert.simulate(40.0, dt=2e-3)
         s2 = red.simulate(40.0, dt=2e-3)
         assert trajectory_is_stable(s1) and trajectory_is_stable(s2)

@@ -8,8 +8,6 @@ import pytest
 from repro.fluid import make_fluid_model
 from repro.fluid.spectrum import (
     cheb,
-    pert_red_linearization,
-    pert_red_rightmost_root,
     pert_red_spectral_boundary,
     rightmost_root,
 )
@@ -72,7 +70,7 @@ class TestRightmostRoot:
 class TestPertRedSpectrum:
     def test_linearization_shapes_and_structure(self):
         model = make_fluid_model("pert_red", rtt=0.1, **FIG13)
-        A, B = pert_red_linearization(model)
+        A, B = model.linearization()
         assert A.shape == (3, 3) and B.shape == (3, 3)
         # queue eq couples only to the instantaneous window
         assert A[1, 0] == pytest.approx(model.n_flows /
@@ -87,7 +85,7 @@ class TestPertRedSpectrum:
         # flip where the paper observes the trajectory go unstable
         for rtt in (0.10, 0.16, 0.171, 0.18):
             model = make_fluid_model("pert_red", rtt=rtt, **FIG13)
-            root = pert_red_rightmost_root(model)
+            root = rightmost_root(*model.linearization(), model.rtt)
             traj = trajectory_is_stable(model.simulate(60.0, dt=2e-3))
             assert (root.real < 0) == traj, rtt
 
@@ -121,3 +119,37 @@ def test_fluid_n_of_t_step_shifts_equilibrium():
     w_after = sol(118.0)[0]
     assert w_before == pytest.approx(2.0, rel=0.05)  # RC/N = 2
     assert w_after == pytest.approx(1.0, rel=0.1)  # N doubled
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pert_red", {"beta_decrease": 0.5}),
+    ("pert_red", {"beta_decrease": 0.35}),
+    ("pert_red", {"beta_decrease": 0.5, "approximate_self_delay": True}),
+    ("pert_red", {"beta_decrease": 0.35, "approximate_self_delay": True}),
+    ("tcp_red", {}),
+    ("pert_pi", {"k": 0.05, "m": 0.5}),
+])
+def test_linearization_is_the_rhs_jacobian(name, params):
+    """``(A, B)`` equal central differences of ``rhs`` in ``x`` and ``xd``
+    at the equilibrium: the one Jacobian is that of the one rhs."""
+    model = make_fluid_model(name, **params)
+    A, B = model.linearization()
+    x = np.array(model.equilibrium_state())
+    assert np.allclose(model.rhs(0.0, tuple(x), tuple(x)), 0.0, atol=1e-9)
+
+    def jacobian(delayed):
+        cols = []
+        for j in range(3):
+            h = 1e-6 * max(1.0, abs(x[j]))
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            args = ((x, up), (x, down)) if delayed else ((up, x), (down, x))
+            f_up, f_down = (np.array(model.rhs(0.0, tuple(a), tuple(d)))
+                            for a, d in args)
+            cols.append((f_up - f_down) / (2 * h))
+        return np.column_stack(cols)
+
+    scale = max(np.abs(A).max(), np.abs(B).max())
+    np.testing.assert_allclose(jacobian(False), A, rtol=1e-6, atol=1e-7 * scale)
+    np.testing.assert_allclose(jacobian(True), B, rtol=1e-6, atol=1e-7 * scale)

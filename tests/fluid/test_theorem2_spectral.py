@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fluid import make_fluid_model
-from repro.fluid.spectrum import pert_pi_linearization, pert_pi_rightmost_root
+from repro.fluid.spectrum import rightmost_root
 from repro.fluid.stability import pert_pi_gains
 
 C, N_MINUS, R_PLUS = 100.0, 5, 0.2
@@ -17,7 +17,7 @@ def test_linearization_structure():
     k, m = gains()
     model = make_fluid_model("pert_pi", capacity=C, n_flows=N_MINUS, rtt=0.1,
                              k=k, m=m, tq_ref=0.05)
-    A, B = pert_pi_linearization(model)
+    A, B = model.linearization()
     assert A.shape == (3, 3) and B.shape == (3, 3)
     # only the window equation carries the delay
     assert (B[1:] == 0).all()
@@ -32,7 +32,7 @@ def test_theorem2_gains_stable_over_guaranteed_region(n_flows, rtt):
     k, m = gains()
     model = make_fluid_model("pert_pi", capacity=C, n_flows=n_flows, rtt=rtt,
                              k=k, m=m, tq_ref=0.05)
-    root = pert_pi_rightmost_root(model)
+    root = rightmost_root(*model.linearization(), model.rtt)
     assert root.real < 0
 
 
@@ -41,7 +41,7 @@ def test_overdriven_gain_destabilises():
     k, m = gains()
     model = make_fluid_model("pert_pi", capacity=C, n_flows=N_MINUS,
                              rtt=R_PLUS, k=k * 10.0, m=m, tq_ref=0.05)
-    root = pert_pi_rightmost_root(model, m=40)
+    root = rightmost_root(*model.linearization(), model.rtt, m=40)
     assert root.real > 0
 
 
@@ -53,4 +53,4 @@ def test_spectral_agrees_with_trajectory():
                              k=k, m=m, tq_ref=0.05, clamp=True)
     sol = model.simulate(duration=120.0, dt=2e-3)
     assert trajectory_is_stable(sol, settle_fraction=0.6)
-    assert pert_pi_rightmost_root(model).real < 0
+    assert rightmost_root(*model.linearization(), model.rtt).real < 0
