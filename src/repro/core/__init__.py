@@ -2,15 +2,13 @@
 
 Public API: the one PERT sender under the name of each law it emulates
 (:class:`PertSender` gentle RED, :class:`PertPiSender` PI,
-:class:`PertRemSender` REM) and its one-way-delay variant
-(:class:`PertOwdSender`), their configuration dataclasses, the
+:class:`PertRemSender` REM), their configuration dataclasses, the
 smoothed-RTT congestion signals, and the laws themselves, re-exported
 from :mod:`repro.laws`.
 """
 
 from .config import PertConfig, PertPiConfig, PertRemConfig
 from .pert import PertSender
-from .pert_owd import PertOwdSender
 from .pert_pi import PertPiSender
 from .pert_rem import PertRemSender
 from .response import GentleRedCurve, PiResponse, RedCurve, RemResponse
@@ -21,7 +19,6 @@ __all__ = [
     "PertPiConfig",
     "PertRemConfig",
     "PertSender",
-    "PertOwdSender",
     "PertPiSender",
     "PertRemSender",
     "GentleRedCurve",

@@ -10,7 +10,6 @@ response spacing — is declared, and validated, once in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
 
 from ..laws import GentleRedCurve, PiResponse, RedCurve, RemResponse
 
@@ -38,12 +37,6 @@ class PertSenderConfig:
     early_decrease: float = 0.35
     min_response_interval_rtts: float = 1.0
 
-    # Section 7's adaptive pro-activeness is settable only where the
-    # paper sketches it, on PertConfig; for every other law it is off.
-    escalating_interval: ClassVar[bool] = False
-    deterministic_threshold: ClassVar[Optional[float]] = None
-    aggressive_increase: ClassVar[float] = 0.0
-
     def law(self):
         """Build the law object (:mod:`repro.laws`) this config describes."""
         raise NotImplementedError
@@ -55,12 +48,6 @@ class PertSenderConfig:
             raise ValueError("early_decrease must be in (0, 1)")
         if self.min_response_interval_rtts < 0:
             raise ValueError("min_response_interval_rtts must be >= 0")
-        if self.deterministic_threshold is not None and not (
-            0 < self.deterministic_threshold <= 1
-        ):
-            raise ValueError("deterministic_threshold must be in (0, 1]")
-        if self.aggressive_increase < 0:
-            raise ValueError("aggressive_increase must be >= 0")
         self.law()  # a law validates its own parameters
 
 
@@ -78,36 +65,12 @@ class PertConfig(PertSenderConfig):
         Response probability at ``t_max`` (paper: 0.05).
     gentle:
         Use the gentle-RED ramp to 1 at ``2*t_max`` (paper's choice).
-
-    The remaining knobs implement the *adaptive pro-activeness* ideas the
-    paper sketches in Section 7 (all off by default, matching the paper's
-    evaluated configuration):
-
-    escalating_interval:
-        Progressively double the minimum response spacing while the
-        signal stays congested ("increasing the time for next response
-        progressively if queue lengths persist"); resets once the signal
-        drops below ``t_min``.
-    deterministic_threshold:
-        If set, respond deterministically (no coin flip) once the curve
-        probability exceeds this value ("limiting the probabilistic
-        early response to once when the probability exceeds some
-        threshold, say 0.75").
-    aggressive_increase:
-        Extra congestion-avoidance growth factor applied while the
-        signal shows no congestion, compensating for early-response
-        throughput loss ("the increase function can be made more
-        aggressive than that in TCP in the absence of congestion").
-        0 disables; 1.0 doubles the growth rate.
     """
 
     t_min: float = 0.005
     t_max: float = 0.010
     p_max: float = 0.05
     gentle: bool = True
-    escalating_interval: bool = False
-    deterministic_threshold: Optional[float] = None
-    aggressive_increase: float = 0.0
 
     def law(self) -> GentleRedCurve:
         curve_cls = GentleRedCurve if self.gentle else RedCurve

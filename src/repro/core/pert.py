@@ -55,7 +55,6 @@ class PertSender(TcpSender):
             (None, law) if hasattr(law, "update") else (law, None))
         self.signal = EwmaRtt(weight=self.config.srtt_weight)
         self._last_early_response = -1e9
-        self._interval_scale = 1.0  # Section 7: escalating response spacing
         self.early_responses = 0
 
     # ------------------------------------------------------------------
@@ -71,30 +70,16 @@ class PertSender(TcpSender):
         if self.obs is not None:
             self.obs.sender_signal(self, self.sim.now, prob)
         if prob <= 0.0:
-            # No congestion: the escalation resets, and the optional
-            # aggressive-increase compensation may add extra growth.
-            self._interval_scale = 1.0
-            if self.config.aggressive_increase > 0 and not self.in_recovery:
-                if self.cwnd >= self.ssthresh:
-                    self.cwnd = min(
-                        self.cwnd
-                        + self.config.aggressive_increase / self.cwnd,
-                        self.max_cwnd,
-                    )
             return
         if self.in_recovery:
             # Loss recovery already reduced the window; early response on
             # top of it would double-penalise the flow.
             return
         srtt = self.signal.value if self.signal.value is not None else self.rto
-        spacing = (self.config.min_response_interval_rtts * srtt
-                   * self._interval_scale)
+        spacing = self.config.min_response_interval_rtts * srtt
         if self.sim.now - self._last_early_response < spacing:
             return
-        threshold = self.config.deterministic_threshold
-        if threshold is not None and prob >= threshold:
-            self._early_response(prob)
-        elif self.rng.random() < prob:
+        if self.rng.random() < prob:
             self._early_response(prob)
 
     def _early_response(self, prob: float) -> None:
@@ -102,8 +87,6 @@ class PertSender(TcpSender):
         *prob* is the law's output being answered (recorded, not used)."""
         self._last_early_response = self.sim.now
         self.early_responses += 1
-        if self.config.escalating_interval:
-            self._interval_scale = min(self._interval_scale * 2.0, 16.0)
         factor = 1.0 - self.config.early_decrease
         cwnd = self.cwnd
         self.cwnd = max(2.0, cwnd * factor)

@@ -534,7 +534,6 @@ def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
             bandwidth=bandwidth,
             pkt_size=pkt_size,
             base_rtt=params["base_rtt"],
-            duration=params["duration"],
         )
 
     return PacketRun(

@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
 from ..core.config import PertPiConfig
 from ..core.pert import PertSender
-from ..core.pert_owd import PertOwdSender
 from ..core.pert_pi import PertPiSender
 from ..core.pert_rem import PertRemSender
 from ..fluid.stability import pert_pi_gains
@@ -28,7 +27,6 @@ from ..laws import PiResponse
 from ..sim.engine import Simulator
 from ..sim.queues import QueueConfig, QueueDiscipline, make_queue
 from ..tcp.base import TcpSender
-from ..tcp.reno import NewRenoSender
 from ..tcp.sack import SackEcnSender, SackSender
 from ..tcp.vegas import VegasSender
 
@@ -128,11 +126,8 @@ SCHEMES: Dict[str, Scheme] = {
     "pert": Scheme("pert", PertSender, _droptail),
     "pert-pi": Scheme("pert-pi", PertPiSender, _droptail),
     "sack-pi-ecn": Scheme("sack-pi-ecn", SackEcnSender, _pi_queue),
-    # Section 7 / generality extensions
-    "pert-owd": Scheme("pert-owd", PertOwdSender, _droptail),
+    # generality: PERT emulating REM, the paper's reference [2]
     "pert-rem": Scheme("pert-rem", PertRemSender, _droptail),
-    # non-SACK reference stack (the Section 2 studies observed standard TCP)
-    "newreno-droptail": Scheme("newreno-droptail", NewRenoSender, _droptail),
 }
 
 

@@ -33,7 +33,7 @@ from .model import (
     make_fluid_model,
     simulate_batch,
 )
-from .rates import RateSegment, RateTrajectory, equilibrium_rate, rate_trajectory
+from .rates import RateTrajectory, equilibrium_rate, rate_trajectory
 from .spectrum import pert_red_spectral_boundary, rightmost_root
 from .stability import (
     classify_trajectories,
@@ -60,7 +60,6 @@ __all__ = [
     "FLUID_MODELS",
     "make_fluid_model",
     "fluid_model_params",
-    "RateSegment",
     "RateTrajectory",
     "rate_trajectory",
     "equilibrium_rate",

@@ -7,19 +7,16 @@ at the bottleneck is the same expression for all of them:
 
     r(t) = N(t) * W(t) / R        [packets / second]
 
-This module integrates a model and exports that trajectory in the form
-the packet engine can consume: a :class:`RateTrajectory` (rate sampled
-on the DDE grid) and its reduction to piecewise-constant
-:class:`RateSegment` runs, which :class:`repro.hybrid.BackgroundSource`
-schedules through the ordinary event loop.  The segment reduction uses
-the segment-mean rate, so the total offered load over any segment
-boundary-aligned interval is preserved exactly.
+This module integrates a model and exports that trajectory as a
+:class:`RateTrajectory` (rate sampled on the DDE grid) whose settled
+tail rate :func:`repro.hybrid.fluid_fast_forward` hands to
+:class:`repro.hybrid.BackgroundSource`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +27,6 @@ from .dde import DdeSolution
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
-    "RateSegment",
     "RateTrajectory",
     "rate_trajectory",
     "equilibrium_rate",
@@ -38,31 +34,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RateSegment:
-    """One piecewise-constant run of aggregate arrival rate."""
-
-    #: segment start time (seconds, fluid-model clock)
-    start: float
-    #: segment end time (seconds)
-    end: float
-    #: constant aggregate arrival rate over [start, end) in packets/second
-    rate_pps: float
-
-    def __post_init__(self):
-        if not self.end > self.start:
-            raise ValueError("rate segment needs end > start")
-        if self.rate_pps < 0:
-            raise ValueError("rate_pps must be >= 0")
-
-
-@dataclass(frozen=True)
 class RateTrajectory:
     """Aggregate fluid arrival rate sampled on the integrator's grid.
 
     ``rate_pps[i]`` is the ensemble rate N·W(times[i])/R in
-    packets/second.  :meth:`segments` reduces the trajectory to
-    piecewise-constant runs for event-driven injection;
-    :meth:`steady_rate` estimates the settled rate from the tail.
+    packets/second.  :meth:`steady_rate` estimates the settled rate
+    from the tail.
     """
 
     times: np.ndarray
@@ -78,27 +55,6 @@ class RateTrajectory:
     def duration(self) -> float:
         """Covered fluid-time horizon in seconds."""
         return float(self.times[-1] - self.times[0])
-
-    def segments(self, seg_dt: float) -> List[RateSegment]:
-        """Piecewise-constant reduction with segment length *seg_dt*.
-
-        Each segment carries the trapezoidal mean of the sampled rate
-        over its span, so the offered volume of the reduction matches
-        the fluid trajectory segment by segment.  The last segment may
-        be shorter than *seg_dt*; segments with non-positive mean rate
-        are emitted with rate 0 (the injector idles through them).
-        """
-        if seg_dt <= 0:
-            raise ValueError("seg_dt must be positive")
-        t0, t1 = float(self.times[0]), float(self.times[-1])
-        out: List[RateSegment] = []
-        start = t0
-        while start < t1 - 1e-12:
-            end = min(start + seg_dt, t1)
-            mean = self._mean_rate(start, end)
-            out.append(RateSegment(start, end, max(0.0, mean)))
-            start = end
-        return out
 
     def _mean_rate(self, start: float, end: float) -> float:
         """Trapezoidal mean of the rate over [start, end]."""

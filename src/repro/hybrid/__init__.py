@@ -9,10 +9,9 @@ bottleneck while a handful of packet-level foreground flows experience
 the resulting queue — the scenario shape ns-2 could never run at
 10^5–10^6 flows.
 
-The coupling is one-directional and deterministic: the fluid trajectory
-is integrated up front (:func:`repro.fluid.rate_trajectory`), reduced to
-piecewise-constant :class:`~repro.fluid.RateSegment` runs, and replayed
-by a :class:`BackgroundSource` through the ordinary event engine — so
+The coupling is one-directional and deterministic: the fluid model is
+fast-forwarded up front to its settled sending rate, which a
+:class:`BackgroundSource` injects through the ordinary event engine — so
 seeded runs stay reproducible, snapshots keep working, and a zero-share
 background degenerates to exactly the pure packet run.
 
@@ -25,13 +24,14 @@ Entry points:
   foreground queue-delay distributions;
 * :func:`fluid_fast_forward` — integrate a model to steady state so the
   background enters settled at t = 0;
-* :func:`warm_hybrid_bytes` — fluid-seeded :mod:`repro.snapshot`
-  warm start for measuring many durations of one hybrid scenario.
+* ``warm_dumbbell_bytes(..., background=...)`` — fluid-seeded
+  :mod:`repro.snapshot` warm start for measuring many durations of one
+  hybrid scenario.
 """
 
 from .background import BackgroundLoad, BackgroundSink, BackgroundSource, attach_background
 from .fastforward import FluidSteadyState, fluid_fast_forward
-from .run import HybridSummary, run_hybrid_dumbbell, summarize_hybrid, warm_hybrid_bytes
+from .run import HybridSummary, run_hybrid_dumbbell, summarize_hybrid
 
 __all__ = [
     "summarize_hybrid",
@@ -43,5 +43,4 @@ __all__ = [
     "fluid_fast_forward",
     "HybridSummary",
     "run_hybrid_dumbbell",
-    "warm_hybrid_bytes",
 ]

@@ -5,11 +5,10 @@ background share — which fluid model, how many fluid flows, what share
 of capacity — in a JSON-clean form that rides inside
 :func:`repro.runner.dumbbell_spec` params, so hybrid jobs cache and
 dedupe like any other.  :func:`attach_background` turns the declaration
-into live objects at build time: it integrates the fluid model, reduces
-the sending-rate trajectory to piecewise-constant segments
-(:meth:`repro.fluid.RateTrajectory.segments`) and starts a
-:class:`BackgroundSource` that replays them through the ordinary event
-engine.
+into live objects at build time: it fast-forwards the fluid model to its
+settled sending rate (:func:`repro.hybrid.fluid_fast_forward`) and starts
+a :class:`BackgroundSource` that injects that rate through the ordinary
+event engine.
 
 The injected arrival process is deterministic and seedable: inter-
 arrivals come from the simulator's ``"background"`` RNG stream (claimed
@@ -23,15 +22,17 @@ rate can exceed what per-packet events allow, and a GSO-style burst of
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
-from ..fluid.rates import RateSegment, rate_trajectory
 from ..fluid.model import fluid_model_params, make_fluid_model
 from ..sim.engine import Event, Simulator
 from ..sim.node import Node
 from ..sim.packet import Packet
+from .fastforward import fluid_fast_forward
 
 __all__ = [
     "BACKGROUND_FLOW_ID",
@@ -69,18 +70,13 @@ class BackgroundLoad:
     aggregate:
         Packets per injected macro-packet (GSO-style batching; event
         count scales with ``rate / aggregate``).
-    segment_dt:
-        Piecewise-constant segment length (seconds) when replaying the
-        full fluid trajectory.
-    fast_forward:
-        When true (the default), integrate the fluid model to steady
-        state up front (:func:`repro.hybrid.fluid_fast_forward`) and
-        inject the settled rate from t = 0 — the fluid transient is
-        skipped, matching the packet side's own warm-up discipline.
-        When false, the transient trajectory itself is replayed.
     horizon, fluid_dt:
-        Fluid integration horizon and step.  ``horizon=None`` picks the
-        fast-forward default or the run duration, respectively.
+        Fluid integration horizon and step of the fast-forward
+        (:func:`repro.hybrid.fluid_fast_forward`), which integrates the
+        model to steady state up front so the settled rate is injected
+        from t = 0 — the fluid transient is skipped, matching the packet
+        side's own warm-up discipline.  ``horizon=None`` lets the
+        fast-forward pick its own.
     arrival:
         ``"poisson"`` (exponential inter-arrivals, the natural model of
         a large aggregate; seeded from the ``"background"`` stream) or
@@ -95,8 +91,6 @@ class BackgroundLoad:
     n_flows: int = 100
     rtt: Optional[float] = None
     aggregate: int = 1
-    segment_dt: float = 0.25
-    fast_forward: bool = True
     horizon: Optional[float] = None
     fluid_dt: float = 2e-3
     arrival: str = "poisson"
@@ -105,12 +99,24 @@ class BackgroundLoad:
     def __post_init__(self) -> None:
         if not 0.0 <= self.share < 1.0:
             raise ValueError("background share must be in [0, 1)")
-        if self.n_flows <= 0:
-            raise ValueError("background n_flows must be positive")
-        if self.aggregate < 1:
-            raise ValueError("aggregate must be >= 1")
-        if self.segment_dt <= 0 or self.fluid_dt <= 0:
-            raise ValueError("segment_dt and fluid_dt must be positive")
+        for name in ("n_flows", "aggregate"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
+                raise ValueError(
+                    f"background {name} must be a positive integer, "
+                    f"got {value!r}")
+        # rtt=None is the packet run's base RTT, horizon=None the
+        # fast-forward's own choice; a number must be a usable one
+        for name in ("rtt", "horizon", "fluid_dt"):
+            value = getattr(self, name)
+            if value is None and name != "fluid_dt":
+                continue
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value > 0):
+                raise ValueError(
+                    f"background {name} must be a positive finite number, "
+                    f"got {value!r}")
         if self.arrival not in ("poisson", "paced"):
             raise ValueError("arrival must be 'poisson' or 'paced'")
         # validate model name and params eagerly (and freeze the mapping)
@@ -150,8 +156,6 @@ class BackgroundLoad:
             "n_flows": int(self.n_flows),
             "rtt": None if self.rtt is None else float(self.rtt),
             "aggregate": int(self.aggregate),
-            "segment_dt": float(self.segment_dt),
-            "fast_forward": bool(self.fast_forward),
             "horizon": None if self.horizon is None else float(self.horizon),
             "fluid_dt": float(self.fluid_dt),
             "arrival": self.arrival,
@@ -160,15 +164,12 @@ class BackgroundLoad:
 
 
 class BackgroundSource:
-    """Replays piecewise-constant rate segments as macro-packet arrivals.
+    """Injects a constant aggregate rate as macro-packet arrivals.
 
-    The source self-schedules like :class:`repro.traffic.cbr.CbrSource`
-    but follows a rate *schedule*: within a segment, inter-arrivals are
-    exponential (``"poisson"``) or even (``"paced"``); at a segment
-    boundary the gap is resampled at the new rate — exact for a
-    piecewise-constant Poisson process by memorylessness.  After the
-    last segment the final rate is held, so a schedule shorter than the
-    run degrades gracefully to its settled tail.
+    The source self-schedules like :class:`repro.traffic.cbr.CbrSource`:
+    inter-arrivals are exponential (``"poisson"``, drawn from *rng*) or
+    even (``"paced"``, *rng* ``None``) at ``rate_pps / aggregate``
+    macro-packets per second.  A zero rate injects nothing.
     """
 
     def __init__(
@@ -176,18 +177,19 @@ class BackgroundSource:
         sim: Simulator,
         node: Node,
         dst: int,
-        segments: List[RateSegment],
+        rate_pps: float,
         pkt_size: int = 1000,
         aggregate: int = 1,
         rng: Optional[random.Random] = None,
         flow_id: int = BACKGROUND_FLOW_ID,
     ):
-        if not segments:
-            raise ValueError("need at least one rate segment")
+        if not rate_pps >= 0:
+            raise ValueError("rate_pps must be >= 0")
         self.sim = sim
         self.node = node
         self.dst = dst
-        self.segments = list(segments)
+        #: aggregate arrival rate in packets/second
+        self.rate_pps = rate_pps
         self.pkt_size = pkt_size
         self.aggregate = aggregate
         self.rng = rng
@@ -197,7 +199,6 @@ class BackgroundSource:
         #: fluid-ensemble packets represented (pkts_sent * aggregate)
         self.offered_pkts = 0
         self._seq = 0
-        self._seg_idx = 0
         self._timer: Optional[Event] = None
         self.running = False
         #: the far-router sink, set by :func:`attach_background`
@@ -216,37 +217,18 @@ class BackgroundSource:
             self._timer = None
 
     # ------------------------------------------------------------------
-    def _macro_rate_at(self, t: float) -> float:
-        """Macro-packet arrival rate in effect at time *t* (may be 0)."""
-        while (self._seg_idx < len(self.segments) - 1
-               and t >= self.segments[self._seg_idx].end):
-            self._seg_idx += 1
-        return self.segments[self._seg_idx].rate_pps / self.aggregate
-
     def _schedule_next(self, now: float) -> None:
-        """Schedule the next arrival from the rate in effect at *now*."""
-        seg = None
-        while True:
-            rate = self._macro_rate_at(now)
-            seg = self.segments[self._seg_idx]
-            last = self._seg_idx == len(self.segments) - 1
-            if rate > 0.0:
-                if self.rng is not None:
-                    gap = self.rng.expovariate(rate)
-                else:
-                    gap = 1.0 / rate
-                t = now + gap
-                if last or t < seg.end:
-                    break
-            elif last:
-                # settled at zero rate: nothing more to inject, ever
-                self.running = False
-                self._timer = None
-                return
-            # boundary crossed (or idle segment): resample at the next
-            # segment's rate — exact for piecewise-constant Poisson
-            now = seg.end
-        self._timer = self.sim.schedule(t - self.sim.now, self._tick)
+        """Schedule the next arrival after *now*."""
+        rate = self.rate_pps / self.aggregate
+        if rate <= 0.0:
+            self.running = False
+            self._timer = None
+            return
+        if self.rng is not None:
+            gap = self.rng.expovariate(rate)
+        else:
+            gap = 1.0 / rate
+        self._timer = self.sim.schedule(now + gap - self.sim.now, self._tick)
 
     def _tick(self) -> None:
         if not self.running:
@@ -308,9 +290,9 @@ def attach_background(
     bandwidth: float,
     pkt_size: int,
     base_rtt: float,
-    duration: float,
 ) -> BackgroundSource:
-    """Integrate the fluid model and start the injector on *db*'s bottleneck.
+    """Fast-forward the fluid model and start the injector on *db*'s
+    bottleneck.
 
     Called by the experiment harness at the *end* of topology/flow
     construction, so the streams and event sequence numbers of the pure
@@ -320,23 +302,13 @@ def attach_background(
     :class:`BackgroundSink`.
     """
     model = background_model(load, bandwidth, pkt_size, base_rtt)
-    if load.fast_forward:
-        from .fastforward import fluid_fast_forward  # local: avoids cycle
-
-        steady = fluid_fast_forward(
-            model, horizon=load.horizon, dt=load.fluid_dt
-        )
-        segments = [RateSegment(0.0, duration, steady.rate_pps)]
-    else:
-        horizon = load.horizon if load.horizon is not None else duration
-        traj = rate_trajectory(model, horizon, dt=load.fluid_dt)
-        segments = traj.segments(load.segment_dt)
+    steady = fluid_fast_forward(model, horizon=load.horizon, dt=load.fluid_dt)
     rng = sim.stream("background") if load.arrival == "poisson" else None
     source = BackgroundSource(
         sim,
         db.r1,
         dst=db.r2.node_id,
-        segments=segments,
+        rate_pps=steady.rate_pps,
         pkt_size=pkt_size,
         aggregate=load.aggregate,
         rng=rng,

@@ -4,9 +4,10 @@
 :class:`~repro.hybrid.BackgroundLoad`; this module adds the hybrid-
 specific conveniences on top: :func:`run_hybrid_dumbbell` derives the
 foreground-flow queue-delay distribution the 10^5-flow deliverable
-reports, and :func:`warm_hybrid_bytes` is the fluid-seeded
-:mod:`repro.snapshot` warm start — one fluid fast-forward plus one
-packet warm-up, measured at any number of durations via
+reports.  The fluid-seeded :mod:`repro.snapshot` warm start needs no
+entry point of its own: ``warm_dumbbell_bytes(..., background=...)``
+captures one fluid fast-forward plus one packet warm-up, measured at
+any number of durations via
 :func:`repro.experiments.common.run_dumbbell_warm`.
 """
 
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Mapping, Optional, Union
 
-from ..experiments.common import DumbbellResult, run_dumbbell, warm_dumbbell_bytes
+from ..experiments.common import DumbbellResult, run_dumbbell
 from .background import BackgroundLoad
 
 __all__ = [
     "HybridSummary",
     "summarize_hybrid",
     "run_hybrid_dumbbell",
-    "warm_hybrid_bytes",
 ]
 
 
@@ -109,23 +109,3 @@ def run_hybrid_dumbbell(
         **kwargs,
     )
     return summarize_hybrid(result, warmup=kwargs.get("warmup", 20.0))
-
-
-def warm_hybrid_bytes(
-    scheme: str,
-    bandwidth: float,
-    background: Union[BackgroundLoad, Mapping[str, Any]],
-    **kwargs: Any,
-) -> bytes:
-    """Fluid-seeded warm start: snapshot a hybrid run at window-open.
-
-    The background's fluid model is fast-forwarded analytically (the
-    default ``BackgroundLoad.fast_forward``), so the packet-side
-    warm-up only has to converge the foreground flows against an
-    already-settled background — then the state is captured exactly as
-    :func:`repro.experiments.common.warm_dumbbell_bytes` does.  Feed the
-    bytes to :func:`repro.experiments.common.run_dumbbell_warm` once per
-    desired duration; each continuation is bit-identical to the
-    corresponding cold hybrid run.
-    """
-    return warm_dumbbell_bytes(scheme, bandwidth, background=background, **kwargs)

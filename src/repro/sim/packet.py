@@ -58,10 +58,8 @@ class Packet:
         "ce",
         "ece",
         "cwr",
-        "sent_time",
         "enqueue_time",
         "is_retransmit",
-        "owd_echo",
         "hops",
     )
 
@@ -89,13 +87,8 @@ class Packet:
         self.ce = False
         self.ece = False
         self.cwr = False
-        self.sent_time = 0.0
         self.enqueue_time = 0.0
         self.is_retransmit = False
-        #: on ACKs: the forward one-way delay measured by the receiver
-        #: for the data packet being acknowledged (-1 when unavailable);
-        #: used by the one-way-delay PERT variant of paper Section 7
-        self.owd_echo = -1.0
         self.hops = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

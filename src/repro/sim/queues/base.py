@@ -12,6 +12,7 @@ Queue capacity is expressed in *packets*, matching the paper (e.g. the
 
 from __future__ import annotations
 
+import numbers
 import random
 from collections import deque
 from typing import Any, Deque, Dict, Optional
@@ -19,7 +20,18 @@ from typing import Any, Deque, Dict, Optional
 from ..engine import Simulator
 from ..packet import Packet
 
-__all__ = ["QueueDiscipline", "QueueStats", "SampledAqmQueue"]
+__all__ = ["QueueDiscipline", "QueueStats", "SampledAqmQueue",
+           "check_capacity"]
+
+
+def check_capacity(capacity_pkts: Any) -> None:
+    """Reject a buffer size that is not a whole, positive packet count."""
+    if (isinstance(capacity_pkts, bool)
+            or not isinstance(capacity_pkts, numbers.Integral)
+            or capacity_pkts < 1):
+        raise ValueError(
+            f"capacity_pkts must be a positive integer, got {capacity_pkts!r}")
+
 
 class QueueStats:
     """Counters shared by every queue discipline."""
@@ -73,12 +85,8 @@ class QueueDiscipline:
     #: packets the law picks instead of dropping them
     ecn = False
 
-    def __init__(self, capacity_pkts: int,
-                 capacity_bytes: Optional[int] = None) -> None:
-        if capacity_pkts < 1:
-            raise ValueError("queue capacity must be >= 1 packet")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError("byte capacity must be >= 1")
+    def __init__(self, capacity_pkts: int) -> None:
+        check_capacity(capacity_pkts)
         # Plain tail-drop FIFO (no admit() override anywhere in the MRO):
         # enqueue() inlines the admission decision.  A subclass or test
         # that assigns ``admit`` on an *instance* must also set
@@ -86,8 +94,6 @@ class QueueDiscipline:
         # detected here automatically).
         self._plain_admit = type(self).admit is QueueDiscipline.admit
         self.capacity = capacity_pkts
-        #: optional additional byte bound (ns-2's byte-mode queues)
-        self.capacity_bytes = capacity_bytes
         self._buf: Deque[Packet] = deque()
         self._bytes = 0
         self.stats = QueueStats()
@@ -99,12 +105,8 @@ class QueueDiscipline:
 
     # -- admission policy -------------------------------------------------
     def is_full_for(self, pkt: Packet) -> bool:
-        """True if admitting *pkt* would exceed the packet or byte bound."""
-        if len(self._buf) >= self.capacity:
-            return True
-        if self.capacity_bytes is not None:
-            return self._bytes + pkt.size > self.capacity_bytes
-        return False
+        """True if admitting *pkt* would exceed the packet bound."""
+        return len(self._buf) >= self.capacity
 
     def admit(self, pkt: Packet, now: float) -> str:
         """Decide the fate of an arriving packet (default: tail drop)."""
@@ -136,10 +138,7 @@ class QueueDiscipline:
         if self._plain_admit:
             # Inlined tail-drop admit(): same decision, no method call,
             # and the drop is by construction a forced (overflow) drop.
-            if len(buf) >= self.capacity or (
-                self.capacity_bytes is not None
-                and self._bytes + pkt.size > self.capacity_bytes
-            ):
+            if len(buf) >= self.capacity:
                 stats.drops += 1
                 stats.forced_drops += 1
                 if self.obs is not None:

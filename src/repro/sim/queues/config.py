@@ -20,7 +20,8 @@ replaces that with one declarative shape:
 * *sim* is forwarded to disciplines that self-schedule periodic work
   (PI's and REM's controller ticks);
 * unknown disciplines and parameters are rejected eagerly, at
-  :class:`QueueConfig` construction time, with the valid names listed.
+  :class:`QueueConfig` construction time, with the valid names listed,
+  and so is a capacity that is not a positive integer.
 
 Direct constructor calls (``RedQueue(...)``) work too; ``make_queue`` is
 the entry point for anything driven by configuration.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Type
 
 from ..engine import Simulator
-from .base import QueueDiscipline
+from .base import QueueDiscipline, check_capacity
 from .droptail import DropTailQueue
 from .pi import PiQueue
 from .red import RedQueue
@@ -59,7 +60,7 @@ _STREAM_LABELS = {"red": "red", "pi": "pi", "rem": "rem"}
 def _allowed_params(cls: Type[QueueDiscipline]) -> Dict[str, inspect.Parameter]:
     """Constructor keywords settable through ``QueueConfig.params``."""
     sig = inspect.signature(cls.__init__)
-    reserved = {"self", "capacity_pkts", "capacity_bytes", "sim", "rng"}
+    reserved = {"self", "capacity_pkts", "sim", "rng"}
     return {n: p for n, p in sig.parameters.items() if n not in reserved}
 
 
@@ -73,10 +74,8 @@ class QueueConfig:
         One of :data:`DISCIPLINES` (``"droptail"``, ``"red"``, ``"pi"``,
         ``"rem"``).
     capacity_pkts:
-        Physical buffer size in packets (every discipline has one).
-    capacity_bytes:
-        Optional additional byte bound; only disciplines that support
-        byte-mode accounting accept it.
+        Physical buffer size in packets (every discipline has one), a
+        positive integer.
     params:
         Discipline-specific knobs, validated against the implementing
         class's constructor signature at config-construction time.
@@ -84,7 +83,6 @@ class QueueConfig:
 
     discipline: str
     capacity_pkts: int = 100
-    capacity_bytes: Optional[int] = None
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -101,13 +99,7 @@ class QueueConfig:
                 f"unknown parameter(s) {unknown} for discipline "
                 f"{self.discipline!r}; valid: {sorted(allowed)}"
             )
-        if self.capacity_bytes is not None and "capacity_bytes" not in (
-            inspect.signature(cls.__init__).parameters
-        ):
-            raise ValueError(
-                f"discipline {self.discipline!r} does not support "
-                f"capacity_bytes"
-            )
+        check_capacity(self.capacity_pkts)
         # freeze the param mapping so configs are safely shareable
         object.__setattr__(self, "params", dict(self.params))
 
@@ -129,8 +121,6 @@ def make_queue(
     cls = DISCIPLINES[config.discipline]
     sig = inspect.signature(cls.__init__).parameters
     kwargs: Dict[str, Any] = dict(config.params)
-    if config.capacity_bytes is not None:
-        kwargs["capacity_bytes"] = config.capacity_bytes
     if "rng" in sig:
         if rng is None and sim is not None:
             rng = sim.stream(_STREAM_LABELS[config.discipline], unique=True)

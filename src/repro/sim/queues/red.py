@@ -58,7 +58,7 @@ class RedQueue(QueueDiscipline):
         Random stream for the marking coin flips.
 
     What is RED's own stays here — the EWMA average with idle decay, the
-    count-uniformised ``p_a``, byte mode and Adaptive RED; the curve the
+    count-uniformised ``p_a`` and Adaptive RED; the curve the
     average is mapped through is the attribute :attr:`curve`, holding
     ``min_th``, ``max_th`` and (adapted in place) ``max_p`` as its
     ``t_min``, ``t_max`` and ``p_max``.
@@ -76,12 +76,9 @@ class RedQueue(QueueDiscipline):
         adaptive: bool = False,
         interval: float = 0.5,
         mean_pkt_time: float = 0.001,
-        byte_mode: bool = False,
-        mean_pkt_size: int = 1000,
-        capacity_bytes: Optional[int] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__(capacity_pkts, capacity_bytes=capacity_bytes)
+        super().__init__(capacity_pkts)
         if min_th <= 0:
             raise ValueError("need 0 < min_th < max_th")
         self.curve = (GentleRedCurve if gentle else RedCurve)(min_th, max_th, max_p)
@@ -95,11 +92,6 @@ class RedQueue(QueueDiscipline):
             w_q = 1.0 - math.exp(-1.0 / (10.0 * rate)) if rate > 0 else 0.002
             w_q = max(w_q, 1e-6)
         self.w_q = w_q
-        #: Floyd's "byte mode": marking probability scaled by packet size
-        #: relative to *mean_pkt_size*, so big packets are marked
-        #: preferentially and tiny ACKs mostly pass
-        self.byte_mode = byte_mode
-        self.mean_pkt_size = mean_pkt_size
         self.rng = rng or random.Random(0x5ED)
 
         self.avg = 0.0
@@ -152,8 +144,6 @@ class RedQueue(QueueDiscipline):
             self._count = 0
             return "drop"
         p_b = self.curve.probability(self.avg)
-        if self.byte_mode and p_b > 0.0:
-            p_b = min(1.0, p_b * pkt.size / self.mean_pkt_size)
         if p_b <= 0.0:
             self._count = 0
             return "enqueue"

@@ -48,8 +48,11 @@ __all__ = [
 #: 4: a component's ``obs`` is its own instrument and ``PacketRun`` carries
 #: the recorder, so a version-3 body's senders and collector are mis-shaped;
 #: 5: the simulator no longer keeps a registry of the RNG streams it handed
-#: out, so a version-4 body carries a slot the engine does not have)
-FORMAT_VERSION = 5
+#: out, so a version-4 body carries a slot the engine does not have;
+#: 6: packets, sinks, PERT senders and background sources lost the state
+#: of options no run used, so a version-5 body carries attributes the
+#: classes no longer read)
+FORMAT_VERSION = 6
 
 MAGIC = b"REPROSNAP\n"
 

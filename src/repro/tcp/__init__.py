@@ -1,7 +1,6 @@
 """TCP substrate: sender/receiver agents and the paper's baseline variants."""
 
 from .base import TcpSender, TcpSink, connect_flow
-from .reno import NewRenoSender
 from .sack import SackEcnSender, SackSender
 from .vegas import VegasSender
 
@@ -11,6 +10,5 @@ __all__ = [
     "connect_flow",
     "SackSender",
     "SackEcnSender",
-    "NewRenoSender",
     "VegasSender",
 ]

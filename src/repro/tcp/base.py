@@ -34,6 +34,7 @@ DUPACK_THRESHOLD = 3
 MIN_RTO = 0.2  # ns-2's minrto_ default used in AQM studies
 MAX_RTO = 60.0
 INITIAL_RTO = 3.0
+MAX_SACK_BLOCKS = 3  # SACK blocks per ACK, as the TCP option has room for
 
 
 class TcpSender:
@@ -202,7 +203,6 @@ class TcpSender:
         # sack_blocks, ect) — keyword binding showed up per packet
         pkt = Packet(self.flow_id, self.node.node_id, self.dst, self.pkt_size,
                      seq, False, -1, None, self.ecn)
-        pkt.sent_time = self.sim.now
         pkt.is_retransmit = is_rtx
         if self._cwr_pending:
             pkt.cwr = True
@@ -450,31 +450,16 @@ class TcpSender:
 class TcpSink:
     """TCP receiver: cumulative ACK + up to 3 SACK blocks + ECN echo.
 
-    By default ACKs every data packet immediately, which matches the
-    per-ACK RTT sampling PERT depends on (and ns-2's default for these
-    studies).  Optional delayed ACKs (RFC 1122 style: every second
-    in-order segment, or after ``delack_timeout``) are provided for
-    completeness; out-of-order arrivals and CE-marked packets are always
-    acknowledged immediately.
+    ACKs every data packet immediately, which matches the per-ACK RTT
+    sampling PERT depends on (and ns-2's default for these studies).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        flow_id: int,
-        src: int,
-        max_sack_blocks: int = 3,
-        delack: bool = False,
-        delack_timeout: float = 0.1,
-    ) -> None:
+    def __init__(self, sim: Simulator, node: Node, flow_id: int,
+                 src: int) -> None:
         self.sim = sim
         self.node = node
         self.flow_id = flow_id
         self.src = src
-        self.max_sack_blocks = max_sack_blocks
-        self.delack = delack
-        self.delack_timeout = delack_timeout
         self.rcv_next = 0
         self.out_of_order: Set[int] = set()
         self.ece_active = False
@@ -482,8 +467,6 @@ class TcpSink:
         self.dup_pkts = 0
         self.acks_sent = 0
         self.bytes_received = 0  # unique payload bytes delivered in order
-        self._delack_pending: Optional[Packet] = None
-        self._delack_timer: Optional[Event] = None
         node.register_endpoint(flow_id, self)
 
     def receive(self, pkt: Packet) -> None:
@@ -494,8 +477,7 @@ class TcpSink:
             self.ece_active = True
         if pkt.cwr:
             self.ece_active = False
-        in_order = pkt.seq == self.rcv_next
-        if in_order:
+        if pkt.seq == self.rcv_next:
             self.rcv_next += 1
             self.bytes_received += pkt.size
             while self.rcv_next in self.out_of_order:
@@ -509,27 +491,7 @@ class TcpSink:
                 self.out_of_order.add(pkt.seq)
         else:
             self.dup_pkts += 1
-        if not self.delack or not in_order or pkt.ce or self.out_of_order:
-            if self._delack_pending is not None:  # armed iff one is held
-                self._flush_delack()
-            self._send_ack(pkt)
-            return
-        # delayed-ACK path: hold the first in-order segment, ack the second
-        if self._delack_pending is not None:
-            self._flush_delack()
-        else:
-            self._delack_pending = pkt
-            self._delack_timer = self.sim.reschedule(
-                self._delack_timer, self.delack_timeout, self._flush_delack
-            )
-
-    def _flush_delack(self) -> None:
-        # the handle outlives the cancel: the next held segment re-arms it
-        if self._delack_timer is not None:
-            self._delack_timer.cancel()
-        pending, self._delack_pending = self._delack_pending, None
-        if pending is not None:
-            self._send_ack(pending)
+        self._send_ack()
 
     def _sack_blocks(self) -> List[Tuple[int, int]]:
         if not self.out_of_order:
@@ -547,20 +509,15 @@ class TcpSink:
                 run_start, prev = seq, seq
         blocks.append((run_start, prev + 1))
         # Most recent (highest) blocks are the most useful to the sender.
-        return blocks[-self.max_sack_blocks:]
+        return blocks[-MAX_SACK_BLOCKS:]
 
-    def _send_ack(self, data_pkt: Packet) -> None:
+    def _send_ack(self) -> None:
         # positional: (flow_id, src, dst, size, seq, is_ack, ack_seq,
         # sack_blocks); None is the shared empty block list
         ack = Packet(self.flow_id, self.node.node_id, self.src, ACK_SIZE, -1,
                      True, self.rcv_next,
                      self._sack_blocks() if self.out_of_order else None)
         ack.ece = self.ece_active
-        # Echo the forward one-way delay of the packet being acknowledged
-        # (simulation clocks are global; real deployments would use the
-        # relative-OWD techniques the paper cites [20, 31]).
-        if not data_pkt.is_retransmit:
-            ack.owd_echo = self.sim.now - data_pkt.sent_time
         self.acks_sent += 1
         self.node.send(ack)
 
@@ -571,14 +528,11 @@ def connect_flow(
     dst_node: Node,
     flow_id: int,
     sender_cls: Type[TcpSender] = TcpSender,
-    sink_kwargs: Optional[Dict[str, Any]] = None,
     **sender_kwargs: Any,
 ) -> Tuple[TcpSender, TcpSink]:
     """Create a sender on *src_node* and a sink on *dst_node* for one flow."""
     sender = sender_cls(
         sim, src_node, flow_id=flow_id, dst=dst_node.node_id, **sender_kwargs
     )
-    sink = TcpSink(
-        sim, dst_node, flow_id=flow_id, src=src_node.node_id, **(sink_kwargs or {})
-    )
+    sink = TcpSink(sim, dst_node, flow_id=flow_id, src=src_node.node_id)
     return sender, sink

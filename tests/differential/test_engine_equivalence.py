@@ -41,11 +41,9 @@ FAST_ENGINES = ("array",)
 #: scheme -> bottleneck queue discipline it exercises
 SCHEME_DISCIPLINE = {
     "sack-droptail": "droptail",
-    "newreno-droptail": "droptail",
     "vegas": "droptail",
     "pert": "droptail",
     "pert-pi": "droptail",
-    "pert-owd": "droptail",
     "sack-red-ecn": "red",
     "sack-pi-ecn": "pi",
     "pert-rem": "rem",

@@ -85,8 +85,8 @@ def test_killed_job_resumes_to_the_straight_through_payload(name, tmp_path):
 
 
 def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path):
-    """Format 4 pickled a simulator that kept a registry of every RNG
-    stream it handed out; its header is refused, the file deleted and the
+    """Format 5 pickled packets, sinks and PERT senders with the state of
+    options that are gone; its header is refused, the file deleted and the
     job starts over — nothing is half-restored."""
     kind, params, interval, _, _, _ = SCENARIOS["parking_lot"]
     cache = ResultCache(tmp_path / "cache")
@@ -96,10 +96,10 @@ def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path
     assert not run_jobs([spec], workers=0, cache=cache, retries=0,
                         checkpoint=interval)[0].ok
     path = cache.checkpoint_path_for(spec)
-    assert read_header(path)["format"] == FORMAT_VERSION == 5
+    assert read_header(path)["format"] == FORMAT_VERSION == 6
     magic, header, body = path.read_bytes().split(b"\n", 2)
     path.write_bytes(b"\n".join(
-        (magic, header.replace(b'"format": 5', b'"format": 4'), body)))
+        (magic, header.replace(b'"format": 6', b'"format": 5'), body)))
 
     res = run_jobs([spec], workers=0, cache=cache, retries=0,
                    checkpoint=interval)[0]

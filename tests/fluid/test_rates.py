@@ -14,9 +14,14 @@ import numpy as np
 from repro.fluid import make_fluid_model, rate_trajectory, rates
 
 
-def test_segments_and_steady_rate_work_without_np_trapezoid(monkeypatch):
+def _window_means(traj):
+    """Trapezoidal mean rate over each 0.5 s window of the 4 s horizon."""
+    return [traj._mean_rate(0.5 * i, 0.5 * (i + 1)) for i in range(8)]
+
+
+def test_mean_and_steady_rate_work_without_np_trapezoid(monkeypatch):
     traj = rate_trajectory(make_fluid_model("pert_red", rtt=0.06), 4.0, dt=2e-3)
-    segments, steady = traj.segments(0.5), traj.steady_rate()
+    means, steady = _window_means(traj), traj.steady_rate()
 
     # a numpy 1.x: ``trapz`` and no ``trapezoid``
     monkeypatch.setattr(np, "trapz", rates._trapezoid, raising=False)
@@ -32,6 +37,5 @@ def test_segments_and_steady_rate_work_without_np_trapezoid(monkeypatch):
     spec.loader.exec_module(on_numpy1)
 
     old = on_numpy1.RateTrajectory(traj.times, traj.rate_pps)
-    assert [(s.start, s.end, s.rate_pps) for s in old.segments(0.5)] == \
-        [(s.start, s.end, s.rate_pps) for s in segments]
+    assert _window_means(old) == means
     assert old.steady_rate() == steady

@@ -2,15 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import run_dumbbell
-from repro.fluid import RateSegment, make_fluid_model
-from repro.hybrid import BackgroundLoad
-
-#: numpy >= 2.0 has ``trapezoid``, 1.x only ``trapz`` (see fluid/rates.py)
-trapezoid = getattr(np, "trapezoid", None) or np.trapz
+from repro.hybrid import BackgroundLoad, BackgroundSource
+from repro.sim.engine import Simulator
 
 KW = dict(rtt=0.04, n_fwd=3, duration=4.0, warmup=1.0, seed=3)
 BW = 8e6  # 1000 pkts/s at the default 1000-byte packets
@@ -57,6 +53,27 @@ def test_validation_rejects_bad_specs():
                        params={"not_a_param": 1.0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rtt", -0.1), ("rtt", 0.0), ("rtt", math.nan), ("rtt", math.inf),
+    ("horizon", -1.0), ("horizon", 0.0), ("horizon", math.nan),
+    ("fluid_dt", math.nan), ("fluid_dt", 0.0), ("fluid_dt", -2e-3),
+    ("fluid_dt", None), ("n_flows", 2.5), ("n_flows", 0), ("n_flows", True),
+    ("aggregate", 1.5), ("aggregate", "2"), ("share", math.nan),
+])
+def test_validation_names_the_bad_field_when_the_spec_is_built(field, value):
+    """A bad number fails at construction, naming its field — not inside
+    the job, and not by being truncated in ``canonical()``."""
+    with pytest.raises(ValueError, match=field):
+        BackgroundLoad(**{"model": "pert_red", "share": 0.3, field: value})
+
+
+def test_source_rejects_a_rate_that_is_not_a_rate():
+    sim = Simulator(seed=1)
+    for rate in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="rate_pps"):
+            BackgroundSource(sim, node=None, dst=0, rate_pps=rate)
+
+
 def test_paced_injection_hits_fluid_rate():
     """Paced macro-packets reproduce the settled fluid rate exactly."""
     share = 0.5
@@ -89,24 +106,3 @@ def test_background_runs_are_deterministic():
     b = run_dumbbell("pert", BW, background=bg, **KW)
     assert a == b
 
-
-def test_segments_preserve_trajectory_volume():
-    model = make_fluid_model("pert_red", capacity=500.0, n_flows=10,
-                             rtt=0.06)
-    from repro.fluid import rate_trajectory
-
-    traj = rate_trajectory(model, 8.0, dt=2e-3)
-    segs = traj.segments(0.5)
-    assert segs[0].start == 0.0
-    assert segs[-1].end == pytest.approx(8.0)
-    for a, b in zip(segs, segs[1:]):
-        assert a.end == pytest.approx(b.start)
-    seg_volume = sum((s.end - s.start) * s.rate_pps for s in segs)
-    true_volume = float(trapezoid(traj.rate_pps, traj.times))
-    assert seg_volume == pytest.approx(true_volume, rel=1e-6)
-
-
-def test_rate_segment_validation():
-    with pytest.raises(ValueError):
-        RateSegment(1.0, 0.5, 100.0)
-    assert math.isfinite(RateSegment(0.0, 1.0, 100.0).rate_pps)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.experiments.common import run_dumbbell, run_dumbbell_warm
+from repro.experiments.common import (run_dumbbell, run_dumbbell_warm,
+                                     warm_dumbbell_bytes)
 from repro.fluid import make_fluid_model
-from repro.hybrid import fluid_fast_forward, warm_hybrid_bytes
+from repro.hybrid import fluid_fast_forward
 
 KW = dict(rtt=0.04, n_fwd=3, warmup=1.0, seed=3)
 BW = 4e6
@@ -37,7 +38,7 @@ def test_fast_forward_all_models():
 
 def test_warm_hybrid_continuation_bit_identical():
     """Fluid-seeded warm start + continuation == cold hybrid run."""
-    body = warm_hybrid_bytes("pert", BW, BG, **KW)
+    body = warm_dumbbell_bytes("pert", BW, background=BG, **KW)
     warm = run_dumbbell_warm(body, 3.0)
     cold = run_dumbbell("pert", BW, background=BG, duration=3.0, **KW)
     assert warm == cold

@@ -32,10 +32,7 @@ def _plain_enqueue(self, pkt, now):
     buf = self._buf
     stats.arrivals += 1
     if self._plain_admit:
-        if len(buf) >= self.capacity or (
-            self.capacity_bytes is not None
-            and self._bytes + pkt.size > self.capacity_bytes
-        ):
+        if len(buf) >= self.capacity:
             stats.drops += 1
             stats.forced_drops += 1
             return False

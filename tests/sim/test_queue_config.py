@@ -63,11 +63,6 @@ class TestRoundTrip:
             assert isinstance(q, cls)
             assert q.capacity == 10
 
-    def test_capacity_bytes_where_supported(self):
-        q = make_queue(QueueConfig("red", capacity_pkts=10,
-                                   capacity_bytes=9000))
-        assert q.capacity_bytes == 9000
-
 
 class TestValidation:
     def test_unknown_discipline_rejected(self):
@@ -82,9 +77,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown parameter"):
             QueueConfig("droptail", params=dict(min_th=5.0))
 
-    def test_capacity_bytes_rejected_where_unsupported(self):
-        with pytest.raises(ValueError, match="capacity_bytes"):
-            QueueConfig("pi", capacity_bytes=9000)
+    @pytest.mark.parametrize("capacity",
+                             [0, -5, 2.5, 100.0, True, "100", None])
+    def test_capacity_must_be_a_positive_integer(self, capacity):
+        """Rejected when the config is built, and by the queue itself —
+        a fractional capacity is not rounded up into a bigger buffer."""
+        with pytest.raises(ValueError, match="capacity_pkts"):
+            QueueConfig("droptail", capacity_pkts=capacity)
+        for cls in DISCIPLINES.values():
+            with pytest.raises(ValueError, match="capacity_pkts"):
+                cls(capacity)
+
+    def test_numpy_integer_capacity_is_accepted(self):
+        import numpy as np
+
+        cfg = QueueConfig("red", capacity_pkts=np.int64(7))
+        assert make_queue(cfg).capacity == 7
 
 
 class TestRngAndSim:

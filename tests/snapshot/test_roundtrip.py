@@ -113,7 +113,6 @@ def test_queue_discipline_roundtrip(discipline):
 
 # every sender class the scheme registry knows, via its scheme name
 _SENDER_SCHEMES = (
-    "newreno-droptail",
     "sack-droptail",
     "sack-red-ecn",
     "vegas",

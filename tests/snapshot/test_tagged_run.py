@@ -14,9 +14,10 @@ import json
 
 import pytest
 
-from repro.experiments.common import run_dumbbell, run_dumbbell_warm
+from repro.experiments.common import (run_dumbbell, run_dumbbell_warm,
+                                     warm_dumbbell_bytes)
 from repro.experiments.section2 import QUICK_CASES, _TRACE_KIND, case_trace_job
-from repro.hybrid import summarize_hybrid, warm_hybrid_bytes
+from repro.hybrid import summarize_hybrid
 from repro.runner import JobSpec, ResultCache, run_jobs
 
 CRASHY = "tests.snapshot.jobs:crashy_job"
@@ -106,7 +107,7 @@ def test_traced_tagged_job_resumes_with_its_whole_trace(
 def test_warm_hybrid_continuation_equals_the_cold_tagged_run():
     kw = dict(rtt=0.04, n_fwd=3, warmup=1.0, seed=3, record_rtt_flow=0)
     bg = {"model": "pert_red", "share": 0.4, "n_flows": 8}
-    body = warm_hybrid_bytes("pert", 4e6, bg, **kw)
+    body = warm_dumbbell_bytes("pert", 4e6, background=bg, **kw)
     warm = run_dumbbell_warm(body, 3.0)
     cold = run_dumbbell("pert", 4e6, background=bg, duration=3.0, **kw)
     for key in ("rtt_trace", "flow_losses", "queue_drops"):

@@ -2,8 +2,8 @@
 
 ``TcpSender.receive`` / ``_try_send`` and ``TcpSink.receive`` /
 ``_send_ack`` test at the call site whether ``_process_sack``,
-``_check_complete``, ``_next_hole``, ``_flush_delack`` and
-``_sack_blocks`` have anything to do, because in the loss-free steady
+``_check_complete``, ``_next_hole`` and ``_sack_blocks`` have
+anything to do, because in the loss-free steady
 state they do not.  Each scenario here is one where a guarded call *is*
 needed: a spy proves the helper ran and did its work, and the fixed-seed
 trajectory is held to the oracle engine's (``tests/differential/oracle.py``),
@@ -19,12 +19,11 @@ from ..differential.oracle import ENGINES
 from ..differential.test_engine_equivalence import FAST_ENGINES
 from .test_loss_recovery import LossyQueue
 
-#: scenario -> (data seqs the bottleneck drops once, delayed ACKs?,
+#: scenario -> (data seqs the bottleneck drops once,
 #: ``events_processed`` of the same run on the commit before the guards)
 SCENARIOS = {
-    "finite-clean": ((), False, 1081),
-    "drops": ((10, 11, 30), False, 1087),
-    "drops-delack": ((11, 31, 32), True, 890),
+    "finite-clean": ((), 1081),
+    "drops": ((10, 11, 30), 1087),
 }
 NPACKETS = 90
 
@@ -36,7 +35,7 @@ def _run(scenario, monkeypatch, engine="array"):
     per guarded helper, the calls that had work to do.  *engine* names
     the simulator class in the differential harness's ``ENGINES``.
     """
-    drop_seqs, delack, _ = SCENARIOS[scenario]
+    drop_seqs, _ = SCENARIOS[scenario]
     calls = {}
 
     def spy(cls, attr, did_work, before=lambda self: None):
@@ -56,19 +55,13 @@ def _run(scenario, monkeypatch, engine="array"):
             did_work=lambda s, was_done, _: s.done and not was_done)
         spy(TcpSender, "_next_hole", lambda s, _, seq: seq is not None)
         spy(TcpSink, "_sack_blocks", lambda s, _, blocks: bool(blocks))
-        # a held segment pushed out by an out-of-order arrival (the timer
-        # and a second in-order segment flush with nothing out of order)
-        spy(TcpSink, "_flush_delack", lambda s, held_and_ooo, _: held_and_ooo,
-            before=lambda s: s._delack_pending is not None and bool(s.out_of_order))
         spy(TcpSender, "_process_sack", before=lambda s: len(s.sacked),
             did_work=lambda s, n_sacked, _: len(s.sacked) > n_sacked)
 
         sim = ENGINES[engine](seed=1)
         db = make_dumbbell(sim, qdisc_factory=lambda: LossyQueue(200, drop_seqs))
         sender, sink = connect_flow(
-            sim, db.left[0], db.right[0], flow_id=1, sender_cls=TcpSender,
-            sink_kwargs={"delack": delack},
-        )
+            sim, db.left[0], db.right[0], flow_id=1, sender_cls=TcpSender)
         tag(sender)
         completed = []
         sender.on_complete = lambda s: completed.append((sim.now, s.cum_ack))
@@ -93,7 +86,7 @@ def test_guarded_path_matches_legacy_engine(scenario, engine, monkeypatch):
     legacy, _, _ = _run(scenario, monkeypatch, "legacy")
     fast, _, _ = _run(scenario, monkeypatch, engine)
     assert fast == legacy
-    assert fast["events_processed"] == SCENARIOS[scenario][2]
+    assert fast["events_processed"] == SCENARIOS[scenario][1]
 
 
 def test_finite_flow_completes_on_its_last_ack(monkeypatch):
@@ -121,13 +114,3 @@ def test_sack_blocks_and_holes_after_drops(monkeypatch):
     assert sender.done and sink.rcv_next == NPACKETS
     assert not sender.lost and not sender.rtx_out and not sink.out_of_order
 
-
-def test_out_of_order_arrival_flushes_held_segment(monkeypatch):
-    """``_flush_delack`` behind ``_delack_pending is not None``."""
-    t, sender, sink = _run("drops-delack", monkeypatch)
-    assert t["calls"]["_flush_delack"] >= 1
-    assert sender.done and sink.rcv_next == NPACKETS
-    assert t["timeouts"] == 0  # recovery never waited on the delack timer
-    assert sink._delack_pending is None
-    # fewer ACKs than segments (delack on) yet every segment acknowledged
-    assert t["acks_sent"] < NPACKETS + t["retransmits"]

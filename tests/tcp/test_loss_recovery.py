@@ -6,7 +6,6 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 from repro.tcp.base import TcpSender, TcpSink
-from repro.tcp.reno import NewRenoSender
 
 from ..conftest import loss_events, make_dumbbell, make_flow, rtt_trace
 
@@ -25,10 +24,10 @@ class LossyQueue(DropTailQueue):
         return super().admit(pkt, now)
 
 
-def run_lossy(drop_seqs, npackets=60, sender_cls=TcpSender):
+def run_lossy(drop_seqs, npackets=60):
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, qdisc_factory=lambda: LossyQueue(200, drop_seqs))
-    sender, sink = make_flow(sim, db, sender_cls=sender_cls, tagged=True)
+    sender, sink = make_flow(sim, db, sender_cls=TcpSender, tagged=True)
     sender.start(npackets=npackets)
     sim.run(until=60.0)
     return sender, sink
@@ -124,17 +123,6 @@ def test_timeout_resets_to_slow_start():
 def test_loss_events_recorded():
     sender, sink = run_lossy({10, 30})
     assert len(loss_events(sender)) == 2
-
-
-def test_newreno_recovers_single_loss():
-    sender, sink = run_lossy({10}, sender_cls=NewRenoSender)
-    assert sink.rcv_next == 60
-    assert sender.fast_recoveries >= 1
-
-
-def test_newreno_recovers_multiple_losses():
-    sender, sink = run_lossy({10, 11, 25}, sender_cls=NewRenoSender)
-    assert sink.rcv_next == 60
 
 
 def test_karn_no_rtt_sample_from_retransmit():

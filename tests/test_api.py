@@ -14,7 +14,6 @@ MODULES = [
     "repro.core",
     "repro.core.config",
     "repro.core.pert",
-    "repro.core.pert_owd",
     "repro.core.pert_pi",
     "repro.core.response",
     "repro.core.srtt",
@@ -28,7 +27,6 @@ MODULES = [
     "repro.sim.topology",
     "repro.tcp",
     "repro.tcp.base",
-    "repro.tcp.reno",
     "repro.tcp.sack",
     "repro.tcp.vegas",
     "repro.traffic",

@@ -255,7 +255,7 @@ def test_every_aqm_discipline_holds_a_library_law():
 def test_every_pert_scheme_holds_a_library_law():
     perts = {name: s for name, s in SCHEMES.items()
              if issubclass(s.sender_cls, PertSender)}
-    assert sorted(perts) == ["pert", "pert-owd", "pert-pi", "pert-rem"]
+    assert sorted(perts) == ["pert", "pert-pi", "pert-rem"]
     laws = {}
     for name, scheme in perts.items():
         sim = Simulator(seed=1)
@@ -265,8 +265,8 @@ def test_every_pert_scheme_holds_a_library_law():
         assert (sender.curve is None) != (sender.controller is None)
         laws[name] = _law_of(sender)
         assert laws[name].__module__ == "repro.laws", name
-    assert laws == {"pert": GentleRedCurve, "pert-owd": GentleRedCurve,
-                    "pert-pi": PiResponse, "pert-rem": RemResponse}
+    assert laws == {"pert": GentleRedCurve, "pert-pi": PiResponse,
+                    "pert-rem": RemResponse}
 
 
 def test_the_law_module_is_a_leaf():
