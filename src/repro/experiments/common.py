@@ -25,9 +25,10 @@ cannot be pickled (no closures).  docs/ARCHITECTURE.md has the table of
 scenarios.
 
 The same phases power warm-started sweeps: :func:`warm_dumbbell_bytes`
-captures a dumbbell run right after warm-up and
+captures a dumbbell run right after warm-up,
 :func:`run_dumbbell_warm` measures any number of divergent durations
-from clones of it.
+from clones of it, and :func:`dumbbell_warm_job` is the two as one
+runner job per scheme.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "run_dumbbell",
     "warm_dumbbell_bytes",
     "run_dumbbell_warm",
+    "dumbbell_warm_job",
     "access_delays_for_rtts",
     "bdp_packets",
     "paper_buffer_pkts",
@@ -600,13 +602,28 @@ def warm_dumbbell_bytes(scheme: str, bandwidth: float, **kwargs) -> bytes:
     construction and warm-up do not depend on ``duration``, every
     continuation is bit-identical to the corresponding cold run.
     """
+    return _capture(_warm_dumbbell(scheme, bandwidth, **kwargs))
+
+
+def _warm_dumbbell(scheme: str, bandwidth: float, **kwargs) -> PacketRun:
+    """:func:`warm_dumbbell_bytes`'s run, warmed but not yet captured."""
     args = bound_params(run_dumbbell, scheme, bandwidth, **kwargs)
     del args["keep_refs"], args["collector"]
     if "duration" not in kwargs:
         args["duration"] = args["warmup"]
     run = _build(build_dumbbell, _resolve_params(**args), collector=None)
     _warm(run)
-    return capture_bytes(run.sim, run)
+    return run
+
+
+def _capture(run: PacketRun) -> bytes:
+    """Snapshot *run*, its profiler (a wall-clock observer that refuses
+    to pickle) detached for the capture."""
+    profiler, run.sim.profiler = run.sim.profiler, None
+    try:
+        return capture_bytes(run.sim, run)
+    finally:
+        run.sim.profiler = profiler
 
 
 def run_dumbbell_warm(body: bytes, duration: float) -> DumbbellResult:
@@ -623,6 +640,28 @@ def run_dumbbell_warm(body: bytes, duration: float) -> DumbbellResult:
             "run_dumbbell_warm needs bytes from warm_dumbbell_bytes, got "
             f"state of type {type(run).__name__}"
         )
+    run.sim.profiler = obs_runtime.active_profiler()
+    obs_runtime.note_simulator(run.sim)
     run.params = dict(run.params, duration=float(duration))
     _measure(run)
     return _dumbbell_result(run)
+
+
+def dumbbell_warm_job(params: dict) -> Dict[str, Any]:
+    """Runner job: one scheme warmed once, measured out to every duration.
+
+    *params* are :func:`run_dumbbell` keywords plus ``durations``; the
+    payload holds one ``dumbbell`` job payload per duration, in order,
+    and the events the job simulated (the shared warm-up counted once).
+    """
+    params = dict(params)
+    durations = params.pop("durations")
+    warm = _warm_dumbbell(**params)
+    body = _capture(warm)
+    payloads = [run_dumbbell_warm(body, d).payload() for d in durations]
+    warmup_events = warm.sim.events_processed
+    return {
+        "payloads": payloads,
+        "events_processed": warmup_events + sum(
+            p["events_processed"] - warmup_events for p in payloads),
+    }

@@ -17,7 +17,7 @@ a common set of routers.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..runner import run_jobs
 from ..sim.engine import Simulator
@@ -120,22 +120,10 @@ def build(params: Dict[str, Any], sim: Simulator) -> PacketRun:
     )
 
 
-def run(
-    schemes: Sequence[str] = SECTION4_SCHEMES,
-    *,
-    workers: Optional[int] = None,
-    cache=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    progress=None,
-    **kwargs,
-) -> List[Dict]:
+def run(schemes: Sequence[str] = SECTION4_SCHEMES, **kwargs) -> List[Dict]:
     """All schemes over the parking lot, one runner job per scheme."""
     schemes = tuple(schemes)
-    results = run_jobs(
-        scheme_jobs(_KIND, schemes, kwargs), workers=workers, cache=cache,
-        timeout=timeout, retries=retries, progress=progress,
-    )
+    results = run_jobs(scheme_jobs(_KIND, schemes, kwargs))
     rows: List[Dict] = []
     for scheme, res in zip(schemes, results):
         if res.ok:

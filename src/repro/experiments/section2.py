@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..runner import JobSpec, run_jobs
 from ..sim.monitors import nearest_sample
-from .common import run_dumbbell
+from .common import bound_params, run_dumbbell
 from .sweep import job_values
 
 __all__ = [
@@ -139,8 +139,6 @@ def collect_all_cases(
     warmup: float = 10.0,
     seed: int = 1,
     scheme: str = "sack-droptail",
-    workers: Optional[int] = None,
-    cache=None,
 ) -> Dict[str, CaseTrace]:
     """Collect every case's trace through the runner; keyed by case name.
 
@@ -149,18 +147,23 @@ def collect_all_cases(
     and the three figures — and any re-run — share the cached traces.
     """
     cases = cases if cases is not None else default_cases()
-    results = run_jobs([
-        JobSpec(_TRACE_KIND, dict(
-            n_fwd=c.n_fwd, n_rev=c.n_rev, web_sessions=c.web_sessions,
-            bandwidth=bandwidth, rtt=rtt, duration=duration, warmup=warmup,
-            seed=seed, scheme=scheme))
-        for c in cases
-    ], workers=workers, cache=cache)
+    shared = dict(bandwidth=bandwidth, rtt=rtt, duration=duration,
+                  warmup=warmup, seed=seed, scheme=scheme)
+    results = run_jobs([JobSpec(_TRACE_KIND, _case_params(c, shared))
+                        for c in cases])
     return {case.name: CaseTrace(case=case, **payload)
             for case, payload in zip(cases, job_values(results))}
+
+
+def _case_params(case: TrafficCase, shared: Dict) -> Dict:
+    """:func:`case_trace_job` params: *case*'s load plus the *shared* run."""
+    return dict(n_fwd=case.n_fwd, n_rev=case.n_rev,
+                web_sessions=case.web_sessions, **shared)
 
 
 def collect_case_trace(case: TrafficCase, **kwargs) -> CaseTrace:
     """One case, in-process and uncached; *kwargs* as for
     :func:`collect_all_cases` (``bandwidth``, ``duration``, ``scheme``...)."""
-    return collect_all_cases([case], workers=0, cache=False, **kwargs)[case.name]
+    shared = bound_params(collect_all_cases, **kwargs)
+    del shared["cases"]
+    return CaseTrace(case=case, **case_trace_job(_case_params(case, shared)))

@@ -14,15 +14,17 @@ identical whether executed with ``workers=0`` (serial debug path),
 from __future__ import annotations
 
 import math
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..runner import JobSpec, dumbbell_spec, run_jobs
-from ..runner.cache import resolve_cache
-from .common import DumbbellResult, run_dumbbell_warm, warm_dumbbell_bytes
+from .common import DumbbellResult
 
 __all__ = ["SECTION4_SCHEMES", "sweep_dumbbell", "result_row", "failed_row",
            "scheme_jobs", "job_values"]
+
+#: dotted-path job kind of :func:`repro.experiments.common.dumbbell_warm_job`
+_WARM_KIND = "repro.experiments.common:dumbbell_warm_job"
 
 #: the paper's Section 4 comparison set
 SECTION4_SCHEMES = ("pert", "sack-droptail", "sack-red-ecn", "vegas")
@@ -115,25 +117,22 @@ def sweep_dumbbell(
     = ``$REPRO_WORKERS``), ``cache`` the on-disk result cache, and
     ``timeout``/``retries`` the per-job failure policy.  A job that still
     fails after its retries yields a NaN-metric row flagged
-    ``failed=True`` instead of aborting the sweep.
-
-    ``warm_start=True`` simulates each scheme's warm-up transient once
-    and measures every sweep point from an independent clone of that
-    warmed state (see :mod:`repro.snapshot`).  Valid only for sweeps
-    whose points share an identical prefix — each point may override
-    only ``duration``.  Rows are exactly the rows the cold path
-    produces (bit-identical continuations), and they are written into
-    the same cache entries, so warm and cold sweeps interoperate.
-    ``checkpoint`` is forwarded to :func:`repro.runner.run_jobs` for
-    crash-resumable cold jobs; warm-start runs in-process and ignores it.
-
-    ``fleet`` is forwarded to :func:`~repro.runner.run_jobs` too: a
+    ``failed=True`` instead of aborting the sweep.  ``checkpoint`` is
+    forwarded for crash-resumable jobs, and ``fleet`` too: a
     :class:`~repro.fleet.scheduler.Fleet` instance, a fleet directory
     path, or ``None`` to consult ``$REPRO_FLEET`` (unset → in-memory).
     Fleeted sweeps are durably journaled — kill the process at any point
     and re-running it (or ``python -m repro.fleet resume <dir>``)
-    converges without recomputing finished points.  Mutually exclusive
-    with ``warm_start`` (the warm path is in-process by construction).
+    converges without recomputing finished points.
+
+    ``warm_start=True`` changes which jobs are submitted, not how they
+    run: one :func:`~repro.experiments.common.dumbbell_warm_job` per
+    scheme simulates the warm-up transient once and measures every sweep
+    point from an independent clone of that warmed state (see
+    :mod:`repro.snapshot`).  Valid only for sweeps whose points share an
+    identical prefix — each point may override only ``duration``.  Rows
+    are exactly the rows the cold sweep produces (bit-identical
+    continuations); a failed warm job fails every point of its scheme.
     """
     if tags is None:
         tags = list(points)
@@ -141,21 +140,20 @@ def sweep_dumbbell(
         raise ValueError("tags must have one entry per point")
     schemes = tuple(schemes)
     if warm_start:
-        from ..fleet import resolve_fleet  # local: only this check needs it
-
-        if resolve_fleet(fleet) is not None:
+        extra = {k for point in points for k in point} - {"duration"}
+        if extra:
             raise ValueError(
-                "warm_start sweeps run in-process and cannot be fleeted; "
-                "pass fleet=False (or unset $REPRO_FLEET) for warm starts"
+                "warm_start sweeps share one warm-up per scheme, so points "
+                f"may override only 'duration'; got {sorted(extra)}"
             )
-        return _sweep_warm_start(points, schemes, tags, cache, base_kwargs)
-    specs, job_tags = [], []
-    for point, tag in zip(points, tags):
-        for scheme in schemes:
-            kwargs = dict(base_kwargs)
-            kwargs.update(point)
-            specs.append(dumbbell_spec(scheme, **kwargs))
-            job_tags.append((scheme, tag))
+        durations = [dict(base_kwargs, **point).get("duration", 60.0)
+                     for point in points]
+        shared = {k: v for k, v in base_kwargs.items() if k != "duration"}
+        specs = scheme_jobs(_WARM_KIND, schemes,
+                            dict(shared, durations=durations)) if points else []
+    else:
+        specs = [dumbbell_spec(scheme, **dict(base_kwargs, **point))
+                 for point in points for scheme in schemes]
     results = run_jobs(
         specs,
         workers=workers,
@@ -166,77 +164,12 @@ def sweep_dumbbell(
         checkpoint=checkpoint,
         fleet=fleet,
     )
-    rows: List[Dict] = []
-    for res, (scheme, tag) in zip(results, job_tags):
-        if res.ok:
-            rows.append(result_row(res.value, tag))
-        else:
-            rows.append(failed_row(scheme, tag, res.error))
-    return rows
-
-
-def _sweep_warm_start(
-    points: Sequence[Dict],
-    schemes: Tuple[str, ...],
-    tags: Sequence[Dict],
-    cache,
-    base_kwargs: Dict,
-) -> List[Dict]:
-    """Warm-started expansion: per scheme, warm once, restore per duration.
-
-    The warm-up prefix (topology, traffic, seeds, warm-up horizon) must
-    be identical across points for the shared warm state to be valid, so
-    per-point overrides are restricted to ``duration``.  Cache hits are
-    honoured point by point; only missed points cost a measurement, and
-    a scheme with no missed points never warms up at all.
-    """
-    for point in points:
-        extra = set(point) - {"duration"}
-        if extra:
-            raise ValueError(
-                "warm_start sweeps share one warm-up per scheme, so points "
-                f"may override only 'duration'; got {sorted(extra)}"
-            )
-    store = resolve_cache(cache)
-    rows_by: Dict[Tuple[int, str], Dict] = {}
-    misses: Dict[str, List[Tuple[int, Dict, object]]] = {}
-    for pi, (point, tag) in enumerate(zip(points, tags)):
-        for scheme in schemes:
-            kwargs = dict(base_kwargs)
-            kwargs.update(point)
-            spec = dumbbell_spec(scheme, **kwargs)
-            entry = store.get(spec) if store is not None else None
-            if entry is not None:
-                rows_by[(pi, scheme)] = result_row(entry["payload"], tag)
-            else:
-                misses.setdefault(scheme, []).append((pi, kwargs, spec))
-
-    for scheme, items in misses.items():
-        warm_kwargs = {k: v for k, v in base_kwargs.items() if k != "duration"}
-        try:
-            body = warm_dumbbell_bytes(scheme, **warm_kwargs)
-        except Exception as exc:  # noqa: BLE001 - keep the sweep alive
-            error = f"{type(exc).__name__}: {exc}"
-            for pi, _kwargs, _spec in items:
-                rows_by[(pi, scheme)] = failed_row(scheme, tags[pi], error)
-            continue
-        for pi, kwargs, spec in items:
-            t0 = time.monotonic()
-            try:
-                result = run_dumbbell_warm(body, kwargs.get("duration", 60.0))
-            except Exception as exc:  # noqa: BLE001
-                rows_by[(pi, scheme)] = failed_row(
-                    scheme, tags[pi], f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            payload = result.payload()
-            if store is not None:
-                store.put(spec, payload, meta={
-                    "events": result.events_processed,
-                    "wall_time": time.monotonic() - t0,
-                    "attempts": 1,
-                    "warm_start": True,
-                })
-            rows_by[(pi, scheme)] = result_row(result, tags[pi])
-
-    return [rows_by[(pi, scheme)] for pi in range(len(points)) for scheme in schemes]
+    if warm_start:
+        # one job per scheme carries every point's payload, in point order
+        results = [replace(res, value=res.value["payloads"][pi]) if res.ok else res
+                   for pi in range(len(points)) for res in results]
+    return [
+        result_row(res.value, tag) if res.ok else failed_row(scheme, tag, res.error)
+        for res, (tag, scheme) in zip(
+            results, [(tag, scheme) for tag in tags for scheme in schemes])
+    ]

@@ -57,11 +57,6 @@ def run(
     seed: int = 1,
     schemes: Sequence[str] = SECTION4_SCHEMES,
     rtts: Optional[List[float]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    progress=None,
 ) -> List[dict]:
     """One sweep point — the RTT vector — with the paper's Q and F beside it."""
     rtts = rtts if rtts is not None else default_rtts(n_fwd)
@@ -70,8 +65,7 @@ def run(
         schemes=tuple(schemes),
         base=dict(bandwidth=bandwidth, n_fwd=n_fwd, web_sessions=web_sessions,
                   duration=duration, warmup=warmup, seed=seed),
-    ).run(workers=workers, cache=cache, timeout=timeout, retries=retries,
-          progress=progress)
+    ).run()
     for row in rows:
         paper = PAPER_TABLE.get(row["scheme"], {})
         row["paper_Q"] = paper.get("Q", "")

@@ -1,10 +1,10 @@
 """Warm-started duration sweep: :mod:`repro.snapshot` fidelity as a figure.
 
-Not a paper artefact.  One simulated warm-up per scheme, every duration
-measured from an independent clone of the warmed state.  The
-continuations are bit-identical to cold runs (and land in the same cache
-entries), so their rows are pinned as goldens like any other figure's —
-a snapshot that drops or reorders state moves them.
+Not a paper artefact.  One runner job per scheme: a simulated warm-up,
+then every duration measured from an independent clone of the warmed
+state.  The continuations are bit-identical to cold runs, so their rows
+are pinned as goldens like any other figure's — a snapshot that drops
+or reorders state moves them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def run(
     """Each scheme warmed once, then measured out to every duration."""
     return sweep_dumbbell(
         [{"duration": d} for d in durations], schemes=schemes,
-        warm_start=True, fleet=False,  # the warm path is in-process
+        warm_start=True,
         bandwidth=bandwidth, n_fwd=n_fwd, warmup=warmup, seed=seed,
     )
 

@@ -36,12 +36,11 @@ Schema v1 fields:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import __version__
+from ..atomic import atomic_write
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -145,20 +144,7 @@ def build_validation_manifest(
 
 def write_manifest(path: Union[str, Path], manifest: dict) -> Path:
     """Atomically write *manifest* as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, json.dumps(manifest, sort_keys=True).encode("utf-8"))
 
 
 def load_manifests(run_dir: Union[str, Path]) -> List[dict]:

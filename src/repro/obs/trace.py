@@ -2,18 +2,17 @@
 
 The format is deliberately boring — UTF-8 JSON Lines — so traces can be
 grepped, streamed, or loaded into pandas without this package.  Writing
-goes through a temp file + ``os.replace`` like the result cache, so a
-killed run never leaves a torn trace next to a valid cache entry.
+goes through :func:`repro.atomic.atomic_write` like the result cache, so
+a killed run never leaves a torn trace next to a valid cache entry.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
+from ..atomic import atomic_write
 from .records import validate_record
 
 __all__ = ["write_trace", "read_trace", "iter_trace"]
@@ -21,23 +20,11 @@ __all__ = ["write_trace", "read_trace", "iter_trace"]
 
 def write_trace(path: Union[str, Path], records: Iterable[dict]) -> Path:
     """Write *records* to *path* as JSON Lines (atomic, validated)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for rec in records:
-                validate_record(rec)
-                fh.write(json.dumps(rec, sort_keys=True))
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    lines = []
+    for rec in records:
+        validate_record(rec)
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return atomic_write(path, "".join(lines).encode("utf-8"))
 
 
 def iter_trace(path: Union[str, Path]) -> Iterator[dict]:

@@ -83,22 +83,14 @@ def coalesce_events(times: Sequence[float], window: float) -> List[float]:
 def _scan(
     states: Sequence[Tuple[float, bool]],
     losses: Sequence[float],
-    per_event: bool = False,
 ) -> TransitionCounts:
     """Walk the predictor-state series against coalesced loss events.
 
-    Two counting granularities for the Figure 1 machine:
-
-    * ``per_event=False`` (default): each maximal high period scores one
-      transition — "2" if at least one loss fell inside it, "5"
-      otherwise.  This treats a high period as one prediction, the view
-      under which the paper's fractions are comparable across signals
-      of very different smoothness.
-    * ``per_event=True``: every (coalesced) loss while high is its own
-      B -> C transition (the machine re-enters B afterwards); a period
-      scores a single "5" only if it saw no loss at all.
-
-    Losses while the predictor is low are A -> C ("4") either way.
+    Each maximal high period scores one Figure 1 transition — "2" if at
+    least one loss fell inside it, "5" otherwise.  This treats a high
+    period as one prediction, the view under which the paper's fractions
+    are comparable across signals of very different smoothness.  Losses
+    while the predictor is low are A -> C ("4").
     """
     counts = TransitionCounts()
     li = 0
@@ -109,8 +101,6 @@ def _scan(
         # account losses up to and including this sample time
         while li < n and losses[li] <= t:
             if in_high:
-                if per_event:
-                    counts.n2 += 1
                 high_has_loss = True
             else:
                 counts.n4 += 1
@@ -121,25 +111,17 @@ def _scan(
         elif not high and in_high:
             in_high = False
             if high_has_loss:
-                if not per_event:
-                    counts.n2 += 1
+                counts.n2 += 1
             else:
                 counts.n5 += 1
     # Trailing losses (after the last sample) occur in the final state.
-    while li < n:
-        if in_high:
-            if per_event:
-                counts.n2 += 1
-            high_has_loss = True
-        else:
-            counts.n4 += 1
-        li += 1
     if in_high:
-        if high_has_loss:
-            if not per_event:
-                counts.n2 += 1
+        if high_has_loss or li < n:
+            counts.n2 += 1
         else:
             counts.n5 += 1
+    else:
+        counts.n4 += n - li
     return counts
 
 
@@ -148,7 +130,6 @@ def score_predictor(
     trace: Iterable[Tuple[float, float, float]],
     loss_times: Sequence[float],
     coalesce: float = 0.1,
-    per_event: bool = False,
 ) -> TransitionCounts:
     """Replay *predictor* over a per-ACK trace and score it against losses."""
     predictor.reset()
@@ -156,7 +137,7 @@ def score_predictor(
     losses = coalesce_events(loss_times, coalesce)
     if not states:
         return TransitionCounts(n4=len(losses))
-    return _scan(states, losses, per_event=per_event)
+    return _scan(states, losses)
 
 
 def high_to_loss_fraction(
@@ -187,7 +168,6 @@ def false_positive_times(
     li = 0
     in_high = False
     high_has_loss = False
-    high_start = 0.0
     for t, rtt, cwnd in trace:
         high = predictor.update(t, rtt, cwnd)
         while li < len(losses) and losses[li] <= t:
@@ -197,7 +177,6 @@ def false_positive_times(
         if high and not in_high:
             in_high = True
             high_has_loss = False
-            high_start = t
         elif not high and in_high:
             in_high = False
             if not high_has_loss:

@@ -1,8 +1,8 @@
 """On-disk JSON result cache keyed by :attr:`JobSpec.cache_key`.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one file per result, written
-atomically (tmp file + ``os.replace``) so a crashed run can never leave a
-half-written entry.  Reads are defensive: anything that fails to parse or
+atomically (:func:`repro.atomic.atomic_write`) so a crashed run can
+never leave a half-written entry.  Reads are defensive: anything that fails to parse or
 fails basic shape/key validation is treated as a miss and the corrupt
 file is removed so the entry is rebuilt on the next run.
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..atomic import atomic_write
 from ..obs.manifest import MANIFEST_SUFFIX, TRACE_SUFFIX
 from .spec import JobSpec
 
@@ -45,21 +45,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
-
-
-def _atomic_dump(obj: Dict, path: Path) -> None:
-    """JSON-dump *obj* to *path* via the tmp-file + rename pattern."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class ResultCache:
@@ -131,8 +116,6 @@ class ResultCache:
     def put(self, spec: JobSpec, payload: Any, meta: Optional[Dict] = None) -> Path:
         """Atomically persist *payload* for *spec*; returns the file path."""
         self.stats["puts"] += 1
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": spec.cache_key,
             "kind": spec.kind,
@@ -140,8 +123,7 @@ class ResultCache:
             "payload": payload,
             "meta": meta or {},
         }
-        _atomic_dump(entry, path)
-        return path
+        return atomic_write(self.path_for(spec), json.dumps(entry).encode("utf-8"))
 
     @staticmethod
     def _discard(path: Path) -> None:

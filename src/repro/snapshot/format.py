@@ -14,8 +14,8 @@ over the body recorded in the header and verified on load; a truncated
 or bit-flipped checkpoint fails with :class:`SnapshotError` instead of
 feeding garbage to the unpickler.
 
-Writes are atomic (temp file + ``os.replace``), matching the result
-cache: a run killed mid-checkpoint leaves the previous checkpoint
+Writes are atomic (:func:`repro.atomic.atomic_write`), like the result
+cache's: a run killed mid-checkpoint leaves the previous checkpoint
 intact, which is exactly what crash-resume needs.
 """
 
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from ..atomic import atomic_write
 from .errors import SnapshotError
 
 __all__ = [
@@ -96,24 +95,8 @@ def build_header(
 
 def write_snapshot(path: Union[str, Path], header: Dict[str, Any], body: bytes) -> Path:
     """Atomically write a snapshot file; returns the final path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header_line = json.dumps(header, sort_keys=True).encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(header_line)
-            fh.write(b"\n")
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, MAGIC + header_line + b"\n" + body)
 
 
 def read_header(path: Union[str, Path]) -> Dict[str, Any]:

@@ -112,7 +112,7 @@ def test_fig14_equals_a_serial_loop():
     assert [list(r) for r in rows] == [list(r) for r in serial]
 
 
-def test_table1_equals_a_serial_loop():
+def test_table1_equals_a_serial_loop(monkeypatch):
     """table1.run is a one-point sweep plus the paper's two columns."""
     rtts, schemes = [0.012, 0.024], ("pert", "vegas")
     serial = []
@@ -123,7 +123,9 @@ def test_table1_equals_a_serial_loop():
         paper = table1_rtts.PAPER_TABLE[scheme]
         row.update(paper_Q=paper["Q"], paper_F=paper["F"])
         serial.append(row)
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    monkeypatch.setenv("REPRO_CACHE", "0")
     rows = table1_rtts.run(rtts=rtts, schemes=schemes, duration=4.0,
-                           warmup=2.0, workers=0, cache=False, **TINY)
+                           warmup=2.0, **TINY)
     assert rows == serial
     assert [list(r) for r in rows] == [list(r) for r in serial]

@@ -158,38 +158,51 @@ def test_sweep_dumbbell_fleet_path_matches_runner(tmp_path):
     assert fleet.status()["computed"] == before
 
 
-def test_warm_start_and_fleet_are_exclusive(tmp_path):
+def test_warm_sweep_runs_through_the_fleet(tmp_path):
+    """A warm sweep is one journaled job per scheme: its rows equal the
+    cold rows, and a second run computes nothing fresh."""
     from repro.experiments.sweep import sweep_dumbbell
-    with pytest.raises(ValueError, match="warm_start"):
-        sweep_dumbbell([{"duration": 3.0}], schemes=("pert",),
-                       warm_start=True, fleet=str(tmp_path / "fleet"),
-                       bandwidth=4e6)
+    kwargs = dict(schemes=("pert", "sack-droptail"), bandwidth=4e6,
+                  warmup=1.0, n_fwd=2)
+    points = [{"duration": 3.0}, {"duration": 4.0}]
+    cold = sweep_dumbbell(points, workers=0, cache=False, fleet=False,
+                          **kwargs)
+    warm = sweep_dumbbell(points, workers=0, warm_start=True,
+                          fleet=str(tmp_path / "fleet"), **kwargs)
+    assert warm == cold
+    fleet = Fleet(tmp_path / "fleet")
+    assert fleet.status()["computed"] == {"fresh": 2, "hit": 0}
+    again = sweep_dumbbell(points, workers=0, warm_start=True, fleet=fleet,
+                           **kwargs)
+    assert again == cold
+    assert fleet.status()["computed"] == {"fresh": 2, "hit": 0}
 
 
 def test_table1_and_fig11_journal_their_points(tmp_path, monkeypatch):
     """``--fleet``/``$REPRO_FLEET`` reaches every ``run_jobs`` caller, not
-    only ``sweep_dumbbell`` — a registered kind, a dotted-path job behind
-    runner keywords (fig11) and one behind the environment alone (fig12):
-    rows equal the runner path's, points land in the journal, and a
-    second run recomputes nothing."""
+    only ``sweep_dumbbell`` — a registered kind (table1) and dotted-path
+    jobs (fig11, fig12), all configured by the environment alone: rows
+    equal the runner path's, points land in the journal, and a second
+    run recomputes nothing."""
     from repro.experiments import (fig11_multibottleneck, fig12_dynamics,
                                    table1_rtts)
 
     table1_kw = dict(bandwidth=8e6, n_fwd=3, rtts=[0.012, 0.024, 0.036],
                      web_sessions=0, schemes=("pert", "vegas"),
-                     duration=4.0, warmup=2.0, workers=0)
+                     duration=4.0, warmup=2.0)
     fig11_kw = dict(schemes=("pert",), n_routers=3, cloud_size=2,
-                    link_bw=8e6, duration=6.0, warmup=3.0, workers=0)
+                    link_bw=8e6, duration=6.0, warmup=3.0)
     fig12_kw = dict(schemes=("pert",), n_cohorts=2, cohort_size=2, epoch=2.0,
                     bandwidth=6e6)
 
-    def figures(**runner):
-        return (table1_rtts.run(**runner, **table1_kw),
-                fig11_multibottleneck.run(**runner, **fig11_kw),
+    def figures():
+        return (table1_rtts.run(**table1_kw),
+                fig11_multibottleneck.run(**fig11_kw),
                 fig12_dynamics.run(**fig12_kw))
 
+    monkeypatch.setenv("REPRO_WORKERS", "0")
     monkeypatch.setenv("REPRO_CACHE", "0")
-    plain = figures(cache=False)
+    plain = figures()
     monkeypatch.delenv("REPRO_CACHE")
 
     monkeypatch.setenv("REPRO_FLEET", str(tmp_path / "fleet"))

@@ -73,18 +73,13 @@ class TestScorePredictor:
         counts = score_predictor(PRED(), tr, loss_times=[5.0], coalesce=0.0)
         assert counts.n2 == 1
 
-    def test_multiple_separated_losses_in_one_period_each_count(self):
-        # per-event granularity: one long high period with two separated
-        # loss events — the Fig. 1 machine visits C twice
+    def test_separated_losses_in_one_period_score_once(self):
+        # one long high period with two separated loss events is one
+        # prediction: it scores a single "2"
         tr = trace_from_states([0, 1, 1, 1, 1, 1, 0])
         counts = score_predictor(PRED(), tr, loss_times=[0.2, 0.45],
-                                 coalesce=0.1, per_event=True)
-        assert counts.n2 == 2
-        assert counts.n5 == 0
-        # period granularity (default): the same period scores once
-        counts = score_predictor(PRED(), tr, loss_times=[0.2, 0.45],
                                  coalesce=0.1)
-        assert counts.n2 == 1
+        assert (counts.n2, counts.n5) == (1, 0)
 
     def test_coalescing_merges_loss_bursts(self):
         tr = trace_from_states([0, 1, 1, 0])

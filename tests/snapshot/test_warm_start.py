@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import run_dumbbell_warm, warm_dumbbell_bytes
+from repro.experiments.common import (dumbbell_warm_job, run_dumbbell,
+                                     run_dumbbell_warm, warm_dumbbell_bytes)
 from repro.experiments.scenarios import ScenarioPoint, ScenarioSpec
 from repro.experiments.sweep import sweep_dumbbell
-from repro.runner import ResultCache, dumbbell_spec
+from repro.obs.manifest import load_manifests
 
 BASE = dict(bandwidth=2e6, rtt=0.04, n_fwd=2, warmup=1.0, seed=3)
 DURATIONS = (2.0, 2.5, 3.0, 3.5)
@@ -27,36 +28,38 @@ def test_warm_start_rejects_non_duration_overrides():
         sweep_dumbbell(points, SCHEMES, cache=False, warm_start=True, **BASE)
 
 
-def test_warm_entries_fill_the_cold_cache(tmp_path):
-    """Warm-started results land in the same cache entries cold runs use."""
-    cache = ResultCache(tmp_path)
-    warm = sweep_dumbbell(POINTS, SCHEMES, cache=cache, warm_start=True, **BASE)
-
-    for point in POINTS:
-        for scheme in SCHEMES:
-            entry = cache.get(dumbbell_spec(scheme, **dict(BASE, **point)))
-            assert entry is not None
-            assert entry["meta"]["warm_start"] is True
-            assert entry["meta"]["attempts"] == 1
-
-    # a later cold sweep is served entirely from those entries
-    cold = sweep_dumbbell(POINTS, SCHEMES, cache=cache, workers=0, **BASE)
-    assert cold == warm
+def test_warm_sweep_is_one_runner_job_per_scheme():
+    """``--progress`` sees the warm jobs: the hook fires once per scheme."""
+    snaps = []
+    sweep_dumbbell(POINTS, SCHEMES, cache=False, warm_start=True,
+                   progress=lambda stats: snaps.append(stats.snapshot()), **BASE)
+    assert [s["done"] for s in snaps] == [1, 2]
+    assert snaps[-1]["total"] == len(SCHEMES)
+    assert snaps[-1]["events"] > 0
 
 
-def test_warm_sweep_reads_cold_cache_without_warming(tmp_path, monkeypatch):
-    """Fully cached points never warm up: the warm path is pure cache reads."""
-    cache = ResultCache(tmp_path)
-    cold = sweep_dumbbell(POINTS, SCHEMES, cache=cache, workers=0, **BASE)
+def test_warm_job_counts_the_warm_up_once():
+    cold = [run_dumbbell("pert", duration=d, **BASE).events_processed
+            for d in DURATIONS[:2]]
+    one = dumbbell_warm_job(dict(BASE, scheme="pert", durations=DURATIONS[:1]))
+    assert one["events_processed"] == cold[0]
+    two = dumbbell_warm_job(dict(BASE, scheme="pert", durations=DURATIONS[:2]))
+    assert [p["events_processed"] for p in two["payloads"]] == cold
+    assert cold[1] < two["events_processed"] < sum(cold)
 
-    import repro.experiments.sweep as sweep_mod
 
-    def explode(*args, **kwargs):  # pragma: no cover - only on regression
-        raise AssertionError("warm-up ran despite a fully warm cache")
-
-    monkeypatch.setattr(sweep_mod, "warm_dumbbell_bytes", explode)
-    warm = sweep_dumbbell(POINTS, SCHEMES, cache=cache, warm_start=True, **BASE)
+def test_warm_sweep_profiled_on_workers_equals_cold(tmp_path, monkeypatch):
+    """Under ``REPRO_PROFILE`` the warm capture detaches the job's profiler
+    and every restored clone gets it back: rows equal the cold ones and
+    each warm job's manifest carries a profile."""
+    cold = sweep_dumbbell(POINTS, SCHEMES, cache=False, workers=0, **BASE)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    warm = sweep_dumbbell(POINTS, SCHEMES, cache=tmp_path, workers=2,
+                          warm_start=True, **BASE)
     assert warm == cold
+    manifests = load_manifests(tmp_path)
+    assert sorted(m["params"]["scheme"] for m in manifests) == sorted(SCHEMES)
+    assert all(m["profile"] for m in manifests)
 
 
 def test_warm_continuations_are_independent():
