@@ -12,9 +12,6 @@ Three benchmarks cover the three performance-critical layers:
   grid of PERT/RED models advanced in lockstep via
   :func:`repro.fluid.model.simulate_batch`, reported as aggregate
   member-steps/s plus the speedup over the equivalent scalar loop.
-* ``dumbbell.warmstart`` — warm-started sweep fan-out: one warm-up
-  snapshot measured at four durations vs four cold runs, plus the raw
-  capture/restore throughput of the checkpoint body (``repro.snapshot``).
 * ``hybrid.dumbbell`` — the fluid-packet coupling at 10^5 represented
   flows (``repro.hybrid``): events/s and the flows-per-event leverage of
   replacing all but a few foreground flows with a fluid ensemble.
@@ -153,92 +150,6 @@ def bench_dumbbell(schemes: Sequence[str] = DUMBBELL_SCHEMES,
             "packets_per_sec": packets / best,
         }
     return out
-
-
-#: durations fanned out from one warm checkpoint (full / quick grids)
-WARMSTART_DURATIONS: Tuple[float, ...] = (4.0, 5.0, 6.0, 7.0)
-WARMSTART_DURATIONS_QUICK: Tuple[float, ...] = (2.0, 2.5, 3.0, 3.5)
-
-
-def bench_warmstart(durations: Sequence[float] = WARMSTART_DURATIONS,
-                    repeat: int = 3, **kwargs) -> Dict:
-    """Warm-started sweep fan-out vs cold runs, plus checkpoint I/O rate.
-
-    Warms one ``pert`` dumbbell to its measurement window, then measures
-    every *duration* from clones of that snapshot; the cold side runs
-    each duration from scratch.  Reports the end-to-end fan-out speedup
-    (the headline warm-start win), the snapshot size, and the raw
-    capture/restore throughput of the checkpoint body.  The warm and
-    cold runs must agree event-for-event — any drift is a correctness
-    bug, not a perf delta, and fails the benchmark.
-    """
-    _ensure_src_on_path()
-    from repro.experiments.common import (
-        run_dumbbell,
-        run_dumbbell_warm,
-        warm_dumbbell_bytes,
-    )
-    from repro.snapshot import restore_bytes
-
-    params = dict(DUMBBELL_KWARGS)
-    params.update(kwargs)
-    params.pop("duration", None)
-    durations = tuple(durations)
-
-    cold_best = float("inf")
-    cold_events = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        events = [
-            run_dumbbell("pert", duration=d, collector=False, **params)
-            .events_processed
-            for d in durations
-        ]
-        cold_best = min(cold_best, time.perf_counter() - t0)
-        if cold_events is None:
-            cold_events = events
-        elif events != cold_events:
-            raise AssertionError("cold runs not deterministic")
-
-    warm_best = float("inf")
-    body = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        body = warm_dumbbell_bytes("pert", **params)
-        warm_events = [
-            run_dumbbell_warm(body, d).events_processed for d in durations
-        ]
-        warm_best = min(warm_best, time.perf_counter() - t0)
-        if warm_events != cold_events:
-            raise AssertionError(
-                f"warm-started runs diverged from cold runs: "
-                f"{warm_events} vs {cold_events}"
-            )
-
-    # raw checkpoint body I/O (in-memory: disk speed is not the subject)
-    capture_best = restore_best = float("inf")
-    for _ in range(repeat):
-        sim, state = restore_bytes(body)
-        t0 = time.perf_counter()
-        from repro.snapshot import capture_bytes
-        capture_bytes(sim, state)
-        capture_best = min(capture_best, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        restore_bytes(body)
-        restore_best = min(restore_best, time.perf_counter() - t0)
-
-    total_events = sum(cold_events)
-    return {
-        "params": dict(params, durations=list(durations), repeat=repeat),
-        "events": total_events,
-        "best_seconds": warm_best,
-        "events_per_sec": total_events / warm_best,
-        "cold_seconds": cold_best,
-        "fanout_speedup": cold_best / warm_best,
-        "snapshot_bytes": len(body),
-        "capture_mb_per_sec": len(body) / 1e6 / capture_best,
-        "restore_mb_per_sec": len(body) / 1e6 / restore_best,
-    }
 
 
 #: hybrid workload: fluid flows represented / foreground packet flows
@@ -381,17 +292,12 @@ def run_suite(quick: bool = False, repeat: int = 3) -> Dict:
     if quick:
         engine = bench_engine(n_events=50_000, chains=100, repeat=repeat)
         dumbbell = bench_dumbbell(repeat=repeat, **DUMBBELL_KWARGS_QUICK)
-        warmstart = bench_warmstart(
-            durations=WARMSTART_DURATIONS_QUICK, repeat=repeat,
-            **DUMBBELL_KWARGS_QUICK,
-        )
         fluid = bench_fluid(duration=10.0, repeat=repeat)
         fluid_batch = bench_fluid_batch(batch=8, duration=5.0, repeat=repeat)
         hybrid = bench_hybrid(repeat=repeat, **HYBRID_KWARGS_QUICK)
     else:
         engine = bench_engine(repeat=repeat)
         dumbbell = bench_dumbbell(repeat=repeat)
-        warmstart = bench_warmstart(repeat=repeat)
         fluid = bench_fluid(repeat=repeat)
         fluid_batch = bench_fluid_batch(repeat=repeat)
         hybrid = bench_hybrid(repeat=repeat)
@@ -399,7 +305,6 @@ def run_suite(quick: bool = False, repeat: int = 3) -> Dict:
         "engine.churn": engine,
         "fluid.dde": fluid,
         "fluid.dde_batch": fluid_batch,
-        "dumbbell.warmstart": warmstart,
         "hybrid.dumbbell": hybrid,
     }
     for scheme, entry in dumbbell.items():

@@ -8,10 +8,9 @@ plugged into the same sender machinery:
 
 * PERT/RED   — the paper's gentle-RED curve,
 * PERT/PI    — the discretised PI controller of Section 6,
-* PERT/REM   — Random Exponential Marking (the paper's reference [2]),
 * and a *user-defined* law: a quadratic curve written inline.
 
-All four run over plain DropTail routers and are compared on the same
+All three run over plain DropTail routers and are compared on the same
 workload.  A law is unit-agnostic, so the claim holds in the other
 direction too: the last row puts the *same* ``QuadraticCurve`` class in
 a RED router (thresholds in packets of average queue instead of seconds
@@ -35,7 +34,6 @@ from repro import (
     connect_flow,
     jain_index,
 )
-from repro.core import PertRemSender
 from repro.fluid.stability import pert_pi_gains
 from repro.obs import Collector, select
 from repro.sim.monitors import LinkWindow, QueueSampler
@@ -122,7 +120,7 @@ def run(sender_cls, label, qdisc=None, **sender_kwargs):
 
 def main() -> None:
     print(f"{N_FLOWS} flows, {BANDWIDTH/1e6:.0f} Mbps DropTail bottleneck — "
-          "four AQMs emulated with zero router support,\nthen the custom "
+          "three AQMs emulated with zero router support,\nthen the custom "
           "law moved into the router\n")
     run(PertSender, "PERT/RED")
     pkt_rate = BANDWIDTH / 8000.0
@@ -130,7 +128,6 @@ def main() -> None:
     run(PertPiSender, "PERT/PI",
         config=PertPiConfig(k=k, m=m, target_delay=0.003,
                             delta=N_FLOWS / pkt_rate))
-    run(PertRemSender, "PERT/REM")
     run(QuadraticPertSender, "PERT/custom")
     run(SackEcnSender, "SACK/custom-ECN", qdisc=quadratic_red)
     print("\nSwapping the law is a one-class change, at the end host or at"

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..laws import GentleRedCurve, PiResponse, RedCurve, RemResponse
+from ..laws import GentleRedCurve, PiResponse, RedCurve
 
-__all__ = ["PertSenderConfig", "PertConfig", "PertPiConfig", "PertRemConfig"]
+__all__ = ["PertSenderConfig", "PertConfig", "PertPiConfig"]
 
 
 @dataclass
@@ -94,17 +94,3 @@ class PertPiConfig(PertSenderConfig):
     def law(self) -> PiResponse:
         return PiResponse(k=self.k, m=self.m, target_delay=self.target_delay,
                           delta=self.delta)
-
-
-@dataclass
-class PertRemConfig(PertSenderConfig):
-    """Parameters of PERT emulating REM (the paper's reference [2])."""
-
-    gamma: float = 0.5
-    alpha: float = 0.2
-    phi: float = 1.1
-    target_delay: float = 0.012
-
-    def law(self) -> RemResponse:
-        return RemResponse(gamma=self.gamma, alpha=self.alpha, phi=self.phi,
-                           target_delay=self.target_delay)

@@ -6,8 +6,8 @@ PERT is a SACK TCP sender with one addition: on every incoming ACK it
 2. converts it to a queuing-delay estimate (srtt minus the minimum
    observed RTT, the propagation-delay proxy),
 3. feeds the estimate to a control law from :mod:`repro.laws` — the
-   gentle-RED curve (Section 3), a PI controller sampled once per ACK
-   (Section 6, δ ≈ N/C) or REM's price law — and
+   gentle-RED curve (Section 3) or a PI controller sampled once per ACK
+   (Section 6, δ ≈ N/C) — and
 4. with the law's probability — and at most once per RTT —
    multiplicatively reduces the congestion window by 35 %
    (``cwnd *= 0.65``), emulating what an ECN mark from a router running
@@ -35,7 +35,7 @@ class PertSender(TcpSender):
     Parameters beyond :class:`~repro.tcp.base.TcpSender`'s are supplied
     via a config from :mod:`repro.core.config`, which also names the law:
     a :class:`PertConfig` (the default here) emulates gentle RED/ECN, a
-    :class:`PertPiConfig` a PI router, a :class:`PertRemConfig` REM.
+    :class:`PertPiConfig` a PI router.
     """
 
     config_cls: Type[PertSenderConfig] = PertConfig

@@ -23,12 +23,6 @@ draws and event sequence numbers), finds ``seed`` / ``warmup`` /
 ``duration`` among them, and leaves nothing on the event heap that
 cannot be pickled (no closures).  docs/ARCHITECTURE.md has the table of
 scenarios.
-
-The same phases power warm-started sweeps: :func:`warm_dumbbell_bytes`
-captures a dumbbell run right after warm-up,
-:func:`run_dumbbell_warm` measures any number of divergent durations
-from clones of it, and :func:`dumbbell_warm_job` is the two as one
-runner job per scheme.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from ..sim.engine import Simulator
 from ..sim.monitors import LinkWindow, QueueSampler
 from ..sim.topology import Dumbbell, make_topology
 from ..snapshot import runtime as snapshot_runtime
-from ..snapshot.core import capture_bytes, restore_bytes
 from ..traffic.ftp import start_long_flows
 from ..traffic.web import start_web_sessions
 from .scenarios import get_scheme, scheme_at
@@ -55,9 +48,6 @@ from .scenarios import get_scheme, scheme_at
 __all__ = [
     "DumbbellResult",
     "run_dumbbell",
-    "warm_dumbbell_bytes",
-    "run_dumbbell_warm",
-    "dumbbell_warm_job",
     "access_delays_for_rtts",
     "bdp_packets",
     "paper_buffer_pkts",
@@ -298,7 +288,7 @@ def _advance(run: PacketRun, until: float, ckpt) -> None:
             ckpt.save(sim, run)
 
 
-def _warm(run: PacketRun, ckpt=None) -> None:
+def _warm(run: PacketRun, ckpt) -> None:
     """Run to the end of warm-up and open the measurement windows.
 
     Idempotent across resumes: a run restored mid-measure (windows
@@ -315,7 +305,7 @@ def _warm(run: PacketRun, ckpt=None) -> None:
         run.opened = True
 
 
-def _measure(run: PacketRun, ckpt=None) -> None:
+def _measure(run: PacketRun, ckpt) -> None:
     """Run the steady-state window to ``duration`` and close it."""
     with obs_runtime.phase("measure"):
         _advance(run, run.params["duration"], ckpt)
@@ -587,81 +577,3 @@ def _dumbbell_result(run: PacketRun, keep_refs: bool = False) -> DumbbellResult:
         result.extras["fwd_flows"] = run.fwd_flows
         result.extras["rev_flows"] = run.rev_flows
     return result
-
-
-# ----------------------------------------------------------------------
-# warm-start: one warm-up, many measured continuations
-# ----------------------------------------------------------------------
-def warm_dumbbell_bytes(scheme: str, bandwidth: float, **kwargs) -> bytes:
-    """Build and warm one dumbbell run; return its snapshot body.
-
-    Accepts the same keyword arguments as :func:`run_dumbbell` (minus
-    ``keep_refs``/``collector``).  The returned bytes capture the run at
-    the instant the measurement window opens; feed them to
-    :func:`run_dumbbell_warm` once per desired ``duration``.  Because
-    construction and warm-up do not depend on ``duration``, every
-    continuation is bit-identical to the corresponding cold run.
-    """
-    return _capture(_warm_dumbbell(scheme, bandwidth, **kwargs))
-
-
-def _warm_dumbbell(scheme: str, bandwidth: float, **kwargs) -> PacketRun:
-    """:func:`warm_dumbbell_bytes`'s run, warmed but not yet captured."""
-    args = bound_params(run_dumbbell, scheme, bandwidth, **kwargs)
-    del args["keep_refs"], args["collector"]
-    if "duration" not in kwargs:
-        args["duration"] = args["warmup"]
-    run = _build(build_dumbbell, _resolve_params(**args), collector=None)
-    _warm(run)
-    return run
-
-
-def _capture(run: PacketRun) -> bytes:
-    """Snapshot *run*, its profiler (a wall-clock observer that refuses
-    to pickle) detached for the capture."""
-    profiler, run.sim.profiler = run.sim.profiler, None
-    try:
-        return capture_bytes(run.sim, run)
-    finally:
-        run.sim.profiler = profiler
-
-
-def run_dumbbell_warm(body: bytes, duration: float) -> DumbbellResult:
-    """Measure one continuation of a :func:`warm_dumbbell_bytes` capture.
-
-    Restores an independent clone of the warmed run (the original bytes
-    stay reusable), runs the steady-state window out to *duration* and
-    returns the same :class:`DumbbellResult` a cold :func:`run_dumbbell`
-    with that duration produces.
-    """
-    _sim, run = restore_bytes(body)
-    if not (isinstance(run, PacketRun) and run.build == build_dumbbell):
-        raise TypeError(
-            "run_dumbbell_warm needs bytes from warm_dumbbell_bytes, got "
-            f"state of type {type(run).__name__}"
-        )
-    run.sim.profiler = obs_runtime.active_profiler()
-    obs_runtime.note_simulator(run.sim)
-    run.params = dict(run.params, duration=float(duration))
-    _measure(run)
-    return _dumbbell_result(run)
-
-
-def dumbbell_warm_job(params: dict) -> Dict[str, Any]:
-    """Runner job: one scheme warmed once, measured out to every duration.
-
-    *params* are :func:`run_dumbbell` keywords plus ``durations``; the
-    payload holds one ``dumbbell`` job payload per duration, in order,
-    and the events the job simulated (the shared warm-up counted once).
-    """
-    params = dict(params)
-    durations = params.pop("durations")
-    warm = _warm_dumbbell(**params)
-    body = _capture(warm)
-    payloads = [run_dumbbell_warm(body, d).payload() for d in durations]
-    warmup_events = warm.sim.events_processed
-    return {
-        "payloads": payloads,
-        "events_processed": warmup_events + sum(
-            p["events_processed"] - warmup_events for p in payloads),
-    }

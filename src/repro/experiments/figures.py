@@ -52,7 +52,6 @@ FIGURES: Dict[str, str] = {
     "fig14": "fig14_pert_pi",
     "ablations": "ablations",
     "robustness": "robustness",
-    "warmstart": "warmstart",
     "hybrid": "fig_hybrid",
 }
 

@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 from ..core.config import PertPiConfig
 from ..core.pert import PertSender
 from ..core.pert_pi import PertPiSender
-from ..core.pert_rem import PertRemSender
 from ..fluid.stability import pert_pi_gains
 from ..laws import PiResponse
 from ..sim.engine import Simulator
@@ -126,8 +125,6 @@ SCHEMES: Dict[str, Scheme] = {
     "pert": Scheme("pert", PertSender, _droptail),
     "pert-pi": Scheme("pert-pi", PertPiSender, _droptail),
     "sack-pi-ecn": Scheme("sack-pi-ecn", SackEcnSender, _pi_queue),
-    # generality: PERT emulating REM, the paper's reference [2]
-    "pert-rem": Scheme("pert-rem", PertRemSender, _droptail),
 }
 
 
@@ -270,15 +267,11 @@ class ScenarioSpec:
         timeout: Optional[float] = None,
         retries: int = 1,
         progress=None,
-        warm_start: bool = False,
         checkpoint: Optional[float] = None,
         fleet=None,
     ) -> List[Dict]:
         """Run every scheme at every point; returns flattened table rows.
 
-        ``warm_start=True`` shares one simulated warm-up per scheme
-        across all points — valid only when the points differ solely in
-        ``duration`` (see :func:`repro.experiments.sweep.sweep_dumbbell`).
         ``checkpoint`` enables periodic crash-resume checkpoints in the
         runner's workers (simulated seconds between saves).  ``fleet``
         routes execution through a crash-safe :mod:`repro.fleet`
@@ -296,7 +289,6 @@ class ScenarioSpec:
             timeout=timeout,
             retries=retries,
             progress=progress,
-            warm_start=warm_start,
             checkpoint=checkpoint,
             fleet=fleet,
             **self.base,

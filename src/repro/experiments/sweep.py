@@ -14,7 +14,6 @@ identical whether executed with ``workers=0`` (serial debug path),
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..runner import JobSpec, dumbbell_spec, run_jobs
@@ -22,9 +21,6 @@ from .common import DumbbellResult
 
 __all__ = ["SECTION4_SCHEMES", "sweep_dumbbell", "result_row", "failed_row",
            "scheme_jobs", "job_values"]
-
-#: dotted-path job kind of :func:`repro.experiments.common.dumbbell_warm_job`
-_WARM_KIND = "repro.experiments.common:dumbbell_warm_job"
 
 #: the paper's Section 4 comparison set
 SECTION4_SCHEMES = ("pert", "sack-droptail", "sack-red-ecn", "vegas")
@@ -97,7 +93,6 @@ def sweep_dumbbell(
     timeout: Optional[float] = None,
     retries: int = 1,
     progress=None,
-    warm_start: bool = False,
     checkpoint: Optional[float] = None,
     fleet=None,
     **base_kwargs,
@@ -124,36 +119,14 @@ def sweep_dumbbell(
     Fleeted sweeps are durably journaled — kill the process at any point
     and re-running it (or ``python -m repro.fleet resume <dir>``)
     converges without recomputing finished points.
-
-    ``warm_start=True`` changes which jobs are submitted, not how they
-    run: one :func:`~repro.experiments.common.dumbbell_warm_job` per
-    scheme simulates the warm-up transient once and measures every sweep
-    point from an independent clone of that warmed state (see
-    :mod:`repro.snapshot`).  Valid only for sweeps whose points share an
-    identical prefix — each point may override only ``duration``.  Rows
-    are exactly the rows the cold sweep produces (bit-identical
-    continuations); a failed warm job fails every point of its scheme.
     """
     if tags is None:
         tags = list(points)
     elif len(tags) != len(points):
         raise ValueError("tags must have one entry per point")
     schemes = tuple(schemes)
-    if warm_start:
-        extra = {k for point in points for k in point} - {"duration"}
-        if extra:
-            raise ValueError(
-                "warm_start sweeps share one warm-up per scheme, so points "
-                f"may override only 'duration'; got {sorted(extra)}"
-            )
-        durations = [dict(base_kwargs, **point).get("duration", 60.0)
-                     for point in points]
-        shared = {k: v for k, v in base_kwargs.items() if k != "duration"}
-        specs = scheme_jobs(_WARM_KIND, schemes,
-                            dict(shared, durations=durations)) if points else []
-    else:
-        specs = [dumbbell_spec(scheme, **dict(base_kwargs, **point))
-                 for point in points for scheme in schemes]
+    specs = [dumbbell_spec(scheme, **dict(base_kwargs, **point))
+             for point in points for scheme in schemes]
     results = run_jobs(
         specs,
         workers=workers,
@@ -164,10 +137,6 @@ def sweep_dumbbell(
         checkpoint=checkpoint,
         fleet=fleet,
     )
-    if warm_start:
-        # one job per scheme carries every point's payload, in point order
-        results = [replace(res, value=res.value["payloads"][pi]) if res.ok else res
-                   for pi in range(len(points)) for res in results]
     return [
         result_row(res.value, tag) if res.ok else failed_row(scheme, tag, res.error)
         for res, (tag, scheme) in zip(

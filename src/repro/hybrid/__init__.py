@@ -23,10 +23,7 @@ Entry points:
 * :func:`run_hybrid_dumbbell` — convenience wrapper that also derives
   foreground queue-delay distributions;
 * :func:`fluid_fast_forward` — integrate a model to steady state so the
-  background enters settled at t = 0;
-* ``warm_dumbbell_bytes(..., background=...)`` — fluid-seeded
-  :mod:`repro.snapshot` warm start for measuring many durations of one
-  hybrid scenario.
+  background enters settled at t = 0.
 """
 
 from .background import BackgroundLoad, BackgroundSink, BackgroundSource, attach_background

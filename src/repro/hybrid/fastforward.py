@@ -6,11 +6,8 @@ The fluid model gets there by integration: :func:`fluid_fast_forward`
 runs the DDE until the exported sending rate settles (doubling the
 horizon until the trajectory tail is flat) and returns the settled
 operating point.  The hybrid harness then injects the *settled* rate
-from t = 0 (:func:`repro.hybrid.attach_background`), and
-``warm_dumbbell_bytes(..., background=...)`` captures a
-:mod:`repro.snapshot` body right after the (short, packet-side-only)
-warm-up — one fluid integration plus one warm-up seeds any number of
-measured continuations.
+from t = 0 (:func:`repro.hybrid.attach_background`), so the packet-side
+warm-up stays short.
 """
 
 from __future__ import annotations

@@ -4,11 +4,7 @@
 :class:`~repro.hybrid.BackgroundLoad`; this module adds the hybrid-
 specific conveniences on top: :func:`run_hybrid_dumbbell` derives the
 foreground-flow queue-delay distribution the 10^5-flow deliverable
-reports.  The fluid-seeded :mod:`repro.snapshot` warm start needs no
-entry point of its own: ``warm_dumbbell_bytes(..., background=...)``
-captures one fluid fast-forward plus one packet warm-up, measured at
-any number of durations via
-:func:`repro.experiments.common.run_dumbbell_warm`.
+reports.
 """
 
 from __future__ import annotations

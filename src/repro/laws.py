@@ -19,10 +19,9 @@ it keeps the object in:
   for the stability analysis).  :class:`GentleRedCurve`, :class:`RedCurve`,
   and the fluid analysis's :class:`LinearRamp`.
 * a **controller** carries state from sample to sample:
-  ``update(signal) -> p`` advances it by one sample.
-  :class:`PiResponse`, :class:`RemResponse`.  A controller the fluid
-  model integrates also states its continuous form,
-  ``rate(signal, dsignal) -> dp/dt`` (:class:`PiResponse`).
+  ``update(signal) -> p`` advances it by one sample, and
+  ``rate(signal, dsignal) -> dp/dt`` states its continuous form for the
+  fluid model.  :class:`PiResponse`.
 
 What an adapter adds is what is genuinely its own: how the signal is
 measured and how often it is sampled, the coin-flip rule, and what a
@@ -41,7 +40,6 @@ __all__ = [
     "GentleRedCurve",
     "RedCurve",
     "PiResponse",
-    "RemResponse",
     "ramp_slope",
     "lpf_pole",
 ]
@@ -204,57 +202,3 @@ class PiResponse:
         self.p = 0.0
         self._prev_err = 0.0
 
-
-class RemResponse:
-    """REM — Random Exponential Marking (Athuraliya et al., the paper's [2]).
-
-    A *price* integrates the mismatch between the signal and its target
-    (the ``signal - previous`` term approximates rate mismatch by growth)
-    and the probability follows REM's exponential law
-
-        price <- max(0, price + gamma * (alpha*(s - target) + (s - s_prev)))
-        p      = 1 - phi^(-price)
-
-    so that marking composes multiplicatively over a path.  Because
-    end-to-end delay already sums per-hop delays, a single end-host price
-    plays the role of REM's per-link price sum.
-
-    Parameters
-    ----------
-    gamma, alpha, phi:
-        REM constants (phi > 1).  The defaults are scaled for a
-        delay-valued (seconds) signal; a REM router passes its own,
-        scaled for a queue in packets.
-    target_delay:
-        Set point in the signal's unit.
-    """
-
-    def __init__(self, gamma: float = 0.5, alpha: float = 0.2,
-                 phi: float = 1.1, target_delay: float = 0.012):
-        if phi <= 1.0:
-            raise ValueError("phi must be > 1")
-        if gamma <= 0 or alpha < 0:
-            raise ValueError("gamma must be > 0 and alpha >= 0")
-        if target_delay < 0:
-            raise ValueError("target_delay / q_ref must be >= 0")
-        self.gamma = gamma
-        self.alpha = alpha
-        self.phi = phi
-        self.target_delay = target_delay
-        self.reset()
-
-    def update(self, signal: float) -> float:
-        """One price step; returns the resulting probability."""
-        mismatch = (self.alpha * (signal - self.target_delay)
-                    + (signal - self._prev))
-        self.price = max(0.0, self.price + self.gamma * mismatch)
-        self._prev = signal
-        return self.probability()
-
-    def probability(self) -> float:
-        """REM's exponential law at the current price."""
-        return 1.0 - self.phi ** (-self.price)
-
-    def reset(self) -> None:
-        self.price = 0.0
-        self._prev = 0.0

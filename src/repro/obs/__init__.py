@@ -35,7 +35,7 @@ from .diff import diff_runs, flagged_deltas, format_diff
 from .manifest import MANIFEST_SCHEMA, build_manifest, load_manifests, write_manifest
 from .metrics import Gauge, Histogram, MetricsRegistry, Reading
 from .profiler import SamplingProfiler
-from .records import TRACE_SCHEMA, record, select, validate_record
+from .records import TRACE_SCHEMA, select, validate_record
 from .report import format_table, generate_report
 from .rundir import scheme_summary
 from .runtime import (
@@ -80,7 +80,6 @@ __all__ = [
     "phase",
     "read_events",
     "read_trace",
-    "record",
     "resolve_bus_path",
     "resolve_obs_flags",
     "scheme_summary",

@@ -26,7 +26,7 @@ Schema v2 record types and their payload fields:
 ``timeout``        ``flow, cwnd, cwnd_after`` (RTO fired)
 ``queue_sample``   ``queue, qlen, bytes, delay`` (+ optional ``aqm``
                    sub-dict with controller state: RED avg/max_p,
-                   PI p, REM price)
+                   PI p)
 ``cwnd_sample``    ``flow, cwnd, ssthresh, srtt``
 ``link_sample``    ``link, bytes, pkts``
 =================  ====================================================
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-__all__ = ["TRACE_SCHEMA", "RECORD_TYPES", "record", "validate_record",
-           "select"]
+__all__ = ["TRACE_SCHEMA", "RECORD_TYPES", "validate_record", "select"]
 
 #: bump when record types / fields change incompatibly
 TRACE_SCHEMA = 2
@@ -59,14 +58,6 @@ RECORD_TYPES: Dict[str, tuple] = {
     "cwnd_sample": ("flow", "cwnd", "ssthresh", "srtt"),
     "link_sample": ("link", "bytes", "pkts"),
 }
-
-
-def record(rtype: str, t: float, **fields) -> dict:
-    """Build one trace record of the current schema (validated)."""
-    rec = {"v": TRACE_SCHEMA, "type": rtype, "t": t}
-    rec.update(fields)
-    validate_record(rec)
-    return rec
 
 
 def validate_record(rec: dict) -> None:

@@ -123,13 +123,18 @@ class _MemoryQueue:
 
 
 def resolve_workers(workers: Optional[int]) -> int:
-    """``None`` honours ``$REPRO_WORKERS``; absent both, run serially."""
+    """``None`` honours ``$REPRO_WORKERS``; absent both, run serially.
+    A value that is not an integer >= 0 raises ``ValueError`` naming the
+    knob it came from."""
+    name, raw = "workers", workers
     if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "").strip()
-        workers = int(env) if env else 0
-    workers = int(workers)
+        name, raw = "REPRO_WORKERS", os.environ.get("REPRO_WORKERS", "").strip() or 0
+    try:
+        workers = int(raw)
+    except (TypeError, ValueError):
+        workers = -1
     if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+        raise ValueError(f"{name} must be an integer >= 0, got {raw!r}")
     return workers
 
 

@@ -17,7 +17,6 @@ from .queues import (
     QueueDiscipline,
     QueueStats,
     RedQueue,
-    RemQueue,
 )
 from .topology import (
     TOPOLOGIES,
@@ -42,7 +41,6 @@ __all__ = [
     "DropTailQueue",
     "RedQueue",
     "PiQueue",
-    "RemQueue",
     "Network",
     "Dumbbell",
     "ParkingLot",

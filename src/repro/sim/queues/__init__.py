@@ -1,4 +1,4 @@
-"""Queue disciplines: DropTail, RED (gentle/adaptive, ECN), PI and REM AQM.
+"""Queue disciplines: DropTail, RED (gentle/adaptive, ECN), and PI AQM.
 
 Configuration-driven code builds disciplines through :func:`make_queue`
 with a :class:`QueueConfig`; the per-class constructors are public too.
@@ -9,7 +9,6 @@ from .config import DISCIPLINES, QueueConfig, make_queue
 from .droptail import DropTailQueue
 from .pi import PiQueue
 from .red import RedQueue
-from .rem import RemQueue
 
 __all__ = [
     "QueueDiscipline",
@@ -20,5 +19,4 @@ __all__ = [
     "DropTailQueue",
     "RedQueue",
     "PiQueue",
-    "RemQueue",
 ]

@@ -124,8 +124,8 @@ class QueueDiscipline:
         """Controller state for ``queue_sample`` trace records.
 
         AQM subclasses override this to expose their internal signal
-        (RED's average queue and ``max_p``, PI's probability, REM's
-        price); plain FIFOs report ``None``.
+        (RED's average queue and ``max_p``, PI's probability); plain
+        FIFOs report ``None``.
         """
         return None
 

@@ -2,7 +2,7 @@
 
 Historically every discipline had its own keyword constructor with
 slightly different conventions (``RedQueue`` takes ``rng`` but not
-``sim``; ``PiQueue``/``RemQueue`` take both; ``DropTailQueue`` takes
+``sim``; ``PiQueue`` takes both; ``DropTailQueue`` takes
 neither), so call sites had to special-case each class.  This module
 replaces that with one declarative shape:
 
@@ -14,11 +14,11 @@ replaces that with one declarative shape:
 
 * a seeded RNG is derived from *sim* when the discipline needs one and
   no explicit ``rng`` is given, claiming the same per-discipline stream
-  labels (``"red"``, ``"pi"``, ``"rem"``, with ``unique=True``) the old
+  labels (``"red"``, ``"pi"``, with ``unique=True``) the old
   hand-rolled factories used — fixed-seed runs are bit-identical across
   the old and new construction paths;
 * *sim* is forwarded to disciplines that self-schedule periodic work
-  (PI's and REM's controller ticks);
+  (PI's controller ticks);
 * unknown disciplines and parameters are rejected eagerly, at
   :class:`QueueConfig` construction time, with the valid names listed,
   and so is a capacity that is not a positive integer.
@@ -39,7 +39,6 @@ from .base import QueueDiscipline, check_capacity
 from .droptail import DropTailQueue
 from .pi import PiQueue
 from .red import RedQueue
-from .rem import RemQueue
 
 __all__ = ["QueueConfig", "make_queue", "DISCIPLINES"]
 
@@ -48,13 +47,12 @@ DISCIPLINES: Dict[str, Type[QueueDiscipline]] = {
     "droptail": DropTailQueue,
     "red": RedQueue,
     "pi": PiQueue,
-    "rem": RemQueue,
 }
 
 #: RNG stream label claimed (``unique=True``) when deriving the stream
 #: from ``sim`` — must match the labels the legacy experiment factories
 #: used, or fixed-seed goldens would shift.
-_STREAM_LABELS = {"red": "red", "pi": "pi", "rem": "rem"}
+_STREAM_LABELS = {"red": "red", "pi": "pi"}
 
 
 def _allowed_params(cls: Type[QueueDiscipline]) -> Dict[str, inspect.Parameter]:
@@ -71,8 +69,7 @@ class QueueConfig:
     Parameters
     ----------
     discipline:
-        One of :data:`DISCIPLINES` (``"droptail"``, ``"red"``, ``"pi"``,
-        ``"rem"``).
+        One of :data:`DISCIPLINES` (``"droptail"``, ``"red"``, ``"pi"``).
     capacity_pkts:
         Physical buffer size in packets (every discipline has one), a
         positive integer.

@@ -5,8 +5,7 @@ The subsystem that turns long-horizon simulation into resumable work:
 * :func:`save` / :func:`load` — checkpoint a live simulator (plus the
   experiment harness's state object) to a versioned, checksummed file;
   a restored run continues bit-identically to an uninterrupted one.
-* :func:`capture_bytes` / :func:`restore_bytes` — the same in memory;
-  warm-started sweeps restore one captured body once per grid point.
+* :func:`capture_bytes` / :func:`restore_bytes` — the same in memory.
 * :mod:`repro.snapshot.runtime` — the checkpoint slot the runner's
   executor installs around each job attempt (periodic checkpoint,
   resume after crash/timeout).

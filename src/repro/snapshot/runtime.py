@@ -21,6 +21,7 @@ Checkpoint *interval* is simulated seconds between periodic saves; the
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,13 +43,21 @@ _OFF_VALUES = {"", "0", "off", "false", "no"}
 
 def resolve_checkpoint_interval(checkpoint: Optional[float]) -> Optional[float]:
     """``None`` honours ``$REPRO_CHECKPOINT`` (simulated seconds); absent
-    both, checkpointing is off.  ``0``/negative disables explicitly."""
+    both, checkpointing is off.  ``0``/negative disables explicitly.  A
+    value that is not a finite number raises ``ValueError`` naming the
+    knob it came from."""
+    name, raw = "checkpoint", checkpoint
     if checkpoint is None:
-        env = os.environ.get("REPRO_CHECKPOINT", "").strip().lower()
-        if env in _OFF_VALUES:
+        name, raw = "REPRO_CHECKPOINT", os.environ.get("REPRO_CHECKPOINT", "").strip()
+        if raw.lower() in _OFF_VALUES:
             return None
-        checkpoint = float(env)
-    interval = float(checkpoint)
+    try:
+        interval = float(raw)
+    except (TypeError, ValueError):
+        interval = math.nan
+    if not math.isfinite(interval):
+        raise ValueError(
+            f"{name} must be a finite number of simulated seconds, got {raw!r}")
     return interval if interval > 0 else None
 
 

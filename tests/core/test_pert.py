@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import PertConfig, PertPiConfig, PertRemConfig
+from repro.core.config import PertConfig, PertPiConfig
 from repro.core.pert import PertSender
 from repro.sim.engine import Simulator
 from repro.tcp.sack import SackSender
@@ -23,7 +23,7 @@ def test_config_validation():
     PertConfig().validate()  # paper defaults are valid
 
 
-@pytest.mark.parametrize("config_cls", [PertConfig, PertPiConfig, PertRemConfig])
+@pytest.mark.parametrize("config_cls", [PertConfig, PertPiConfig])
 @pytest.mark.parametrize("bad", [
     dict(min_response_interval_rtts=-1),  # would switch off "once per RTT"
     dict(srtt_weight=2.0),
@@ -39,8 +39,6 @@ def test_sender_fields_are_validated_whatever_the_law(config_cls, bad):
 @pytest.mark.parametrize("config, field", [
     (PertPiConfig(delta=-1.0), "delta"),
     (PertPiConfig(target_delay=-1.0), "target_delay"),
-    (PertRemConfig(target_delay=-1.0), "target_delay"),
-    (PertRemConfig(alpha=-1.0), "alpha"),
 ])
 def test_validate_runs_the_laws_own_checks(config, field):
     with pytest.raises(ValueError, match=field):

@@ -1,7 +1,7 @@
 """Differential testing: the engine must agree with its oracle bit for bit.
 
-Every sender scheme in the registry — together spanning all four queue
-disciplines (droptail, RED, PI, REM) — runs through the tuple-heap
+Every sender scheme in the registry — together spanning all three queue
+disciplines (droptail, RED, PI) — runs through the tuple-heap
 reference in :mod:`.oracle` (``"legacy"``) and through the product's
 one event engine (``"array"``).  The comparison covers three layers:
 
@@ -27,9 +27,9 @@ from repro.experiments.common import (
     _dumbbell_result,
     _measure,
     run_dumbbell,
-    warm_dumbbell_bytes,
 )
 from repro.obs import Collector
+from repro.snapshot import capture_bytes, runtime
 
 from .oracle import ENGINES, restore_as, use_engine
 
@@ -46,13 +46,11 @@ SCHEME_DISCIPLINE = {
     "pert-pi": "droptail",
     "sack-red-ecn": "red",
     "sack-pi-ecn": "pi",
-    "pert-rem": "rem",
 }
 
 #: quick tier: one representative scheme per discipline, plus the
 #: paper's headline scheme (PERT) — the full tier runs everything
-QUICK_SCHEMES = ("pert", "sack-droptail", "sack-red-ecn", "sack-pi-ecn",
-                 "pert-rem")
+QUICK_SCHEMES = ("pert", "sack-droptail", "sack-red-ecn", "sack-pi-ecn")
 SCHEMES = tuple(SCHEME_DISCIPLINE) if FULL else QUICK_SCHEMES
 
 QUICK_KW = dict(bandwidth=3e6, rtt=0.04, n_fwd=3, duration=2.5, warmup=1.0,
@@ -132,18 +130,19 @@ def test_tracing_does_not_perturb(scheme, monkeypatch):
                          [("legacy", "array"), ("array", "legacy")])
 def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
                                          monkeypatch):
-    """Warm under one engine, restore under the other, finish identically."""
-    kw = dict(KW)
-    duration = kw.pop("duration")
-
+    """Checkpoint mid-measure under one engine, restore under the other,
+    finish identically."""
     use_engine(monkeypatch, capture_engine)
-    body = warm_dumbbell_bytes("pert", **kw)
+    slot = _CaptureSlot()
+    monkeypatch.setattr(runtime, "_ACTIVE", slot)
+    run_dumbbell("pert", collector=False, **KW)
+    monkeypatch.setattr(runtime, "_ACTIVE", None)
 
     # continue the run under the *other* engine
-    sim, state = restore_as(body, restore_engine)
+    sim, state = restore_as(slot.body, restore_engine)
     assert type(sim) is ENGINES[restore_engine]
-    assert isinstance(state, PacketRun)
-    state.params = dict(state.params, duration=duration)
+    assert isinstance(state, PacketRun) and state.opened
+    assert KW["warmup"] < sim.now < KW["duration"]
     crossed = _dumbbell_result_after_measure(state)
 
     # reference: the same workload cold, natively under restore_engine
@@ -152,6 +151,18 @@ def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
     assert _metric_tuple(crossed) == _metric_tuple(native)
 
 
+class _CaptureSlot(runtime.CheckpointSlot):
+    """A checkpoint slot that keeps its latest capture in memory; its
+    interval puts the last save of a ``KW`` run inside the measurement."""
+
+    def __init__(self):
+        super().__init__("unused.ckpt", (KW["duration"] + KW["warmup"]) / 4)
+        self.body = None
+
+    def save(self, sim, state=None):
+        self.body = capture_bytes(sim, state)
+
+
 def _dumbbell_result_after_measure(state):
-    _measure(state)
+    _measure(state, None)
     return _dumbbell_result(state)

@@ -158,26 +158,6 @@ def test_sweep_dumbbell_fleet_path_matches_runner(tmp_path):
     assert fleet.status()["computed"] == before
 
 
-def test_warm_sweep_runs_through_the_fleet(tmp_path):
-    """A warm sweep is one journaled job per scheme: its rows equal the
-    cold rows, and a second run computes nothing fresh."""
-    from repro.experiments.sweep import sweep_dumbbell
-    kwargs = dict(schemes=("pert", "sack-droptail"), bandwidth=4e6,
-                  warmup=1.0, n_fwd=2)
-    points = [{"duration": 3.0}, {"duration": 4.0}]
-    cold = sweep_dumbbell(points, workers=0, cache=False, fleet=False,
-                          **kwargs)
-    warm = sweep_dumbbell(points, workers=0, warm_start=True,
-                          fleet=str(tmp_path / "fleet"), **kwargs)
-    assert warm == cold
-    fleet = Fleet(tmp_path / "fleet")
-    assert fleet.status()["computed"] == {"fresh": 2, "hit": 0}
-    again = sweep_dumbbell(points, workers=0, warm_start=True, fleet=fleet,
-                           **kwargs)
-    assert again == cold
-    assert fleet.status()["computed"] == {"fresh": 2, "hit": 0}
-
-
 def test_table1_and_fig11_journal_their_points(tmp_path, monkeypatch):
     """``--fleet``/``$REPRO_FLEET`` reaches every ``run_jobs`` caller, not
     only ``sweep_dumbbell`` — a registered kind (table1) and dotted-path

@@ -1,15 +1,9 @@
-"""Fluid fast-forward convergence and warm-started hybrid continuations."""
+"""Fluid fast-forward convergence."""
 
 import pytest
 
-from repro.experiments.common import (run_dumbbell, run_dumbbell_warm,
-                                     warm_dumbbell_bytes)
 from repro.fluid import make_fluid_model
 from repro.hybrid import fluid_fast_forward
-
-KW = dict(rtt=0.04, n_fwd=3, warmup=1.0, seed=3)
-BW = 4e6
-BG = {"model": "pert_red", "share": 0.4, "n_flows": 8}
 
 
 def test_fast_forward_settles_at_equilibrium():
@@ -35,11 +29,3 @@ def test_fast_forward_all_models():
         steady = fluid_fast_forward(model, horizon=10.0)
         assert steady.rate_pps == pytest.approx(500.0, rel=0.05), name
 
-
-def test_warm_hybrid_continuation_bit_identical():
-    """Fluid-seeded warm start + continuation == cold hybrid run."""
-    body = warm_dumbbell_bytes("pert", BW, background=BG, **KW)
-    warm = run_dumbbell_warm(body, 3.0)
-    cold = run_dumbbell("pert", BW, background=BG, duration=3.0, **KW)
-    assert warm == cold
-    assert warm.background_pkts == cold.background_pkts > 0

@@ -116,3 +116,11 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(None) == 5
     with pytest.raises(ValueError):
         resolve_workers(-1)
+
+
+@pytest.mark.parametrize("env", ["abc", "1.5", "-1"])
+def test_resolve_workers_bad_env_names_the_knob(monkeypatch, env):
+    monkeypatch.setenv("REPRO_WORKERS", env)
+    with pytest.raises(ValueError,
+                       match=f"^REPRO_WORKERS must be an integer >= 0, got '{env}'"):
+        resolve_workers(None)

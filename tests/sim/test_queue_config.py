@@ -11,7 +11,6 @@ from repro.sim.queues import (
     PiQueue,
     QueueConfig,
     RedQueue,
-    RemQueue,
     make_queue,
 )
 
@@ -46,16 +45,6 @@ class TestRoundTrip:
         law = q.controller
         assert (law.target_delay, law.gamma, law.beta) == (12.0, 2e-5, 1e-5)
         assert q.period == pytest.approx(0.01)
-
-    def test_rem(self):
-        cfg = QueueConfig(
-            "rem", capacity_pkts=60,
-            params=dict(q_ref=15.0, gamma=0.002, phi=1.002),
-        )
-        q = make_queue(cfg)
-        assert isinstance(q, RemQueue)
-        law = q.controller
-        assert (law.target_delay, law.gamma, law.phi) == (15.0, 0.002, 1.002)
 
     def test_every_registered_discipline_constructs(self):
         for name, cls in DISCIPLINES.items():

@@ -17,7 +17,6 @@ from repro.sim.queues import (
     PiQueue,
     QueueConfig,
     RedQueue,
-    RemQueue,
     make_queue,
 )
 
@@ -253,6 +252,6 @@ class TestPi:
 def test_direct_construction_simply_works():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no shim: nothing to warn about
-        queues = [cls(3) for cls in (DropTailQueue, RedQueue, PiQueue, RemQueue)]
+        queues = [cls(3) for cls in (DropTailQueue, RedQueue, PiQueue)]
     for q in queues:
         assert q.capacity == 3 and q.enqueue(pkt(0), 0.0)

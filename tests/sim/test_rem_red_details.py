@@ -1,13 +1,11 @@
-"""Additional queue-discipline coverage: RED internals, REM dynamics,
-PI behaviour under load, and cross-discipline comparisons."""
+"""Additional queue-discipline coverage: RED internals, PI behaviour
+under load, and cross-discipline comparisons."""
 
 import random
 
-import pytest
-
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, PiQueue, RedQueue, RemQueue
+from repro.sim.queues import DropTailQueue, PiQueue, RedQueue
 
 
 def pkt(seq=0, ect=True, flow=1):
@@ -50,38 +48,6 @@ class TestRedCountMechanism:
         q.avg = 1.0
         q.admit(pkt(0), 0.0)
         assert q._count == 0
-
-
-class TestRemDynamics:
-    def test_price_tracks_persistent_backlog(self):
-        q = RemQueue(1000, q_ref=5.0, gamma=0.01, alpha=0.5,
-                     rng=random.Random(1))
-        for i in range(40):
-            q.enqueue(pkt(i), 0.0)
-        prices = []
-        for _ in range(20):
-            q.update()
-            prices.append(q.controller.price)
-        assert prices == sorted(prices)  # monotone under constant overload
-
-    def test_equilibrium_price_stable_at_reference(self):
-        q = RemQueue(1000, q_ref=10.0, gamma=0.01, alpha=0.5,
-                     rng=random.Random(1))
-        for i in range(10):
-            q.enqueue(pkt(i), 0.0)
-        q.update()
-        p1 = q.controller.price
-        q.update()  # q == q_ref and q == q_prev: no drift
-        assert q.controller.price == pytest.approx(p1)
-
-    def test_mark_probability_monotone_in_price(self):
-        q = RemQueue(100, rng=random.Random(1))
-        probs = []
-        for price in (0.0, 1.0, 10.0, 100.0):
-            q.controller.price = price
-            probs.append(q.mark_probability())
-        assert probs == sorted(probs)
-        assert probs[0] == 0.0 and probs[-1] < 1.0
 
 
 class TestPiUnderLoad:
@@ -131,10 +97,6 @@ class TestCrossDiscipline:
                              ecn=False, rng=random.Random(2)))
         pi = drive(PiQueue(200, q_ref=30.0, a=2e-3, b=1.9e-3, ecn=False,
                            rng=random.Random(2)))
-        # REM's textbook phi=1.001 needs prices in the hundreds; use a
-        # sharper exponential for this short open-loop drive
-        rem = drive(RemQueue(200, q_ref=30.0, gamma=0.05, phi=1.05,
-                             ecn=False, rng=random.Random(2)))
         assert droptail == 200  # pinned at capacity
-        for aqm_q in (red, pi, rem):
+        for aqm_q in (red, pi):
             assert aqm_q < droptail

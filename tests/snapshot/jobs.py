@@ -76,4 +76,5 @@ def crashy_dumbbell(params: dict) -> dict:
         "mean_queue_pkts": result.mean_queue_pkts,
         "utilization": result.utilization,
         "jain": result.jain,
+        "background_pkts": result.background_pkts,
     }

@@ -110,6 +110,20 @@ class TestRuntime:
     def test_interval_nonpositive_disables(self, value):
         assert resolve_checkpoint_interval(value) is None
 
+    @pytest.mark.parametrize("env, checkpoint, knob", [
+        ("abc", None, "REPRO_CHECKPOINT"),
+        ("nan", None, "REPRO_CHECKPOINT"),   # was: silently off
+        ("inf", None, "REPRO_CHECKPOINT"),   # was: a slot that never saves
+        ("-inf", None, "REPRO_CHECKPOINT"),
+        ("", float("nan"), "checkpoint"),
+        ("", float("inf"), "checkpoint"),
+    ])
+    def test_interval_bad_value_names_the_knob(self, monkeypatch, env,
+                                               checkpoint, knob):
+        monkeypatch.setenv("REPRO_CHECKPOINT", env)
+        with pytest.raises(ValueError, match=f"^{knob} must be a finite number"):
+            resolve_checkpoint_interval(checkpoint)
+
     def test_scope_installs_and_restores_the_slot(self, tmp_path):
         assert active_checkpoint() is None
         with checkpoint_scope(tmp_path / "a.ckpt", 1.0) as slot:

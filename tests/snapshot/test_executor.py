@@ -92,3 +92,45 @@ def test_env_var_enables_checkpointing(tmp_path, monkeypatch):
     res = run_jobs([spec], workers=0, cache=cache, retries=1)[0]
     assert res.ok
     assert res.value["resumed"] is True
+
+
+def _straight_and_resumed(tmp_path, workers, **extra):
+    """One crashy job run twice at checkpoint interval 0.5: straight
+    through (its marker pre-armed, so it never dies) and killed after its
+    second save.  Returns ``(straight, resumed)`` as ``(result, manifest)``
+    pairs."""
+    out = []
+    for name, crash in (("straight", False), ("resumed", True)):
+        marker = tmp_path / f"{name}.marker"
+        if not crash:
+            marker.touch()
+        cache = ResultCache(tmp_path / name)
+        spec = _spec(marker, die_after=2, **extra)
+        res = run_jobs([spec], workers=workers, cache=cache, retries=1,
+                       checkpoint=0.5)[0]
+        assert res.ok and res.attempts == (2 if crash else 1)
+        assert res.value["resumed"] is crash
+        out.append((res, json.loads(cache.manifest_path_for(spec).read_text())))
+    (straight, _), (resumed, _) = out
+    assert resumed.value["resumed_at"] == 1.5
+    assert ({k: v for k, v in resumed.value.items() if not k.startswith("resumed")}
+            == {k: v for k, v in straight.value.items() if not k.startswith("resumed")})
+    return out
+
+
+def test_killed_hybrid_job_resumes_to_the_straight_through_payload(tmp_path):
+    """The fluid background source rides in the checkpoint."""
+    bg = {"model": "pert_red", "share": 0.4, "n_flows": 8}
+    _, (resumed, _) = _straight_and_resumed(tmp_path, 0, background=bg)
+    assert resumed.value["background_pkts"] > 0
+
+
+def test_profiled_job_on_workers_resumes_to_the_straight_through_payload(
+        tmp_path, monkeypatch):
+    """Under ``REPRO_PROFILE`` a save detaches the job's profiler and a
+    resume attaches the retry's: the payload is unchanged and the resumed
+    attempt's manifest still carries a profile."""
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    (_, straight), (_, resumed) = _straight_and_resumed(tmp_path, 2)
+    assert straight["profile"] and resumed["profile"]
+    assert resumed["checkpoint"]["resumed"] is True

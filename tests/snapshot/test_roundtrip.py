@@ -104,7 +104,7 @@ def _queue_build(discipline):
     return build
 
 
-@pytest.mark.parametrize("discipline", ["droptail", "red", "pi", "rem"])
+@pytest.mark.parametrize("discipline", ["droptail", "red", "pi"])
 def test_queue_discipline_roundtrip(discipline):
     ref = _roundtrip(_queue_build(discipline), t_snap=1.5, t_end=4.0)
     # the run must actually exercise the queue for the test to mean much
@@ -118,7 +118,6 @@ _SENDER_SCHEMES = (
     "vegas",
     "pert",
     "pert-pi",
-    "pert-rem",
 )
 
 

@@ -1,4 +1,4 @@
-"""A tagged run still checkpoints, resumes and warm-starts.
+"""A tagged run still checkpoints and resumes.
 
 A run whose *result* reads trace records (``record_rtt_flow``: the
 Section 2 case traces, the hybrid summary) carries its recorder inside
@@ -14,11 +14,13 @@ import json
 
 import pytest
 
-from repro.experiments.common import (run_dumbbell, run_dumbbell_warm,
-                                     warm_dumbbell_bytes)
+from repro.experiments.common import run_dumbbell
 from repro.experiments.section2 import QUICK_CASES, _TRACE_KIND, case_trace_job
 from repro.hybrid import summarize_hybrid
 from repro.runner import JobSpec, ResultCache, run_jobs
+from repro.snapshot import runtime
+
+from .jobs import _DyingSlot
 
 CRASHY = "tests.snapshot.jobs:crashy_job"
 OBS_ENV = ("REPRO_OBS", "REPRO_TRACE", "REPRO_PROFILE", "REPRO_BUS")
@@ -104,15 +106,29 @@ def test_traced_tagged_job_resumes_with_its_whole_trace(
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_warm_hybrid_continuation_equals_the_cold_tagged_run():
-    kw = dict(rtt=0.04, n_fwd=3, warmup=1.0, seed=3, record_rtt_flow=0)
-    bg = {"model": "pert_red", "share": 0.4, "n_flows": 8}
-    body = warm_dumbbell_bytes("pert", 4e6, background=bg, **kw)
-    warm = run_dumbbell_warm(body, 3.0)
-    cold = run_dumbbell("pert", 4e6, background=bg, duration=3.0, **kw)
+def test_killed_hybrid_tagged_run_resumes_to_the_straight_through_run(
+        tmp_path, obs_off):
+    """A fluid-backed run with a tagged flow, killed after its second
+    checkpoint (t = 1.5, mid-measure), resumes to the uninterrupted run's
+    records and result."""
+    kw = dict(rtt=0.04, n_fwd=3, warmup=1.0, duration=3.0, seed=3,
+              record_rtt_flow=0,
+              background={"model": "pert_red", "share": 0.4, "n_flows": 8})
+    path = tmp_path / "hybrid.ckpt"
+    with runtime.checkpoint_scope(path, 0.5) as slot:
+        runtime._ACTIVE = _DyingSlot(slot, die_after=2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_dumbbell("pert", 4e6, **kw)
+    with runtime.checkpoint_scope(path, 0.5) as slot:
+        resumed = run_dumbbell("pert", 4e6, **kw)
+    assert slot.resumed_at == 1.5
+    straight = run_dumbbell("pert", 4e6, **kw)
     for key in ("rtt_trace", "flow_losses", "queue_drops"):
-        assert warm.extras[key] == cold.extras[key]
-    assert warm.extras["rtt_trace"][-1][0] > kw["warmup"]  # kept recording
-    assert warm.payload() == cold.payload()
-    assert (summarize_hybrid(warm, warmup=1.0).qdelay_p95
-            == summarize_hybrid(cold, warmup=1.0).qdelay_p95)
+        assert resumed.extras[key] == straight.extras[key]
+    # records on both sides of the checkpoint
+    trace = resumed.extras["rtt_trace"]
+    assert trace[0][0] < slot.resumed_at < trace[-1][0]
+    assert resumed.payload() == straight.payload()
+    assert resumed.background_pkts > 0
+    assert (summarize_hybrid(resumed, warmup=1.0).qdelay_p95
+            == summarize_hybrid(straight, warmup=1.0).qdelay_p95)

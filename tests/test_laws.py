@@ -15,14 +15,13 @@ import pytest
 import repro.laws
 from repro.core.pert import PertSender
 from repro.experiments.scenarios import SCHEMES, scheme_sender_kwargs
-from repro.laws import GentleRedCurve, PiResponse, RedCurve, RemResponse
+from repro.laws import GentleRedCurve, PiResponse, RedCurve
 from repro.sim.engine import Simulator
 from repro.sim.queues import (
     DISCIPLINES,
     PiQueue,
     QueueConfig,
     RedQueue,
-    RemQueue,
     make_queue,
 )
 from repro.tcp.sack import SackEcnSender
@@ -32,17 +31,15 @@ from .conftest import make_dumbbell, make_flow
 # ----------------------------------------------------------------------
 # (a) bit-for-bit against the parent commit's router code
 # ----------------------------------------------------------------------
-# float.hex() of PiQueue.update(), RemQueue.update() and
-# RedQueue.mark_probability() (gentle and not) at commit 70f07b3 — the
-# last one where the queues carried their own arithmetic — on the drive
-# below.  benchmarks/e2e/expected.json pins packet.router on the same
+# float.hex() of PiQueue.update() and RedQueue.mark_probability()
+# (gentle and not) at commit 70f07b3 — the last one where the queues
+# carried their own arithmetic — on the drive below.  benchmarks/e2e/expected.json pins packet.router on the same
 # arithmetic, so the shared PI step keeps PiQueue's operand order
 # ``gamma*e - beta*e_prev + p``; the end host's former order
 # ``p + gamma*e - beta*e_prev`` differs in the last bits.
 LENGTHS = [(37 * i * i + 11 * i) % 97 for i in range(64)]
 AVGS = [i * 0.61 for i in range(64)]
 PI_ARGS = dict(q_ref=40.0, a=1.822e-3, b=1.816e-3)
-REM_ARGS = dict(q_ref=30.0, gamma=0.01, alpha=0.1, phi=1.05)
 RED_ARGS = dict(min_th=5.0, max_th=15.0, max_p=0.1)
 
 PI_PINS = """
@@ -69,29 +66,6 @@ PI_PINS = """
 0x1.90f301eabbcc0p-5 0x1.bd09e12a51e40p-5 0x1.23f67f4dbdfaap-6
 """.split()
 
-REM_PINS = """
-0x0.0p+0 0x1.894afba85b780p-6 0x1.36218e680db70p-5 0x1.4f1675be36420p-5
-0x1.0776442920b80p-5 0x1.4e06503519580p-7 0x1.9a72a6bf41d60p-6
-0x1.de1b98c4f2540p-6 0x1.623c5ebd294e0p-6 0x1.a724635efc040p-5
-0x1.6ebe9496e1040p-6 0x1.d33d478d7c720p-6 0x1.7c0630e6d4340p-6
-0x1.c74b4d967f5a0p-5 0x1.dd54ec3e86800p-6 0x1.38702681e9780p-5
-0x1.271e7a2c0ccf0p-5 0x1.623c5ebd294e0p-6 0x1.6b059376934b0p-5
-0x1.d29c310d0c460p-5 0x1.e26cb7f7c1cf0p-5 0x1.9244489b48d20p-5
-0x1.ac5ce74d908a0p-6 0x1.41a8cc812a1a0p-5 0x1.559a106946610p-5
-0x1.09c85b7b12d20p-5 0x1.edb372d421d20p-5 0x1.de1b98c4f2540p-6
-0x1.0ecef54fc00a0p-5 0x1.9fe703185fb00p-6 0x1.c4a6c088c00f0p-5
-0x1.ac5ce74d908a0p-6 0x1.09655aaf8ffd0p-5 0x1.bfd0205a45ec0p-6
-0x1.eab21126c9a00p-5 0x1.1688c05f74850p-5 0x1.6424a6fb556f0p-5
-0x1.57e64cd50ffa0p-5 0x1.d0e8d244ecba0p-6 0x1.a7856bc866e00p-5
-0x1.0ab4ba1c558b0p-4 0x1.1675534bd87f0p-4 0x1.e62f6e7390350p-5
-0x1.35bf1b6b6b910p-5 0x1.aa2c84bbff960p-5 0x1.c8cdccc728c60p-5
-0x1.89e69f88570d0p-5 0x1.3b28f083c2520p-4 0x1.898538683e140p-5
-0x1.b6aadb1851470p-5 0x1.87ff8fbd28280p-5 0x1.43156eba7f8e0p-4
-0x1.adf64167a6ec0p-5 0x1.f0b487a4763e0p-5 0x1.da2518a7520d0p-5
-0x1.60b39c3c33d80p-5 0x1.0816e48d0ab48p-4 0x1.377800dcf58a8p-4
-0x1.3bb699b516ad8p-4 0x1.10ae0f434f8a0p-4 0x1.60b39c3c33d80p-5
-0x1.c201f85174da0p-5 0x1.ccf44701685e0p-5 0x1.7924664ee0410p-5
-""".split()
 
 RED_GENTLE_PINS = """
 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
@@ -160,13 +134,6 @@ def test_pi_step_is_the_parents_router_arithmetic():
     assert _drive_queue(PiQueue(1000, **PI_ARGS)) == PI_PINS
     assert _step(PiResponse.from_gains(
         PI_ARGS["a"], PI_ARGS["b"], PI_ARGS["q_ref"])) == PI_PINS
-
-
-def test_rem_step_is_the_parents_router_arithmetic():
-    assert _drive_queue(RemQueue(1000, **REM_ARGS)) == REM_PINS
-    assert _step(RemResponse(
-        REM_ARGS["gamma"], REM_ARGS["alpha"], REM_ARGS["phi"],
-        target_delay=REM_ARGS["q_ref"])) == REM_PINS
 
 
 @pytest.mark.parametrize("gentle, curve_cls, pins", [
@@ -246,7 +213,7 @@ def _law_of(holder):
 
 def test_every_aqm_discipline_holds_a_library_law():
     aqms = sorted(set(DISCIPLINES) - {"droptail"})
-    assert aqms == ["pi", "red", "rem"]
+    assert aqms == ["pi", "red"]
     for name in aqms:
         queue = make_queue(QueueConfig(name, capacity_pkts=10))
         assert _law_of(queue).__module__ == "repro.laws", name
@@ -255,7 +222,7 @@ def test_every_aqm_discipline_holds_a_library_law():
 def test_every_pert_scheme_holds_a_library_law():
     perts = {name: s for name, s in SCHEMES.items()
              if issubclass(s.sender_cls, PertSender)}
-    assert sorted(perts) == ["pert", "pert-pi", "pert-rem"]
+    assert sorted(perts) == ["pert", "pert-pi"]
     laws = {}
     for name, scheme in perts.items():
         sim = Simulator(seed=1)
@@ -265,8 +232,7 @@ def test_every_pert_scheme_holds_a_library_law():
         assert (sender.curve is None) != (sender.controller is None)
         laws[name] = _law_of(sender)
         assert laws[name].__module__ == "repro.laws", name
-    assert laws == {"pert": GentleRedCurve, "pert-pi": PiResponse,
-                    "pert-rem": RemResponse}
+    assert laws == {"pert": GentleRedCurve, "pert-pi": PiResponse}
 
 
 def test_the_law_module_is_a_leaf():
