@@ -1,6 +1,6 @@
 """The one way this package writes a file that must never be seen torn.
 
-Cache entries, run manifests, JSONL traces and snapshot files are all
+Cache entries, JSONL traces, validation verdicts and snapshot files are all
 written through :func:`atomic_write`: the bytes go to a temp file in the
 target's directory, which is then renamed over the target
 (``os.replace`` is atomic on POSIX and Windows).  A crash or a raising

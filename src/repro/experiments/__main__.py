@@ -61,7 +61,7 @@ def _maybe_serve(args):
 
     Returns the server (caller shuts it down) or ``None``.  The server
     watches the run's cache directory — the same place the bus file and
-    manifests land — and dies with the process at the latest.
+    cache entries land — and dies with the process at the latest.
     """
     if not (args.serve or _env_truthy("REPRO_SERVE")):
         return None
@@ -69,7 +69,7 @@ def _maybe_serve(args):
     from ..serve import serve_in_background
 
     if args.fleet or os.environ.get("REPRO_FLEET", "").strip():
-        # Fleeted runs put the bus (and fleet_* events) in the fleet dir.
+        # Fleeted runs put the bus in the fleet dir.
         run_dir = Path(args.fleet or os.environ["REPRO_FLEET"])
     elif args.cache_dir:
         run_dir = Path(args.cache_dir)
@@ -95,8 +95,8 @@ def main(argv=None) -> int:
     add_runner_flags(parser, "$REPRO_WORKERS or one per CPU")
     parser.add_argument(
         "--obs", action="store_true",
-        help="collect in-sim metrics; each fresh job writes a run manifest "
-             "next to its cache entry (read by 'python -m repro.obs report')",
+        help="collect in-sim metrics into each fresh job's cache entry "
+             "(read by 'python -m repro.obs report')",
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile", action="store_true",
         help="sample event-callback timings in each job (adds a 'profile' "
-             "section to manifests; slows the run)",
+             "section to its cache entry; slows the run)",
     )
     parser.add_argument(
         "--fleet", default=None, metavar="DIR",

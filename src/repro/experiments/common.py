@@ -174,7 +174,8 @@ class PacketRun:
 
     def payload(self, **fields: Any) -> Dict[str, Any]:
         """A runner-job payload: *fields* plus the event count every job
-        reports (``--progress`` events/s, ``job_finished``, manifests)."""
+        reports (``--progress`` events/s, ``job_finished``, the entry's
+        ``meta``)."""
         return dict(fields, events_processed=self.sim.events_processed)
 
 

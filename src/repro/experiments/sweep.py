@@ -68,7 +68,7 @@ def failed_row(scheme: str, point: Dict, error: Optional[str]) -> Dict:
 def scheme_jobs(kind: str, schemes: Iterable[str], kwargs: Dict) -> List[JobSpec]:
     """One dotted-path *kind* job per scheme, each with *kwargs* — and, as
     in :func:`repro.runner.dumbbell_spec`, the seed (every scenario's
-    default is 1) made explicit for cache keys and manifests."""
+    default is 1) made explicit for cache keys and job records."""
     return [JobSpec(kind, dict(kwargs, scheme=scheme, seed=kwargs.get("seed", 1)))
             for scheme in schemes]
 

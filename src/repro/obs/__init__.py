@@ -1,15 +1,15 @@
-"""Observability layer: metrics, traces, run manifests and reporting.
+"""Observability layer: metrics, traces, job records and reporting.
 
 The simulation engine, links, queue disciplines and TCP senders all
 carry an ``obs`` attachment point that defaults to ``None``; when a
 :class:`Collector` is attached they publish structured signals into a
 deterministic :class:`MetricsRegistry` and (optionally) a
-schema-versioned JSONL trace.  The runner writes one manifest per job
-next to its cache entry, and ``python -m repro.obs report <run-dir>``
-turns a directory of manifests/traces into wall-time, throughput and
-queue-behaviour summaries; that report, ``python -m repro.obs diff`` and
-the dashboard all render one :class:`~repro.obs.rundir.RunView` fold of
-the directory.
+schema-versioned JSONL trace.  A fresh job's cache entry carries what
+it observed (phases, peak RSS, metrics), and ``python -m repro.obs
+report <run-dir>`` turns a directory of entries/traces into wall-time,
+throughput and queue-behaviour summaries; that report, ``python -m
+repro.obs diff`` and the dashboard all render one
+:class:`~repro.obs.rundir.RunView` fold of the directory.
 
 Everything here is strictly passive: attaching a collector schedules no
 simulator events and draws from no RNG stream, so instrumented and
@@ -32,7 +32,6 @@ from .bus import (
 )
 from .collect import Collector
 from .diff import diff_runs, flagged_deltas, format_diff
-from .manifest import MANIFEST_SCHEMA, build_manifest, load_manifests, write_manifest
 from .metrics import Gauge, Histogram, MetricsRegistry, Reading
 from .profiler import SamplingProfiler
 from .records import TRACE_SCHEMA, select, validate_record
@@ -56,7 +55,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JobObservation",
-    "MANIFEST_SCHEMA",
     "MetricsRegistry",
     "ObsFlags",
     "Reading",
@@ -64,7 +62,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "active",
     "active_bus",
-    "build_manifest",
     "bus_scope",
     "diff_runs",
     "emit",
@@ -74,7 +71,6 @@ __all__ = [
     "generate_report",
     "iter_events",
     "iter_trace",
-    "load_manifests",
     "note_simulator",
     "observe_job",
     "phase",
@@ -85,6 +81,5 @@ __all__ = [
     "scheme_summary",
     "select",
     "validate_record",
-    "write_manifest",
     "write_trace",
 ]

@@ -7,8 +7,8 @@ Usage::
     python -m repro.obs profile [--scheme pert] [--bandwidth BPS]
                                 [--duration S] [--seed N] [--period K]
 
-``report`` post-processes the manifests and traces a runner execution
-left next to its cache entries (point it at the ``--cache-dir`` of a
+``report`` post-processes the cache entries and traces a runner
+execution left behind (point it at the ``--cache-dir`` of a
 ``python -m repro.experiments ... --obs --trace`` run).  ``diff`` compares
 two run directories scheme by scheme with signed percent deltas and a
 configurable flag threshold (``--strict`` exits 1 when any delta
@@ -87,8 +87,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("report", help="summarize a run directory")
-    rep.add_argument("run_dir", help="directory holding *.manifest.json "
-                                     "(the runner's cache dir)")
+    rep.add_argument("run_dir", help="the runner's cache dir (or a fleet "
+                                     "dir)")
     rep.add_argument("--top", type=int, default=10, metavar="N",
                      help="rows in the slowest-jobs/hot-callbacks tables")
     rep.add_argument("--no-trace", action="store_true",

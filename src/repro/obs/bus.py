@@ -1,7 +1,7 @@
 """Live telemetry bus: job lifecycle + heartbeat events, streamed to JSONL.
 
-PR 2's observability is strictly post-hoc — manifests and traces become
-readable only after a job finishes.  The bus is the *live* complement:
+The job record (a fresh job's cache entry) and its trace become
+readable only after the job finishes.  The bus is the *live* complement:
 while a sweep is still executing, the runner publishes job lifecycle
 events (started / finished / failed / retried / cached / resumed), job
 phase transitions, and periodic wall-clock heartbeats (simulated-time
@@ -27,7 +27,7 @@ Determinism contract (inherited from PR 2): the bus is **default-off**
 but never mutates — no simulator events, no RNG draws — so results are
 bit-identical either way.  Bus records carry *wall-clock* timestamps and
 process ids, which is why they live in their own ``events.jsonl`` file,
-segregated from every golden-checked artifact (cache entries, manifests,
+segregated from every golden-checked artifact (cache entries and
 traces).
 
 Schema v2 event types and their payload fields (beyond ``v``/``type``/

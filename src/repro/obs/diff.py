@@ -1,7 +1,7 @@
 """Cross-run analytics: compare two run directories scheme by scheme.
 
 ``python -m repro.obs diff <runA> <runB>`` answers "what changed
-between these two sweeps?" from their on-disk manifests alone — no
+between these two sweeps?" from their cache entries alone — no
 re-simulation, works across machines.  Each directory is one
 :class:`repro.obs.rundir.RunView` fold, rolled up per scheme exactly as
 the report and the dashboard roll it up, and every shared scheme is
@@ -63,8 +63,8 @@ def diff_runs(
           "only_a": [...], "only_b": [...],
         }
 
-    Validation manifests are excluded; schemes present in only one run
-    are listed, not compared.
+    Only job records are compared (validation verdicts are not jobs);
+    schemes present in only one run are listed, not compared.
     """
     sides = []
     for run_dir in (run_a, run_b):
@@ -117,7 +117,7 @@ def format_diff(diff: dict, threshold_pct: float = 10.0) -> str:
     ]
     if any(diff.get("warnings", [0, 0])):
         lines.append(
-            f"skipped unreadable manifests: A={diff['warnings'][0]} "
+            f"skipped unreadable files: A={diff['warnings'][0]} "
             f"B={diff['warnings'][1]}"
         )
     rows = []

@@ -64,7 +64,7 @@ class SamplingProfiler:
         return rows[:n]
 
     def snapshot(self) -> dict:
-        """JSON-serializable summary for manifests."""
+        """JSON-serializable summary for the job's cache entry."""
         return {
             "period": self.period,
             "events": self.events,

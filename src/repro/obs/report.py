@@ -1,11 +1,11 @@
-"""Turn a run directory of manifests/traces into a readable report.
+"""Turn a run directory of job records/traces into a readable report.
 
 The report CLI (``python -m repro.obs report <run-dir>``) is pure
 post-processing: it renders the run directory's one fold
-(:class:`repro.obs.rundir.RunView` — the manifests, the bus when there
-is one) plus the ``*.trace.jsonl`` files the runner wrote, so it works
-on any completed run — including one produced on another machine —
-without re-simulating anything.
+(:class:`repro.obs.rundir.RunView` — the cache entries and verdicts, the
+bus when there is one) plus the ``*.trace.jsonl`` files the runner
+wrote, so it works on any completed run — including one produced on
+another machine — without re-simulating anything.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def _scheme_rollup(schemes: Dict[str, dict]) -> List[List[str]]:
     return rows
 
 
-def _phase_rollup(manifests: List[dict]) -> List[List[str]]:
+def _phase_rollup(records: List[dict]) -> List[List[str]]:
     totals: Dict[str, float] = {}
-    for m in manifests:
+    for m in records:
         for name, secs in (m.get("phases") or {}).items():
             totals[name] = totals.get(name, 0.0) + secs
     grand = sum(totals.values())
@@ -81,9 +81,9 @@ def _phase_rollup(manifests: List[dict]) -> List[List[str]]:
     ]
 
 
-def _profile_rollup(manifests: List[dict], top: int) -> List[List[str]]:
+def _profile_rollup(records: List[dict], top: int) -> List[List[str]]:
     totals: Dict[str, List[float]] = {}
-    for m in manifests:
+    for m in records:
         for row in (m.get("profile") or {}).get("top", []):
             cell = totals.setdefault(row["callback"], [0, 0.0])
             cell[0] += row.get("samples", 0)
@@ -95,10 +95,10 @@ def _profile_rollup(manifests: List[dict], top: int) -> List[List[str]]:
     ]
 
 
-def _queue_delay_summary(manifests: List[dict]) -> List[List[str]]:
+def _queue_delay_summary(records: List[dict]) -> List[List[str]]:
     """Per-queue delay/drop summary from metrics snapshots (``--obs``)."""
     rows = []
-    for m in manifests:
+    for m in records:
         metrics = m.get("metrics") or {}
         for name, snap in sorted(metrics.items()):
             if not (name.startswith("queue.") and name.endswith(".delay")):
@@ -122,15 +122,16 @@ def _queue_delay_summary(manifests: List[dict]) -> List[List[str]]:
     return rows
 
 
-def _trace_summary(manifests: List[dict]) -> List[str]:
+def _trace_summary(records: List[dict]) -> List[str]:
+    # local: importing repro.obs must not load the runner
+    from ..runner.cache import TRACE_SUFFIX
+
     lines: List[str] = []
-    for m in manifests:
-        trace_file = m.get("trace_file")
-        if not trace_file or "_path" not in m:
-            continue
-        path = Path(m["_path"]).parent / trace_file
+    for m in records:
+        path = Path(m["path"]).with_suffix(TRACE_SUFFIX)
         if not path.exists():
             continue
+        trace_file = path.name
         counts: Dict[str, int] = {}
         delays: List[float] = []
         try:
@@ -158,24 +159,24 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
     """Build the full text report for *run_dir*."""
     view = RunView(run_dir)
     view.refresh()
-    manifests, validations = view.manifests, view.validations
+    records, validations = view.records, view.validations
     out: List[str] = []
-    if not (manifests or validations):
+    if not (records or validations):
         out.append(
-            f"no manifests found under {run_dir}\n"
-            "(manifests are written next to cache entries by fresh runs; "
-            "re-run with --no-cache disabled, e.g. "
+            f"no job records found under {run_dir}\n"
+            "(a run directory is a cache directory: point this at the "
+            "--cache-dir of a cached run, e.g. "
             "`python -m repro.experiments fig6 --obs --cache-dir <run-dir>`; "
             "for paper-fidelity verdicts see `python -m repro.validate report`)"
         )
     else:
         out.append(f"run directory : {run_dir}")
-        out.append(f"jobs          : {len(manifests)}"
-                   + ("" if manifests else " (validation manifests only)"))
+        out.append(f"jobs          : {len(records)}"
+                   + ("" if records else " (validation verdicts only)"))
 
-    if manifests:
-        total_wall = sum(m.get("wall_time") or 0.0 for m in manifests)
-        total_events = sum(m.get("events") or 0 for m in manifests)
+    if records:
+        total_wall = sum(m.get("wall_time") or 0.0 for m in records)
+        total_events = sum(m.get("events") or 0 for m in records)
         out.append(f"job wall time : {_fmt_secs(total_wall)}")
         out.append(f"sim events    : {total_events:,}")
         if total_wall > 0:
@@ -188,7 +189,7 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
             _scheme_rollup(view.metrics()["schemes"]),
         ))
 
-        phases = _phase_rollup(manifests)
+        phases = _phase_rollup(records)
         if phases:
             out.append("\n== wall time by phase ==")
             out.append(format_table(["phase", "wall", "share"], phases))
@@ -211,12 +212,12 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
             ["job", "wall", "events", "events/s", "peak_rss", "attempts"], rows,
         ))
 
-        hot = _profile_rollup(manifests, top)
+        hot = _profile_rollup(records, top)
         if hot:
             out.append(f"\n== hottest callbacks (top {len(hot)}, sampled) ==")
             out.append(format_table(["callback", "samples", "est_time"], hot))
 
-        qrows = _queue_delay_summary(manifests)
+        qrows = _queue_delay_summary(records)
         if qrows:
             out.append("\n== queue delay / drop summary (from --obs metrics) ==")
             out.append(format_table(
@@ -225,7 +226,7 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
             ))
 
         if include_trace:
-            tlines = _trace_summary(manifests)
+            tlines = _trace_summary(records)
             if tlines:
                 out.append("\n== traces ==")
                 out.extend(tlines)
@@ -238,20 +239,19 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
 
 
 def _warnings_section(warnings: List[dict]) -> str:
-    """List manifests skipped as unreadable (crashed/killed runs)."""
-    lines = [f"\n== skipped manifests ({len(warnings)} unreadable) =="]
+    """List files skipped as unreadable (torn or foreign)."""
+    lines = [f"\n== skipped files ({len(warnings)} unreadable) =="]
     for w in warnings:
         lines.append(f"  {w['path']}: {w['error']}")
-    lines.append("(torn writes from a crashed run; delete them or re-run "
-                 "the affected jobs)")
+    lines.append("(left in place: the cache treats an unreadable entry as a "
+                 "miss and rewrites it on the next run)")
     return "\n".join(lines)
 
 
 def _validation_section(validations: List[dict]) -> str:
-    """Summarize paper-fidelity verdict manifests left by repro.validate."""
+    """Summarize the paper-fidelity verdicts left by repro.validate."""
     rows = []
-    for m in validations:
-        v = m.get("validation") or {}
+    for v in validations:
         devs = [d for d in (v.get("deviations_pct") or {}).values()
                 if isinstance(d, (int, float))]
         worst = max(devs, key=abs) if devs else None
@@ -260,7 +260,7 @@ def _validation_section(validations: List[dict]) -> str:
             str(v.get("status", "?")),
             str(len(v.get("deviations_pct") or {})),
             f"{worst:+.2f}%" if worst is not None else "-",
-            _fmt_secs(m.get("wall_time")),
+            _fmt_secs(v.get("wall_time")),
         ])
     return (
         "\n== paper-fidelity validation (repro.validate) ==\n"

@@ -3,10 +3,12 @@
 A run directory (a runner cache dir, or a fleet dir) holds three records
 of the same jobs, and :class:`RunView` is the only code that reads them:
 
-* ``*.manifest.json`` — the durable post-hoc record, one per fresh job,
-  split into job manifests, ``repro.validate`` verdict manifests and
-  warnings for unreadable files; :func:`scheme_summary` rolls the job
-  manifests up per scheme.
+* ``<key[:2]>/<key>.json`` — the cache entries (:mod:`repro.runner.cache`),
+  one per job and the durable post-hoc record: a fresh job's ``meta``
+  says what it cost and observed, ``params`` what it was and
+  ``payload`` what it measured.  ``validation/verdict-*.json`` are the
+  ``repro.validate`` verdicts; an unreadable file of either kind is a
+  warning.  :func:`scheme_summary` rolls the job records up per scheme.
 * ``events.jsonl`` — the live bus (:mod:`repro.obs.bus`): job lifecycle,
   phases and heartbeats, appended while the sweep is still executing.
   The view tails it incrementally (:class:`~repro.obs.bus.JsonlTail`),
@@ -15,11 +17,15 @@ of the same jobs, and :class:`RunView` is the only code that reads them:
   (:mod:`repro.fleet`); the fleet rollup is its
   :meth:`~repro.fleet.queue.JobQueue.status` fold.
 
-Job rows are keyed by spec hash, the key manifests and bus events share
-(``JobSpec.cache_key``): a manifest supplies what the job was and what
-it cost, and the bus overlays its live state.  So a bus-off directory
-still lists one ``done`` row per manifest, and a job the bus only saw
+Job rows are keyed by spec hash, the key entries and bus events share
+(``JobSpec.cache_key``): an entry supplies what the job was and what it
+cost, and the bus overlays its live state.  So a bus-off directory
+still lists one ``done`` row per entry, and a job the bus only saw
 served from the cache still says what it is.
+
+Files are written atomically and once (entries are content-addressed),
+so each is parsed once: a refresh lists the directory and parses only
+the files it has not seen (a rewritten file is a new inode).
 
 Everything is read-only: the view never writes into the run directory,
 so pointing it (or the server built on it) at a live sweep cannot
@@ -29,28 +35,76 @@ served verbatim by ``python -m repro.serve``'s ``/api/*`` endpoints.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .bus import BUS_FILENAME, JsonlTail, validate_event
-from .manifest import load_manifests_with_warnings
 
 __all__ = ["RunView", "scheme_summary"]
 
 #: job states a key can be in, in dashboard display order
 JOB_STATES = ("running", "retrying", "done", "failed", "cached")
 
-#: manifest fields a job row carries (the bus overlays its own on top)
-_MANIFEST_FIELDS = ("kind", "scheme", "seed", "wall_time", "events",
-                    "attempts", "peak_rss_kb", "phases")
+#: job-record fields a job row carries (the bus overlays its own on top)
+_ROW_FIELDS = ("kind", "scheme", "seed", "wall_time", "events",
+               "attempts", "peak_rss_kb", "phases")
+
+#: where ``python -m repro.validate run`` leaves its verdicts
+VALIDATION_DIR = "validation"
 
 
-def scheme_summary(manifests: List[dict]) -> Dict[str, dict]:
-    """Numeric per-scheme rollup of a manifest set.
+def _job_record(entry: Any, key: str, path: str) -> dict:
+    """Flatten one cache entry into a job record, or raise ``ValueError``.
 
-    Groups by hoisted ``scheme`` (falling back to ``kind``) and returns,
+    The record is the entry's ``meta`` with ``key``/``kind``, the
+    ``scheme``/``seed`` of its params, the scalar fields of its payload
+    as ``result`` and the entry's ``path``.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"entry is {type(entry).__name__}, not an object")
+    params, meta = entry.get("params"), entry.get("meta")
+    if (entry.get("key") != key or "payload" not in entry
+            or not isinstance(params, dict) or not isinstance(meta, dict)):
+        raise ValueError("not a cache entry for its path")
+    record = dict(meta, key=key, kind=entry.get("kind"),
+                  scheme=params.get("scheme"), seed=params.get("seed"),
+                  path=path)
+    payload = entry["payload"]
+    if isinstance(payload, dict):
+        record["result"] = {
+            k: v for k, v in payload.items()
+            if isinstance(v, (int, float, str, bool)) or v is None
+        }
+    return record
+
+
+def _validation_records(verdict: Any) -> List[dict]:
+    """One record per figure of a verdict file, or raise ``ValueError``."""
+    figures = verdict.get("figures") if isinstance(verdict, dict) else None
+    if not isinstance(figures, list) or not all(isinstance(f, dict) for f in figures):
+        raise ValueError("not a verdict")
+    return [
+        {
+            "figure": fig.get("figure"),
+            "tier": verdict.get("tier"),
+            "status": fig.get("status"),
+            "wall_time": fig.get("wall_time"),
+            "deviations_pct": {m.get("id"): m.get("deviation_pct")
+                               for m in fig.get("metrics") or []
+                               if isinstance(m, dict)},
+        }
+        for fig in figures
+    ]
+
+
+def scheme_summary(records: List[dict]) -> Dict[str, dict]:
+    """Numeric per-scheme rollup of a set of job records.
+
+    Groups by ``scheme`` (falling back to ``kind``) and returns,
     per group: job count, summed wall seconds, summed events, events/s,
     and the mean ``drop_rate`` / ``norm_queue`` / ``utilization`` of the
     jobs that reported them (``None`` when none did).  This is the shared
@@ -59,7 +113,7 @@ def scheme_summary(manifests: List[dict]) -> Dict[str, dict]:
     """
     by_scheme: Dict[str, dict] = {}
     acc: Dict[str, dict] = {}
-    for m in manifests:
+    for m in records:
         key = str(m.get("scheme") or m.get("kind") or "?")
         agg = acc.setdefault(
             key, {"jobs": 0, "wall": 0.0, "events": 0, "drop": [], "queue": [], "util": []}
@@ -104,17 +158,19 @@ class RunView:
     Thread-safe: the HTTP server refreshes from several request threads;
     a single lock serializes the fold.  Construct once per directory and
     call :meth:`refresh` before reading; the fold is what the last
-    refresh saw.  :attr:`manifests`, :attr:`validations` and
-    :attr:`warnings` are the split of the manifests it loaded.
+    refresh saw.  :attr:`records` are its job records (one per cache
+    entry), :attr:`validations` its per-figure verdict records and
+    :attr:`warnings` the files it could not read.
     """
 
     def __init__(self, run_dir: Union[str, Path]) -> None:
         """Watch *run_dir* (a runner cache dir or a fleet dir)."""
         self.run_dir = Path(run_dir)
         self.bus_path = self.run_dir / BUS_FILENAME
-        self.manifests: List[dict] = []
+        self.records: List[dict] = []
         self.validations: List[dict] = []
         self.warnings: List[dict] = []
+        self._parsed: Dict[str, Tuple[int, Any]] = {}  # path -> (inode, value)
         self._lock = threading.Lock()
         self._tail = JsonlTail(self.bus_path)
         self._live: Dict[str, dict] = {}
@@ -126,17 +182,49 @@ class RunView:
     # the fold
 
     def refresh(self) -> int:
-        """Reload the manifests and apply bus events appended since the
-        last call; return how many bus events were applied."""
-        manifests, warnings = load_manifests_with_warnings(self.run_dir)
+        """Re-list the directory's entries and verdicts and apply bus
+        events appended since the last call; return how many bus events
+        were applied."""
         with self._lock:
-            self.manifests = [m for m in manifests if m.get("kind") != "validation"]
-            self.validations = [m for m in manifests if m.get("kind") == "validation"]
-            self.warnings = warnings
+            self._load_files()
             events = self._tail.records(validate_event)
             for ev in events:
                 self._apply(ev)
             return len(events)
+
+    def _load_files(self) -> None:
+        """Fold the entries and verdicts on disk, parsing only new files."""
+        parsed: Dict[str, Tuple[int, Any]] = {}
+        records: List[dict] = []
+        validations: List[dict] = []
+        warnings: List[dict] = []
+
+        def take(item: os.DirEntry, parse: Callable[[Any], Any]) -> Any:
+            inode = item.inode()
+            hit = self._parsed.get(item.path)
+            if hit is None or hit[0] != inode:
+                try:
+                    with open(item.path, "r", encoding="utf-8") as fh:
+                        hit = (inode, parse(json.load(fh)))
+                except (OSError, ValueError) as exc:
+                    warnings.append({"path": item.path,
+                                     "error": f"{type(exc).__name__}: {exc}"})
+                    return None
+            parsed[item.path] = hit
+            return hit[1]
+
+        validation_dir = str(self.run_dir / VALIDATION_DIR)
+        for dirpath, item in sorted(_scan(str(self.run_dir)), key=lambda f: f[1].path):
+            name = item.name
+            stem = name[:-len(".json")]
+            if dirpath == validation_dir and name.startswith("verdict-"):
+                validations.extend(take(item, _validation_records) or ())
+            elif "." not in stem and os.path.basename(dirpath) == stem[:2]:
+                record = take(item, lambda e: _job_record(e, stem, item.path))
+                if record is not None:
+                    records.append(record)
+        self._parsed = parsed
+        self.records, self.validations, self.warnings = records, validations, warnings
 
     def _apply(self, ev: dict) -> None:
         self._event_count += 1
@@ -211,11 +299,11 @@ class RunView:
                 job["rate"] = (sched - prev_sched) / (ts - prev_ts)
 
     def _rows_locked(self) -> Dict[str, dict]:
-        """Job rows by key: manifest facts first, the bus's state on top."""
+        """Job rows by key: the entry's facts first, the bus's state on top."""
         rows: Dict[str, dict] = {}
-        for m in self.manifests:
-            key = str(m.get("key") or m["_path"])
-            rows[key] = {f: m[f] for f in _MANIFEST_FIELDS if f in m}
+        for m in self.records:
+            key = m["key"]
+            rows[key] = {f: m[f] for f in _ROW_FIELDS if f in m}
             rows[key].update(key=key, state="done")
         for key, live in self._live.items():
             rows.setdefault(key, {}).update(live)
@@ -275,11 +363,27 @@ class RunView:
         return jobs
 
     def metrics(self) -> dict:
-        """``/api/metrics`` payload: per-scheme rollup of the job manifests
-        (validation manifests excluded, unreadable ones as warnings)."""
+        """``/api/metrics`` payload: per-scheme rollup of the job records
+        (unreadable files as warnings)."""
         with self._lock:
             return {
-                "jobs": len(self.manifests),
-                "schemes": scheme_summary(self.manifests),
+                "jobs": len(self.records),
+                "schemes": scheme_summary(self.records),
                 "warnings": list(self.warnings),
             }
+
+
+def _scan(root: str):
+    """Yield ``(dirpath, DirEntry)`` for every ``*.json`` file under *root*."""
+    stack = [root]
+    while stack:
+        dirpath = stack.pop()
+        try:
+            with os.scandir(dirpath) as it:
+                for item in it:
+                    if item.is_dir(follow_symlinks=False):
+                        stack.append(item.path)
+                    elif item.name.endswith(".json"):
+                        yield dirpath, item
+        except OSError:
+            continue

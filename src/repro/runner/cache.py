@@ -2,9 +2,15 @@
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one file per result, written
 atomically (:func:`repro.atomic.atomic_write`) so a crashed run can
-never leave a half-written entry.  Reads are defensive: anything that fails to parse or
-fails basic shape/key validation is treated as a miss and the corrupt
-file is removed so the entry is rebuilt on the next run.
+never leave a half-written entry.  An entry is ``{key, kind, params,
+payload, meta}`` and is the job's one record: ``meta`` says what the
+fresh attempt cost and observed (``events``, ``wall_time``,
+``attempts``, ``phases``, ``peak_rss_kb``, and ``metrics`` /
+``profile`` / ``checkpoint`` when on), and ``<key>.trace.jsonl`` beside
+it is the trace when ``--trace`` was on.  Reads are defensive: anything
+that fails to parse or fails basic shape/key validation is treated as a
+miss and the corrupt file is removed so the entry is rebuilt on the
+next run.
 
 Cache invalidation rules (documented in docs/ARCHITECTURE.md): the key
 is a **content address** over the full job spec (``kind`` + canonical
@@ -23,11 +29,11 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..atomic import atomic_write
-from ..obs.manifest import MANIFEST_SUFFIX, TRACE_SUFFIX
 from .spec import JobSpec
 
 __all__ = [
     "CHECKPOINT_SUFFIX",
+    "TRACE_SUFFIX",
     "ResultCache",
     "default_cache_dir",
     "resolve_cache",
@@ -37,6 +43,8 @@ _DISABLE_VALUES = {"0", "off", "false", "no"}
 
 #: checkpoint filename suffix (sibling of the cache entry)
 CHECKPOINT_SUFFIX = ".ckpt"
+#: trace filename suffix (sibling of the cache entry)
+TRACE_SUFFIX = ".trace.jsonl"
 
 
 def default_cache_dir() -> Path:
@@ -62,11 +70,6 @@ class ResultCache:
         """Cache-entry path for *spec*: ``<root>/<key[:2]>/<key>.json``."""
         key = spec.cache_key
         return self.root / key[:2] / f"{key}.json"
-
-    def manifest_path_for(self, spec: JobSpec) -> Path:
-        """Sibling run-manifest path for *spec* (see :mod:`repro.obs.manifest`)."""
-        key = spec.cache_key
-        return self.root / key[:2] / f"{key}{MANIFEST_SUFFIX}"
 
     def trace_path_for(self, spec: JobSpec) -> Path:
         """Sibling JSONL trace path for *spec* (written with ``--trace``)."""

@@ -6,9 +6,10 @@ are executed is purely an operational choice, made in exactly one place:
 * :func:`run_attempt` runs **one attempt** of one job under the four
   per-attempt scopes (telemetry bus, observation, heartbeat, checkpoint).
 * :func:`commit` makes a successful attempt durable **store first**:
-  payload, then manifest/trace, and only then the queue acknowledgement
-  (a crash in the gap costs one redundant lease that finds the entry,
-  never a recompute).
+  the trace (with ``--trace``), then the one cache entry carrying the
+  payload and the attempt's observation, and only then the queue
+  acknowledgement (a crash in the gap costs one redundant lease that
+  finds the entry, never a recompute).
 * One scheduler loop pulls attempt tickets from a queue: ``workers=0``
   runs them in-process (the debugging path — plain stack traces, ``pdb``
   works, timeouts cannot be enforced), ``workers=N`` on up to N
@@ -43,7 +44,6 @@ from typing import (Any, Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from ..obs.bus import EventBus, bus_scope, heartbeat_loop, resolve_bus_path
-from ..obs.manifest import build_manifest, write_manifest
 from ..obs.runtime import observe_job
 from ..obs.trace import write_trace
 from ..snapshot.runtime import checkpoint_scope, resolve_checkpoint_interval
@@ -57,6 +57,9 @@ __all__ = ["JobResult", "Ticket", "commit", "resolve_workers", "run_attempt",
 
 #: grace period for a worker that already sent its result to exit
 _JOIN_GRACE = 5.0
+
+#: observation fields an attempt's cache entry carries in ``meta``
+_OBSERVED = ("phases", "peak_rss_kb", "metrics", "profile", "checkpoint")
 
 #: sleep between polls of a queue whose remaining jobs are all leased to
 #: other processes (only the journal backend can be in that state)
@@ -185,41 +188,25 @@ def run_attempt(spec: JobSpec, ckpt_path=None, ckpt_interval=None,
 
 
 def commit(store: Optional[ResultCache], queue, ticket: Ticket, payload: Any,
-           meta: Dict, obs_meta: Optional[Dict]) -> None:
+           meta: Dict, trace_records: Optional[List[dict]] = None) -> None:
     """Make a successful attempt durable, then acknowledge it.
 
-    Order matters: the payload lands in the store (atomically) before
-    the queue hears ``done``, so a process killed in between leaves a
-    job that is still runnable and whose next lease is a store hit.
-    The manifest (and trace) written next to the entry are best-effort:
-    a full disk or permission hiccup on the forensic record must not
-    fail a job whose payload already landed.
+    Order matters: the entry lands in the store (atomically) before the
+    queue hears ``done``, so a process killed in between leaves a job
+    that is still runnable and whose next lease is a store hit.  The
+    entry is the job's one record: *meta* carries what the attempt cost
+    and observed.  The trace sibling is written first and is
+    best-effort: a full disk or permission hiccup on the forensic record
+    must not fail a job whose payload is in hand.
     """
     spec = ticket.spec
     if store is not None:
+        if trace_records is not None:
+            try:
+                write_trace(store.trace_path_for(spec), trace_records)
+            except OSError:  # pragma: no cover - disk trouble
+                pass
         store.put(spec, payload, meta=meta)
-        obs_meta = dict(obs_meta) if obs_meta else {}
-        trace_records = obs_meta.pop("trace_records", None)
-        trace_file = None
-        try:
-            if trace_records is not None:
-                trace_path = store.trace_path_for(spec)
-                write_trace(trace_path, trace_records)
-                trace_file = trace_path.name
-            manifest = build_manifest(
-                key=spec.cache_key,
-                kind=spec.kind,
-                params=spec.params,
-                wall_time=meta["wall_time"],
-                events=meta["events"],
-                attempts=meta["attempts"],
-                payload=payload,
-                obs_meta=obs_meta,
-                trace_file=trace_file,
-            )
-            write_manifest(store.manifest_path_for(spec), manifest)
-        except OSError:  # pragma: no cover - disk trouble
-            pass
     queue.done(ticket, "fresh")
 
 
@@ -423,12 +410,15 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
     def succeed(ticket: Ticket, payload: Any, obs_meta, wall: float) -> None:
         meta = {"events": _events_of(payload), "wall_time": wall,
                 "attempts": ticket.attempt}
+        obs_meta = obs_meta or {}
+        meta.update((f, obs_meta[f]) for f in _OBSERVED
+                    if obs_meta.get(f) is not None)
         stats.wall_time += wall
-        if obs_meta:
-            rss = obs_meta.get("peak_rss_kb")
-            if isinstance(rss, int):
-                stats.peak_rss_kb = max(stats.peak_rss_kb, rss)
-        commit(store, queue, ticket, payload, meta, obs_meta)
+        rss = meta.get("peak_rss_kb")
+        if isinstance(rss, int):
+            stats.peak_rss_kb = max(stats.peak_rss_kb, rss)
+        commit(store, queue, ticket, payload, meta,
+               obs_meta.get("trace_records"))
         settle(ticket.token, JobResult(
             ticket.spec, "ok", value=payload, attempts=ticket.attempt,
             wall_time=wall, meta=meta,

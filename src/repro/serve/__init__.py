@@ -10,7 +10,7 @@ the run directory.
 The pieces:
 
 * :class:`repro.obs.rundir.RunView` — the run directory's one fold:
-  manifests, ``events.jsonl`` (the :mod:`repro.obs.bus` stream) and a
+  cache entries, ``events.jsonl`` (the :mod:`repro.obs.bus` stream) and a
   fleet journal folded into job rows, per-scheme metrics and the fleet
   rollup (``python -m repro.obs report`` / ``diff`` render the same
   fold).

@@ -7,7 +7,7 @@ Usage::
 Serves the live dashboard for *run-dir* (a runner cache directory —
 the ``--cache-dir`` of an experiments run — or a fleet directory).
 Point a browser at the printed URL.  The job table has one row per
-manifest, with the live state of ``events.jsonl`` laid over it when a
+cache entry, with the live state of ``events.jsonl`` laid over it when a
 sweep writes one (``REPRO_BUS=1``), so a bus-off directory shows its
 finished jobs too.  Stop with Ctrl-C.
 """

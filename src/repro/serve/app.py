@@ -8,7 +8,7 @@
 ``/api/runs``       run-level summary + job-state counts + fleet rollup
                     (the journal's ``JobQueue.status`` in a fleet dir)
 ``/api/jobs``       one JSON record per job key
-``/api/metrics``    per-scheme rollup from the manifests on disk
+``/api/metrics``    per-scheme rollup from the cache entries on disk
 ``/events``         Server-Sent Events stream tailing ``events.jsonl``
 ==================  ==================================================
 
@@ -357,7 +357,7 @@ async function poll() {
     $("tiles").innerHTML =
       tile("running", c.running + c.retrying) + tile("done", c.done) +
       tile("failed", c.failed) + tile("cached", c.cached) +
-      tile("manifests", metrics.jobs);
+      tile("records", metrics.jobs);
     const fl = runs.fleet;
     $("fleetSec").hidden = !fl;
     if (fl) {

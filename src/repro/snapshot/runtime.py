@@ -134,7 +134,7 @@ class CheckpointSlot:
         self.last_id = None
 
     def summary(self) -> Optional[Dict[str, Any]]:
-        """JSON-clean lineage record for the run manifest, or ``None``
+        """JSON-clean lineage record for the job's cache entry, or ``None``
         when the slot was never used (no save, no resume)."""
         if not self.saves and not self.resumed:
             return None

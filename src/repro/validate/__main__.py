@@ -12,8 +12,8 @@ Usage::
 ``run`` executes the selected tier through the cached parallel runner,
 compares every extracted metric against the committed bands in
 ``src/repro/validate/expected/``, writes the machine-readable verdict
-(plus per-figure deviation manifests for ``python -m repro.obs
-report``), and exits non-zero naming the offending figures when
+(which ``python -m repro.obs report`` also summarizes), and exits
+non-zero naming the offending figures when
 anything lands outside its band.  It writes nothing inside the checkout
 unless told to: the generated results document is rendered only with
 ``--docs PATH`` (``--docs docs/RESULTS.md`` refreshes the committed one).
@@ -42,15 +42,13 @@ def _tier(args) -> str:
     return "full" if args.full else "quick"
 
 
-def _validation_dir() -> Path:
-    """Where verdicts and validation manifests live: ``<cache>/validation``."""
+def _default_verdict_path(tier: str) -> Path:
+    """``<cache>/validation/verdict-<tier>.json``; call it inside the
+    command's :func:`scoped_env`, so ``--cache-dir`` places it."""
+    from ..obs.rundir import VALIDATION_DIR
     from ..runner.cache import default_cache_dir
 
-    return default_cache_dir() / "validation"
-
-
-def _default_verdict_path(tier: str) -> Path:
-    return _validation_dir() / f"verdict-{tier}.json"
+    return default_cache_dir() / VALIDATION_DIR / f"verdict-{tier}.json"
 
 
 def _figure_line(fv: FigureVerdict) -> str:
@@ -83,25 +81,6 @@ def _print_failures(verdict: Verdict) -> None:
                   f"band {c.band.describe()}{devs}")
 
 
-def _write_validation_manifests(verdict: Verdict) -> None:
-    """Drop one deviation manifest per figure for the obs report CLI."""
-    from ..obs.manifest import build_validation_manifest, write_manifest
-
-    out_dir = _validation_dir()
-    for fv in verdict.figures:
-        manifest = build_validation_manifest(
-            figure=fv.figure,
-            tier=verdict.tier,
-            status=fv.status,
-            deviations={c.metric: c.deviation_pct() for c in fv.checks},
-            wall_time=fv.wall_time,
-            error=fv.error,
-        )
-        write_manifest(
-            out_dir / f"{verdict.tier}-{fv.figure}.manifest.json", manifest
-        )
-
-
 def _summary(verdict: Verdict) -> str:
     counts = verdict.counts()
     return (
@@ -119,9 +98,8 @@ def _cmd_run(args) -> int:
             expected_dir=Path(args.expected) if args.expected else None,
             progress=lambda fv: print(_figure_line(fv)),
         )
-    out_path = Path(args.out) if args.out else _default_verdict_path(tier)
+        out_path = Path(args.out) if args.out else _default_verdict_path(tier)
     verdict.save(out_path)
-    _write_validation_manifests(verdict)
     print(f"verdict: {out_path}")
     if args.docs:
         write_results_md(verdict, Path(args.docs))
@@ -229,8 +207,10 @@ def main(argv=None) -> int:
         "run", help="run a tier and gate on the committed bands")
     common(run_p)
     run_p.add_argument("--out", default=None, metavar="PATH",
-                       help="verdict JSON path "
-                            "(default: <cache>/validation/verdict-<tier>.json)")
+                       help="verdict JSON path (default: "
+                            "<cache>/validation/verdict-<tier>.json, where "
+                            "<cache> is --cache-dir, else $REPRO_CACHE_DIR, "
+                            "else ~/.cache/repro)")
     run_p.add_argument("--docs", default=None, metavar="PATH",
                        help="also render the results doc to PATH "
                             "(the committed one is docs/RESULTS.md)")

@@ -23,7 +23,7 @@ Figure modules are imported on demand, so importing
 Because every grid-shaped figure executes through
 :func:`repro.runner.run_jobs`, validation runs share the on-disk result
 cache with ordinary experiment runs — a re-validation after an unrelated
-edit simulates nothing, and each fresh job leaves its usual run manifest
+edit simulates nothing, and each fresh job's cache entry is its record
 for ``python -m repro.obs report``.
 """
 

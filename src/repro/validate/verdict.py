@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..atomic import atomic_write
 from .bands import Band, MetricCheck
 
 __all__ = [
@@ -209,13 +210,9 @@ class Verdict:
         }
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Write the verdict file (stable formatting)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        """Write the verdict file (stable formatting, atomically)."""
+        text = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        return atomic_write(path, text.encode("utf-8"))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Verdict":

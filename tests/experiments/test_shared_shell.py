@@ -123,15 +123,15 @@ def test_obs_flags_are_passive_and_fill_the_manifest(name, tmp_path, monkeypatch
     on = run_jobs([spec], workers=0, cache=cache)[0]
     assert on.ok and on.value == off.value
 
-    manifest = json.loads(cache.manifest_path_for(spec).read_text())
-    metrics = manifest["metrics"]
+    meta = json.loads(cache.path_for(spec).read_text())["meta"]
+    metrics = meta["metrics"]
     assert {k.split(".enqueues")[0] for k in metrics if k.endswith(".enqueues")} \
         == {f"queue.{label}" for label in queues}
     assert len([k for k in metrics if k.startswith("flow.")
                 and k.endswith(".timeouts")]) == n_senders
-    assert manifest["phases"]["setup"] > 0 and manifest["phases"]["measure"] > 0
-    assert manifest["profile"]["events"] > 0
-    assert manifest["events"] == on.value["events_processed"] > 0
+    assert meta["phases"]["setup"] > 0 and meta["phases"]["measure"] > 0
+    assert meta["profile"]["events"] > 0
+    assert meta["events"] == on.value["events_processed"] > 0
     assert read_trace(cache.trace_path_for(spec))
 
     events = read_events(cache.root / BUS_FILENAME)

@@ -13,25 +13,27 @@ from repro.obs.diff import (
 )
 
 
-def _write_manifest(path, scheme, events=10_000, wall=2.0, drop=0.01,
-                    kind="dumbbell"):
+def _write_entry(run, key, scheme, events=10_000, wall=2.0, drop=0.01,
+                 kind="dumbbell"):
+    """One cache entry at ``<run>/<key[:2]>/<key>.json``."""
+    path = run / key[:2] / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({
-        "schema": 1, "key": path.stem, "kind": kind, "params": {},
-        "scheme": scheme, "seed": 1, "wall_time": wall, "events": events,
-        "result": {"drop_rate": drop, "norm_queue": 0.4, "utilization": 0.9},
+        "key": key, "kind": kind, "params": {"scheme": scheme, "seed": 1},
+        "payload": {"drop_rate": drop, "norm_queue": 0.4, "utilization": 0.9},
+        "meta": {"wall_time": wall, "events": events, "attempts": 1},
     }))
 
 
 @pytest.fixture
 def run_pair(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    _write_manifest(a / "k1.manifest.json", "pert")
-    _write_manifest(a / "k2.manifest.json", "red")
-    _write_manifest(a / "k3.manifest.json", "gone")  # only in A
-    _write_manifest(b / "k1.manifest.json", "pert", events=12_000, drop=0.02)
-    _write_manifest(b / "k2.manifest.json", "red")
-    _write_manifest(b / "k4.manifest.json", "new")  # only in B
+    _write_entry(a, "k1", "pert")
+    _write_entry(a, "k2", "red")
+    _write_entry(a, "k3", "gone")  # only in A
+    _write_entry(b, "k1", "pert", events=12_000, drop=0.02)
+    _write_entry(b, "k2", "red")
+    _write_entry(b, "k4", "new")  # only in B
     return a, b
 
 
@@ -73,14 +75,14 @@ def test_format_diff_marks_threshold_crossings(run_pair):
 
 def test_diff_excludes_validation_and_counts_corrupt_manifests(run_pair):
     a, b = run_pair
-    (a / "v.manifest.json").write_text(json.dumps(
-        {"schema": 1, "kind": "validation", "wall_time": 1.0,
-         "validation": {"figure": "fig6"}}))
-    (b / "torn.manifest.json").write_text("{torn")
+    (a / "validation").mkdir()
+    (a / "validation" / "verdict-quick.json").write_text(json.dumps(
+        {"tier": "quick", "figures": [{"figure": "fig6", "metrics": []}]}))
+    (b / "k1" / "k1x.json").write_text("{torn")
     diff = diff_runs(a, b)
-    assert diff["jobs"] == [3, 3]  # validation manifest not a job
+    assert diff["jobs"] == [3, 3]  # a verdict is not a job
     assert diff["warnings"] == [0, 1]
-    assert "skipped unreadable manifests: A=0 B=1" in format_diff(diff)
+    assert "skipped unreadable files: A=0 B=1" in format_diff(diff)
 
 
 def test_cli_diff_exit_codes(run_pair, capsys):
@@ -95,16 +97,11 @@ def test_cli_diff_exit_codes(run_pair, capsys):
 
 def test_delta_pct_zero_baseline():
     # a == 0, b == 0 -> flat; a == 0, b != 0 -> undefined, not infinity
-    base = {"schema": 1, "kind": "dumbbell", "scheme": "s", "params": {},
-            "wall_time": 1.0, "events": 0, "result": {"drop_rate": 0.0}}
     import tempfile
     from pathlib import Path
     tmp = Path(tempfile.mkdtemp())
     for run, drop in (("a", 0.0), ("b", 0.5)):
-        d = tmp / run
-        d.mkdir()
-        rec = dict(base, result={"drop_rate": drop})
-        (d / "k.manifest.json").write_text(json.dumps(rec))
+        _write_entry(tmp / run, "k", "s", events=0, wall=1.0, drop=drop)
     diff = diff_runs(tmp / "a", tmp / "b")
     assert diff["schemes"]["s"]["events_per_sec"]["delta_pct"] == 0.0
     assert diff["schemes"]["s"]["drop_rate"]["delta_pct"] is None

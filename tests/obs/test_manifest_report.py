@@ -1,24 +1,18 @@
-"""End-to-end: runner sweep -> manifests/traces on disk -> report CLI."""
+"""End-to-end: runner sweep -> cache entries/traces on disk -> report CLI."""
 
 import json
 import os
 
 import pytest
 
+from repro.atomic import atomic_write
 from repro.obs.__main__ import main as obs_main
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    load_manifests,
-    load_manifests_with_warnings,
-    write_manifest,
-)
 from repro.obs.report import generate_report
-from repro.obs.rundir import scheme_summary
+from repro.obs.rundir import RunView, scheme_summary
 from repro.obs.trace import read_trace
 from repro.runner import run_jobs
 from repro.runner.cache import ResultCache
-from repro.runner.spec import dumbbell_spec
+from repro.runner.spec import JobSpec, dumbbell_spec
 
 _SPEC_KW = dict(bandwidth=4e6, duration=5.0, warmup=2.0, n_fwd=3)
 
@@ -39,39 +33,43 @@ def _sweep(tmp_path, env, schemes=("pert",), workers=0):
     return cache, specs, results
 
 
-def test_manifest_written_next_to_cache_entry(tmp_path):
+def _entry(cache, spec):
+    return json.loads(cache.path_for(spec).read_text())
+
+
+def test_entry_carries_the_observation(tmp_path):
     cache, specs, results = _sweep(tmp_path, {"REPRO_OBS": "1"})
     assert results[0].ok
-    mpath = cache.manifest_path_for(specs[0])
-    assert mpath.exists()
-    assert mpath.parent == cache.path_for(specs[0]).parent
-    manifest = json.loads(mpath.read_text())
-    assert manifest["schema"] == MANIFEST_SCHEMA
-    assert manifest["key"] == specs[0].cache_key
-    assert manifest["kind"] == "dumbbell"
-    assert manifest["scheme"] == "pert" and manifest["seed"] == 1
-    assert manifest["events"] == results[0].value["events_processed"]
-    assert manifest["wall_time"] > 0
-    assert manifest["attempts"] == 1
-    assert set(manifest["phases"]) == {"setup", "warmup", "measure"}
-    assert manifest["peak_rss_kb"] > 0
-    assert manifest["result"]["drop_rate"] == results[0].value["drop_rate"]
+    # one record per job: the entry, and no sibling beside it
+    assert [p.name for p in cache.path_for(specs[0]).parent.iterdir()] \
+        == [cache.path_for(specs[0]).name]
+    entry = _entry(cache, specs[0])
+    assert entry["key"] == specs[0].cache_key
+    assert entry["kind"] == "dumbbell"
+    assert entry["params"]["scheme"] == "pert" and entry["params"]["seed"] == 1
+    meta = entry["meta"]
+    assert meta["events"] == results[0].value["events_processed"]
+    assert meta["wall_time"] > 0
+    assert meta["attempts"] == 1
+    assert set(meta["phases"]) == {"setup", "warmup", "measure"}
+    assert meta["peak_rss_kb"] > 0
     # --obs populated the metrics snapshot
-    assert "queue.bottleneck.fwd.drops" in manifest["metrics"]
+    assert "queue.bottleneck.fwd.drops" in meta["metrics"]
+    assert results[0].meta == meta
 
 
 def test_manifest_written_even_without_obs_flags(tmp_path):
     cache, specs, results = _sweep(tmp_path, {})
-    manifest = json.loads(cache.manifest_path_for(specs[0]).read_text())
-    assert "metrics" not in manifest  # phases/RSS only
-    assert set(manifest["phases"]) == {"setup", "warmup", "measure"}
+    meta = _entry(cache, specs[0])["meta"]
+    assert "metrics" not in meta  # phases/RSS only
+    assert set(meta["phases"]) == {"setup", "warmup", "measure"}
 
 
 def test_trace_file_roundtrips_and_is_linked(tmp_path):
     cache, specs, results = _sweep(tmp_path, {"REPRO_TRACE": "1"})
-    manifest = json.loads(cache.manifest_path_for(specs[0]).read_text())
     tpath = cache.trace_path_for(specs[0])
-    assert manifest["trace_file"] == tpath.name
+    assert tpath.parent == cache.path_for(specs[0]).parent
+    assert "trace_file" not in _entry(cache, specs[0])["meta"]
     records = read_trace(tpath)  # validates every record
     assert records
     assert {"enqueue", "queue_sample"} <= {r["type"] for r in records}
@@ -85,15 +83,16 @@ def test_obs_and_plain_runs_share_cache_entries(tmp_path):
     assert second[0].value == first[0].value
 
 
-def test_parallel_workers_also_write_manifests(tmp_path):
+def test_parallel_workers_write_one_record_per_job(tmp_path):
     cache, specs, results = _sweep(
         tmp_path, {"REPRO_TRACE": "1"}, schemes=("pert", "sack-droptail"),
         workers=2,
     )
     assert all(r.ok for r in results)
     for spec in specs:
-        assert cache.manifest_path_for(spec).exists()
+        assert "phases" in _entry(cache, spec)["meta"]
         assert cache.trace_path_for(spec).exists()
+    assert not list(tmp_path.rglob("*.manifest.json"))
 
 
 def test_generate_report_on_real_sweep(tmp_path):
@@ -123,43 +122,122 @@ def test_report_cli_main(tmp_path, capsys):
 
 def test_report_on_empty_dir(tmp_path, capsys):
     assert obs_main(["report", str(tmp_path)]) == 0
-    assert "no manifests found" in capsys.readouterr().out
+    assert "no job records found" in capsys.readouterr().out
 
 
-def test_load_manifests_skips_corrupt_files(tmp_path):
-    good = build_manifest(
-        key="k1", kind="dumbbell", params={"seed": 2}, wall_time=0.1,
-        events=10, attempts=1,
-    )
-    write_manifest(tmp_path / "aa" / "k1.manifest.json", good)
-    (tmp_path / "aa" / "k2.manifest.json").write_text("{torn")
-    loaded = load_manifests(tmp_path)
-    assert len(loaded) == 1
-    assert loaded[0]["key"] == "k1"
-    assert loaded[0]["_path"].endswith("k1.manifest.json")
+def _put(root, key, params, payload, meta):
+    """Write one cache entry in the runner's layout; returns its path."""
+    path = root / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"key": key, "kind": "dumbbell", "params": params,
+                                "payload": payload, "meta": meta}))
+    return path
 
 
-def test_load_manifests_with_warnings_reports_truncated_file(tmp_path):
-    good = build_manifest(
-        key="k1", kind="dumbbell", params={"seed": 2}, wall_time=0.1,
-        events=10, attempts=1,
-    )
-    write_manifest(tmp_path / "k1.manifest.json", good)
-    # a torn write from a killed run: valid JSON prefix, cut mid-object
-    full = json.dumps(good)
-    (tmp_path / "k2.manifest.json").write_text(full[: len(full) // 2])
-    # wrong top-level shape entirely
-    (tmp_path / "k3.manifest.json").write_text("[1, 2, 3]")
+#: what an entry written before entries carried the observation holds
+_PARENT_META = {"events": 300, "wall_time": 1.5, "attempts": 1}
 
-    manifests, warnings = load_manifests_with_warnings(tmp_path)
-    assert [m["key"] for m in manifests] == ["k1"]
-    assert len(warnings) == 2
-    by_path = {w["path"].rsplit("/", 1)[-1]: w["error"] for w in warnings}
-    assert "JSONDecodeError" in by_path["k2.manifest.json"]
-    assert "not an object" in by_path["k3.manifest.json"]
+
+def test_runview_takes_only_the_entry_layout(tmp_path):
+    """Stale manifests left by older runs, misplaced ``*.json``, traces
+    and the bus file are neither rows nor warnings; only
+    ``<key[:2]>/<key>.json`` is an entry."""
+    _put(tmp_path, "ab12", {"scheme": "red", "seed": 2}, {"drop_rate": 0.1},
+         _PARENT_META)
+    stale = {"schema": 1, "key": "ab12", "kind": "dumbbell", "params": {},
+             "scheme": "red", "wall_time": 9.0, "events": 1}
+    (tmp_path / "ab" / "ab12.manifest.json").write_text(json.dumps(stale))
+    (tmp_path / "ab" / "ab12.trace.jsonl").write_text("{torn")
+    (tmp_path / "cd").mkdir()
+    (tmp_path / "cd" / "ef34.json").write_text("{torn")  # not under ef/
+    (tmp_path / "events.jsonl").write_text("")
+    view = RunView(tmp_path)
+    view.refresh()
+    assert [r["key"] for r in view.records] == ["ab12"]
+    assert view.warnings == [] and view.validations == []
+    assert view.records[0]["path"].endswith("ab12.json")
+
+
+def test_torn_entry_is_a_warning_and_stays_on_disk(tmp_path):
+    _put(tmp_path, "k1", {"seed": 2}, {}, _PARENT_META)
+    full = json.dumps({"key": "k2", "payload": {}, "meta": {}, "params": {}})
+    torn = tmp_path / "k2" / "k2.json"
+    torn.parent.mkdir()
+    torn.write_text(full[: len(full) // 2])  # a valid prefix, cut mid-object
+    shape = tmp_path / "k3" / "k3.json"
+    shape.parent.mkdir()
+    shape.write_text("[1, 2, 3]")
+    stray = _put(tmp_path, "k4", {}, {}, _PARENT_META)
+    stray.write_text(stray.read_text().replace('"k4"', '"k5"'))  # wrong key
+
+    view = RunView(tmp_path)
+    view.refresh()
+    view.refresh()
+    assert [r["key"] for r in view.records] == ["k1"]
+    by_name = {w["path"].rsplit("/", 1)[-1]: w["error"] for w in view.warnings}
+    assert set(by_name) == {"k2.json", "k3.json", "k4.json"}
+    assert "JSONDecodeError" in by_name["k2.json"]
+    assert "not an object" in by_name["k3.json"]
+    assert "not a cache entry" in by_name["k4.json"]
+    assert torn.exists() and shape.exists() and stray.exists()  # read-only
     # the report must still render, and must surface the skips
     report = generate_report(tmp_path, include_trace=False)
-    assert "skipped manifests (2 unreadable)" in report
+    assert "skipped files (3 unreadable)" in report
+
+
+def test_second_refresh_parses_no_unchanged_entry(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    specs = [JobSpec("tests.runner.jobs:events", {"value": i, "events": 5})
+             for i in range(3)]
+    run_jobs(specs, workers=0, cache=cache, bus=False)
+    view = RunView(tmp_path)
+    view.refresh()
+    assert len(view.records) == 3
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    def parsed():
+        return [p for p in opened if p.endswith(".json")]
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    view.refresh()
+    assert parsed() == []
+    assert len(view.records) == 3
+    new = JobSpec("tests.runner.jobs:events", {"value": 9, "events": 5})
+    run_jobs(specs[:1] + [new], workers=0, cache=cache, bus=False)
+    opened.clear()
+    view.refresh()
+    assert len(view.records) == 4
+    assert parsed() == [str(cache.path_for(new))]
+
+
+def test_validation_section_reads_the_verdicts(tmp_path):
+    vdir = tmp_path / "validation"
+    vdir.mkdir()
+    (vdir / "verdict-quick.json").write_text(json.dumps({
+        "schema": 1, "tier": "quick", "status": "pass", "figures": [
+            {"figure": "fig6", "status": "pass", "wall_time": 1.25,
+             "metrics": [{"id": "a", "deviation_pct": -3.0},
+                         {"id": "b", "deviation_pct": 1.0}]}]}))
+    (vdir / "quick-fig6.manifest.json").write_text("{}")  # left by old runs
+    view = RunView(tmp_path)
+    view.refresh()
+    assert view.records == [] and view.warnings == []
+    assert [(v["figure"], v["tier"]) for v in view.validations] \
+        == [("fig6", "quick")]
+    report = generate_report(tmp_path)
+    assert "(validation verdicts only)" in report
+    assert "fig6 (quick)" in report and "-3.00%" in report
+    # the next `validate run` replaces the file (atomically): re-read
+    verdict = json.loads((vdir / "verdict-quick.json").read_text())
+    verdict["figures"][0]["status"] = "fail"
+    atomic_write(vdir / "verdict-quick.json", json.dumps(verdict).encode())
+    view.refresh()
+    assert [v["status"] for v in view.validations] == ["fail"]
 
 
 def test_scheme_summary_empty_set():
@@ -171,7 +249,7 @@ def test_scheme_summary_empty_set():
 def test_scheme_summary_heterogeneous_manifests():
     # one job with full metrics, one with no phases/rss/result, one with
     # a NaN metric and no scheme at all (falls back to kind)
-    manifests = [
+    records = [
         {
             "kind": "dumbbell", "scheme": "pert", "wall_time": 2.0,
             "events": 1000,
@@ -184,7 +262,7 @@ def test_scheme_summary_heterogeneous_manifests():
             "result": {"drop_rate": float("nan")},
         },
     ]
-    summary = scheme_summary(manifests)
+    summary = scheme_summary(records)
     assert set(summary) == {"pert", "dumbbell"}
     pert = summary["pert"]
     assert pert["jobs"] == 2
@@ -198,15 +276,21 @@ def test_scheme_summary_heterogeneous_manifests():
 
 
 def test_report_on_manifests_without_phases_or_rss(tmp_path):
-    m = build_manifest(
-        key="k9", kind="dumbbell", params={"seed": 1, "scheme": "red"},
-        wall_time=1.5, events=300, attempts=1,
-    )
-    assert "phases" not in m and "peak_rss_kb" not in m
-    write_manifest(tmp_path / "k9.manifest.json", m)
+    """An entry written before entries carried the observation is a done
+    row, and the scheme rollup counts it."""
+    _put(tmp_path, "k9", {"seed": 1, "scheme": "red"},
+         {"drop_rate": 0.25, "series": [1, 2]}, _PARENT_META)
+    view = RunView(tmp_path)
+    view.refresh()
+    (job,) = view.jobs()
+    assert job["state"] == "done" and job["scheme"] == "red"
+    assert "phases" not in job and "peak_rss_kb" not in job
+    red = view.metrics()["schemes"]["red"]
+    assert red["jobs"] == 1 and red["events"] == 300
+    assert red["drop_rate"] == 0.25
+    assert view.records[0]["result"] == {"drop_rate": 0.25}
     report = generate_report(tmp_path, include_trace=False)
     assert "red" in report
-    assert "1 jobs" not in report  # header says "jobs          : 1"
     assert "jobs          : 1" in report
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.experiments.sweep import sweep_dumbbell
 from repro.fleet import Fleet
-from repro.obs.manifest import MANIFEST_SUFFIX
 from repro.runner import ResultCache, dumbbell_spec, run_jobs
 
 #: tiny but non-trivial 2-scheme x 3-point grid (seconds, not minutes)
@@ -133,8 +132,8 @@ def test_the_benchmark_sweep_is_identical_at_every_worker_count(tmp_path):
     """``sweep.runner``'s 32 points: payloads and cache entries are the
     same bytes whether attempts ran in-process, all on one long-lived
     worker or spread over four, and in whichever order they were handed
-    out.  (Of an entry, everything but ``meta.wall_time``, the one field
-    that is a stopwatch reading.)"""
+    out.  (Of an entry, everything but the stopwatch and process readings
+    in ``meta``: ``wall_time``, ``phases`` and ``peak_rss_kb``.)"""
     from benchmarks.e2e.workloads import sweep_specs
 
     specs = sweep_specs(seed=2, smoke=False)
@@ -146,10 +145,9 @@ def test_the_benchmark_sweep_is_identical_at_every_worker_count(tmp_path):
         assert all(r.ok and not r.cached for r in results)
         entries = {}
         for path in sorted(cache.root.glob("??/*.json")):
-            if path.name.endswith(MANIFEST_SUFFIX):
-                continue
             entry = json.loads(path.read_bytes())
-            del entry["meta"]["wall_time"]
+            for reading in ("wall_time", "phases", "peak_rss_kb"):
+                del entry["meta"][reading]
             entries[path.name] = json.dumps(entry)
         payloads = {r.spec.cache_key: json.dumps(r.value) for r in results}
         return payloads, entries

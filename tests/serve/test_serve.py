@@ -14,7 +14,6 @@ from repro.runner import JobSpec, run_jobs
 from repro.runner.cache import ResultCache
 from repro.runner.spec import dumbbell_spec
 from repro.obs.diff import diff_runs
-from repro.obs.manifest import load_manifests
 from repro.obs.report import _scheme_rollup, format_table, generate_report
 from repro.serve import RunView, make_server, serve_in_background
 from repro.serve.app import tail_events
@@ -186,22 +185,26 @@ def test_runview_fleet_is_none_without_fleet_events(tmp_path):
 
 
 def test_runview_metrics(tmp_path):
-    (tmp_path / "k.manifest.json").write_text(json.dumps({
-        "schema": 1, "key": "k", "kind": "dumbbell", "params": {},
-        "scheme": "pert", "seed": 1, "wall_time": 2.0, "events": 5000,
-        "result": {"drop_rate": 0.01},
+    (tmp_path / "ke").mkdir()
+    (tmp_path / "ke" / "key.json").write_text(json.dumps({
+        "key": "key", "kind": "dumbbell",
+        "params": {"scheme": "pert", "seed": 1},
+        "payload": {"drop_rate": 0.01},
+        "meta": {"wall_time": 2.0, "events": 5000, "attempts": 1},
     }))
-    (tmp_path / "v.manifest.json").write_text(json.dumps({
-        "schema": 1, "kind": "validation", "wall_time": 1.0,
-        "validation": {"figure": "fig6"}}))
-    (tmp_path / "torn.manifest.json").write_text("{torn")
+    (tmp_path / "validation").mkdir()
+    (tmp_path / "validation" / "verdict-quick.json").write_text(json.dumps({
+        "tier": "quick", "figures": [{"figure": "fig6", "metrics": []}]}))
+    (tmp_path / "to").mkdir()
+    (tmp_path / "to" / "torn.json").write_text("{torn")
     view = RunView(tmp_path)
     view.refresh()
     metrics = view.metrics()
     assert metrics["jobs"] == 1
     assert metrics["schemes"]["pert"]["events_per_sec"] == pytest.approx(2500)
+    assert metrics["schemes"]["pert"]["drop_rate"] == pytest.approx(0.01)
     assert len(metrics["warnings"]) == 1
-    assert [m["kind"] for m in view.validations] == ["validation"]
+    assert [v["figure"] for v in view.validations] == ["fig6"]
 
 
 def _events_specs():
@@ -212,8 +215,8 @@ def _events_specs():
     ]
 
 
-def test_runview_lists_manifest_jobs_of_a_bus_off_directory(tmp_path):
-    """With the bus off, the manifests alone are the job table."""
+def test_runview_lists_entry_jobs_of_a_bus_off_directory(tmp_path):
+    """With the bus off, the cache entries alone are the job table."""
     specs = _events_specs()
     run_jobs(specs, workers=0, cache=ResultCache(tmp_path), bus=False)
     view = RunView(tmp_path)
@@ -224,27 +227,31 @@ def test_runview_lists_manifest_jobs_of_a_bus_off_directory(tmp_path):
         assert job["state"] == "done"
         assert job["kind"] == "tests.runner.jobs:events"
         assert job["scheme"] == "pert"
+        assert job["phases"] == {} and job["peak_rss_kb"] > 0
     assert view.runs()["job_counts"]["done"] == 2
 
 
 def test_runview_cached_rows_carry_their_manifest(tmp_path):
     """A key the bus only saw served from the cache still says what it
-    is: its manifest supplies kind/scheme/seed/wall_time, the bus the
+    is: its cache entry supplies kind/scheme/seed/wall_time, the bus the
     state."""
     specs = _events_specs()
-    run_jobs(specs, workers=0, cache=ResultCache(tmp_path), bus=False)
-    run_jobs(specs, workers=0, cache=ResultCache(tmp_path),
-             bus=tmp_path / "events.jsonl")
+    cache = ResultCache(tmp_path)
+    run_jobs(specs, workers=0, cache=cache, bus=False)
+    run_jobs(specs, workers=0, cache=cache, bus=tmp_path / "events.jsonl")
     view = RunView(tmp_path)
     view.refresh()
-    manifests = {m["key"]: m for m in load_manifests(tmp_path)}
+    entries = {s.cache_key: json.loads(cache.path_for(s).read_text())
+               for s in specs}
     jobs = view.jobs()
     assert len(jobs) == 2
     for job in jobs:
-        m = manifests[job["key"]]
+        entry = entries[job["key"]]
         assert job["state"] == "cached" and job["finished_ts"] is not None
-        for field in ("kind", "scheme", "seed", "wall_time"):
-            assert job[field] == m[field]
+        assert job["kind"] == entry["kind"]
+        assert job["scheme"] == entry["params"]["scheme"]
+        assert job["seed"] == entry["params"]["seed"]
+        assert job["wall_time"] == entry["meta"]["wall_time"]
 
 
 def test_report_diff_and_dashboard_roll_up_one_fold(tmp_path, monkeypatch):

@@ -52,8 +52,8 @@ def test_manifest_records_checkpoint_lineage(tmp_path):
     res = run_jobs([spec], workers=0, cache=cache, retries=1, checkpoint=0.5)[0]
     assert res.ok
 
-    manifest = json.loads(cache.manifest_path_for(spec).read_text())
-    lineage = manifest["checkpoint"]
+    meta = json.loads(cache.path_for(spec).read_text())["meta"]
+    lineage = meta["checkpoint"]
     assert lineage["resumed"] is True
     assert lineage["resumed_at"] == 1.5
     assert lineage["resumed_from"]
@@ -81,8 +81,8 @@ def test_unused_slot_leaves_no_lineage_or_file(tmp_path):
     assert res.ok
     assert res.value["resumed"] is False
     assert not cache.checkpoint_path_for(spec).exists()
-    manifest = json.loads(cache.manifest_path_for(spec).read_text())
-    assert "checkpoint" not in manifest  # unused slots leave no record
+    meta = json.loads(cache.path_for(spec).read_text())["meta"]
+    assert "checkpoint" not in meta  # unused slots leave no record
 
 
 def test_env_var_enables_checkpointing(tmp_path, monkeypatch):
@@ -97,8 +97,8 @@ def test_env_var_enables_checkpointing(tmp_path, monkeypatch):
 def _straight_and_resumed(tmp_path, workers, **extra):
     """One crashy job run twice at checkpoint interval 0.5: straight
     through (its marker pre-armed, so it never dies) and killed after its
-    second save.  Returns ``(straight, resumed)`` as ``(result, manifest)``
-    pairs."""
+    second save.  Returns ``(straight, resumed)`` as ``(result, entry
+    meta)`` pairs."""
     out = []
     for name, crash in (("straight", False), ("resumed", True)):
         marker = tmp_path / f"{name}.marker"
@@ -110,7 +110,7 @@ def _straight_and_resumed(tmp_path, workers, **extra):
                        checkpoint=0.5)[0]
         assert res.ok and res.attempts == (2 if crash else 1)
         assert res.value["resumed"] is crash
-        out.append((res, json.loads(cache.manifest_path_for(spec).read_text())))
+        out.append((res, json.loads(cache.path_for(spec).read_text())["meta"]))
     (straight, _), (resumed, _) = out
     assert resumed.value["resumed_at"] == 1.5
     assert ({k: v for k, v in resumed.value.items() if not k.startswith("resumed")}
@@ -129,7 +129,7 @@ def test_profiled_job_on_workers_resumes_to_the_straight_through_payload(
         tmp_path, monkeypatch):
     """Under ``REPRO_PROFILE`` a save detaches the job's profiler and a
     resume attaches the retry's: the payload is unchanged and the resumed
-    attempt's manifest still carries a profile."""
+    attempt's cache entry still carries a profile."""
     monkeypatch.setenv("REPRO_PROFILE", "1")
     (_, straight), (_, resumed) = _straight_and_resumed(tmp_path, 2)
     assert straight["profile"] and resumed["profile"]

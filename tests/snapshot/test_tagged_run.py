@@ -36,7 +36,7 @@ INTERVAL, SECOND_SAVE = 2.5, 5.5
 def _job(tmp_path, name, crash: bool):
     """Run the case-trace job through the runner with checkpointing on,
     its first attempt dying after the second save iff *crash*; returns
-    ``(result, manifest)``."""
+    ``(result, entry meta)``."""
     marker = tmp_path / f"{name}.marker"
     if not crash:
         marker.touch()  # an existing marker disarms the crash injection
@@ -46,7 +46,7 @@ def _job(tmp_path, name, crash: bool):
                    checkpoint=INTERVAL)[0]
     assert res.ok and res.attempts == (2 if crash else 1)
     assert res.value["resumed"] is crash
-    return res, json.loads(cache.manifest_path_for(spec).read_text())
+    return res, json.loads(cache.path_for(spec).read_text())["meta"]
 
 
 @pytest.fixture
@@ -63,14 +63,14 @@ def test_killed_tagged_job_resumes_to_the_straight_through_payload(
     # deaf on restore would show
     assert direct["rtt_trace"][0][0] < SECOND_SAVE < direct["rtt_trace"][-1][0]
 
-    straight, straight_manifest = _job(tmp_path, "straight", crash=False)
-    resumed, resumed_manifest = _job(tmp_path, "resumed", crash=True)
+    straight, straight_meta = _job(tmp_path, "straight", crash=False)
+    resumed, resumed_meta = _job(tmp_path, "resumed", crash=True)
     assert resumed.value["resumed_at"] == SECOND_SAVE
     assert resumed.value["payload"] == straight.value["payload"] == direct
     # the private recorder rode in the snapshot but is nobody's observation
-    assert set(resumed_manifest) == set(straight_manifest)
-    assert "metrics" not in resumed_manifest
-    assert "trace_file" not in resumed_manifest
+    assert set(resumed_meta) == set(straight_meta)
+    assert "metrics" not in resumed_meta
+    assert not list(tmp_path.rglob("*.trace.jsonl"))
 
 
 def test_resumed_components_publish_into_the_restored_collector(
@@ -78,11 +78,11 @@ def test_resumed_components_publish_into_the_restored_collector(
     """``REPRO_OBS=1``: the job's collector is metrics-only, the records
     are the private recorder's, and after a resume both still fill."""
     monkeypatch.setenv("REPRO_OBS", "1")
-    straight, straight_manifest = _job(tmp_path, "straight", crash=False)
-    resumed, resumed_manifest = _job(tmp_path, "resumed", crash=True)
+    straight, straight_meta = _job(tmp_path, "straight", crash=False)
+    resumed, resumed_meta = _job(tmp_path, "resumed", crash=True)
     assert resumed.value["payload"] == straight.value["payload"]
-    metrics = resumed_manifest["metrics"]
-    assert metrics == straight_manifest["metrics"]
+    metrics = resumed_meta["metrics"]
+    assert metrics == straight_meta["metrics"]
     # every part is covered, the recorded ones (tagged flow, forward
     # bottleneck) included, and the histograms kept filling after 5.5 s
     assert metrics["queue.bottleneck.fwd.drops"] > 0
@@ -90,17 +90,17 @@ def test_resumed_components_publish_into_the_restored_collector(
     assert metrics["flow.0.timeouts"] > 0 and metrics["flow.0.cwnd"]["count"] > 0
     assert metrics["queue.bottleneck.fwd.qlen"]["count"] > SECOND_SAVE / 0.1
     assert metrics["sim.time"] == PARAMS["duration"]
-    assert "trace_file" not in resumed_manifest
+    assert not list(tmp_path.rglob("*.trace.jsonl"))
 
 
 def test_traced_tagged_job_resumes_with_its_whole_trace(
         tmp_path, obs_off, monkeypatch):
     """``REPRO_TRACE=1``: the job's own collector is the recorder."""
     monkeypatch.setenv("REPRO_TRACE", "1")
-    straight, straight_manifest = _job(tmp_path, "straight", crash=False)
-    resumed, resumed_manifest = _job(tmp_path, "resumed", crash=True)
+    straight, straight_meta = _job(tmp_path, "straight", crash=False)
+    resumed, resumed_meta = _job(tmp_path, "resumed", crash=True)
     assert resumed.value["payload"] == straight.value["payload"]
-    assert resumed_manifest["metrics"] == straight_manifest["metrics"]
+    assert resumed_meta["metrics"] == straight_meta["metrics"]
     (a,), (b,) = (list((tmp_path / name).rglob("*.trace.jsonl"))
                   for name in ("straight", "resumed"))
     assert a.read_bytes() == b.read_bytes()

@@ -1,4 +1,4 @@
-"""The one atomic file writer behind cache entries, manifests, traces and
+"""The one atomic file writer behind cache entries, traces, verdicts and
 snapshots."""
 
 import pytest

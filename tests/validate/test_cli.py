@@ -125,6 +125,23 @@ def test_plain_run_leaves_the_checkout_clean(tmp_path, monkeypatch, capsys):
     assert status() == before
 
 
+def test_cache_dir_places_the_verdict(tmp_path, monkeypatch, capsys):
+    """``--cache-dir A`` puts the verdict in ``A/validation``, never in
+    ``$REPRO_CACHE_DIR`` or under ``$HOME``, and the run leaves one
+    verdict there and nothing else."""
+    home, env_cache, cache = (tmp_path / d for d in ("home", "env", "cache"))
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(env_cache))
+    assert main(["run", "--quick", "--figure", "fig5",
+                 "--cache-dir", str(cache)]) == 0
+    verdict = cache / "validation" / "verdict-quick.json"
+    assert f"verdict: {verdict}" in capsys.readouterr().out
+    assert list((cache / "validation").iterdir()) == [verdict]
+    assert not env_cache.exists()
+    assert list(home.iterdir()) == []
+
+
 def test_report_exits_2_without_a_verdict(tmp_path, capsys):
     code = main(["report", "--verdict", str(tmp_path / "nope.json")])
     assert code == 2
