@@ -10,6 +10,7 @@ modelling parallel paths explicitly.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
@@ -42,8 +43,10 @@ class JitterLink(Link):
         rng: Optional[random.Random] = None,
     ):
         super().__init__(sim, src, dst, bandwidth, delay, qdisc)
-        if jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        if not 0.0 <= jitter < math.inf:
+            raise ValueError(
+                f"jitter must be a non-negative finite number of seconds, "
+                f"got {jitter!r}")
         self.jitter = jitter
         self.rng = rng or sim.stream("jitter", unique=True)
         self.reorder_opportunities = 0
@@ -52,6 +55,8 @@ class JitterLink(Link):
     def _tx_done(self, pkt: Packet) -> None:
         self.bytes_transmitted += pkt.size
         self.packets_transmitted += 1
+        if self.obs is not None:
+            self.obs.link_tx(self, self.sim.now)
         extra = self.rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
         arrival = self.sim.now + self.delay + extra
         if arrival < self._last_arrival:

@@ -65,7 +65,6 @@ class Node:
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
         """Entry point for packets arriving over a link (or locally sent)."""
-        pkt.hops += 1
         dst = pkt.dst
         if dst == self.node_id:
             endpoint = self.endpoints.get(pkt.flow_id)

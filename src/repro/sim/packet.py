@@ -58,9 +58,7 @@ class Packet:
         "ce",
         "ece",
         "cwr",
-        "enqueue_time",
         "is_retransmit",
-        "hops",
     )
 
     def __init__(
@@ -87,9 +85,7 @@ class Packet:
         self.ce = False
         self.ece = False
         self.cwr = False
-        self.enqueue_time = 0.0
         self.is_retransmit = False
-        self.hops = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_ack:

@@ -73,9 +73,11 @@ class QueueDiscipline:
     """
 
     # No __slots__ here: queues are per-link (a handful per simulation),
-    # so the memory/lookup win is negligible, and tests legitimately
-    # override ``enqueue``/``dequeue`` on individual instances to spy on
-    # traffic — which needs an instance __dict__.
+    # so the memory/lookup win is negligible.  To watch a queue's traffic,
+    # wrap ``enqueue``/``dequeue`` on the class before the queue is built:
+    # such a wrapper sees every call.  An override assigned on an
+    # *instance* must also set ``_plain_admit = False``, or the link's
+    # idle-hop pass-through goes round it.
 
     #: class-attribute fallback for snapshots written before the flag
     #: existed: restored instances take the slow (always-correct) path
@@ -87,12 +89,13 @@ class QueueDiscipline:
 
     def __init__(self, capacity_pkts: int) -> None:
         check_capacity(capacity_pkts)
-        # Plain tail-drop FIFO (no admit() override anywhere in the MRO):
-        # enqueue() inlines the admission decision.  A subclass or test
-        # that assigns ``admit`` on an *instance* must also set
-        # ``self._plain_admit = False`` (class-level overrides are
-        # detected here automatically).
-        self._plain_admit = type(self).admit is QueueDiscipline.admit
+        # Plain tail-drop FIFO: ``admit``, ``enqueue`` and ``dequeue`` are
+        # this class's own, as defined (no subclass override, no wrapper
+        # installed on the class).  Then enqueue() inlines the admission
+        # decision and ``Link.send`` hands a packet arriving at an idle
+        # link straight to the transmitter.
+        cls = type(self)
+        self._plain_admit = (cls.admit, cls.enqueue, cls.dequeue) == _PLAIN_OPS
         self.capacity = capacity_pkts
         self._buf: Deque[Packet] = deque()
         self._bytes = 0
@@ -144,7 +147,6 @@ class QueueDiscipline:
                 if self.obs is not None:
                     self.obs.queue_event(self, "drop", pkt, now, forced=True)
                 return False
-            pkt.enqueue_time = now
             buf.append(pkt)
             self._bytes += pkt.size
             stats.enqueues += 1
@@ -171,7 +173,6 @@ class QueueDiscipline:
             return False
         else:
             raise ValueError(f"bad admit() verdict {verdict!r}")
-        pkt.enqueue_time = now
         self._buf.append(pkt)
         self._bytes += pkt.size
         stats.enqueues += 1
@@ -181,7 +182,12 @@ class QueueDiscipline:
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        """Remove and return the head-of-line packet, or ``None``."""
+        """Remove and return the head-of-line packet, or ``None``.
+
+        Contract for every discipline: on an empty buffer this returns
+        ``None`` and changes nothing, so a link that finds the buffer
+        empty skips the call.
+        """
         buf = self._buf
         if not buf:
             return None
@@ -207,6 +213,12 @@ class QueueDiscipline:
             f"<{type(self).__name__} {len(self._buf)}/{self.capacity} pkts "
             f"drops={self.stats.drops} marks={self.stats.marks}>"
         )
+
+
+#: the plain FIFO's own methods, captured at import: a queue whose class
+#: resolves all three to these is a plain tail-drop FIFO
+_PLAIN_OPS = (QueueDiscipline.admit, QueueDiscipline.enqueue,
+              QueueDiscipline.dequeue)
 
 
 class SampledAqmQueue(QueueDiscipline):

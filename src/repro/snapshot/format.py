@@ -50,8 +50,10 @@ __all__ = [
 #: out, so a version-4 body carries a slot the engine does not have;
 #: 6: packets, sinks, PERT senders and background sources lost the state
 #: of options no run used, so a version-5 body carries attributes the
-#: classes no longer read)
-FORMAT_VERSION = 6
+#: classes no longer read;
+#: 7: packets lost ``enqueue_time`` and ``hops``, which nothing read, so a
+#: version-6 body carries slots the class does not have)
+FORMAT_VERSION = 7
 
 MAGIC = b"REPROSNAP\n"
 

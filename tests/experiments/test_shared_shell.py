@@ -85,9 +85,9 @@ def test_killed_job_resumes_to_the_straight_through_payload(name, tmp_path):
 
 
 def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path):
-    """Format 5 pickled packets, sinks and PERT senders with the state of
-    options that are gone; its header is refused, the file deleted and the
-    job starts over — nothing is half-restored."""
+    """Format 6 pickled packets with two slots that are gone
+    (``enqueue_time`` and ``hops``); its header is refused, the file
+    deleted and the job starts over — nothing is half-restored."""
     kind, params, interval, _, _, _ = SCENARIOS["parking_lot"]
     cache = ResultCache(tmp_path / "cache")
     spec = JobSpec(CRASHY, dict(params, kind=kind,
@@ -96,10 +96,10 @@ def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path
     assert not run_jobs([spec], workers=0, cache=cache, retries=0,
                         checkpoint=interval)[0].ok
     path = cache.checkpoint_path_for(spec)
-    assert read_header(path)["format"] == FORMAT_VERSION == 6
+    assert read_header(path)["format"] == FORMAT_VERSION == 7
     magic, header, body = path.read_bytes().split(b"\n", 2)
     path.write_bytes(b"\n".join(
-        (magic, header.replace(b'"format": 6', b'"format": 5'), body)))
+        (magic, header.replace(b'"format": 7', b'"format": 6'), body)))
 
     res = run_jobs([spec], workers=0, cache=cache, retries=0,
                    checkpoint=interval)[0]

@@ -1,8 +1,13 @@
 """Unit tests for links, nodes and routing."""
 
+import math
+
 import pytest
 
+from repro.obs.collect import Collector as TraceCollector
+from repro.obs.records import select
 from repro.sim.engine import Simulator
+from repro.sim.jitter import JitterLink
 from repro.sim.link import Link
 from repro.sim.monitors import LinkWindow
 from repro.sim.node import Node
@@ -111,6 +116,45 @@ def test_link_validation():
         Link(sim, a, b, bandwidth=0, delay=0.01, qdisc=DropTailQueue(5))
     with pytest.raises(ValueError):
         Link(sim, a, b, bandwidth=1e6, delay=-1, qdisc=DropTailQueue(5))
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (Link, "bandwidth", math.nan),
+    (Link, "bandwidth", math.inf),
+    (Link, "delay", math.nan),
+    (Link, "delay", math.inf),
+    (JitterLink, "bandwidth", math.nan),
+    (JitterLink, "delay", math.nan),
+    (JitterLink, "jitter", math.nan),
+    (JitterLink, "jitter", math.inf),
+])
+def test_non_finite_link_parameters_are_refused_by_name(cls, field, value):
+    """A non-finite value used to pass construction and stop the run at
+    the first packet with an engine error that named no link field."""
+    sim = Simulator()
+    a, b = Node(sim, 0), Node(sim, 1)
+    kwargs = dict(bandwidth=1e6, delay=0.01, qdisc=DropTailQueue(5))
+    if cls is JitterLink:
+        kwargs["jitter"] = 0.001
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        cls(sim, a, b, **kwargs)
+
+
+@pytest.mark.parametrize("cls", [Link, JitterLink])
+def test_an_attached_link_instrument_samples_every_link_class(cls):
+    sim = Simulator()
+    a, b = Node(sim, 0, "a"), Node(sim, 1, "b")
+    link = cls(sim, a, b, bandwidth=8e6, delay=0.01, qdisc=DropTailQueue(10))
+    a.add_route(1, link)
+    b.register_endpoint(5, Collector(sim))
+    col = TraceCollector(trace=True)
+    col.attach_link(link, "l")
+    for i in range(5):
+        sim.schedule(0.0, a.send, Packet(flow_id=5, src=0, dst=1, seq=i))
+    sim.run()
+    samples = select(col.records, "link_sample", link="l")
+    assert [(r["pkts"], r["bytes"]) for r in samples] == [(1, 1000)]
 
 
 def test_multihop_routing_via_network():

@@ -6,6 +6,7 @@ from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.sim.queues import RedQueue
+from repro.sim.queues.base import QueueDiscipline
 from repro.tcp.base import TcpSink
 
 from ..conftest import make_dumbbell, make_flow
@@ -126,22 +127,29 @@ def test_ecn_sender_reduces_once_per_rtt():
     assert sink.rcv_next > 1000
 
 
-def test_ect_set_only_when_negotiated():
+def test_ect_set_only_when_negotiated(monkeypatch):
+    # the spy wraps the class before the queues are built: the seam that
+    # sees every arrival, idle-link ones included
+    arrivals = {}
+    orig = QueueDiscipline.enqueue
+
+    def spy(self, pkt, now):
+        arrivals.setdefault(self, []).append(pkt)
+        return orig(self, pkt, now)
+
+    monkeypatch.setattr(QueueDiscipline, "enqueue", spy)
     sim = Simulator(seed=1)
     db = make_dumbbell(sim)
     s_ecn, _ = make_flow(sim, db, idx=0, sender_cls=SackEcnSender)
     s_plain, _ = make_flow(sim, db, idx=1)
     s_ecn.start(npackets=5)
     s_plain.start(npackets=5)
+    sim.run(until=5.0)
+    fwd = arrivals[db.fwd.qdisc]
+    assert len(fwd) == db.fwd.qdisc.stats.arrivals
     seen = {"ecn": [], "plain": []}
-    orig = db.fwd.qdisc.enqueue
-
-    def spy(pkt, now):
+    for pkt in fwd:
         if not pkt.is_ack:
             seen["ecn" if pkt.flow_id == 1000 else "plain"].append(pkt.ect)
-        return orig(pkt, now)
-
-    db.fwd.qdisc.enqueue = spy
-    sim.run(until=5.0)
     assert all(seen["ecn"]) and seen["ecn"]
     assert not any(seen["plain"]) and seen["plain"]
