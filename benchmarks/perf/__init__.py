@@ -12,9 +12,6 @@ Three benchmarks cover the three performance-critical layers:
   grid of PERT/RED models advanced in lockstep via
   :func:`repro.fluid.model.simulate_batch`, reported as aggregate
   member-steps/s plus the speedup over the equivalent scalar loop.
-* ``hybrid.dumbbell`` — the fluid-packet coupling at 10^5 represented
-  flows (``repro.hybrid``): events/s and the flows-per-event leverage of
-  replacing all but a few foreground flows with a fluid ensemble.
 
 The payload records which event-engine backend ran the suite (the
 ``engine`` key, resolved from ``REPRO_ENGINE``) and, since
@@ -152,73 +149,6 @@ def bench_dumbbell(schemes: Sequence[str] = DUMBBELL_SCHEMES,
     return out
 
 
-#: hybrid workload: fluid flows represented / foreground packet flows
-HYBRID_KWARGS = dict(
-    n_flows=100_000, n_fg=8, duration=6.0, warmup=2.0, seed=2,
-    aggregate=4000,
-)
-HYBRID_KWARGS_QUICK = dict(
-    n_flows=10_000, n_fg=4, duration=3.0, warmup=1.0, seed=2,
-    aggregate=400,
-)
-
-
-def bench_hybrid(repeat: int = 3, **kwargs) -> Dict:
-    """Hybrid fluid-packet dumbbell throughput at extreme flow counts.
-
-    Runs the :mod:`repro.hybrid` coupling — a fast-forwarded PERT/RED
-    fluid ensemble standing in for all but a few foreground flows — and
-    reports events/s plus the scale leverage: how many represented flows
-    each processed event buys.  The pure packet engine's cost grows with
-    the flow count; this entry tracks that the hybrid engine's does not.
-    """
-    _ensure_src_on_path()
-    from repro.experiments.common import run_dumbbell
-
-    params = dict(HYBRID_KWARGS)
-    params.update(kwargs)
-    n_flows, n_fg = params.pop("n_flows"), params.pop("n_fg")
-    aggregate = params.pop("aggregate")
-    per_flow_bw = 0.8e6
-    background = {
-        "model": "pert_red",
-        "share": (n_flows - n_fg) / n_flows,
-        "n_flows": n_flows - n_fg,
-        "aggregate": aggregate,
-        "arrival": "paced",
-    }
-    best = float("inf")
-    events = bg_pkts = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = run_dumbbell(
-            "pert", n_flows * per_flow_bw, background=background,
-            rtt=0.05, n_fwd=n_fg, start_window=0.1, collector=False,
-            **params,
-        )
-        elapsed = time.perf_counter() - t0
-        run_events = result.events_processed
-        run_bg = result.background_pkts
-        if events is None:
-            events, bg_pkts = run_events, run_bg
-        elif (events, bg_pkts) != (run_events, run_bg):
-            raise AssertionError(
-                f"hybrid: fixed-seed run not deterministic "
-                f"({events},{bg_pkts}) vs ({run_events},{run_bg})"
-            )
-        best = min(best, elapsed)
-    return {
-        "params": dict(params, n_flows=n_flows, n_fg=n_fg,
-                       aggregate=aggregate),
-        "events": events,
-        "background_pkts": bg_pkts,
-        "represented_flows": n_flows,
-        "best_seconds": best,
-        "events_per_sec": events / best,
-        "flows_per_event": n_flows / events,
-    }
-
-
 def bench_fluid(duration: float = 40.0, dt: float = 1e-3,
                 repeat: int = 3) -> Dict:
     """RK4 step rate of the PERT/RED fluid DDE (Section 5 model)."""
@@ -294,18 +224,15 @@ def run_suite(quick: bool = False, repeat: int = 3) -> Dict:
         dumbbell = bench_dumbbell(repeat=repeat, **DUMBBELL_KWARGS_QUICK)
         fluid = bench_fluid(duration=10.0, repeat=repeat)
         fluid_batch = bench_fluid_batch(batch=8, duration=5.0, repeat=repeat)
-        hybrid = bench_hybrid(repeat=repeat, **HYBRID_KWARGS_QUICK)
     else:
         engine = bench_engine(repeat=repeat)
         dumbbell = bench_dumbbell(repeat=repeat)
         fluid = bench_fluid(repeat=repeat)
         fluid_batch = bench_fluid_batch(repeat=repeat)
-        hybrid = bench_hybrid(repeat=repeat)
     benchmarks = {
         "engine.churn": engine,
         "fluid.dde": fluid,
         "fluid.dde_batch": fluid_batch,
-        "hybrid.dumbbell": hybrid,
     }
     for scheme, entry in dumbbell.items():
         benchmarks[f"dumbbell.{scheme}"] = entry

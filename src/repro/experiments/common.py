@@ -555,7 +555,6 @@ def _dumbbell_result(run: PacketRun, keep_refs: bool = False) -> DumbbellResult:
         result.background_model = bg["model"]
         result.background_share = bg["share"]
         result.background_pkts = run.bg_source.pkts_sent
-        result.extras["background_offered_pkts"] = run.bg_source.offered_pkts
         if run.bg_source.sink is not None:
             result.extras["background_delivered_pkts"] = (
                 run.bg_source.sink.pkts_received

@@ -10,21 +10,15 @@ settled sending rate (:func:`repro.hybrid.fluid_fast_forward`) and starts
 a :class:`BackgroundSource` that injects that rate through the ordinary
 event engine.
 
-The injected arrival process is deterministic and seedable: inter-
-arrivals come from the simulator's ``"background"`` RNG stream (claimed
-only when a background is actually attached, so zero-background runs
-remain bit-identical to pure packet runs).  ``aggregate`` batches the
-fluid ensemble's packets into macro-packets — at 10^5 flows the fluid
-rate can exceed what per-packet events allow, and a GSO-style burst of
-``aggregate`` payloads per event keeps the event count bounded by
-``rate / aggregate`` instead of the raw packet rate.
+The injected arrival process is Poisson, deterministic and seedable:
+inter-arrivals come from the simulator's ``"background"`` RNG stream
+(claimed only when a background is actually attached, so zero-background
+runs remain bit-identical to pure packet runs).
 """
 
 from __future__ import annotations
 
-import math
 import numbers
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -42,7 +36,7 @@ __all__ = [
     "attach_background",
 ]
 
-#: reserved flow id for background macro-packets — real flows count up
+#: reserved flow id for background packets — real flows count up
 #: from 0, so a negative id can never collide
 BACKGROUND_FLOW_ID = -1
 
@@ -50,6 +44,12 @@ BACKGROUND_FLOW_ID = -1
 @dataclass(frozen=True)
 class BackgroundLoad:
     """Declarative description of a fluid-driven background ensemble.
+
+    The fluid model runs at the packet run's base RTT and is
+    fast-forwarded to its settled rate
+    (:func:`repro.hybrid.fluid_fast_forward`), which is injected from
+    t = 0 as Poisson arrivals — the fluid transient is skipped, matching
+    the packet side's own warm-up discipline.
 
     Parameters
     ----------
@@ -63,24 +63,7 @@ class BackgroundLoad:
         ``None`` and the run is bit-identical to a pure packet run.
     n_flows:
         Number of flows in the fluid ensemble (the N the packet engine
-        cannot afford).
-    rtt:
-        Fluid round-trip delay in seconds; ``None`` uses the packet
-        run's base RTT.
-    aggregate:
-        Packets per injected macro-packet (GSO-style batching; event
-        count scales with ``rate / aggregate``).
-    horizon, fluid_dt:
-        Fluid integration horizon and step of the fast-forward
-        (:func:`repro.hybrid.fluid_fast_forward`), which integrates the
-        model to steady state up front so the settled rate is injected
-        from t = 0 — the fluid transient is skipped, matching the packet
-        side's own warm-up discipline.  ``horizon=None`` lets the
-        fast-forward pick its own.
-    arrival:
-        ``"poisson"`` (exponential inter-arrivals, the natural model of
-        a large aggregate; seeded from the ``"background"`` stream) or
-        ``"paced"`` (deterministic even spacing).
+        does not simulate).
     params:
         Extra fluid-model parameters forwarded verbatim to
         :func:`repro.fluid.make_fluid_model`.
@@ -89,36 +72,17 @@ class BackgroundLoad:
     model: str
     share: float
     n_flows: int = 100
-    rtt: Optional[float] = None
-    aggregate: int = 1
-    horizon: Optional[float] = None
-    fluid_dt: float = 2e-3
-    arrival: str = "poisson"
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.share < 1.0:
             raise ValueError("background share must be in [0, 1)")
-        for name in ("n_flows", "aggregate"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 1):
-                raise ValueError(
-                    f"background {name} must be a positive integer, "
-                    f"got {value!r}")
-        # rtt=None is the packet run's base RTT, horizon=None the
-        # fast-forward's own choice; a number must be a usable one
-        for name in ("rtt", "horizon", "fluid_dt"):
-            value = getattr(self, name)
-            if value is None and name != "fluid_dt":
-                continue
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and value > 0):
-                raise ValueError(
-                    f"background {name} must be a positive finite number, "
-                    f"got {value!r}")
-        if self.arrival not in ("poisson", "paced"):
-            raise ValueError("arrival must be 'poisson' or 'paced'")
+        if (isinstance(self.n_flows, bool)
+                or not isinstance(self.n_flows, numbers.Integral)
+                or self.n_flows < 1):
+            raise ValueError(
+                f"background n_flows must be a positive integer, "
+                f"got {self.n_flows!r}")
         # validate model name and params eagerly (and freeze the mapping)
         allowed = fluid_model_params(self.model)
         unknown = sorted(set(self.params) - set(allowed))
@@ -154,22 +118,16 @@ class BackgroundLoad:
             "model": self.model,
             "share": float(self.share),
             "n_flows": int(self.n_flows),
-            "rtt": None if self.rtt is None else float(self.rtt),
-            "aggregate": int(self.aggregate),
-            "horizon": None if self.horizon is None else float(self.horizon),
-            "fluid_dt": float(self.fluid_dt),
-            "arrival": self.arrival,
             "params": dict(self.params),
         }
 
 
 class BackgroundSource:
-    """Injects a constant aggregate rate as macro-packet arrivals.
+    """Injects a constant aggregate rate as Poisson packet arrivals.
 
-    The source self-schedules like :class:`repro.traffic.cbr.CbrSource`:
-    inter-arrivals are exponential (``"poisson"``, drawn from *rng*) or
-    even (``"paced"``, *rng* ``None``) at ``rate_pps / aggregate``
-    macro-packets per second.  A zero rate injects nothing.
+    The source self-schedules like :class:`repro.traffic.cbr.CbrSource`;
+    inter-arrivals are exponential at ``rate_pps``, drawn from the
+    simulator's ``"background"`` stream.  A zero rate injects nothing.
     """
 
     def __init__(
@@ -179,8 +137,6 @@ class BackgroundSource:
         dst: int,
         rate_pps: float,
         pkt_size: int = 1000,
-        aggregate: int = 1,
-        rng: Optional[random.Random] = None,
         flow_id: int = BACKGROUND_FLOW_ID,
     ):
         if not rate_pps >= 0:
@@ -191,13 +147,10 @@ class BackgroundSource:
         #: aggregate arrival rate in packets/second
         self.rate_pps = rate_pps
         self.pkt_size = pkt_size
-        self.aggregate = aggregate
-        self.rng = rng
+        self.rng = sim.stream("background")
         self.flow_id = flow_id
-        #: macro-packets injected so far
+        #: packets injected so far
         self.pkts_sent = 0
-        #: fluid-ensemble packets represented (pkts_sent * aggregate)
-        self.offered_pkts = 0
         self._seq = 0
         self._timer: Optional[Event] = None
         self.running = False
@@ -219,15 +172,11 @@ class BackgroundSource:
     # ------------------------------------------------------------------
     def _schedule_next(self, now: float) -> None:
         """Schedule the next arrival after *now*."""
-        rate = self.rate_pps / self.aggregate
-        if rate <= 0.0:
+        if self.rate_pps <= 0.0:
             self.running = False
             self._timer = None
             return
-        if self.rng is not None:
-            gap = self.rng.expovariate(rate)
-        else:
-            gap = 1.0 / rate
+        gap = self.rng.expovariate(self.rate_pps)
         self._timer = self.sim.schedule(now + gap - self.sim.now, self._tick)
 
     def _tick(self) -> None:
@@ -237,12 +186,11 @@ class BackgroundSource:
             flow_id=self.flow_id,
             src=self.node.node_id,
             dst=self.dst,
-            size=self.pkt_size * self.aggregate,
+            size=self.pkt_size,
             seq=self._seq,
         )
         self._seq += 1
         self.pkts_sent += 1
-        self.offered_pkts += self.aggregate
         self.node.send(pkt)
         self._schedule_next(self.sim.now)
 
@@ -251,7 +199,7 @@ class BackgroundSource:
 
 
 class BackgroundSink:
-    """Counts background macro-packets surviving the bottleneck queue."""
+    """Counts background packets surviving the bottleneck queue."""
 
     def __init__(self, node: Node, flow_id: int = BACKGROUND_FLOW_ID):
         self.pkts_received = 0
@@ -259,7 +207,7 @@ class BackgroundSink:
         node.register_endpoint(flow_id, self)
 
     def receive(self, pkt: Packet) -> None:
-        """Account one delivered background macro-packet."""
+        """Account one delivered background packet."""
         self.pkts_received += 1
         self.bytes_received += pkt.size
 
@@ -277,7 +225,7 @@ def background_model(load: BackgroundLoad, bandwidth: float, pkt_size: int,
         load.model,
         capacity=load.share * pkt_rate,
         n_flows=load.n_flows,
-        rtt=load.rtt if load.rtt is not None else base_rtt,
+        rtt=base_rtt,
         **dict(load.params),
     )
 
@@ -296,22 +244,19 @@ def attach_background(
 
     Called by the experiment harness at the *end* of topology/flow
     construction, so the streams and event sequence numbers of the pure
-    packet prefix are untouched.  Background macro-packets enter at
+    packet prefix are untouched.  Background packets enter at
     router ``r1`` addressed to ``r2`` — they traverse (and load) exactly
     the forward bottleneck queue, then terminate at the far router's
     :class:`BackgroundSink`.
     """
     model = background_model(load, bandwidth, pkt_size, base_rtt)
-    steady = fluid_fast_forward(model, horizon=load.horizon, dt=load.fluid_dt)
-    rng = sim.stream("background") if load.arrival == "poisson" else None
+    steady = fluid_fast_forward(model)
     source = BackgroundSource(
         sim,
         db.r1,
         dst=db.r2.node_id,
         rate_pps=steady.rate_pps,
         pkt_size=pkt_size,
-        aggregate=load.aggregate,
-        rng=rng,
     )
     source.sink = BackgroundSink(db.r2)
     source.start(at=0.0)

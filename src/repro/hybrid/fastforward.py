@@ -1,11 +1,11 @@
 """Fluid fast-forward: skip the ensemble transient analytically.
 
 A packet-level run spends its warm-up simulating every flow's slow-start
-into steady state — at 10^5 flows that transient alone is unaffordable.
-The fluid model gets there by integration: :func:`fluid_fast_forward`
-runs the DDE until the exported sending rate settles (doubling the
-horizon until the trajectory tail is flat) and returns the settled
-operating point.  The hybrid harness then injects the *settled* rate
+into steady state; a fluid ensemble standing in for most of the flows
+need not.  The fluid model gets there by integration:
+:func:`fluid_fast_forward` runs the DDE until the exported sending rate
+settles (doubling the horizon until the trajectory tail is flat) and
+returns the settled operating point.  The hybrid harness then injects the *settled* rate
 from t = 0 (:func:`repro.hybrid.attach_background`), so the packet-side
 warm-up stays short.
 """
@@ -61,20 +61,11 @@ def fluid_fast_forward(
     explicit *horizon* integrates exactly once.
     """
     x0 = model.equilibrium_state()
-    if horizon is not None:
-        traj = rate_trajectory(model, horizon, dt=dt, x0=x0)
-        return FluidSteadyState(
-            rate_pps=traj.steady_rate(tail),
-            equilibrium_pps=equilibrium_rate(model),
-            converged=traj.is_settled(tail, rel_tol),
-            horizon=horizon,
-            trajectory=traj,
-        )
-    h = max(30.0, 300.0 * model.rtt)
+    h = horizon if horizon is not None else max(30.0, 300.0 * model.rtt)
     while True:
         traj = rate_trajectory(model, h, dt=dt, x0=x0)
         settled = traj.is_settled(tail, rel_tol)
-        if settled or h >= max_horizon:
+        if settled or h >= max_horizon or horizon is not None:
             return FluidSteadyState(
                 rate_pps=traj.steady_rate(tail),
                 equilibrium_pps=equilibrium_rate(model),

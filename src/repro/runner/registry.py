@@ -10,8 +10,8 @@ JSON-serializable payload.  Two resolution mechanisms:
 * dotted paths — a kind containing ``:`` is resolved as
   ``"package.module:function"``.  Every other packet figure point (the
   parking lot, the staircase, the CBR squeeze, the Section 2 traces, the
-  ablations, the hybrid extreme point) is one, as are the jobs tests and
-  downstream code bring, without touching the registry.
+  ablations) is one, as are the jobs tests and downstream code bring,
+  without touching the registry.
 
 Runtime registrations made by the parent after import are visible to
 fork-start workers (the default on Linux) but not to spawn-start ones;

@@ -3,7 +3,7 @@
 A snapshot file is three concatenated parts::
 
     REPROSNAP\n                  magic line (never changes)
-    {"format": 5, ...}\n         one-line JSON header, UTF-8
+    {"format": N, ...}\n         one-line JSON header, UTF-8 (N: FORMAT_VERSION)
     <pickle body>                the simulation object graph
 
 The header is plain text on purpose: ``head -2 file.ckpt`` tells you
@@ -52,8 +52,11 @@ __all__ = [
 #: of options no run used, so a version-5 body carries attributes the
 #: classes no longer read;
 #: 7: packets lost ``enqueue_time`` and ``hops``, which nothing read, so a
-#: version-6 body carries slots the class does not have)
-FORMAT_VERSION = 7
+#: version-6 body carries slots the class does not have;
+#: 8: background sources lost their macro-packet factor and offered-packet
+#: counter with the batched and evenly spaced injection no run uses, so a
+#: version-7 body carries attributes the class no longer reads)
+FORMAT_VERSION = 8
 
 MAGIC = b"REPROSNAP\n"
 

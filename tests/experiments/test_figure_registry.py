@@ -35,6 +35,7 @@ FORWARDS = {
     "fig12": "run_dynamics",
     "fig12b": "run_cbr_dynamics",
     "fig13": "run_trajectories",
+    "hybrid": "spec",
 }
 
 

@@ -1,6 +1,8 @@
 """ScenarioSpec: declarative sweeps must match the hand-rolled loops."""
 
-from repro.experiments import fig6_bandwidth, fig7_rtt, fig8_nflows, fig9_web
+import pytest
+
+from repro.experiments import fig6_bandwidth, fig7_rtt, fig8_nflows, fig9_web, fig_hybrid
 from repro.experiments.common import run_dumbbell
 from repro.experiments.scenarios import ScenarioPoint, ScenarioSpec
 from repro.experiments.sweep import result_row
@@ -130,6 +132,16 @@ def test_hybrid_spec_rows_match_hand_rolled_loop():
             hand.append(result_row(result, spec.tags_for(point)))
     assert rows == hand
     assert all(row["bg_model"] in ("pert_red", "tcp_red") for row in rows)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_hybrid_spec_refuses_a_flow_count_with_no_background(n):
+    """The packet foreground takes at least four flows; a flow count that
+    leaves the fluid background none fails when the spec is built, not
+    inside its hybrid job after the packet point has run."""
+    with pytest.raises(ValueError, match=f"flow count {n} "):
+        fig_hybrid.spec(flow_counts=[10, n])
+    assert len(fig_hybrid.spec(flow_counts=[5]).points) == 2
 
 
 def test_all_four_figures_expose_specs():

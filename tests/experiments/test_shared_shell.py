@@ -3,8 +3,7 @@
 The parking lot, the staircase and the CBR squeeze used to construct
 their own simulators; what the shell gives a scenario — checkpoint
 resume, observability, caching, fan-out, a non-zero event count — is
-checked here for each of them (and, where it is cheap, for the hybrid
-extreme point, which reaches the shell through ``run_dumbbell``).
+checked here for each of them.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ SCENARIOS = {
         dict(scheme="pert", bandwidth=6e6, n_flows=3, t_on=2.0, t_off=4.0,
              duration=6.0),
         1.5, 3.0, ("bottleneck.fwd", "bottleneck.rev"), 3),
-    "hybrid_extreme": (
-        "repro.experiments.fig_hybrid:extreme_job",
-        dict(n_flows=2000, n_fg=4, duration=4.0, warmup=2.0),
-        1.5, 3.5, ("bottleneck.fwd", "bottleneck.rev"), 4),
 }
 HOSTED = ("parking_lot", "staircase", "cbr")
 
@@ -85,9 +80,10 @@ def test_killed_job_resumes_to_the_straight_through_payload(name, tmp_path):
 
 
 def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path):
-    """Format 6 pickled packets with two slots that are gone
-    (``enqueue_time`` and ``hops``); its header is refused, the file
-    deleted and the job starts over — nothing is half-restored."""
+    """Format 7 pickled background sources with two attributes that are
+    gone (the macro-packet factor and the offered-packet counter); any
+    format-7 header is refused, the file deleted and the job starts over
+    — nothing is half-restored."""
     kind, params, interval, _, _, _ = SCENARIOS["parking_lot"]
     cache = ResultCache(tmp_path / "cache")
     spec = JobSpec(CRASHY, dict(params, kind=kind,
@@ -96,10 +92,10 @@ def test_a_parent_written_checkpoint_is_discarded_and_the_job_runs_cold(tmp_path
     assert not run_jobs([spec], workers=0, cache=cache, retries=0,
                         checkpoint=interval)[0].ok
     path = cache.checkpoint_path_for(spec)
-    assert read_header(path)["format"] == FORMAT_VERSION == 7
+    assert read_header(path)["format"] == FORMAT_VERSION == 8
     magic, header, body = path.read_bytes().split(b"\n", 2)
     path.write_bytes(b"\n".join(
-        (magic, header.replace(b'"format": 7', b'"format": 6'), body)))
+        (magic, header.replace(b'"format": 8', b'"format": 7'), body)))
 
     res = run_jobs([spec], workers=0, cache=cache, retries=0,
                    checkpoint=interval)[0]

@@ -1,5 +1,5 @@
-"""Bit-for-bit pins of what the tagged-flow runs hand Figures 2-4 and the
-hybrid summary.
+"""Bit-for-bit pins of what the tagged-flow runs hand Figures 2-4, and of
+a tagged flow's RTT trace under a fluid background.
 
 Until the per-ACK RTT samples, the flow's loss detections and the
 bottleneck's drops became records on the Collector's stream, they lived
@@ -26,8 +26,8 @@ import json
 
 import pytest
 
+from repro.experiments.common import run_dumbbell
 from repro.experiments.section2 import QUICK_CASES, case_trace_job
-from repro.hybrid import run_hybrid_dumbbell
 
 CASE = QUICK_CASES[0]
 CASE_KW = dict(n_fwd=CASE.n_fwd, n_rev=CASE.n_rev,
@@ -58,10 +58,10 @@ def case_trace_pin(scheme: str) -> dict:
 
 
 def hybrid_pin(scheme: str) -> dict:
-    """The tagged foreground flow's queue-delay distribution."""
-    s = run_hybrid_dumbbell(scheme, 4e6, HYBRID_BG, **HYBRID_KW)
-    return {"qdelay_mean": s.qdelay_mean.hex(), "qdelay_p50": s.qdelay_p50.hex(),
-            "qdelay_p95": s.qdelay_p95.hex()}
+    """Length and digest of the tagged foreground flow's RTT trace."""
+    trace = run_dumbbell(scheme, 4e6, background=HYBRID_BG, record_rtt_flow=0,
+                         **HYBRID_KW).extras["rtt_trace"]
+    return {"rtt_trace": [len(trace), _sha(trace)]}
 
 
 CASES = {
@@ -76,7 +76,9 @@ def measured() -> dict:
             for name, (fn, schemes) in CASES.items()}
 
 
-#: generated at fde8b62 by the snippet in the module docstring
+#: generated at fde8b62 by the snippet in the module docstring; the
+#: ``hybrid`` entry at b149120, where it replaced three queue-delay
+#: quantiles that were a function of the same trace
 PINS = {'case_trace': {'sack-droptail': {'rtt_trace': [2339,
                                                 '3abae54e307a14a63274f68c272327318c3691807ecf88c11044572c6272caff'],
                                   'flow_losses': [3,
@@ -97,9 +99,8 @@ PINS = {'case_trace': {'sack-droptail': {'rtt_trace': [2339,
                                          '2ba38949e972907d51543a47ab2bc50796b48a5cd6ce2764f58ff3bfdbb20ceb'],
                          'queue_lengths': [2400,
                                            'e9d5e064c188c4fcd7a47a9ab9a80e6c0c6e3fb7abf2a2d430d2d41d36cd31a1']}},
- 'hybrid': {'pert': {'qdelay_mean': '0x1.b33afa2fe91dep-7',
-                     'qdelay_p50': '0x1.c70a401fd4f00p-7',
-                     'qdelay_p95': '0x1.15999a4566180p-5'}}}
+ 'hybrid': {'pert': {'rtt_trace': [201,
+                                   '7fae51ab06b0c26276efa81ccbb8cc4eac701a5bb7ac6d7b3b9f036cc00f8617']}}}
 
 
 @pytest.mark.parametrize("what,scheme", [
