@@ -8,8 +8,10 @@ parameter sets of it (``make_fluid_model``).
 Two right-hand-side contracts, one scalar kernel.  The registered models
 are written against the **float contract** —
 state and delayed state ``x(t - rtt)`` are sequences of Python floats,
-the delay declared to the kernel as its ``lag`` — and integrate
-through :func:`integrate_dde_floats`; :func:`integrate_dde` keeps the
+the delay declared to the kernel as its ``lag`` — as source the kernel
+steps in place of an rhs call (``simulate``), or compiles into the rhs
+:func:`integrate_dde_floats` calls (``dynamics``), bit for bit the same;
+:func:`integrate_dde` keeps the
 **array contract** (``(dim,)`` float64 arrays, ``A @ x``-style code) for
 everything else, as an adapter over that same loop.
 :func:`integrate_dde_batch` advances many systems as array operations,

@@ -11,20 +11,29 @@ uses, simplified to a fixed step.  Before ``t0`` the history is the
 constant initial state, matching the paper's simulations which start
 from a constant initial point.
 
-Three entry points share the grid, the arithmetic and one plan of the
+Four entry points share the grid, the arithmetic and one plan of the
 delayed state:
 
 * :func:`integrate_dde_floats` — one system, the **float contract**: the
   state and the delayed state are tuples of Python floats and the rhs
   returns a tuple or list.  This is the scalar kernel — the only scalar
-  stepping loop — and what the registered fluid models run on; inside
-  the loop no numpy ufunc is involved.  The loop is one source template
-  (:data:`_FLOAT_KERNEL`), compiled once per state dimension on first
-  use, with the state, the four RK4 stages and the two rows of an
-  interpolation unrolled into named locals (``x0, x1, x2``, ``a0 ..``,
-  ``p0 ..``) rather than lists walked per component;
+  stepping loop; inside the loop no numpy ufunc is involved.  The loop
+  is one source template (:data:`_FLOAT_KERNEL`), compiled on first use
+  once per state dimension, with the state, the four RK4 stages and the
+  two rows of an interpolation unrolled into named locals (``x0, x1,
+  x2``, ``a0 ..``, ``p0 ..``) rather than lists walked per component;
   ``tests/fluid/reference.py`` keeps that list loop as the reference the
   generated one equals bit for bit.
+* :func:`integrate_equations` — the same kernel with a system's own
+  statements (:class:`Equations`) compiled in where the rhs call was,
+  once per dimension and block.  The block's *delayed* half reads only
+  ``xd`` and runs once after each assignment of it, the *stage* half at
+  each stage; so there is no rhs frame per stage, and stages that share
+  a delayed row share what was computed from it.  This is what the
+  registered fluid models run on (one block per model shape,
+  :func:`repro.fluid.model.equations`); :func:`equations_rhs` compiles
+  the same block into the rhs that :func:`integrate_dde_floats` equals
+  it with, bit for bit.
 * :func:`integrate_dde` — one system, the **array contract**: ``(dim,)``
   float64 arrays in and out, so an rhs can be written ``A @ x``.  An
   adapter over the float kernel for everything that is not a registered
@@ -81,15 +90,18 @@ import linecache
 import math
 import re
 from itertools import accumulate, repeat, starmap
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "DdeSolution",
     "DdeBatchSolution",
+    "Equations",
+    "equations_rhs",
     "integrate_dde",
     "integrate_dde_floats",
+    "integrate_equations",
     "integrate_dde_batch",
 ]
 
@@ -123,8 +135,11 @@ class DdeSolution:
         """Linear interpolation of the solution at time *ti* (clamped).
 
         Always a fresh array, at the clamped ends too: writing to the
-        result never edits the stored trajectory.
+        result never edits the stored trajectory.  A NaN *ti* lies
+        nowhere on the grid and raises ``ValueError``.
         """
+        if math.isnan(ti):
+            raise ValueError(f"cannot interpolate the solution at t={ti!r}")
         t = self.t
         if ti <= t[0]:
             return self.y[0].copy()
@@ -264,23 +279,29 @@ def _plan_chunk(ts, lags, dt, euler, steps):
 # the float kernel
 # ----------------------------------------------------------------------
 #: The float kernel's source: the stepping loop, compiled once per state
-#: dimension by :func:`_float_kernel`.  ``{expr}`` stands for the tuple
-#: display of *expr* taken once per state component: the single letters
-#: ``x a b c d p q`` gain the component's index and ``i`` becomes it, so
-#: with two components ``{x + half * a}`` reads ``(x0 + half * a0, x1 +
-#: half * a1)``.  The state ``x``, the stages ``a b c d`` (k1 .. k4) and
-#: the two rows ``p q`` of an interpolation are then named locals, not
-#: lists.  A lookup of the plan (:func:`_ring_plans`) is ``l h f e``:
-#: the ring slots of the two rows, row ``h``'s weight (``g = 1 - f`` is
-#: row ``l``'s) and the edge flag (copy slot ``l``), suffixed by the
-#: stage it serves.
+#: dimension and system by :func:`_float_kernel`.  ``{expr}`` stands for
+#: the tuple display of *expr* taken once per state component: the single
+#: letters ``x a b c d p q`` gain the component's index and ``i`` becomes
+#: it, so with two components ``{x + half * a}`` reads ``(x0 + half * a0,
+#: x1 + half * a1)``.  The state ``x``, the stages ``a b c d`` (k1 .. k4)
+#: and the two rows ``p q`` of an interpolation are then named locals, not
+#: lists.  A lookup of the plan (:func:`_ring_plans`) is ``l h f e``: the
+#: ring slots of the two rows, row ``h``'s weight (``g = 1 - f`` is row
+#: ``l``'s) and the edge flag (copy slot ``l``), suffixed by the stage it
+#: serves.  The ``@`` lines are the hooks :func:`_hooks` fills, for an rhs
+#: callable or a system's :class:`Equations`: ``@bind`` unpacks the
+#: equations' constants, ``@delayed`` follows each assignment of ``xd``,
+#: and ``@stage a = f(t, x)`` evaluates the derivative at time ``t`` and
+#: state ``{x}`` into ``{a}``.
 _FLOAT_KERNEL = '''\
 def step(rhs, start, t, dt, euler, lag, out, ring, plans):
+    @bind
     dim = len(start)
     size = len(ring)
     delayed = lag is not None
     {x} = start
     xd = ring[0]  # the first k1 reads t0 - lag: x0, or None for an ODE
+    @delayed
     half = dt / 2
     sixth = dt / 6.0
     n = 0
@@ -296,8 +317,8 @@ def step(rhs, start, t, dt, euler, lag, out, ring, plans):
                         {q} = ring[h1]
                         g = 1 - f1
                         xd = {p * g + q * f1}
-                    k = rhs(t, {x}, xd)
-                    {a} = k
+                    @delayed
+                    @stage a = f(t, x)
                     {x} = {x + dt * a}
                     t += dt
                     n += 1
@@ -316,8 +337,8 @@ def step(rhs, start, t, dt, euler, lag, out, ring, plans):
                             {q} = ring[h1]
                             g = 1 - f1
                             xd = {p * g + q * f1}
-                    k = rhs(t, {x}, xd)
-                    {a} = k
+                        @delayed
+                    @stage a = f(t, x)
                     if e2:
                         xd = ring[l2]
                     else:
@@ -325,20 +346,19 @@ def step(rhs, start, t, dt, euler, lag, out, ring, plans):
                         {q} = ring[h2]
                         g = 1 - f2
                         xd = {p * g + q * f2}
+                    @delayed
                     t_mid = t + half
-                    k = rhs(t_mid, {x + half * a}, xd)
-                    {b} = k
-                    k = rhs(t_mid, {x + half * b}, xd)
-                    {c} = k
-                    if e4:
+                    @stage b = f(t_mid, x + half * a)
+                    @stage c = f(t_mid, x + half * b)
+                    if e4:  # k4's row, and the next k1's unless it looks anew
                         xd = ring[l4]
                     else:
                         {p} = ring[l4]
                         {q} = ring[h4]
                         g = 1 - f4
                         xd = {p * g + q * f4}
-                    k = rhs(t + dt, {x + dt * c}, xd)
-                    {d} = k
+                    @delayed
+                    @stage d = f(t + dt, x + dt * c)
                     {x} = {x + sixth * (a + 2 * b + 2 * c + d)}
                     t += dt
                     n += 1
@@ -359,32 +379,119 @@ def step(rhs, start, t, dt, euler, lag, out, ring, plans):
 #: a ``{expr}`` of the template, and a per-component name inside one
 _TEMPLATE_FIELD = re.compile(r"\{([^{}]*)\}")
 _COMPONENT_NAME = re.compile(r"\b([xabcdpqi])\b")
+#: a hook line of the template: its indent, kind and a stage's operands
+_HOOK = re.compile(r"^( *)@(\w+)(?: (\w) = f\(([^,]*), (.*)\))?\n", re.M)
+
+
+class Equations(NamedTuple):
+    """A system's right-hand side as source, split by what it reads.
+
+    The float kernel steps these statements where it would call an rhs
+    (:func:`integrate_equations`), and :func:`equations_rhs` compiles
+    them into the rhs callable itself, so the one text is both.
+
+    * ``params``: the constants the statements read, bound per run;
+    * ``state`` / ``derivative``: the names of the state's components
+      and of their derivatives, in state order;
+    * ``delayed``: the statements that read only the delayed state
+      ``xd`` (and constants).  The kernel runs them once after each
+      assignment of ``xd``, so stages that share a delayed row (RK4's
+      k2 and k3; a k4 and the next k1) share their result;
+    * ``stage``: the statements run at every stage, reading the state
+      names, the stage's time ``t`` and what ``delayed`` assigned, and
+      assigning every derivative name.
+
+    The statements' own names must not be the kernel's (``x0``, ``a0``,
+    ``p0``, ``g``, ``k``, ``n``, ...); ``xd`` and ``t`` are shared.
+    ``name`` labels the compiled code in tracebacks.
+    """
+
+    name: str
+    params: Tuple[str, ...]
+    state: Tuple[str, ...]
+    derivative: Tuple[str, ...]
+    delayed: str
+    stage: str
 
 
 def _per_component(expr: str, dim: int) -> str:
     """*expr* once per component, as a tuple display (see the template)."""
-    items = [_COMPONENT_NAME.sub(
+    return _display([_COMPONENT_NAME.sub(
         lambda m: str(i) if m[1] == "i" else f"{m[1]}{i}", expr)
-        for i in range(dim)]
-    return "(" + ", ".join(items) + ("," if dim == 1 else "") + ")"
+        for i in range(dim)])
 
 
-@functools.lru_cache(maxsize=None)
-def _float_kernel(dim: int) -> Callable:
-    """The template's ``step`` compiled for *dim* components.
+def _display(items: Sequence[str]) -> str:
+    """*items* as a tuple display (or unpacking target)."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    Generated on first use, the way ``dataclasses`` writes ``__init__``;
-    the source is registered with ``linecache`` under a descriptive file
-    name, so a traceback through the kernel shows its lines.
-    """
-    source = _TEMPLATE_FIELD.sub(lambda m: _per_component(m[1], dim),
-                                 _FLOAT_KERNEL)
-    filename = f"<repro.fluid.dde float kernel, dim={dim}>"
+
+def _indent(statements: str, indent: str) -> str:
+    return "".join(indent + line + "\n" for line in statements.splitlines())
+
+
+def _rename(statements: str, names: dict) -> str:
+    """*statements* with each whole-word name in *names* replaced."""
+    word = re.compile(r"\b(%s)\b" % "|".join(map(re.escape, names)))
+    return word.sub(lambda m: names[m[1]], statements)
+
+
+def _hooks(source: str, dim: int, block: Optional[Equations]) -> str:
+    """The template's ``@`` lines filled for an rhs callable (*block*
+    ``None``: call ``rhs`` per stage) or for *block*'s statements."""
+    def fill(m):
+        indent, hook, out, time, state = m.groups()
+        if hook == "bind":
+            return "" if block is None else \
+                f"{indent}{_display(block.params)} = rhs\n"
+        if hook == "delayed":
+            return "" if block is None else _indent(block.delayed, indent)
+        state = _per_component(state, dim)
+        if block is None:
+            return (f"{indent}k = rhs({time}, {state}, xd)\n"
+                    f"{indent}{_per_component(out, dim)} = k\n")
+        names = {d: f"{out}{i}" for i, d in enumerate(block.derivative)}
+        names["t"] = time
+        return (f"{indent}{_display(block.state)} = {state}\n"
+                + _indent(_rename(block.stage, names), indent))
+    return _HOOK.sub(fill, source)
+
+
+def _compile(source: str, filename: str, name: str) -> Callable:
+    """*source*'s function *name*, its lines registered with ``linecache``
+    so a traceback through generated code shows them."""
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["step"]
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _float_kernel(dim: int, block: Optional[Equations] = None) -> Callable:
+    """The template's ``step`` compiled for *dim* components, calling an
+    rhs per stage (*block* ``None``) or stepping *block*'s statements.
+
+    Generated on first use, the way ``dataclasses`` writes ``__init__``.
+    """
+    source = _hooks(_TEMPLATE_FIELD.sub(
+        lambda m: _per_component(m[1], dim), _FLOAT_KERNEL), dim, block)
+    label = "" if block is None else f", {block.name}"
+    return _compile(source, f"<repro.fluid.dde float kernel, dim={dim}{label}>",
+                    "step")
+
+
+@functools.lru_cache(maxsize=None)
+def equations_rhs(block: Equations) -> Callable:
+    """``bind(*constants)``, returning *block* as a float-contract
+    ``rhs(t, x, xd)``: its delayed then its stage statements."""
+    source = (f"def bind({', '.join(block.params)}):\n"
+              f"    def rhs(t, x, xd):\n"
+              f"        {_display(block.state)} = x\n"
+              + _indent(block.delayed, " " * 8) + _indent(block.stage, " " * 8)
+              + f"        return {_display(block.derivative)}\n"
+              f"    return rhs\n")
+    return _compile(source, f"<repro.fluid.dde rhs, {block.name}>", "bind")
 
 
 def _ring_plans(ts: np.ndarray, lag: float, dt: float, euler: bool,
@@ -451,11 +558,42 @@ def integrate_dde_floats(
     memoryview; the lookups read them back from a ring of the last
     ``lag / dt + 4`` rows, where the plan's slots point.
     """
+    return _integrate(None, rhs, x0, t_span, dt, method, lag)
+
+
+def integrate_equations(
+    block: Equations,
+    constants: Sequence,
+    x0: Sequence[float],
+    t_span: Tuple[float, float],
+    dt: float,
+    method: str = "rk4",
+    lag: Optional[float] = None,
+) -> DdeSolution:
+    """:func:`integrate_dde_floats` of ``equations_rhs(block)(*constants)``,
+    bit for bit, with *block*'s statements stepped in the kernel itself.
+
+    No rhs frame per stage, and the delayed statements run once per
+    delayed row rather than once per stage: twice per RK4 step where
+    the lag is at least the step (k2 and k3 share a row, and k4's is the
+    next k1's), once per Euler step.  The kernel is compiled once per
+    *block*; *constants* are its ``params``' values for this run.
+    """
+    if len(x0) != len(block.state):
+        raise ValueError(f"x0 has {len(x0)} components; the equations "
+                         f"({block.name}) have {len(block.state)}")
+    return _integrate(block, tuple(constants), x0, t_span, dt, method, lag)
+
+
+def _integrate(block, rhs, x0, t_span, dt, method, lag) -> DdeSolution:
+    """Both float entry points: the grid, the ring and the plan around
+    the kernel that calls *rhs* (*block* ``None``) or steps *block*
+    (*rhs* then holds its constants)."""
     t, n_steps, euler = _check_problem(t_span, dt, method, lag)
     start = tuple([float(v) for v in x0])
     # generated before the solution arrays exist, so compiling a new
-    # dimension's kernel never adds to a run's peak memory
-    step = _float_kernel(len(start))
+    # kernel never adds to a run's peak memory
+    step = _float_kernel(len(start), block)
     ts = _grid(t, dt, n_steps)
     xs = np.empty((n_steps + 1, len(start)))
     xs[0] = start

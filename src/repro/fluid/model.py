@@ -10,7 +10,7 @@ over a constant round-trip delay R.  The state vector is
     x3          the law's own state: the low-pass-filtered signal s for
                 a curve, the probability p for a controller
 
-and :meth:`FluidModel.dynamics` writes each equation once:
+and :func:`equations` writes each equation once:
 
     W' = 1/R - β·p·W(t)·W(t-R)/R                                (eq. 3)
     q' = N·W/a - b,   (a, b) = (R·C, 1) for a delay, (R, C) for a queue
@@ -34,20 +34,38 @@ is held at 0 (a controller's p' is also stopped at the bounds of
 [0, 1]).  The paper's linear analysis, :meth:`FluidModel.linearization`,
 is the unclamped model.
 
-Everything is float-contract (see :func:`repro.fluid.integrate_dde_floats`);
-:func:`simulate_batch` integrates many ``pert_red`` sets at once.
+The equations are source text, one block per *shape* (curve or
+controller × ``clamp`` × ``approximate_self_delay`` × ``n_of_t``) with
+the flags resolved when the block is made, split into the half that
+reads only the delayed state and the half each RK4 stage runs.
+:meth:`FluidModel.simulate` hands the block and its constants to the
+scalar kernel, which steps the statements in place of an rhs call
+(:func:`repro.fluid.dde.integrate_equations`): no rhs frame per stage,
+and a curve's law evaluated once per delayed row.
+:meth:`FluidModel.dynamics` compiles the same block into a float-contract
+rhs for :func:`repro.fluid.integrate_dde_floats`, which the block path
+equals bit for bit; :func:`simulate_batch` integrates many ``pert_red``
+sets at once.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..laws import LinearRamp, PiResponse, lpf_pole
-from .dde import DdeBatchSolution, DdeSolution, integrate_dde_batch, integrate_dde_floats
+from ..laws import LinearRamp, PiResponse, check_positive, lpf_pole
+from .dde import (
+    DdeBatchSolution,
+    DdeSolution,
+    Equations,
+    equations_rhs,
+    integrate_dde_batch,
+    integrate_equations,
+)
 
 __all__ = [
     "FluidModel",
@@ -90,16 +108,15 @@ class FluidModel:
         raise NotImplementedError
 
     def __post_init__(self) -> None:
-        if not (self.capacity > 0 and self.n_flows > 0 and self.rtt > 0):
-            raise ValueError("capacity, n_flows and rtt must be positive")
+        check_positive(capacity=self.capacity, n_flows=self.n_flows,
+                       rtt=self.rtt)
         if not 0 < self.beta_decrease < 1:
             raise ValueError("beta_decrease must be in (0, 1)")
         # the law's constructor checks its own parameters
         if not self._controller(self.law):
             if not 0 < self.alpha < 1:
                 raise ValueError("alpha must be in (0, 1)")
-            if not self.delta > 0:
-                raise ValueError("delta must be positive")
+            check_positive(delta=self.delta)
 
     @staticmethod
     def _controller(law) -> bool:
@@ -122,7 +139,11 @@ class FluidModel:
 
         W* = RC/N; the window equation gives p* = 1/(β·W*²), which
         β = 0.5 makes 2N²/(RC)²; a curve settles at q* = lo + p*/L, a
-        controller's integrator at its target.
+        controller's integrator at its target.  At β = 0.5 (W*, p*) is
+        :func:`repro.fluid.stability.equilibrium`, eq. (9)'s closed form,
+        up to the rounding of the two expressions (W* exactly, p* within
+        11 ulp); that one stays as the paper states it, and the
+        ``fluid.grid`` benchmark imports it.
         """
         w_star = self.rtt * self.capacity / self.n_flows
         p_star = 1.0 / (self.beta_decrease * w_star**2)
@@ -139,48 +160,33 @@ class FluidModel:
         return w_star, q_star, q_star
 
     # ------------------------------------------------------------------
-    def dynamics(self) -> Callable:
-        """Bind this model's constants; return its float-contract rhs.
+    def _bound_equations(self) -> Tuple[Equations, tuple]:
+        """This model's :func:`equations` and the constants they read.
 
-        Called once per :meth:`simulate` (never inside the stepping
-        loop), so a parameter changed between two calls is honoured.
+        Called once per :meth:`simulate` or :meth:`dynamics` (never
+        inside the stepping loop), so a parameter changed between two
+        calls is honoured.
         """
-        r = self.rtt
-        inv_r = 1.0 / r
-        beta = self.beta_decrease
-        a, b = self._queue_scale()
         law = self.law
         controller = self._controller(law)
-        probability = None if controller else law.probability
-        rate = law.rate if controller else None
-        k_lpf = None if controller else self.k_lpf
-        clamp = self.clamp
-        approx = self.approximate_self_delay
-        n_of_t = self.n_of_t
-        n_flows = self.n_flows
+        block = equations(controller, bool(self.clamp),
+                          bool(self.approximate_self_delay),
+                          self.n_of_t is not None)
+        a, b = self._queue_scale()
+        values = dict(inv_r=1.0 / self.rtt, r=self.rtt,
+                      beta=self.beta_decrease, a=a, b=b,
+                      n_flows=self.n_flows, n_of_t=self.n_of_t)
+        if controller:
+            values["rate"] = law.rate
+        else:
+            values.update(probability=law.probability, k_lpf=self.k_lpf)
+        return block, tuple(values[name] for name in block.params)
 
-        def rhs(t, x, xd):
-            w, q, z = x
-            w_d = w if approx else xd[0]
-            p = z if controller else probability(xd[2])
-            if clamp:
-                # min(1.0, max(0.0, p)) and max(w, 0.0) as the
-                # comparisons the builtins make (a NaN p clamps to 0.0)
-                p = (p if p < 1.0 else 1.0) if p > 0.0 else 0.0
-                if w < 0.0:
-                    w = 0.0
-            dw = inv_r - beta * p * w * w_d / r
-            dq = (n_flows if n_of_t is None else n_of_t(t)) * w / a - b
-            if clamp and q <= 0.0 and dq < 0.0:
-                dq = 0.0
-            if controller:
-                dz = rate(q, dq)
-                if clamp and ((z >= 1.0 and dz > 0.0) or (z <= 0.0 and dz < 0.0)):
-                    dz = 0.0
-                return dw, dq, dz
-            return dw, dq, k_lpf * (z - q)
-
-        return rhs
+    def dynamics(self) -> Callable:
+        """Bind this model's constants; return its float-contract rhs:
+        :func:`equations` compiled into ``rhs(t, x, xd)``."""
+        block, constants = self._bound_equations()
+        return equations_rhs(block)(*constants)
 
     def linearization(self) -> Tuple[np.ndarray, np.ndarray]:
         """Jacobians ``(A, B)`` of :meth:`dynamics` (unclamped) at
@@ -234,8 +240,61 @@ class FluidModel:
         *duration* when the span is not a multiple of the step.
         """
         start = self.x0_default if x0 is None else x0
-        return integrate_dde_floats(self.dynamics(), start, (0.0, duration),
-                                    dt, method=method, lag=self.rtt)
+        block, constants = self._bound_equations()
+        return integrate_equations(block, constants, start, (0.0, duration),
+                                   dt, method=method, lag=self.rtt)
+
+
+# ----------------------------------------------------------------------
+# the equations, one block per shape
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def equations(controller: bool, clamp: bool, approximate_self_delay: bool,
+              n_of_t: bool) -> Equations:
+    """The model's equations for one shape, its flags resolved.
+
+    The statements every :class:`FluidModel` runs, written once: the
+    kernel steps them in place (:meth:`FluidModel.simulate`) and
+    :meth:`FluidModel.dynamics` compiles them into its rhs.  A curve's
+    ``p = law.probability(s(t - R))``, its clamp and ``β·p`` read only
+    the delayed state, so they are the block's delayed half, evaluated
+    once per delayed row; ``β·p·W·W(t-R)/R`` evaluates left to right,
+    so sharing ``β·p`` is exact.  A controller's ``p`` is its own state
+    and runs per stage.  Under ``approximate_self_delay`` W(t-R) is the
+    stage's W, taken before the clamp floors it.
+    """
+    delayed, stage = [], []
+    if approximate_self_delay:
+        stage.append("w_d = w")
+    else:
+        delayed.append("w_d = xd[0]")
+    p_half = stage if controller else delayed
+    p_half.append("p = z" if controller else "p = probability(xd[2])")
+    if clamp:
+        # min(1.0, max(0.0, p)) and max(w, 0.0) as the comparisons the
+        # builtins make (a NaN p clamps to 0.0)
+        p_half.append("p = (p if p < 1.0 else 1.0) if p > 0.0 else 0.0")
+        stage.append("if w < 0.0:\n    w = 0.0")
+    p_half.append("bp = beta * p")
+    stage.append("dw = inv_r - bp * w * w_d / r")
+    stage.append(f"dq = {'n_of_t(t)' if n_of_t else 'n_flows'} * w / a - b")
+    if clamp:
+        stage.append("if q <= 0.0 and dq < 0.0:\n    dq = 0.0")
+    if controller:
+        stage.append("dz = rate(q, dq)")
+        if clamp:
+            stage.append("if (z >= 1.0 and dz > 0.0) or (z <= 0.0 and dz < 0.0):"
+                         "\n    dz = 0.0")
+    else:
+        stage.append("dz = k_lpf * (z - q)")
+    params = ("inv_r", "r", "beta", "a", "b",
+              "n_of_t" if n_of_t else "n_flows")
+    params += ("rate",) if controller else ("probability", "k_lpf")
+    flags = [name for name, on in (("clamp", clamp), ("approximate_self_delay",
+             approximate_self_delay), ("n_of_t", n_of_t)) if on]
+    return Equations(" ".join(["controller" if controller else "curve"] + flags),
+                     params, ("w", "q", "z"), ("dw", "dq", "dz"),
+                     "\n".join(delayed), "\n".join(stage))
 
 
 # ----------------------------------------------------------------------

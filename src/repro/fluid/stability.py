@@ -22,7 +22,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ..laws import lpf_pole, ramp_slope
+from ..laws import check_positive, lpf_pole, ramp_slope
 from .dde import DdeBatchSolution, DdeSolution
 
 __all__ = [
@@ -40,8 +40,15 @@ __all__ = [
 ]
 
 
+def _finite(**values: float) -> None:
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def l_pert(p_max: float, t_min: float, t_max: float) -> float:
     """Slope of the emulated RED curve: p_max / (T_max - T_min)."""
+    _finite(p_max=p_max, t_min=t_min, t_max=t_max)
     if t_max <= t_min:
         raise ValueError("need t_max > t_min")
     return ramp_slope(p_max, t_min, t_max)
@@ -51,15 +58,13 @@ def k_lpf(alpha: float, delta: float) -> float:
     """Continuous-time LPF pole K = ln(alpha)/delta (negative)."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    check_positive(delta=delta)
     return lpf_pole(alpha, delta)
 
 
 def omega_g(n_minus: float, r_plus: float, capacity: float) -> float:
     """Crossover-frequency bound w_g of eq. (12)."""
-    if n_minus <= 0 or r_plus <= 0 or capacity <= 0:
-        raise ValueError("arguments must be positive")
+    check_positive(n_minus=n_minus, r_plus=r_plus, capacity=capacity)
     return 0.1 * min(2.0 * n_minus / (r_plus**2 * capacity), 1.0 / r_plus)
 
 
@@ -98,6 +103,8 @@ def min_delta(
     """
     lp = l_pert(p_max, t_min, t_max)
     wg = omega_g(n_minus, r_plus, capacity)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
     arg = lp**2 * r_plus**6 * capacity**4 - 16.0 * n_minus**4
     if arg <= 0:
         return 0.0
@@ -117,8 +124,7 @@ def scale_invariant_holds(
 
         L_PERT σ² R⁺ <= 4 sqrt( 0.04 / (σ² K² R⁺⁴) + 1 )
     """
-    if sigma <= 0 or r_plus <= 0:
-        raise ValueError("sigma and r_plus must be positive")
+    check_positive(sigma=sigma, r_plus=r_plus)
     lp = l_pert(p_max, t_min, t_max)
     k = k_lpf(alpha, delta)
     lhs = lp * sigma**2 * r_plus
@@ -138,9 +144,9 @@ def pert_pi_gains(
         K = m * |j R* m + 1| / ( R⁺³ C² / (2 N⁻)² )
           = m * sqrt((R* m)² + 1) * (2 N⁻)² / (R⁺³ C²)
     """
-    if capacity <= 0 or n_minus <= 0 or r_plus <= 0:
-        raise ValueError("arguments must be positive")
+    check_positive(capacity=capacity, n_minus=n_minus, r_plus=r_plus)
     r_star = r_star if r_star is not None else r_plus
+    check_positive(r_star=r_star)
     m = 2.0 * n_minus / (r_plus**2 * capacity)
     gain_denom = r_plus**3 * capacity**2 / (2.0 * n_minus) ** 2
     k = m * math.hypot(r_star * m, 1.0) / gain_denom
@@ -148,9 +154,16 @@ def pert_pi_gains(
 
 
 def equilibrium(capacity: float, n_flows: float, rtt: float) -> Tuple[float, float]:
-    """Paper eq. (9): (W*, p*) = (RC/N, 2N²/(R²C²))."""
-    if capacity <= 0 or n_flows <= 0 or rtt <= 0:
-        raise ValueError("arguments must be positive")
+    """Paper eq. (9): (W*, p*) = (RC/N, 2N²/(R²C²)).
+
+    The closed form at the paper's β = 0.5, kept beside
+    :meth:`repro.fluid.FluidModel.equilibrium` (which solves the window
+    equation at any β) because it is the paper's own formula and the
+    ``fluid.grid`` benchmark imports it.  Where β is 0.5 the two agree
+    up to their expressions' rounding: W* exactly, p* within 11 ulp
+    (``tests/fluid/test_stability.py``).
+    """
+    check_positive(capacity=capacity, n_flows=n_flows, rtt=rtt)
     w_star = rtt * capacity / n_flows
     p_star = 2.0 * n_flows**2 / (rtt**2 * capacity**2)
     return w_star, p_star

@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def check_positive(**values: float) -> None:
+    """Reject, by name, any of *values* that is not a positive finite
+    number (``x <= 0`` alone lets NaN and infinity through)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def ramp_slope(p_max: float, lo: float, hi: float) -> float:
     """Slope L of a RED ramp, p_max / (hi − lo)  (paper eq. 10)."""
     return p_max / (hi - lo)
@@ -154,10 +162,7 @@ class PiResponse:
 
     def __init__(self, k: float, m: float, target_delay: float = 0.003,
                  delta: float = 0.001):
-        if m <= 0 or k <= 0:
-            raise ValueError("gains k and m must be positive")
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        check_positive(k=k, m=m, delta=delta)
         self.k = k
         self.m = m
         self._configure(k / m + k * delta / 2.0, k / m - k * delta / 2.0,
@@ -177,8 +182,9 @@ class PiResponse:
         return law
 
     def _configure(self, gamma: float, beta: float, target: float) -> None:
-        if target < 0:
-            raise ValueError("target_delay / q_ref must be >= 0")
+        if not 0 <= target < math.inf:
+            raise ValueError("target_delay / q_ref must be non-negative and "
+                             f"finite, got {target!r}")
         self.gamma = gamma
         self.beta = beta
         self.target_delay = target

@@ -81,3 +81,10 @@ def test_validation():
         integrate_dde(rhs, [1.0], (1.0, 0.0), dt=0.1)
     with pytest.raises(ValueError):
         integrate_dde(rhs, [1.0], (0.0, 1.0), dt=0.1, method="heun")
+
+
+def test_solution_call_at_nan_names_the_query():
+    sol = integrate_dde(lambda t, x, xd: np.array([1.0]), [0.0], (0.0, 0.5), dt=0.001)
+    for nan in (float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="t=.*nan"):
+            sol(nan)

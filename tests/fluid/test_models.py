@@ -152,3 +152,37 @@ def test_parameter_changed_between_runs_is_honoured(name):
     m.rtt, m.clamp = 0.05, not m.clamp
     fresh = make_fluid_model(name, rtt=0.05, clamp=m.clamp)
     assert m.simulate(0.5).y.tobytes() == fresh.simulate(0.5).y.tobytes()
+
+
+# ----------------------------------------------------------------------
+# non-finite parameters are refused at construction, by field name
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name, field, value", [
+    ("pert_pi", "k", math.nan),
+    ("pert_pi", "k", math.inf),
+    ("pert_pi", "m", math.nan),
+    ("pert_pi", "m", math.inf),
+    ("pert_pi", "tq_ref", math.nan),
+    ("pert_pi", "tq_ref", math.inf),
+    ("pert_pi", "rtt", math.inf),
+    ("pert_red", "rtt", math.inf),
+    ("pert_red", "capacity", math.inf),
+    ("tcp_red", "capacity", math.inf),
+    ("pert_red", "n_flows", math.nan),
+    ("pert_red", "delta", math.inf),
+])
+def test_non_finite_parameters_are_refused(name, field, value):
+    named = {"tq_ref": "target_delay"}.get(field, field)
+    with pytest.raises(ValueError, match=named):
+        make_fluid_model(name, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["k", "m", "delta", "target_delay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_pi_response_refuses_non_finite_values(field, value):
+    from repro.laws import PiResponse
+
+    kwargs = dict(k=0.1, m=1.0, target_delay=0.003, delta=0.001)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        PiResponse(**kwargs)

@@ -138,3 +138,80 @@ def test_find_stability_boundary_validates_bracket():
 
     with pytest.raises(ValueError):
         find_stability_boundary(make, lo=0.19, hi=0.2, tol=1e-2)
+
+
+# ----------------------------------------------------------------------
+# non-finite arguments are refused by name
+# ----------------------------------------------------------------------
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: min_delta(n_minus=NAN, **FIG13A), "n_minus"),
+    (lambda: min_delta(n_minus=5, **dict(FIG13A, r_plus=INF)), "r_plus"),
+    (lambda: min_delta(n_minus=5, **dict(FIG13A, capacity=NAN)), "capacity"),
+    (lambda: min_delta(n_minus=5, **dict(FIG13A, p_max=NAN)), "p_max"),
+    (lambda: min_delta(n_minus=5, **dict(FIG13A, t_max=INF)), "t_max"),
+    (lambda: min_delta(n_minus=5, **dict(FIG13A, alpha=NAN)), "alpha"),
+    (lambda: equilibrium(NAN, 5, 0.1), "capacity"),
+    (lambda: equilibrium(100, INF, 0.1), "n_flows"),
+    (lambda: equilibrium(100, 5, -INF), "rtt"),
+    (lambda: omega_g(NAN, 0.2, 1000.0), "n_minus"),
+    (lambda: omega_g(1, 0.2, INF), "capacity"),
+    (lambda: k_lpf(0.99, INF), "delta"),
+    (lambda: k_lpf(0.99, NAN), "delta"),
+    (lambda: pert_pi_gains(capacity=INF, n_minus=5, r_plus=0.2), "capacity"),
+    (lambda: pert_pi_gains(capacity=100, n_minus=5, r_plus=NAN), "r_plus"),
+    (lambda: pert_pi_gains(capacity=100, n_minus=5, r_plus=0.2, r_star=NAN),
+     "r_star"),
+    (lambda: scale_invariant_holds(NAN, 0.2), "sigma"),
+    (lambda: scale_invariant_holds(20.0, INF), "r_plus"),
+    (lambda: scale_invariant_holds(20.0, 0.2, delta=INF), "delta"),
+    (lambda: theorem1_holds(100.0, 5, NAN), "r_plus"),
+])
+def test_non_finite_arguments_are_refused_by_name(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+# ----------------------------------------------------------------------
+# eq. (9)'s closed form and the model's equilibrium agree
+# ----------------------------------------------------------------------
+#: p* = 2N²/(R²C²) rounds at most 5 times (N², R², C², their product,
+#: the quotient) and 1/(β·(RC/N)²) at most 6 (RC, /N, the square doubling
+#: W*'s error, 1/x), each within half an ulp of its result: 11 ulp between
+#: them at most.  Measured: 3 on the grid below, 6 over 2·10⁵ random points.
+P_STAR_ULPS = 11
+
+
+def ulps_apart(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def check_equilibria_agree(capacity, n_flows, rtt):
+    w9, p9 = equilibrium(capacity, n_flows, rtt)
+    model = make_fluid_model("pert_red", capacity=capacity, n_flows=n_flows,
+                             rtt=rtt)
+    w, p, _ = model.equilibrium()
+    assert w9 == w  # RC/N, the same expression
+    assert ulps_apart(p9, p) <= P_STAR_ULPS
+
+
+@pytest.mark.parametrize("capacity", [10.0, 100.0, 1250.0, 8333.3, 1e5])
+@pytest.mark.parametrize("n_flows", [1, 2, 5, 7, 40, 1000])
+@pytest.mark.parametrize("rtt", [0.01, 0.06, 0.1, 0.171, 0.3, 1.0])
+def test_closed_form_equilibrium_is_the_models(capacity, n_flows, rtt):
+    """``stability.equilibrium`` is eq. (9) at β = 0.5; the model solves
+    its window equation at any β.  At β = 0.5 they are one point."""
+    check_equilibria_agree(capacity, n_flows, rtt)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+@given(st.floats(1.0, 1e6), st.one_of(st.integers(1, 10_000), st.floats(0.5, 1e4)),
+       st.floats(1e-3, 3.0))
+def test_closed_form_equilibrium_is_the_models_anywhere(capacity, n_flows, rtt):
+    check_equilibria_agree(capacity, n_flows, rtt)
