@@ -305,7 +305,7 @@ def append_history(results: Dict, path: Optional[Path] = None) -> Path:
 
     One JSON line per run, append-only — successive benchmark runs build
     the perf-over-time record.  :func:`read_history` is its only reader;
-    neither ``repro.obs`` nor ``repro.serve`` reads the file.
+    ``repro.obs`` does not read the file.
     """
     path = Path(path) if path is not None else DEFAULT_HISTORY
     line = json.dumps(history_record(results), sort_keys=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Dict
 
 from ..runner.flags import add_runner_flags, runner_env, scoped_env
@@ -43,42 +42,7 @@ def _runner_env(args) -> Dict[str, str]:
         env["REPRO_PROFILE"] = "1"
     if args.fleet:
         env["REPRO_FLEET"] = args.fleet
-    if args.serve or _env_truthy("REPRO_SERVE"):
-        # The dashboard tails the bus file next to the cache entries.
-        env.setdefault("REPRO_BUS", "1")
     return env
-
-
-def _env_truthy(name: str) -> bool:
-    """Is the env var set to something other than off/0/false/no?"""
-    return os.environ.get(name, "").strip().lower() not in (
-        "", "0", "false", "no", "off"
-    )
-
-
-def _maybe_serve(args):
-    """Start the background dashboard when ``--serve``/``REPRO_SERVE`` asks.
-
-    Returns the server (caller shuts it down) or ``None``.  The server
-    watches the run's cache directory — the same place the bus file and
-    cache entries land — and dies with the process at the latest.
-    """
-    if not (args.serve or _env_truthy("REPRO_SERVE")):
-        return None
-    from ..runner.cache import default_cache_dir
-    from ..serve import serve_in_background
-
-    if args.fleet or os.environ.get("REPRO_FLEET", "").strip():
-        # Fleeted runs put the bus in the fleet dir.
-        run_dir = Path(args.fleet or os.environ["REPRO_FLEET"])
-    elif args.cache_dir:
-        run_dir = Path(args.cache_dir)
-    else:
-        run_dir = default_cache_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    server, url = serve_in_background(run_dir)
-    print(f"dashboard: {url}  (watching {run_dir})")
-    return server
 
 
 def main(argv=None) -> int:
@@ -114,12 +78,6 @@ def main(argv=None) -> int:
              "(python -m repro.fleet): sweeps are journaled, killed runs "
              "resume with zero recomputation (also via $REPRO_FLEET)",
     )
-    parser.add_argument(
-        "--serve", action="store_true",
-        help="start the live dashboard (python -m repro.serve) on the cache "
-             "dir for the duration of the run; implies the REPRO_BUS event "
-             "bus (also via $REPRO_SERVE)",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -142,16 +100,10 @@ def main(argv=None) -> int:
 
     names = list(FIGURES) if args.experiment == "all" else [args.experiment]
     with scoped_env(_runner_env(args)):
-        server = _maybe_serve(args)
-        try:
-            for name in names:
-                print(f"=== {name} " + "=" * max(0, 60 - len(name)))
-                print_figure(figure(name))
-                print()
-        finally:
-            if server is not None:
-                server.shutdown()
-                server.server_close()
+        for name in names:
+            print(f"=== {name} " + "=" * max(0, 60 - len(name)))
+            print_figure(figure(name))
+            print()
     return 0
 
 

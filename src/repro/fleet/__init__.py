@@ -13,7 +13,7 @@ with zero recomputation of finished points.  The pieces:
   state machine replayed from the journal: priority-ordered leases with
   expiry, double-lease prevention, dead-holder requeue, attempt budget;
   :meth:`~repro.fleet.queue.JobQueue.status` is the one summary fold that
-  ``status``, its CLI and the dashboard's fleet tiles all read.
+  ``status``, its CLI and ``python -m repro.obs report`` all read.
 * :class:`~repro.fleet.scheduler.Fleet` — the user-facing facade:
   ``submit`` (with store-hit dedupe), ``drain``/``resume``, ``status``,
   ``results``; ``python -m repro.fleet`` wraps it in a CLI.

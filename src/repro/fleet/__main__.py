@@ -15,7 +15,7 @@ job vocabulary — any registered job kind can be fleeted.  ``submit`` and
 any of them, ``resume``" — all coordination lives in the fleet
 directory, none in any single process.  ``status`` prints
 :meth:`~repro.fleet.queue.JobQueue.status`, folded from the journal —
-the same dict the dashboard serves for the directory.
+the same dict ``python -m repro.obs report`` renders for the directory.
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ class JobQueue:
         ``requeues`` (replayed requeue operations) and ``workers`` (holders
         of an unexpired lease — a killed drain drops out once its TTL
         passes).  ``Fleet.status``, ``python -m repro.fleet status`` and
-        the dashboard all serve this dict.
+        ``python -m repro.obs report`` all render this dict.
         """
         now = time.time()
         sweeps = {}

@@ -7,15 +7,15 @@ deterministic :class:`MetricsRegistry` and (optionally) a
 schema-versioned JSONL trace.  A fresh job's cache entry carries what
 it observed (phases, peak RSS, metrics), and ``python -m repro.obs
 report <run-dir>`` turns a directory of entries/traces into wall-time,
-throughput and queue-behaviour summaries; that report, ``python -m
-repro.obs diff`` and the dashboard all render one
-:class:`~repro.obs.rundir.RunView` fold of the directory.
+throughput and queue-behaviour summaries; that report and ``python -m
+repro.obs diff`` both render one :class:`~repro.obs.rundir.RunView`
+fold of the directory.
 
 Everything here is strictly passive: attaching a collector schedules no
 simulator events and draws from no RNG stream, so instrumented and
 uninstrumented runs produce bit-identical results (pinned by a golden
-test).  Live telemetry (the ``REPRO_BUS`` event bus tailed by
-``python -m repro.serve``) follows the same contract: events carry
+test).  Live telemetry (the ``REPRO_BUS`` event bus, whose job states
+the report folds in) follows the same contract: events carry
 wall-clock context but never feed back into results.  See
 ``docs/OBSERVABILITY.md`` for the full tour.
 """

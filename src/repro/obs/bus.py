@@ -6,9 +6,9 @@ while a sweep is still executing, the runner publishes job lifecycle
 events (started / finished / failed / retried / cached / resumed), job
 phase transitions, and periodic wall-clock heartbeats (simulated-time
 progress, events scheduled, peak RSS) into one append-only JSON Lines
-file next to the cache.  ``python -m repro.serve`` tails that file to
-drive a streaming dashboard; finished runs keep it as a forensic
-timeline.
+file next to the cache.  :class:`repro.obs.rundir.RunView` folds it
+into job states for ``python -m repro.obs report``, live or after the
+fact; finished runs keep it as a forensic timeline.
 
 Transport
 ---------
@@ -53,8 +53,8 @@ journal, :mod:`repro.fleet`); a schema-1 file reads as empty.
 ``heartbeat.sched`` is the simulator's monotone event sequence counter —
 a live proxy for work done that the hot loop already maintains, so
 heartbeats read it for free; ``events`` (``events_processed``) updates
-at ``run(until=...)`` chunk boundaries.  Consumers derive events/s from
-consecutive heartbeats' ``sched``/``ts`` deltas.
+at ``run(until=...)`` chunk boundaries.  A reader of the file can derive
+events/s from consecutive heartbeats' ``sched``/``ts`` deltas.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 between these two sweeps?" from their cache entries alone — no
 re-simulation, works across machines.  Each directory is one
 :class:`repro.obs.rundir.RunView` fold, rolled up per scheme exactly as
-the report and the dashboard roll it up, and every shared scheme is
+the report rolls it up, and every shared scheme is
 compared metric by metric (throughput, drop rate, normalized queue,
 utilization, mean queue delay), with signed percent deltas and a
 configurable threshold that flags — and, with ``--strict``, fails —

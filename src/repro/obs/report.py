@@ -3,18 +3,27 @@
 The report CLI (``python -m repro.obs report <run-dir>``) is pure
 post-processing: it renders the run directory's one fold
 (:class:`repro.obs.rundir.RunView` — the cache entries and verdicts, the
-bus when there is one) plus the ``*.trace.jsonl`` files the runner
-wrote, so it works on any completed run — including one produced on
-another machine — without re-simulating anything.
+bus and the fleet journal when there are any) plus the ``*.trace.jsonl``
+files the runner wrote, so it works on any run, finished or still
+executing — including one produced on another machine — without
+re-simulating anything.
+
+Where a sweep's wall-clock went shows in three places: the ``jobs``
+line counts the jobs the bus saw running, retrying, failed or served
+from the cache; the per-phase and slowest-job tables split the time
+the fresh jobs took; and in a fleet directory the ``fleet`` section
+counts queue states, fresh runs against store hits, requeued leases
+and live workers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .rundir import RunView
+from .rundir import JOB_STATES, RunView
 from .trace import iter_trace
 
 __all__ = ["generate_report", "format_table"]
@@ -155,13 +164,35 @@ def _trace_summary(records: List[dict]) -> List[str]:
     return lines
 
 
+def _state_counts(jobs: List[dict]) -> str:
+    """``"1 failed, 2 cached"``: the jobs whose bus state is not
+    ``done``, per state (empty when there are none)."""
+    counts = Counter(j.get("state") for j in jobs)
+    return ", ".join(f"{counts[state]} {state}" for state in JOB_STATES
+                     if state != "done" and counts[state])
+
+
+def _fleet_section(fleet: dict) -> str:
+    """The journal's queue rollup (``python -m repro.fleet status``)."""
+    computed = fleet["computed"]
+    return "\n".join([
+        "\n== fleet ==",
+        ", ".join(f"{state} {n}" for state, n in fleet["counts"].items()),
+        f"fresh {computed['fresh']}, store hits {computed['hit']}, "
+        f"requeues {fleet['requeues']}",
+        "workers " + (", ".join(fleet["workers"]) or "(none)"),
+    ])
+
+
 def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
     """Build the full text report for *run_dir*."""
     view = RunView(run_dir)
     view.refresh()
     records, validations = view.records, view.validations
+    jobs = view.jobs()
+    states = _state_counts(jobs)
     out: List[str] = []
-    if not (records or validations):
+    if not (records or validations or states):
         out.append(
             f"no job records found under {run_dir}\n"
             "(a run directory is a cache directory: point this at the "
@@ -171,8 +202,11 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
         )
     else:
         out.append(f"run directory : {run_dir}")
-        out.append(f"jobs          : {len(records)}"
-                   + ("" if records else " (validation verdicts only)"))
+        if states:
+            note = f" ({states})"
+        else:
+            note = "" if records else " (validation verdicts only)"
+        out.append(f"jobs          : {len(records)}{note}")
 
     if records:
         total_wall = sum(m.get("wall_time") or 0.0 for m in records)
@@ -194,7 +228,7 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
             out.append("\n== wall time by phase ==")
             out.append(format_table(["phase", "wall", "share"], phases))
 
-        finished = [j for j in view.jobs() if j.get("wall_time") is not None]
+        finished = [j for j in jobs if j.get("wall_time") is not None]
         slowest = sorted(finished, key=lambda j: -j["wall_time"])[:top]
         rows = []
         for j in slowest:
@@ -231,6 +265,9 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
                 out.append("\n== traces ==")
                 out.extend(tlines)
 
+    fleet = view.fleet()
+    if fleet is not None:
+        out.append(_fleet_section(fleet))
     if validations:
         out.append(_validation_section(validations))
     if view.warnings:

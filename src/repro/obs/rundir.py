@@ -1,4 +1,4 @@
-"""One fold of a run directory: the reader behind report, diff and dashboard.
+"""One fold of a run directory: the reader behind report and diff.
 
 A run directory (a runner cache dir, or a fleet dir) holds three records
 of the same jobs, and :class:`RunView` is the only code that reads them:
@@ -28,9 +28,8 @@ so each is parsed once: a refresh lists the directory and parses only
 the files it has not seen (a rewritten file is a new inode).
 
 Everything is read-only: the view never writes into the run directory,
-so pointing it (or the server built on it) at a live sweep cannot
-perturb results.  All accessors return JSON-clean dicts/lists — they are
-served verbatim by ``python -m repro.serve``'s ``/api/*`` endpoints.
+so pointing it at a live sweep cannot perturb results.  All accessors
+return JSON-clean dicts/lists.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .bus import BUS_FILENAME, JsonlTail, validate_event
 
 __all__ = ["RunView", "scheme_summary"]
 
-#: job states a key can be in, in dashboard display order
+#: job states a key can be in, in report order
 JOB_STATES = ("running", "retrying", "done", "failed", "cached")
 
 #: job-record fields a job row carries (the bus overlays its own on top)
@@ -108,8 +107,7 @@ def scheme_summary(records: List[dict]) -> Dict[str, dict]:
     per group: job count, summed wall seconds, summed events, events/s,
     and the mean ``drop_rate`` / ``norm_queue`` / ``utilization`` of the
     jobs that reported them (``None`` when none did).  This is the shared
-    aggregation behind the report table, the live dashboard's
-    ``/api/metrics``, and ``python -m repro.obs diff``.
+    aggregation behind the report table and ``python -m repro.obs diff``.
     """
     by_scheme: Dict[str, dict] = {}
     acc: Dict[str, dict] = {}
@@ -155,10 +153,10 @@ def scheme_summary(records: List[dict]) -> Dict[str, dict]:
 class RunView:
     """Refreshable fold of one run directory.
 
-    Thread-safe: the HTTP server refreshes from several request threads;
-    a single lock serializes the fold.  Construct once per directory and
-    call :meth:`refresh` before reading; the fold is what the last
-    refresh saw.  :attr:`records` are its job records (one per cache
+    Thread-safe: a single lock serializes the fold, so several threads
+    may share one view.  Construct once per directory and call
+    :meth:`refresh` before reading; the fold is what the last refresh
+    saw.  :attr:`records` are its job records (one per cache
     entry), :attr:`validations` its per-figure verdict records and
     :attr:`warnings` the files it could not read.
     """
@@ -174,8 +172,6 @@ class RunView:
         self._lock = threading.Lock()
         self._tail = JsonlTail(self.bus_path)
         self._live: Dict[str, dict] = {}
-        self._runs: List[dict] = []
-        self._event_count = 0
         self._queue = None  # a JobQueue, opened once a journal shows
 
     # ------------------------------------------------------------------
@@ -227,23 +223,7 @@ class RunView:
         self.records, self.validations, self.warnings = records, validations, warnings
 
     def _apply(self, ev: dict) -> None:
-        self._event_count += 1
         etype = ev.get("type")
-        if etype == "run_started":
-            self._runs.append({
-                "started_ts": ev.get("ts"),
-                "finished_ts": None,
-                "total": ev.get("total"),
-                "stats": None,
-            })
-            return
-        if etype == "run_finished":
-            for run in reversed(self._runs):
-                if run["finished_ts"] is None:
-                    run["finished_ts"] = ev.get("ts")
-                    run["stats"] = ev.get("stats")
-                    break
-            return
         key = ev.get("key")
         if key is None:
             return
@@ -276,44 +256,15 @@ class RunView:
             job.update(state="retrying", attempt=ev.get("attempt"))
         elif etype == "job_cached":
             job.update(state="cached", finished_ts=ev.get("ts"))
-        elif etype == "job_resumed":
-            job["resumed_at"] = ev.get("resumed_at")
-        elif etype == "phase_started":
-            job["phase"] = ev.get("phase")
-        elif etype == "phase_finished":
-            if job.get("phase") == ev.get("phase"):
-                job["phase"] = None
         elif etype == "heartbeat":
-            prev_sched, prev_ts = job.get("sched"), job.get("beat_ts")
-            job.update(
-                sim_now=ev.get("sim_now"),
-                events=ev.get("events"),
-                sched=ev.get("sched"),
-                peak_rss_kb=ev.get("peak_rss_kb"),
-                beat_ts=ev.get("ts"),
-            )
-            # live events/s from consecutive heartbeats' sched/ts deltas
-            ts, sched = ev.get("ts"), ev.get("sched")
-            if (None not in (prev_sched, prev_ts, ts, sched)
-                    and ts > prev_ts and sched >= prev_sched):
-                job["rate"] = (sched - prev_sched) / (ts - prev_ts)
-
-    def _rows_locked(self) -> Dict[str, dict]:
-        """Job rows by key: the entry's facts first, the bus's state on top."""
-        rows: Dict[str, dict] = {}
-        for m in self.records:
-            key = m["key"]
-            rows[key] = {f: m[f] for f in _ROW_FIELDS if f in m}
-            rows[key].update(key=key, state="done")
-        for key, live in self._live.items():
-            rows.setdefault(key, {}).update(live)
-        return rows
+            job.update(events=ev.get("events"),
+                       peak_rss_kb=ev.get("peak_rss_kb"))
 
     # ------------------------------------------------------------------
-    # API payloads
+    # accessors
 
     def fleet(self) -> Optional[dict]:
-        """Fleet rollup for ``/api/runs``; ``None`` unless a journal exists.
+        """Fleet rollup; ``None`` unless a journal exists.
 
         Exactly :meth:`repro.fleet.queue.JobQueue.status` over the
         directory's ``journal.jsonl`` — what ``python -m repro.fleet
@@ -321,50 +272,35 @@ class RunView:
         lease and a killed drain drops out once its TTL passes.
         """
         with self._lock:
-            return self._fleet_locked()
+            if self._queue is None:
+                # local: importing repro.obs must not load the fleet
+                from ..fleet.journal import JOURNAL_FILENAME
+                from ..fleet.queue import JobQueue
 
-    def _fleet_locked(self) -> Optional[dict]:
-        if self._queue is None:
-            # local: importing repro.obs must not load the fleet
-            from ..fleet.journal import JOURNAL_FILENAME
-            from ..fleet.queue import JobQueue
-
-            if not (self.run_dir / JOURNAL_FILENAME).exists():
-                return None
-            self._queue = JobQueue(self.run_dir)
-        self._queue.sync()
-        return self._queue.status()
-
-    def runs(self) -> dict:
-        """``/api/runs`` payload: run-level summary plus job-state counts."""
-        with self._lock:
-            rows = self._rows_locked()
-            counts = {state: 0 for state in JOB_STATES}
-            for job in rows.values():
-                state = job.get("state")
-                if state in counts:
-                    counts[state] += 1
-            return {
-                "run_dir": str(self.run_dir),
-                "bus_file": str(self.bus_path),
-                "bus_exists": self.bus_path.exists(),
-                "event_count": self._event_count,
-                "runs": [dict(r) for r in self._runs],
-                "job_counts": counts,
-                "jobs_seen": len(rows),
-                "fleet": self._fleet_locked(),
-            }
+                if not (self.run_dir / JOURNAL_FILENAME).exists():
+                    return None
+                self._queue = JobQueue(self.run_dir)
+            self._queue.sync()
+            return self._queue.status()
 
     def jobs(self) -> List[dict]:
-        """``/api/jobs`` payload: one row per job key, newest first."""
+        """One row per job key, newest first: the entry's facts, with the
+        bus's state laid over them."""
+        rows: Dict[str, dict] = {}
         with self._lock:
-            jobs = list(self._rows_locked().values())
+            for m in self.records:
+                key = m["key"]
+                rows[key] = {f: m[f] for f in _ROW_FIELDS if f in m}
+                rows[key].update(key=key, state="done")
+            for key, live in self._live.items():
+                rows.setdefault(key, {}).update(live)
+        jobs = list(rows.values())
         jobs.sort(key=lambda j: j.get("started_ts") or 0.0, reverse=True)
         return jobs
 
     def metrics(self) -> dict:
-        """``/api/metrics`` payload: per-scheme rollup of the job records
-        (unreadable files as warnings)."""
+        """Per-scheme rollup of the job records (unreadable files as
+        warnings)."""
         with self._lock:
             return {
                 "jobs": len(self.records),

@@ -40,7 +40,8 @@ class PiQueue(SampledAqmQueue):
         Controller gains of the discretised PI transfer function.  The
         ns-2 defaults (a=1.822e-5, b=1.816e-5 at 170 Hz, normalised per
         packet) are appropriate for ~1500-byte packets at ~15 Mbps; use
-        :func:`repro.fluid.stability.pi_gains` to derive gains for a given
+        :func:`repro.fluid.stability.pert_pi_gains` (discretised by
+        :class:`repro.laws.PiResponse`) to derive gains for a given
         capacity / RTT / flow-count operating point.
     sample_hz:
         Controller update frequency (ns-2 default 170 Hz).

@@ -24,6 +24,7 @@ from repro.obs.bus import (
 from repro.obs.runtime import note_simulator, observe_job, phase
 from repro.runner import JobSpec, run_jobs
 from repro.runner.cache import ResultCache
+from repro.runner.spec import dumbbell_spec
 
 
 def _types(path):
@@ -265,3 +266,28 @@ def test_cache_entries_unchanged_by_bus(tmp_path):
     on_files = {str(p.relative_to(tmp_path / "on"))
                 for p in (tmp_path / "on").rglob("*") if p.is_file()}
     assert on_files - off_files == {BUS_FILENAME}
+
+
+def test_dumbbell_sweep_identical_with_bus_on_and_off(tmp_path):
+    """A real packet sweep, not a fake job: the bus-on run returns the
+    bus-off run's values, and its stream is schema-valid from
+    ``run_started`` to ``run_finished`` with one ``job_finished`` per
+    spec."""
+    specs = [dumbbell_spec(scheme=scheme, bandwidth=bw, n_fwd=3,
+                           duration=4.0, warmup=1.5, seed=3)
+             for scheme in ("pert", "sack-droptail") for bw in (2e6, 4e6)]
+    path = tmp_path / "events.jsonl"
+    # no store: both sweeps simulate every spec, neither reads the other
+    on = run_jobs(specs, workers=0, cache=False, bus=path)
+    off = run_jobs(specs, workers=0, cache=False, bus=False)
+    assert all(r.ok and not r.cached for r in on + off)
+    assert [r.value for r in on] == [r.value for r in off]
+
+    lines = path.read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    for event in events:
+        validate_event(event)
+    types = [e["type"] for e in events]
+    assert types[0] == "run_started" and types[-1] == "run_finished"
+    finished = [e["key"] for e in events if e["type"] == "job_finished"]
+    assert sorted(finished) == sorted(s.cache_key for s in specs)

@@ -79,10 +79,10 @@ def test_the_simulator_imports_without_the_observability_machinery():
     assert out.stdout.strip() == "[]"
     assert repro.sim.monitors.__all__ == [
         "QueueSampler", "LinkWindow", "ThroughputSampler", "nearest_sample"]
-    # and the run-directory fold loads neither the fleet nor the server
+    # and the run-directory fold does not load the fleet
     code = ("import repro.obs, sys;"
             "print(sorted(m for m in sys.modules"
-            "             if m.startswith(('repro.fleet', 'repro.serve'))))")
+            "             if m.startswith('repro.fleet')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,8 +1,8 @@
 """Doc-coverage lint: public APIs of the tooling packages stay documented.
 
 Walks every module under ``repro.runner``, ``repro.snapshot``,
-``repro.obs``, ``repro.serve``, ``repro.validate``, ``repro.hybrid``,
-``repro.fleet`` and ``repro.compiled`` (one function, until the
+``repro.obs``, ``repro.validate``, ``repro.hybrid``, ``repro.fleet``
+and ``repro.compiled`` (one function, until the
 benchmark header stops reading it) and fails when a public symbol —
 module, module-level function/class named by ``__all__`` (or all
 non-underscore names defined in the module), or a public method/property
@@ -10,10 +10,12 @@ defined on such a class — has no docstring.  This backs the
 documentation contract in README.md: the subsystem docs can link to the
 API surface and trust that every entry point explains itself.
 
-Two document-drift guards ride along: the README documentation index
-must link every hand-written file under ``docs/``, and every
-``REPRO_*`` environment knob read anywhere under ``src/`` must have a
-row in ``docs/ENVIRONMENT.md`` (the authoritative knob table).
+Three document-drift guards ride along: the README documentation index
+must link every hand-written file under ``docs/``, every ``REPRO_*``
+environment knob read anywhere under ``src/`` must have a row in
+``docs/ENVIRONMENT.md`` (the authoritative knob table), and every
+Sphinx-style cross-reference to ``repro.*`` in the sources must name
+something that exists.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-PACKAGES = ["repro.runner", "repro.snapshot", "repro.obs", "repro.serve",
+PACKAGES = ["repro.runner", "repro.snapshot", "repro.obs",
             "repro.validate", "repro.hybrid", "repro.fleet",
             "repro.compiled"]
 
@@ -137,6 +139,42 @@ def test_environment_doc_covers_every_knob():
     missing = sorted(k for k in knobs if k not in documented)
     assert not missing, (
         f"knobs read in src/ but absent from docs/ENVIRONMENT.md: {missing}"
+    )
+
+
+#: a ``:func:``/``:class:``/... role whose target is a dotted ``repro`` path
+_XREF = re.compile(r":(?:func|class|meth|mod|data|attr):`~?(repro(?:\.\w+)+)`")
+
+
+def _resolves(target: str) -> bool:
+    """Import the longest module prefix of *target*, getattr the rest."""
+    parts = target.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[i:]:
+                obj = getattr(obj, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    """Every ``:func:`repro...``` (and ``:class:``, ``:meth:``,
+    ``:mod:``, ``:data:``, ``:attr:``) under ``src/repro`` names an
+    importable module or an attribute of one — a rename or deletion
+    cannot leave a docstring pointing at nothing."""
+    dangling = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for match in _XREF.finditer(path.read_text(encoding="utf-8")):
+            if not _resolves(match.group(1)):
+                dangling.append(f"{path.relative_to(ROOT)}: {match.group(1)}")
+    assert not dangling, (
+        "cross-references to nothing:\n  " + "\n  ".join(dangling)
     )
 
 
