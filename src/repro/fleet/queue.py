@@ -4,13 +4,15 @@ State machine (every arrow is one durable journal operation)::
 
                  submit                lease
     (unknown) ──────────▶  pending ──────────▶  leased
-                             ▲  ▲                 │ │ │
-               requeue       │  │    requeue      │ │ └─ renew (loops)
-       (attempts remain) ────┘  └─────────────────┘ │
-                                (lease expired /    │
-                                 worker failure)    │ done / failed
-                                                    ▼
-                                           done  /  failed (terminal)
+                           ▲ ▲  ▲                 │ │ │
+               requeue     │ │  │    requeue      │ │ └─ renew (loops)
+       (attempts remain) ──┘ │  └─────────────────┘ │
+                             │  (lease expired /    │
+                             │   worker failure)    │ done / failed
+                             │                      ▼
+                             └──── requeue ──── done  /  failed (terminal)
+                              (store entry lost,
+                               seen on resubmit)
 
 Invariants the tests in ``tests/fleet`` pin down:
 
@@ -24,6 +26,9 @@ Invariants the tests in ``tests/fleet`` pin down:
 * **At-least-once is safe** — an expired-but-alive "zombie" worker may
   still finish its run; its ``done`` is accepted whatever the current
   state, because results are content-addressed and deterministic.
+* **Done means readable** — a resubmitted ``done`` job whose store
+  entry no longer reads back is requeued (attempts reset), so a lost
+  entry is recomputed, never reported as a result.
 * **Replay is total** — queue state is a pure function of the journal
   prefix; a truncated final line (torn write) is skipped by the journal
   layer and the lost operation re-derives (expiry, store hit).
@@ -137,7 +142,10 @@ class JobQueue:
             job.error = rec["error"]
             job.expires = None
         elif op == "requeue":
-            if job.state == "leased":
+            if job.state in ("leased", "done"):
+                if job.state == "done":  # its store entry was lost: a new life
+                    job.attempts = 0
+                    job.store = None
                 job.state = "pending"
                 job.worker = None
                 job.expires = None
@@ -245,6 +253,23 @@ class JobQueue:
                 )
             self.sync()
             return job.state
+
+    def _requeue_lost(self, key: str) -> bool:
+        """Send a ``done`` job whose store entry is gone back to pending.
+
+        :meth:`Fleet.submit` calls this when a resubmitted key is done in
+        the journal but its entry no longer reads back; the next drain
+        recomputes it.  False when the job is no longer ``done`` (another
+        process requeued it first).
+        """
+        with self.journal.locked():
+            self.sync()
+            job = self.jobs.get(key)
+            if job is None or job.state != "done":
+                return False
+            self.journal.append("requeue", key=key, reason="store_entry_lost")
+            self.sync()
+            return True
 
     def requeue_expired(self, *, now: Optional[float] = None) -> List[str]:
         """Return expired leases to pending (the dead-worker recovery).

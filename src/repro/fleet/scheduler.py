@@ -5,7 +5,8 @@ a few verbs:
 
 * :meth:`Fleet.submit` — dedupe each point against the content-addressed
   store (a point finished by *any* earlier sweep is acknowledged as a
-  store hit without ever being leased), journal the rest;
+  store hit without ever being leased), journal the rest, and queue
+  again a known ``done`` point whose entry was lost;
 * :meth:`Fleet.drain` / :meth:`Fleet.resume` — run
   :func:`repro.runner.run_jobs`' scheduler loop over the journal until
   every job is terminal: the same attempt driver, retry and crash
@@ -124,7 +125,10 @@ class Fleet:
         queued and recomputed, as ``run_jobs`` would.  Re-submitting an
         in-flight sweep is idempotent by key (counted in ``known``),
         which is how a crashed *submitter* recovers: just run the same
-        submit again.
+        submit again.  A known job the journal says is ``done`` but
+        whose entry is missing or damaged is journaled ``requeue``
+        (still counted in ``known``): the next drain recomputes it, so
+        a lost entry never stands in for a result.
         """
         if sweep is None:
             sweep = self._fresh_sweep_name()
@@ -137,6 +141,9 @@ class Fleet:
                                       sweep=sweep, priority=priority)
             if not fresh:
                 receipt.known += 1
+                if (self.queue.jobs[key].state == "done"
+                        and self.store.get(spec) is None):
+                    self.queue._requeue_lost(key)
                 continue
             if self.store.get(spec) is not None:
                 self.queue.done(key, "scheduler", store="hit")
@@ -187,7 +194,9 @@ class Fleet:
         submitted them, so the name alone would miss them).  Each entry
         carries the job's terminal ``state`` plus either the store
         ``payload`` (done) or the recorded ``error`` (failed / still in
-        flight).
+        flight).  A ``done`` job whose entry no longer reads back has
+        ``payload`` ``None`` and an ``error`` saying so; resubmitting
+        it requeues it.
         """
         self.queue.sync()
         keys = (sweep.keys if isinstance(sweep, SubmitReceipt)
@@ -195,15 +204,18 @@ class Fleet:
         out: List[Dict[str, Any]] = []
         for key in keys:
             job = self.queue.jobs[key]
-            entry = (self.store.get(JobSpec(job.kind, job.params))
-                     if job.state == "done" else None)
+            entry, error = None, job.error
+            if job.state == "done":
+                entry = self.store.get(JobSpec(job.kind, job.params))
+                if entry is None:
+                    error = "done, but its store entry is missing or unreadable"
             out.append({
                 "key": key,
                 "kind": job.kind,
                 "params": job.params,
                 "state": job.state,
                 "payload": entry["payload"] if entry is not None else None,
-                "error": job.error,
+                "error": error,
             })
         return out
 

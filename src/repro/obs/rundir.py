@@ -23,9 +23,12 @@ cost, and the bus overlays its live state.  So a bus-off directory
 still lists one ``done`` row per entry, and a job the bus only saw
 served from the cache still says what it is.
 
-Files are written atomically and once (entries are content-addressed),
-so each is parsed once: a refresh lists the directory and parses only
-the files it has not seen (a rewritten file is a new inode).
+Files are written atomically and mostly once (entries are
+content-addressed), so each is parsed once: a refresh lists the
+directory and parses only the files whose (inode, size, mtime) stamp it
+has not seen.  The inode alone would not do: :func:`repro.atomic.atomic_write`
+renames a fresh temp file over the target, so two rewrites can land
+back on the inode the last refresh saw.
 
 Everything is read-only: the view never writes into the run directory,
 so pointing it at a live sweep cannot perturb results.  All accessors
@@ -168,7 +171,7 @@ class RunView:
         self.records: List[dict] = []
         self.validations: List[dict] = []
         self.warnings: List[dict] = []
-        self._parsed: Dict[str, Tuple[int, Any]] = {}  # path -> (inode, value)
+        self._parsed: Dict[str, Tuple[tuple, Any]] = {}  # path -> (stamp, value)
         self._lock = threading.Lock()
         self._tail = JsonlTail(self.bus_path)
         self._live: Dict[str, dict] = {}
@@ -190,22 +193,23 @@ class RunView:
 
     def _load_files(self) -> None:
         """Fold the entries and verdicts on disk, parsing only new files."""
-        parsed: Dict[str, Tuple[int, Any]] = {}
+        parsed: Dict[str, Tuple[tuple, Any]] = {}
         records: List[dict] = []
         validations: List[dict] = []
         warnings: List[dict] = []
 
         def take(item: os.DirEntry, parse: Callable[[Any], Any]) -> Any:
-            inode = item.inode()
             hit = self._parsed.get(item.path)
-            if hit is None or hit[0] != inode:
-                try:
+            try:
+                st = item.stat()
+                stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
+                if hit is None or hit[0] != stamp:
                     with open(item.path, "r", encoding="utf-8") as fh:
-                        hit = (inode, parse(json.load(fh)))
-                except (OSError, ValueError) as exc:
-                    warnings.append({"path": item.path,
-                                     "error": f"{type(exc).__name__}: {exc}"})
-                    return None
+                        hit = (stamp, parse(json.load(fh)))
+            except (OSError, ValueError) as exc:
+                warnings.append({"path": item.path,
+                                 "error": f"{type(exc).__name__}: {exc}"})
+                return None
             parsed[item.path] = hit
             return hit[1]
 

@@ -7,10 +7,19 @@ payload, meta}`` and is the job's one record: ``meta`` says what the
 fresh attempt cost and observed (``events``, ``wall_time``,
 ``attempts``, ``phases``, ``peak_rss_kb``, and ``metrics`` /
 ``profile`` / ``checkpoint`` when on), and ``<key>.trace.jsonl`` beside
-it is the trace when ``--trace`` was on.  Reads are defensive: anything
-that fails to parse or fails basic shape/key validation is treated as a
-miss and the corrupt file is removed so the entry is rebuilt on the
-next run.
+it is the trace when ``--trace`` was on.
+
+A hit is one read and one parse, and every sweep served from the cache
+or a fleet's store pays it per point: :meth:`ResultCache._file` turns
+the key into the entry's file name as a string (the same helper names
+it for writes, through :meth:`~ResultCache.path_for`), one unbuffered
+``os.read`` returns the bytes, and ``json.loads`` runs once on them.
+Reads are defensive: an entry that fails to parse, is not a dict,
+carries another ``key`` or has no ``payload`` is a miss and the file is
+removed so the entry is rebuilt on the next run; a missing file is a
+miss.  A fleet holds its ``done`` jobs to the same test: a resubmitted
+job whose entry no longer reads back is queued again
+(:meth:`repro.fleet.Fleet.submit`).
 
 Cache invalidation rules (documented in docs/ARCHITECTURE.md): the key
 is a **content address** over the full job spec (``kind`` + canonical
@@ -47,6 +56,29 @@ CHECKPOINT_SUFFIX = ".ckpt"
 TRACE_SUFFIX = ".trace.jsonl"
 
 
+#: first read size; an entry this large or larger is read on to EOF
+_READ_CHUNK = 1 << 16
+
+
+def _read_bytes(path: str) -> bytes:
+    """The whole file at *path*, read without a file object.
+
+    An entry is ~1 kB, so one ``read`` of a regular file returns all of
+    it; only an entry that fills the first chunk is read on to EOF.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, _READ_CHUNK)
+        if len(data) == _READ_CHUNK:
+            parts = [data]
+            while parts[-1]:
+                parts.append(os.read(fd, _READ_CHUNK))
+            data = b"".join(parts)
+    finally:
+        os.close(fd)
+    return data
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -64,17 +96,21 @@ class ResultCache:
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
+        self._prefix = os.path.join(self.root, "")
         self.stats: Dict[str, int] = {"hits": 0, "misses": 0, "puts": 0}
+
+    def _file(self, key: str, suffix: str = ".json") -> str:
+        """``<root>/<key[:2]>/<key><suffix>``: the one place a key
+        becomes a file name, for reads and writes alike."""
+        return f"{self._prefix}{key[:2]}{os.sep}{key}{suffix}"
 
     def path_for(self, spec: JobSpec) -> Path:
         """Cache-entry path for *spec*: ``<root>/<key[:2]>/<key>.json``."""
-        key = spec.cache_key
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(spec.cache_key))
 
     def trace_path_for(self, spec: JobSpec) -> Path:
         """Sibling JSONL trace path for *spec* (written with ``--trace``)."""
-        key = spec.cache_key
-        return self.root / key[:2] / f"{key}{TRACE_SUFFIX}"
+        return Path(self._file(spec.cache_key, TRACE_SUFFIX))
 
     def checkpoint_path_for(self, spec: JobSpec) -> Path:
         """Sibling checkpoint path for *spec* (see :mod:`repro.snapshot`).
@@ -84,8 +120,7 @@ class ResultCache:
         is an implementation detail of producing the *same* cache entry,
         and it survives retries of the same spec only.
         """
-        key = spec.cache_key
-        return self.root / key[:2] / f"{key}{CHECKPOINT_SUFFIX}"
+        return Path(self._file(spec.cache_key, CHECKPOINT_SUFFIX))
 
     def get(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
         """Return the stored entry dict for *spec*, or ``None`` on a miss.
@@ -93,15 +128,14 @@ class ResultCache:
         A corrupt or mismatched file counts as a miss and is deleted so
         the entry gets rebuilt by the caller.
         """
-        entry = self._read(spec)
+        entry = self._read(spec.cache_key)
         self.stats["misses" if entry is None else "hits"] += 1
         return entry
 
-    def _read(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
-        path = self.path_for(spec)
+    def _read(self, key: str) -> Optional[Dict[str, Any]]:
+        path = self._file(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            entry = json.loads(_read_bytes(path).decode("utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
@@ -109,7 +143,7 @@ class ResultCache:
             return None
         if (
             not isinstance(entry, dict)
-            or entry.get("key") != spec.cache_key
+            or entry.get("key") != key
             or "payload" not in entry
         ):
             self._discard(path)
@@ -129,9 +163,9 @@ class ResultCache:
         return atomic_write(self.path_for(spec), json.dumps(entry).encode("utf-8"))
 
     @staticmethod
-    def _discard(path: Path) -> None:
+    def _discard(path: str) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 

@@ -315,7 +315,8 @@ def run_jobs(
         ``retries`` counts against the job's journaled attempts (a
         killed run's lease is one), under the fleet's ``max_attempts``.
     """
-    from ..fleet.scheduler import Leases, resolve_fleet  # local: fleet imports us
+    # local: fleet imports us
+    from ..fleet.scheduler import Leases, SubmitReceipt, resolve_fleet
 
     specs = list(specs)
     n_workers = resolve_workers(workers)
@@ -378,16 +379,20 @@ def run_jobs(
             results = [settled[i] for i in range(len(specs))]
         else:
             # jobs this call never held finished earlier (submit-time
-            # dedupe, a previous run) or in another draining process
-            results = []
-            for spec, entry in zip(specs, fl.results(receipt)):
-                if entry["key"] not in settled:
-                    if entry["state"] == "done":
-                        known = JobResult(spec, "ok", value=entry["payload"], cached=True)
-                    else:
-                        known = JobResult(spec, "failed", error=entry["error"])
-                    settle(entry["key"], known)
-                results.append(settled[entry["key"]])
+            # dedupe, a previous run) or in another draining process: read
+            # those back, and only those.  A done job whose entry is gone
+            # by now is a failure, never an ok without a payload.
+            spec_of = {spec.cache_key: spec for spec in specs}
+            unsettled = SubmitReceipt(receipt.sweep, [
+                key for key in spec_of if key not in settled])
+            for entry in fl.results(unsettled):
+                spec = spec_of[entry["key"]]
+                if entry["state"] == "done" and entry["error"] is None:
+                    known = JobResult(spec, "ok", value=entry["payload"], cached=True)
+                else:
+                    known = JobResult(spec, "failed", error=entry["error"])
+                settle(entry["key"], known)
+            results = [settled[spec.cache_key] for spec in specs]
         if live is not None:
             live.emit("run_finished", stats=stats.snapshot())
     finally:

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import time
 
 import pytest
@@ -68,6 +69,71 @@ def test_submit_recomputes_a_damaged_store_entry(tmp_path):
     assert [(r["state"], r["payload"]) for r in fleet.results(receipt)] \
         == [("done", {"value": 3})]
     assert fleet.status()["computed"] == {"fresh": 1, "hit": 0}
+
+
+def _fresh_dones(fleet):
+    """Per key, how many times the journal says it was computed fresh."""
+    out = {}
+    for rec in fleet.queue.journal.read_all():
+        if rec["op"] == "done" and rec["store"] == "fresh":
+            out[rec["key"]] = out.get(rec["key"], 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("damage", ["delete_store", "corrupt_one"])
+def test_a_lost_store_entry_is_recomputed_not_returned(tmp_path, damage):
+    """A finished sweep asked again after its store entries were lost must
+    recompute them: a done job with no readable entry is queued again
+    (journaled ``requeue``), never returned as ``ok`` with no payload."""
+    fleet_dir = tmp_path / "fleet"
+    specs = [JobSpec(ECHO, {"value": i}) for i in range(3)]
+    first = run_jobs(specs, workers=0, fleet=fleet_dir)
+    assert [r.value for r in first] == [{"value": i} for i in range(3)]
+    fleet = Fleet(fleet_dir)
+    if damage == "delete_store":
+        shutil.rmtree(fleet.store.root)
+        lost = {s.cache_key for s in specs}
+    else:
+        fleet.store.path_for(specs[1]).write_text("{not json")
+        lost = {specs[1].cache_key}
+
+    again = run_jobs(specs, workers=0, fleet=fleet_dir)
+    assert [r.status for r in again] == ["ok"] * 3
+    assert [r.value for r in again] == [{"value": i} for i in range(3)]
+    assert [r.cached for r in again] == [s.cache_key not in lost for s in specs]
+    fleet.queue.sync()
+    assert _fresh_dones(fleet) == {s.cache_key: 1 + (s.cache_key in lost)
+                                   for s in specs}
+    assert fleet.status()["requeues"] == len(lost)
+    assert [r["payload"] for r in fleet.results(fleet.submit(specs))] \
+        == [{"value": i} for i in range(3)]
+    # replay is total: a fresh handle folds the requeue the same way
+    assert Fleet(fleet_dir).status()["computed"] == fleet.status()["computed"]
+
+
+def test_an_entry_lost_after_submit_is_a_failure(tmp_path):
+    """An entry that vanishes between submit and the read-back cannot be
+    requeued by this call any more: the job is reported failed, with the
+    reason, never ok without a payload."""
+    fleet = Fleet(tmp_path / "fleet")
+    specs = [JobSpec(ECHO, {"value": i}) for i in range(2)]
+    run_jobs(specs, workers=0, fleet=fleet)
+    submit = fleet.submit
+
+    def submit_then_lose(jobs, **kwargs):
+        receipt = submit(jobs, **kwargs)
+        shutil.rmtree(fleet.store.root)
+        return receipt
+
+    fleet.submit = submit_then_lose
+    again = run_jobs(specs, workers=0, fleet=fleet)
+    assert [r.status for r in again] == ["failed", "failed"]
+    assert all("store entry is missing or unreadable" in r.error for r in again)
+    assert all(r.value is None for r in again)
+    del fleet.submit  # the next call sees the loss at submit: recomputed
+    third = run_jobs(specs, workers=0, fleet=fleet)
+    assert [r.value for r in third] == [{"value": 0}, {"value": 1}]
+    assert not any(r.cached for r in third)
 
 
 def test_failed_jobs_surface_in_results(tmp_path):

@@ -209,6 +209,23 @@ def test_runview_lists_entry_jobs_of_a_bus_off_directory(tmp_path):
     assert _count(view, "done") == 2
 
 
+def test_runview_sees_an_entry_rewritten_twice_between_refreshes(tmp_path):
+    """``atomic_write`` renames a fresh temp file over the entry, so two
+    rewrites land back on the inode the last refresh saw: the parse memo
+    must not take an unchanged inode for an unchanged file."""
+    cache = ResultCache(tmp_path)
+    spec = _events_specs()[0]
+    view = RunView(tmp_path)
+    stale = []
+    for i in range(20):
+        for wall in (1000 + 2 * i, 1001 + 2 * i):  # same size every time
+            cache.put(spec, {"value": 0}, meta={"wall_time": wall})
+        view.refresh()
+        if view.records[0]["wall_time"] != 1001 + 2 * i:
+            stale.append(i)
+    assert stale == []
+
+
 def test_runview_cached_rows_carry_their_manifest(tmp_path):
     """A key the bus only saw served from the cache still says what it
     is: its cache entry supplies kind/scheme/seed/wall_time, the bus the
