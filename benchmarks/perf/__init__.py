@@ -8,10 +8,11 @@ Three benchmarks cover the three performance-critical layers:
   paper's dumbbell workload per scheme (events/s and bottleneck
   packets/s), the number that multiplies every figure sweep.
 * ``fluid.dde`` — RK4 step rate of the Section 5 PERT/RED fluid model.
-* ``fluid.dde_batch`` — the vectorized sweep integrator: a whole RTT
-  grid of PERT/RED models advanced in lockstep via
-  :func:`repro.fluid.model.simulate_batch`, reported as aggregate
-  member-steps/s plus the speedup over the equivalent scalar loop.
+* ``fluid.dde_batch`` — a whole RTT grid of PERT/RED models run on one
+  grid into one buffer via :func:`repro.fluid.model.simulate_batch`,
+  reported as aggregate member-steps/s plus the ratio to the same
+  scalar runs one ``simulate()`` at a time (about 1: both are scalar
+  runs).
 
 The payload records which event-engine backend ran the suite (the
 ``engine`` key, resolved from ``REPRO_ENGINE``) and, since
@@ -174,14 +175,14 @@ def bench_fluid(duration: float = 40.0, dt: float = 1e-3,
 
 def bench_fluid_batch(batch: int = 16, duration: float = 20.0,
                       dt: float = 1e-3, repeat: int = 3) -> Dict:
-    """Vectorized RTT-sweep rate of the PERT/RED fluid model.
+    """RTT-sweep rate of the PERT/RED fluid model.
 
     Integrates *batch* models (an RTT grid spanning the Figure 13
-    stability boundary) in lockstep and reports aggregate member-steps
-    per second, plus the measured speedup over running the same sweep
-    through the scalar integrator one model at a time (the speedup is
-    timed once — it is a ratio of two long runs, not a noise-sensitive
-    single number).
+    stability boundary) on one grid and reports aggregate member-steps
+    per second, plus the measured ratio to running the same sweep one
+    ``simulate()`` at a time (about 1, both being scalar runs; it is
+    timed once — a ratio of two long runs, not a noise-sensitive single
+    number).
     """
     _ensure_src_on_path()
     from repro.fluid import make_fluid_model

@@ -55,6 +55,9 @@ class SubmitReceipt:
     submitted: int = 0  # newly journaled as pending
     deduped: int = 0  # acknowledged from the store without running
     known: int = 0  # already in this fleet's queue (resubmission)
+    #: the store entries submit read back, by key, for :meth:`Fleet.results`
+    entries: Dict[str, Dict[str, Any]] = field(default_factory=dict,
+                                               repr=False)
 
     def summary(self) -> Dict[str, Any]:
         """JSON-clean receipt (for ``submit --json``)."""
@@ -141,13 +144,18 @@ class Fleet:
                                       sweep=sweep, priority=priority)
             if not fresh:
                 receipt.known += 1
-                if (self.queue.jobs[key].state == "done"
-                        and self.store.get(spec) is None):
-                    self.queue._requeue_lost(key)
+                if self.queue.jobs[key].state == "done":
+                    entry = self.store.get(key)
+                    if entry is None:
+                        self.queue._requeue_lost(key)
+                    else:
+                        receipt.entries[key] = entry
                 continue
-            if self.store.get(spec) is not None:
+            entry = self.store.get(key)
+            if entry is not None:
                 self.queue.done(key, "scheduler", store="hit")
                 receipt.deduped += 1
+                receipt.entries[key] = entry
             else:
                 receipt.submitted += 1
         return receipt
@@ -196,17 +204,23 @@ class Fleet:
         ``payload`` (done) or the recorded ``error`` (failed / still in
         flight).  A ``done`` job whose entry no longer reads back has
         ``payload`` ``None`` and an ``error`` saying so; resubmitting
-        it requeues it.
+        it requeues it.  Entries are read by key; one the receipt's
+        submit already read is not parsed again, only checked to be
+        still in the store.
         """
         self.queue.sync()
-        keys = (sweep.keys if isinstance(sweep, SubmitReceipt)
-                else self.queue.sweep_keys(sweep))
+        if isinstance(sweep, SubmitReceipt):
+            keys, read = sweep.keys, sweep.entries
+        else:
+            keys, read = self.queue.sweep_keys(sweep), {}
         out: List[Dict[str, Any]] = []
         for key in keys:
             job = self.queue.jobs[key]
             entry, error = None, job.error
             if job.state == "done":
-                entry = self.store.get(JobSpec(job.kind, job.params))
+                entry = read.get(key)
+                if entry is None or not self.store.holds(key):
+                    entry = self.store.get(key)
                 if entry is None:
                     error = "done, but its store entry is missing or unreadable"
             out.append({

@@ -14,17 +14,11 @@ steps in place of an rhs call (``simulate``), or compiles into the rhs
 :func:`integrate_dde` keeps the
 **array contract** (``(dim,)`` float64 arrays, ``A @ x``-style code) for
 everything else, as an adapter over that same loop.
-:func:`integrate_dde_batch` advances many systems as array operations,
-bit-identical per member.  See :mod:`repro.fluid.dde`.
+:func:`simulate_batch` runs many models, each its own equations on that
+loop, into one buffer on one grid.  See :mod:`repro.fluid.dde`.
 """
 
-from .dde import (
-    DdeBatchSolution,
-    DdeSolution,
-    integrate_dde,
-    integrate_dde_batch,
-    integrate_dde_floats,
-)
+from .dde import DdeSolution, integrate_dde, integrate_dde_floats
 from .model import (
     FLUID_MODELS,
     FluidModel,
@@ -38,7 +32,6 @@ from .model import (
 from .rates import RateTrajectory, equilibrium_rate, rate_trajectory
 from .spectrum import pert_red_spectral_boundary, rightmost_root
 from .stability import (
-    classify_trajectories,
     equilibrium,
     find_stability_boundary,
     k_lpf,
@@ -54,9 +47,7 @@ from .stability import (
 __all__ = [
     "integrate_dde",
     "integrate_dde_floats",
-    "integrate_dde_batch",
     "DdeSolution",
-    "DdeBatchSolution",
     "simulate_batch",
     "FluidModel",
     "FLUID_MODELS",
@@ -65,7 +56,6 @@ __all__ = [
     "RateTrajectory",
     "rate_trajectory",
     "equilibrium_rate",
-    "classify_trajectories",
     "PertRed",
     "TcpRed",
     "PertPi",

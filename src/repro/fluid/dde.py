@@ -11,12 +11,12 @@ uses, simplified to a fixed step.  Before ``t0`` the history is the
 constant initial state, matching the paper's simulations which start
 from a constant initial point.
 
-Four entry points share the grid, the arithmetic and one plan of the
+Three entry points share the grid, the arithmetic and one plan of the
 delayed state:
 
 * :func:`integrate_dde_floats` — one system, the **float contract**: the
   state and the delayed state are tuples of Python floats and the rhs
-  returns a tuple or list.  This is the scalar kernel — the only scalar
+  returns a tuple or list.  This is the scalar kernel — the only
   stepping loop; inside the loop no numpy ufunc is involved.  The loop
   is one source template (:data:`_FLOAT_KERNEL`), compiled on first use
   once per state dimension, with the state, the four RK4 stages and the
@@ -31,26 +31,17 @@ delayed state:
   each stage; so there is no rhs frame per stage, and stages that share
   a delayed row share what was computed from it.  This is what the
   registered fluid models run on (one block per model shape,
-  :func:`repro.fluid.model.equations`); :func:`equations_rhs` compiles
-  the same block into the rhs that :func:`integrate_dde_floats` equals
-  it with, bit for bit.
+  :func:`repro.fluid.model.equations`), one model at a time or many
+  into one buffer (:func:`repro.fluid.model.simulate_batch`);
+  :func:`equations_rhs` compiles the same block into the rhs that
+  :func:`integrate_dde_floats` equals it with, bit for bit.
 * :func:`integrate_dde` — one system, the **array contract**: ``(dim,)``
   float64 arrays in and out, so an rhs can be written ``A @ x``.  An
   adapter over the float kernel for everything that is not a registered
   model; it carries no stepping arithmetic of its own.
-* :func:`integrate_dde_batch` — B independent systems advanced together
-  as ``(B, dim)`` array operations on fixed buffers, each with its own
-  lag.  Its rhs is the float contract's per-component shape written in
-  place: ``rhs(t, x, xd, out)`` gets ``x`` and ``xd`` as tuples of
-  read-only ``(B,)`` column views and writes every component of the
-  derivative into ``out``, the writable ``(B,)`` columns of the stage
-  buffer.
 
-Every elementwise operation is the same IEEE-754 double operation in the
-same order whether it runs on Python floats or inside a float64 ufunc,
-so a batch run is bit-identical to B scalar runs and the two scalar
-contracts agree bit for bit — the properties
-``tests/fluid/test_dde_batch.py`` and
+The two contracts agree bit for bit — the property
+``tests/fluid/test_equations.py`` and
 ``tests/fluid/test_trajectory_pins.py`` pin exactly.
 
 The delayed state (``xd`` in ``rhs(t, x, xd)``)
@@ -60,23 +51,20 @@ The delayed state (``xd`` in ``rhs(t, x, xd)``)
   Between grid points it is ``x_lo * (1 - f) + x_hi * f`` on exactly the
   interval ``searchsorted`` would pick.
 * **One plan**: :func:`_resolve` is the only implementation of that
-  rule.  Over a chunk of steps at once, vectorised over steps and
-  members, it finds each query's interval — a uniform-grid guess,
-  corrected by a one-ulp fix-up (the grid is built by repeated
-  ``t += dt``) — and its weight ``f``, or marks the query as a row to
-  copy.  Both kernels step through that plan: the batch gathers a
-  step's rows from the stored solution, the float kernel reads ring
-  slots, weights and edge flags through memoryviews and interpolates
-  inline.  An RK4
-  step plans two queries, at ``t + dt/2 - lag`` and ``t + dt - lag``;
-  the latter row is the next step's ``t - lag`` and carries over unless
-  it was end-clamped, when k1's query is planned again.  Euler plans
-  one.
+  rule.  Over a chunk of steps at once, vectorised over the steps, it
+  finds each query's interval — a uniform-grid guess, corrected by a
+  one-ulp fix-up (the grid is built by repeated ``t += dt``) — and its
+  weight ``f``, or marks the query as a row to copy.  The kernel reads
+  the plan's ring slots, weights and edge flags through memoryviews and
+  interpolates inline.  An RK4 step plans two queries, at
+  ``t + dt/2 - lag`` and ``t + dt - lag``; the latter row is the next
+  step's ``t - lag`` and carries over unless it was end-clamped, when
+  k1's query is planned again.  Euler plans one.
 * **Before ``t0``** it is ``x0``; **at or past the last stored row**
   (a lag shorter than the step: RK4's later stages look past the stored
   history) it holds that row.
-* **It cannot be modified**: a tuple in the float contract, arrays
-  with ``writeable=False`` in the other two.  An rhs that needs to
+* **It cannot be modified**: a tuple in the float contract, an array
+  with ``writeable=False`` in the array contract.  An rhs that needs to
   modify it copies it first.
 
 ``tests/fluid/test_dde_lookup.py`` holds the ``searchsorted`` oracle
@@ -96,21 +84,20 @@ import numpy as np
 
 __all__ = [
     "DdeSolution",
-    "DdeBatchSolution",
     "Equations",
     "equations_rhs",
     "integrate_dde",
     "integrate_dde_floats",
     "integrate_equations",
-    "integrate_dde_batch",
 ]
 
-#: (step, member) pairs a batch plan chunk covers: ``_PLAN_QUERIES // B``
-#: steps.  The float kernel's chunks are an eighth of it, 96 steps: its
-#: plan takes ≈ 130 bytes a step while a chunk is resolved, beside an
-#: O(R/dt) ring of rows, and a 60 s run at R = 171 ms stays 64 KB above
-#: its solution arrays with its kernel compiled in the same run.
-_PLAN_QUERIES = 768
+#: Steps a plan chunk covers.  A chunk's plan takes ≈ 80 bytes a step
+#: while it is resolved, beside an O(R/dt) ring of rows and the kernel's
+#: code: a 60 s run at R = 171 ms that compiles its kernel peaks ≈ 60 KB
+#: above its solution arrays at 160 steps, ≈ 67 KB at 256 (64 KB is the
+#: bound).  Each chunk costs 50-70 µs of numpy calls, so fewer, longer
+#: chunks are faster.
+_PLAN_STEPS = 160
 
 
 class DdeSolution:
@@ -124,7 +111,9 @@ class DdeSolution:
         ends at ``round(duration / dt) * dt``, not at ``duration``, when
         the span is not a multiple of the step.
     y:
-        2-D array, shape ``(len(t), dim)``.
+        2-D array, shape ``(len(t), dim)``; ``(len(t), B, dim)`` for B
+        members stepped on one grid
+        (:func:`repro.fluid.model.simulate_batch`).
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
@@ -150,7 +139,8 @@ class DdeSolution:
         return self.y[idx] * (1 - frac) + self.y[idx + 1] * frac
 
     def component(self, i: int) -> np.ndarray:
-        return self.y[:, i]
+        """Component *i* over the grid (of every member, ``(len(t), B)``)."""
+        return self.y[..., i]
 
 
 def _check_problem(t_span, dt: float, method: str,
@@ -178,33 +168,33 @@ def _grid(t0: float, dt: float, n_steps: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the plan of the delayed state, shared by both kernels
+# the plan of the delayed state
 # ----------------------------------------------------------------------
-def _resolve(q: np.ndarray, steps: np.ndarray, ts: np.ndarray, dt: float,
-             batch: int) -> tuple:
+def _resolve(q: np.ndarray, steps: np.ndarray, ts: np.ndarray,
+             dt: float) -> tuple:
     """Where a chunk of delayed-time queries reads the stored solution.
 
-    ``q[c, j]`` is made at step ``steps[c]`` (row ``steps[c]`` is the
-    newest stored) for member ``j % batch``.  Returns ``(lo, hi, f,
-    edge)``, each indexed ``[c, j]``: flat row indices into
-    ``xs.reshape(-1, dim)`` (the row itself when ``batch`` is 1), the
-    weight ``f`` of row ``hi`` (``1 - f`` is row ``lo``'s), and the mask
-    of boundary entries — pre-history or end-clamped, ``lo == hi`` the
-    row to copy.
+    ``q[c]`` is made at step ``steps[c]`` (row ``steps[c]`` is the
+    newest stored).  Returns ``(lo, hi, f, edge)``, each indexed ``[c]``:
+    the two rows, the weight ``f`` of row ``hi`` (``1 - f`` is row
+    ``lo``'s), and the mask of boundary entries — pre-history or
+    end-clamped, ``lo == hi`` the row to copy.
     """
     t0 = ts[0]
-    newest = steps[:, None]
-    pre = q <= t0
-    end = q >= ts[newest]
-    edge = pre | end
+    end = q >= ts[steps]
+    edge = q <= t0
+    edge |= end
     guess = q - t0
     guess /= dt
     np.maximum(guess, 0, out=guess)  # pre-history: row 0
     np.minimum(guess, len(ts) - 2, out=guess)
     lo = guess.astype(np.intp)
-    del guess  # the dels hold a chunk to five of its arrays at a time
-    t_lo, t_hi = ts[lo], ts[lo + 1]
-    # one-ulp fix-up to t_lo < q <= t_hi (interior entries)
+    del guess  # the dels hold a chunk to four of its arrays at a time
+    after = ts[1:]  # row lo + 1's time is after[lo]
+    t_lo, t_hi = ts[lo], after[lo]
+    # one-ulp fix-up to t_lo < q <= t_hi (interior entries), gathering
+    # into the same two arrays; lo stays in range, "clip" only spares
+    # ``take`` a buffered copy
     inner = ~edge
     while True:
         down = t_lo >= q
@@ -215,64 +205,52 @@ def _resolve(q: np.ndarray, steps: np.ndarray, ts: np.ndarray, dt: float,
             break
         lo += up & off
         lo -= down & off
-        t_lo, t_hi = ts[lo], ts[lo + 1]
+        ts.take(lo, 0, t_lo, "clip")
+        after.take(lo, 0, t_hi, "clip")
     t_hi -= t_lo
     frac = np.subtract(q, t_lo, out=t_lo)
     frac /= t_hi
     del t_lo, t_hi
     np.copyto(frac, 0.0, where=edge)
-    np.copyto(lo, newest, where=end)  # pre-history entries are at row 0
+    np.copyto(lo, steps, where=end)  # pre-history entries are at row 0
     hi = lo + 1
     np.copyto(hi, lo, where=edge)
-    if batch > 1:
-        members = np.arange(q.shape[1]) % batch
-        lo *= batch
-        lo += members
-        hi *= batch
-        hi += members
     return lo, hi, frac, edge
 
 
-def _plan(ts: np.ndarray, lags: np.ndarray, dt: float, euler: bool,
-          chunk: int):
+def _plan(ts: np.ndarray, lag: float, dt: float, euler: bool):
     """Yield the delayed-state plan of each chunk of steps.
 
-    A chunk is ``(main, fresh, redo)``.  ``main`` is :func:`_resolve` of
-    the queries the chunk's steps make for their own stages: Euler's
-    ``t - lag``; RK4's ``t + dt/2 - lag``, then ``t + dt - lag``, B
-    members each.  RK4's k1 reuses the previous step's ``t + dt - lag``
-    row unless that row was end-clamped: ``fresh`` masks the (step,
-    member) pairs where it was, and ``redo`` resolves ``t - lag`` at the
-    steps with any (``None`` without one; Euler has neither).  A chunk
-    is *chunk* steps, so a plan is O(chunk × B), never O(steps × B); a
+    A chunk is ``(main, fresh, redo)``.  ``main`` lists :func:`_resolve`
+    of each query the chunk's steps make for their own stages, one query
+    at a time: Euler's ``t - lag``; RK4's ``t + dt/2 - lag``, then
+    ``t + dt - lag``.  RK4's k1 reuses the previous step's
+    ``t + dt - lag`` row unless that row was end-clamped: ``fresh`` masks
+    the steps where it was, and ``redo`` resolves ``t - lag`` at those
+    steps (``None`` without one; Euler has neither).  A chunk is
+    :data:`_PLAN_STEPS` steps, so a plan is O(chunk), never O(steps); a
     chunk is not referenced here once it is yielded.
     """
     n_steps = len(ts) - 1
-    chunk = max(1, chunk)
-    for first in range(0, n_steps, chunk):
-        yield _plan_chunk(ts, lags, dt, euler,
-                          np.arange(first, min(first + chunk, n_steps)))
+    for first in range(0, n_steps, _PLAN_STEPS):
+        yield _plan_chunk(ts, lag, dt, euler,
+                          np.arange(first, min(first + _PLAN_STEPS, n_steps)))
 
 
-def _plan_chunk(ts, lags, dt, euler, steps):
+def _plan_chunk(ts, lag, dt, euler, steps):
     """One chunk of :func:`_plan`, for the consecutive *steps*."""
-    batch = len(lags)
     first, stop = steps[0], steps[-1] + 1
-    t = ts[first:stop, None]
-    q1 = t - lags
+    t = ts[first:stop]
+    q1 = t - lag
     if euler:
-        return _resolve(q1, steps, ts, dt, batch), None, None
+        return [_resolve(q1, steps, ts, dt)], None, None
     # step 0 compares with ts[-1], the last grid time: never fresh
-    fresh = q1 >= ts[steps - 1][:, None]
-    again = fresh.any(axis=1)
-    redo = (_resolve(q1[again], steps[again], ts, dt, batch)
-            if again.any() else None)
+    fresh = q1 >= ts[steps - 1]
+    redo = _resolve(q1[fresh], steps[fresh], ts, dt) if fresh.any() else None
     del q1
-    main = _resolve(np.concatenate([(t + dt / 2) - lags,
-                                    ts[first + 1:stop + 1, None] - lags],
-                                   axis=1),
-                    steps, ts, dt, batch)
-    return main, fresh, redo
+    mid = _resolve((t + dt / 2) - lag, steps, ts, dt)
+    end = _resolve(ts[first + 1:stop + 1] - lag, steps, ts, dt)
+    return [mid, end], fresh, redo
 
 
 # ----------------------------------------------------------------------
@@ -508,17 +486,16 @@ def _ring_plans(ts: np.ndarray, lag: float, dt: float, euler: bool,
         lo, hi, frac, edge = plan
         lo %= size
         hi %= size
-        return [memoryview(field) for j in range(lo.shape[1])
-                for field in (lo[:, j], hi[:, j], frac[:, j], edge[:, j])]
+        return [memoryview(lo), memoryview(hi), memoryview(frac),
+                memoryview(edge)]
 
     def chunk(main, fresh, redo):
-        rows = lookups(main)
+        rows = [view for plan in main for view in lookups(plan)]
         if fresh is not None:
-            rows.insert(0, memoryview(fresh[:, 0]))
+            rows.insert(0, memoryview(fresh))
         return zip(*rows), None if redo is None else zip(*lookups(redo))
 
-    return starmap(chunk, _plan(ts, np.array([lag], dtype=float), dt, euler,
-                                _PLAN_QUERIES // 8))
+    return starmap(chunk, _plan(ts, lag, dt, euler))
 
 
 def integrate_dde_floats(
@@ -585,17 +562,26 @@ def integrate_equations(
     return _integrate(block, tuple(constants), x0, t_span, dt, method, lag)
 
 
-def _integrate(block, rhs, x0, t_span, dt, method, lag) -> DdeSolution:
+def _integrate(block, rhs, x0, t_span, dt, method, lag,
+               out: Optional[DdeSolution] = None) -> DdeSolution:
     """Both float entry points: the grid, the ring and the plan around
     the kernel that calls *rhs* (*block* ``None``) or steps *block*
-    (*rhs* then holds its constants)."""
+    (*rhs* then holds its constants).
+
+    *out*, when given, is returned filled: its ``t`` is this problem's
+    grid and its ``y`` the C-contiguous ``(len(t), dim)`` rows to write,
+    so a caller stepping many systems on one grid allocates nothing per
+    system but its plan and ring.
+    """
     t, n_steps, euler = _check_problem(t_span, dt, method, lag)
     start = tuple([float(v) for v in x0])
     # generated before the solution arrays exist, so compiling a new
     # kernel never adds to a run's peak memory
     step = _float_kernel(len(start), block)
-    ts = _grid(t, dt, n_steps)
-    xs = np.empty((n_steps + 1, len(start)))
+    if out is None:
+        out = DdeSolution(_grid(t, dt, n_steps),
+                          np.empty((n_steps + 1, len(start))))
+    ts, xs = out.t, out.y
     xs[0] = start
     if lag is None:
         # every lookup copies the one slot, which holds no state
@@ -610,7 +596,7 @@ def _integrate(block, rhs, x0, t_span, dt, method, lag) -> DdeSolution:
         plans = _ring_plans(ts, lag, dt, euler, len(ring))
     step(rhs, start, t, dt, euler, lag, memoryview(xs.reshape(-1)), ring,
          plans)
-    return DdeSolution(ts, xs)
+    return out
 
 
 def integrate_dde(
@@ -660,183 +646,3 @@ def integrate_dde(
 
     return integrate_dde_floats(float_rhs, start.tolist(), t_span, dt,
                                 method, lag)
-
-
-# ----------------------------------------------------------------------
-# batched integration: B independent systems as (B, dim) array ops
-# ----------------------------------------------------------------------
-class DdeBatchSolution:
-    """Dense output of a batched DDE integration.
-
-    Attributes
-    ----------
-    t:
-        1-D array of time points (uniform grid, shared by the batch).
-    y:
-        3-D array, shape ``(len(t), batch, dim)``.
-    """
-
-    def __init__(self, t: np.ndarray, y: np.ndarray):
-        self.t = t
-        self.y = y
-
-    def __getitem__(self, b: int) -> DdeSolution:
-        """Member *b*'s trajectory as an ordinary :class:`DdeSolution`."""
-        return DdeSolution(self.t, self.y[:, b, :])
-
-    def component(self, i: int) -> np.ndarray:
-        """Component *i* of every member, shape ``(len(t), batch)``."""
-        return self.y[:, :, i]
-
-
-def _columns(block: np.ndarray, writeable: bool = False) -> tuple:
-    """The ``(B,)`` column views of a ``(B, dim)`` buffer, made once."""
-    columns = tuple(block[:, i] for i in range(block.shape[1]))
-    for column in columns:
-        column.flags.writeable = writeable
-    return columns
-
-
-def _per_step(plan: tuple):
-    """*plan*'s lookups one step at a time: row indices, the two rows'
-    weights as columns, and the edge mask (``None`` when a step has no
-    boundary entry)."""
-    lo, hi, frac, edge = plan
-    w_hi = frac[..., None]
-    edges = [e if any_ else None
-             for e, any_ in zip(edge[..., None], edge.any(axis=1))]
-    return zip(lo, hi, 1 - w_hi, w_hi, edges)
-
-
-def _gather(flat: np.ndarray, lo, hi, w_lo, w_hi, edge, out: np.ndarray,
-            rows_lo: np.ndarray, rows_hi: np.ndarray) -> None:
-    """One step's delayed rows, ``x_lo * (1 - f) + x_hi * f``, into *out*.
-
-    Boundary entries are copied from their row exactly (``x * 1 + x * 0``
-    is not ``x`` for an infinite ``x``).  The indices are always in
-    range; ``"clip"`` only spares ``take`` a buffered copy of its output.
-    """
-    flat.take(lo, 0, rows_lo, "clip")
-    flat.take(hi, 0, rows_hi, "clip")
-    np.multiply(rows_lo, w_lo, out)
-    np.multiply(rows_hi, w_hi, rows_hi)
-    np.add(out, rows_hi, out)
-    if edge is not None:
-        np.copyto(out, rows_lo, where=edge)
-
-
-def _batch_lookups(ts: np.ndarray, xs: np.ndarray, lags: np.ndarray,
-                   dt: float, euler: bool):
-    """Yield each step's delayed states ``(xd1, xd2, xd4)`` as columns.
-
-    ``xd2`` serves k2 and k3; Euler uses ``xd1`` alone.  Step ``s``'s
-    rows are gathered when the caller asks for them, after it stored
-    row ``s``, into one of two fixed buffers in turn: a step's k4 rows
-    are the next step's k1 rows, where the plan does not redo them.
-    """
-    batch, dim = xs.shape[1:]
-    flat = xs.reshape(-1, dim)
-    width = batch if euler else 2 * batch
-    bufs = list(np.empty((2, width, dim)))
-    bufs[1][-batch:] = xs[0]  # the first k1 reads t0 - lag: pre-history
-    rows_lo, rows_hi = np.empty((2, width, dim))
-    redo_rows = np.empty((batch, dim))
-    mid = [_columns(buf[:batch]) for buf in bufs]
-    end = [_columns(buf[-batch:]) for buf in bufs]
-    new, old = 1, 0
-    for main, fresh, redo in _plan(ts, lags, dt, euler,
-                                   _PLAN_QUERIES // batch):
-        steps = _per_step(main)
-        if euler:
-            for lookups in steps:
-                _gather(flat, *lookups, bufs[0], rows_lo, rows_hi)
-                yield mid[0], None, None
-            continue
-        redos = None if redo is None else _per_step(redo)
-        for lookups, mask, again in zip(steps, fresh[..., None],
-                                        fresh.any(axis=1)):
-            new, old = old, new
-            _gather(flat, *lookups, bufs[new], rows_lo, rows_hi)
-            if again:
-                _gather(flat, *next(redos), redo_rows, rows_lo[:batch],
-                        rows_hi[:batch])
-                np.copyto(bufs[old][batch:], redo_rows, where=mask)
-            yield end[old], mid[new], end[new]
-
-
-def integrate_dde_batch(
-    rhs: Callable[[float, tuple, Optional[tuple], tuple], None],
-    x0: np.ndarray,
-    t_span: Tuple[float, float],
-    dt: float,
-    method: str = "rk4",
-    lag=None,
-) -> DdeBatchSolution:
-    """Advance B independent DDE systems together as array operations.
-
-    Parameters
-    ----------
-    rhs:
-        Callable ``rhs(t, x, xd, out)`` per stage.  ``x`` is the state
-        and ``xd`` the delayed state, row *b* at ``t - lag[b]`` (``None``
-        without a lag), each a tuple of ``dim`` read-only ``(B,)``
-        float64 columns; ``out`` is a tuple of ``dim`` writable ``(B,)``
-        columns, into which *rhs* must write every component of the
-        derivative.  Its return value is ignored.
-    x0:
-        ``(B, dim)`` array of initial states (also the constant
-        pre-history of each member).
-    lag:
-        One delay for every member or a ``(B,)`` vector of them (each
-        >= 0), or ``None`` for an ODE.
-
-    All members share the time grid.  The stepping arithmetic mirrors
-    :func:`integrate_dde_floats` exactly, on fixed ``(B, dim)`` buffers
-    (the columns are views of them, made once), so the trajectory of
-    member *b* equals a scalar integration of that member bit for bit.
-    """
-    t, n_steps, euler = _check_problem(t_span, dt, method, lag)
-    x = np.array(x0, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x0 must have shape (batch, dim)")
-    ts = _grid(t, dt, n_steps)
-    xs = np.empty((n_steps + 1,) + x.shape)
-    xs[0] = x
-    if lag is None:
-        lookups = repeat((None, None, None), n_steps)
-    else:
-        lags = np.broadcast_to(np.asarray(lag, dtype=float), x.shape[:1])
-        lookups = _batch_lookups(ts, xs, lags, dt, euler)
-    y = np.empty_like(x)  # the state a stage evaluates at
-    k1, k2, k3, k4 = ks = np.empty((4,) + x.shape)
-    state, stage = _columns(x), _columns(y)
-    d1, d2, d3, d4 = (_columns(k, writeable=True) for k in ks)
-    half = dt / 2
-    sixth = dt / 6.0
-    mul, add = np.multiply, np.add  # the third argument is the output
-    for n, (xd1, xd2, xd4) in enumerate(lookups, 1):
-        rhs(t, state, xd1, d1)
-        if euler:
-            mul(dt, k1, k1)
-            add(x, k1, x)
-        else:
-            mul(half, k1, y)
-            add(x, y, y)
-            rhs(t + half, stage, xd2, d2)
-            mul(half, k2, y)
-            add(x, y, y)
-            rhs(t + half, stage, xd2, d3)
-            mul(dt, k3, y)
-            add(x, y, y)
-            rhs(t + dt, stage, xd4, d4)
-            # x + sixth * (k1 + 2 * k2 + 2 * k3 + k4), in that order
-            mul(2, k2, k2)
-            add(k1, k2, k1)
-            mul(2, k3, k3)
-            add(k1, k3, k1)
-            add(k1, k4, k1)
-            mul(sixth, k1, k1)
-            add(x, k1, x)
-        t += dt
-        xs[n] = x
-    return DdeBatchSolution(ts, xs)

@@ -44,8 +44,8 @@ scalar kernel, which steps the statements in place of an rhs call
 and a curve's law evaluated once per delayed row.
 :meth:`FluidModel.dynamics` compiles the same block into a float-contract
 rhs for :func:`repro.fluid.integrate_dde_floats`, which the block path
-equals bit for bit; :func:`simulate_batch` integrates many ``pert_red``
-sets at once.
+equals bit for bit; :func:`simulate_batch` runs many models' own
+blocks on one grid, into one buffer.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ import numpy as np
 
 from ..laws import LinearRamp, PiResponse, check_positive, lpf_pole
 from .dde import (
-    DdeBatchSolution,
     DdeSolution,
     Equations,
+    _check_problem,
+    _grid,
+    _integrate,
     equations_rhs,
-    integrate_dde_batch,
     integrate_equations,
 )
 
@@ -426,97 +427,49 @@ def make_fluid_model(name: str, **params: Any) -> FluidModel:
 
 
 # ----------------------------------------------------------------------
-# batched integration across a parameter sweep
+# many models on one grid
 # ----------------------------------------------------------------------
 def simulate_batch(
-    models: Sequence[PertRed],
+    models: Sequence[FluidModel],
     duration: float,
     dt: float = 1e-3,
     x0=None,
     method: str = "rk4",
-) -> DdeBatchSolution:
-    """Integrate many ``pert_red`` models in lockstep.
+) -> DdeSolution:
+    """:meth:`FluidModel.simulate` of every model in *models*, on one grid.
 
-    All members share the time grid but may differ in every numeric
-    parameter, including the RTT (each member's own lag).  The
-    right-hand side evaluates the same arithmetic as
-    :meth:`FluidModel.dynamics` elementwise, so member *b*'s trajectory
-    is bit-identical to ``models[b].simulate(duration, dt, ...)`` — this
-    is a throughput optimisation for stability sweeps over parameter
-    grids (the ``fluid.grid`` benchmark; Figure 13 itself runs
-    ``simulate()`` per delay), not an approximation.
+    Each member steps its own equations with its own lag (any registered
+    shape; the state dimensions must agree), its rows written straight
+    into its slice of one ``(B, len(t), dim)`` buffer: member *b* is
+    ``models[b].simulate(duration, dt, ...)`` bit for bit, and nothing
+    is copied.  ``y`` is the buffer's ``(len(t), B, dim)`` view.
 
-    Structural options must be uniform across the batch: ``clamp`` and
-    ``approximate_self_delay`` flags must agree, and time-varying flow
-    counts (``n_of_t``) are not supported (the closure would have to be
-    evaluated per member anyway, forfeiting the vectorisation).
-
-    *x0* is either one ``(3,)`` start shared by all members or a
-    ``(B, 3)`` array; default ``(1, 1, 1)`` as in Figure 13.
+    *x0* is one start shared by all members or a ``(B, dim)`` array;
+    by default each member starts at its own :attr:`~FluidModel.x0_default`.
     """
     if not models:
         raise ValueError("need at least one model")
-    for i, m in enumerate(models):
-        if type(m) is not PertRed:
-            name = next((n for n, c in FLUID_MODELS.items() if type(m) is c),
-                        type(m).__name__)
-            raise ValueError(
-                f"simulate_batch integrates pert_red models; member {i} is {name}"
-            )
-    clamp = models[0].clamp
-    approx = models[0].approximate_self_delay
-    for m in models:
-        if m.clamp != clamp or m.approximate_self_delay != approx:
-            raise ValueError(
-                "batch members must share clamp/approximate_self_delay flags"
-            )
-        if m.n_of_t is not None:
-            raise ValueError("n_of_t models cannot be batch-integrated")
-    batch = len(models)
-    # Parameter vectors come from the scalar properties so batch and
-    # scalar runs start from exactly the same float64 constants.
-    r = np.array([m.rtt for m in models])
-    cap = np.array([m.capacity for m in models])
-    n_flows = np.array([float(m.n_flows) for m in models])
-    beta = np.array([m.beta_decrease for m in models])
-    t_min = np.array([m.t_min for m in models])
-    l_arr = np.array([m.l_pert for m in models])
-    k_arr = np.array([m.k_lpf for m in models])
-
-    inv_r = 1.0 / r
-    r_cap = r * cap
-
-    # the scalar rhs's operations in its order, into ``out``: each ufunc's
-    # third argument is its output (a keyword, or a global lookup of the
-    # ufunc, costs more than the arithmetic on 16 elements)
-    mul, sub, div = np.multiply, np.subtract, np.divide
-
-    def rhs(t: float, x: tuple, xd: tuple, out: tuple) -> None:
-        w, tq, s = x
-        dw, dtq, ds = out
-        w_d = w if approx else xd[0]
-        p = sub(xd[2], t_min, ds)  # ds holds p until its own turn
-        mul(l_arr, p, p)
-        if clamp:  # the scalar clamps' comparisons, elementwise
-            p = np.where(p > 0.0, np.where(p < 1.0, p, 1.0), 0.0)
-            w = np.where(w < 0.0, 0.0, w)
-        mul(beta, p, dw)
-        mul(dw, w, dw)
-        mul(dw, w_d, dw)
-        div(dw, r, dw)
-        sub(inv_r, dw, dw)
-        mul(n_flows, w, dtq)
-        div(dtq, r_cap, dtq)
-        sub(dtq, 1.0, dtq)
-        if clamp:
-            np.copyto(dtq, 0.0, where=(tq <= 0.0) & (dtq < 0.0))
-        sub(s, tq, ds)
-        mul(k_arr, ds, ds)
-
-    start = np.array(x0 if x0 is not None else (1.0, 1.0, 1.0), dtype=float)
-    if start.ndim == 1:
-        start = np.broadcast_to(start, (batch, start.size))
-    elif start.shape[0] != batch:
-        raise ValueError(f"x0 has {start.shape[0]} rows for {batch} models")
-    return integrate_dde_batch(rhs, start, (0.0, duration), dt, method=method,
-                               lag=r)
+    bound = [m._bound_equations() for m in models]
+    dim = len(bound[0][0].state)
+    for b, (block, _) in enumerate(bound):
+        if len(block.state) != dim:
+            raise ValueError(f"member {b} ({block.name}) has "
+                             f"{len(block.state)} state components; "
+                             f"member 0 has {dim}")
+    if x0 is None:
+        starts = [m.x0_default for m in models]
+    else:
+        starts = np.asarray(x0, dtype=float)
+        if starts.ndim == 1:
+            starts = np.broadcast_to(starts, (len(models), len(starts)))
+    if np.shape(starts) != (len(models), dim):
+        raise ValueError(f"x0 has shape {np.shape(starts)}; {len(models)} "
+                         f"models of {dim} components need ({dim},) or "
+                         f"({len(models)}, {dim})")
+    t0, n_steps, _ = _check_problem((0.0, duration), dt, method, None)
+    ts = _grid(t0, dt, n_steps)
+    ys = np.empty((len(models), len(ts), dim))
+    for m, (block, constants), start, y in zip(models, bound, starts, ys):
+        _integrate(block, constants, start, (0.0, duration), dt, method,
+                   m.rtt, out=DdeSolution(ts, y))
+    return DdeSolution(ts, ys.transpose(1, 0, 2))

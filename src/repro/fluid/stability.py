@@ -23,7 +23,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from ..laws import check_positive, lpf_pole, ramp_slope
-from .dde import DdeBatchSolution, DdeSolution
+from .dde import DdeSolution
 
 __all__ = [
     "l_pert",
@@ -35,7 +35,6 @@ __all__ = [
     "pert_pi_gains",
     "equilibrium",
     "trajectory_is_stable",
-    "classify_trajectories",
     "find_stability_boundary",
 ]
 
@@ -200,35 +199,6 @@ def trajectory_is_stable(
     if amp2 / scale < tolerance:
         return True
     return amp2 < 0.9 * amp1
-
-
-def classify_trajectories(
-    sol: DdeBatchSolution,
-    component: int = 0,
-    settle_fraction: float = 0.5,
-    tolerance: float = 0.02,
-) -> np.ndarray:
-    """Vectorised :func:`trajectory_is_stable` over a batched solution.
-
-    Applies the identical peak-to-peak decay test to every member of a
-    :class:`~repro.fluid.dde.DdeBatchSolution` (e.g. one produced by
-    :func:`repro.fluid.model.simulate_batch` over a parameter grid)
-    in a handful of array reductions, returning a boolean array of shape
-    ``(batch,)``.  Member *b*'s verdict equals
-    ``trajectory_is_stable(sol[b], ...)`` by construction.
-    """
-    y = sol.component(component)  # (len(t), batch)
-    n = y.shape[0]
-    start = int(n * settle_fraction)
-    tail = y[start:]
-    if tail.shape[0] < 8:
-        raise ValueError("trajectory too short to classify")
-    half = tail.shape[0] // 2
-    first, second = tail[:half], tail[half:]
-    amp1 = np.ptp(first, axis=0)
-    amp2 = np.ptp(second, axis=0)
-    scale = np.maximum(np.abs(np.mean(tail, axis=0)), 1e-12)
-    return (amp2 / scale < tolerance) | (amp2 < 0.9 * amp1)
 
 
 def find_stability_boundary(

@@ -122,15 +122,20 @@ class ResultCache:
         """
         return Path(self._file(spec.cache_key, CHECKPOINT_SUFFIX))
 
-    def get(self, spec: JobSpec) -> Optional[Dict[str, Any]]:
-        """Return the stored entry dict for *spec*, or ``None`` on a miss.
+    def get(self, spec: Union[JobSpec, str]) -> Optional[Dict[str, Any]]:
+        """Return the stored entry dict for *spec* (or its ``cache_key``),
+        or ``None`` on a miss.
 
         A corrupt or mismatched file counts as a miss and is deleted so
         the entry gets rebuilt by the caller.
         """
-        entry = self._read(spec.cache_key)
+        entry = self._read(spec if isinstance(spec, str) else spec.cache_key)
         self.stats["misses" if entry is None else "hits"] += 1
         return entry
+
+    def holds(self, key: str) -> bool:
+        """Whether an entry file for *key* exists (unread, unchecked)."""
+        return os.path.exists(self._file(key))
 
     def _read(self, key: str) -> Optional[Dict[str, Any]]:
         path = self._file(key)

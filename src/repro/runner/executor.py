@@ -384,7 +384,8 @@ def run_jobs(
             # by now is a failure, never an ok without a payload.
             spec_of = {spec.cache_key: spec for spec in specs}
             unsettled = SubmitReceipt(receipt.sweep, [
-                key for key in spec_of if key not in settled])
+                key for key in spec_of if key not in settled],
+                entries=receipt.entries)
             for entry in fl.results(unsettled):
                 spec = spec_of[entry["key"]]
                 if entry["state"] == "done" and entry["error"] is None:

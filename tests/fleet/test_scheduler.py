@@ -11,6 +11,8 @@ import pytest
 
 from repro.fleet import Fleet, resolve_fleet
 from repro.runner import JobSpec, run_jobs
+from repro.runner import spec as spec_module
+from repro.runner.cache import ResultCache
 
 ECHO = "tests.runner.jobs:echo"
 BOOM = "tests.runner.jobs:boom"
@@ -134,6 +136,41 @@ def test_an_entry_lost_after_submit_is_a_failure(tmp_path):
     third = run_jobs(specs, workers=0, fleet=fleet)
     assert [r.value for r in third] == [{"value": 0}, {"value": 1}]
     assert not any(r.cached for r in third)
+
+
+def test_results_derives_no_key(tmp_path, monkeypatch):
+    """The journal already holds each job's key: ``results`` reads the
+    entry by it, by sweep name or by receipt, and hashes no spec."""
+    fleet = Fleet(tmp_path / "fleet")
+    specs = [JobSpec(ECHO, {"value": i}) for i in range(3)]
+    receipt = fleet.submit(specs, sweep="s")
+    fleet.drain(workers=0)
+    derived = []
+    content_key = spec_module.content_key
+    monkeypatch.setattr(spec_module, "content_key",
+                        lambda *a: derived.append(a) or content_key(*a))
+    for sweep in ("s", receipt):
+        assert [r["payload"] for r in fleet.results(sweep)] \
+            == [{"value": i} for i in range(3)]
+    assert derived == []
+
+
+def test_rerun_of_a_finished_sweep_parses_each_entry_once(tmp_path,
+                                                          monkeypatch):
+    """Submit reads every finished point's entry to check it is not
+    lost; the read-back takes those entries instead of parsing them
+    again."""
+    n = 4
+    specs = [JobSpec(ECHO, {"value": i}) for i in range(n)]
+    run_jobs(specs, workers=0, fleet=tmp_path / "fleet")
+    parsed = []
+    read = ResultCache._read
+    monkeypatch.setattr(ResultCache, "_read",
+                        lambda self, key: parsed.append(key) or read(self, key))
+    again = run_jobs(specs, workers=0, fleet=tmp_path / "fleet")
+    assert [r.value for r in again] == [{"value": i} for i in range(n)]
+    assert all(r.cached for r in again)
+    assert sorted(parsed) == sorted(s.cache_key for s in specs)
 
 
 def test_failed_jobs_surface_in_results(tmp_path):

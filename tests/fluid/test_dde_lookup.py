@@ -1,7 +1,7 @@
 """The delayed state ``repro.fluid.dde`` hands a right-hand side.
 
-The kernels take the model's lag and compute ``xd = x(t - lag)``
-themselves.  Guards:
+The kernel takes the model's lag and computes ``xd = x(t - lag)``
+itself.  Guards:
 
 * an independent oracle — a reference integrator that looks every
   stage's delayed state up with ``np.searchsorted`` plus the same
@@ -9,14 +9,13 @@ themselves.  Guards:
   ``integrate_dde`` must equal bit for bit over random dimensions,
   steps, methods, start times and lags (zero, shorter than the step,
   not a multiple of it, several seconds, longer than the run);
-* a batch equals its members' scalar runs, lags mixed freely;
-* both kernels' plans join seamlessly across chunks;
-* ``xd`` cannot be modified: a tuple, or a read-only array (and the
-  batch's ``x`` columns are read-only too);
-* an exact count of the queries ``_resolve`` plans, the one seam both
-  kernels use: RK4 two per step and member, Euler one, and k1 planned
-  again only after an end-clamped k4;
-* bounded memory: the plans are chunked, the scalar ring O(R/dt);
+* a batch equals its members' scalar runs, shapes and lags mixed freely;
+* the plan joins seamlessly across chunks, however short;
+* ``xd`` cannot be modified: a tuple, or a read-only array;
+* an exact count of the queries ``_resolve`` plans: RK4 two per step,
+  Euler one, and k1 planned again only after an end-clamped k4;
+* bounded memory: the plan is chunked, the ring O(R/dt), and a batch
+  writes into its one buffer;
 * the grid arguments are checked, non-finite ones named;
 * the two scalar contracts at their seams: what the array adapter hands
   an rhs and accepts from it, what the float kernel does.
@@ -29,12 +28,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.fluid import dde, make_fluid_model, simulate_batch
-from repro.fluid.dde import (
-    integrate_dde,
-    integrate_dde_batch,
-    integrate_dde_floats,
-)
+from repro.fluid import FLUID_MODELS, dde, make_fluid_model, simulate_batch
+from repro.fluid.dde import integrate_dde, integrate_dde_floats
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -83,13 +78,6 @@ def rhs(t, x, xd):
     return -0.5 * xd + 0.3 * xd / (1.0 + xd * xd) + 0.05 * (xd - x)
 
 
-def batch_rhs(t, x, xd, out):
-    """:func:`rhs` in the batch contract: it is elementwise, so each
-    derivative column is :func:`rhs` of the same state columns."""
-    for i, column in enumerate(out):
-        column[...] = rhs(t, x[i], xd[i])
-
-
 #: lag as a multiple of dt: zero, inside the step (k4's row end-clamped,
 #: so k1 must not reuse it), around it, not a multiple, an exact multiple
 #: (queries land on grid points), and far beyond any run (pre-history)
@@ -135,53 +123,52 @@ def test_scalar_equals_searchsorted_oracle(problem):
 
 
 @settings(deadline=None)
-@given(problems(), st.data())
-def test_batch_equals_per_member_scalar_runs(problem, data):
-    x0, t_span, dt, method, lag = problem
-    batch = data.draw(st.integers(1, 5))
-    # member 0 keeps the drawn lag; the others get their own multiples
-    # (a factor below one mixes lags shorter and longer than the step)
-    lags = lag * (1.0 + np.arange(batch) * data.draw(st.floats(0.0, 3.0)))
-    if data.draw(st.booleans()):
-        lags = lags + dt * np.arange(batch) * 0.5
-    x0s = np.asarray(x0)[None, :] * (1.0 + 0.25 * np.arange(batch))[:, None]
-    sol = integrate_dde_batch(batch_rhs, x0s, t_span, dt, method=method,
-                              lag=lags)
-    for b in range(batch):
-        member = integrate_dde(rhs, x0s[b], t_span, dt, method=method,
-                               lag=float(lags[b]))
+@given(st.lists(st.tuples(st.sampled_from(sorted(FLUID_MODELS)),
+                          st.floats(0.005, 2.0)), min_size=1, max_size=5),
+       st.floats(0.01, 0.3), st.integers(3, 120),
+       st.sampled_from(["rk4", "euler"]))
+def test_batch_equals_per_member_scalar_runs(members, dt, n_steps, method):
+    """Every registered shape, with RTTs shorter and longer than the
+    step mixed freely: member *b* is its own model's scalar run."""
+    models = [make_fluid_model(name, rtt=rtt) for name, rtt in members]
+    duration = n_steps * dt
+    sol = simulate_batch(models, duration, dt=dt, method=method)
+    for b, model in enumerate(models):
+        member = model.simulate(duration, dt=dt, method=method)
         assert np.array_equal(sol.t, member.t)
-        assert np.array_equal(sol.y[:, b, :], member.y)
-
-
-def test_batch_plan_chunks_join_seamlessly(monkeypatch):
-    """A plan of one step per chunk gives the same bytes as the default."""
-    lags = np.array([0.0, 0.03, 0.1, 0.25, 0.7])
-    x0 = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
-    for method in ("rk4", "euler"):
-        whole = integrate_dde_batch(batch_rhs, x0, (0.0, 3.0), 0.1, method,
-                                    lags)
-        monkeypatch.setattr(dde, "_PLAN_QUERIES", 1)
-        steps = integrate_dde_batch(batch_rhs, x0, (0.0, 3.0), 0.1, method,
-                                    lags)
-        monkeypatch.undo()
-        assert np.array_equal(whole.y, steps.y)
+        assert np.array_equal(sol.y[:, b], member.y, equal_nan=True)
 
 
 @pytest.mark.parametrize("lag", [0.0, 0.03, 0.1, 0.25, 0.7, 100.0])
 def test_scalar_plan_chunks_join_seamlessly(monkeypatch, lag):
-    """The float kernel's plan too: one step per chunk, the same bytes."""
+    """One step per chunk gives the same bytes as the default chunk."""
     def float_rhs(t, x, xd):
         return [-0.5 * d + 0.05 * (d - v) for v, d in zip(x, xd)]
 
     for method in ("rk4", "euler"):
         whole = integrate_dde_floats(float_rhs, [1.0, -0.5], (0.0, 30.0),
                                      0.1, method, lag)
-        monkeypatch.setattr(dde, "_PLAN_QUERIES", 1)
+        monkeypatch.setattr(dde, "_PLAN_STEPS", 1)
         steps = integrate_dde_floats(float_rhs, [1.0, -0.5], (0.0, 30.0),
                                      0.1, method, lag)
         monkeypatch.undo()
         assert whole.y.tobytes() == steps.y.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_a_three_step_plan_equals_the_default(monkeypatch, method):
+    """Every registered shape's own equations, and a lag inside the step
+    (k1 planned again at every step): chunks of three steps, which the
+    runs' 1000 steps do not divide, give the default chunk's bytes."""
+    def runs():
+        models = [make_fluid_model(name) for name in sorted(FLUID_MODELS)]
+        models.append(make_fluid_model("pert_red", rtt=4e-4))
+        return [m.simulate(1.0, dt=1e-3, method=method).y.tobytes()
+                for m in models]
+
+    whole = runs()
+    monkeypatch.setattr(dde, "_PLAN_STEPS", 3)
+    assert runs() == whole
 
 
 # ----------------------------------------------------------------------
@@ -202,40 +189,17 @@ def test_scalar_lookup_is_read_only(lag):
         integrate_dde(rhs, [1.0, 2.0], (0.0, 1.0), dt=0.1, lag=lag)
 
 
-@pytest.mark.parametrize("lags", [
-    pytest.param([10.0, 20.0, 30.0], id="pre-history"),
-    pytest.param([0.25, 0.31, 0.4], id="interpolated"),
-    pytest.param([10.0, 0.25, 0.0], id="mixed-rows"),
-])
-def test_batch_lookup_is_read_only(lags):
-    """``xd`` and ``x`` are columns of the kernel's buffers: no writes."""
-    def writes(name):
-        def rhs(t, x, xd, out):
-            if t > 0.5:
-                {"x": x, "xd": xd}[name][1] *= 2
-            for column, delayed in zip(out, xd):
-                np.negative(delayed, out=column)
-
-        return rhs
-
-    for name in ("x", "xd"):
-        with pytest.raises(ValueError, match="read-only"):
-            integrate_dde_batch(writes(name), np.ones((3, 2)), (0.0, 1.0),
-                                dt=0.1, lag=np.array(lags))
-
-
 # ----------------------------------------------------------------------
 # planned queries: the redundant lookups must not come back
 # ----------------------------------------------------------------------
 def planned_per_step(monkeypatch, run) -> Counter:
-    """Queries per member ``_resolve`` plans for each step while *run*."""
+    """Queries ``_resolve`` plans for each step while *run*."""
     per_step = Counter()
     resolve = dde._resolve
 
-    def counting(q, steps, ts, dt, batch):
-        for s in steps.tolist():
-            per_step[s] += q.shape[1] // batch
-        return resolve(q, steps, ts, dt, batch)
+    def counting(q, steps, ts, dt):
+        per_step.update(steps.tolist())
+        return resolve(q, steps, ts, dt)
 
     monkeypatch.setattr(dde, "_resolve", counting)
     run()
@@ -244,7 +208,7 @@ def planned_per_step(monkeypatch, run) -> Counter:
 
 @pytest.mark.parametrize("method, per_step_max", [("rk4", 2), ("euler", 1)])
 def test_scalar_interpolations_per_step(monkeypatch, method, per_step_max):
-    """The float kernel's queries, counted where both kernels plan them."""
+    """The kernel's queries, counted where they are planned."""
     model = make_fluid_model("pert_red", rtt=0.1)
     n_steps, dt = 1000, 1e-3
     per_step = planned_per_step(monkeypatch, lambda: model.simulate(
@@ -258,13 +222,14 @@ def test_scalar_interpolations_per_step(monkeypatch, method, per_step_max):
 
 @pytest.mark.parametrize("method, per_step_max", [("rk4", 2), ("euler", 1)])
 def test_batch_interpolations_per_step(monkeypatch, method, per_step_max):
-    """The batch's queries, per member, through the same seam."""
+    """A batch plans each member's queries once: B times one run's."""
     models = [make_fluid_model("pert_red", rtt=0.08 + 0.006 * i)
               for i in range(16)]
     n_steps, dt = 1000, 1e-3
     per_step = planned_per_step(monkeypatch, lambda: simulate_batch(
         models, n_steps * dt, dt=dt, method=method))
-    assert per_step == Counter(dict.fromkeys(range(n_steps), per_step_max))
+    assert per_step == Counter(dict.fromkeys(range(n_steps),
+                                             per_step_max * len(models)))
 
 
 @pytest.mark.parametrize("lags", [[0.03], [0.1], [0.25], [0.03, 0.25],
@@ -275,22 +240,17 @@ def test_k1_is_planned_again_only_after_an_end_clamped_k4(monkeypatch,
 
     Step ``s - 1``'s k4 asks for ``ts[s] - lag`` with row ``s - 1`` the
     newest: end-clamped when that time is not before ``ts[s - 1]``.  Then,
-    and only then, step ``s`` plans k1 once more (for the whole batch).
+    and only then, step ``s`` plans k1 once more.  One lag at a time.
     """
     dt, n_steps = 0.1, 40
-    x0 = np.linspace(0.5, 1.5, 2 * len(lags)).reshape(len(lags), 2)
     ts = dde._grid(0.0, dt, n_steps)
-    clamped = {s for s in range(1, n_steps)
-               if any(ts[s] - lag >= ts[s - 1] for lag in lags)}
-    expected = {s: 2 + (s in clamped) for s in range(n_steps)}
-    batch = planned_per_step(monkeypatch, lambda: integrate_dde_batch(
-        batch_rhs, x0, (0.0, n_steps * dt), dt, lag=np.array(lags)))
-    assert batch == expected
-    if len(lags) == 1:
+    for lag in lags:
+        clamped = {s for s in range(1, n_steps) if ts[s] - lag >= ts[s - 1]}
+        expected = {s: 2 + (s in clamped) for s in range(n_steps)}
+        planned = planned_per_step(monkeypatch, lambda: integrate_dde(
+            rhs, [0.5, 1.5], (0.0, n_steps * dt), dt, lag=lag))
         monkeypatch.undo()
-        scalar = planned_per_step(monkeypatch, lambda: integrate_dde(
-            rhs, x0[0], (0.0, n_steps * dt), dt, lag=lags[0]))
-        assert scalar == expected
+        assert planned == expected
 
 
 # ----------------------------------------------------------------------
@@ -346,24 +306,14 @@ def test_an_ode_gets_no_delayed_state():
 
     integrate_dde_floats(rhs, [1.0], (0.0, 1.0), dt=0.1)
     integrate_dde(rhs, [1.0], (0.0, 1.0), dt=0.1, method="euler")
-
-    def batch_rhs(t, x, xd, out):
-        seen.add(xd)
-        np.negative(x[0], out=out[0])
-
-    integrate_dde_batch(batch_rhs, np.ones((2, 1)), (0.0, 1.0), dt=0.1)
     assert seen == {None}
 
 
 @pytest.mark.parametrize("lag", [-0.1, float("nan"), np.array([0.1, -0.1])])
 def test_a_negative_lag_is_rejected(lag):
     with pytest.raises(ValueError, match="lag"):
-        integrate_dde_batch(batch_rhs, np.ones((2, 1)), (0.0, 1.0), dt=0.1,
-                            lag=lag)
-    if np.ndim(lag) == 0:
-        with pytest.raises(ValueError, match="lag"):
-            integrate_dde_floats(lambda t, x, xd: xd, [1.0], (0.0, 1.0),
-                                 dt=0.1, lag=lag)
+        integrate_dde_floats(lambda t, x, xd: xd, [1.0], (0.0, 1.0),
+                             dt=0.1, lag=lag)
 
 
 NAN, INF = math.nan, math.inf
@@ -385,8 +335,6 @@ def test_a_non_finite_grid_is_rejected_by_name(t_span, dt, named):
                                      dt, lag=0.1),
         lambda: integrate_dde(lambda t, x, xd: -xd, [1.0], t_span, dt,
                               lag=0.1),
-        lambda: integrate_dde_batch(batch_rhs, np.ones((2, 1)), t_span, dt,
-                                    lag=0.1),
     ):
         with pytest.raises(ValueError, match=named):
             run()
