@@ -30,7 +30,7 @@ from .model import (
     simulate_batch,
 )
 from .rates import RateTrajectory, equilibrium_rate, rate_trajectory
-from .spectrum import pert_red_spectral_boundary, rightmost_root
+from .spectrum import rightmost_root, spectral_boundary
 from .stability import (
     equilibrium,
     find_stability_boundary,
@@ -70,5 +70,5 @@ __all__ = [
     "trajectory_is_stable",
     "find_stability_boundary",
     "rightmost_root",
-    "pert_red_spectral_boundary",
+    "spectral_boundary",
 ]

@@ -32,7 +32,7 @@ the paper's analysis setting; their equations' ``/(2R)`` is that
 from equilibrium: p is limited to [0, 1], W is floored at 0 and the queue
 is held at 0 (a controller's p' is also stopped at the bounds of
 [0, 1]).  The paper's linear analysis, :meth:`FluidModel.linearization`,
-is the unclamped model.
+is the derivative of the unclamped block: no law needs theory code.
 
 The equations are source text, one block per *shape* (curve or
 controller × ``clamp`` × ``approximate_self_delay`` × ``n_of_t``) with
@@ -104,8 +104,8 @@ class FluidModel:
     @property
     def law(self):
         """The :mod:`repro.laws` object giving ``p``: a curve with
-        ``probability(s)`` and ``slope``, or a controller with
-        ``rate(q, dq)``, ``k``, ``m`` and ``target_delay``."""
+        ``probability(s)`` (and ``lo``, ``slope`` for :meth:`equilibrium`),
+        or a controller with ``rate(q, dq)`` and ``target_delay``."""
         raise NotImplementedError
 
     def __post_init__(self) -> None:
@@ -127,12 +127,6 @@ class FluidModel:
     def k_lpf(self) -> float:
         """A curve's LPF pole K = ln(alpha) / delta < 0  (paper eq. 10)."""
         return lpf_pole(self.alpha, self.delta)
-
-    def _queue_scale(self) -> Tuple[float, float]:
-        """``(a, b)`` of the queue equation ``q' = N·W/a - b``."""
-        if self.signal == "delay":
-            return self.rtt * self.capacity, 1.0
-        return self.rtt, self.capacity
 
     # ------------------------------------------------------------------
     def equilibrium(self) -> Tuple[float, float, float]:
@@ -161,19 +155,21 @@ class FluidModel:
         return w_star, q_star, q_star
 
     # ------------------------------------------------------------------
-    def _bound_equations(self) -> Tuple[Equations, tuple]:
-        """This model's :func:`equations` and the constants they read.
+    def _bound_equations(self, linear: bool = False) -> Tuple[Equations, tuple]:
+        """This model's :func:`equations` (*linear*: unclamped, N
+        constant) and the constants they read.
 
-        Called once per :meth:`simulate` or :meth:`dynamics` (never
-        inside the stepping loop), so a parameter changed between two
-        calls is honoured.
+        Called once per run (never inside the stepping loop), so a
+        parameter changed between two calls is honoured.
         """
         law = self.law
         controller = self._controller(law)
-        block = equations(controller, bool(self.clamp),
+        block = equations(controller, bool(self.clamp) and not linear,
                           bool(self.approximate_self_delay),
-                          self.n_of_t is not None)
-        a, b = self._queue_scale()
+                          self.n_of_t is not None and not linear)
+        # (a, b) of the queue equation q' = N·W/a - b
+        a, b = ((self.rtt * self.capacity, 1.0) if self.signal == "delay"
+                else (self.rtt, self.capacity))
         values = dict(inv_r=1.0 / self.rtt, r=self.rtt,
                       beta=self.beta_decrease, a=a, b=b,
                       n_flows=self.n_flows, n_of_t=self.n_of_t)
@@ -190,32 +186,26 @@ class FluidModel:
         return equations_rhs(block)(*constants)
 
     def linearization(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Jacobians ``(A, B)`` of :meth:`dynamics` (unclamped) at
-        :meth:`equilibrium`: ``x' ≈ A x(t) + B x(t - R)`` around it."""
-        w_star, p_star, _ = self.equilibrium()
-        r = self.rtt
-        beta = self.beta_decrease
-        a, _ = self._queue_scale()
-        law = self.law
-        a11 = -beta * p_star * w_star / r
-        dq_dw = self.n_flows / a
-        A = np.zeros((3, 3))
-        B = np.zeros((3, 3))
-        if self.approximate_self_delay:
-            A[0, 0] = 2 * a11
-        else:
-            A[0, 0] = B[0, 0] = a11
-        A[1, 0] = dq_dw
-        if self._controller(law):
-            A[0, 2] = -beta * w_star**2 / r
-            A[2, 0] = law.k * dq_dw
-            A[2, 1] = law.k / law.m
-        else:
-            B[0, 2] = -beta * law.slope * w_star**2 / r
-            k = self.k_lpf
-            A[2, 1] = -k
-            A[2, 2] = k
-        return A, B
+        """Jacobians ``(A, B)`` of :meth:`dynamics` (unclamped, N
+        constant) at :meth:`equilibrium`: ``x' ≈ A x(t) + B x(t - R)``.
+
+        A complex step: column j is the imaginary part of the rhs with
+        component j of ``x`` (A) or ``xd`` (B) shifted by h·1j, over h.
+        The statements and a law's ``probability`` or ``rate`` are
+        + − × ÷, so this is exact to rounding; h = 2⁻⁶⁷ scales exactly.
+        """
+        block, constants = self._bound_equations(linear=True)
+        rhs = equations_rhs(block)(*constants)
+        x = self.equilibrium_state()
+
+        def column(j: int, delayed: bool):
+            shifted = [v + 2.0**-67 * 1j if i == j else v
+                       for i, v in enumerate(x)]
+            f = rhs(0.0, x, shifted) if delayed else rhs(0.0, shifted, x)
+            return [d.imag / 2.0**-67 for d in f]
+
+        return tuple(np.array([column(j, delayed) for j in range(len(x))]).T
+                     for delayed in (False, True))
 
     # ------------------------------------------------------------------
     def rhs(self, t: float, x: Sequence[float],

@@ -17,21 +17,19 @@ ones to machine precision for modest ``m``.
 
 Local asymptotic stability holds iff the rightmost root has negative
 real part, which gives an *exact* (up to discretisation) boundary to
-compare against Theorem 1's conservative one.
+compare against Theorem 1's sufficient one (:func:`spectral_boundary`).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Callable, Tuple
 
 import numpy as np
-
-from .model import make_fluid_model
 
 __all__ = [
     "cheb",
     "rightmost_root",
-    "pert_red_spectral_boundary",
+    "spectral_boundary",
 ]
 
 
@@ -88,18 +86,19 @@ def rightmost_root(A: np.ndarray, B: np.ndarray, tau: float, m: int = 24) -> com
     return eigs[np.argmax(eigs.real)]
 
 
-def pert_red_spectral_boundary(
+def spectral_boundary(
+    make: Callable[[float], Any],
     lo: float,
     hi: float,
     tol: float = 1e-4,
     m: int = 24,
-    **model_kwargs,
 ) -> float:
-    """Bisect the RTT at which the linearized model loses stability."""
+    """Bisect the RTT at which ``make(rtt)``, a fluid model, loses
+    linear stability; it must be stable at *lo*, unstable at *hi*."""
 
     def real_part(rtt: float) -> float:
-        A, B = make_fluid_model("pert_red", rtt=rtt, **model_kwargs).linearization()
-        return rightmost_root(A, B, rtt, m=m).real
+        model = make(rtt)
+        return rightmost_root(*model.linearization(), model.rtt, m=m).real
 
     if real_part(lo) >= 0:
         raise ValueError("model is already unstable at the lower bound")

@@ -77,7 +77,14 @@ def theorem1_holds(
     alpha: float = 0.99,
     delta: float = 1e-3,
 ) -> bool:
-    """Sufficient local-stability condition of Theorem 1 (eq. 11)."""
+    """Sufficient local-stability condition of Theorem 1 (eq. 11).
+
+    Not sufficient everywhere, by the linearization's spectrum: with this
+    default curve at C = 100 it holds at (N, R) = (5, 100 ms), rightmost
+    root +0.801 ± 7.018j, with eq. (11) on its edge (1.0000 <= 1.0049),
+    and at (20, 240 ms), rightmost root +0.056 ± 4.076j
+    (``tests/fluid/test_theorem1_spectral.py``).
+    """
     lp = l_pert(p_max, t_min, t_max)
     k = k_lpf(alpha, delta)
     wg = omega_g(n_minus, r_plus, capacity)

@@ -15,13 +15,17 @@ fluid model        the DDE's q(t) [s or pkts]   :mod:`repro.fluid.model`
 A law is one of two shapes, and an adapter tells them apart by the slot
 it keeps the object in:
 
-* a **curve** is stateless: ``probability(signal) -> p`` (plus ``slope``
-  for the stability analysis).  :class:`GentleRedCurve`, :class:`RedCurve`,
-  and the fluid analysis's :class:`LinearRamp`.
+* a **curve** is stateless: ``probability(signal) -> p``.
+  :class:`GentleRedCurve`, :class:`RedCurve`, and the fluid analysis's
+  :class:`LinearRamp`.
 * a **controller** carries state from sample to sample:
   ``update(signal) -> p`` advances it by one sample, and
   ``rate(signal, dsignal) -> dp/dt`` states its continuous form for the
   fluid model.  :class:`PiResponse`.
+
+The fluid model's stability analysis differentiates ``probability`` or
+``rate`` by a complex step, exact for + − × ÷ code such as
+:class:`LinearRamp`'s and :meth:`PiResponse.rate`: no law states a derivative.
 
 What an adapter adds is what is genuinely its own: how the signal is
 measured and how often it is sampled, the coin-flip rule, and what a
@@ -79,7 +83,7 @@ class LinearRamp:
         if not 0 < p_max <= 1:
             raise ValueError("p_max must be in (0, 1]")
         self.lo = lo
-        #: L of the stability analysis (L_PERT per second, L_RED per packet)
+        #: L of eq. (10): L_PERT per second, L_RED per packet
         self.slope = ramp_slope(p_max, lo, hi)
 
     def probability(self, signal: float) -> float:
@@ -123,11 +127,6 @@ class GentleRedCurve:
         return 1.0
 
     __call__ = probability
-
-    @property
-    def slope(self) -> float:
-        """L of the stability analysis (L_PERT in seconds, L_RED in packets)."""
-        return ramp_slope(self.p_max, self.t_min, self.t_max)
 
 
 class RedCurve(GentleRedCurve):

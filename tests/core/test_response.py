@@ -31,9 +31,6 @@ class TestGentleRedCurve:
         assert all(b >= a for a, b in zip(ps, ps[1:]))
         assert all(0.0 <= p <= 1.0 for p in ps)
 
-    def test_slope_matches_stability_definition(self):
-        assert self.curve.slope == pytest.approx(0.05 / 0.005)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GentleRedCurve(t_min=0.01, t_max=0.005)

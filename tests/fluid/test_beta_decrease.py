@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fluid import make_fluid_model
-from repro.fluid.spectrum import pert_red_spectral_boundary
+from repro.fluid.spectrum import spectral_boundary
 
 FIG13 = dict(capacity=100.0, n_flows=5, p_max=0.1, t_min=0.05, t_max=0.1,
              alpha=0.99, delta=1e-4)
@@ -35,9 +35,14 @@ def test_trajectory_converges_to_beta_equilibrium():
 def test_gentler_decrease_widens_stability_region():
     """PERT's 35 % decrease is *more* stable than halving — the paper's
     design choice (Sec. 3) also helps the control loop."""
-    b_half = pert_red_spectral_boundary(0.1, 0.25, beta_decrease=0.5, **FIG13)
-    b_pert = pert_red_spectral_boundary(0.1, 0.3, beta_decrease=0.35, **FIG13)
+    def boundary(beta, hi):
+        return spectral_boundary(lambda rtt: make_fluid_model(
+            "pert_red", rtt=rtt, beta_decrease=beta, **FIG13), 0.1, hi)
+
+    b_half, b_pert = boundary(0.5, 0.25), boundary(0.35, 0.3)
     assert b_pert > b_half
+    assert b_half == 0.16580810546875
+    assert b_pert == 0.187255859375
 
 
 def test_beta_validation():

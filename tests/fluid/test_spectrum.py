@@ -8,12 +8,17 @@ import pytest
 from repro.fluid import make_fluid_model
 from repro.fluid.spectrum import (
     cheb,
-    pert_red_spectral_boundary,
     rightmost_root,
+    spectral_boundary,
 )
 
 FIG13 = dict(capacity=100.0, n_flows=5, p_max=0.1, t_min=0.05, t_max=0.1,
              alpha=0.99, delta=1e-4)
+
+
+def pert_red(**params):
+    """``rtt -> model``: ``pert_red`` at Figure 13's parameters plus *params*."""
+    return lambda rtt: make_fluid_model("pert_red", rtt=rtt, **FIG13, **params)
 
 
 class TestCheb:
@@ -92,22 +97,22 @@ class TestPertRedSpectrum:
     def test_boundary_near_paper_observation(self):
         """Linear boundary ~166 ms; the paper observes instability at 171 ms
         (and notes Theorem 1's boundary is not exact)."""
-        b = pert_red_spectral_boundary(0.1, 0.2, **FIG13)
-        assert 0.155 <= b <= 0.175
+        b = spectral_boundary(pert_red(), 0.1, 0.2)
+        assert b == 0.16586914062500002
 
     def test_self_delay_approximation_extends_boundary(self):
         """Paper Sec. 5.3: with W(t-R) ~ W(t) instability moves to ~175 ms."""
-        b_full = pert_red_spectral_boundary(0.1, 0.2, **FIG13)
-        b_approx = pert_red_spectral_boundary(
-            0.1, 0.25, approximate_self_delay=True, **FIG13)
+        b_full = spectral_boundary(pert_red(), 0.1, 0.2)
+        b_approx = spectral_boundary(
+            pert_red(approximate_self_delay=True), 0.1, 0.25)
         assert b_approx > b_full
-        assert 0.165 <= b_approx <= 0.18
+        assert b_approx == 0.17276611328125
 
     def test_boundary_bracket_validation(self):
         with pytest.raises(ValueError):
-            pert_red_spectral_boundary(0.19, 0.25, **FIG13)
+            spectral_boundary(pert_red(), 0.19, 0.25)
         with pytest.raises(ValueError):
-            pert_red_spectral_boundary(0.05, 0.08, **FIG13)
+            spectral_boundary(pert_red(), 0.05, 0.08)
 
 
 def test_fluid_n_of_t_step_shifts_equilibrium():
