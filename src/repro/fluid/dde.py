@@ -435,14 +435,24 @@ def _hooks(source: str, dim: int, block: Optional[Equations]) -> str:
     return _HOOK.sub(fill, source)
 
 
-def _compile(source: str, filename: str, name: str) -> Callable:
-    """*source*'s function *name*, its lines registered with ``linecache``
-    so a traceback through generated code shows them."""
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
+def _compile(make_source: Callable[[], str], filename: str,
+             name: str) -> Callable:
+    """The function *name* of the source *make_source* returns.
+
+    The source is registered with ``linecache`` lazily: only
+    *make_source* is kept, and a traceback through the generated code
+    calls it again for the lines it shows.  ``linecache`` ignores any
+    name of the form ``<...>``, so *filename* has no angle brackets.
+    """
+    linecache.cache[filename] = (make_source,)
     namespace: dict = {}
-    exec(compile(source, filename, "exec"), namespace)
+    exec(compile(make_source(), filename, "exec"), namespace)
     return namespace[name]
+
+
+def _kernel_source(dim: int, block: Optional[Equations]) -> str:
+    return _hooks(_TEMPLATE_FIELD.sub(
+        lambda m: _per_component(m[1], dim), _FLOAT_KERNEL), dim, block)
 
 
 @functools.lru_cache(maxsize=None)
@@ -452,24 +462,26 @@ def _float_kernel(dim: int, block: Optional[Equations] = None) -> Callable:
 
     Generated on first use, the way ``dataclasses`` writes ``__init__``.
     """
-    source = _hooks(_TEMPLATE_FIELD.sub(
-        lambda m: _per_component(m[1], dim), _FLOAT_KERNEL), dim, block)
     label = "" if block is None else f", {block.name}"
-    return _compile(source, f"<repro.fluid.dde float kernel, dim={dim}{label}>",
-                    "step")
+    return _compile(functools.partial(_kernel_source, dim, block),
+                    f"repro.fluid.dde float kernel, dim={dim}{label}", "step")
+
+
+def _rhs_source(block: Equations) -> str:
+    return (f"def bind({', '.join(block.params)}):\n"
+            f"    def rhs(t, x, xd):\n"
+            f"        {_display(block.state)} = x\n"
+            + _indent(block.delayed, " " * 8) + _indent(block.stage, " " * 8)
+            + f"        return {_display(block.derivative)}\n"
+            f"    return rhs\n")
 
 
 @functools.lru_cache(maxsize=None)
 def equations_rhs(block: Equations) -> Callable:
     """``bind(*constants)``, returning *block* as a float-contract
     ``rhs(t, x, xd)``: its delayed then its stage statements."""
-    source = (f"def bind({', '.join(block.params)}):\n"
-              f"    def rhs(t, x, xd):\n"
-              f"        {_display(block.state)} = x\n"
-              + _indent(block.delayed, " " * 8) + _indent(block.stage, " " * 8)
-              + f"        return {_display(block.derivative)}\n"
-              f"    return rhs\n")
-    return _compile(source, f"<repro.fluid.dde rhs, {block.name}>", "bind")
+    return _compile(functools.partial(_rhs_source, block),
+                    f"repro.fluid.dde rhs, {block.name}", "bind")
 
 
 def _ring_plans(ts: np.ndarray, lag: float, dt: float, euler: bool,

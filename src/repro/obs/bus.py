@@ -60,6 +60,7 @@ events/s from consecutive heartbeats' ``sched``/``ts`` deltas.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -252,14 +253,22 @@ def resolve_bus_path(store=None, bus=None) -> Optional[Path]:
 
 
 def resolve_heartbeat_interval(interval: Optional[float] = None) -> float:
-    """Wall seconds between heartbeats; ``$REPRO_BUS_INTERVAL`` default 1.0."""
+    """Wall seconds between heartbeats; ``$REPRO_BUS_INTERVAL`` default 1.0.
+
+    An explicit *interval* that is not finite raises ``ValueError``."""
     if interval is not None:
-        return max(0.05, float(interval))
+        interval = float(interval)
+        if not math.isfinite(interval):
+            raise ValueError("interval must be a finite number of wall "
+                             f"seconds, got {interval!r}")
+        return max(0.05, interval)
     env = os.environ.get("REPRO_BUS_INTERVAL", "").strip()
     try:
-        return max(0.05, float(env)) if env else 1.0
+        value = float(env) if env else 1.0
     except ValueError:
-        return 1.0  # unparseable knob: fall back rather than crash a sweep
+        value = math.nan
+    # an unparseable or non-finite knob: fall back rather than crash a sweep
+    return max(0.05, value) if math.isfinite(value) else 1.0
 
 
 @contextmanager

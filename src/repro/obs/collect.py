@@ -26,6 +26,7 @@ simulated time, timestamped with the event that triggered it.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from .metrics import (
@@ -212,8 +213,9 @@ class Collector:
         sample_interval: float = 0.1,
         trace_packet_events: bool = True,
     ):
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+        if not (math.isfinite(sample_interval) and sample_interval > 0):
+            raise ValueError("sample_interval must be a finite number > 0, "
+                             f"got {sample_interval!r}")
         self.registry = registry if registry is not None else MetricsRegistry()
         self.records: Optional[List[dict]] = [] if trace else None
         self.sample_interval = sample_interval

@@ -14,6 +14,7 @@ library usable (and cheap) outside the runner.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -57,19 +58,28 @@ class ObsFlags:
 
 def resolve_obs_flags(env=None) -> ObsFlags:
     """Read ``REPRO_OBS`` / ``REPRO_TRACE`` / ``REPRO_PROFILE`` (+ the
-    ``REPRO_OBS_INTERVAL`` sampling knob) from the environment."""
+    ``REPRO_OBS_INTERVAL`` sampling knob) from the environment.  An
+    interval that is not a finite number > 0 raises ``ValueError``
+    naming the knob."""
     env = env if env is not None else os.environ
 
     def on(name: str) -> bool:
         return env.get(name, "").strip().lower() in _TRUTHY
 
     trace = on("REPRO_TRACE")
-    interval = env.get("REPRO_OBS_INTERVAL", "").strip()
+    raw = env.get("REPRO_OBS_INTERVAL", "").strip()
+    try:
+        interval = float(raw) if raw else 0.1
+    except ValueError:
+        interval = math.nan
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError("REPRO_OBS_INTERVAL must be a finite number of "
+                         f"simulated seconds > 0, got {raw!r}")
     return ObsFlags(
         collect=on("REPRO_OBS") or trace,
         trace=trace,
         profile=on("REPRO_PROFILE"),
-        sample_interval=float(interval) if interval else 0.1,
+        sample_interval=interval,
     )
 
 

@@ -144,6 +144,15 @@ def test_resolve_heartbeat_interval(monkeypatch):
     assert resolve_heartbeat_interval() == 1.0
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_a_non_finite_heartbeat_interval(monkeypatch, raw):
+    # the knob falls back as for junk; an explicit argument raises
+    monkeypatch.setenv("REPRO_BUS_INTERVAL", raw)
+    assert resolve_heartbeat_interval() == 1.0
+    with pytest.raises(ValueError, match="interval"):
+        resolve_heartbeat_interval(float(raw))
+
+
 # ---------------------------------------------------------------------------
 # torn-tail tolerance
 

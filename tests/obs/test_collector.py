@@ -146,6 +146,13 @@ def test_tracing_collector_rejects_bad_interval():
         Collector(trace=True, sample_interval=0.0)
 
 
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("trace", [False, True])
+def test_collector_names_a_non_finite_interval(interval, trace):
+    with pytest.raises(ValueError, match="sample_interval"):
+        Collector(trace=trace, sample_interval=interval)
+
+
 def test_tagging_needs_somewhere_to_record():
     sim = Simulator(seed=1)
     sender, _ = make_flow(sim, make_dumbbell(sim))

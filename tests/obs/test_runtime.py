@@ -25,6 +25,12 @@ def test_flags_from_env():
     assert flags.sample_interval == 0.25
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-0.5", "abc"])
+def test_a_bad_interval_names_its_knob(raw):
+    with pytest.raises(ValueError, match="REPRO_OBS_INTERVAL"):
+        resolve_obs_flags(env={"REPRO_OBS": "1", "REPRO_OBS_INTERVAL": raw})
+
+
 def test_trace_implies_collect():
     flags = resolve_obs_flags(env={"REPRO_TRACE": "on"})
     assert flags.trace and flags.collect

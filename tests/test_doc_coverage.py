@@ -176,26 +176,3 @@ def test_docstring_cross_references_resolve():
     assert not dangling, (
         "cross-references to nothing:\n  " + "\n  ".join(dangling)
     )
-
-
-def test_performance_doc_matches_bench_schema():
-    """docs/PERFORMANCE.md names the current BENCH schema strings.
-
-    A schema bump in benchmarks/perf without a matching doc update is
-    exactly the drift this lint exists to catch.
-    """
-    import sys
-
-    if str(ROOT) not in sys.path:
-        sys.path.insert(0, str(ROOT))
-    import benchmarks.perf as perf
-
-    doc = (ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
-    assert perf.SCHEMA in doc, (
-        f"docs/PERFORMANCE.md does not mention the current BENCH schema "
-        f"{perf.SCHEMA!r}; update its schema reference section"
-    )
-    assert perf.HISTORY_SCHEMA in doc, (
-        f"docs/PERFORMANCE.md does not mention the current history schema "
-        f"{perf.HISTORY_SCHEMA!r}; update its schema reference section"
-    )
