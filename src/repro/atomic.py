@@ -1,13 +1,13 @@
 """The one way this package writes a file that must never be seen torn.
 
-Cache entries, JSONL traces, validation verdicts and snapshot files are all
-written through :func:`atomic_write`: the bytes go to a temp file in the
+Cache entries, JSONL traces and validation verdicts are all written
+through :func:`atomic_write`: the bytes go to a temp file in the
 target's directory, which is then renamed over the target
 (``os.replace`` is atomic on POSIX and Windows).  A crash or a raising
 writer leaves either the old file or the new one, and no temp file.
 
 A leaf module (standard library only), so :mod:`repro.runner`,
-:mod:`repro.obs` and :mod:`repro.snapshot` can all import it.
+:mod:`repro.obs` and :mod:`repro.validate` can all import it.
 """
 
 from __future__ import annotations

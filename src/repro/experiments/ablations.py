@@ -18,6 +18,11 @@ Each variant is one cached runner job: a dotted-path kind that runs the
 ``dumbbell`` job under a temporarily registered PERT scheme, so no
 variant is in ``SCHEMES`` outside its own run and no harness function
 grows a parameter.
+
+The figure stays although no paper figure asks for it: its 44 quick
+checks are the only ones that vary the paper's own knobs (α, β and the
+once-per-RTT gate) rather than the scenario, so a change that breaks
+one of PERT's design choices without moving a paper figure shows here.
 """
 
 from __future__ import annotations

@@ -8,21 +8,15 @@ steady-state window only.  A *scenario* states what differs — a
 returns a :class:`PacketRun` naming the measured links and flows — and
 :func:`run_scenario` is the one shell every scenario runs in:
 
-    resolve -> resume-or-build -> warm -> measure -> result
+    resolve -> build -> warm -> measure -> result
 
 The shell owns the only ``Simulator(...)`` call, the profiler /
-heartbeat / collector attachment, the phase timings and checkpointing:
-when the executor installs a checkpoint slot
-(:mod:`repro.snapshot.runtime`) the run is snapshotted with its
-simulator at periodic boundaries and a retried attempt resumes from the
-last one — to exactly the result an uninterrupted run produces, because
-``sim.run(until=...)`` chunking is bit-identical to a single call
-(pinned by the resume goldens in ``tests/snapshot``).  For that a
-``build`` is a pure function of *params* (construction order fixes RNG
-draws and event sequence numbers), finds ``seed`` / ``warmup`` /
-``duration`` among them, and leaves nothing on the event heap that
-cannot be pickled (no closures).  docs/ARCHITECTURE.md has the table of
-scenarios.
+heartbeat / collector attachment and the phase timings.  A ``build`` is
+a pure function of *params* (construction order fixes RNG draws and
+event sequence numbers) and finds ``seed`` / ``warmup`` / ``duration``
+among them, so a run is a deterministic function of its job spec: a
+failed attempt is retried from the spec, never resumed mid-run.
+docs/ARCHITECTURE.md has the table of scenarios.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from ..obs.records import select
 from ..sim.engine import Simulator
 from ..sim.monitors import LinkWindow, QueueSampler
 from ..sim.topology import Dumbbell, make_topology
-from ..snapshot import runtime as snapshot_runtime
 from ..traffic.ftp import start_long_flows
 from ..traffic.web import start_web_sessions
 from .scenarios import get_scheme, scheme_at
@@ -103,7 +96,7 @@ def bound_params(fn, *args, **kwargs) -> Dict[str, Any]:
 
 
 def delivered_bytes(flows, pkt_size: int) -> int:
-    """Bytes delivered in order to *flows*' sinks: a picklable counter for
+    """Bytes delivered in order to *flows*' sinks: a counter for
     :class:`~repro.sim.monitors.ThroughputSampler` (via ``partial``)."""
     return sum(sink.rcv_next for _, sink in flows) * pkt_size
 
@@ -147,7 +140,7 @@ class MeasuredLink:
 
 class PacketRun:
     """One packet run: what a scenario's ``build(params, sim)`` returns and
-    the shell carries between phases — the state a checkpoint captures.
+    the shell carries between phases.
 
     ``links`` are the :class:`MeasuredLink` s (a collector observes their
     queue and transmitter), ``senders`` every long-lived sender (observed
@@ -156,9 +149,7 @@ class PacketRun:
     whose trace records the scenario's *result* reads, so the shell sees
     to it that ``recorder`` keeps them (a recorded sender is tagged:
     every ACK).  Whatever else the result function reads rides along as
-    attributes.  The shell adds ``collector`` (the job's, if any),
-    ``recorder`` and ``build``, with ``params`` the identity a resumed
-    attempt is held to.
+    attributes.  The shell adds ``recorder``.
     """
 
     def __init__(self, params: Dict[str, Any], sim: Simulator, links=(),
@@ -167,9 +158,7 @@ class PacketRun:
         self.links, self.senders = list(links), list(senders)
         self.observed = dict(observed or {})
         self.recorded = list(recorded)
-        self.build = self.collector = self.recorder = None
-        #: the measurement window has opened (warm-up is behind us)
-        self.opened = False
+        self.recorder = None
         self.__dict__.update(parts)
 
     def payload(self, **fields: Any) -> Dict[str, Any]:
@@ -186,19 +175,31 @@ def run_scenario(build, params: Dict[str, Any], collector=None) -> PacketRun:
     *collector*: a :class:`repro.obs.Collector`; ``None`` uses the active
     job observation's (if the runner enabled one), ``False`` forces
     observability off.  Attachment is passive — results are identical
-    either way — and a resumed run keeps the collector it was built with.
-    A scenario whose result reads records (``PacketRun.recorded``) gets
-    them from that collector when it traces, else from a private one on
-    those parts only.
+    either way.  A scenario whose result reads records
+    (``PacketRun.recorded``) gets them from that collector when it
+    traces, else from a private one on those parts only.
     """
     if collector is None:
         collector = obs_runtime.active_collector()
     elif collector is False:
         collector = None
-    ckpt = snapshot_runtime.active_checkpoint()
-    run = _resume_or_build(build, params, collector, ckpt)
-    _warm(run, ckpt)
-    _measure(run, ckpt)
+    t0 = time.monotonic()
+    run = _build(build, params, collector)
+    active = obs_runtime.active()
+    if active is not None:
+        active.add_phase("setup", time.monotonic() - t0)
+    if params["warmup"] > 0:
+        with obs_runtime.phase("warmup"):
+            run.sim.run(until=params["warmup"])
+    for m in run.links:
+        m.window.open()
+        m.goodput0 = [sink.rcv_next for _, sink in m.flows]
+    with obs_runtime.phase("measure"):
+        run.sim.run(until=params["duration"])
+    for m in run.links:
+        m.window.close()
+    if collector is not None:
+        collector.finalize(run.sim)
     return run
 
 
@@ -208,7 +209,6 @@ def _build(build, params: Dict[str, Any], collector) -> PacketRun:
     sim.profiler = obs_runtime.active_profiler()
     obs_runtime.note_simulator(sim)
     run = build(params, sim)
-    run.build, run.collector = build, collector
     if run.recorded:
         run.recorder = collector
         if collector is None or collector.records is None:
@@ -239,81 +239,6 @@ def _build(build, params: Dict[str, Any], collector) -> PacketRun:
         if obs is not None:
             obs.attach_sender(sender, every_ack=sender in run.recorded)
     return run
-
-
-def _resume_or_build(build, params, collector, ckpt) -> PacketRun:
-    """Restore the checkpoint slot's run, or build fresh.
-
-    A restored run is accepted only if its scenario and resolved
-    parameters match this call exactly — the checkpoint file is keyed by
-    spec hash when the runner installs it, but direct callers get the
-    same guarantee.
-    """
-    if ckpt is not None:
-        resumed = ckpt.resume()
-        if resumed is not None:
-            _sim, run = resumed
-            if (isinstance(run, PacketRun) and run.build == build
-                    and run.params == params):
-                run.sim.profiler = obs_runtime.active_profiler()
-                obs_runtime.note_simulator(run.sim)
-                if run.collector is not None:
-                    obs_runtime.adopt_collector(run.collector)
-                return run
-            ckpt.reject()
-    t0 = time.monotonic()
-    run = _build(build, params, collector)
-    active = obs_runtime.active()
-    if active is not None:
-        active.add_phase("setup", time.monotonic() - t0)
-    return run
-
-
-def _advance(run: PacketRun, until: float, ckpt) -> None:
-    """Run the simulation to *until*, checkpointing at interval boundaries.
-
-    Chunked ``run(until=...)`` calls are bit-identical to a single call
-    (the engine's pop-first loop pushes the one horizon-crossing event
-    back), so checkpoint cadence never changes results.  No checkpoint is
-    written at *until* itself — phase ends either lead straight into more
-    simulation or into job completion, where the file is deleted anyway.
-    """
-    sim = run.sim
-    if ckpt is None:
-        sim.run(until=until)
-        return
-    while sim.now < until:
-        target = min(until, sim.now + ckpt.interval)
-        sim.run(until=target)
-        if target < until:
-            ckpt.save(sim, run)
-
-
-def _warm(run: PacketRun, ckpt) -> None:
-    """Run to the end of warm-up and open the measurement windows.
-
-    Idempotent across resumes: a run restored mid-measure (windows
-    already open) passes straight through.
-    """
-    warmup = run.params["warmup"]
-    if run.sim.now < warmup:
-        with obs_runtime.phase("warmup"):
-            _advance(run, warmup, ckpt)
-    if not run.opened:
-        for m in run.links:
-            m.window.open()
-            m.goodput0 = [sink.rcv_next for _, sink in m.flows]
-        run.opened = True
-
-
-def _measure(run: PacketRun, ckpt) -> None:
-    """Run the steady-state window to ``duration`` and close it."""
-    with obs_runtime.phase("measure"):
-        _advance(run, run.params["duration"], ckpt)
-    for m in run.links:
-        m.window.close()
-    if run.collector is not None:
-        run.collector.finalize(run.sim)
 
 
 def scheme_dumbbell(sim: Simulator, qdisc, buffer_pkts: int, bandwidth: float,
@@ -443,8 +368,7 @@ def _resolve_params(*, rtt, rtts, background=None, **params) -> Dict[str, Any]:
     """Validate and resolve the run parameters into their canonical form.
 
     *params* are :func:`run_dumbbell`'s other simulation keywords.  The
-    resolved dict fully determines the simulation, so it is also the
-    identity a checkpoint resume compares against.
+    resolved dict fully determines the simulation.
     """
     get_scheme(params["scheme"])  # fail fast on unknown names
     n_fwd = params["n_fwd"]

@@ -267,14 +267,11 @@ class ScenarioSpec:
         timeout: Optional[float] = None,
         retries: int = 1,
         progress=None,
-        checkpoint: Optional[float] = None,
         fleet=None,
     ) -> List[Dict]:
         """Run every scheme at every point; returns flattened table rows.
 
-        ``checkpoint`` enables periodic crash-resume checkpoints in the
-        runner's workers (simulated seconds between saves).  ``fleet``
-        routes execution through a crash-safe :mod:`repro.fleet`
+        ``fleet`` routes execution through a crash-safe :mod:`repro.fleet`
         directory (path, ``Fleet`` instance, or ``None`` to consult
         ``$REPRO_FLEET``) — see :func:`sweep_dumbbell`.
         """
@@ -289,7 +286,6 @@ class ScenarioSpec:
             timeout=timeout,
             retries=retries,
             progress=progress,
-            checkpoint=checkpoint,
             fleet=fleet,
             **self.base,
         )

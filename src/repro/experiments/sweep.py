@@ -93,7 +93,6 @@ def sweep_dumbbell(
     timeout: Optional[float] = None,
     retries: int = 1,
     progress=None,
-    checkpoint: Optional[float] = None,
     fleet=None,
     **base_kwargs,
 ) -> List[Dict]:
@@ -112,10 +111,10 @@ def sweep_dumbbell(
     = ``$REPRO_WORKERS``), ``cache`` the on-disk result cache, and
     ``timeout``/``retries`` the per-job failure policy.  A job that still
     fails after its retries yields a NaN-metric row flagged
-    ``failed=True`` instead of aborting the sweep.  ``checkpoint`` is
-    forwarded for crash-resumable jobs, and ``fleet`` too: a
-    :class:`~repro.fleet.scheduler.Fleet` instance, a fleet directory
-    path, or ``None`` to consult ``$REPRO_FLEET`` (unset → in-memory).
+    ``failed=True`` instead of aborting the sweep.  ``fleet`` is
+    forwarded too: a :class:`~repro.fleet.scheduler.Fleet` instance, a
+    fleet directory path, or ``None`` to consult ``$REPRO_FLEET`` (unset
+    → in-memory).
     Fleeted sweeps are durably journaled — kill the process at any point
     and re-running it (or ``python -m repro.fleet resume <dir>``)
     converges without recomputing finished points.
@@ -134,7 +133,6 @@ def sweep_dumbbell(
         timeout=timeout,
         retries=retries,
         progress=progress,
-        checkpoint=checkpoint,
         fleet=fleet,
     )
     return [

@@ -28,8 +28,8 @@ what holds and renews the leases of its running attempts.
 Determinism contract: jobs are deterministic functions of their spec, so
 at-least-once execution (a lease that expires mid-run may be re-leased)
 still yields exactly-once *results* — the store is keyed by content, a
-re-leased job first checks the store, and a resumed run is bit-identical
-to a straight-through one (the :mod:`repro.snapshot` guarantee).
+re-leased job first checks the store, and a job that was cut off runs
+again from its spec to the same result.
 """
 
 from .journal import Journal

@@ -71,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "failed one (0 = drain in-process)")
         p.add_argument("--ttl", type=float, default=DEFAULT_TTL,
                        help=f"lease TTL seconds (default {DEFAULT_TTL})")
-        p.add_argument("--checkpoint", type=float, default=None,
-                       help="checkpoint interval seconds for resumable jobs")
         p.add_argument("--max-attempts", type=int,
                        default=DEFAULT_MAX_ATTEMPTS,
                        help="lease attempts before a job fails terminally "
@@ -88,8 +86,6 @@ def _open_fleet(args: argparse.Namespace) -> Fleet:
     kwargs = {}
     if getattr(args, "ttl", None) is not None:
         kwargs["ttl"] = args.ttl
-    if getattr(args, "checkpoint", None) is not None:
-        kwargs["checkpoint"] = args.checkpoint
     if getattr(args, "max_attempts", None) is not None:
         kwargs["max_attempts"] = args.max_attempts
     return Fleet(args.root, store=args.store,

@@ -84,7 +84,6 @@ class Fleet:
         store: Optional[Union[str, Path, ResultCache]] = None,
         bus=None,
         ttl: float = DEFAULT_TTL,
-        checkpoint: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
         """Open (creating if needed) the fleet at *root*.
@@ -95,9 +94,8 @@ class Fleet:
         a long-running service whose point includes live visibility, so
         unlike the runner's its bus (each drain's ``run_*`` / ``job_*``
         telemetry) is **on by default** at ``<root>/events.jsonl``;
-        ``bus=False`` silences it, a path relocates it.  *ttl*,
-        *checkpoint* and *max_attempts* apply to every drain of this
-        handle.
+        ``bus=False`` silences it, a path relocates it.  *ttl* and
+        *max_attempts* apply to every drain of this handle.
         """
         self.root = Path(root)
         if isinstance(store, ResultCache):
@@ -106,7 +104,6 @@ class Fleet:
             self.store = ResultCache(store if store is not None
                                      else self.root / "store")
         self.ttl = float(ttl)
-        self.checkpoint = checkpoint
         self.max_attempts = int(max_attempts)
         if bus is False:
             self.bus_path: Optional[Path] = None
@@ -183,7 +180,7 @@ class Fleet:
         return self.queue.counts()
 
     #: crash recovery *is* a drain: finished points are store hits and
-    #: half-finished ones resume from their checkpoints inside the attempt
+    #: half-finished ones are leased again and run from their specs
     resume = drain
 
     # ------------------------------------------------------------------

@@ -12,8 +12,8 @@ runs of the same flow counts.
 The coupling is one-directional and deterministic: the fluid model is
 fast-forwarded up front to its settled sending rate, which a
 :class:`BackgroundSource` injects through the ordinary event engine — so
-seeded runs stay reproducible, snapshots keep working, and a zero-share
-background degenerates to exactly the pure packet run.
+seeded runs stay reproducible and a zero-share background degenerates
+to exactly the pure packet run.
 
 Entry points:
 

@@ -3,7 +3,7 @@
 The job record (a fresh job's cache entry) and its trace become
 readable only after the job finishes.  The bus is the *live* complement:
 while a sweep is still executing, the runner publishes job lifecycle
-events (started / finished / failed / retried / cached / resumed), job
+events (started / finished / failed / retried / cached), job
 phase transitions, and periodic wall-clock heartbeats (simulated-time
 progress, events scheduled, peak RSS) into one append-only JSON Lines
 file next to the cache.  :class:`repro.obs.rundir.RunView` folds it
@@ -41,14 +41,15 @@ Schema v2 event types and their payload fields (beyond ``v``/``type``/
 ``job_failed``      ``key, error, attempts``
 ``job_retried``     ``key, attempt`` (the attempt that just failed)
 ``job_cached``      ``key`` (served from the on-disk cache)
-``job_resumed``     ``key, resumed_at`` (simulated seconds)
 ``phase_started``   ``key, phase``
 ``phase_finished``  ``key, phase, seconds``
 ``heartbeat``       ``key, sim_now, events, sched, peak_rss_kb``
 ==================  ==================================================
 
 Schema 2 dropped v1's ``fleet_*`` family (a fleet's only record is its
-journal, :mod:`repro.fleet`); a schema-1 file reads as empty.
+journal, :mod:`repro.fleet`); a schema-1 file reads as empty.  Mid-run
+checkpoints and their ``job_resumed`` event are gone too; a line of an
+unknown type is skipped, so an older file holding one still reads.
 
 ``heartbeat.sched`` is the simulator's monotone event sequence counter —
 a live proxy for work done that the hot loop already maintains, so
@@ -104,7 +105,6 @@ EVENT_TYPES: Dict[str, tuple] = {
     "job_failed": ("key", "error", "attempts"),
     "job_retried": ("key", "attempt"),
     "job_cached": ("key",),
-    "job_resumed": ("key", "resumed_at"),
     "phase_started": ("key", "phase"),
     "phase_finished": ("key", "phase", "seconds"),
     "heartbeat": ("key", "sim_now", "events", "sched", "peak_rss_kb"),
@@ -200,7 +200,7 @@ def bus_scope(path: Optional[Union[str, Path]], *, job: Optional[str] = None):
     """Make an :class:`EventBus` over *path* the process-active bus.
 
     Yields the bus, or ``None`` when *path* is unset — callers wrap
-    unconditionally and test the yield, mirroring ``checkpoint_scope``.
+    unconditionally and test the yield.
     The active bus is what :func:`emit` and the phase hooks in
     :mod:`repro.obs.runtime` publish to.
     """

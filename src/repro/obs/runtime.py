@@ -36,7 +36,6 @@ __all__ = [
     "active",
     "active_collector",
     "active_profiler",
-    "adopt_collector",
     "note_simulator",
     "phase",
     "resolve_obs_flags",
@@ -165,22 +164,6 @@ def active_profiler() -> Optional[SamplingProfiler]:
     return _ACTIVE.profiler if _ACTIVE is not None else None
 
 
-def adopt_collector(collector: Optional[Collector]) -> bool:
-    """Swap a restored collector into the active observation.
-
-    When a job resumes from a checkpoint, the collector rides along
-    inside the snapshot (it is attached to queues/senders/links in the
-    simulator graph).  The fresh :class:`JobObservation` made for the
-    retry attempt must report *that* collector's metrics, not the empty
-    one it constructed — the executor calls this after a successful
-    resume.  Returns ``True`` if an adoption happened.
-    """
-    if _ACTIVE is None or collector is None:
-        return False
-    _ACTIVE.collector = collector
-    return True
-
-
 @contextmanager
 def phase(name: str):
     """Time a named phase of the active observation (no-op when idle).
@@ -213,7 +196,7 @@ def note_simulator(sim) -> bool:
     """Register *sim* as the active observation's live simulator.
 
     Harness code (e.g. the dumbbell builder) calls this right after
-    constructing or restoring its :class:`~repro.sim.engine.Simulator`
+    constructing its :class:`~repro.sim.engine.Simulator`
     so the bus heartbeat thread can read progress counters off it.
     Costs one global load when no observation is active; returns ``True``
     if a registration happened.

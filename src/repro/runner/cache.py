@@ -6,7 +6,7 @@ never leave a half-written entry.  An entry is ``{key, kind, params,
 payload, meta}`` and is the job's one record: ``meta`` says what the
 fresh attempt cost and observed (``events``, ``wall_time``,
 ``attempts``, ``phases``, ``peak_rss_kb``, and ``metrics`` /
-``profile`` / ``checkpoint`` when on), and ``<key>.trace.jsonl`` beside
+``profile`` when on), and ``<key>.trace.jsonl`` beside
 it is the trace when ``--trace`` was on.
 
 A hit is one read and one parse, and every sweep served from the cache
@@ -41,7 +41,6 @@ from ..atomic import atomic_write
 from .spec import JobSpec
 
 __all__ = [
-    "CHECKPOINT_SUFFIX",
     "TRACE_SUFFIX",
     "ResultCache",
     "default_cache_dir",
@@ -50,8 +49,6 @@ __all__ = [
 
 _DISABLE_VALUES = {"0", "off", "false", "no"}
 
-#: checkpoint filename suffix (sibling of the cache entry)
-CHECKPOINT_SUFFIX = ".ckpt"
 #: trace filename suffix (sibling of the cache entry)
 TRACE_SUFFIX = ".trace.jsonl"
 
@@ -111,16 +108,6 @@ class ResultCache:
     def trace_path_for(self, spec: JobSpec) -> Path:
         """Sibling JSONL trace path for *spec* (written with ``--trace``)."""
         return Path(self._file(spec.cache_key, TRACE_SUFFIX))
-
-    def checkpoint_path_for(self, spec: JobSpec) -> Path:
-        """Sibling checkpoint path for *spec* (see :mod:`repro.snapshot`).
-
-        The checkpoint shares the cache entry's key on purpose: a resumed
-        run is bit-identical to a straight-through one, so the checkpoint
-        is an implementation detail of producing the *same* cache entry,
-        and it survives retries of the same spec only.
-        """
-        return Path(self._file(spec.cache_key, CHECKPOINT_SUFFIX))
 
     def get(self, spec: Union[JobSpec, str]) -> Optional[Dict[str, Any]]:
         """Return the stored entry dict for *spec* (or its ``cache_key``),

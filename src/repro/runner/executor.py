@@ -3,8 +3,9 @@
 Jobs are deterministic functions of their :class:`JobSpec`, so how they
 are executed is purely an operational choice, made in exactly one place:
 
-* :func:`run_attempt` runs **one attempt** of one job under the four
-  per-attempt scopes (telemetry bus, observation, heartbeat, checkpoint).
+* :func:`run_attempt` runs **one attempt** of one job under the three
+  per-attempt scopes (telemetry bus, observation, heartbeat).  The job
+  is the unit of recovery: a failed attempt is retried from its spec.
 * :func:`commit` makes a successful attempt durable **store first**:
   the trace (with ``--trace``), then the one cache entry carrying the
   payload and the attempt's observation, and only then the queue
@@ -46,7 +47,6 @@ from typing import (Any, Callable, Dict, Hashable, List, NamedTuple, Optional,
 from ..obs.bus import EventBus, bus_scope, heartbeat_loop, resolve_bus_path
 from ..obs.runtime import observe_job
 from ..obs.trace import write_trace
-from ..snapshot.runtime import checkpoint_scope, resolve_checkpoint_interval
 from .cache import ResultCache, resolve_cache
 from .registry import resolve_job
 from .spec import JobSpec
@@ -59,7 +59,7 @@ __all__ = ["JobResult", "Ticket", "commit", "resolve_workers", "run_attempt",
 _JOIN_GRACE = 5.0
 
 #: observation fields an attempt's cache entry carries in ``meta``
-_OBSERVED = ("phases", "peak_rss_kb", "metrics", "profile", "checkpoint")
+_OBSERVED = ("phases", "peak_rss_kb", "metrics", "profile")
 
 #: sleep between polls of a queue whose remaining jobs are all leased to
 #: other processes (only the journal backend can be in that state)
@@ -150,8 +150,7 @@ def _events_of(payload: Any) -> int:
     return 0
 
 
-def run_attempt(spec: JobSpec, ckpt_path=None, ckpt_interval=None,
-                bus_path=None) -> Tuple[Any, Dict]:
+def run_attempt(spec: JobSpec, bus_path=None) -> Tuple[Any, Dict]:
     """Run one attempt of *spec*; returns ``(payload, obs_meta)`` or raises.
 
     The job runs inside an :func:`observe_job` context so phase timings,
@@ -160,31 +159,18 @@ def run_attempt(spec: JobSpec, ckpt_path=None, ckpt_interval=None,
     stays untouched, so cached results are byte-identical with
     observability on or off.
 
-    When checkpointing is enabled a :func:`checkpoint_scope` wraps the
-    job as well: a checkpoint-aware job resumes from *ckpt_path* if a
-    previous attempt left one (crash/timeout/kill recovery) and saves
-    periodically.  On success the checkpoint file is deleted and its
-    lineage summary is returned in the observation under ``checkpoint``.
-
     When the telemetry bus is enabled (*bus_path*), the attempt opens its
     own :class:`~repro.obs.bus.EventBus` scoped to the job's key so phase
-    transitions, checkpoint resumes and a wall-clock heartbeat thread
-    publish live progress straight into the run's ``events.jsonl`` —
+    transitions and a wall-clock heartbeat thread publish live progress
+    straight into the run's ``events.jsonl`` —
     the scheduler never proxies live telemetry, so a hung scheduler
     cannot stall a worker.
     """
     with bus_scope(bus_path, job=spec.cache_key) as bus, \
             observe_job() as obs, \
-            heartbeat_loop(bus), \
-            checkpoint_scope(ckpt_path, ckpt_interval) as slot:
+            heartbeat_loop(bus):
         payload = resolve_job(spec.kind)(dict(spec.params))
-    obs_meta = obs.finish()
-    if slot is not None:
-        lineage = slot.summary()
-        if lineage is not None:
-            obs_meta["checkpoint"] = lineage
-        slot.discard()
-    return payload, obs_meta
+    return payload, obs.finish()
 
 
 def commit(store: Optional[ResultCache], queue, ticket: Ticket, payload: Any,
@@ -213,13 +199,12 @@ def commit(store: Optional[ResultCache], queue, ticket: Ticket, payload: Any,
 def _worker_main(conn, inherited) -> None:
     """Worker-process entry point: serve attempts until the driver hangs up.
 
-    Loops ``recv (spec, ckpt_path, ckpt_interval, bus_path) ->
-    run_attempt -> send``.  A failed attempt is reported and ends the
-    worker (the driver starts a fresh one); EOF on the pipe — the driver
-    closed its end, or died — ends it too, which is why a forked worker
-    first closes the driver-side pipe ends it *inherited* (its own and
-    its older siblings'): held open here, they would keep those workers
-    waiting on a dead driver.
+    Loops ``recv (spec, bus_path) -> run_attempt -> send``.  A failed
+    attempt is reported and ends the worker (the driver starts a fresh
+    one); EOF on the pipe — the driver closed its end, or died — ends it
+    too, which is why a forked worker first closes the driver-side pipe
+    ends it *inherited* (its own and its older siblings'): held open
+    here, they would keep those workers waiting on a dead driver.
     """
     for other in inherited:
         other.close()
@@ -266,7 +251,6 @@ def run_jobs(
     timeout: Optional[float] = None,
     retries: int = 1,
     progress=None,
-    checkpoint: Optional[float] = None,
     bus=None,
     fleet=None,
 ) -> List[JobResult]:
@@ -289,14 +273,6 @@ def run_jobs(
     progress:
         Callable invoked with the live :class:`RunnerStats` after each
         job settles; ``None`` defers to ``$REPRO_PROGRESS``.
-    checkpoint:
-        Simulated seconds between periodic checkpoints of checkpoint-aware
-        jobs (see :mod:`repro.snapshot`); ``None`` defers to
-        ``$REPRO_CHECKPOINT`` (default off).  A killed, crashed or
-        timed-out attempt resumes from the last checkpoint instead of
-        starting over — bit-identically, so specs and cache keys are
-        unaffected.  Requires an enabled cache (the checkpoint lives next
-        to the job's cache entry); silently off otherwise.
     bus:
         Live telemetry bus (see :mod:`repro.obs.bus`): ``None`` defers to
         ``$REPRO_BUS`` (default off), ``False`` disables, a str/Path
@@ -311,7 +287,7 @@ def run_jobs(
         submitted (deduping against the fleet's store) and the same loop
         drains the fleet's queue, so a killed call is resumed by calling
         again with no finished point recomputed.  A fleet brings its own
-        store, bus and checkpoint default in place of ``cache``/``bus``;
+        store and bus in place of ``cache``/``bus``;
         ``retries`` counts against the job's journaled attempts (a
         killed run's lease is one), under the fleet's ``max_attempts``.
     """
@@ -326,9 +302,6 @@ def run_jobs(
         bus_path = resolve_bus_path(store, bus)
     else:
         store, bus_path = fl.store, fl.bus_path
-        if checkpoint is None:
-            checkpoint = fl.checkpoint
-    ckpt_interval = resolve_checkpoint_interval(checkpoint) if store is not None else None
     hook = resolve_progress(progress)
     live: Optional[EventBus] = EventBus(bus_path) if bus_path is not None else None
     if fl is None:
@@ -371,8 +344,8 @@ def run_jobs(
         if live is not None:
             live.emit("run_started", total=stats.total)
         try:
-            _drive(queue, store, n_workers, timeout, retries, ckpt_interval,
-                   bus_path, live, stats, settle)
+            _drive(queue, store, n_workers, timeout, retries, bus_path, live,
+                   stats, settle)
         finally:
             queue.close()
         if fl is None:
@@ -402,16 +375,13 @@ def run_jobs(
     return results
 
 
-def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
-           live, stats, settle: Callable[[Hashable, JobResult], None]) -> None:
+def _drive(queue, store, n_workers, timeout, retries, bus_path, live, stats,
+           settle: Callable[[Hashable, JobResult], None]) -> None:
     """The scheduler loop: take tickets until the queue is drained."""
     ctx = None
     running: List[_Running] = []
     idle: List[Tuple[Any, Any]] = []  # (proc, conn) of workers awaiting a ticket
     landed: List[Tuple[Ticket, Any, Any, float]] = []  # replies not yet committed
-
-    def ckpt_path_of(spec: JobSpec):
-        return store.checkpoint_path_for(spec) if ckpt_interval is not None else None
 
     def succeed(ticket: Ticket, payload: Any, obs_meta, wall: float) -> None:
         meta = {"events": _events_of(payload), "wall_time": wall,
@@ -476,8 +446,7 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
                 t0 = time.monotonic()
                 if n_workers == 0:
                     try:
-                        payload, obs_meta = run_attempt(
-                            spec, ckpt_path_of(spec), ckpt_interval, bus_path)
+                        payload, obs_meta = run_attempt(spec, bus_path)
                     except Exception as exc:  # noqa: BLE001 - keep the sweep alive
                         fail(ticket, f"{type(exc).__name__}: {exc}")
                     else:
@@ -494,7 +463,7 @@ def _drive(queue, store, n_workers, timeout, retries, ckpt_interval, bus_path,
                     proc.start()
                     child_conn.close()  # so a dead worker reads as EOF
                 try:
-                    conn.send((spec, ckpt_path_of(spec), ckpt_interval, bus_path))
+                    conn.send((spec, bus_path))
                 except OSError:  # worker died idle: reported as a crash below
                     pass
                 running.append(_Running(

@@ -15,16 +15,13 @@ One engine
 ----------
 There is exactly one scheduler, :class:`ArraySimulator`; ``Simulator`` is
 a second name for the same class (the name stays ``ArraySimulator``
-because snapshots pickle the class by that name).  Its executable
+because the end-to-end benchmark's result header prints
+``get_engine_class().__name__``).  Its executable
 specification — the original tuple-heap engine that always dispatches
 through the heap and re-arms timers with a literal cancel-then-schedule
 — lives in ``tests/differential/oracle.py`` as a test-only subclass; the
 differential and property suites hold this engine to it bit for bit.
 Nothing selects an engine at run time.
-
-Snapshots carry the event list in a canonical form (``(time, seq, fn,
-args, event)`` 5-tuples sorted by key), independent of the physical heap
-layout — see :meth:`Simulator.__getstate__`.
 
 Performance notes
 -----------------
@@ -62,24 +59,9 @@ __all__ = [
 
 _INF = float("inf")
 
-#: canonical (snapshot-format) heap entry: ``(time, seq, fn, args, event)``
+#: canonical heap entry, as :meth:`Simulator.live_entries` reports it:
+#: ``(time, seq, fn, args, event)``
 _LegacyEntry = Tuple[float, int, Callable[..., Any], tuple, Optional["Event"]]
-
-#: slots every snapshot restores (``_running`` and ``profiler`` are
-#: process-local and deliberately excluded; the event list travels under
-#: the canonical ``"_heap"`` key and the live count under ``"_live"``)
-_STATE_SLOTS = (
-    "now",
-    "seed",
-    "_seq",
-    "events_processed",
-    "_stream_labels",
-    "_stream_counts",
-)
-
-
-#: the :class:`Event` slots a snapshot carries (``_qtime`` is re-derived)
-_EVENT_STATE_SLOTS = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim")
 
 
 class SimulationError(RuntimeError):
@@ -134,21 +116,6 @@ class Event:
         if self._sim is not None:
             self._sim._dead += 1
 
-    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
-        # The default slots state minus `_qtime`: snapshots export every
-        # pending handle under its current key (see live_entries()), so
-        # the physical-entry bookkeeping is private and re-derived on
-        # restore — which keeps snapshot bytes layout-independent.
-        return None, {name: getattr(self, name) for name in _EVENT_STATE_SLOTS}
-
-    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        # Also the default for snapshots that predate the slot: a live
-        # handle sits in the restored heap under its own key; a cancelled
-        # one was purged at capture and a fired one already popped.
-        self._qtime = _INF if self.cancelled or self.fired else self.time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} seq={self.seq}{state} {self.fn!r}>"
@@ -176,7 +143,7 @@ class ArraySimulator:
         ticks.  Dispatches as a direct ``fn(arg)``.
     ``(time, seq, fn, args, event)``
         Cancellable (:meth:`schedule` / :meth:`schedule_at`) and
-        variable-arity events, in the canonical snapshot format;
+        variable-arity events, in the canonical form;
         ``event`` is ``None`` for multi-argument :meth:`schedule_fire`
         callbacks.
 
@@ -385,7 +352,7 @@ class ArraySimulator:
         wake-up that :meth:`run` re-keys when it surfaces.  A fresh
         ``seq`` is reserved at call time, so the firing key ``(time,
         seq)``, tie order, :meth:`pending`, ``events_processed``, ``now``
-        and snapshot state all equal what the two calls produce; a
+        and :meth:`live_entries` all equal what the two calls produce; a
         handle cancelled but not yet popped is revived the same way.
         Anything else (no handle, already fired, entry gone or keyed
         *after* the new deadline, another callback or simulator, a bad
@@ -514,16 +481,17 @@ class ArraySimulator:
             self.events_processed += processed
 
     # ------------------------------------------------------------------
-    # snapshot support
+    # introspection
     # ------------------------------------------------------------------
     def live_entries(self) -> List[_LegacyEntry]:
         """Live events as ``(time, seq, fn, args, event)`` 5-tuples.
 
-        Layout-neutral view of the event list for snapshots, diagnostics
-        and integrity checks: slot and heap together, cancelled-but-
-        unpopped entries excluded, and ``event`` is ``None`` for
-        fire-and-forget callbacks.  The returned list is ordered by
-        physical layout, not sorted; only its key multiset is meaningful.
+        Layout-neutral view of the event list for diagnostics and for
+        the suites that compare this engine with its oracle: slot and
+        heap together, cancelled-but-unpopped entries excluded, and
+        ``event`` is ``None`` for fire-and-forget callbacks.  The returned
+        list is ordered by physical layout, not sorted; only its key
+        multiset is meaningful.
         """
         out: List[_LegacyEntry] = []
         queued = self._heap if self._next is None else [self._next, *self._heap]
@@ -541,84 +509,12 @@ class ArraySimulator:
                            else (ev.time, ev.seq, ev.fn, ev.args, ev))
         return out
 
-    def __getstate__(self) -> Dict[str, Any]:
-        """Snapshot state: shared slots plus the canonical event list.
-
-        ``__slots__`` means default pickling would already enumerate the
-        slots, but two of them must not ride along: ``_running`` (a
-        snapshot taken from inside a callback would restore into a
-        simulator that refuses to run) and ``profiler`` (a wall-clock
-        observer holding process-local state).  Checkpointing mid-``run``
-        or with a profiler attached fails fast with a clear error instead
-        of producing a snapshot that lies.
-
-        The event list is exported under the canonical ``"_heap"`` key as
-        :meth:`live_entries` 5-tuples sorted by ``(time, seq)``, so the
-        bytes do not depend on the physical layout (the slot, flat
-        4-tuples, :meth:`reschedule` wake-ups) and the test oracle
-        restores them too; ``"_live"`` carries :meth:`pending`.
-        Cancelled-but-unpopped entries are purged from the exported copy
-        (the live event list is untouched): lazy cancellation means a
-        popped cancelled entry is skipped without side effects, so the
-        purge cannot change the continuation — and it keeps a cancelled
-        entry's possibly-unpicklable callback from blocking the snapshot.
-        Pop order depends only on the ``(time, seq)`` key multiset, so
-        rebuilding the heap from the exported list is exact.
-        """
-        from ..snapshot.errors import SnapshotError
-
-        if self._running:
-            raise SnapshotError(
-                "cannot snapshot a Simulator from inside run(); checkpoint "
-                "between run(until=...) chunks instead"
-            )
-        if self.profiler is not None:
-            raise SnapshotError(
-                "cannot snapshot: a profiler is attached to the simulator; "
-                "detach it (sim.profiler = None) around the snapshot"
-            )
-        # key order is part of the snapshot bytes
-        state = {"now": self.now, "seed": self.seed, "_seq": self._seq,
-                 "_live": self.pending(), "events_processed": self.events_processed,
-                 "_stream_labels": self._stream_labels,
-                 "_stream_counts": self._stream_counts}
-        # seq is unique, so the sort never compares past the key; a
-        # sorted list is a valid heap and does not depend on the
-        # physical layout
-        state["_heap"] = sorted(self.live_entries())
-        return state
-
-    def _restore_shared(self, state: Dict[str, Any]) -> None:
-        """Everything but the event list (which the test oracle lays out
-        differently): the snapshot slots, process-local ones reset."""
-        for slot in _STATE_SLOTS:
-            setattr(self, slot, state[slot])
-        self._running = False
-        self.profiler = None
-        self._dead = 0  # the export holds no cancelled entry
-        self._next = None
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._restore_shared(state)
-        heap: List[tuple] = []
-        for entry in state["_heap"]:
-            ev = entry[4]
-            if ev is not None:
-                if not ev.cancelled:
-                    heap.append(entry)
-            elif len(entry[3]) == 1:
-                heap.append((entry[0], entry[1], entry[2], entry[3][0]))
-            else:
-                heap.append(entry)
-        heapq.heapify(heap)
-        self._heap = heap
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now:.6f} pending={self.pending()}>"
 
 
 #: the name every caller and annotation uses; the class keeps its
-#: historical ``__name__`` because snapshots pickle it by reference
+#: historical ``__name__`` for the benchmark header (see above)
 Simulator = ArraySimulator
 
 

@@ -54,10 +54,6 @@ class Link:
         "_on_tx_done",
     )
 
-    #: slots derived from the others at construction and on restore —
-    #: never part of a snapshot (see :meth:`_bind_callbacks`)
-    _DERIVED_SLOTS = frozenset(("_deliver", "_on_tx_done"))
-
     def __init__(
         self,
         sim: Simulator,
@@ -95,19 +91,14 @@ class Link:
         self._ser_time: Dict[int, float] = {}
         #: this link's instrument (``Collector.attach_link``)
         self.obs: Optional[Any] = None
-        self._bind_callbacks()
-
-    def _bind_callbacks(self) -> None:
-        """Bind the two per-packet event callbacks once per link.
-
-        ``dst.receive`` and ``self._tx_done`` go into the event list once
-        per hop; looking them up here instead allocates two bound methods
-        per link, not two per packet.  Both resolve through the class at
-        this point, so a subclass's ``_tx_done`` and a class-level wrapper
-        installed before the link is built (``benchmarks/e2e/tracing.py``)
-        are what gets bound.
-        """
-        self._deliver = self.dst.receive
+        # The two per-packet event callbacks, bound once per link:
+        # ``dst.receive`` and ``self._tx_done`` go into the event list
+        # once per hop, and looking them up here allocates two bound
+        # methods per link, not two per packet.  Both resolve through the
+        # class at this point, so a subclass's ``_tx_done`` and a
+        # class-level wrapper installed before the link is built
+        # (``benchmarks/e2e/tracing.py``) are what gets bound.
+        self._deliver = dst.receive
         self._on_tx_done = self._tx_done
 
     # ------------------------------------------------------------------
@@ -208,32 +199,6 @@ class Link:
             self._ser_time[size] = tx_time
         self.busy_time += tx_time
         sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
-
-    # ------------------------------------------------------------------
-    # snapshot support
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        """Walk ``__slots__`` across the MRO so subclasses (e.g.
-        :class:`~repro.sim.jitter.JitterLink`) round-trip their extra
-        slots without defining their own hooks.  Everything a link holds
-        — counters, qdisc, the serialization memo, an attached instrument
-        — is state worth keeping; nothing is process-local.  The bound
-        callbacks are derived, not state: they stay out of the snapshot
-        (its bytes do not change with them) and are re-bound on restore
-        to the *restored* node and link."""
-        state: Dict[str, Any] = {}
-        for klass in type(self).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                if slot not in self._DERIVED_SLOTS:
-                    state[slot] = getattr(self, slot)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        # ``receive`` is a class attribute, so binding it works even when
-        # a reference cycle hands us ``dst`` before its own state is set
-        self._bind_callbacks()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

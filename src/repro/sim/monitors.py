@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Optional, Sequence
 
+from ..laws import check_positive
 from .engine import Simulator
 from .link import Link
 from .queues.base import QueueDiscipline
@@ -47,8 +48,7 @@ class QueueSampler:
     """
 
     def __init__(self, sim: Simulator, qdisc: QueueDiscipline, interval: float = 0.01):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        check_positive(interval=interval)
         self.sim = sim
         self.qdisc = qdisc
         self.interval = interval
@@ -148,13 +148,11 @@ class ThroughputSampler:
 
     The Figure 12 staircase (a counter per cohort) and the Section 4.7
     CBR squeeze (one aggregate counter) plot throughput over time with
-    it.  Checkpointed runs need picklable counters (``functools.partial``
-    of a module-level function, not a lambda).
+    it.
     """
 
     def __init__(self, sim: Simulator, *counter_fns, interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        check_positive(interval=interval)
         self.sim = sim
         self.counter_fns = counter_fns
         self.interval = interval

@@ -79,10 +79,6 @@ class QueueDiscipline:
     # *instance* must also set ``_plain_admit = False``, or the link's
     # idle-hop pass-through goes round it.
 
-    #: class-attribute fallback for snapshots written before the flag
-    #: existed: restored instances take the slow (always-correct) path
-    _plain_admit = False
-
     #: AQM subclasses set this per instance: CE-mark the ECN-capable
     #: packets the law picks instead of dropping them
     ecn = False

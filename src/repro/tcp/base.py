@@ -147,8 +147,6 @@ class TcpSender:
     def start(self, at: Optional[float] = None, npackets: Optional[int] = None) -> None:
         """Begin transmitting: *npackets* total, or forever if ``None``."""
         self.app_limit = npackets
-        # Scheduled as a bound method, not a local closure: pending
-        # callbacks must survive snapshot/restore (see repro.snapshot).
         if at is None or at <= self.sim.now:
             self.sim.schedule(0.0, self._begin)
         else:

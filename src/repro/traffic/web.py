@@ -133,9 +133,6 @@ class WebSession:
             **self.sender_kwargs,
         )
         started_at = self.sim.now
-        # A partial of a bound method, not a local closure: the completion
-        # callback lives on the sender across snapshot/restore and
-        # closures cannot be pickled.
         sender.on_complete = functools.partial(self._object_done, started_at, fid)
         sender.start(npackets=npkts)
 

@@ -53,8 +53,10 @@ def _default_verdict_path(tier: str) -> Path:
 
 def _figure_line(fv: FigureVerdict) -> str:
     """One status line per figure for the live run output."""
-    gaps = sum(1 for c in fv.checks if c.status == "gap")
-    extra = f", {gaps} known gap{'s' if gaps != 1 else ''}" if gaps else ""
+    extra = ""
+    for status, label in (("gap", "known gap"), ("closed_gap", "closed gap")):
+        n = sum(1 for c in fv.checks if c.status == status)
+        extra += f", {n} {label}{'s' if n != 1 else ''}" if n else ""
     if fv.error is not None:
         return f"{fv.figure:10s} FAIL   (check error: {fv.error})"
     return (
@@ -86,6 +88,7 @@ def _summary(verdict: Verdict) -> str:
     return (
         f"overall: {verdict.status} ({counts['pass']} pass / "
         f"{counts['fail']} fail / {counts['gap']} gap / "
+        f"{counts['closed_gap']} closed gap / "
         f"{counts['missing']} missing over {len(verdict.figures)} figures)"
     )
 

@@ -19,7 +19,9 @@ A :class:`Band` supports two complementary shapes, usable together:
 ``known_gap`` marks a metric the reproduction is *known* not to hit at
 the scaled operating point (documented in ``docs/VALIDATION.md``); an
 out-of-band measurement then reports as ``gap`` instead of ``fail`` so
-the regression gate stays green without hiding the deviation.
+the regression gate stays green without hiding the deviation, and an
+in-band one as ``closed_gap`` instead of ``pass``, so a gap that closes
+is seen, not counted among the passes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class Band:
     #: "paper" (from Bhandarkar et al.'s published numbers/claims) or
     #: "golden" (pinned from this reproduction; rewritten by update-golden)
     source: str = "golden"
-    #: documented known deviation: out-of-band reports as "gap", not "fail"
+    #: documented known deviation: out-of-band reports as "gap", not
+    #: "fail"; in-band as "closed_gap", not "pass"
     known_gap: bool = False
     note: str = ""
 
@@ -142,8 +145,9 @@ class MetricCheck:
     """Outcome of checking one measured metric against its band.
 
     ``status`` is one of ``pass``, ``fail``, ``gap`` (out of band but
-    ``known_gap``), or ``missing`` (the expected metric was never
-    measured — itself a failure: the extraction hook regressed).
+    ``known_gap``), ``closed_gap`` (in band although ``known_gap``; not
+    a failure), or ``missing`` (the expected metric was never measured —
+    itself a failure: the extraction hook regressed).
     """
 
     metric: str
@@ -169,5 +173,6 @@ def check_metric(metric: str, band: Band, measured: Optional[float]) -> MetricCh
         return MetricCheck(metric, band, None, "missing")
     measured = float(measured)
     if band.contains(measured):
-        return MetricCheck(metric, band, measured, "pass")
+        return MetricCheck(metric, band, measured,
+                           "closed_gap" if band.known_gap else "pass")
     return MetricCheck(metric, band, measured, "gap" if band.known_gap else "fail")

@@ -19,7 +19,8 @@ from .verdict import FigureVerdict, Verdict
 
 __all__ = ["render_results_md", "write_results_md"]
 
-_BADGES = {"pass": "✅ pass", "gap": "⚠️ known gap", "fail": "❌ FAIL",
+_BADGES = {"pass": "✅ pass", "gap": "⚠️ known gap",
+           "closed_gap": "✅ closed gap", "fail": "❌ FAIL",
            "missing": "❌ MISSING"}
 
 _HEADER = """\
@@ -107,7 +108,8 @@ def render_results_md(verdict: Verdict) -> str:
     lines.append(
         f"**Overall: {_BADGES.get(verdict.status, verdict.status)}** — "
         f"{counts['pass']} pass, {counts['fail']} fail, "
-        f"{counts['gap']} known gaps, {counts['missing']} missing, "
+        f"{counts['gap']} known gaps, {counts['closed_gap']} closed gaps, "
+        f"{counts['missing']} missing, "
         f"over {len(verdict.figures)} figures."
     )
     lines.append("")

@@ -193,7 +193,7 @@ class Verdict:
 
     def counts(self) -> Dict[str, int]:
         """Per-status totals over every metric check."""
-        counts = {"pass": 0, "fail": 0, "gap": 0, "missing": 0}
+        counts = {"pass": 0, "fail": 0, "gap": 0, "closed_gap": 0, "missing": 0}
         for fig in self.figures:
             for c in fig.checks:
                 counts[c.status] = counts.get(c.status, 0) + 1

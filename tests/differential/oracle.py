@@ -7,7 +7,7 @@ and selecting it: the heap stores ``(time, seq, fn, args, event)``
 the literal ``cancel`` + ``schedule``.  It is deliberately the plainest
 thing that implements the scheduling contract, so "the engine is
 correct" means "it is indistinguishable from this" — event stream,
-``(time, seq)`` keys, counters, snapshot bytes.  The scenario-level
+``(time, seq)`` keys, counters, the live event list.  The scenario-level
 differential suite, the hypothesis properties and the unit tests all
 parametrise over :data:`ENGINES` through the helpers below.
 
@@ -18,9 +18,7 @@ here first, in the obvious way, and then in the engine.
 from __future__ import annotations
 
 import heapq
-import io
-import pickle
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.sim.engine import (
     _INF,
@@ -30,7 +28,7 @@ from repro.sim.engine import (
     _LegacyEntry,
 )
 
-__all__ = ["LegacySimulator", "ENGINES", "use_engine", "restore_as"]
+__all__ = ["LegacySimulator", "ENGINES", "use_engine"]
 
 
 class LegacySimulator(ArraySimulator):
@@ -50,8 +48,8 @@ class LegacySimulator(ArraySimulator):
     popped cancelled entry changes neither.
 
     A subclass of the engine only for what is not scheduling (RNG
-    streams, ``cancel``, ``__getstate__``, the empty heap ``__init__``
-    leaves); every scheduling method is overridden.
+    streams, ``cancel``, the empty heap ``__init__`` leaves); every
+    scheduling method is overridden.
     """
 
     __slots__ = ("_live",)
@@ -202,21 +200,10 @@ class LegacySimulator(ArraySimulator):
             self.events_processed += processed
 
     # ------------------------------------------------------------------
-    # snapshot support
+    # introspection
     # ------------------------------------------------------------------
     def live_entries(self) -> List[_LegacyEntry]:
         return [e for e in self._heap if e[4] is None or not e[4].cancelled]
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._restore_shared(state)
-        self._live = state["_live"]
-        heap = list(state["_heap"])
-        # Re-heapify defensively: the canonical export is already a valid
-        # heap, but an array-engine export interleaved with purges (or a
-        # hand-edited snapshot) might not be, and pop order depends only
-        # on the key multiset.
-        heapq.heapify(heap)
-        self._heap = heap
 
 
 #: what every engine-parametrised suite runs on — the specification and
@@ -232,22 +219,3 @@ def use_engine(monkeypatch, name: str) -> None:
     """Have the experiment harnesses build ``ENGINES[name]``."""
     for module in _CONSTRUCTION_SITES:
         monkeypatch.setattr(f"{module}.Simulator", ENGINES[name])
-
-
-class _RebindUnpickler(pickle.Unpickler):
-    def __init__(self, file, target: type):
-        super().__init__(file)
-        self._target = target
-
-    def find_class(self, module, name):
-        if any((module, name) == (cls.__module__, cls.__name__)
-               for cls in ENGINES.values()):
-            return self._target
-        return super().find_class(module, name)
-
-
-def restore_as(body: bytes, name: str):
-    """``restore_bytes`` with the simulator rebound to ``ENGINES[name]``,
-    whichever of the two captured *body*; returns ``(sim, state)``."""
-    root = _RebindUnpickler(io.BytesIO(body), ENGINES[name]).load()
-    return root["sim"], root["state"]

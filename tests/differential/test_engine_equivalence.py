@@ -3,14 +3,12 @@
 Every sender scheme in the registry — together spanning all three queue
 disciplines (droptail, RED, PI) — runs through the tuple-heap
 reference in :mod:`.oracle` (``"legacy"``) and through the product's
-one event engine (``"array"``).  The comparison covers three layers:
+one event engine (``"array"``).  The comparison covers two layers:
 
 * the packet-event stream (every enqueue/drop/mark/sample trace record,
   with timestamps, flow ids, sequence numbers and queue lengths),
 * the steady-state figure metrics (goodputs, drop/mark rates,
-  utilization, Jain index, mean queue),
-* snapshot round-trips in both directions (capture under one, restore
-  under the other, continue, same result).
+  utilization, Jain index, mean queue).
 
 Tier selection mirrors the validate suite: the quick tier (default, CI)
 runs one scheme per queue discipline on a small workload; set
@@ -22,16 +20,10 @@ import os
 
 import pytest
 
-from repro.experiments.common import (
-    PacketRun,
-    _dumbbell_result,
-    _measure,
-    run_dumbbell,
-)
+from repro.experiments.common import run_dumbbell
 from repro.obs import Collector
-from repro.snapshot import capture_bytes, runtime
 
-from .oracle import ENGINES, restore_as, use_engine
+from .oracle import ENGINES, use_engine
 
 FULL = os.environ.get("REPRO_DIFF_FULL", "") not in ("", "0")
 
@@ -124,45 +116,3 @@ def test_tracing_does_not_perturb(scheme, monkeypatch):
     traced, _ = _run_with_engine("array", scheme, monkeypatch, trace=True)
     bare, _ = _run_with_engine("array", scheme, monkeypatch, trace=False)
     assert _metric_tuple(traced) == _metric_tuple(bare)
-
-
-@pytest.mark.parametrize("capture_engine,restore_engine",
-                         [("legacy", "array"), ("array", "legacy")])
-def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
-                                         monkeypatch):
-    """Checkpoint mid-measure under one engine, restore under the other,
-    finish identically."""
-    use_engine(monkeypatch, capture_engine)
-    slot = _CaptureSlot()
-    monkeypatch.setattr(runtime, "_ACTIVE", slot)
-    run_dumbbell("pert", collector=False, **KW)
-    monkeypatch.setattr(runtime, "_ACTIVE", None)
-
-    # continue the run under the *other* engine
-    sim, state = restore_as(slot.body, restore_engine)
-    assert type(sim) is ENGINES[restore_engine]
-    assert isinstance(state, PacketRun) and state.opened
-    assert KW["warmup"] < sim.now < KW["duration"]
-    crossed = _dumbbell_result_after_measure(state)
-
-    # reference: the same workload cold, natively under restore_engine
-    native, _ = _run_with_engine(restore_engine, "pert", monkeypatch,
-                                 trace=False)
-    assert _metric_tuple(crossed) == _metric_tuple(native)
-
-
-class _CaptureSlot(runtime.CheckpointSlot):
-    """A checkpoint slot that keeps its latest capture in memory; its
-    interval puts the last save of a ``KW`` run inside the measurement."""
-
-    def __init__(self):
-        super().__init__("unused.ckpt", (KW["duration"] + KW["warmup"]) / 4)
-        self.body = None
-
-    def save(self, sim, state=None):
-        self.body = capture_bytes(sim, state)
-
-
-def _dumbbell_result_after_measure(state):
-    _measure(state, None)
-    return _dumbbell_result(state)

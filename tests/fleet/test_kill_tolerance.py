@@ -3,7 +3,7 @@
 The headline guarantee of :mod:`repro.fleet`: submit a sweep, SIGKILL
 the draining process mid-run, resume — every point finished before the
 kill is a content-addressed store hit, never simulated again, and
-half-finished points resume from their :mod:`repro.snapshot` checkpoints.
+half-finished points run again from their specs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.runner.spec import JobSpec
 
 ECHO_LOG = "tests.fleet.jobs:touch_and_echo"
 SLOW_ONCE = "tests.fleet.jobs:slow_once"
-CRASHY = "tests.snapshot.jobs:crashy_dumbbell"
 
 #: generous wall-clock bound for "the drain finishes the quick jobs"
 DEADLINE = 60.0
@@ -135,27 +134,3 @@ def test_killed_submitter_resumes_idempotently(tmp_path):
     assert len(log.read_text().split()) == 4
     assert [e["payload"]["value"] for e in fleet2.results(receipt)] == [0, 1, 2, 3]
 
-
-def test_crashed_attempt_resumes_from_checkpoint(tmp_path):
-    """A mid-simulation death resumes from the periodic checkpoint and
-    produces exactly the straight-through result (snapshot guarantee)."""
-    params = dict(
-        scheme="pert", bandwidth=4e6, duration=6.0, warmup=1.0, n_fwd=2,
-        marker=str(tmp_path / "died.marker"), die_after=1,
-    )
-    golden = Fleet(tmp_path / "golden", checkpoint=None)
-    golden_receipt = golden.submit(
-        [(CRASHY, dict(params, marker=str(tmp_path / "g.marker")))])
-    assert golden.drain(workers=0)["done"] == 1
-
-    fleet = Fleet(tmp_path / "fleet", checkpoint=0.5)
-    receipt = fleet.submit([(CRASHY, params)])
-    counts = fleet.drain(workers=0)
-    assert counts["done"] == 1
-    (entry,) = fleet.results(receipt)
-    assert entry["payload"]["resumed"] is True  # attempt 2 used the checkpoint
-    assert fleet.queue.jobs[receipt.keys[0]].attempts == 2
-
-    (golden_entry,) = golden.results(golden_receipt)
-    for metric in ("events_processed", "mean_queue_pkts", "utilization", "jain"):
-        assert entry["payload"][metric] == golden_entry["payload"][metric], metric

@@ -9,7 +9,7 @@ import pytest
 
 from repro.fleet import Fleet, JobQueue, Journal
 from repro.fleet.journal import JOURNAL_SCHEMA
-from repro.obs.bus import BUS_SCHEMA, EventBus
+from repro.obs.bus import BUS_SCHEMA, EventBus, read_events
 from repro.obs.diff import diff_runs
 from repro.obs.report import _scheme_rollup, format_table, generate_report
 from repro.obs.rundir import RunView
@@ -128,6 +128,30 @@ def test_runview_applies_only_valid_events(tmp_path):
     view = RunView(tmp_path)
     assert view.refresh() == 0
     assert view.jobs() == []
+
+
+def test_an_older_runs_job_resumed_line_is_skipped_and_the_job_folds(tmp_path):
+    """Schema-2 files written while mid-run checkpoints existed hold a
+    ``job_resumed`` line between a retried job's start and finish.  The
+    type is gone: the line is skipped, and the job folds as before."""
+    job = {"key": "k1", "kind": "dumbbell", "scheme": "pert", "seed": 1}
+    lines = [
+        dict(job, type="job_started", ts=1.0, attempt=1),
+        dict(key="k1", type="job_retried", ts=2.0, attempt=1),
+        dict(job, type="job_started", ts=3.0, attempt=2),
+        dict(key="k1", type="job_resumed", ts=3.1, resumed_at=6.5),
+        dict(key="k1", type="job_finished", ts=4.0, wall_time=1.0,
+             events=200, attempts=2),
+    ]
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(dict(line, v=2, pid=1)) + "\n"
+                            for line in lines))
+    assert [e["type"] for e in read_events(path)] == [
+        "job_started", "job_retried", "job_started", "job_finished"]
+    view = RunView(tmp_path)
+    assert view.refresh() == 4
+    (folded,) = view.jobs()
+    assert (folded["state"], folded["attempts"], folded["events"]) == ("done", 2, 200)
 
 
 def test_torn_line_is_read_once_by_journal_and_view(tmp_path):

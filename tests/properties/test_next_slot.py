@@ -4,10 +4,10 @@
 whole heap — in ``_next`` and dispatches it without touching the heap;
 ``LegacySimulator`` (``tests/differential/oracle.py``) pushes and pops
 everything.  A random program of schedules, re-arms, cancels, budgeted
-and horizon-bounded runs, back-to-back chains and snapshot/restore round
-trips must leave both indistinguishable after every step: the dispatch
-order, the clock, ``_seq``, ``pending()``, ``events_processed``, the
-handles, the canonical event list and the snapshot bytes.
+and horizon-bounded runs and back-to-back chains must leave both
+indistinguishable after every step: the dispatch order, the clock,
+``_seq``, ``pending()``, ``events_processed``, the handles and the
+canonical event list.
 
 The hand-written programs below pin the states the slot makes special —
 a tie with the heap head, a displaced slot entry, a wake-up or a
@@ -19,9 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.snapshot import capture_bytes
-
-from ..differential.oracle import ENGINES, restore_as
+from ..differential.oracle import ENGINES
 
 #: quarter-second grid: ties with the slot and the heap head are common
 grid = st.integers(0, 8).map(lambda k: k * 0.25)
@@ -39,13 +37,11 @@ ops_strategy = st.lists(st.one_of(
     st.tuples(st.just("rearm_later"), grid, timer, grid),
     st.tuples(st.just("run_until"), grid),
     st.tuples(st.just("run_events"), st.integers(0, 3)),
-    st.tuples(st.just("snapshot")),
 ), min_size=1, max_size=30)
 
 
 class SlotProgram:
-    """One engine driven by an op list; picklable, so it rides along in
-    the snapshots it takes and carries on as the restored copy."""
+    """One engine driven by an op list."""
 
     def __init__(self, engine):
         self.sim = engine(seed=0)
@@ -72,8 +68,8 @@ class SlotProgram:
             self.timers[which], delay, self.hit, tag)
 
     # driver ------------------------------------------------------------
-    def step(self, tag, op, name):
-        """Apply *op*; returns the program to carry on with."""
+    def step(self, tag, op):
+        """Apply *op*."""
         sim, timers = self.sim, self.timers
         kind = op[0]
         if kind == "fire1":
@@ -99,12 +95,8 @@ class SlotProgram:
             sim.schedule_fire(op[1], self.rearm, op[2], op[3], tag)
         elif kind == "run_until":
             sim.run(until=sim.now + op[1])
-        elif kind == "run_events":
-            sim.run(max_events=op[1])
         else:
-            _sim, restored = restore_as(capture_bytes(sim, self), name)
-            return restored
-        return self
+            sim.run(max_events=op[1])
 
     def observe(self):
         sim = self.sim
@@ -114,8 +106,6 @@ class SlotProgram:
             [None if t is None else (t.time, t.seq, t.cancelled, t.fired)
              for t in self.timers],
             [(e[0], e[1], e[2].__name__, e[3]) for e in sorted(sim.live_entries())],
-            # snapshot bytes, with the class reference made common
-            capture_bytes(*restore_as(capture_bytes(sim, self), "array")),
         )
 
 
@@ -125,7 +115,7 @@ def execute(name, ops):
     prog = SlotProgram(ENGINES[name])
     observed, slot = [], []
     for tag, op in enumerate(ops):
-        prog = prog.step(tag, op, name)
+        prog.step(tag, op)
         observed.append(prog.observe())
         slot.append(None if prog.sim._next is None else prog.sim._next[:2])
     prog.sim.run()
@@ -148,9 +138,9 @@ def twins(ops):
 @example(ops=[("fire1", 0.25), ("fire1", 0.5), ("run_events", 1), ("tie_head",)])
 @example(ops=[("fire1", 1.0), ("fire1", 0.5), ("fire", 0.25), ("tie_head",)])
 @example(ops=[("schedule", 0, 0.25), ("reschedule", 0, 0.75), ("fire1", 0.5)])
-@example(ops=[("schedule", 0, 0.25), ("fire1", 0.5), ("cancel", 0), ("snapshot",)])
-@example(ops=[("chain", 0.25, 4), ("run_events", 2), ("snapshot",), ("run_events", 1)])
-@example(ops=[("fire1", 0.25), ("fire1", 2.0), ("run_until", 1.0), ("snapshot",)])
+@example(ops=[("schedule", 0, 0.25), ("fire1", 0.5), ("cancel", 0)])
+@example(ops=[("chain", 0.25, 4), ("run_events", 2), ("run_events", 1)])
+@example(ops=[("fire1", 0.25), ("fire1", 2.0), ("run_until", 1.0)])
 def test_slot_is_invisible(ops):
     twins(ops)
 
@@ -168,8 +158,8 @@ def test_a_tie_with_the_heap_head_goes_behind_it():
 
 def test_an_earlier_entry_displaces_the_slot():
     slot = twins([("fire1", 1.0), ("fire1", 0.5), ("fire", 0.25),
-                  ("tie_head",), ("snapshot",)])
-    assert slot == [(1.0, 0), (0.5, 1), (0.25, 2), (0.25, 2), None]
+                  ("tie_head",)])
+    assert slot == [(1.0, 0), (0.5, 1), (0.25, 2), (0.25, 2)]
 
 
 def test_a_wakeup_in_the_slot_is_rekeyed_not_dispatched():
@@ -182,16 +172,14 @@ def test_a_wakeup_in_the_slot_is_rekeyed_not_dispatched():
 
 def test_a_cancelled_entry_in_the_slot_is_dead_until_popped():
     slot = twins([("schedule", 0, 0.25), ("fire1", 0.5), ("cancel", 0),
-                  ("reschedule", 0, 1.0), ("cancel", 0), ("run_until", 0.25),
-                  ("snapshot",)])
+                  ("reschedule", 0, 1.0), ("cancel", 0), ("run_until", 0.25)])
     assert slot[:5] == [(0.25, 0)] * 5
     # popped as dead; the heap head, beyond the horizon, took the slot
-    assert slot[5:] == [(0.5, 1), None]
+    assert slot[5:] == [(0.5, 1)]
 
 
 @pytest.mark.parametrize("stop", [("run_events", 2), ("run_until", 0.6)])
-def test_a_run_stopping_with_the_slot_occupied_snapshots_and_resumes(stop):
-    slot = twins([("chain", 0.25, 4), ("fire1", 2.0), stop, ("snapshot",),
-                  ("run_events", 1), ("snapshot",)])
+def test_a_run_stopping_with_the_slot_occupied_resumes_from_it(stop):
+    slot = twins([("chain", 0.25, 4), ("fire1", 2.0), stop, ("run_events", 1)])
     assert slot[2] == (0.75, 3)  # the next link, left in the slot
-    assert slot[3] is None  # restored: everything is in the heap
+    assert slot[3] == (1.0, 4)  # dispatched from it; its successor took it

@@ -242,6 +242,23 @@ def test_an_all_hit_sweep_starts_no_process(tmp_path, monkeypatch):
     assert [r.value for r in again] == [{"value": i} for i in range(6)]
 
 
+def _start_driver(script):
+    """Run *script*, a sweep driver, as a process of its own on this tree."""
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    return subprocess.Popen(
+        [sys.executable, "-c", script], cwd=repo,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(repo / "src"), str(repo)])))
+
+
+def _wait_alive(driver, predicate, deadline=60.0):
+    """Poll until *predicate* holds; the *driver* must not exit first."""
+    deadline += time.monotonic()
+    while not predicate():
+        assert driver.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
+
+
 def _gone(pid):
     """Has process *pid* exited (a zombie nobody reaped counts as gone)?"""
     try:
@@ -256,23 +273,16 @@ def test_no_worker_outlives_a_sigkilled_driver(tmp_path):
     """Workers exit on pipe EOF.  Under fork the second worker inherits
     the driver's end of the first one's pipe: unless it closes it, the
     first never sees EOF and waits for a dead driver forever."""
-    script = (
+    driver = _start_driver(
         "from repro.runner import JobSpec, run_jobs\n"
         f"run_jobs([JobSpec({PID!r}, dict(value=i, seconds=1.0,\n"
         f"          pidfile={str(tmp_path)!r} + '/%d.pid' % i)) for i in range(6)],\n"
         "         workers=2, cache=False)\n")
-    repo = pathlib.Path(__file__).resolve().parents[2]
-    driver = subprocess.Popen(
-        [sys.executable, "-c", script], cwd=repo,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(repo / "src"), str(repo)])))
     pidfiles = [tmp_path / "0.pid", tmp_path / "1.pid"]
     workers = []
     try:
-        deadline = time.monotonic() + 60.0
-        while not all(p.exists() and p.read_text() for p in pidfiles):
-            assert driver.poll() is None and time.monotonic() < deadline
-            time.sleep(0.02)
+        _wait_alive(driver, lambda: all(p.exists() and p.read_text()
+                                        for p in pidfiles))
         workers = [int(p.read_text()) for p in pidfiles]
         assert len(set(workers)) == 2 and not any(map(_gone, workers))
     finally:
@@ -288,3 +298,36 @@ def test_no_worker_outlives_a_sigkilled_driver(tmp_path):
         for worker in workers:
             if not _gone(worker):
                 os.kill(worker, signal.SIGKILL)
+
+
+def test_a_killed_sweep_recomputes_only_the_points_with_no_entry(tmp_path):
+    """The job is the unit of recovery.  SIGKILL a sweep's driver once
+    some of its points have cache entries and others not, and run the
+    sweep again: the points with an entry are hits, only the others are
+    computed, and the rows are an uninterrupted sweep's."""
+    from repro.runner import dumbbell_spec
+
+    specs = [dumbbell_spec("pert", bandwidth=4e6, n_fwd=4, duration=10.0,
+                           warmup=2.0, seed=seed) for seed in range(1, 7)]
+    cache = ResultCache(tmp_path / "cache")
+    listed = json.dumps([[s.kind, s.params] for s in specs])
+    driver = _start_driver(
+        "import json\n"
+        "from repro.runner import JobSpec, run_jobs\n"
+        f"specs = [JobSpec(*s) for s in json.loads({listed!r})]\n"
+        f"run_jobs(specs, workers=2, cache={str(cache.root)!r})\n")
+    try:
+        _wait_alive(driver, lambda: any(cache.path_for(s).exists() for s in specs))
+    finally:
+        driver.kill()  # the driver writes every entry: none lands after this
+        driver.wait(timeout=60.0)
+    had = {s.cache_key for s in specs if cache.path_for(s).exists()}
+    assert 0 < len(had) < len(specs)
+
+    again = run_jobs(specs, workers=2, cache=cache)
+    assert all(r.ok for r in again)
+    assert {r.spec.cache_key for r in again if r.cached} == had
+    assert {r.spec.cache_key for r in again if not r.cached} == \
+        {s.cache_key for s in specs} - had
+    straight = run_jobs(specs, workers=2, cache=ResultCache(tmp_path / "straight"))
+    assert [r.value for r in again] == [r.value for r in straight]

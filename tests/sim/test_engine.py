@@ -5,21 +5,14 @@ import sys
 
 import pytest
 
-from repro.sim.engine import (
-    ArraySimulator,
-    Event,
-    SimulationError,
-    Simulator,
-)
-
-from repro.snapshot import sim_summary
+from repro.sim.engine import ArraySimulator, SimulationError, Simulator
 
 from ..differential.oracle import LegacySimulator
 
 
 def queued(sim):
     """Every queued entry, dead ones included: slot and heap."""
-    return sim_summary(sim)["heap_len"]
+    return len(sim._heap) + (sim._next is not None)
 
 
 def test_events_run_in_time_order():
@@ -260,41 +253,6 @@ def test_schedule_fire_interleaves_with_schedule():
     sim.schedule(0.5, order.append, 3)
     sim.run()
     assert order == [1, 2, 3]
-
-
-def test_cancelled_events_survive_pickle_roundtrip():
-    # Regression for snapshot support: cancelled-but-unpopped heap entries
-    # must neither fire after a restore nor drift the pending() counter.
-    # (Capture purges them; this pins the observable contract either way.)
-    import pickle
-
-    sim = Simulator(seed=3)
-    rng = sim.stream("ticks")
-    keep = sim.schedule(1.0, rng.random)
-    dead = sim.schedule(2.0, rng.random)
-    late = sim.schedule(3.0, rng.random)
-    dead.cancel()
-    assert sim.pending() == 2
-
-    blob = pickle.dumps({"sim": sim, "late": late})
-    restored = pickle.loads(blob)
-    sim2, late2 = restored["sim"], restored["late"]
-    assert sim2.pending() == 2
-    assert keep is not None
-
-    # an external handle pickled alongside the sim still controls the
-    # restored heap entry (pickle memo keeps them the same object)
-    late2.cancel()
-    assert sim2.pending() == 1
-    sim2.run()
-    assert sim2.events_processed == 1  # only `keep` fired; no double-fire
-    assert sim2.pending() == 0
-    assert sim2.now == 1.0
-
-    # the original simulator is untouched by the capture
-    sim.run()
-    assert sim.events_processed == 2
-    assert sim.pending() == 0
 
 
 # ----------------------------------------------------------------------
@@ -554,20 +512,6 @@ def test_run_rejects_a_negative_budget_and_a_nan_horizon(engine, args):
     assert (fired, sim.now, sim.events_processed, sim.pending()) == ([], 0.0, 0, 5)
     sim.run()  # the refusal left the simulator runnable
     assert fired == [1, 2, 3, 4, 5]
-
-
-def test_event_state_without_the_entry_slot_still_loads():
-    # what a snapshot written before `_qtime` existed holds for an Event
-    slots = dict(time=2.0, seq=7, fn=len, args=(), cancelled=False,
-                 fired=False, _sim=None)
-    live = Event.__new__(Event)
-    live.__setstate__((None, slots))
-    assert live._qtime == 2.0
-    dead = Event.__new__(Event)
-    dead.__setstate__((None, dict(slots, cancelled=True)))
-    assert dead._qtime == float("inf")  # its entry was purged at capture
-    # and the slot never rides in new snapshots either
-    assert "_qtime" not in live.__getstate__()[1]
 
 
 def test_the_engine_is_one_class_and_imports_no_compiled_package():

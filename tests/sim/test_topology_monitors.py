@@ -195,3 +195,15 @@ def test_throughput_sampler_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         ThroughputSampler(sim, lambda: 0, interval=0.0)
+
+
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make", [
+    lambda sim, interval: QueueSampler(sim, DropTailQueue(5), interval=interval),
+    lambda sim, interval: ThroughputSampler(sim, lambda: 0, interval=interval),
+], ids=["QueueSampler", "ThroughputSampler"])
+def test_sampler_refuses_a_non_finite_interval_by_name(make, interval):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="interval must be positive and finite"):
+        make(sim, interval)
+    assert sim.pending() == 0  # refused before its first tick is scheduled

@@ -1,5 +1,4 @@
-"""The one atomic file writer behind cache entries, traces, verdicts and
-snapshots."""
+"""The one atomic file writer behind cache entries, traces and verdicts."""
 
 import pytest
 

@@ -1,8 +1,8 @@
 """Doc-coverage lint: public APIs of the tooling packages stay documented.
 
-Walks every module under ``repro.runner``, ``repro.snapshot``,
-``repro.obs``, ``repro.validate``, ``repro.hybrid``, ``repro.fleet``
-and ``repro.compiled`` (one function, until the
+Walks every module under ``repro.runner``, ``repro.obs``,
+``repro.validate``, ``repro.hybrid``, ``repro.fleet`` and
+``repro.compiled`` (one function, until the
 benchmark header stops reading it) and fails when a public symbol —
 module, module-level function/class named by ``__all__`` (or all
 non-underscore names defined in the module), or a public method/property
@@ -28,9 +28,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGES = ["repro.runner", "repro.snapshot", "repro.obs",
-            "repro.validate", "repro.hybrid", "repro.fleet",
-            "repro.compiled"]
+PACKAGES = ["repro.runner", "repro.obs", "repro.validate", "repro.hybrid",
+            "repro.fleet", "repro.compiled"]
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -102,8 +102,16 @@ class TestCheckMetric:
         band = Band(target=1.0, abs_tol=0.1, known_gap=True)
         assert check_metric("pert.q", band, 2.0).status == "gap"
         assert not check_metric("pert.q", band, 2.0).failed
-        # in-band measurements still report pass, not gap
-        assert check_metric("pert.q", band, 1.0).status == "pass"
+
+    @pytest.mark.parametrize("measured, status", [
+        (1.05, "closed_gap"), (0.9, "closed_gap"), (1.2, "gap"), (0.5, "gap")])
+    def test_a_known_gap_in_band_is_closed_not_passed(self, measured, status):
+        band = Band(target=1.0, abs_tol=0.1, source="paper", known_gap=True)
+        c = check_metric("pert.jain", band, measured)
+        assert c.status == status and not c.failed
+        # the same band without the flag: plain pass / fail
+        plain = check_metric("pert.jain", Band(target=1.0, abs_tol=0.1), measured)
+        assert plain.status == ("pass" if status == "closed_gap" else "fail")
 
     def test_missing_measurement_fails_the_gate(self):
         c = check_metric("pert.q", Band(target=1.0), None)

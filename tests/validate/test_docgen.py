@@ -18,6 +18,9 @@ def _verdict():
                              Band(target=0.99, rel_tol=0.01, source="paper",
                                   known_gap=True, note="Table 1 gap"),
                              0.5),
+                check_metric("pert.drop_rate",
+                             Band(max=0.01, source="paper", known_gap=True),
+                             0.002),
             ],
             unchecked=2, wall_time=3.2,
         ),
@@ -43,6 +46,8 @@ def test_content_has_badges_and_tables():
     assert "python -m repro.validate run --quick" in text
     assert "✅ pass" in text
     assert "⚠️ known gap" in text and "Table 1 gap" in text
+    assert "✅ closed gap" in text
+    assert "1 pass, 0 fail, 1 known gaps, 1 closed gaps, 0 missing" in text
     assert "❌ FAIL" in text
     assert "`pert.norm_queue@bandwidth_mbps=8`" in text
     assert "runner exploded" in text

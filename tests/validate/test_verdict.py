@@ -45,7 +45,8 @@ class TestExpectedFiles:
 
 def _check(status, metric="m", known_gap=False):
     band = Band(target=1.0, abs_tol=0.1, known_gap=known_gap)
-    measured = {"pass": 1.0, "fail": 5.0, "gap": 5.0, "missing": None}[status]
+    measured = {"pass": 1.0, "fail": 5.0, "gap": 5.0, "closed_gap": 1.0,
+                "missing": None}[status]
     c = check_metric(metric, band, measured)
     assert c.status == status
     return c
@@ -60,6 +61,10 @@ class TestFigureVerdict:
         assert FigureVerdict(
             "f", "f", checks=[_check("pass"), _check("fail")]
         ).status == "fail"
+        # a closed gap is in band: no failure, and no open gap either
+        assert FigureVerdict(
+            "f", "f", checks=[_check("pass"), _check("closed_gap", known_gap=True)]
+        ).status == "pass"
 
     def test_missing_fails_figure(self):
         fv = FigureVerdict("f", "f", checks=[_check("missing")])
@@ -84,12 +89,14 @@ class TestVerdict:
     def test_rollup_and_counts(self):
         v = Verdict(tier="quick", figures=[
             FigureVerdict("a", "a", checks=[_check("pass"), _check("pass")]),
-            FigureVerdict("b", "b", checks=[_check("gap", known_gap=True)]),
+            FigureVerdict("b", "b", checks=[_check("gap", known_gap=True),
+                                            _check("closed_gap", known_gap=True)]),
             FigureVerdict("c", "c", checks=[_check("fail")]),
         ])
         assert v.status == "fail"
         assert v.failing_figures == ["c"]
-        assert v.counts() == {"pass": 2, "fail": 1, "gap": 1, "missing": 0}
+        assert v.counts() == {"pass": 2, "fail": 1, "gap": 1, "closed_gap": 1,
+                              "missing": 0}
 
     def test_save_load_round_trip(self, tmp_path):
         v = Verdict(tier="quick", figures=[
