@@ -1,8 +1,8 @@
 """Shared experiment harness: one phased packet run, whatever the topology.
 
 The paper's evaluation is one methodology on several topologies: build
-the network, start long-term flows (plus web sessions, a CBR source, a
-fluid background...), run past a warm-up period and measure over the
+the network, start long-term flows (plus web sessions, a CBR
+source...), run past a warm-up period and measure over the
 steady-state window only.  A *scenario* states what differs — a
 ``build(params, sim)`` function that lays out topology and traffic and
 returns a :class:`PacketRun` naming the measured links and flows — and
@@ -286,10 +286,6 @@ class DumbbellResult:
     early_responses: int = 0
     timeouts: int = 0
     events_processed: int = 0
-    #: fluid background coupling (hybrid runs; see :mod:`repro.hybrid`)
-    background_model: Optional[str] = None
-    background_share: float = 0.0
-    background_pkts: int = 0
     extras: Dict = field(default_factory=dict)
 
     def payload(self) -> Dict[str, Any]:
@@ -313,7 +309,6 @@ def run_dumbbell(
     rtts: Optional[List[float]] = None,
     start_window: Optional[float] = None,
     record_rtt_flow: Optional[int] = None,
-    background=None,
     keep_refs: bool = False,
     collector=None,
 ) -> DumbbellResult:
@@ -342,12 +337,6 @@ def run_dumbbell(
         trace records (``extras["rtt_trace"]``, ``extras["flow_losses"]``,
         ``extras["queue_drops"]``), plus a fine-grained queue sampler in
         ``extras["queue_sampler"]``.
-    background:
-        Optional fluid-driven background load at the bottleneck — a
-        :class:`repro.hybrid.BackgroundLoad` or its dict form (see
-        :mod:`repro.hybrid`).  ``None`` or a zero ``share`` runs the
-        pure packet experiment, bit-identically to omitting the
-        argument.
     keep_refs:
         Also return live simulator objects in ``extras`` (for tests).
     collector:
@@ -358,13 +347,12 @@ def run_dumbbell(
         web_sessions=web_sessions, duration=duration, warmup=warmup, seed=seed,
         pkt_size=pkt_size, buffer_pkts=buffer_pkts, rtts=rtts,
         start_window=start_window, record_rtt_flow=record_rtt_flow,
-        background=background,
     )
     return _dumbbell_result(run_scenario(build_dumbbell, params, collector),
                             keep_refs=keep_refs)
 
 
-def _resolve_params(*, rtt, rtts, background=None, **params) -> Dict[str, Any]:
+def _resolve_params(*, rtt, rtts, **params) -> Dict[str, Any]:
     """Validate and resolve the run parameters into their canonical form.
 
     *params* are :func:`run_dumbbell`'s other simulation keywords.  The
@@ -383,21 +371,11 @@ def _resolve_params(*, rtt, rtts, background=None, **params) -> Dict[str, Any]:
             params["pkt_size"], n_fwd)
     if params["start_window"] is None:
         params["start_window"] = min(5.0, params["warmup"] / 2.0)
-    # Normalise the background spec; a zero share collapses to None so
-    # the resolved params (and therefore the build) are bit-identical
-    # to a run that never mentioned a background at all.  A pure packet
-    # run never imports repro.hybrid (numpy and the fluid models).
-    if background is not None:
-        from ..hybrid.background import BackgroundLoad  # local: avoids a cycle
-
-        bg = BackgroundLoad.from_spec(background)
-        background = None if bg is None else bg.canonical()
-    return dict(params, flow_rtts=flow_rtts, base_rtt=min(flow_rtts),
-                background=background)
+    return dict(params, flow_rtts=flow_rtts, base_rtt=min(flow_rtts))
 
 
 def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
-    """Dumbbell, long flows both ways, web sessions, fluid background.
+    """Dumbbell, long flows both ways, web sessions.
 
     The construction order below is load-bearing: components claim RNG
     streams and event sequence numbers as they are built, so any
@@ -437,28 +415,12 @@ def build_dumbbell(params: Dict[str, Any], sim: Simulator) -> PacketRun:
         sim, "bottleneck.fwd", db.fwd, fwd_flows,
         QUEUE_SAMPLE if tagged is None else TAGGED_QUEUE_SAMPLE)
 
-    # The fluid background attaches strictly after everything above, so
-    # the pure-packet construction prefix (streams, event sequence
-    # numbers) is untouched — a run without a background is bit-identical
-    # to one built before this feature existed.
-    bg_source = None
-    if params.get("background"):
-        from ..hybrid.background import BackgroundLoad, attach_background
-
-        bg_source = attach_background(
-            sim, db,
-            BackgroundLoad(**params["background"]),
-            bandwidth=bandwidth,
-            pkt_size=pkt_size,
-            base_rtt=params["base_rtt"],
-        )
-
     return PacketRun(
         params, sim, links=[bottleneck],
         senders=[s for s, _ in fwd_flows + rev_flows],
         observed={"bottleneck.rev": db.rev},
         recorded=() if tagged is None else (fwd_flows[tagged][0], db.fwd),
-        db=db, fwd_flows=fwd_flows, rev_flows=rev_flows, bg_source=bg_source,
+        db=db, fwd_flows=fwd_flows, rev_flows=rev_flows,
     )
 
 
@@ -474,15 +436,6 @@ def _dumbbell_result(run: PacketRun, keep_refs: bool = False) -> DumbbellResult:
         events_processed=run.sim.events_processed,
         **bottleneck.metrics(p),
     )
-    bg = p.get("background")
-    if bg and run.bg_source is not None:
-        result.background_model = bg["model"]
-        result.background_share = bg["share"]
-        result.background_pkts = run.bg_source.pkts_sent
-        if run.bg_source.sink is not None:
-            result.extras["background_delivered_pkts"] = (
-                run.bg_source.sink.pkts_received
-            )
     if p["record_rtt_flow"] is not None:
         records = run.recorder.records
         flow = run.fwd_flows[p["record_rtt_flow"]][0].flow_id

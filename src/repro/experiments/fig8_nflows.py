@@ -8,16 +8,25 @@ Paper claims: PERT's queue/drops track SACK/RED-ECN as flows grow; Jain
 index stays high even at large flow counts; Vegas' queue and drops grow
 with the number of flows (it parks alpha..beta packets per flow) while
 its fairness stays low.
+
+Section 5 claims more: the PERT/RED fluid model (eq. 14) predicts the
+packet system's operating point.  :func:`run` therefore puts the fluid
+model's equilibrium queue delay beside each PERT row's measured one
+(:func:`fluid_overlay`), and the gate bands their ratio.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..core.config import PertConfig
+from ..fluid.model import make_fluid_model
+from .common import bound_params, run_dumbbell
 from .scenarios import ScenarioPoint, ScenarioSpec
 from .sweep import SECTION4_SCHEMES
 
-__all__ = ["spec", "run", "validation_metrics", "tables", "DEFAULT_FLOW_COUNTS"]
+__all__ = ["spec", "run", "fluid_overlay", "validation_metrics", "tables",
+           "DEFAULT_FLOW_COUNTS"]
 
 TITLE = "Figure 8 — impact of the number of flows"
 
@@ -30,6 +39,7 @@ PAPER_EXPECTATION = (
 DEFAULT_FLOW_COUNTS = [1, 2, 5, 10, 20, 40, 80]
 
 COLUMNS = ("n_fwd", "scheme", "norm_queue", "drop_rate", "utilization", "jain")
+OVERLAY_COLUMNS = ("n_fwd", "qdelay_ms", "fluid_qdelay_ms")
 
 QUICK = dict(flow_counts=[2, 12], bandwidth=8e6, duration=8.0, warmup=3.0,
              web_sessions=1)
@@ -62,30 +72,75 @@ def spec(
 
 
 def run(*args, **kwargs) -> List[dict]:
-    """Run the sweep; arguments as for :func:`spec`."""
-    return spec(*args, **kwargs).run()
+    """Run the sweep and overlay the fluid model; arguments as for :func:`spec`."""
+    sweep = spec(*args, **kwargs)
+    return fluid_overlay(sweep, sweep.run())
+
+
+def fluid_overlay(sweep: ScenarioSpec, rows: List[dict]) -> List[dict]:
+    """Add ``qdelay_ms`` and ``fluid_qdelay_ms`` to each PERT row of *sweep*.
+
+    ``qdelay_ms`` is the measured mean queue in packets times one
+    packet's service time, ``8 * pkt_size / bandwidth``.
+    ``fluid_qdelay_ms`` is q* of the ``pert_red`` fluid model at the
+    row's point: C = bandwidth / (8 * pkt_size) packets/s, N = n_fwd and
+    the propagation RTT, with the packet sender's curve
+    (:class:`~repro.core.config.PertConfig`: thresholds, ``p_max`` and
+    the early decrease as β).  The prediction comes from the spec, not
+    the run, so it adds no job and changes no cache key.  Failed rows
+    are left as they are.
+    """
+    curve = PertConfig()
+    points = {p.tags["n_fwd"]: bound_params(run_dumbbell, "pert",
+                                            **sweep.kwargs_for(p))
+              for p in sweep.points}
+    for row in rows:
+        if row["scheme"] != "pert" or row.get("failed"):
+            continue
+        kw = points[row["n_fwd"]]
+        model = make_fluid_model(
+            "pert_red", capacity=kw["bandwidth"] / (8 * kw["pkt_size"]),
+            n_flows=kw["n_fwd"], rtt=kw["rtt"], t_min=curve.t_min,
+            t_max=curve.t_max, p_max=curve.p_max,
+            beta_decrease=curve.early_decrease, clamp=True)
+        row["qdelay_ms"] = (row["mean_queue_pkts"] * 8 * kw["pkt_size"]
+                            / kw["bandwidth"] * 1e3)
+        row["fluid_qdelay_ms"] = model.equilibrium()[2] * 1e3
+    return rows
 
 
 def validation_metrics(rows: List[dict]):
     """Flatten :func:`run` output for ``repro.validate`` (per-flow-count rows).
 
-    Adds the one claim only this sweep makes: Vegas parks alpha..beta
+    Adds the claims only this sweep makes: Vegas parks alpha..beta
     packets per flow, so its standing queue grows from the smallest to
-    the largest population.
+    the largest population; and each PERT row's queue delay and the
+    fluid model's, as ``pert.qdelay@n_fwd=N`` and ``fluid.qdelay@n_fwd=N``
+    (their ratio is the derived ``pert_vs_fluid.qdelay_ratio@n_fwd=N``).
     """
-    from ..validate.extract import headline_metrics
+    from ..validate.extract import headline_metrics, metric_id
 
     out = headline_metrics(rows, keys=("n_fwd",))
     vegas = [r["norm_queue"] for r in rows
              if r["scheme"] == "vegas" and not r.get("failed")]
     if vegas:
         out["vegas.norm_queue_growth"] = vegas[-1] - vegas[0]
+    for r in _overlaid(rows):
+        at = {"n_fwd": r["n_fwd"]}
+        out[metric_id("pert", "qdelay", at)] = r["qdelay_ms"]
+        out[metric_id("fluid", "qdelay", at)] = r["fluid_qdelay_ms"]
     return out
+
+
+def _overlaid(rows: List[dict]) -> List[dict]:
+    return [r for r in rows if "fluid_qdelay_ms" in r]
 
 
 def tables(rows: List[dict]):
     """Report tables for :func:`repro.experiments.figures.print_figure`."""
-    return [(TITLE, COLUMNS, rows)]
+    return [(TITLE, COLUMNS, rows),
+            ("PERT queue delay vs the fluid model (Section 5)",
+             OVERLAY_COLUMNS, _overlaid(rows))]
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ FIGURES: Dict[str, str] = {
     "fig14": "fig14_pert_pi",
     "ablations": "ablations",
     "robustness": "robustness",
-    "hybrid": "fig_hybrid",
 }
 
 #: the two operating-point sets a figure is run at, cheapest first

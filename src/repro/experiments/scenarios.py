@@ -180,19 +180,10 @@ class ScenarioPoint:
     identify the point in the result table.  Keeping them separate lets
     a point carry derived run parameters (e.g. Figure 7's per-RTT
     duration) without those leaking into the reported rows.
-
-    ``background`` optionally gives this point its own fluid background
-    load (:class:`repro.hybrid.BackgroundLoad` dict form: at least a
-    fluid model name and a capacity share), overriding the spec-level
-    one.  It is merged into the run kwargs — so the point's cache key
-    covers it and hybrid points dedupe like any other job — and echoed
-    into the row tags as ``bg_model``/``bg_share`` unless the tags
-    already carry those columns.
     """
 
     overrides: Mapping[str, Any]
     tags: Mapping[str, Any]
-    background: Optional[Mapping[str, Any]] = None
 
 
 @dataclass
@@ -215,43 +206,10 @@ class ScenarioSpec:
     schemes: Optional[Sequence[str]] = None
     #: shared ``run_dumbbell`` keyword arguments
     base: Dict[str, Any] = field(default_factory=dict)
-    #: optional fluid background load applied to every point (dict form
-    #: of :class:`repro.hybrid.BackgroundLoad`); a point-level
-    #: ``background`` overrides this spec-level one
-    background: Optional[Mapping[str, Any]] = None
-
-    def background_for(self, point: ScenarioPoint) -> Optional[Dict[str, Any]]:
-        """Effective background spec for *point* (point overrides spec)."""
-        bg = point.background if point.background is not None else self.background
-        return None if bg is None else dict(bg)
-
-    def overrides_for(self, point: ScenarioPoint) -> Dict[str, Any]:
-        """What *point* changes on top of ``base``: its overrides plus the
-        effective background."""
-        overrides = dict(point.overrides)
-        bg = self.background_for(point)
-        if bg is not None:
-            overrides["background"] = bg
-        return overrides
 
     def kwargs_for(self, point: ScenarioPoint) -> Dict[str, Any]:
         """Full ``run_dumbbell`` kwargs for *point* (base + overrides)."""
-        return {**self.base, **self.overrides_for(point)}
-
-    def tags_for(self, point: ScenarioPoint) -> Dict[str, Any]:
-        """Row tags for *point*, with hybrid points auto-tagged.
-
-        Points carrying a background load gain ``bg_model``/``bg_share``
-        columns (unless the point's tags already define them), so hybrid
-        rows stay distinguishable in result tables and validation
-        metric ids.
-        """
-        tags = dict(point.tags)
-        bg = self.background_for(point)
-        if bg is not None:
-            tags.setdefault("bg_model", bg.get("model"))
-            tags.setdefault("bg_share", bg.get("share"))
-        return tags
+        return {**self.base, **point.overrides}
 
     def resolved_schemes(self) -> Sequence[str]:
         if self.schemes is not None:
@@ -278,9 +236,9 @@ class ScenarioSpec:
         from .sweep import sweep_dumbbell  # local: avoids an import cycle
 
         return sweep_dumbbell(
-            [self.overrides_for(p) for p in self.points],
+            [dict(p.overrides) for p in self.points],
             schemes=self.resolved_schemes(),
-            tags=[self.tags_for(p) for p in self.points],
+            tags=[dict(p.tags) for p in self.points],
             workers=workers,
             cache=cache,
             timeout=timeout,

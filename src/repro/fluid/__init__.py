@@ -29,7 +29,6 @@ from .model import (
     make_fluid_model,
     simulate_batch,
 )
-from .rates import RateTrajectory, equilibrium_rate, rate_trajectory
 from .spectrum import rightmost_root, spectral_boundary
 from .stability import (
     equilibrium,
@@ -53,9 +52,6 @@ __all__ = [
     "FLUID_MODELS",
     "make_fluid_model",
     "fluid_model_params",
-    "RateTrajectory",
-    "rate_trajectory",
-    "equilibrium_rate",
     "PertRed",
     "TcpRed",
     "PertPi",

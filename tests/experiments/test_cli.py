@@ -17,9 +17,8 @@ def test_registry_covers_every_paper_artifact():
     assert set(FIGURES) == {
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
         "table1", "fig11", "fig12", "fig12b", "fig13", "fig14",
-        # beyond the paper: design-choice ablations, reseeding, and the
-        # hybrid engine's agreement/extreme family
-        "ablations", "robustness", "hybrid",
+        # beyond the paper: design-choice ablations and reseeding
+        "ablations", "robustness",
     }
 
 

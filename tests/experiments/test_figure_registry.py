@@ -35,7 +35,6 @@ FORWARDS = {
     "fig12": "run_dynamics",
     "fig12b": "run_cbr_dynamics",
     "fig13": "run_trajectories",
-    "hybrid": "spec",
 }
 
 

@@ -9,7 +9,8 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import format_table, format_value
 from repro.experiments.scenarios import SCHEMES, get_scheme, scheme_sender_kwargs
-from repro.experiments.sweep import sweep_dumbbell
+from repro.experiments.sweep import result_row, sweep_dumbbell
+from repro.runner import ResultCache, dumbbell_spec
 from repro.sim.monitors import nearest_sample
 
 
@@ -109,6 +110,24 @@ def test_sweep_dumbbell_rows():
     assert len(rows) == 4
     assert {r["scheme"] for r in rows} == {"pert", "vegas"}
     assert all("norm_queue" in r for r in rows)
+
+
+def test_an_older_entry_with_background_fields_is_still_a_hit(tmp_path):
+    """Entries written while ``DumbbellResult`` still carried the fluid
+    background's ``background_model`` / ``_share`` / ``_pkts`` are served
+    as hits: the spec's key is unchanged and a row reads its own fields."""
+    point, kw = {"bandwidth": 4e6}, dict(n_fwd=3, duration=10.0, seed=1)
+    spec = dumbbell_spec("pert", **kw, **point)
+    payload = dict(scheme="pert", norm_queue=0.125, drop_rate=0.0,
+                   utilization=0.98, jain=0.99, mean_queue_pkts=5.0,
+                   buffer_pkts=40, events_processed=1234,
+                   background_model=None, background_share=0.0,
+                   background_pkts=0)
+    cache = ResultCache(tmp_path)
+    cache.put(spec, payload)
+    rows = sweep_dumbbell([point], schemes=("pert",), workers=0, cache=cache,
+                          **kw)
+    assert rows == [result_row(payload, point)]
 
 
 def test_format_table_alignment_and_values():

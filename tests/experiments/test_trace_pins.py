@@ -1,5 +1,4 @@
-"""Bit-for-bit pins of what the tagged-flow runs hand Figures 2-4, and of
-a tagged flow's RTT trace under a fluid background.
+"""Bit-for-bit pins of what the tagged-flow runs hand Figures 2-4.
 
 Until the per-ACK RTT samples, the flow's loss detections and the
 bottleneck's drops became records on the Collector's stream, they lived
@@ -26,7 +25,6 @@ import json
 
 import pytest
 
-from repro.experiments.common import run_dumbbell
 from repro.experiments.section2 import QUICK_CASES, case_trace_job
 
 CASE = QUICK_CASES[0]
@@ -35,9 +33,6 @@ CASE_KW = dict(n_fwd=CASE.n_fwd, n_rev=CASE.n_rev,
                duration=12.0, warmup=4.0, seed=1)
 TRACE_FIELDS = ("rtt_trace", "flow_losses", "queue_drops", "queue_times",
                 "queue_lengths")
-
-HYBRID_KW = dict(rtt=0.04, n_fwd=3, warmup=1.0, duration=3.0, seed=3)
-HYBRID_BG = {"model": "pert_red", "share": 0.4, "n_flows": 8}
 
 
 def _sha(series) -> str:
@@ -57,16 +52,8 @@ def case_trace_pin(scheme: str) -> dict:
     return {f: [len(payload[f]), _sha(payload[f])] for f in TRACE_FIELDS}
 
 
-def hybrid_pin(scheme: str) -> dict:
-    """Length and digest of the tagged foreground flow's RTT trace."""
-    trace = run_dumbbell(scheme, 4e6, background=HYBRID_BG, record_rtt_flow=0,
-                         **HYBRID_KW).extras["rtt_trace"]
-    return {"rtt_trace": [len(trace), _sha(trace)]}
-
-
 CASES = {
     "case_trace": (case_trace_pin, ("sack-droptail", "pert")),
-    "hybrid": (hybrid_pin, ("pert",)),
 }
 
 
@@ -76,9 +63,7 @@ def measured() -> dict:
             for name, (fn, schemes) in CASES.items()}
 
 
-#: generated at fde8b62 by the snippet in the module docstring; the
-#: ``hybrid`` entry at b149120, where it replaced three queue-delay
-#: quantiles that were a function of the same trace
+#: generated at fde8b62 by the snippet in the module docstring
 PINS = {'case_trace': {'sack-droptail': {'rtt_trace': [2339,
                                                 '3abae54e307a14a63274f68c272327318c3691807ecf88c11044572c6272caff'],
                                   'flow_losses': [3,
@@ -98,9 +83,7 @@ PINS = {'case_trace': {'sack-droptail': {'rtt_trace': [2339,
                          'queue_times': [2400,
                                          '2ba38949e972907d51543a47ab2bc50796b48a5cd6ce2764f58ff3bfdbb20ceb'],
                          'queue_lengths': [2400,
-                                           'e9d5e064c188c4fcd7a47a9ab9a80e6c0c6e3fb7abf2a2d430d2d41d36cd31a1']}},
- 'hybrid': {'pert': {'rtt_trace': [201,
-                                   '7fae51ab06b0c26276efa81ccbb8cc4eac701a5bb7ac6d7b3b9f036cc00f8617']}}}
+                                           'e9d5e064c188c4fcd7a47a9ab9a80e6c0c6e3fb7abf2a2d430d2d41d36cd31a1']}}}
 
 
 @pytest.mark.parametrize("what,scheme", [

@@ -82,9 +82,9 @@ def test_no_keyword_added_or_lost():
 
 
 def test_pert_red_surface_and_equilibrium_are_pinned():
-    """What ``benchmarks/e2e`` reads, and the hybrid fast-forward's start
-    (``equilibrium_state``), bit for bit: the default model and the
-    packet sender's matched curve (β = 0.35, clamped)."""
+    """What ``benchmarks/e2e`` reads, and the point ``linearization()``
+    expands about (``equilibrium_state``), bit for bit: the default model
+    and the packet sender's matched curve (β = 0.35, clamped)."""
     m = make_fluid_model("pert_red")
     for attr in ("capacity", "n_flows", "rtt", "p_max", "t_min", "t_max",
                  "alpha", "delta", "l_pert"):

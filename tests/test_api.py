@@ -88,21 +88,6 @@ def test_the_simulator_imports_without_the_observability_machinery():
     assert out.stdout.strip() == "[]"
 
 
-def test_a_pure_packet_run_imports_no_hybrid_machinery():
-    """``background=None`` is resolved without ``repro.hybrid`` (and its
-    fluid models): every worker process would pay that import on its
-    first job; only a run that asks for a background does."""
-    code = ("import sys; from repro.experiments.common import run_dumbbell;"
-            "run_dumbbell('pert', 2e6, n_fwd=2, duration=1.0, warmup=0.5);"
-            "print(sorted(m for m in sys.modules if m.startswith('repro.hybrid')));"
-            "run_dumbbell('pert', 2e6, n_fwd=2, duration=1.0, warmup=0.5,"
-            "             background={'model': 'pert_red', 'share': 0.0, 'n_flows': 10});"
-            "print('repro.hybrid.background' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
-
-
 def test_public_classes_documented():
     from repro import (
         Dumbbell,

@@ -1,7 +1,7 @@
 """Doc-coverage lint: public APIs of the tooling packages stay documented.
 
 Walks every module under ``repro.runner``, ``repro.obs``,
-``repro.validate``, ``repro.hybrid``, ``repro.fleet`` and
+``repro.validate``, ``repro.fleet`` and
 ``repro.compiled`` (one function, until the
 benchmark header stops reading it) and fails when a public symbol —
 module, module-level function/class named by ``__all__`` (or all
@@ -28,8 +28,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGES = ["repro.runner", "repro.obs", "repro.validate", "repro.hybrid",
-            "repro.fleet", "repro.compiled"]
+PACKAGES = ["repro.runner", "repro.obs", "repro.validate", "repro.fleet",
+            "repro.compiled"]
 
 ROOT = Path(__file__).resolve().parents[1]
 
