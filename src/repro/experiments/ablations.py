@@ -35,7 +35,8 @@ from ..runner import JobSpec, resolve_job, run_jobs
 from .scenarios import SCHEMES, Scheme
 from .sweep import job_values
 
-__all__ = ["ABLATIONS", "variant_job", "run", "validation_metrics", "tables"]
+__all__ = ["ABLATIONS", "variant_job", "run", "validation_metrics",
+           "paper_bands", "tables"]
 
 TITLE = "Ablations — PERT's design choices"
 
@@ -125,6 +126,39 @@ def validation_metrics(rows: List[Dict]) -> Dict[str, float]:
         per_ack["early_responses"] / max(limited["early_responses"], 1))
     out["min_response_interval_rtts.utilization_diff"] = (
         limited["utilization"] - per_ack["utilization"])
+    return out
+
+
+def paper_bands(tier: str):
+    """DESIGN.md section 5's design arguments, at the full-tier point."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    out = {}
+    for alpha in ("0", "0.875", "0.99"):
+        at = f"@value={alpha}"
+        note = ("Section 2.4: with the once-per-RTT cap, end-to-end metrics "
+                "are robust across srtt weights")
+        out[f"srtt_weight.utilization{at}"] = paper_band(min=0.9, note=note)
+        out[f"srtt_weight.drop_rate{at}"] = paper_band(max=5e-3, note=note)
+        out[f"srtt_weight.jain{at}"] = paper_band(min=0.9, note=note)
+    out["srtt_weight.early_responses_ratio"] = paper_band(
+        max=1.2, note="smoothing can only filter, not invent, congestion "
+                      "indications: srtt_0.99 responds no more than 1.2x "
+                      "the raw signal")
+    out["early_decrease.norm_queue_diff"] = paper_band(
+        max=0.05, note="eq. (1): a 60 % decrease empties the queue at least "
+                       "as far as a 15 % one")
+    out["early_decrease.utilization@value=0.35"] = paper_band(
+        min=0.9, note="eq. (1): 35 % keeps utilization high")
+    out["early_decrease.drop_rate@value=0.35"] = paper_band(
+        max=1e-3, note="eq. (1): 35 % keeps ~zero drops")
+    out["min_response_interval_rtts.early_responses_ratio"] = paper_band(
+        min=1.0, note="responding per ACK fires more often than once per RTT")
+    out["min_response_interval_rtts.utilization_diff"] = paper_band(
+        min=-0.02, note="once-per-RTT limiting costs no utilization against "
+                        "per-ACK response")
     return out
 
 

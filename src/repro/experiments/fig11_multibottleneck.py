@@ -29,7 +29,7 @@ from .scenarios import scheme_at
 from .sweep import SECTION4_SCHEMES, failed_row, scheme_jobs
 
 __all__ = ["run_parking_lot", "parking_lot_job", "build", "run",
-           "validation_metrics", "tables"]
+           "validation_metrics", "paper_bands", "tables"]
 
 TITLE = "Figure 11 — multiple bottlenecks (parking lot)"
 
@@ -138,6 +138,35 @@ def validation_metrics(rows: List[Dict]):
     from ..validate.extract import headline_metrics
 
     return headline_metrics(rows, keys=("hop",))
+
+
+def paper_bands(tier: str):
+    """Fig. 11's per-hop claims at the full tier."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    out = {}
+    for hop in ("R1-R2", "R2-R3", "R3-R4", "R4-R5", "R5-R6"):
+        at = f"@hop={hop}"
+        out[f"pert.drop_rate{at}"] = paper_band(
+            max=1e-3, note="Fig. 11: PERT ~zero drops on every hop")
+        out[f"pert.norm_queue{at}"] = paper_band(
+            max=0.5, note="Fig. 11: PERT low queue on every hop")
+        out[f"pert.utilization{at}"] = paper_band(
+            min=0.7, note="Fig. 11: utilization like SACK/RED-ECN")
+        out[f"pert_vs_sack-droptail.norm_queue_ratio{at}"] = paper_band(
+            max=1.0,
+            note="Fig. 11: DropTail's queue above PERT's on every hop")
+        out[f"pert_vs_sack-droptail.jain_diff{at}"] = paper_band(
+            min=0.0, note="Fig. 11: per-hop fairness preserved relative to "
+                          "DropTail")
+        out[f"pert.jain{at}"] = paper_band(
+            min=0.55, note="Fig. 11: per-hop fairness (the index mixes 1-hop "
+                           "and end-to-end flows, which no scheme equalizes)")
+    out["pert_vs_sack-red-ecn.mean_utilization_diff"] = paper_band(
+        min=-0.15, note="Fig. 11: utilization comparable to router RED-ECN")
+    return out
 
 
 def tables(rows: List[Dict]):

@@ -26,8 +26,9 @@ from .common import (PacketRun, delivered_bytes, paper_buffer_pkts,
 from .scenarios import scheme_at
 from .sweep import SECTION4_SCHEMES, job_values, scheme_jobs
 
-__all__ = ["run_dynamics", "dynamics_job", "build", "run", "cohort_share_error",
-           "link_share", "validation_metrics", "tables"]
+__all__ = ["run_dynamics", "dynamics_job", "build", "run",
+           "cohort_share_error", "link_share", "validation_metrics",
+           "paper_bands", "tables"]
 
 TITLE = "Figure 12 — dynamics under arriving/departing flows"
 
@@ -178,6 +179,28 @@ def validation_metrics(results: List[Dict]):
 
     return rows_to_metrics(_epoch_rows(results), ("share_error", "link_share"),
                            keys=("epoch",))
+
+
+def paper_bands(tier: str):
+    """Fig. 12's claims at the full tier's four epochs."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    out = {}
+    for e in range(4):
+        out[f"pert.share_error@epoch={e}"] = paper_band(
+            max=0.35,
+            note="Fig. 12: cohorts re-converge to equal shares each epoch "
+                 "(bound for 15 s epochs, ~125 RTTs against the paper's "
+                 "100 s)")
+        out[f"pert.link_share@epoch={e}"] = paper_band(
+            min=0.8, note="Fig. 12: PERT keeps the pipe full through the "
+                          "transitions")
+    out["vegas_vs_pert.share_error_diff@epoch=3"] = paper_band(
+        min=0.0, note="Fig. 12: Vegas' startup-order unfairness — worse "
+                      "cohort sharing than PERT at full load")
+    return out
 
 
 def tables(results: List[Dict]):

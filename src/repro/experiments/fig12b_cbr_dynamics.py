@@ -31,7 +31,7 @@ from .scenarios import scheme_at
 from .sweep import SECTION4_SCHEMES, job_values, scheme_jobs
 
 __all__ = ["run_cbr_dynamics", "cbr_job", "build", "run", "validation_metrics",
-           "tables"]
+           "paper_bands", "tables"]
 
 TITLE = "Section 4.7 — dynamics under CBR traffic"
 
@@ -171,6 +171,25 @@ def validation_metrics(rows: List[Dict]):
             if row[m] is not None:
                 out[metric_id(row["scheme"], m)] = float(row[m])
     return out
+
+
+def paper_bands(tier: str):
+    """Section 4.7's claims; the figure runs at the full tier only."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    return {
+        "pert.concede_s": paper_band(
+            max=10.0, note="§4.7: responsive flows concede quickly"),
+        "pert.reclaim_s": paper_band(
+            max=10.0, note="§4.7: bandwidth reclaimed promptly"),
+        "pert.drops_squeeze": paper_band(
+            max=5.0, note="§4.7: PERT concedes with near-zero loss"),
+        "pert_vs_sack-droptail.drops_squeeze_ratio": paper_band(
+            max=0.1, note="§4.7: PERT absorbs the squeeze without DropTail's "
+                          "loss storm"),
+    }
 
 
 def tables(rows: List[Dict]):

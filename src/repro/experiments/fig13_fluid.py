@@ -18,7 +18,7 @@ from ..fluid.model import make_fluid_model
 from ..fluid.stability import min_delta, trajectory_is_stable
 
 __all__ = ["run_min_delta", "run_trajectories", "run", "validation_metrics",
-           "tables"]
+           "paper_bands", "tables"]
 
 TITLE = "Figure 13 — PERT/RED fluid-model stability"
 
@@ -97,6 +97,25 @@ def validation_metrics(output: Dict[str, List[Dict]]):
         tags = {"rtt_ms": row["rtt_ms"]}
         out[metric_id("", "stable", tags)] = 1.0 if row["stable"] else 0.0
         out[metric_id("", "w_star", tags)] = row["w_star"]
+    return out
+
+
+def paper_bands(tier: str):
+    """The stability pattern and the δ_min ≈ 0.1 s anchor, at both tiers
+    (the fluid model runs unscaled)."""
+    from ..validate.bands import paper_band
+
+    out = {
+        "min_delta_s@n_minus=40": paper_band(
+            0.1, rel_tol=0.2,
+            note="Fig. 13(a): δ_min ≈ 0.1 s at N⁻ = 40"),
+        "min_delta_s@n_minus=50": paper_band(
+            max=0.1, note="Fig. 13(a): δ_min monotonically decreasing"),
+    }
+    for rtt_ms, stable in ((100, 1.0), (160, 1.0), (171, 0.0)):
+        verdict = "stable" if stable else "unstable"
+        out[f"stable@rtt_ms={rtt_ms}"] = paper_band(
+            stable, note=f"Fig. 13(b-d): {verdict} at R = {rtt_ms} ms")
     return out
 
 

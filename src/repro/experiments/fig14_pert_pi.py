@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence
 
 from . import fig7_rtt
 
-__all__ = ["run", "validation_metrics", "tables", "DEFAULT_RTTS",
-           "FIG14_SCHEMES"]
+__all__ = ["run", "validation_metrics", "paper_bands", "tables",
+           "DEFAULT_RTTS", "FIG14_SCHEMES"]
 
 TITLE = "Figure 14 — emulating PI at end hosts"
 
@@ -56,6 +56,31 @@ def validation_metrics(rows: List[dict]):
     from ..validate.extract import headline_metrics
 
     return headline_metrics(rows, keys=("rtt_ms",))
+
+
+def paper_bands(tier: str):
+    """Fig. 14's claims at the full tier's RTTs."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    out = {}
+    for rtt_ms in (20, 60, 120, 240):
+        at = f"@rtt_ms={rtt_ms}"
+        out[f"pert-pi.drop_rate{at}"] = paper_band(
+            max=0.01, note="Fig. 14: PERT-PI very effective at avoiding drops")
+        out[f"pert-pi.utilization{at}"] = paper_band(
+            min=0.7, note="Fig. 14: PERT-PI utilization matches router PI/ECN")
+        out[f"pert-pi.jain{at}"] = paper_band(
+            min=0.7, note="Fig. 14: fairness comparable to PI/ECN")
+    out["pert-pi_vs_sack-pi-ecn.mean_utilization_diff"] = paper_band(
+        min=-0.1, note="Fig. 14: utilization comparable to router PI/ECN")
+    out["pert-pi_vs_sack-pi-ecn.mean_norm_queue_diff"] = paper_band(
+        min=-0.2, max=0.2, note="Fig. 14: average queue similar to router "
+                                "PI/ECN")
+    out["pert-pi.mean_jain"] = paper_band(
+        min=0.8, note="Fig. 14: fairness comparable across the sweep")
+    return out
 
 
 def tables(rows: List[dict]):

@@ -33,7 +33,7 @@ from ..predictors import (
 from .section2 import QUICK_CASES, CaseTrace, TrafficCase, collect_all_cases
 
 __all__ = ["predictor_suite", "rows_from_traces", "run", "validation_metrics",
-           "tables"]
+           "paper_bands", "tables"]
 
 TITLE = "Figure 3 — congestion-predictor comparison"
 
@@ -120,6 +120,33 @@ def validation_metrics(rows: List[dict]) -> Dict[str, float]:
         out["vegas_vs_classics.efficiency_diff"] = out["vegas.efficiency"] - max(
             out[f"{c}.efficiency"] for c in CLASSICS)
     return out
+
+
+def paper_bands(tier: str):
+    """Fig. 3's claim at the full tier: srtt_0.99 dominates; Vegas is the
+    best classic."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    return {
+        "srtt_0.99.efficiency": paper_band(
+            min=0.6, note="Fig. 3: srtt_0.99 high efficiency"),
+        "srtt_0.99.false_pos": paper_band(
+            max=0.4, note="Fig. 3: srtt_0.99 low false positives"),
+        "srtt_0.99.false_neg": paper_band(
+            max=0.4, note="Fig. 3: srtt_0.99 low false negatives"),
+        "vegas.efficiency": paper_band(
+            min=0.4, note="Fig. 3: Vegas best of the classic predictors"),
+        "vegas_vs_classics.efficiency_diff": paper_band(
+            min=-0.05,
+            note="Fig. 3: Vegas at least matches CARD/TRI-S/DUAL/CIM"),
+        "srtt_0.99_vs_vegas.efficiency_diff": paper_band(
+            min=-0.05, note="Fig. 3: srtt_0.99 does not trail the classics"),
+        "srtt_0.99_vs_instant-rtt.false_pos_diff": paper_band(
+            max=0.05,
+            note="Section 2.4: smoothing suppresses the raw signal's noise"),
+    }
 
 
 def tables(rows: List[dict]):

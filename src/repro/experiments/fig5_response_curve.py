@@ -11,7 +11,7 @@ from typing import Dict, List
 
 from ..core.response import GentleRedCurve
 
-__all__ = ["run", "validation_metrics", "tables"]
+__all__ = ["run", "validation_metrics", "paper_bands", "tables"]
 
 TITLE = "Figure 5 — PERT response curve"
 
@@ -42,12 +42,25 @@ def validation_metrics(rows: List[dict]) -> Dict[str, float]:
     from ..validate.extract import metric_id
 
     # The delay grid is computed in float; round the id tag so e.g.
-    # 7.500000000000002 ms keys as "7.5" in the expected files.
+    # 7.500000000000002 ms keys as "7.5" in the bands.
     return {
         metric_id("", "p", {"delay_ms": round(row["queuing_delay_ms"], 6)}):
             row["probability"]
         for row in rows
     }
+
+
+def paper_bands(tier: str):
+    """Figure 5's curve at its anchor delays; analytic, so exact at both
+    tiers."""
+    from ..validate.bands import paper_band
+
+    curve = {0: 0.0, 2.5: 0.0, 5: 0.0, 7.5: 0.025, 10: 0.05, 12.5: 0.2875,
+             15: 0.525, 17.5: 0.7625, 20: 1.0, 22.5: 1.0, 25: 1.0}
+    note = "gentle-RED curve, T_min=5ms T_max=10ms p_max=0.05 (Fig. 5)"
+    return {f"p@delay_ms={k:g}": paper_band(v, abs_tol=1e-9, rel_tol=1e-6,
+                                            note=note)
+            for k, v in curve.items()}
 
 
 def tables(rows: List[dict]):

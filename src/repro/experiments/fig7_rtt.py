@@ -14,9 +14,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .scenarios import ScenarioPoint, ScenarioSpec
-from .sweep import SECTION4_SCHEMES
+from .sweep import SECTION4_SCHEMES, section4_orderings
 
-__all__ = ["spec", "run", "validation_metrics", "tables", "DEFAULT_RTTS"]
+__all__ = ["spec", "run", "validation_metrics", "paper_bands", "tables",
+           "DEFAULT_RTTS"]
 
 TITLE = "Figure 7 — impact of end-to-end RTT"
 
@@ -30,6 +31,14 @@ DEFAULT_RTTS = [0.02, 0.04, 0.06, 0.120, 0.240, 0.400]
 
 COLUMNS = ("rtt_ms", "scheme", "norm_queue", "drop_rate", "utilization",
            "jain")
+
+#: why the scaled reproduction misses the queue ordering at 20 ms
+#: (docs/VALIDATION.md, Known gaps)
+GAP_RESPONSE_REGION = (
+    "known gap, degenerate scaled regime: below 40 ms at 16 Mbps one BDP of "
+    "buffer is shorter than PERT's fixed 2*T_max = 20 ms response region, "
+    "which the paper's 150 Mbps setting never enters"
+)
 
 QUICK = dict(rtts=[0.02, 0.05], bandwidth=8e6, n_fwd=6, base_duration=8.0)
 
@@ -76,6 +85,30 @@ def validation_metrics(rows: List[dict]):
     from ..validate.extract import headline_metrics
 
     return headline_metrics(rows, keys=("rtt_ms",))
+
+
+def paper_bands(tier: str):
+    """Fig. 7's claims at the full tier's RTTs."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    rtts = (20, 40, 60, 120, 240, 400)
+    out = section4_orderings("rtt_ms", rtts, {20: GAP_RESPONSE_REGION})
+    for rtt_ms in rtts:
+        at = f"@rtt_ms={rtt_ms}"
+        out[f"pert.drop_rate{at}"] = paper_band(
+            max=0.01, note="Fig. 7: PERT drop rate tracks RED-ECN (~0)")
+        out[f"pert.jain{at}"] = paper_band(
+            min=0.7, note="Fig. 7: fairness stays high across RTTs")
+        out[f"pert.utilization{at}"] = paper_band(
+            min=0.6, note="Fig. 7: utilization high, dipping at extreme RTTs")
+    out["pert_vs_sack-droptail.mean_drop_rate_ratio"] = paper_band(
+        max=1.0, note="Fig. 7: PERT's drop rate below DropTail's")
+    for scheme in ("pert", "sack-red-ecn"):
+        out[f"{scheme}.mean_drop_rate"] = paper_band(
+            max=0.01, note="Fig. 7: PERT and RED-ECN both near zero loss")
+    return out
 
 
 def tables(rows: List[dict]):

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .scenarios import ScenarioPoint, ScenarioSpec
-from .sweep import SECTION4_SCHEMES
+from .sweep import SECTION4_SCHEMES, section4_orderings
 
-__all__ = ["spec", "run", "validation_metrics", "tables",
+__all__ = ["spec", "run", "validation_metrics", "paper_bands", "tables",
            "DEFAULT_SESSION_COUNTS"]
 
 TITLE = "Figure 9 — impact of web traffic"
@@ -72,6 +72,29 @@ def validation_metrics(rows: List[dict]):
     from ..validate.extract import headline_metrics
 
     return headline_metrics(rows, keys=("web_sessions",))
+
+
+def paper_bands(tier: str):
+    """Fig. 9's claims at the full tier's web loads."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    sessions = (2, 4, 8, 16, 32)
+    out = section4_orderings("web_sessions", sessions)
+    for n in sessions:
+        at = f"@web_sessions={n}"
+        out[f"pert.drop_rate{at}"] = paper_band(
+            max=0.01, note="Fig. 9: PERT keeps losses ~zero at every web load")
+        out[f"pert.norm_queue{at}"] = paper_band(
+            max=0.5, note="Fig. 9: PERT keeps the average queue low")
+        out[f"pert.jain{at}"] = paper_band(
+            min=0.7, note="Fig. 9: long-flow fairness stays high")
+    out["pert.mean_drop_rate"] = paper_band(
+        max=1e-3, note="Fig. 9: PERT ~zero drops over the web-load sweep")
+    out["pert_vs_sack-droptail.mean_drop_rate_ratio"] = paper_band(
+        max=0.2, note="Fig. 9: PERT's loss a fraction of DropTail's")
+    return out
 
 
 def tables(rows: List[dict]):

@@ -1,10 +1,10 @@
 """The figure registry: every reproduced artefact, declared once.
 
 :data:`FIGURES` is the only list of figures in the repository.  The
-experiments CLI, the validation suite (:data:`repro.validate.suite.SUITE`),
-``tools/seed_paper_bands.py`` and the tests all read it; a figure's id
-is also the stem of its ``validate/expected/<id>.json`` and its anchor
-in ``docs/RESULTS.md``.
+experiments CLI, the validation suite (:data:`repro.validate.suite.SUITE`)
+and the tests all read it; a figure's id is also the stem of its
+golden pins' ``validate/expected/<id>.json`` and its anchor in
+``docs/RESULTS.md``.
 
 **The module is the record.**  A figure is a module of this package
 that states ``TITLE`` (the heading used wherever the figure is named),
@@ -15,7 +15,11 @@ paper-shaped tier; absent = ``run()``'s defaults), and three functions:
 ``run(**kwargs)``, ``validation_metrics(output)`` flattening its output
 to ``{metric_id: float}`` for :mod:`repro.validate`, and
 ``tables(output)`` returning ``[(title, columns, rows)]`` for
-:func:`print_figure`.
+:func:`print_figure`; optionally a fourth, ``paper_bands(tier)``
+returning ``{metric_id: Band}``, the paper's numbers and claims the
+figure is judged by at *tier* (the only place they are stated; like
+``validation_metrics`` it imports :mod:`repro.validate` inside the
+function).
 
 Modules are resolved by name on demand, and this module is not imported
 by ``repro.experiments/__init__``: ``import repro.experiments.common``

@@ -14,7 +14,8 @@ from typing import Dict, List, Sequence
 from ..metrics.stats import mean, stdev
 from .sweep import SECTION4_SCHEMES, sweep_dumbbell
 
-__all__ = ["run", "summarize_sweep", "validation_metrics", "tables"]
+__all__ = ["run", "summarize_sweep", "validation_metrics", "paper_bands",
+           "tables"]
 
 TITLE = "Seed-sweep robustness of the headline comparison"
 
@@ -77,6 +78,34 @@ def validation_metrics(rows: List[Dict]) -> Dict[str, float]:
     out = headline_metrics(rows, keys=("seed",))
     out.update(rows_to_metrics(summarize_sweep(rows),
                                ("norm_queue_std", "utilization_std")))
+    return out
+
+
+def paper_bands(tier: str):
+    """The headline orderings, bounded for every full-tier seed."""
+    from ..validate.bands import paper_band
+
+    if tier != "full":
+        return {}
+    out = {}
+    for seed in (1, 2, 3):
+        at = f"@seed={seed}"
+        out[f"pert_vs_sack-droptail.norm_queue_ratio{at}"] = paper_band(
+            max=0.6, note="every seed: PERT's queue far below DropTail's")
+        out[f"pert.drop_rate{at}"] = paper_band(
+            max=1e-3, note="every seed: near-zero drops")
+        out[f"pert_vs_sack-red-ecn.drop_rate_diff{at}"] = paper_band(
+            max=1e-3, note="every seed: drops no higher than RED-ECN's")
+        out[f"pert.utilization{at}"] = paper_band(
+            min=0.9, note="every seed: high utilization")
+        out[f"pert.jain{at}"] = paper_band(
+            min=0.95, note="every seed: fairness ~1")
+        out[f"pert_vs_vegas.jain_diff{at}"] = paper_band(
+            min=0.0, note="every seed: fairer than Vegas")
+    out["pert.norm_queue_std"] = paper_band(
+        max=0.1, note="the comparison is stable across seeds")
+    out["pert.utilization_std"] = paper_band(
+        max=0.05, note="the comparison is stable across seeds")
     return out
 
 

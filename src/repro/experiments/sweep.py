@@ -20,7 +20,7 @@ from ..runner import JobSpec, dumbbell_spec, run_jobs
 from .common import DumbbellResult
 
 __all__ = ["SECTION4_SCHEMES", "sweep_dumbbell", "result_row", "failed_row",
-           "scheme_jobs", "job_values"]
+           "scheme_jobs", "job_values", "section4_orderings"]
 
 #: the paper's Section 4 comparison set
 SECTION4_SCHEMES = ("pert", "sack-droptail", "sack-red-ecn", "vegas")
@@ -140,3 +140,23 @@ def sweep_dumbbell(
         for res, (tag, scheme) in zip(
             results, [(tag, scheme) for tag in tags for scheme in schemes])
     ]
+
+
+def section4_orderings(axis: str, values, queue_gaps=()) -> Dict:
+    """What Figures 6-9 claim alike: PERT's queue below DropTail's at
+    every point of the sweep *axis*, as paper bands on the derived ratio.
+
+    *queue_gaps* maps the points where the scaled reproduction is known
+    to miss that ordering to the mechanism.
+    """
+    from ..validate.bands import paper_band
+
+    queue_gaps = dict(queue_gaps)
+    out = {}
+    for v in values:
+        gap = queue_gaps.get(v, "")
+        out[f"pert_vs_sack-droptail.norm_queue_ratio@{axis}={v}"] = paper_band(
+            max=1.0, known_gap=bool(gap),
+            note="PERT's queue below DropTail's at every point"
+                 + (f"; {gap}" if gap else ""))
+    return out

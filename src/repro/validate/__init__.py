@@ -2,15 +2,16 @@
 
 Runs every figure declared in :data:`repro.experiments.figures.FIGURES`
 through the cached parallel runner, extracts its metrics via the figure
-module's ``validation_metrics`` hook, and compares them against the
-committed expectations in ``src/repro/validate/expected/*.json``:
+module's ``validation_metrics`` hook, and compares them against two
+homes of bands (:func:`figure_bands` reads both):
 
-* **quick** tier — CI-sized operating points checked against *golden*
-  targets pinned from this reproduction (tight tolerances; catches any
-  behavioural drift);
-* **full** tier — paper-scale operating points checked against the
-  *paper's* published numbers and claims (loose, documented tolerance
-  bands; measures fidelity).
+* the *paper's* published numbers and claims, which each figure module
+  declares in ``paper_bands(tier)`` (loose, documented tolerance bands;
+  they measure fidelity and make up the **full** tier);
+* *golden* targets pinned from this reproduction in
+  ``src/repro/validate/expected/*.json`` by ``update-golden`` (tight
+  tolerances; they catch any behavioural drift and make up most of the
+  CI-sized **quick** tier).
 
 The verdict is machine-readable JSON; ``docs/RESULTS.md`` is regenerated
 from it by ``run --docs docs/RESULTS.md``.  See ``docs/VALIDATION.md`` for
@@ -32,6 +33,7 @@ from .suite import (
     TIERS,
     available_figures,
     check_figure,
+    figure_bands,
     measure_figure,
     run_suite,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "SUITE",
     "TIERS",
     "available_figures",
+    "figure_bands",
     "measure_figure",
     "check_figure",
     "run_suite",

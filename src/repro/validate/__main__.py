@@ -10,8 +10,9 @@ Usage::
     python -m repro.validate diff [--quick|--full] [--figure F ...]
 
 ``run`` executes the selected tier through the cached parallel runner,
-compares every extracted metric against the committed bands in
-``src/repro/validate/expected/``, writes the machine-readable verdict
+compares every extracted metric against its band (the paper claims each
+figure module declares in ``paper_bands`` and the golden pins in
+``src/repro/validate/expected/``), writes the machine-readable verdict
 (which ``python -m repro.obs report`` also summarizes), and exits
 non-zero naming the offending figures when
 anything lands outside its band.  It writes nothing inside the checkout
@@ -156,15 +157,14 @@ def _cmd_update_golden(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from .suite import load_suite_expected, measure_figure
+    from .suite import figure_bands, measure_figure
 
     tier = _tier(args)
     with scoped_env(runner_env(args)):
         for figure in available_figures(tier, args.figure):
-            expected = load_suite_expected(
-                figure, Path(args.expected) if args.expected else None
+            bands = figure_bands(
+                figure, tier, Path(args.expected) if args.expected else None
             )
-            bands = expected.bands(tier) if expected is not None else {}
             measured = measure_figure(figure, tier)
             print(f"\n== {figure} — {registry.figure(figure).TITLE} ({tier}) ==")
             for mid in sorted(set(bands) | set(measured)):
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
                        help="restrict to one figure (repeatable)")
         p.add_argument("--expected", default=None, metavar="DIR",
                        help="override the committed expected/ directory "
-                            "(tests use this)")
+                            "of golden pins (tests use this)")
         if runner_flags:
             add_runner_flags(p)
 

@@ -11,7 +11,7 @@ A :class:`Band` supports two complementary shapes, usable together:
 * **target bands** — ``target`` with ``abs_tol``/``rel_tol``; passes when
   ``|measured - target| <= abs_tol + rel_tol * |target|`` (the
   ``math.isclose`` convention, but one-sided per metric so bands are
-  auditable in the expected files);
+  auditable where they are declared);
 * **bound bands** — ``min``/``max`` inclusive limits, for the paper's
   qualitative claims ("drop rate ~0", "utilization stays high") where a
   point target would be false precision.
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-__all__ = ["Band", "MetricCheck", "check_metric"]
+__all__ = ["Band", "MetricCheck", "check_metric", "paper_band"]
 
 #: default relative tolerance for golden (repro-pinned) targets — wide
 #: enough for cross-libm ulp noise, tight enough to catch any real drift
@@ -48,8 +48,9 @@ class Band:
     rel_tol: float = 0.0
     min: Optional[float] = None
     max: Optional[float] = None
-    #: "paper" (from Bhandarkar et al.'s published numbers/claims) or
-    #: "golden" (pinned from this reproduction; rewritten by update-golden)
+    #: "paper" (Bhandarkar et al.'s published numbers/claims, declared by
+    #: the figure module's ``paper_bands``) or "golden" (pinned from this
+    #: reproduction in ``expected/<figure>.json``; rewritten by update-golden)
     source: str = "golden"
     #: documented known deviation: out-of-band reports as "gap", not
     #: "fail"; in-band as "closed_gap", not "pass"
@@ -138,6 +139,15 @@ class Band:
             known_gap=bool(data.get("known_gap", False)),
             note=data.get("note", ""),
         )
+
+
+def paper_band(target: Optional[float] = None, **kwargs) -> Band:
+    """A band stating one of the paper's numbers or claims.
+
+    The figure modules' ``paper_bands(tier)`` build theirs with it;
+    *kwargs* are :class:`Band`'s other fields.
+    """
+    return Band(target=target, source="paper", **kwargs)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,17 @@ uniform across figures::
     <scheme>.<metric>@<key>=<value>        # one sweep axis (Figs. 6-9)
     <scheme>.<metric>@<k1>=<v1>,<k2>=<v2>  # multi-axis points
 
-Ids must be deterministic (they key the committed ``expected/*.json``
-files), so numeric tag values go through :func:`fmt_num` — integral
-floats print as ints, everything else through ``repr``-shortest form —
+Ids must be deterministic (they key the bands: the figure modules'
+``paper_bands`` and the committed ``expected/*.json`` files), so
+numeric tag values go through :func:`fmt_num` — integral floats print
+as ints, everything else through ``repr``-shortest form —
 and rows are emitted in input order.
 
 Paper claims that relate two schemes ("PERT's queue below DropTail's at
 every point") are bands on *derived* ids.  No figure emits them:
 :func:`derive` computes them from the measured metrics when a band names
-one, so stating such a claim costs one band and no code::
+one, so stating such a claim costs one band in the figure's
+``paper_bands`` and no other code::
 
     <a>_vs_<b>.<metric>_ratio@<point>      # a / b at the same point
     <a>_vs_<b>.<metric>_diff@<point>       # a - b at the same point

@@ -3,24 +3,25 @@
 Golden bands (``source: "golden"``) pin this reproduction's own
 deterministic output; after an *intentional* behaviour change (new RNG
 stream, different default parameter, engine rework) they are re-measured
-and rewritten here.  Paper bands (``source: "paper"``) encode published
-numbers and claims — they are never touched by automation; changing one
-is an editorial act done by hand with a rationale in
-``docs/VALIDATION.md``.
+and rewritten here.  They are all an expected file holds, so this
+module owns those files outright.  Paper bands (``source: "paper"``)
+encode published numbers and claims; each figure module declares its
+own in ``paper_bands(tier)``, and changing one is an editorial act done
+in that module with a rationale in ``docs/VALIDATION.md``.
 
 Reconciliation rules, per figure and tier:
 
+* an id the module declares a paper claim → never pinned (an old pin
+  of it is dropped);
 * measured id with an existing golden band  → target := measured value
   (tolerances, notes, bounds are preserved);
-* measured id with an existing paper band   → band kept verbatim;
 * measured id with no band                  → new golden band with the
   default tolerances (:data:`~repro.validate.bands.GOLDEN_REL_TOL` /
   :data:`~repro.validate.bands.GOLDEN_ABS_TOL`);
 * unmeasured golden band                    → dropped (the metric no
-  longer exists);
-* unmeasured paper band                     → kept, so the next ``run``
-  reports it ``missing`` — a silent disappearance of a paper-tracked
-  metric must fail loudly, not be garbage-collected.
+  longer exists).
+
+A figure left with no golden pin at any tier has no expected file.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bands import Band, GOLDEN_ABS_TOL, GOLDEN_REL_TOL
 from .suite import (
     available_figures,
-    editable_expected,
     expected_path,
+    load_suite_expected,
     measure_figure,
+    paper_bands,
 )
 from .verdict import write_expected
 
@@ -44,7 +46,7 @@ __all__ = ["update_golden"]
 def _reconcile(
     old: Dict[str, Band], measured: Dict[str, float]
 ) -> Tuple[Dict[str, Band], List[str]]:
-    """Merge measured values into a band map per the module's rules."""
+    """Merge measured values into a golden band map per the module's rules."""
     new: Dict[str, Band] = {}
     changed: List[str] = []
     for mid, value in measured.items():
@@ -53,19 +55,11 @@ def _reconcile(
             new[mid] = Band(target=value, abs_tol=GOLDEN_ABS_TOL,
                             rel_tol=GOLDEN_REL_TOL, source="golden")
             changed.append(f"+ {mid}")
-        elif band.source == "golden":
-            if band.target != value:
-                changed.append(f"~ {mid}: {band.target!r} -> {value!r}")
-            new[mid] = dataclasses.replace(band, target=value)
-        else:
-            new[mid] = band
-    for mid, band in old.items():
-        if mid in new:
             continue
-        if band.source == "paper":
-            new[mid] = band
-        else:
-            changed.append(f"- {mid}")
+        if band.target != value:
+            changed.append(f"~ {mid}: {band.target!r} -> {value!r}")
+        new[mid] = dataclasses.replace(band, target=value)
+    changed.extend(f"- {mid}" for mid in old if mid not in new)
     return new, changed
 
 
@@ -77,14 +71,22 @@ def update_golden(
     """Re-measure *figures* at *tier* and rewrite their golden targets.
 
     Returns ``{figure: [change descriptions]}`` (empty list = file
-    rewritten with no band changes).  Figures without an expected file
-    get one created, all-golden.
+    rewritten with no band changes).  A figure's expected file is
+    created when it gains its first pin and removed when it loses its
+    last.
     """
     changes: Dict[str, List[str]] = {}
     for figure in available_figures(tier, figures):
-        measured = measure_figure(figure, tier)
-        existing = editable_expected(figure, expected_dir)
+        claimed = paper_bands(figure, tier)
+        measured = {mid: value
+                    for mid, value in measure_figure(figure, tier).items()
+                    if mid not in claimed}
+        existing = load_suite_expected(figure, expected_dir)
         existing.tiers[tier], changed = _reconcile(existing.bands(tier), measured)
-        write_expected(existing, expected_path(figure, expected_dir))
+        path = expected_path(figure, expected_dir)
+        if any(existing.tiers.values()):
+            write_expected(existing, path)
+        elif path.exists():
+            path.unlink()
         changes[figure] = changed
     return changes

@@ -1,21 +1,23 @@
 """The validation suite: run every declared figure and judge it.
 
 What a figure *is* — its title, its quick- and full-tier operating
-points, how it runs and which metrics it yields — is declared once, in
-its module under :mod:`repro.experiments` and listed in
+points, how it runs, which metrics it yields and which of the paper's
+claims they must meet — is declared once, in its module under
+:mod:`repro.experiments` and listed in
 :data:`repro.experiments.figures.FIGURES`.  This module owns the other
 half: execute a figure at a tier (through the cached parallel runner
 wherever the figure is grid-shaped), compare the measurements against
-the committed bands in ``expected/<figure>.json`` and roll the outcome
-up into a :class:`~repro.validate.verdict.Verdict`.
+:func:`figure_bands` — the module's paper claims plus the golden pins
+of ``expected/<figure>.json`` — and roll the outcome up into a
+:class:`~repro.validate.verdict.Verdict`.
 
 Tiers:
 
-* ``quick`` — minutes, CI-sized operating points; targets are goldens
-  pinned from this reproduction (regression detection);
+* ``quick`` — minutes, CI-sized operating points; targets are mostly
+  goldens pinned from this reproduction (regression detection);
 * ``full`` — the figures' default (paper-scaled) operating points;
-  targets are the paper's published numbers and claims (fidelity), so
-  this is the nightly tier.
+  targets are mostly the paper's published numbers and claims
+  (fidelity), so this is the nightly tier.
 
 Figure modules are imported on demand, so importing
 :mod:`repro.validate` stays cheap and cycle-free.
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..experiments import figures as registry
-from .bands import check_metric
+from .bands import Band, check_metric
 from .extract import derive
 from .verdict import ExpectedFigure, FigureVerdict, Verdict, load_expected
 
@@ -45,7 +47,8 @@ __all__ = [
     "available_figures",
     "expected_path",
     "load_suite_expected",
-    "editable_expected",
+    "paper_bands",
+    "figure_bands",
     "measure_figure",
     "check_figure",
     "run_suite",
@@ -83,24 +86,38 @@ def expected_path(figure: str, expected_dir: Optional[Path] = None) -> Path:
 
 def load_suite_expected(
     figure: str, expected_dir: Optional[Path] = None
-) -> Optional[ExpectedFigure]:
-    """Load *figure*'s expected bands, or ``None`` when the file is absent."""
+) -> ExpectedFigure:
+    """*figure*'s golden pins; none when its expected file is absent."""
     path = expected_path(figure, expected_dir)
     if not path.exists():
-        return None
+        return ExpectedFigure(figure=figure, tiers={}, path=path)
     return load_expected(path)
 
 
-def editable_expected(
-    figure: str, expected_dir: Optional[Path] = None
-) -> ExpectedFigure:
-    """*figure*'s bands for rewriting: loaded or started empty, and titled
-    from the registry (the ``title`` in an expected file is never typed)."""
+def paper_bands(figure: str, tier: str) -> Dict[str, Band]:
+    """The paper claims *figure*'s module declares at *tier*."""
+    declare = getattr(registry.figure(figure), "paper_bands", None)
+    return declare(tier) if declare is not None else {}
+
+
+def figure_bands(
+    figure: str, tier: str, expected_dir: Optional[Path] = None
+) -> Dict[str, Band]:
+    """Every band *figure* is judged by at *tier*: the golden pins of its
+    expected file and the paper claims of its module.
+
+    ``update-golden`` never pins an id the module claims, so an id in
+    both is an error.
+    """
     expected = load_suite_expected(figure, expected_dir)
-    if expected is None:
-        expected = ExpectedFigure(figure=figure, title="", tiers={})
-    expected.title = registry.figure(figure).TITLE
-    return expected
+    golden = expected.bands(tier)
+    paper = paper_bands(figure, tier)
+    both = sorted(set(golden) & set(paper))
+    if both:
+        raise ValueError(
+            f"{expected.path}: {tier} ids {both} are golden pins and paper "
+            f"claims of {figure}'s paper_bands at once")
+    return {**golden, **paper}
 
 
 def measure_figure(figure: str, tier: str) -> Dict[str, float]:
@@ -119,18 +136,20 @@ def check_figure(
     expected_dir: Optional[Path] = None,
     measurements: Optional[Dict[str, float]] = None,
 ) -> FigureVerdict:
-    """Measure one figure and compare it against its expected bands.
+    """Measure one figure and compare it against :func:`figure_bands`.
 
     A measurement-runner exception does not propagate: it lands in
     ``FigureVerdict.error`` and fails the figure, so one broken
     experiment cannot mask the verdicts of the rest.
     """
-    expected = load_suite_expected(figure, expected_dir)
     fv = FigureVerdict(figure=figure, title=registry.figure(figure).TITLE)
-    if expected is None:
+    bands = figure_bands(figure, tier, expected_dir)
+    if not bands:
         fv.error = (
-            f"no expected file for {figure} "
-            f"(run `python -m repro.validate update-golden --figure {figure}`)"
+            f"no {tier} band for {figure}: no paper claim in its module and "
+            f"no golden pin in {expected_path(figure, expected_dir)} (run "
+            f"`python -m repro.validate update-golden --{tier} "
+            f"--figure {figure}`)"
         )
         return fv
     t0 = time.monotonic()
@@ -142,7 +161,6 @@ def check_figure(
             fv.wall_time = time.monotonic() - t0
             return fv
     fv.wall_time = time.monotonic() - t0
-    bands = expected.bands(tier)
     for mid in sorted(bands):
         fv.checks.append(check_metric(mid, bands[mid], derive(mid, measurements)))
     fv.unchecked = len([m for m in measurements if m not in bands])

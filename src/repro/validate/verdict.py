@@ -3,16 +3,19 @@
 Two JSON artefacts live here:
 
 * **expected files** (``src/repro/validate/expected/<figure>.json``,
-  committed) — per-figure, per-tier bands::
+  committed) — per-figure, per-tier golden pins, written by
+  ``update-golden`` alone::
 
       {
         "figure": "fig6",
-        "title": "Figure 6 — impact of bottleneck bandwidth",
         "tiers": {
-          "quick": {"metrics": {"pert.norm_queue@bandwidth_mbps=2": {...band...}}},
-          "full":  {"metrics": {...}}
+          "quick": {"metrics": {"pert.norm_queue@bandwidth_mbps=2": {...band...}}}
         }
       }
+
+  The paper's claims are not in them: each figure module declares its
+  own in ``paper_bands(tier)``, and :func:`load_expected` refuses a
+  ``source: "paper"`` band.
 
 * **verdict files** (written by ``python -m repro.validate run`` under
   ``<cache>/validation/``) — the machine-readable outcome a later
@@ -47,10 +50,9 @@ VERDICT_SCHEMA = 1
 
 @dataclass
 class ExpectedFigure:
-    """Parsed expected file: the bands one figure is validated against."""
+    """Parsed expected file: the golden pins of one figure."""
 
     figure: str
-    title: str
     #: tier name -> {metric id -> Band}
     tiers: Dict[str, Dict[str, Band]]
     path: Optional[Path] = None
@@ -60,19 +62,23 @@ class ExpectedFigure:
         return self.tiers.get(tier, {})
 
     def to_json(self) -> Dict:
-        """JSON-clean dict in the committed expected-file layout."""
+        """JSON-clean dict in the committed expected-file layout (a tier
+        without bands is left out)."""
         return {
             "figure": self.figure,
-            "title": self.title,
             "tiers": {
                 tier: {"metrics": {m: b.to_json() for m, b in sorted(bands.items())}}
-                for tier, bands in sorted(self.tiers.items())
+                for tier, bands in sorted(self.tiers.items()) if bands
             },
         }
 
 
 def load_expected(path: Union[str, Path]) -> ExpectedFigure:
-    """Parse one expected file, validating every band eagerly."""
+    """Parse one expected file, validating every band eagerly.
+
+    A paper band is refused: the paper's claims live in the figure
+    module's ``paper_bands``, never in an expected file.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -82,10 +88,13 @@ def load_expected(path: Union[str, Path]) -> ExpectedFigure:
             mid: Band.from_json(band)
             for mid, band in section.get("metrics", {}).items()
         }
-    return ExpectedFigure(
-        figure=data["figure"], title=data.get("title", data["figure"]),
-        tiers=tiers, path=path,
-    )
+        for mid, band in tiers[tier].items():
+            if band.source != "golden":
+                raise ValueError(
+                    f"{path}: {tier} band {mid!r} has source {band.source!r}; "
+                    f"an expected file holds golden pins only (state a paper "
+                    f"claim in the figure module's paper_bands)")
+    return ExpectedFigure(figure=data["figure"], tiers=tiers, path=path)
 
 
 def write_expected(expected: ExpectedFigure, path: Union[str, Path]) -> Path:
@@ -109,7 +118,7 @@ class FigureVerdict:
     figure: str
     title: str
     checks: List[MetricCheck] = field(default_factory=list)
-    #: measured metrics the expected file does not band (informational)
+    #: measured metrics no band covers (informational)
     unchecked: int = 0
     #: wall seconds spent producing the measurements (not read by docgen)
     wall_time: float = 0.0

@@ -3,8 +3,9 @@
 ``repro.experiments.figures.FIGURES`` is the only list of figures; these
 tests hold the things that used to be able to drift apart — the CLI's
 list, the validation suite, the expected files — to it, check that every
-figure module is a complete record, and pin the sweeps that were folded
-into the shared sweep path against a literal serial loop.
+figure module is a complete record (its paper claims included), and pin
+the sweeps that were folded into the shared sweep path against a literal
+serial loop.
 """
 
 import inspect
@@ -17,7 +18,9 @@ from repro.experiments.__main__ import main
 from repro.experiments.common import run_dumbbell
 from repro.experiments.figures import FIGURES, TIERS, figure, tier_kwargs, tiers
 from repro.experiments.sweep import result_row
-from repro.validate.suite import EXPECTED_DIR, SUITE, available_figures
+from repro.validate.suite import (EXPECTED_DIR, SUITE, available_figures,
+                                  check_figure, figure_bands,
+                                  load_suite_expected, paper_bands)
 
 #: figures whose ``run(**kwargs)`` forwards its keywords to another
 #: function in the module's namespace (the Section 2 collector, the
@@ -41,7 +44,11 @@ FORWARDS = {
 def test_one_list_of_figures(capsys):
     ids = list(FIGURES)
     assert list(SUITE) == ids
-    assert sorted(p.stem for p in EXPECTED_DIR.glob("*.json")) == sorted(ids)
+    # an expected file holds golden pins only: a figure with none has none
+    assert {p.stem for p in EXPECTED_DIR.glob("*.json")} <= set(ids)
+    for fid in ids:
+        for tier in tiers(fid):
+            assert figure_bands(fid, tier), f"{fid} has no {tier} band"
     assert main(["list"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
               if line and line.split()[0] in FIGURES]
@@ -59,6 +66,40 @@ def test_figure_module_is_a_complete_record(fid):
         assert callable(getattr(mod, hook)), f"{fid} lacks {hook}()"
     assert tiers(fid), f"{fid} participates in no tier"
     assert not hasattr(mod, "main"), "print_figure is the one printer"
+
+
+@pytest.mark.parametrize("fid", FIGURES)
+def test_no_id_is_banded_in_both_homes(fid):
+    """A metric id is a paper claim of the module or a golden pin of the
+    expected file, never both."""
+    golden = load_suite_expected(fid)
+    for tier in TIERS:
+        claimed = paper_bands(fid, tier)
+        assert all(b.source == "paper" for b in claimed.values())
+        assert not set(claimed) & set(golden.bands(tier)), (fid, tier)
+
+
+def test_a_figure_with_no_expected_file_is_judged_by_its_paper_claims(
+        tmp_path):
+    """fig12b has no golden pin: its 4 full-tier paper checks run from its
+    module alone."""
+    measured = {"pert.concede_s": 3.0, "pert.reclaim_s": 4.0,
+                "pert.drops_squeeze": 0.0, "sack-droptail.drops_squeeze": 50.0}
+    fv = check_figure("fig12b", "full", expected_dir=tmp_path,
+                      measurements=measured)
+    assert fv.error is None and fv.status == "pass"
+    assert [(c.metric, c.band.source) for c in fv.checks] == [
+        (mid, "paper") for mid in sorted(paper_bands("fig12b", "full"))]
+    assert len(fv.checks) == 4
+
+
+def test_a_figure_with_no_band_in_either_home_is_an_error(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(figure("fig12b"), "paper_bands", lambda tier: {})
+    fv = check_figure("fig12b", "full", expected_dir=tmp_path,
+                      measurements={"pert.concede_s": 3.0})
+    assert fv.failed and not fv.checks
+    assert fv.error.startswith("no full band for fig12b")
 
 
 @pytest.mark.parametrize("fid", FIGURES)

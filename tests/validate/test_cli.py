@@ -3,31 +3,44 @@
 Exercises the real gate on fig5 (the analytic PERT response curve — the
 one suite entry with no simulation behind it, so these stay fast): a
 clean run passes and regenerates the results doc byte-identically, and a
-deliberately perturbed expected band makes the same run exit non-zero
-naming the offending figure.
+deliberately perturbed paper band makes the same run exit non-zero
+naming the offending figure.  fig5's bands are all paper claims, which
+its module declares, so each run points ``--expected`` at an empty
+directory and a perturbed band is injected through ``paper_bands``.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
+import dataclasses
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import fig5_response_curve
 from repro.validate.__main__ import main
-from repro.validate.suite import EXPECTED_DIR
+from repro.validate.bands import paper_band
 from repro.validate.verdict import Verdict
 
 
 @pytest.fixture
 def fig5_expected(tmp_path):
-    """Copy the committed fig5 bands into an isolated expected dir."""
+    """An isolated expected dir holding no golden pin (fig5 has none)."""
     exp_dir = tmp_path / "expected"
     exp_dir.mkdir()
-    shutil.copy(EXPECTED_DIR / "fig5.json", exp_dir / "fig5.json")
     return exp_dir
+
+
+def _with_paper_bands(monkeypatch, change):
+    """Make fig5's module declare its paper bands as edited by *change*."""
+    declared = fig5_response_curve.paper_bands
+
+    def paper_bands(tier):
+        bands = declared(tier)
+        change(bands)
+        return bands
+
+    monkeypatch.setattr(fig5_response_curve, "paper_bands", paper_bands)
 
 
 def _run(tmp_path, exp_dir, extra=()):
@@ -61,12 +74,15 @@ def test_results_doc_regenerates_byte_identically(tmp_path, fig5_expected):
     assert docs.read_bytes() == first
 
 
-def test_perturbed_band_fails_naming_the_figure(tmp_path, fig5_expected, capsys):
-    path = fig5_expected / "fig5.json"
-    data = json.loads(path.read_text(encoding="utf-8"))
-    band = data["tiers"]["quick"]["metrics"]["p@delay_ms=10"]
-    band["target"] = band["target"] + 0.06  # well outside abs+rel tolerance
-    path.write_text(json.dumps(data), encoding="utf-8")
+def test_perturbed_band_fails_naming_the_figure(tmp_path, fig5_expected,
+                                                monkeypatch, capsys):
+    def perturb(bands):
+        band = bands["p@delay_ms=10"]
+        # well outside abs+rel tolerance
+        bands["p@delay_ms=10"] = dataclasses.replace(
+            band, target=band.target + 0.06)
+
+    _with_paper_bands(monkeypatch, perturb)
 
     code, out, _ = _run(tmp_path, fig5_expected)
     captured = capsys.readouterr().out
@@ -76,13 +92,10 @@ def test_perturbed_band_fails_naming_the_figure(tmp_path, fig5_expected, capsys)
     assert Verdict.load(out).status == "fail"
 
 
-def test_missing_paper_metric_fails_as_missing(tmp_path, fig5_expected, capsys):
-    path = fig5_expected / "fig5.json"
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data["tiers"]["quick"]["metrics"]["p@delay_ms=999"] = {
-        "target": 0.5, "abs_tol": 0.1, "source": "paper",
-    }
-    path.write_text(json.dumps(data), encoding="utf-8")
+def test_missing_paper_metric_fails_as_missing(tmp_path, fig5_expected,
+                                               monkeypatch, capsys):
+    _with_paper_bands(monkeypatch, lambda bands: bands.update({
+        "p@delay_ms=999": paper_band(0.5, abs_tol=0.1)}))
 
     code, out, _ = _run(tmp_path, fig5_expected)
     assert code == 1

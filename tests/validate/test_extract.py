@@ -128,16 +128,16 @@ def test_headline_metrics_are_the_four_section4_columns():
         "pert.utilization@n=2": 0.9, "pert.jain@n=2": 1.0}
 
 
-def test_check_figure_judges_a_derived_band(tmp_path):
+def test_check_figure_judges_a_derived_band(tmp_path, monkeypatch):
     """A band may name a derived id; no figure has to emit it."""
-    from repro.validate.bands import Band
+    from repro.experiments import fig5_response_curve
+    from repro.validate.bands import paper_band
     from repro.validate.suite import check_figure
-    from repro.validate.verdict import ExpectedFigure, write_expected
 
-    write_expected(ExpectedFigure("fig5", "t", {"quick": {
-        "pert_vs_sack-droptail.norm_queue_ratio@bw=2": Band(max=1.0, source="paper"),
-        "pert_vs_vegas.goodput_ratio": Band(max=1.0, source="paper"),
-    }}), tmp_path / "fig5.json")
+    monkeypatch.setattr(fig5_response_curve, "paper_bands", lambda tier: {
+        "pert_vs_sack-droptail.norm_queue_ratio@bw=2": paper_band(max=1.0),
+        "pert_vs_vegas.goodput_ratio": paper_band(max=1.0),
+    })
     fv = check_figure("fig5", "quick", expected_dir=tmp_path,
                       measurements=TestDerivedIds.METRICS)
     statuses = {c.metric: (c.status, c.measured) for c in fv.checks}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from repro.validate.bands import Band, GOLDEN_ABS_TOL, GOLDEN_REL_TOL
-from repro.validate.golden import _reconcile
+from repro.validate.golden import _reconcile, update_golden
+from repro.validate.suite import check_figure, expected_path, paper_bands
+from repro.validate.verdict import load_expected
 
 
 def test_new_metric_gets_default_golden_band():
@@ -31,20 +33,41 @@ def test_unchanged_golden_reports_no_change():
     assert changed == []
 
 
-def test_paper_band_kept_verbatim():
-    old = {"pert.jain": Band(target=0.99, rel_tol=0.3, source="paper",
-                             known_gap=True)}
-    new, changed = _reconcile(old, {"pert.jain": 0.42})
-    assert new["pert.jain"] is old["pert.jain"]
-    assert changed == []
-
-
-def test_unmeasured_golden_dropped_unmeasured_paper_kept():
-    old = {
-        "gone.golden": Band(target=1.0, source="golden"),
-        "gone.paper": Band(max=0.5, source="paper"),
-    }
-    new, changed = _reconcile(old, {})
-    assert "gone.golden" not in new
-    assert new["gone.paper"] == old["gone.paper"]
+def test_unmeasured_golden_dropped():
+    old = {"gone.golden": Band(target=1.0), "kept": Band(target=2.0)}
+    new, changed = _reconcile(old, {"kept": 2.0})
+    assert set(new) == {"kept"}
     assert changed == ["- gone.golden"]
+
+
+def test_update_golden_pins_no_paper_claim(tmp_path):
+    """fig13's module claims 5 of its quick ids: update-golden pins the
+    rest, and the next check still judges those 5 by the paper."""
+    claimed = paper_bands("fig13", "quick")
+    assert len(claimed) == 5
+    changes = update_golden("quick", ["fig13"], expected_dir=tmp_path)
+    pinned = load_expected(expected_path("fig13", tmp_path)).bands("quick")
+    assert pinned and not set(pinned) & set(claimed)
+    assert all(b.source == "golden" for b in pinned.values())
+    assert sorted(changes["fig13"]) == sorted(f"+ {mid}" for mid in pinned)
+
+    fv = check_figure("fig13", "quick", expected_dir=tmp_path)
+    assert fv.error is None and fv.status == "pass"
+    sources = {c.metric: c.band.source for c in fv.checks}
+    assert {mid: sources[mid] for mid in claimed} == dict.fromkeys(
+        claimed, "paper")
+
+
+def test_update_golden_of_a_figure_with_no_pin_writes_no_file(
+        tmp_path, monkeypatch):
+    """fig5's every id is a paper claim: no expected file is written, and
+    a stale one is removed."""
+    monkeypatch.setattr("repro.validate.golden.measure_figure",
+                        lambda figure, tier: {"p@delay_ms=10": 0.05})
+    stale = expected_path("fig5", tmp_path)
+    stale.write_text('{"figure": "fig5", "tiers": {"quick": {"metrics": '
+                     '{"p@delay_ms=10": {"target": 0.05}}}}}',
+                     encoding="utf-8")
+    changes = update_golden("quick", ["fig5"], expected_dir=tmp_path)
+    assert changes == {"fig5": ["- p@delay_ms=10"]}
+    assert not stale.exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.validate.bands import Band, check_metric
@@ -18,10 +20,9 @@ from repro.validate.verdict import (
 def _expected():
     return ExpectedFigure(
         figure="figX",
-        title="Figure X — demo",
         tiers={
             "quick": {"pert.q@bw=8": Band(target=0.14, rel_tol=1e-6)},
-            "full": {"pert.q@bw=10": Band(max=0.5, source="paper")},
+            "full": {"pert.q@bw=10": Band(max=0.5, note="hand-widened")},
         },
     )
 
@@ -31,7 +32,6 @@ class TestExpectedFiles:
         path = write_expected(_expected(), tmp_path / "figX.json")
         loaded = load_expected(path)
         assert loaded.figure == "figX"
-        assert loaded.title == "Figure X — demo"
         assert loaded.bands("quick") == _expected().tiers["quick"]
         assert loaded.bands("full") == _expected().tiers["full"]
         assert loaded.bands("nightly") == {}  # unknown tier -> empty
@@ -41,6 +41,21 @@ class TestExpectedFiles:
         first = p1.read_bytes()
         p2 = write_expected(load_expected(p1), tmp_path / "a.json")
         assert p2.read_bytes() == first
+
+    def test_layout_is_figure_and_tiers_only(self, tmp_path):
+        path = write_expected(_expected(), tmp_path / "figX.json")
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == {
+            "figure", "tiers"}
+
+    def test_a_paper_band_is_refused_by_name(self, tmp_path):
+        path = write_expected(_expected(), tmp_path / "figX.json")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["tiers"]["full"]["metrics"]["pert.jain"] = {
+            "min": 0.8, "source": "paper"}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"figX\.json: full band 'pert\.jain'"):
+            load_expected(path)
 
 
 def _check(status, metric="m", known_gap=False):
