@@ -53,8 +53,7 @@ class JitterLink(Link):
         self._last_arrival = 0.0
 
     def _tx_done(self, pkt: Packet) -> None:
-        self.bytes_transmitted += pkt.size
-        self.packets_transmitted += 1
+        self._tx = None
         if self.obs is not None:
             self.obs.link_tx(self, self.sim.now)
         extra = self.rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0

@@ -44,10 +44,7 @@ class Link:
         "bandwidth",
         "delay",
         "qdisc",
-        "_busy",
-        "bytes_transmitted",
-        "packets_transmitted",
-        "busy_time",
+        "_tx",
         "_ser_time",
         "obs",
         "_deliver",
@@ -79,10 +76,8 @@ class Link:
         self.bandwidth = bandwidth
         self.delay = delay
         self.qdisc = qdisc
-        self._busy = False
-        self.bytes_transmitted = 0
-        self.packets_transmitted = 0
-        self.busy_time = 0.0
+        #: the packet on the wire, ``None`` while the link is idle
+        self._tx: Optional[Packet] = None
         #: serialization-time memo, size -> seconds.  Real traffic uses a
         #: handful of distinct packet sizes, so this collapses the per-hop
         #: float division to a dict hit.  Entries are computed with the
@@ -101,6 +96,17 @@ class Link:
         self._deliver = dst.receive
         self._on_tx_done = self._tx_done
 
+    # The link counts nothing itself: what left the queue has been
+    # transmitted, except the packet still on the wire.
+    @property
+    def packets_transmitted(self) -> int:
+        return self.qdisc.stats.departures - (self._tx is not None)
+
+    @property
+    def bytes_transmitted(self) -> int:
+        tx = self._tx
+        return self.qdisc.stats.bytes_out - (0 if tx is None else tx.size)
+
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> None:
         """Offer *pkt* to this link's queue and kick the transmitter.
@@ -113,66 +119,61 @@ class Link:
         that finds the buffer empty), onto which a plain tail-drop FIFO of
         capacity >= 1 admits anything.  So with such a queue and no
         instrument attached the packet goes straight to the transmitter,
-        the queue's counters moved exactly as ``enqueue`` + ``dequeue``
-        would move them.  AQMs (their ``admit`` is the law), instrumented
-        queues and queues whose class is wrapped (``_plain_admit`` false)
-        take the full path on every arrival.
+        the queue's two stored counters moved exactly as ``enqueue`` +
+        ``dequeue`` would move them.  AQMs (their ``admit`` is the law),
+        instrumented queues and queues whose class is wrapped
+        (``_plain_admit`` false) take the full path on every arrival.
         """
         sim = self.sim
         qdisc = self.qdisc
-        if self._busy:
+        if self._tx is not None:
             qdisc.enqueue(pkt, sim.now)
             return
         if qdisc._plain_admit and qdisc.obs is None:
             stats = qdisc.stats
             size = pkt.size
-            stats.arrivals += 1
             stats.enqueues += 1
             stats.bytes_in += size
-            stats.departures += 1
-            stats.bytes_out += size
         else:
             now = sim.now
             if not qdisc.enqueue(pkt, now):
                 return
             pkt = qdisc.dequeue(now)  # the buffer was empty: *pkt* again
             size = pkt.size
-        self._busy = True
+        self._tx = pkt
         tx_time = self._ser_time.get(size)
         if tx_time is None:
             tx_time = size * 8.0 / self.bandwidth
             self._ser_time[size] = tx_time
-        self.busy_time += tx_time
         sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
     def _start_next(self) -> None:
-        """Start transmitting the head-of-line packet, or go idle.
+        """Start transmitting the head-of-line packet, if any.
 
         The general form of what :meth:`send` and :meth:`_tx_done` write
-        out for themselves; a subclass that overrides ``_tx_done``
-        (:class:`~repro.sim.jitter.JitterLink`) ends with this.  An empty
-        buffer is not asked for a packet: ``dequeue`` would return
-        ``None`` and change nothing (its contract).
+        out for themselves, called with the wire free; a subclass that
+        overrides ``_tx_done`` (:class:`~repro.sim.jitter.JitterLink`)
+        ends with this.  An empty buffer is not asked for a packet:
+        ``dequeue`` would return ``None`` and change nothing (its
+        contract).
         """
         qdisc = self.qdisc
         if not qdisc._buf:
-            self._busy = False
             return
         sim = self.sim
-        pkt = qdisc.dequeue(sim.now)
-        self._busy = True
+        self._tx = pkt = qdisc.dequeue(sim.now)
         size = pkt.size
         tx_time = self._ser_time.get(size)
         if tx_time is None:
             tx_time = size * 8.0 / self.bandwidth
             self._ser_time[size] = tx_time
-        self.busy_time += tx_time
         sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         """Complete *pkt*'s transmission and start the next one.
 
-        One departure: counters, the propagation-delay hand-off to the
+        One departure: the wire goes free (which is what counts the
+        packet as transmitted), the propagation-delay hand-off to the
         destination, and the dequeue of the next packet, whose own
         departure is scheduled like any event.  Most departures leave the
         buffer empty; those go idle without a ``dequeue`` call, which
@@ -182,22 +183,19 @@ class Link:
         heap.
         """
         sim = self.sim
-        self.bytes_transmitted += pkt.size
-        self.packets_transmitted += 1
+        self._tx = None
         if self.obs is not None:
             self.obs.link_tx(self, sim.now)
         sim.schedule_fire1(self.delay, self._deliver, pkt)
         qdisc = self.qdisc
         if not qdisc._buf:
-            self._busy = False
             return
-        pkt = qdisc.dequeue(sim.now)
+        self._tx = pkt = qdisc.dequeue(sim.now)
         size = pkt.size
         tx_time = self._ser_time.get(size)
         if tx_time is None:
             tx_time = size * 8.0 / self.bandwidth
             self._ser_time[size] = tx_time
-        self.busy_time += tx_time
         sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

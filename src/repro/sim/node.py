@@ -34,8 +34,6 @@ class Node:
         "name",
         "routes",
         "endpoints",
-        "packets_forwarded",
-        "packets_delivered",
         "packets_unroutable",
     )
 
@@ -45,8 +43,6 @@ class Node:
         self.name = name or f"n{node_id}"
         self.routes: Dict[int, Link] = {}
         self.endpoints: Dict[int, Endpoint] = {}
-        self.packets_forwarded = 0
-        self.packets_delivered = 0
         self.packets_unroutable = 0
 
     def add_route(self, dst_node_id: int, link: Link) -> None:
@@ -69,7 +65,6 @@ class Node:
         if dst == self.node_id:
             endpoint = self.endpoints.get(pkt.flow_id)
             if endpoint is not None:
-                self.packets_delivered += 1
                 endpoint.receive(pkt)
             else:
                 # Flow already torn down (e.g. a late ACK) — drop silently.
@@ -79,7 +74,6 @@ class Node:
         if link is None:
             self.packets_unroutable += 1
             return
-        self.packets_forwarded += 1
         link.send(pkt)
 
     #: Inject a locally generated packet into the network.  Injection *is*

@@ -9,9 +9,10 @@ delay and queue byte-counts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import numbers
+from typing import Any, List, Optional, Tuple
 
-__all__ = ["Packet", "DATA_SIZE", "ACK_SIZE"]
+__all__ = ["Packet", "DATA_SIZE", "ACK_SIZE", "check_positive_int"]
 
 DATA_SIZE = 1000  #: default data packet size in bytes (paper uses 1000-1250)
 ACK_SIZE = 40  #: pure-ACK size in bytes
@@ -19,6 +20,13 @@ ACK_SIZE = 40  #: pure-ACK size in bytes
 #: shared default for packets with no SACK information.  Never mutated —
 #: receivers build fresh block lists; everything else only iterates.
 _NO_SACK: List[Tuple[int, int]] = []
+
+
+def check_positive_int(name: str, value: Any) -> None:
+    """Reject a packet count or byte size that is not a positive integer."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class Packet:

@@ -12,52 +12,55 @@ Queue capacity is expressed in *packets*, matching the paper (e.g. the
 
 from __future__ import annotations
 
-import numbers
 import random
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
 from ..engine import Simulator
-from ..packet import Packet
+from ..packet import Packet, check_positive_int
 
-__all__ = ["QueueDiscipline", "QueueStats", "SampledAqmQueue",
-           "check_capacity"]
-
-
-def check_capacity(capacity_pkts: Any) -> None:
-    """Reject a buffer size that is not a whole, positive packet count."""
-    if (isinstance(capacity_pkts, bool)
-            or not isinstance(capacity_pkts, numbers.Integral)
-            or capacity_pkts < 1):
-        raise ValueError(
-            f"capacity_pkts must be a positive integer, got {capacity_pkts!r}")
+__all__ = ["QueueDiscipline", "QueueStats", "SampledAqmQueue"]
 
 
 class QueueStats:
-    """Counters shared by every queue discipline."""
+    """Counters shared by every queue discipline.
+
+    Only the admission decisions are counted; the rest follows from the
+    buffer, which changes only in ``enqueue`` and ``dequeue``: a packet
+    that arrived was enqueued or dropped, and one that was enqueued has
+    departed unless it is still buffered.
+    """
 
     __slots__ = (
-        "arrivals",
         "enqueues",
         "drops",
         "forced_drops",
         "early_drops",
         "marks",
-        "departures",
         "bytes_in",
-        "bytes_out",
+        "_queue",
     )
 
-    def __init__(self) -> None:
-        self.arrivals = 0
+    def __init__(self, queue: "QueueDiscipline") -> None:
+        self._queue = queue
         self.enqueues = 0
         self.drops = 0
         self.forced_drops = 0  # buffer-overflow drops
         self.early_drops = 0  # AQM probabilistic drops
         self.marks = 0  # ECN CE marks
-        self.departures = 0
         self.bytes_in = 0
-        self.bytes_out = 0
+
+    @property
+    def arrivals(self) -> int:
+        return self.enqueues + self.drops
+
+    @property
+    def departures(self) -> int:
+        return self.enqueues - len(self._queue._buf)
+
+    @property
+    def bytes_out(self) -> int:
+        return self.bytes_in - self._queue._bytes
 
     @property
     def drop_rate(self) -> float:
@@ -84,7 +87,7 @@ class QueueDiscipline:
     ecn = False
 
     def __init__(self, capacity_pkts: int) -> None:
-        check_capacity(capacity_pkts)
+        check_positive_int("capacity_pkts", capacity_pkts)
         # Plain tail-drop FIFO: ``admit``, ``enqueue`` and ``dequeue`` are
         # this class's own, as defined (no subclass override, no wrapper
         # installed on the class).  Then enqueue() inlines the admission
@@ -95,7 +98,7 @@ class QueueDiscipline:
         self.capacity = capacity_pkts
         self._buf: Deque[Packet] = deque()
         self._bytes = 0
-        self.stats = QueueStats()
+        self.stats = QueueStats(self)
         #: this queue's instrument, set by ``Collector.attach_queue`` —
         #: the one way a queue is observed (drops included); while
         #: ``None`` — the default — the hooks below cost one attribute
@@ -133,7 +136,6 @@ class QueueDiscipline:
         """Offer *pkt* to the queue; returns True if it was accepted."""
         stats = self.stats
         buf = self._buf
-        stats.arrivals += 1
         if self._plain_admit:
             # Inlined tail-drop admit(): same decision, no method call,
             # and the drop is by construction a forced (overflow) drop.
@@ -187,11 +189,8 @@ class QueueDiscipline:
         buf = self._buf
         if not buf:
             return None
-        stats = self.stats
         pkt = buf.popleft()
         self._bytes -= pkt.size
-        stats.departures += 1
-        stats.bytes_out += pkt.size
         if self.obs is not None:
             self.obs.queue_departure(self, pkt, now)
         return pkt

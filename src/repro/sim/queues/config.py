@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Type
 
 from ..engine import Simulator
-from .base import QueueDiscipline, check_capacity
+from ..packet import check_positive_int
+from .base import QueueDiscipline
 from .droptail import DropTailQueue
 from .pi import PiQueue
 from .red import RedQueue
@@ -96,7 +97,7 @@ class QueueConfig:
                 f"unknown parameter(s) {unknown} for discipline "
                 f"{self.discipline!r}; valid: {sorted(allowed)}"
             )
-        check_capacity(self.capacity_pkts)
+        check_positive_int("capacity_pkts", self.capacity_pkts)
         # freeze the param mapping so configs are safely shareable
         object.__setattr__(self, "params", dict(self.params))
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..sim.engine import Event, Simulator
 from ..sim.node import Node
-from ..sim.packet import ACK_SIZE, DATA_SIZE, Packet
+from ..sim.packet import ACK_SIZE, DATA_SIZE, Packet, check_positive_int
 
 __all__ = ["TcpSender", "TcpSink", "connect_flow"]
 
@@ -49,7 +49,7 @@ class TcpSender:
     dst:
         Node id of the receiver's host.
     pkt_size:
-        Data packet size in bytes.
+        Data packet size in bytes, a positive integer.
     ecn:
         Negotiate ECN: set ECT on data and halve the window on ECE.
     max_cwnd:
@@ -77,6 +77,7 @@ class TcpSender:
         loss_beta: float = 0.5,
         rng: Optional[random.Random] = None,
     ) -> None:
+        check_positive_int("pkt_size", pkt_size)
         self.sim = sim
         self.node = node
         self.flow_id = flow_id
@@ -461,7 +462,6 @@ class TcpSink:
         self.rcv_next = 0
         self.out_of_order: Set[int] = set()
         self.ece_active = False
-        self.pkts_received = 0
         self.dup_pkts = 0
         self.acks_sent = 0
         self.bytes_received = 0  # unique payload bytes delivered in order
@@ -470,7 +470,6 @@ class TcpSink:
     def receive(self, pkt: Packet) -> None:
         if pkt.is_ack:
             return
-        self.pkts_received += 1
         if pkt.ce:
             self.ece_active = True
         if pkt.cwr:

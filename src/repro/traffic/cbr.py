@@ -11,7 +11,7 @@ from typing import Optional
 
 from ..sim.engine import Event, Simulator
 from ..sim.node import Node
-from ..sim.packet import Packet
+from ..sim.packet import Packet, check_positive_int
 
 __all__ = ["CbrSource", "CbrSink"]
 
@@ -30,6 +30,7 @@ class CbrSource:
     ):
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
+        check_positive_int("pkt_size", pkt_size)
         self.sim = sim
         self.node = node
         self.dst = dst
@@ -72,13 +73,11 @@ class CbrSource:
 
 
 class CbrSink:
-    """Counts CBR packets arriving at the destination."""
+    """Counts the CBR bytes arriving at the destination."""
 
     def __init__(self, node: Node, flow_id: int):
-        self.pkts_received = 0
         self.bytes_received = 0
         node.register_endpoint(flow_id, self)
 
     def receive(self, pkt: Packet) -> None:
-        self.pkts_received += 1
         self.bytes_received += pkt.size

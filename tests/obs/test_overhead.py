@@ -34,7 +34,6 @@ _ATTEMPTS = 3
 def _plain_enqueue(self, pkt, now):
     stats = self.stats
     buf = self._buf
-    stats.arrivals += 1
     if self._plain_admit:
         if len(buf) >= self.capacity:
             stats.drops += 1
@@ -71,11 +70,8 @@ def _plain_dequeue(self, now):
     buf = self._buf
     if not buf:
         return None
-    stats = self.stats
     pkt = buf.popleft()
     self._bytes -= pkt.size
-    stats.departures += 1
-    stats.bytes_out += pkt.size
     return pkt
 
 
@@ -83,49 +79,42 @@ def _plain_send(self, pkt):
     # Link.send minus the `qdisc.obs` test, line for line
     sim = self.sim
     qdisc = self.qdisc
-    if self._busy:
+    if self._tx is not None:
         qdisc.enqueue(pkt, sim.now)
         return
     if qdisc._plain_admit:
         stats = qdisc.stats
         size = pkt.size
-        stats.arrivals += 1
         stats.enqueues += 1
         stats.bytes_in += size
-        stats.departures += 1
-        stats.bytes_out += size
     else:
         now = sim.now
         if not qdisc.enqueue(pkt, now):
             return
         pkt = qdisc.dequeue(now)
         size = pkt.size
-    self._busy = True
+    self._tx = pkt
     tx_time = self._ser_time.get(size)
     if tx_time is None:
         tx_time = size * 8.0 / self.bandwidth
         self._ser_time[size] = tx_time
-    self.busy_time += tx_time
     sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
 
 def _plain_tx_done(self, pkt):
     # Link._tx_done minus the `obs` test, line for line
     sim = self.sim
-    self.bytes_transmitted += pkt.size
-    self.packets_transmitted += 1
+    self._tx = None
     sim.schedule_fire1(self.delay, self._deliver, pkt)
     qdisc = self.qdisc
     if not qdisc._buf:
-        self._busy = False
         return
-    pkt = qdisc.dequeue(sim.now)
+    self._tx = pkt = qdisc.dequeue(sim.now)
     size = pkt.size
     tx_time = self._ser_time.get(size)
     if tx_time is None:
         tx_time = size * 8.0 / self.bandwidth
         self._ser_time[size] = tx_time
-    self.busy_time += tx_time
     sim.schedule_fire1(tx_time, self._on_tx_done, pkt)
 
 

@@ -125,16 +125,21 @@ def test_droptail_conservation_property(capacity, arrivals):
     q = DropTailQueue(capacity)
     t = 0.0
     seq = 0
+    departed = []
     for do_enqueue in arrivals:
         t += 0.001
         if do_enqueue:
-            q.enqueue(Packet(1, 0, 1, seq=seq), t)
+            q.enqueue(Packet(1, 0, 1, size=40 + seq % 3, seq=seq), t)
             seq += 1
         else:
-            q.dequeue(t)
+            pkt = q.dequeue(t)
+            if pkt is not None:
+                departed.append(pkt.size)
         assert 0 <= len(q) <= capacity
-    assert q.stats.arrivals == q.stats.enqueues + q.stats.drops
-    assert q.stats.enqueues == q.stats.departures + len(q)
+        # the derived counters agree with what the test saw move
+        assert q.stats.arrivals == seq
+        assert q.stats.departures == len(departed)
+        assert q.stats.bytes_out == sum(departed)
 
 
 @given(

@@ -2,11 +2,12 @@
 
 ``Link.send`` hands a packet that finds the link idle straight to the
 transmitter, past a plain tail-drop FIFO, on the strength of this
-invariant: ``_busy`` goes false only on a departure that finds the buffer
-empty, so ``not link._busy`` implies ``len(link.qdisc) == 0``.  It is
-checked here after every dispatched event of random dumbbells — each
-discipline, buffers down to one packet, an instrument on the bottleneck
-or not — through the simulator's profiler seam.
+invariant: a departure leaves the wire free (``_tx`` is ``None``) only
+when it finds the buffer empty, so ``link._tx is None`` implies
+``len(link.qdisc) == 0``.  It is checked here after every dispatched
+event of random dumbbells — each discipline, buffers down to one packet,
+an instrument on the bottleneck or not — through the simulator's
+profiler seam.
 """
 
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ class IdleMeansEmpty:
         fn(*args)
         self.events += 1
         for link in self.links:
-            assert link._busy or len(link.qdisc) == 0, (
+            assert link._tx is not None or len(link.qdisc) == 0, (
                 f"idle link {link!r} holds packets after {fn!r}")
 
 

@@ -21,13 +21,17 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import (DISCIPLINES, PiQueue, QueueConfig, RedQueue,
                               make_queue)
-from repro.sim.queues.base import QueueDiscipline, QueueStats
+from repro.sim.queues.base import QueueDiscipline
 
 #: small enough to run every scheme twice, busy enough to drop, mark and
 #: let the bottleneck go idle: reverse data and web sessions included
 _KWARGS = dict(bandwidth=4e6, rtt=0.04, n_fwd=4, n_rev=1, web_sessions=2,
                buffer_pkts=12, duration=3.0, warmup=1.0, seed=7,
                keep_refs=True)
+
+#: every ``QueueStats`` counter, the stored and the derived
+_COUNTERS = ("arrivals", "enqueues", "drops", "forced_drops", "early_drops",
+             "marks", "departures", "bytes_in", "bytes_out")
 
 
 def _run(scheme, monkeypatch, passthrough, traced):
@@ -44,10 +48,11 @@ def _run(scheme, monkeypatch, passthrough, traced):
     assert any(link.qdisc._plain_admit for link in links) is passthrough
     return (
         result.payload(),
-        [{slot: getattr(link.qdisc.stats, slot)
-          for slot in QueueStats.__slots__} for link in links],
-        [(link.bytes_transmitted, link.packets_transmitted, link.busy_time,
-          link._busy, len(link.qdisc), link.qdisc.byte_length)
+        [{name: getattr(link.qdisc.stats, name) for name in _COUNTERS}
+         for link in links],
+        [(link.bytes_transmitted, link.packets_transmitted,
+          link._tx and (link._tx.flow_id, link._tx.seq, link._tx.size),
+          len(link.qdisc), link.qdisc.byte_length)
          for link in links],
         collector.records if traced else None,
     )

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.experiments.scenarios import SCHEMES, scheme_at
 from repro.obs.collect import Collector as TraceCollector
 from repro.obs.records import select
 from repro.sim.engine import Simulator
@@ -162,14 +163,14 @@ def test_multihop_routing_via_network():
     net = Network(sim)
     n0, n1, n2 = (net.add_node(f"n{i}") for i in range(3))
     net.connect(n0, n1, 8e6, 0.001)
-    net.connect(n1, n2, 8e6, 0.001)
+    l12, _ = net.connect(n1, n2, 8e6, 0.001)
     net.compute_routes()
     sink = Collector(sim)
     n2.register_endpoint(7, sink)
     sim.schedule(0.0, n0.send, Packet(flow_id=7, src=0, dst=n2.node_id, seq=3))
     sim.run()
     assert sink.seen and sink.seen[0][1] == 3
-    assert n1.packets_forwarded == 1
+    assert l12.packets_transmitted == 1
 
 
 def test_bfs_routes_prefer_fewest_hops():
@@ -186,7 +187,8 @@ def test_bfs_routes_prefer_fewest_hops():
     assert nodes[0].routes[nodes[3].node_id].dst is nodes[3]
 
 
-def test_class_level_wrappers_see_every_hop(monkeypatch):
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_class_level_wrappers_see_every_hop(scheme, monkeypatch):
     """Seam contract of the packet path.
 
     ``benchmarks/e2e/tracing.py`` and ``repro.obs.Collector`` count the
@@ -194,57 +196,93 @@ def test_class_level_wrappers_see_every_hop(monkeypatch):
     a run is built.  Links bind ``dst.receive`` and ``_tx_done`` once at
     construction and ``Link.send`` starts the transmitter itself, so this
     pins what such a wrapper sees: every call, and exactly the counts the
-    link, queue and node counters report.
+    queue and link derive from their state (a packet is transmitted when
+    it has left the queue and the wire), for every scheme's queue and a
+    ``JitterLink`` hop, mid-run with packets on the wire and at the end.
     """
     from collections import Counter
 
-    from repro.experiments.common import run_dumbbell
     from repro.sim.queues.base import QueueDiscipline
+    from repro.sim.topology import Dumbbell
+    from repro.tcp.base import TcpSender, TcpSink, connect_flow
 
     seen = Counter()
 
-    def count(cls, attr, label=None, hit=lambda out: True):
+    def count(cls, attr, label, moved=lambda args, out: args[0]):
+        """Count the calls of ``cls.attr`` that move a packet, and its bytes."""
         orig = getattr(cls, attr)
-        label = label or f"{cls.__name__}.{attr}"
 
         def wrapper(self, *args):
             out = orig(self, *args)
-            if hit(out):
+            pkt = moved(args, out)
+            if pkt is not None:
                 seen[label] += 1
+                seen[label + ".bytes"] += pkt.size
             return out
 
         monkeypatch.setattr(cls, attr, wrapper)
 
-    count(Node, "send")
-    count(Node, "receive")
-    count(Link, "send")
-    count(Link, "_tx_done")
-    count(QueueDiscipline, "dequeue", hit=lambda pkt: pkt is not None)
-    count(QueueDiscipline, "enqueue", "enqueue.accepted", hit=bool)
-    count(QueueDiscipline, "enqueue")
+    count(Node, "send", "injected")
+    count(Node, "receive", "received")
+    count(Link, "send", "forwarded")
+    count(TcpSender, "receive", "delivered")
+    count(TcpSink, "receive", "delivered")
+    count(QueueDiscipline, "enqueue", "arrived")
+    count(QueueDiscipline, "enqueue", "enqueued",
+          lambda args, accepted: args[0] if accepted else None)
+    count(QueueDiscipline, "dequeue", "departed", lambda args, pkt: pkt)
+    count(Link, "_tx_done", "transmitted")
+    count(JitterLink, "_tx_done", "transmitted")
 
-    result = run_dumbbell(
-        "sack-droptail", bandwidth=3e6, rtt=0.04, n_fwd=3, n_rev=1,
-        buffer_pkts=10, duration=2.5, warmup=1.0, seed=3,
-        collector=False, keep_refs=True,
-    )
-    net = result.extras["dumbbell"].net
-    flows = result.extras["fwd_flows"] + result.extras["rev_flows"]
-    stats = [link.qdisc.stats for link in net.links]
-    assert sum(s.drops for s in stats) > 0  # the refused-enqueue branch ran
+    bw, n_flows, buffer_pkts = 3e6, 3, 10
+    sim = Simulator(seed=3)
+    qdisc, flow_kw = scheme_at(scheme, bw, 1000, n_flows, 0.04)
+    db = Dumbbell(sim, n_flows, n_flows, bw, 0.01,
+                  lambda: qdisc(sim, buffer_pkts),
+                  lambda: qdisc(sim, buffer_pkts))
+    # the first host's uplink becomes a second, jittered bottleneck
+    host, links = db.left[0], db.net.links
+    uplink = host.routes[db.r1.node_id]
+    jitter = JitterLink(sim, host, db.r1, bw / 3, uplink.delay,
+                        DropTailQueue(buffer_pkts), jitter=0.02)
+    links[links.index(uplink)] = jitter
+    for dst in host.routes:
+        host.routes[dst] = jitter
+    flows = [connect_flow(sim, db.left[i], db.right[i], flow_id=i, **flow_kw)
+             for i in range(n_flows)]
+    flows.append(connect_flow(sim, db.right[0], host, flow_id=n_flows,
+                              **flow_kw))
+    for i, (sender, _) in enumerate(flows):
+        sender.start(at=0.05 * i, npackets=300)
 
-    injected = sum(snd.pkts_sent + sink.acks_sent for snd, sink in flows)
-    hops = sum(n.packets_forwarded + n.packets_delivered + n.packets_unroutable
-               for n in net.nodes)
-    assert seen["Node.send"] == injected
-    assert seen["Node.send"] + seen["Node.receive"] == hops
-    assert seen["Link.send"] == sum(n.packets_forwarded for n in net.nodes)
-    assert seen["QueueDiscipline.enqueue"] == sum(s.arrivals for s in stats)
-    assert seen["QueueDiscipline.enqueue"] == seen["Link.send"]
-    assert seen["enqueue.accepted"] == sum(s.enqueues for s in stats)
-    assert seen["QueueDiscipline.dequeue"] == sum(s.departures for s in stats)
-    # every departure is one `_tx_done` call
-    assert seen["Link._tx_done"] == sum(
-        link.packets_transmitted for link in net.links)
-    # in flight at the end: serialized but still propagating
-    assert seen["Link._tx_done"] >= seen["Node.receive"]
+    def check():
+        """Compare the wrappers' counts with the counters; return the
+        number of packets on the wire."""
+        stats = [link.qdisc.stats for link in links]
+        on_wire = sum(link._tx is not None for link in links)
+        assert seen["injected"] == sum(
+            sender.pkts_sent + sink.acks_sent for sender, sink in flows)
+        assert seen["injected"] + seen["received"] == (
+            seen["forwarded"] + seen["delivered"]
+            + sum(node.packets_unroutable for node in db.net.nodes))
+        assert seen["arrived"] == seen["forwarded"]
+        for label, counter in [("arrived", "arrivals"),
+                               ("enqueued", "enqueues"),
+                               ("enqueued.bytes", "bytes_in"),
+                               ("departed", "departures"),
+                               ("departed.bytes", "bytes_out")]:
+            assert seen[label] == sum(getattr(s, counter) for s in stats)
+        assert seen["transmitted"] == sum(
+            link.packets_transmitted for link in links)
+        assert seen["transmitted.bytes"] == sum(
+            link.bytes_transmitted for link in links)
+        assert seen["departed"] - seen["transmitted"] == on_wire
+        return on_wire
+
+    sim.run(until=2.0)
+    assert check() > 0
+    sim.run(until=30.0)
+    assert check() == 0
+    assert all(sink.rcv_next == 300 for _, sink in flows)
+    assert sum(s.drops for s in (link.qdisc.stats for link in links)) > 0
+    assert jitter.reorder_opportunities > 0

@@ -85,8 +85,8 @@ class TestDropTail:
         while q.dequeue(1.0) is not None:
             drained += 1
         assert accepted == drained
-        assert q.stats.enqueues == q.stats.departures + len(q)
-        assert q.stats.arrivals == q.stats.enqueues + q.stats.drops
+        assert (q.stats.arrivals, q.stats.departures) == (10, drained)
+        assert q.stats.bytes_out == q.stats.bytes_in == 1000 * drained
 
 
 # ----------------------------------------------------------------------

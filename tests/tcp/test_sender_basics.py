@@ -21,6 +21,15 @@ def run_transfer(npackets=50, bw=8e6, buffer_pkts=100, **kwargs):
     return sim, sender, sink, done
 
 
+@pytest.mark.parametrize("pkt_size", [-1, 0, 1.5, float("nan"), True, "1000"],
+                         ids=repr)
+def test_a_packet_size_that_is_not_a_positive_int_is_refused_by_name(pkt_size):
+    sim = Simulator(seed=1)
+    db = make_dumbbell(sim)
+    with pytest.raises(ValueError, match="pkt_size"):
+        make_flow(sim, db, pkt_size=pkt_size)
+
+
 def test_finite_transfer_completes():
     sim, sender, sink, done = run_transfer(npackets=50)
     assert sender.done

@@ -148,3 +148,13 @@ def test_cbr_validation():
     db = make_dumbbell(sim, n=1)
     with pytest.raises(ValueError):
         CbrSource(sim, db.left[0], dst=1, flow_id=9, rate_bps=0.0)
+
+
+@pytest.mark.parametrize("pkt_size", [-1, 0, 1.5, float("nan"), True, "1000"],
+                         ids=repr)
+def test_cbr_refuses_a_packet_size_that_is_not_a_positive_int(pkt_size):
+    sim = Simulator(seed=1)
+    db = make_dumbbell(sim, n=1)
+    with pytest.raises(ValueError, match="pkt_size"):
+        CbrSource(sim, db.left[0], dst=1, flow_id=9, rate_bps=1e6,
+                  pkt_size=pkt_size)
