@@ -38,8 +38,6 @@ def _runner_env(args) -> Dict[str, str]:
         env["REPRO_OBS"] = "1"
     if args.trace:
         env["REPRO_TRACE"] = "1"
-    if args.profile:
-        env["REPRO_PROFILE"] = "1"
     if args.fleet:
         env["REPRO_FLEET"] = args.fleet
     return env
@@ -66,11 +64,6 @@ def main(argv=None) -> int:
         "--trace", action="store_true",
         help="also write a schema-versioned JSONL event trace per fresh job "
              "(implies --obs)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="sample event-callback timings in each job (adds a 'profile' "
-             "section to its cache entry; slows the run)",
     )
     parser.add_argument(
         "--fleet", default=None, metavar="DIR",

@@ -10,7 +10,7 @@ returns a :class:`PacketRun` naming the measured links and flows — and
 
     resolve -> build -> warm -> measure -> result
 
-The shell owns the only ``Simulator(...)`` call, the profiler /
+The shell owns the only ``Simulator(...)`` call, the dispatcher /
 heartbeat / collector attachment and the phase timings.  A ``build`` is
 a pure function of *params* (construction order fixes RNG draws and
 event sequence numbers) and finds ``seed`` / ``warmup`` / ``duration``

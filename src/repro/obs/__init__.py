@@ -7,9 +7,14 @@ deterministic :class:`MetricsRegistry` and (optionally) a
 schema-versioned JSONL trace.  A fresh job's cache entry carries what
 it observed (phases, peak RSS, metrics), and ``python -m repro.obs
 report <run-dir>`` turns a directory of entries/traces into wall-time,
-throughput and queue-behaviour summaries; that report and ``python -m
-repro.obs diff`` both render one :class:`~repro.obs.rundir.RunView`
-fold of the directory.
+throughput and queue-behaviour summaries, rendered from one
+:class:`~repro.obs.rundir.RunView` fold of the directory.
+
+Host time is not measured here.  The one seam for it is the engine's
+``profiler`` slot: any object with ``dispatch(fn, args)`` set as
+:attr:`JobObservation.profiler` is copied onto the job's simulator by
+the experiment shell, and every event callback then runs through it.
+``benchmarks/e2e``'s span tracer is the instrument that uses it.
 
 Everything here is strictly passive: attaching a collector schedules no
 simulator events and draws from no RNG stream, so instrumented and
@@ -31,9 +36,7 @@ from .bus import (
     resolve_bus_path,
 )
 from .collect import Collector
-from .diff import diff_runs, flagged_deltas, format_diff
 from .metrics import Gauge, Histogram, MetricsRegistry, Reading
-from .profiler import SamplingProfiler
 from .records import TRACE_SCHEMA, select, validate_record
 from .report import format_table, generate_report
 from .rundir import scheme_summary
@@ -58,15 +61,11 @@ __all__ = [
     "MetricsRegistry",
     "ObsFlags",
     "Reading",
-    "SamplingProfiler",
     "TRACE_SCHEMA",
     "active",
     "active_bus",
     "bus_scope",
-    "diff_runs",
     "emit",
-    "flagged_deltas",
-    "format_diff",
     "format_table",
     "generate_report",
     "iter_events",

@@ -90,20 +90,6 @@ def _phase_rollup(records: List[dict]) -> List[List[str]]:
     ]
 
 
-def _profile_rollup(records: List[dict], top: int) -> List[List[str]]:
-    totals: Dict[str, List[float]] = {}
-    for m in records:
-        for row in (m.get("profile") or {}).get("top", []):
-            cell = totals.setdefault(row["callback"], [0, 0.0])
-            cell[0] += row.get("samples", 0)
-            cell[1] += row.get("est_time", 0.0)
-    rows = sorted(totals.items(), key=lambda kv: -kv[1][1])[:top]
-    return [
-        [name, str(int(samples)), _fmt_secs(est)]
-        for name, (samples, est) in rows
-    ]
-
-
 def _queue_delay_summary(records: List[dict]) -> List[List[str]]:
     """Per-queue delay/drop summary from metrics snapshots (``--obs``)."""
     rows = []
@@ -245,11 +231,6 @@ def generate_report(run_dir, top: int = 10, include_trace: bool = True) -> str:
         out.append(format_table(
             ["job", "wall", "events", "events/s", "peak_rss", "attempts"], rows,
         ))
-
-        hot = _profile_rollup(records, top)
-        if hot:
-            out.append(f"\n== hottest callbacks (top {len(hot)}, sampled) ==")
-            out.append(format_table(["callback", "samples", "est_time"], hot))
 
         qrows = _queue_delay_summary(records)
         if qrows:

@@ -1,4 +1,4 @@
-"""One fold of a run directory: the reader behind report and diff.
+"""One fold of a run directory: the reader behind ``obs report``.
 
 A run directory (a runner cache dir, or a fleet dir) holds three records
 of the same jobs, and :class:`RunView` is the only code that reads them:
@@ -109,8 +109,8 @@ def scheme_summary(records: List[dict]) -> Dict[str, dict]:
     Groups by ``scheme`` (falling back to ``kind``) and returns,
     per group: job count, summed wall seconds, summed events, events/s,
     and the mean ``drop_rate`` / ``norm_queue`` / ``utilization`` of the
-    jobs that reported them (``None`` when none did).  This is the shared
-    aggregation behind the report table and ``python -m repro.obs diff``.
+    jobs that reported them (``None`` when none did).  This is the
+    aggregation behind the report's per-scheme table.
     """
     by_scheme: Dict[str, dict] = {}
     acc: Dict[str, dict] = {}

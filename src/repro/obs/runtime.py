@@ -19,10 +19,9 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from .collect import Collector
-from .profiler import SamplingProfiler
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource
@@ -50,13 +49,11 @@ class ObsFlags:
 
     collect: bool = False  # in-sim metrics registry
     trace: bool = False  # per-event JSONL trace records (implies collect)
-    profile: bool = False  # sampling profiler around the event loop
     sample_interval: float = 0.1
-    profile_period: int = 16
 
 
 def resolve_obs_flags(env=None) -> ObsFlags:
-    """Read ``REPRO_OBS`` / ``REPRO_TRACE`` / ``REPRO_PROFILE`` (+ the
+    """Read ``REPRO_OBS`` / ``REPRO_TRACE`` (+ the
     ``REPRO_OBS_INTERVAL`` sampling knob) from the environment.  An
     interval that is not a finite number > 0 raises ``ValueError``
     naming the knob."""
@@ -77,7 +74,6 @@ def resolve_obs_flags(env=None) -> ObsFlags:
     return ObsFlags(
         collect=on("REPRO_OBS") or trace,
         trace=trace,
-        profile=on("REPRO_PROFILE"),
         sample_interval=interval,
     )
 
@@ -94,8 +90,8 @@ class JobObservation:
     """Everything observed about one job attempt.
 
     Phase wall times and peak RSS are recorded unconditionally (they
-    cost nothing per event); the collector, trace buffer and profiler
-    exist only when the corresponding flag is set.
+    cost nothing per event); the collector and trace buffer exist only
+    when the corresponding flag is set.
     """
 
     def __init__(self, flags: ObsFlags):
@@ -105,9 +101,11 @@ class JobObservation:
             if (flags.collect or flags.trace)
             else None
         )
-        self.profiler: Optional[SamplingProfiler] = (
-            SamplingProfiler(period=flags.profile_period) if flags.profile else None
-        )
+        #: the dispatch seam: ``None`` unless a caller installs any
+        #: object with ``dispatch(fn, args)`` (the e2e benchmark's span
+        #: tracer does); the experiment shell copies it onto the
+        #: simulator, whose event callbacks then all run through it
+        self.profiler: Optional[Any] = None
         self.phases: Dict[str, float] = {}
         #: the job's live simulator, registered by harness code via
         #: :func:`note_simulator` so bus heartbeats can sample progress
@@ -129,8 +127,6 @@ class JobObservation:
             out["metrics"] = self.collector.snapshot()
             if self.collector.records is not None:
                 out["trace_records"] = self.collector.records
-        if self.profiler is not None:
-            out["profile"] = self.profiler.snapshot()
         return out
 
 
@@ -159,8 +155,9 @@ def active_collector() -> Optional[Collector]:
     return _ACTIVE.collector if _ACTIVE is not None else None
 
 
-def active_profiler() -> Optional[SamplingProfiler]:
-    """The active observation's profiler (``None`` when not profiling)."""
+def active_profiler() -> Optional[Any]:
+    """The active observation's dispatcher (``None`` unless one was
+    installed as :attr:`JobObservation.profiler`)."""
     return _ACTIVE.profiler if _ACTIVE is not None else None
 
 

@@ -5,9 +5,9 @@ atomically (:func:`repro.atomic.atomic_write`) so a crashed run can
 never leave a half-written entry.  An entry is ``{key, kind, params,
 payload, meta}`` and is the job's one record: ``meta`` says what the
 fresh attempt cost and observed (``events``, ``wall_time``,
-``attempts``, ``phases``, ``peak_rss_kb``, and ``metrics`` /
-``profile`` when on), and ``<key>.trace.jsonl`` beside
-it is the trace when ``--trace`` was on.
+``attempts``, ``phases``, ``peak_rss_kb``, and ``metrics`` when
+``--obs`` was on), and ``<key>.trace.jsonl`` beside it is the trace
+when ``--trace`` was on.
 
 A hit is one read and one parse, and every sweep served from the cache
 or a fleet's store pays it per point: :meth:`ResultCache._file` turns

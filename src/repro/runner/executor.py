@@ -59,7 +59,7 @@ __all__ = ["JobResult", "Ticket", "commit", "resolve_workers", "run_attempt",
 _JOIN_GRACE = 5.0
 
 #: observation fields an attempt's cache entry carries in ``meta``
-_OBSERVED = ("phases", "peak_rss_kb", "metrics", "profile")
+_OBSERVED = ("phases", "peak_rss_kb", "metrics")
 
 #: sleep between polls of a queue whose remaining jobs are all leased to
 #: other processes (only the journal backend can be in that state)

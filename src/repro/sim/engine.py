@@ -198,9 +198,11 @@ class ArraySimulator:
         self.events_processed = 0
         self._stream_labels: Set[str] = set()
         self._stream_counts: Dict[str, int] = {}
-        #: optional :class:`repro.obs.SamplingProfiler`; when set, event
-        #: dispatch routes through it (results are unaffected — it times
-        #: callbacks, nothing more)
+        #: optional dispatcher, any object with ``dispatch(fn, args)``;
+        #: when set, every event callback runs through it and it must
+        #: call ``fn(*args)`` exactly once.  Its users: the e2e
+        #: benchmark's span tracer, the link-property checker
+        #: (tests/properties) and the differential oracle
         self.profiler: Optional[Any] = None
         self._heap: List[tuple] = []
         self._next: Optional[tuple] = None

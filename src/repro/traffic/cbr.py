@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..laws import check_positive
 from ..sim.engine import Event, Simulator
 from ..sim.node import Node
 from ..sim.packet import Packet, check_positive_int
@@ -28,8 +29,7 @@ class CbrSource:
         rate_bps: float,
         pkt_size: int = 1000,
     ):
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
+        check_positive(rate_bps=rate_bps)
         check_positive_int("pkt_size", pkt_size)
         self.sim = sim
         self.node = node

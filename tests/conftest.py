@@ -38,8 +38,8 @@ def _isolated_runner_env(tmp_path_factory):
         k: os.environ.pop(k, None)
         for k in ("REPRO_CACHE_DIR", "REPRO_CACHE", "REPRO_WORKERS",
                   "REPRO_PROGRESS", "REPRO_MP_START",
-                  "REPRO_OBS", "REPRO_TRACE", "REPRO_PROFILE",
-                  "REPRO_OBS_INTERVAL", "REPRO_FLEET")
+                  "REPRO_OBS", "REPRO_TRACE", "REPRO_OBS_INTERVAL",
+                  "REPRO_FLEET")
     }
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
     yield

@@ -1,6 +1,6 @@
 """The run-directory fold (``RunView``) and the report lines it feeds:
-job states from the bus, the fleet rollup from the journal, and one
-per-scheme rollup shared by report and diff."""
+job states from the bus, the fleet rollup from the journal, and the
+per-scheme rollup of the report's table."""
 
 import json
 import time
@@ -10,7 +10,6 @@ import pytest
 from repro.fleet import Fleet, JobQueue, Journal
 from repro.fleet.journal import JOURNAL_SCHEMA
 from repro.obs.bus import BUS_SCHEMA, EventBus, read_events
-from repro.obs.diff import diff_runs
 from repro.obs.report import _scheme_rollup, format_table, generate_report
 from repro.obs.rundir import RunView
 from repro.runner import JobSpec, run_jobs
@@ -273,9 +272,9 @@ def test_runview_cached_rows_carry_their_manifest(tmp_path):
         assert job["wall_time"] == entry["meta"]["wall_time"]
 
 
-def test_report_and_diff_roll_up_one_fold(tmp_path, monkeypatch):
-    """The report's per-scheme table and ``diff_runs``' A column are one
-    dict of one fold."""
+def test_report_rolls_up_one_fold(tmp_path, monkeypatch):
+    """The report's per-scheme table is ``RunView.metrics()``' rollup of
+    one fold."""
     monkeypatch.setenv("REPRO_OBS", "1")  # queue_delay comes from --obs
     run_jobs([dumbbell_spec(scheme=scheme, bandwidth=bw, n_fwd=3,
                             duration=4.0, warmup=1.5, seed=3)
@@ -287,11 +286,6 @@ def test_report_and_diff_roll_up_one_fold(tmp_path, monkeypatch):
     assert set(schemes) == {"pert", "sack-droptail"}
     assert all(agg["jobs"] == 2 and agg["queue_delay"] is not None
                for agg in schemes.values())
-
-    diff = diff_runs(tmp_path, tmp_path)
-    assert {s: {m: cell["a"] for m, cell in metrics.items()}
-            for s, metrics in diff["schemes"].items()} == {
-        s: {m: agg[m] for m in diff["schemes"][s]} for s, agg in schemes.items()}
 
     table = format_table(
         ["scheme", "jobs", "wall", "events", "events/s",

@@ -1,7 +1,9 @@
-"""Job-scoped observation context: flags, phases, activation."""
+"""Job-scoped observation context: flags, phases, activation, and the
+dispatch seam an outside instrument attaches through."""
 
 import pytest
 
+from repro.experiments.common import run_dumbbell
 from repro.obs import runtime
 from repro.obs.runtime import (
     JobObservation,
@@ -14,14 +16,14 @@ from repro.obs.runtime import (
 def test_flags_default_off():
     flags = resolve_obs_flags(env={})
     assert flags == ObsFlags()
-    assert not flags.collect and not flags.trace and not flags.profile
+    assert not flags.collect and not flags.trace
 
 
 def test_flags_from_env():
     flags = resolve_obs_flags(env={
-        "REPRO_OBS": "1", "REPRO_PROFILE": "yes", "REPRO_OBS_INTERVAL": "0.25",
+        "REPRO_OBS": "1", "REPRO_OBS_INTERVAL": "0.25",
     })
-    assert flags.collect and flags.profile and not flags.trace
+    assert flags.collect and not flags.trace
     assert flags.sample_interval == 0.25
 
 
@@ -64,7 +66,7 @@ def test_observation_without_flags_is_phases_only():
     meta = obs.finish()
     assert meta["phases"]["measure"] == pytest.approx(0.75)
     assert meta["wall_time"] >= 0.0
-    assert "metrics" not in meta and "profile" not in meta
+    assert "metrics" not in meta
 
 
 def test_finish_includes_metrics_and_trace_when_enabled():
@@ -82,3 +84,28 @@ def test_observe_job_nests():
             assert runtime.active() is inner
         assert runtime.active() is outer
     assert runtime.active() is None
+
+
+class _CountingDispatcher:
+    """The seam's whole contract: run each callback, once."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def dispatch(self, fn, args):
+        self.calls += 1
+        fn(*args)
+
+
+def test_an_installed_dispatcher_sees_every_event_and_changes_nothing():
+    """What ``benchmarks/e2e``'s tracer relies on: a dispatcher set as
+    the observation's ``profiler`` is copied onto the job's simulator,
+    runs every event callback, and leaves the result bit-identical."""
+    kwargs = dict(bandwidth=4e6, n_fwd=3, duration=4.0, warmup=1.5, seed=3)
+    plain = run_dumbbell("pert", **kwargs)
+    counter = _CountingDispatcher()
+    with observe_job(ObsFlags()) as obs:
+        obs.profiler = counter
+        dispatched = run_dumbbell("pert", **kwargs)
+    assert counter.calls == dispatched.events_processed > 0
+    assert dispatched == plain

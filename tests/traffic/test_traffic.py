@@ -143,11 +143,15 @@ def test_cbr_stop():
     assert src.pkts_sent == sent
 
 
-def test_cbr_validation():
+@pytest.mark.parametrize("rate_bps", [float("inf"), float("nan"), 0, -1],
+                         ids=repr)
+def test_cbr_refuses_a_rate_it_cannot_run(rate_bps):
+    # inf floods at t = 0 and never lets the clock advance; nan fails
+    # later, inside the engine, as a bad delay
     sim = Simulator(seed=1)
     db = make_dumbbell(sim, n=1)
-    with pytest.raises(ValueError):
-        CbrSource(sim, db.left[0], dst=1, flow_id=9, rate_bps=0.0)
+    with pytest.raises(ValueError, match="rate_bps"):
+        CbrSource(sim, db.left[0], dst=1, flow_id=9, rate_bps=rate_bps)
 
 
 @pytest.mark.parametrize("pkt_size", [-1, 0, 1.5, float("nan"), True, "1000"],
